@@ -1,9 +1,11 @@
 //! Packed execution backend benchmarks: the `figlut-exec` kernels against
 //! the bit-accurate FIGLUT-I datapath model, plus packing, thread
-//! scaling, and batch-column amortization (the software counterparts of
-//! `repro ext-throughput` and `repro ext-batch-scaling`).
+//! scaling, small-call dispatch, and batch-column amortization (the
+//! software counterparts of `repro ext-throughput` and
+//! `repro ext-batch-scaling`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use figlut_exec::parallel::thread_count;
 use figlut_exec::{exec_f_threads, exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::{figlut, EngineConfig};
 use figlut_num::Mat;
@@ -44,6 +46,30 @@ fn bench_exec_thread_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| black_box(exec_i_threads(&x, &packed, &cfg, t)))
         });
+    }
+    g.finish();
+}
+
+fn bench_small_calls(c: &mut Criterion) {
+    // The dispatch cliff: warm plan calls at the `ext-serving` decode
+    // shapes (d_model 48: attention 48×48, FFN up 192×48, Q3, B=6) do
+    // tens of µs of work, less than waking a second thread costs. `1t`
+    // and `default` must read the same — the plan keeps such a call on
+    // the calling thread whatever `threads` allows (DESIGN.md §6,
+    // "fan-out rule").
+    let cfg = EngineConfig::paper_default();
+    let mut g = c.benchmark_group("small_call_q3_b6");
+    for (m, n) in [(48usize, 48usize), (192, 48)] {
+        let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173).sin() * 0.2);
+        let packed = PackedBcq::pack(&BcqWeight::from_uniform(&rtn(&w, RtnParams::grouped(3, n))));
+        let plan = ExecPlan::new(&packed, &cfg);
+        let x = Mat::from_fn(6, n, |b, c| ((b * n + c) as f64 * 0.059).cos());
+        let mut y = Mat::zeros(6, m);
+        for (label, threads) in [("1t", 1), ("default", thread_count())] {
+            g.bench_function(BenchmarkId::new(format!("{m}x{n}"), label), |b| {
+                b.iter(|| plan.exec_i_into(black_box(&x), &packed, &cfg, threads, &mut y))
+            });
+        }
     }
     g.finish();
 }
@@ -93,6 +119,7 @@ criterion_group!(
     benches,
     bench_exec_vs_model,
     bench_exec_thread_scaling,
+    bench_small_calls,
     bench_exec_batch_scaling,
     bench_packing
 );

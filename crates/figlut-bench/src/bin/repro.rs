@@ -6,17 +6,19 @@
 //! repro fig16 table5             # run specific experiments
 //! repro calibration              # cost-model calibration report
 //! repro --out-dir /tmp/r fig16   # write CSVs somewhere else
-//! repro --threads 2 ext-serving  # pin the exec kernels' worker count
+//! repro --threads 2 ext-serving  # cap the exec kernels' worker count
 //! repro --trace t.json ext-serving  # also write a Chrome trace
 //! repro analyze t.jsonl          # replay an exported trace offline
 //! repro --list                   # list experiment ids
 //! ```
 //!
 //! Output: aligned text tables on stdout, CSVs under `--out-dir` (default
-//! `results/`, created if absent). `--threads N` sets the `figlut-exec`
-//! worker count for the throughput/serving experiments; an explicit
+//! `results/`, created if absent). `--threads N` sets the *maximum*
+//! `figlut-exec` worker count for the throughput/serving experiments — a
+//! call too small to repay a thread wake-up uses fewer — and an explicit
 //! `FIGLUT_EXEC_THREADS` environment variable still wins (results are
-//! bit-identical either way — thread count only moves the measured rates).
+//! bit-identical for every value — thread count only moves the measured
+//! rates).
 //!
 //! `--trace <path>` records the run through `figlut-trace`: a `.jsonl`
 //! path gets one JSON event per line, anything else gets Chrome

@@ -938,9 +938,10 @@ pub(crate) fn check(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> (usize, 
 }
 
 /// FIGLUT-I fast path: `y = x·Wᵀ`, bit-identical to
-/// `figlut_gemm::figlut::gemm_i` (and hence to iFPU), using `threads`
-/// worker threads. Builds a throwaway [`ExecPlan`]; callers that execute
-/// the same weights repeatedly should cache one.
+/// `figlut_gemm::figlut::gemm_i` (and hence to iFPU), on at most `threads`
+/// worker threads (a maximum, see [`ExecPlan::fan_out`]; the result is
+/// bit-identical for every value). Builds a throwaway [`ExecPlan`];
+/// callers that execute the same weights repeatedly should cache one.
 ///
 /// # Panics
 ///
@@ -956,9 +957,11 @@ pub fn exec_i(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
 }
 
 /// FIGLUT-F fast path: `y = x·Wᵀ` with `f64` accumulation, tracking
-/// `figlut_gemm::figlut::gemm_f` within scale-aware tolerance, using
-/// `threads` worker threads. Builds a throwaway [`ExecPlan`]; callers that
-/// execute the same weights repeatedly should cache one.
+/// `figlut_gemm::figlut::gemm_f` within scale-aware tolerance, on at most
+/// `threads` worker threads (a maximum, see [`ExecPlan::fan_out`]; the
+/// result is bit-identical for every value). Builds a throwaway
+/// [`ExecPlan`]; callers that execute the same weights repeatedly should
+/// cache one.
 ///
 /// # Panics
 ///

@@ -15,7 +15,7 @@
 //! | [`lut`] | FFLUT generators | flat per-window `2^µ` tables, batch-stacked across activation rows, built half + mirrored (Fig. 10) |
 //! | [`kernel`] | RAC arrays | cache-blocked, batch-blocked [`exec_f`] / [`exec_i`] read-accumulate kernels |
 //! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls |
-//! | [`parallel`] | MPU tiling | row-panel `std::thread::scope` workers, `FIGLUT_EXEC_THREADS` |
+//! | [`parallel`] | MPU tiling | row-panel `std::thread::scope` workers: `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a call fans out only as far as its look-up count repays the wake-ups |
 //!
 //! The correctness story is *differential*: [`exec_i`] is **bit-identical**
 //! to `figlut_gemm::figlut::gemm_i` (same pre-alignment, exact integer

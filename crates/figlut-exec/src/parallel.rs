@@ -5,14 +5,33 @@
 //! output element is computed start-to-finish by exactly one thread, with a
 //! fixed window order and a fixed fold order, so results are bit-identical
 //! for every thread count — the determinism contract the tests pin.
+//!
+//! A caller's `threads` is therefore only ever a *maximum*: it can change
+//! how fast a call runs, never what it returns. [`crate::ExecPlan::fan_out`]
+//! lowers it per call, so a worker is woken only when its panel outweighs
+//! the wake-up (DESIGN.md §6, "fan-out rule").
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
-/// Environment variable overriding the worker count (`≥ 1`).
+/// Environment variable overriding the maximum worker count (`≥ 1`).
 pub const THREADS_ENV: &str = "FIGLUT_EXEC_THREADS";
 
-/// Effective worker count: [`THREADS_ENV`] if set to a positive integer,
-/// else the machine's available parallelism, else 1.
+/// Computed table look-ups a row panel must carry to be worth a thread:
+/// ≈ 200–700 µs of work at the measured 0.8–2.7 ns per look-up, against a
+/// 47–108 µs cross-vCPU wake-up (derivation: DESIGN.md §6).
+const MIN_PANEL_LOOKUPS: usize = 1 << 18;
+
+/// Row panels worth running for a call of `lookups` computed look-ups over
+/// `rows` output rows: one per [`MIN_PANEL_LOOKUPS`], at least 1, at most
+/// `threads` and `rows`.
+pub(crate) fn panel_count(lookups: usize, rows: usize, threads: usize) -> usize {
+    (lookups / MIN_PANEL_LOOKUPS).min(threads).min(rows).max(1)
+}
+
+/// Default maximum worker count: [`THREADS_ENV`] if set to a positive
+/// integer (re-read on every call), else the machine's available
+/// parallelism (read once per process — it parses cgroup files), else 1.
 pub fn thread_count() -> usize {
     if let Ok(v) = std::env::var(THREADS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -21,9 +40,12 @@ pub fn thread_count() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Split `out` (the `m` outputs of one batch row) into at most `threads`
@@ -42,7 +64,9 @@ where
 /// [`run_row_panels`] for row-major outputs with `stride` values per
 /// output row (the batched kernels' `m × batch` transposed output): `out`
 /// is split on row boundaries into at most `threads` contiguous panels and
-/// `work(first_row, panel)` runs on each, in parallel.
+/// `work(first_row, panel)` runs on each, in parallel — the first on the
+/// calling thread, the rest on scoped workers. The work is not weighed
+/// here: `threads` is the fan-out ([`crate::ExecPlan::fan_out`]'s job).
 ///
 /// `work` must fill `panel[j·stride + s]` with value `s` of output row
 /// `first_row + j`. As with [`run_row_panels`], panel boundaries never
@@ -71,11 +95,13 @@ where
         return;
     }
     let chunk = m.div_ceil(t);
+    let (first, rest) = out.split_at_mut(chunk * stride);
     std::thread::scope(|s| {
-        for (idx, panel) in out.chunks_mut(chunk * stride).enumerate() {
+        for (idx, panel) in rest.chunks_mut(chunk * stride).enumerate() {
             let work = &work;
-            s.spawn(move || work(idx * chunk, panel));
+            s.spawn(move || work((idx + 1) * chunk, panel));
         }
+        work(0, first);
     });
 }
 
@@ -133,5 +159,42 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
+    }
+
+    #[test]
+    fn panel_count_weighs_work_against_the_threshold() {
+        const T: usize = MIN_PANEL_LOOKUPS;
+        assert_eq!(panel_count(0, 100, 8), 1, "no work");
+        assert_eq!(panel_count(T - 1, 100, 8), 1, "below one panel's worth");
+        assert_eq!(panel_count(2 * T - 1, 100, 8), 1, "second panel too light");
+        assert_eq!(panel_count(2 * T, 100, 8), 2, "exactly two panels' worth");
+        assert_eq!(panel_count(5 * T, 100, 8), 5);
+        assert_eq!(panel_count(usize::MAX, 100, 1), 1, "threads is a maximum");
+        assert_eq!(panel_count(usize::MAX, 100, 0), 1, "threads = 0 reads as 1");
+        assert_eq!(
+            panel_count(usize::MAX, 3, 64),
+            3,
+            "never more panels than rows"
+        );
+        assert_eq!(panel_count(usize::MAX, 0, 64), 1, "empty output");
+    }
+
+    #[test]
+    fn one_panel_runs_on_the_calling_thread() {
+        use std::sync::Mutex;
+        // audit: allow(determinism) — which thread runs a panel is what this test observes
+        let here = || std::thread::current().id();
+        for threads in [2usize, 3] {
+            let ids = Mutex::new(Vec::new());
+            let mut out = vec![0.0; 12];
+            run_row_panels(&mut out, threads, |r0, _| {
+                ids.lock().unwrap().push((r0, here()));
+            });
+            let ids = ids.into_inner().unwrap();
+            assert_eq!(ids.len(), threads, "one work call per panel");
+            let me = here();
+            let mine: Vec<usize> = ids.iter().filter(|p| p.1 == me).map(|p| p.0).collect();
+            assert_eq!(mine, [0], "threads={threads}: the caller runs panel 0 only");
+        }
     }
 }

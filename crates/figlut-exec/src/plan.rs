@@ -30,7 +30,7 @@
 use crate::kernel::{check, effective_mu, panel_f, panel_i, tile_span_words, tile_windows};
 use crate::lut::{windows, FlatLuts, Window};
 use crate::packed::PackedBcq;
-use crate::parallel::{run_strided_panels, thread_count};
+use crate::parallel::{panel_count, run_strided_panels, thread_count};
 use figlut_gemm::common::mul32;
 use figlut_gemm::EngineConfig;
 use figlut_num::align::AlignedVector;
@@ -197,6 +197,16 @@ impl ExecPlan {
         span * (self.bits * self.rows) as u64
     }
 
+    /// Row panels one `exec_*` call at this batch size runs when the
+    /// caller allows at most `threads`: its computed table look-ups (one
+    /// per output row × bit-plane × window × batch column) weighed against
+    /// a thread wake-up (DESIGN.md §6, "fan-out rule"). Speed only —
+    /// results are bit-identical for every value.
+    pub fn fan_out(&self, batch: usize, threads: usize) -> usize {
+        let lookups = (self.rows * self.bits * self.wins.len()).saturating_mul(batch);
+        panel_count(lookups, self.rows, threads)
+    }
+
     fn assert_matches(&self, w: &PackedBcq, cfg: &EngineConfig) {
         assert!(
             self.matches(w, cfg),
@@ -240,7 +250,8 @@ impl ExecPlan {
 
     /// [`ExecPlan::exec_i_threads`] writing into a caller-owned
     /// `batch × m` output — the zero-allocation steady-state entry point
-    /// (the convenience wrappers only add the output allocation).
+    /// (the convenience wrappers only add the output allocation, a
+    /// [fanned-out](ExecPlan::fan_out) call its thread spawns).
     ///
     /// # Panics
     ///
@@ -346,7 +357,7 @@ impl ExecPlan {
         A: crate::kernel::Accum<E> + PartialScratch + Send,
     {
         let batch = luts.batch();
-        run_strided_panels(yt, batch, threads, |r0, panel| {
+        run_strided_panels(yt, batch, self.fan_out(batch, threads), |r0, panel| {
             let mut ws = self.pop_worker();
             panel_i(
                 w,
@@ -364,7 +375,9 @@ impl ExecPlan {
 
     /// FIGLUT-I fast path over this plan: `y = x·Wᵀ`, bit-identical to
     /// `figlut_gemm::figlut::gemm_i` at every batch size, with every batch
-    /// row bit-identical to its batch-1 run.
+    /// row bit-identical to its batch-1 run. `threads` is the *maximum*
+    /// worker count ([`ExecPlan::fan_out`] decides how many run); the
+    /// result is bit-identical for every value.
     ///
     /// # Panics
     ///
@@ -381,14 +394,15 @@ impl ExecPlan {
         y
     }
 
-    /// [`ExecPlan::exec_i_threads`] with the default worker count
+    /// [`ExecPlan::exec_i_threads`] with the default maximum worker count
     /// ([`crate::parallel::thread_count`]).
     pub fn exec_i(&self, x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
         self.exec_i_threads(x, w, cfg, thread_count())
     }
 
     /// [`ExecPlan::exec_f_threads`] writing into a caller-owned
-    /// `batch × m` output (allocation-free in steady state).
+    /// `batch × m` output (allocation-free in steady state, thread spawns
+    /// of a [fanned-out](ExecPlan::fan_out) call aside).
     ///
     /// # Panics
     ///
@@ -429,7 +443,8 @@ impl ExecPlan {
         {
             let lutsf = &s.lutsf;
             let gsums = &s.gsums;
-            run_strided_panels(&mut s.yt, batch, threads, |r0, panel| {
+            let panels = self.fan_out(batch, threads);
+            run_strided_panels(&mut s.yt, batch, panels, |r0, panel| {
                 let mut ws = self.pop_worker();
                 panel_f(w, &self.wins, lutsf, gsums, r0, panel, &mut ws.partials_f);
                 self.push_worker(ws);
@@ -441,7 +456,9 @@ impl ExecPlan {
 
     /// FIGLUT-F fast path over this plan: `y = x·Wᵀ` with `f64`
     /// accumulation, tracking `figlut_gemm::figlut::gemm_f` within the
-    /// scale-aware tolerance the property tests assert.
+    /// scale-aware tolerance the property tests assert. `threads` is the
+    /// *maximum* worker count ([`ExecPlan::fan_out`] decides how many
+    /// run); the result is bit-identical for every value.
     ///
     /// # Panics
     ///
@@ -458,7 +475,7 @@ impl ExecPlan {
         y
     }
 
-    /// [`ExecPlan::exec_f_threads`] with the default worker count
+    /// [`ExecPlan::exec_f_threads`] with the default maximum worker count
     /// ([`crate::parallel::thread_count`]).
     pub fn exec_f(&self, x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
         self.exec_f_threads(x, w, cfg, thread_count())

@@ -12,6 +12,7 @@
 //! thread while the counter is armed would make the count meaningless.
 //! Keep this file at exactly one test.
 
+use figlut_exec::parallel::thread_count;
 use figlut_exec::{exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
@@ -70,12 +71,19 @@ fn warm_exec_plan_calls_are_allocation_free() {
     // shape. Single worker thread: spawning a thread allocates by
     // definition, and the zero-alloc contract is about the exec hot path,
     // which is identical on every worker.
-    let cases: [(usize, usize, usize, u32, usize); 3] = [
-        (96, 128, 32, 3, 4), // m, n, gs (even → fast path), q, batch
-        (96, 128, 32, 3, 8), // wide column engine
-        (11, 45, 15, 2, 3),  // gs 15 → generic descriptor walk
+    //
+    // The last case is the serving decode shape (48×48, B=6) at the
+    // default worker count, as `figlut-model` calls it: far too little
+    // work to be worth a second thread, so the plan must keep it on the
+    // calling thread — no spawn, hence still zero allocations.
+    let many = thread_count().max(2);
+    let cases: [(usize, usize, usize, u32, usize, usize); 4] = [
+        (96, 128, 32, 3, 4, 1), // m, n, gs (even → fast path), q, batch, threads
+        (96, 128, 32, 3, 8, 1), // wide column engine
+        (11, 45, 15, 2, 3, 1),  // gs 15 → generic descriptor walk
+        (48, 48, 48, 3, 6, many),
     ];
-    for (m, n, gs, bits, batch) in cases {
+    for (m, n, gs, bits, batch, threads) in cases {
         let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.143).sin() * 0.4);
         let b = BcqWeight::quantize(&w, BcqParams::grouped(bits, gs));
         let packed = PackedBcq::pack(&b);
@@ -85,18 +93,19 @@ fn warm_exec_plan_calls_are_allocation_free() {
         let mut y = Mat::zeros(batch, m);
 
         // Warm-up: first calls grow the pools and buffer capacities.
-        plan.exec_i_into(&x, &packed, &cfg, 1, &mut y);
-        plan.exec_i_into(&x, &packed, &cfg, 1, &mut y);
+        plan.exec_i_into(&x, &packed, &cfg, threads, &mut y);
+        plan.exec_i_into(&x, &packed, &cfg, threads, &mut y);
 
         ALLOCS.store(0, Ordering::SeqCst);
         ARMED.store(true, Ordering::SeqCst);
-        plan.exec_i_into(&x, &packed, &cfg, 1, &mut y);
+        plan.exec_i_into(&x, &packed, &cfg, threads, &mut y);
         ARMED.store(false, Ordering::SeqCst);
         let allocs = ALLOCS.load(Ordering::SeqCst);
 
         assert_eq!(
             allocs, 0,
-            "steady-state exec_i_into allocated {allocs} times (m={m} n={n} gs={gs} B={batch})"
+            "steady-state exec_i_into allocated {allocs} times \
+             (m={m} n={n} gs={gs} B={batch} threads={threads})"
         );
         // And the allocation-free call still produced the right bits.
         let reference = exec_i_threads(&x, &packed, &cfg, 1);

@@ -2,6 +2,11 @@
 //! bit-accurate datapath models, over arbitrary shapes, µ, group sizes,
 //! thread counts, and ragged tails (m, n, k not multiples of the
 //! tile/word/µ sizes).
+//!
+//! Every shape `problem()` draws is far too small to be worth a second
+//! thread, so `ExecPlan` runs it as one panel whatever `threads` says
+//! (DESIGN.md §6, "fan-out rule"); the thread-invariance proof over shapes
+//! that really fan out is `fanned_out_calls_never_change_bits`.
 
 use figlut_exec::{exec_f_threads, exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::figlut::{gemm_f, gemm_i};
@@ -176,5 +181,41 @@ proptest! {
         let y_back = gemm_i(&p.x, &back, &c);
         let y_orig = gemm_i(&p.x, &b, &c);
         prop_assert_eq!(y_back.as_slice(), y_orig.as_slice());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn fanned_out_calls_never_change_bits(
+        m in 256usize..=520,  // 2 to 4 panels' worth of look-ups at batch 8
+        layout in 0usize..3,
+        phase in 0.0f64..6.0,
+    ) {
+        // Shapes big enough that the plan really runs several row panels:
+        // ~512 columns as Q4 at batch 8 (the wide column engine), on the
+        // fast path (gs 64 / 128 → 64 windows of µ 8) and on the generic
+        // descriptor walk (gs 73, µ 4 → 133 ragged windows).
+        let (groups, gs) = [(8usize, 64usize), (4, 128), (7, 73)][layout];
+        let (n, batch) = (groups * gs, 8usize);
+        let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173 + phase).sin() * 0.3);
+        let x = Mat::from_fn(batch, n, |b, c| ((b * n + c) as f64 * 0.059 + phase).cos() * 3.0);
+        let packed = PackedBcq::pack(&BcqWeight::from_uniform(&rtn(&w, RtnParams::grouped(4, gs))));
+        let c = cfg(4);
+        let plan = ExecPlan::new(&packed, &c);
+        let i1 = plan.exec_i_threads(&x, &packed, &c, 1);
+        let f1 = plan.exec_f_threads(&x, &packed, &c, 1);
+        for t in [2usize, 3, 8] {
+            // The gate must not hollow this test out: these calls fan out.
+            let panels = plan.fan_out(batch, t);
+            prop_assert!((2..=t).contains(&panels), "m={} t={}: {} panels", m, t, panels);
+            let it = plan.exec_i_threads(&x, &packed, &c, t);
+            let ft = plan.exec_f_threads(&x, &packed, &c, t);
+            prop_assert_eq!(it.as_slice(), i1.as_slice(), "exec_i m={} t={}", m, t);
+            prop_assert_eq!(ft.as_slice(), f1.as_slice(), "exec_f m={} t={}", m, t);
+        }
+        // Below the threshold the same plan keeps the call on one thread.
+        prop_assert_eq!(plan.fan_out(1, 8), 1);
     }
 }
