@@ -76,36 +76,52 @@ fn bench_small_calls(c: &mut Criterion) {
 
 fn bench_exec_batch_scaling(c: &mut Criterion) {
     // Batch-column amortization at an OPT-1.3B decode shape (the QKV/out
-    // projection, 2048 × 2048 Q4): one batched call streams the packed
-    // planes once for all B columns, so per-column tokens/s should climb
-    // with B. Single worker thread — this isolates the blocking, not the
-    // thread scaling. The criterion number is time per *call*; per-column
-    // tokens/s (= B / time) is printed alongside.
-    let (m, n) = (2048usize, 2048usize);
-    let (x16, bcq) = problem(m, n, 16);
-    let packed = PackedBcq::pack(&bcq);
+    // projection, 2048 × 2048 Q4 group 128) and at `serve-wide`'s FFN-down
+    // shape (2048 × 512, one scale group per row: a multi-tile run). A
+    // call is swept once per lane block (1, 2, 4 or 8 columns wide,
+    // 8-column blocks beyond batch 8), so time per call should be flat
+    // inside a block — 3 ≈ 4, 5 ≈ 8 — and step only at block boundaries
+    // (1 | 2 | 3, 4 | 5, 8 | 9). Single worker thread — this isolates the
+    // blocking, not the thread scaling. The criterion number is time per
+    // *call*; the per-column cost is printed alongside.
     let cfg = EngineConfig::paper_default();
-    let plan = ExecPlan::new(&packed, &cfg);
-    let mut g = c.benchmark_group("exec_i_2048x2048_q4_batch_1t");
-    for batch in [1usize, 2, 4, 8, 16] {
-        let x = Mat::from_fn(batch, n, |b, cc| x16[(b, cc)]);
-        g.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, _| {
-            b.iter(|| black_box(plan.exec_i_threads(&x, &packed, &cfg, 1)))
-        });
-        // Per-column rate, so the amortization is visible in the output.
-        let started = Instant::now();
-        let reps = 3;
-        for _ in 0..reps {
-            black_box(plan.exec_i_threads(&x, &packed, &cfg, 1));
+    for (name, m, n, gs) in [
+        (
+            "exec_i_2048x2048_q4_batch_1t",
+            2048usize,
+            2048usize,
+            128usize,
+        ),
+        ("exec_i_2048x512_q4_rowscale_batch_1t", 2048, 512, 512),
+    ] {
+        let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173).sin() * 0.2);
+        let packed = PackedBcq::pack(&BcqWeight::from_uniform(&rtn(
+            &w,
+            RtnParams::grouped(4, gs),
+        )));
+        let x16 = Mat::from_fn(16, n, |b, c| ((b * n + c) as f64 * 0.059).cos());
+        let plan = ExecPlan::new(&packed, &cfg);
+        let mut g = c.benchmark_group(name);
+        for batch in [1usize, 2, 3, 4, 5, 8, 9, 16] {
+            let x = Mat::from_fn(batch, n, |b, cc| x16[(b, cc)]);
+            g.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, _| {
+                b.iter(|| black_box(plan.exec_i_threads(&x, &packed, &cfg, 1)))
+            });
+            // Per-column cost, so the amortization is visible in the output.
+            let started = Instant::now();
+            let reps = 3;
+            for _ in 0..reps {
+                black_box(plan.exec_i_threads(&x, &packed, &cfg, 1));
+            }
+            let per_call = started.elapsed().as_secs_f64() / reps as f64;
+            println!(
+                "    B={batch}: {:.1} tok/s, {:.0} µs per column",
+                batch as f64 / per_call,
+                per_call * 1e6 / batch as f64
+            );
         }
-        let per_call = started.elapsed().as_secs_f64() / reps as f64;
-        println!(
-            "    B={batch}: {:.1} tok/s total, {:.1} tok/s per column",
-            batch as f64 / per_call,
-            1.0 / per_call
-        );
+        g.finish();
     }
-    g.finish();
 }
 
 fn bench_packing(c: &mut Criterion) {

@@ -1008,14 +1008,14 @@ fn ext_throughput() -> Vec<(String, Table)> {
 }
 
 fn ext_batch_scaling() -> Vec<(String, Table)> {
-    // Extension: the batch-column blocking of PR 4 measured end to end —
-    // one batched `exec_i` call over B activation rows vs B sequential
-    // batch-1 calls on the same rows, across the OPT-1.3B decode GEMM
-    // set. The blocked kernel streams the packed weight planes once per
-    // k-tile for all B columns (B plane sweeps → 1), reads each decoded
-    // key's B line-sharing table entries in one contiguous (vectorizable)
-    // run, and folds four columns in lockstep — so the batched call
-    // approaches batch-1 cost as B grows. Before any rate is reported,
+    // Extension: the batch-column blocking measured end to end — one
+    // batched `exec_i` call over B activation rows vs B sequential batch-1
+    // calls on the same rows, across the OPT-1.3B decode GEMM set. The
+    // lane-blocked kernel streams the packed weight planes once per block
+    // of up to 8 columns (B plane sweeps → ⌈B/8⌉), adds each decoded key's
+    // contiguous lane vector to register-resident accumulators, and folds
+    // four columns in lockstep — so a call costs about the same anywhere
+    // inside a lane block (1, 2, 3–4, 5–8 columns). Before any rate is reported,
     // the batched output is asserted bit-identical to the per-column runs
     // — the invariance `prop_exec`/`prop_serve` pin, re-checked on the
     // measured inputs.
@@ -1121,14 +1121,14 @@ fn ext_batch_scaling() -> Vec<(String, Table)> {
     ));
     t.note("outputs asserted bit-identical (batched row b == batch-1 run of row b)");
     t.note("before any rate is reported; gemm_i parity is pinned by prop_exec");
-    t.note("why it scales: the packed weight planes are streamed once per k-tile for");
-    t.note("all B columns (B sweeps -> 1 sweep per token batch), each decoded key's B");
-    t.note("table reads are one contiguous line-sharing run (vectorized from B >= 8),");
+    t.note("why it scales: batch columns ride in lane blocks of 1, 2, 4 or 8; a block");
+    t.note("is swept like a batch-1 call (B plane sweeps -> ceil(B/8)), each decoded key");
+    t.note("adds one contiguous lane vector to register accumulators (1-2 packed adds),");
     t.note("and the FP32 fold interleaves 4 independent per-column rounding chains");
-    t.note("timings are host-dependent and this container's clock is noisy; on this");
-    t.note("host the 2 MB-8 MB packed planes stay cache-resident, so the kernel is");
-    t.note("lookup-latency-bound rather than DRAM-bound and the batch speedup is");
-    t.note("sublinear; a DRAM-bound host amortizes closer to linearly");
+    t.note("timings are host-dependent and this container's clock is noisy; the pass is");
+    t.note("instruction-issue-bound per (key, lane vector), not DRAM-bound: a call costs");
+    t.note("about the same anywhere inside a lane block and steps at B = 2, 3, 5, 9, so");
+    t.note("the speedup peaks at full blocks (B = 4, 8, 16) and is sublinear in B");
     vec![("ext_batch_scaling".into(), t)]
 }
 

@@ -1,4 +1,4 @@
-//! Cache-blocked, batch-blocked LUT-GEMM kernels over [`PackedBcq`] weights.
+//! Cache-blocked, lane-blocked LUT-GEMM kernels over [`PackedBcq`] weights.
 //!
 //! Both kernels follow the FIGLUT pipeline: per activation row, precompute
 //! one flat FFLUT per µ-column window ([`crate::lut`]); then every output
@@ -7,47 +7,44 @@
 //!
 //! * **row panels** — output rows are split into contiguous panels, one per
 //!   worker thread ([`crate::parallel`]);
-//! * **sub-panels** — each worker walks its rows in fixed
-//!   `PANEL_ROWS`-row blocks so the per-row partial accumulators stay
-//!   resident while a table tile streams through them;
+//! * **sub-panels** — each worker walks its rows in `PANEL_ROWS`-row
+//!   blocks: few enough to bound the per-row partial accumulators a table
+//!   tile streams through, enough that a sub-panel's look-ups outweigh
+//!   re-streaming the whole table set;
 //! * **k-tiles** — windows are visited in cache-sized tiles
 //!   (`tile_windows`), swept across the whole sub-panel before moving
 //!   on, so table reads stay cache-resident while plane bits stream
 //!   sequentially;
-//! * **batch columns** — a batched call processes *all* B activation rows
-//!   per streamed weight word: each µ-bit key is decoded once and read out
-//!   of the per-key-stacked FFLUTs ([`crate::lut::FlatLuts`]) for every
-//!   batch column before the next word loads, so the packed planes — the
-//!   kernel's only non-resident traffic — are swept once per call instead
-//!   of once per batch row, and the B reads of one key land on contiguous,
-//!   line-sharing entries. The k-tile size is rescaled by B so the stacked
-//!   tables stay L2-resident. Two column engines cover the batch range:
-//!   below `WIDE_MIN` columns, `COL_BLOCK`-wide *register* blocks (a
-//!   const-generic `[A; CB]` per row — up to `2·COL_BLOCK` independent
-//!   read chains per row pair, hiding table-read latency); from
-//!   `WIDE_MIN` up, *memory-backed* full-batch accumulator rows whose
-//!   per-key column zips auto-vectorize into packed adds
-//!   (`tile_pass_fast*_wide`).
+//! * **column blocks** — the batch columns are cut into lane blocks of
+//!   `L ∈ {1, 2, 4, 8}` columns, each with its own tables in which the `L`
+//!   entries of one `(window, key)` are contiguous
+//!   ([`crate::lut::FlatLuts`]); a block is swept like a batch-1 call, so
+//!   the packed planes are streamed once per block (once per call up to
+//!   batch 8) instead of once per batch row.
+//!
+//! The hot loop is one const-generic pass, `lane_pass`, taken whenever
+//! windows are bytes of the packed words (effective µ = 8, which every
+//! group size divisible by 8 gets) and scale groups end on word boundaries
+//! (`gs % 64 == 0`, or one group per row). It walks a *run* — one tile ∩
+//! one scale group — a word at a time: the word's eight bytes are eight
+//! keys, each indexing its own 256-entry table with no bounds check, no
+//! group test and no shift chain, and the `R × L` accumulators (`R` = 2
+//! output rows sharing the table walk) are locals for the whole run, so
+//! each key costs one or two packed adds from a contiguous `[E; L]` into
+//! registers. Every other shape (odd µ, groups that split a word) takes
+//! the generic descriptor walk (`generic_block`).
 //!
 //! The final per-(row, column) fold interleaves four batch columns in
 //! lockstep — the FP32-rounded accumulator chain is serial per column, so
 //! independent columns hide its latency without reordering any single
 //! column's operations — and the integer path narrows tables *and*
 //! accumulators to i32 whenever the plan proves the group-partial bound
-//! (see `Accum`), which is what lets the wide pass vectorize on plain
-//! SSE2-class lanes.
-//!
-//! When µ divides both 64 and the scale-group size — which covers the
-//! paper's operating point (µ = 4) and every power-of-two config — windows
-//! are contiguous µ-bit fields of the packed words, and a monomorphized
-//! fast path (`tile_pass_fast*`) extracts keys by shifting one `u64` at a
-//! time, with no per-window descriptors, branches, or bounds checks in the
-//! lookup loop. Ragged group tails and odd µ fall back to the generic
-//! descriptor walk (`tile_pass_generic`).
+//! (see `Accum`), which is what makes a lane vector one or two SSE2
+//! registers.
 //!
 //! [`exec_i`] reproduces the *exact* arithmetic of the FIGLUT-I datapath
 //! model: the same pre-alignment ([`AlignedVector`]), exact integer window
-//! sums (associativity makes the blocking — including the batch and
+//! sums (associativity makes the blocking — including the tile and
 //! column-block splits — invisible), and the same FP32-rounded fold
 //! sequence (`figlut_gemm::ifpu::fold_partial`) per `(group, plane)` in
 //! the same order — so its output is bit-identical to
@@ -65,7 +62,7 @@
 //!
 //! [`AlignedVector`]: figlut_num::align::AlignedVector
 
-use crate::lut::{FlatLuts, Window};
+use crate::lut::{FlatLuts, LaneBlock, Window, MAX_LANES};
 use crate::packed::PackedBcq;
 use crate::parallel::thread_count;
 use crate::plan::ExecPlan;
@@ -73,62 +70,55 @@ use figlut_gemm::common::{add32, mul32};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
 
-/// Rows per sub-panel: bounds the live partial-accumulator footprint
-/// (`PANEL_ROWS × batch × groups × q` scalars) independently of the thread
-/// count.
-pub(crate) const PANEL_ROWS: usize = 64;
+/// Rows per sub-panel. Every sub-panel re-streams the call's whole table
+/// set (2–8 MB at batch 8 on the OPT-1.3B shapes), so it must carry enough
+/// look-ups to outweigh that: at 64 rows a batch-8 call lost ~10 % to table
+/// re-streaming, from 256 up the gain is inside the noise, and batch 1
+/// (tables 8× smaller) does not care. The cap bounds the live
+/// partial-accumulator footprint (`PANEL_ROWS × batch × groups × q`
+/// scalars) independently of the thread count.
+pub(crate) const PANEL_ROWS: usize = 256;
 
-/// Batch columns processed per register-blocked fast-path pass (batches
-/// below `WIDE_MIN`). The per-column accumulators are a `[A; CB]` with
-/// `CB ≤ COL_BLOCK` monomorphized, so they live in registers — the row
-/// pair then carries `2·CB` independent `acc += table[key]` chains,
-/// hiding the table-read latency that serializes a batch-1 pass. 4 is the
-/// sweet spot on x86-64: the pair pass holds 8 accumulator registers plus
-/// keys/pointers without spilling.
-const COL_BLOCK: usize = 4;
+/// Entry size the generic walk's tiles are sized for — the widest entry,
+/// whatever the call's narrowing tier. Its tiles may split a packed word,
+/// so their size shows in the streamed-word count; fixing it keeps
+/// [`crate::ExecPlan::streamed_words`] one tier-independent formula. (The
+/// lane pass's tiles are whole words: its count is the same at any size.)
+pub(crate) const GENERIC_ENTRY_BYTES: usize = 8;
 
-/// Batch threshold for the *wide* fast passes (`tile_pass_fast*_wide`):
-/// memory-backed full-batch accumulator rows whose per-key column zips
-/// auto-vectorize into packed adds. Below this, register-chain column
-/// blocks win (a vector round-trip through the stack costs more than it
-/// saves on a handful of lanes); from 8 columns up — one or two full
-/// vectors per key — the wide pass wins and keeps widening with the
-/// batch. Measured on the OPT-1.3B decode shapes (`ext-batch-scaling`).
-const WIDE_MIN: usize = 8;
-
-/// Upper bound on the wide passes' stack-resident accumulator rows;
-/// larger batches fall back to `COL_BLOCK`-at-a-time register blocks
-/// (correct at any batch, just not the fastest shape for 8..=64).
-const WIDE_MAX: usize = 64;
-
-/// Windows per k-tile, sized so one tile's tables stay around 256 KiB
-/// (assuming 8-byte entries; half that on the narrowed integer path) —
-/// comfortably L2-resident next to the streaming plane words, and each
-/// tile is reused across the whole sub-panel (`PANEL_ROWS × q` passes)
-/// before the next tile streams in. Measured on the OPT decode shapes,
-/// smaller (L1-sized) tiles lose to per-pass loop overhead and larger
-/// ones thrash L2 once k·2^µ tables outgrow it. A batched call stacks
-/// `batch` tables per window, so the window count is rescaled by `batch`
-/// to hold the byte budget. Always a multiple of the windows-per-word
-/// count for every µ dividing 64 (the fast path needs word-aligned tile
-/// boundaries).
-pub(crate) fn tile_windows(mu: u32, batch: usize) -> usize {
+/// Windows per k-tile of a `lanes`-wide column block with
+/// `entry_bytes`-byte entries, sized so one tile's tables stay around
+/// 256 KiB — comfortably L2-resident next to the streaming plane words,
+/// and each tile is reused across the whole sub-panel before the next
+/// streams in. Measured on the OPT decode shapes, smaller (L1-sized) tiles
+/// lose to per-pass loop overhead and larger ones thrash L2 once k·2^µ
+/// tables outgrow it. Always a multiple of the windows-per-word count for
+/// every µ dividing 64 (the lane pass needs word-aligned tile boundaries).
+pub(crate) fn tile_windows(mu: u32, lanes: usize, entry_bytes: usize) -> usize {
     let kpw = if 64 % mu == 0 { (64 / mu) as usize } else { 1 };
-    let t = ((262144usize >> (mu + 3)) / batch.max(1)).max(4);
+    let t = ((262144usize >> mu) / (lanes * entry_bytes)).max(4);
     t.next_multiple_of(kpw)
 }
 
-/// Packed words one tile walk streams per (bit-plane, output row): the
-/// contiguous word range covering the tile's windows. Windows cover the
-/// columns gap-free and tile boundaries are word-aligned on the fast path,
-/// so first-to-last word span is exactly what both the fast and generic
-/// passes read. This is the unit of the `exec_streamed_words` trace
-/// counter and of [`crate::ExecPlan::streamed_words`] — keeping the two on
-/// one formula is what makes them reconcile exactly.
-pub(crate) fn tile_span_words(tile_wins: &[Window]) -> usize {
-    let first = &tile_wins[0];
-    let last = &tile_wins[tile_wins.len() - 1];
-    (last.start as usize + last.width as usize - 1) / 64 - first.start as usize / 64 + 1
+/// `true` if calls on this shape take `lane_pass`: windows are bytes of
+/// the packed words and no scale group ends inside a word.
+pub(crate) fn lane_path(mu: usize, group_size: usize, groups: usize) -> bool {
+    mu == 8 && (group_size.is_multiple_of(64) || groups == 1)
+}
+
+/// Packed words one column-block sweep streams per (bit-plane, output
+/// row): per tile, the contiguous word range covering its windows.
+/// Windows cover the columns gap-free, so first-to-last word span is
+/// exactly what both the lane pass and the generic walk read. This is the
+/// unit of the `exec_streamed_words` trace counter and of
+/// [`crate::ExecPlan::streamed_words`] — keeping the two on one formula is
+/// what makes them reconcile exactly.
+pub(crate) fn sweep_words(wins: &[Window], tile: usize) -> u64 {
+    let span = |t: &[Window]| {
+        let (first, last) = (&t[0], &t[t.len() - 1]);
+        (last.start as usize + last.width as usize - 1) / 64 - first.start as usize / 64 + 1
+    };
+    wins.chunks(tile).map(|t| span(t) as u64).sum()
 }
 
 /// Accumulator `Self` absorbing table entries of type `E`. Decoupling the
@@ -182,10 +172,9 @@ impl Accum<i32> for i64 {
 /// `group_size·max|mantissa| ≤ i32::MAX` first, which bounds every window
 /// sum, build intermediate, and running group partial (a group spans
 /// `group_size` columns, so any partial sum of its ±mantissa terms is
-/// within that bound). The payoff over `i32 → i64`: the batched pass's
-/// contiguous per-key column reads and its accumulators are both 32-bit
-/// lanes, so the column block vectorizes on plain SSE2 (`paddd`) instead
-/// of needing widening loads.
+/// within that bound). The payoff over `i32 → i64`: a key's lane vector
+/// and its accumulators are both 32-bit lanes, so an 8-lane add is two
+/// plain SSE2 `paddd` instead of sign-extending loads into four `paddq`.
 impl Accum<i32> for i32 {
     #[inline(always)]
     fn absorb(&mut self, e: i32) {
@@ -215,378 +204,142 @@ impl Accum<f64> for f64 {
     }
 }
 
-/// Fast tile pass for contiguous full-width windows (`µ | 64` and
-/// `µ | group_size`) over one output row and the `CB` batch columns
-/// starting at `col0`: walk the packed words of one plane row, peel µ-bit
-/// keys by shifting, read each key's `CB` contiguous per-key-stacked
-/// entries, and accumulate each scale group's reads in `CB` register
-/// accumulators before spilling to
-/// `prow[(group·q + plane)·batch + col0 + j]`.
-///
-/// `win_lo` must be word-aligned (a multiple of `64/MU`), which
-/// [`tile_windows`] guarantees for tile boundaries. A batch-1 call is the
-/// `CB = 1` instantiation with `col0 = 0` — the classic scalar pass.
-#[allow(clippy::too_many_arguments)]
-fn tile_pass_fast<E: Copy, A: Accum<E>, const MU: usize, const CB: usize>(
-    words: &[u64],
-    entries: &[E],
-    batch: usize,
-    col0: usize,
-    win_lo: usize,
-    win_hi: usize,
-    wpg: usize,
-    plane: usize,
-    q: usize,
-    prow: &mut [A],
-) {
-    if win_hi == win_lo {
-        return;
-    }
-    let kpw = 64 / MU; // windows (keys) per packed word
-    let stride = 1usize << MU;
-    let mask = stride - 1;
-    let bstride = batch * stride;
-    let mut tables = entries[win_lo * bstride..win_hi * bstride].chunks_exact(bstride);
-    let mut g = win_lo / wpg;
-    let mut left = wpg - (win_lo % wpg);
-    let mut acc = [A::default(); CB];
-    let mut remaining = win_hi - win_lo;
-    for &wordv in &words[win_lo / kpw..(win_hi).div_ceil(kpw)] {
-        let mut bits = wordv;
-        for table in tables.by_ref().take(kpw.min(remaining)) {
-            let key = (bits as usize) & mask;
-            bits >>= MU;
-            // Per-key column stacking: the CB reads are contiguous (they
-            // share cache lines — see `FlatLuts`).
-            let sub = &table[key * batch + col0..key * batch + col0 + CB];
-            for j in 0..CB {
-                acc[j].absorb(sub[j]);
+/// The lane pass: accumulate one *run* of byte-wide windows — `tables`
+/// holds one `[[E; L]; 256]` per window, `words[r]` starts at the run's
+/// first packed word of output row `r` — for `R` output rows × `L` lanes.
+/// Each word's eight bytes are the eight keys of its eight tables, fully
+/// unrolled; a ragged last word (a row whose window count is not a
+/// multiple of 8) gets the short tail loop. The `R × L` accumulators are
+/// locals, so LLVM keeps them in vector registers for the whole run.
+#[inline(always)]
+fn lane_pass<E: Copy, A: Accum<E>, const L: usize, const R: usize>(
+    words: [&[u64]; R],
+    tables: &[E],
+) -> [[A; L]; R] {
+    let mut acc = [[A::default(); L]; R];
+    let mut absorb = |keys: &[[u8; 8]; R], j: usize, table: &[E]| {
+        for (a, k) in acc.iter_mut().zip(keys) {
+            let e = &table[k[j] as usize * L..][..L];
+            for l in 0..L {
+                a[l].absorb(e[l]);
             }
-            left -= 1;
-            if left == 0 {
-                let d0 = (g * q + plane) * batch + col0;
-                for (j, a) in acc.iter_mut().enumerate() {
-                    prow[d0 + j].merge(*a);
-                    *a = A::default();
-                }
-                g += 1;
-                left = wpg;
-            }
-        }
-        remaining = remaining.saturating_sub(kpw);
-    }
-    // Tile ended mid-group: spill the partial group sums.
-    if left != wpg {
-        let d0 = (g * q + plane) * batch + col0;
-        for (j, a) in acc.iter().enumerate() {
-            prow[d0 + j].merge(*a);
-        }
-    }
-}
-
-/// [`tile_pass_fast`] over a *pair* of output rows sharing one table
-/// walk: `2·CB` independent accumulator chains keep that many table loads
-/// in flight — a single-row single-column pass is bound by its serial
-/// `acc += table[key]` dependency chain, not by arithmetic — and each
-/// streamed table line is reused by both rows while resident.
-#[allow(clippy::too_many_arguments)]
-fn tile_pass_fast2<E: Copy, A: Accum<E>, const MU: usize, const CB: usize>(
-    words0: &[u64],
-    words1: &[u64],
-    entries: &[E],
-    batch: usize,
-    col0: usize,
-    win_lo: usize,
-    win_hi: usize,
-    wpg: usize,
-    plane: usize,
-    q: usize,
-    prow0: &mut [A],
-    prow1: &mut [A],
-) {
-    if win_hi == win_lo {
-        return;
-    }
-    let kpw = 64 / MU;
-    let stride = 1usize << MU;
-    let mask = stride - 1;
-    let bstride = batch * stride;
-    let mut tables = entries[win_lo * bstride..win_hi * bstride].chunks_exact(bstride);
-    let mut g = win_lo / wpg;
-    let mut left = wpg - (win_lo % wpg);
-    let mut acc0 = [A::default(); CB];
-    let mut acc1 = [A::default(); CB];
-    let mut remaining = win_hi - win_lo;
-    let lo = win_lo / kpw;
-    let hi = win_hi.div_ceil(kpw);
-    for (&w0, &w1) in words0[lo..hi].iter().zip(&words1[lo..hi]) {
-        let mut bits0 = w0;
-        let mut bits1 = w1;
-        for table in tables.by_ref().take(kpw.min(remaining)) {
-            let k0 = (bits0 as usize) & mask;
-            let k1 = (bits1 as usize) & mask;
-            bits0 >>= MU;
-            bits1 >>= MU;
-            // Per-key column stacking: each row's CB reads are contiguous
-            // (they share cache lines — see `FlatLuts`).
-            let sub0 = &table[k0 * batch + col0..k0 * batch + col0 + CB];
-            let sub1 = &table[k1 * batch + col0..k1 * batch + col0 + CB];
-            for j in 0..CB {
-                acc0[j].absorb(sub0[j]);
-                acc1[j].absorb(sub1[j]);
-            }
-            left -= 1;
-            if left == 0 {
-                let d0 = (g * q + plane) * batch + col0;
-                for j in 0..CB {
-                    prow0[d0 + j].merge(acc0[j]);
-                    prow1[d0 + j].merge(acc1[j]);
-                    acc0[j] = A::default();
-                    acc1[j] = A::default();
-                }
-                g += 1;
-                left = wpg;
-            }
-        }
-        remaining = remaining.saturating_sub(kpw);
-    }
-    if left != wpg {
-        let d0 = (g * q + plane) * batch + col0;
-        for j in 0..CB {
-            prow0[d0 + j].merge(acc0[j]);
-            prow1[d0 + j].merge(acc1[j]);
-        }
-    }
-}
-
-/// Single-row variant of [`tile_pass_fast2_wide`] (ragged last row).
-#[allow(clippy::too_many_arguments)]
-fn tile_pass_fast_wide<E: Copy, A: Accum<E>, const MU: usize>(
-    words: &[u64],
-    entries: &[E],
-    batch: usize,
-    win_lo: usize,
-    win_hi: usize,
-    wpg: usize,
-    plane: usize,
-    q: usize,
-    prow: &mut [A],
-    accs: &mut [A],
-) {
-    if win_hi == win_lo {
-        return;
-    }
-    let kpw = 64 / MU;
-    let stride = 1usize << MU;
-    let mask = stride - 1;
-    let bstride = batch * stride;
-    let mut tables = entries[win_lo * bstride..win_hi * bstride].chunks_exact(bstride);
-    let mut g = win_lo / wpg;
-    let mut left = wpg - (win_lo % wpg);
-    accs.fill(A::default());
-    let mut remaining = win_hi - win_lo;
-    for &wordv in &words[win_lo / kpw..win_hi.div_ceil(kpw)] {
-        let mut bits = wordv;
-        for table in tables.by_ref().take(kpw.min(remaining)) {
-            let key = (bits as usize) & mask;
-            bits >>= MU;
-            let sub = &table[key * batch..key * batch + batch];
-            let r4 = batch & !3;
-            for (ac, sc) in accs[..r4]
-                .chunks_exact_mut(4)
-                .zip(sub[..r4].chunks_exact(4))
-            {
-                for j in 0..4 {
-                    ac[j].absorb(sc[j]);
-                }
-            }
-            for (a, &e) in accs[r4..].iter_mut().zip(&sub[r4..]) {
-                a.absorb(e);
-            }
-            left -= 1;
-            if left == 0 {
-                let d0 = (g * q + plane) * batch;
-                for (j, a) in accs.iter_mut().enumerate() {
-                    prow[d0 + j].merge(*a);
-                    *a = A::default();
-                }
-                g += 1;
-                left = wpg;
-            }
-        }
-        remaining = remaining.saturating_sub(kpw);
-    }
-    if left != wpg {
-        let d0 = (g * q + plane) * batch;
-        for (j, a) in accs.iter().enumerate() {
-            prow[d0 + j].merge(*a);
-        }
-    }
-}
-
-/// Full-batch-width [`tile_pass_fast2`]: the per-row accumulators are
-/// *memory-backed* `batch`-wide arrays and every per-key operation is a
-/// contiguous `accs[j] += sub[j]` zip over the whole batch, which the loop
-/// vectorizer lowers to packed adds (the register-array passes stay scalar
-/// — LLVM's SLP pass does not form vector PHIs for loop-carried register
-/// accumulators). Used when the batch is wide enough that the vectorized
-/// zip beats `COL_BLOCK`-at-a-time register chains.
-#[allow(clippy::too_many_arguments)]
-fn tile_pass_fast2_wide<E: Copy, A: Accum<E>, const MU: usize>(
-    words0: &[u64],
-    words1: &[u64],
-    entries: &[E],
-    batch: usize,
-    win_lo: usize,
-    win_hi: usize,
-    wpg: usize,
-    plane: usize,
-    q: usize,
-    prow0: &mut [A],
-    prow1: &mut [A],
-    accs0: &mut [A],
-    accs1: &mut [A],
-) {
-    if win_hi == win_lo {
-        return;
-    }
-    let kpw = 64 / MU;
-    let stride = 1usize << MU;
-    let mask = stride - 1;
-    let bstride = batch * stride;
-    let mut tables = entries[win_lo * bstride..win_hi * bstride].chunks_exact(bstride);
-    let mut g = win_lo / wpg;
-    let mut left = wpg - (win_lo % wpg);
-    accs0.fill(A::default());
-    accs1.fill(A::default());
-    let mut remaining = win_hi - win_lo;
-    let lo = win_lo / kpw;
-    let hi = win_hi.div_ceil(kpw);
-    for (&w0, &w1) in words0[lo..hi].iter().zip(&words1[lo..hi]) {
-        let mut bits0 = w0;
-        let mut bits1 = w1;
-        for table in tables.by_ref().take(kpw.min(remaining)) {
-            let k0 = (bits0 as usize) & mask;
-            let k1 = (bits1 as usize) & mask;
-            bits0 >>= MU;
-            bits1 >>= MU;
-            let sub0 = &table[k0 * batch..k0 * batch + batch];
-            let sub1 = &table[k1 * batch..k1 * batch + batch];
-            // Exact-4 chunks: straight-line column adds with contiguous
-            // loads and memory-backed accumulators — the shape SLP lowers
-            // to packed adds without a runtime-checked vector preamble.
-            let r4 = batch & !3;
-            for (ac, sc) in accs0[..r4]
-                .chunks_exact_mut(4)
-                .zip(sub0[..r4].chunks_exact(4))
-            {
-                for j in 0..4 {
-                    ac[j].absorb(sc[j]);
-                }
-            }
-            for (a, &e) in accs0[r4..].iter_mut().zip(&sub0[r4..]) {
-                a.absorb(e);
-            }
-            for (ac, sc) in accs1[..r4]
-                .chunks_exact_mut(4)
-                .zip(sub1[..r4].chunks_exact(4))
-            {
-                for j in 0..4 {
-                    ac[j].absorb(sc[j]);
-                }
-            }
-            for (a, &e) in accs1[r4..].iter_mut().zip(&sub1[r4..]) {
-                a.absorb(e);
-            }
-            left -= 1;
-            if left == 0 {
-                let d0 = (g * q + plane) * batch;
-                for (j, (a0, a1)) in accs0.iter_mut().zip(accs1.iter_mut()).enumerate() {
-                    prow0[d0 + j].merge(*a0);
-                    prow1[d0 + j].merge(*a1);
-                    *a0 = A::default();
-                    *a1 = A::default();
-                }
-                g += 1;
-                left = wpg;
-            }
-        }
-        remaining = remaining.saturating_sub(kpw);
-    }
-    if left != wpg {
-        let d0 = (g * q + plane) * batch;
-        for (j, (a0, a1)) in accs0.iter().zip(accs1.iter()).enumerate() {
-            prow0[d0 + j].merge(*a0);
-            prow1[d0 + j].merge(*a1);
-        }
-    }
-}
-
-/// Generic tile pass: per-window descriptors, arbitrary widths/starts
-/// (ragged group tails, µ ∤ 64). The key of each descriptor window is
-/// decoded from the weight bits once, then read for every batch column.
-#[allow(clippy::too_many_arguments)]
-fn tile_pass_generic<E: Copy, A: Accum<E>>(
-    words: &[u64],
-    entries: &[E],
-    batch: usize,
-    shift: u32,
-    tile: &[Window],
-    win_lo: usize,
-    plane: usize,
-    q: usize,
-    prow: &mut [A],
-) {
-    for (wo, win) in tile.iter().enumerate() {
-        let start = win.start as usize;
-        let wi = start >> 6;
-        let off = (start & 63) as u32;
-        let mut bits = words[wi] >> off;
-        if off + win.width > 64 {
-            // width ≤ 8 ⇒ off ≥ 57 here, so the shift below is < 64.
-            bits |= words[wi + 1] << (64 - off);
-        }
-        let key = (bits as usize) & ((1usize << win.width) - 1);
-        let d0 = (win.group as usize * q + plane) * batch;
-        let base = ((win_lo + wo) << shift | key) * batch;
-        for b in 0..batch {
-            prow[d0 + b].absorb(entries[base + b]);
-        }
-    }
-}
-
-/// Invoke `$mac!(MU, CB)` for the runtime `(mu, cb)` pair — the fast-path
-/// monomorphization grid (µ ∈ {1,2,4,8} are the divisors of 64 in range,
-/// cb ∈ 1..=[`COL_BLOCK`]).
-macro_rules! dispatch_mu_cb {
-    ($mu:expr, $cb:expr, $mac:ident) => {
-        match ($mu, $cb) {
-            (1, 1) => $mac!(1, 1),
-            (1, 2) => $mac!(1, 2),
-            (1, 3) => $mac!(1, 3),
-            (1, 4) => $mac!(1, 4),
-            (2, 1) => $mac!(2, 1),
-            (2, 2) => $mac!(2, 2),
-            (2, 3) => $mac!(2, 3),
-            (2, 4) => $mac!(2, 4),
-            (4, 1) => $mac!(4, 1),
-            (4, 2) => $mac!(4, 2),
-            (4, 3) => $mac!(4, 3),
-            (4, 4) => $mac!(4, 4),
-            (8, 1) => $mac!(8, 1),
-            (8, 2) => $mac!(8, 2),
-            (8, 3) => $mac!(8, 3),
-            (8, 4) => $mac!(8, 4),
-            _ => unreachable!("64 % µ == 0 with µ ∈ 1..=8, 1 ≤ cb ≤ COL_BLOCK"),
         }
     };
+    let mut per_word = tables.chunks_exact(8 * 256 * L);
+    for (wi, word_tables) in per_word.by_ref().enumerate() {
+        let keys = words.map(|w| w[wi].to_le_bytes());
+        for j in 0..8 {
+            absorb(&keys, j, &word_tables[j * 256 * L..][..256 * L]);
+        }
+    }
+    let tail = per_word.remainder();
+    if !tail.is_empty() {
+        let keys = words.map(|w| w[tables.len() / (8 * 256 * L)].to_le_bytes());
+        for (j, table) in tail.chunks_exact(256 * L).enumerate() {
+            absorb(&keys, j, table);
+        }
+    }
+    acc
+}
+
+/// Sweep one `L`-lane column block over rows `r0..` of a lane-path shape:
+/// per k-tile, per row pair (an odd last row alone), per bit-plane, one
+/// [`lane_pass`] per run, merged into
+/// `prow[(group·q + plane)·batch + col0 + lane]`.
+fn lane_block<E: Copy, A: Accum<E>, const L: usize>(
+    w: &PackedBcq,
+    blk: &LaneBlock<'_, E>,
+    tile: usize,
+    batch: usize,
+    r0: usize,
+    partials: &mut [A],
+) {
+    let q = w.bits();
+    let prow_len = batch * w.groups() * q;
+    let wpg = w.group_size() / 8; // windows per group
+    let nwin = w.cols() / 8;
+    let merge = |prow: &mut [A], d0: usize, acc: &[A; L]| {
+        for (p, &a) in prow[d0..d0 + blk.cols].iter_mut().zip(acc) {
+            p.merge(a);
+        }
+    };
+    for win_lo in (0..nwin).step_by(tile) {
+        let win_hi = (win_lo + tile).min(nwin);
+        for (pi, pair) in partials.chunks_mut(2 * prow_len).enumerate() {
+            let r = r0 + 2 * pi;
+            let (p0, p1) = pair.split_at_mut(prow_len);
+            for i in 0..q {
+                let mut lo = win_lo;
+                while lo < win_hi {
+                    let g = lo / wpg;
+                    let hi = win_hi.min((g + 1) * wpg);
+                    let tables = &blk.entries[lo * 256 * L..hi * 256 * L];
+                    let d0 = (g * q + i) * batch + blk.col0;
+                    let w0 = &w.plane_row(i, r)[lo / 8..];
+                    if p1.is_empty() {
+                        let [a0] = lane_pass::<E, A, L, 1>([w0], tables);
+                        merge(p0, d0, &a0);
+                    } else {
+                        let w1 = &w.plane_row(i, r + 1)[lo / 8..];
+                        let [a0, a1] = lane_pass::<E, A, L, 2>([w0, w1], tables);
+                        merge(p0, d0, &a0);
+                        merge(p1, d0, &a1);
+                    }
+                    lo = hi;
+                }
+            }
+        }
+    }
+}
+
+/// The generic walk over one column block: per-window descriptors,
+/// arbitrary widths/starts (ragged group tails, µ ∤ 64, groups that split
+/// a word). The key of each descriptor window is decoded from the weight
+/// bits once, then its lane vector is read for every column of the block.
+#[allow(clippy::too_many_arguments)]
+fn generic_block<E: Copy, A: Accum<E>>(
+    w: &PackedBcq,
+    wins: &[Window],
+    blk: &LaneBlock<'_, E>,
+    shift: u32,
+    tile: usize,
+    batch: usize,
+    r0: usize,
+    partials: &mut [A],
+) {
+    let q = w.bits();
+    let prow_len = batch * w.groups() * q;
+    for (t, tile_wins) in wins.chunks(tile).enumerate() {
+        for (ri, prow) in partials.chunks_mut(prow_len).enumerate() {
+            for i in 0..q {
+                let words = w.plane_row(i, r0 + ri);
+                for (wo, win) in tile_wins.iter().enumerate() {
+                    let start = win.start as usize;
+                    let wi = start >> 6;
+                    let off = (start & 63) as u32;
+                    let mut bits = words[wi] >> off;
+                    if off + win.width > 64 {
+                        // width ≤ 8 ⇒ off ≥ 57 here, so the shift below is < 64.
+                        bits |= words[wi + 1] << (64 - off);
+                    }
+                    let key = (bits as usize) & ((1usize << win.width) - 1);
+                    let d0 = (win.group as usize * q + i) * batch + blk.col0;
+                    let base = ((t * tile + wo) << shift | key) * blk.lanes;
+                    for (p, &e) in prow[d0..d0 + blk.cols].iter_mut().zip(&blk.entries[base..]) {
+                        p.absorb(e);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Accumulate all window partials of rows `r0..r0+rows` for every batch
-/// column: the shared tile walk of both kernels. `partials` is
-/// `rows × groups × q × batch` in `[row][group][plane][column]` order —
-/// columns innermost, so both the kernel's per-key spills and the final
-/// fold's column-interleaved reads are contiguous.
+/// column: the shared tile walk of both kernels, one sweep per column
+/// block. `partials` is `rows × groups × q × batch` in
+/// `[row][group][plane][column]` order — columns innermost, so both the
+/// kernel's per-run merges and the final fold's column-interleaved reads
+/// are contiguous.
 pub(crate) fn accumulate_panel<E: Copy, A: Accum<E>>(
     w: &PackedBcq,
     wins: &[Window],
@@ -597,139 +350,30 @@ pub(crate) fn accumulate_panel<E: Copy, A: Accum<E>>(
 ) {
     let batch = luts.batch();
     let q = w.bits();
-    let gq = w.groups() * q;
-    let prow_len = batch * gq;
     let shift = luts.mu();
-    let mu = shift as usize;
-    let entries = luts.entries();
-    let gs = w.group_size();
-    let fast = 64 % mu == 0 && gs.is_multiple_of(mu);
-    let wpg = gs / mu; // windows per group (fast path only)
-    let tile = tile_windows(shift, batch);
-    let wide = (WIDE_MIN..=WIDE_MAX).contains(&batch);
-    // Traffic accounting, off the walk itself: the words a panel pass
-    // streams are fully determined by the window plan, so tally them in
-    // one cheap pre-pass (guarded so the disabled path costs one load).
-    if figlut_trace::enabled() {
-        let span: u64 = wins.chunks(tile).map(|t| tile_span_words(t) as u64).sum();
-        let tiles = wins.chunks(tile).len() as u64;
-        figlut_trace::counters::bump_exec_streamed_words(span * (q * rows) as u64);
-        figlut_trace::counters::bump_exec_ktiles(tiles * rows as u64);
-    }
-    let mut wacc0 = [A::default(); WIDE_MAX];
-    let mut wacc1 = [A::default(); WIDE_MAX];
-    for (t, tile_wins) in wins.chunks(tile).enumerate() {
-        let win_lo = t * tile;
-        let win_hi = win_lo + tile_wins.len();
-        if fast && wide {
-            let (a0, a1) = (&mut wacc0[..batch], &mut wacc1[..batch]);
-            let mut pairs = partials[..rows * prow_len].chunks_mut(2 * prow_len);
-            let mut ri = 0;
-            for chunk in pairs.by_ref() {
-                if chunk.len() == 2 * prow_len {
-                    let (p0, p1) = chunk.split_at_mut(prow_len);
-                    let (ra, rb) = (r0 + ri, r0 + ri + 1);
-                    for i in 0..q {
-                        let (w0, w1) = (w.plane_row(i, ra), w.plane_row(i, rb));
-                        macro_rules! pass2w {
-                            ($m:literal) => {
-                                tile_pass_fast2_wide::<E, A, $m>(
-                                    w0, w1, entries, batch, win_lo, win_hi, wpg, i, q, p0, p1, a0,
-                                    a1,
-                                )
-                            };
-                        }
-                        match mu {
-                            1 => pass2w!(1),
-                            2 => pass2w!(2),
-                            4 => pass2w!(4),
-                            8 => pass2w!(8),
-                            _ => unreachable!("64 % µ == 0 with µ ∈ 1..=8"),
-                        }
-                    }
-                } else {
-                    let prow = &mut chunk[..prow_len];
-                    let r = r0 + ri;
-                    for i in 0..q {
-                        let words = w.plane_row(i, r);
-                        macro_rules! pass1w {
-                            ($m:literal) => {
-                                tile_pass_fast_wide::<E, A, $m>(
-                                    words, entries, batch, win_lo, win_hi, wpg, i, q, prow, a0,
-                                )
-                            };
-                        }
-                        match mu {
-                            1 => pass1w!(1),
-                            2 => pass1w!(2),
-                            4 => pass1w!(4),
-                            8 => pass1w!(8),
-                            _ => unreachable!("64 % µ == 0 with µ ∈ 1..=8"),
-                        }
-                    }
-                }
-                ri += 2;
-            }
-        } else if fast {
-            // Row pairs × column blocks: up to 2·COL_BLOCK independent
-            // accumulator chains per pass hide table-read latency (see
-            // [`tile_pass_fast2`]); a ragged last row falls back to the
-            // single-row pass, a ragged column tail to a narrower block.
-            let mut pairs = partials[..rows * prow_len].chunks_mut(2 * prow_len);
-            let mut ri = 0;
-            for chunk in pairs.by_ref() {
-                if chunk.len() == 2 * prow_len {
-                    let (p0, p1) = chunk.split_at_mut(prow_len);
-                    let (ra, rb) = (r0 + ri, r0 + ri + 1);
-                    for i in 0..q {
-                        let (w0, w1) = (w.plane_row(i, ra), w.plane_row(i, rb));
-                        let mut col0 = 0;
-                        while col0 < batch {
-                            let cb = (batch - col0).min(COL_BLOCK);
-                            macro_rules! pass2 {
-                                ($m:literal, $c:literal) => {
-                                    tile_pass_fast2::<E, A, $m, $c>(
-                                        w0, w1, entries, batch, col0, win_lo, win_hi, wpg, i, q,
-                                        p0, p1,
-                                    )
-                                };
-                            }
-                            dispatch_mu_cb!(mu, cb, pass2);
-                            col0 += cb;
-                        }
-                    }
-                } else {
-                    // Odd tail row.
-                    let prow = &mut chunk[..prow_len];
-                    let r = r0 + ri;
-                    for i in 0..q {
-                        let words = w.plane_row(i, r);
-                        let mut col0 = 0;
-                        while col0 < batch {
-                            let cb = (batch - col0).min(COL_BLOCK);
-                            macro_rules! pass1 {
-                                ($m:literal, $c:literal) => {
-                                    tile_pass_fast::<E, A, $m, $c>(
-                                        words, entries, batch, col0, win_lo, win_hi, wpg, i, q,
-                                        prow,
-                                    )
-                                };
-                            }
-                            dispatch_mu_cb!(mu, cb, pass1);
-                            col0 += cb;
-                        }
-                    }
-                }
-                ri += 2;
-            }
-        } else {
-            for (ri, prow) in partials.chunks_mut(prow_len).take(rows).enumerate() {
-                let r = r0 + ri;
-                for i in 0..q {
-                    let words = w.plane_row(i, r);
-                    tile_pass_generic(words, entries, batch, shift, tile_wins, win_lo, i, q, prow);
-                }
-            }
+    let lane = lane_path(shift as usize, w.group_size(), w.groups());
+    let entry_bytes = if lane {
+        size_of::<E>()
+    } else {
+        GENERIC_ENTRY_BYTES
+    };
+    let partials = &mut partials[..rows * batch * w.groups() * q];
+    for blk in luts.blocks() {
+        let tile = tile_windows(shift, blk.lanes, entry_bytes);
+        // Traffic accounting, off the walk itself: the words a sweep
+        // streams are fully determined by the window plan (guarded so the
+        // disabled path costs one load).
+        if figlut_trace::enabled() {
+            let per_row = sweep_words(wins, tile) * q as u64;
+            figlut_trace::counters::bump_exec_streamed_words(per_row * rows as u64);
+            figlut_trace::counters::bump_exec_ktiles((wins.len().div_ceil(tile) * rows) as u64);
+        }
+        match (lane, blk.lanes) {
+            (false, _) => generic_block(w, wins, &blk, shift, tile, batch, r0, partials),
+            (true, 1) => lane_block::<E, A, 1>(w, &blk, tile, batch, r0, partials),
+            (true, 2) => lane_block::<E, A, 2>(w, &blk, tile, batch, r0, partials),
+            (true, 4) => lane_block::<E, A, 4>(w, &blk, tile, batch, r0, partials),
+            (true, _) => lane_block::<E, A, MAX_LANES>(w, &blk, tile, batch, r0, partials),
         }
     }
 }
@@ -1057,12 +701,11 @@ mod tests {
     #[test]
     fn batched_call_rows_match_single_row_calls() {
         // The batch-blocking theorem at unit-test scale, with batch sizes
-        // spanning both column engines (1..=7 covers COL_BLOCK register
-        // blocks plus ragged 1/2/3-column tails; 8..=9 the wide
-        // memory-backed pass) over an odd row count, so the odd-tail-row
-        // variant of every pass runs too: each row of one batched call
-        // equals the batch-1 call on that row alone, bit for bit (the
-        // property suite widens this to arbitrary shapes).
+        // spanning every lane width (1; 2; 3..=4 in a 4-lane block; 5..=8
+        // in an 8-lane one) and a second column block (9 = 8 + 1), over an
+        // odd row count, so the 1-row pass runs too: each row of one
+        // batched call equals the batch-1 call on that row alone, bit for
+        // bit (the property suite widens this to arbitrary shapes).
         let (_, b) = setup(9, 96, 3);
         let cfg = EngineConfig::paper_default();
         let p = PackedBcq::pack(&b);
@@ -1082,17 +725,22 @@ mod tests {
     fn tile_windows_rescales_with_batch_and_stays_word_aligned() {
         for mu in [1u32, 2, 4, 8] {
             let kpw = 64 / mu as usize;
-            let base = tile_windows(mu, 1);
-            assert_eq!(base, (262144usize >> (mu + 3)).max(4), "µ={mu} base");
-            for batch in [1usize, 2, 3, 7, 16, 100_000] {
-                let t = tile_windows(mu, batch);
-                assert!(t >= kpw, "µ={mu} B={batch}: tile {t} < one word");
-                assert!(t.is_multiple_of(kpw), "µ={mu} B={batch}: tile {t} ragged");
-                assert!(t <= base, "µ={mu} B={batch}: tile grew");
+            let base = tile_windows(mu, 1, 4);
+            assert_eq!(base, 65536 >> mu, "µ={mu}: 256 KiB of 4-byte entries");
+            for lanes in [1usize, 4, 8] {
+                for bytes in [4usize, 8] {
+                    let t = tile_windows(mu, lanes, bytes);
+                    assert!(t >= kpw, "µ={mu} L={lanes}: tile {t} < one word");
+                    assert!(t.is_multiple_of(kpw), "µ={mu} L={lanes}: tile {t} ragged");
+                    assert!(
+                        (t << mu) * lanes * bytes <= 262144 || t == kpw,
+                        "µ={mu} L={lanes} {bytes} B: tile {t} over budget"
+                    );
+                }
             }
         }
         // µ ∤ 64 (generic walk): no alignment constraint, still positive.
-        assert!(tile_windows(3, 9) >= 4);
+        assert!(tile_windows(3, 8, 8) >= 4);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! | Module | Hardware analogue | Contents |
 //! |---|---|---|
 //! | [`packed`] | weight SRAM layout | [`PackedBcq`]: bit-planes as `u64` words, scales in fold order |
-//! | [`lut`] | FFLUT generators | flat per-window `2^µ` tables, batch-stacked across activation rows, built half + mirrored (Fig. 10) |
-//! | [`kernel`] | RAC arrays | cache-blocked, batch-blocked [`exec_f`] / [`exec_i`] read-accumulate kernels |
+//! | [`lut`] | FFLUT generators | flat per-window `2^µ` tables, lane-blocked across activation rows (the 1/4/8 entries of one key contiguous), built half + mirrored (Fig. 10) |
+//! | [`kernel`] | RAC arrays | cache-blocked, lane-blocked [`exec_f`] / [`exec_i`] read-accumulate kernels |
 //! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls |
 //! | [`parallel`] | MPU tiling | row-panel `std::thread::scope` workers: `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a call fans out only as far as its look-up count repays the wake-ups |
 //!
@@ -25,8 +25,8 @@
 //! for every thread count: each output element is computed by one thread in
 //! a fixed order, so results are deterministic and
 //! thread-count-independent. A batched call streams each packed weight
-//! word once for *all* batch columns (the paper's weight-traffic
-//! amortization, executed on the host) and every batch row is
+//! word once per block of up to 8 batch columns (the paper's
+//! weight-traffic amortization, executed on the host) and every batch row is
 //! bit-identical to its batch-1 run. The property tests in `tests/`
 //! enforce all of this over arbitrary shapes, µ, group sizes, batch
 //! sizes, and ragged tails.

@@ -7,11 +7,12 @@
 //! wrong shape for throughput. This module precomputes, per activation
 //! tile, the *full* `2^µ`-entry table of every window into one flat buffer
 //! with a constant power-of-two stride, so the kernel's inner loop is
-//! `table[base | key]` with no branches. For a batched call the tables of
-//! all `B` activation rows are *batch-stacked at key granularity* — the
-//! `B` entries of one `(window, key)` adjacent — so a weight key decoded
-//! once reads one contiguous, line-sharing run covering every batch column
-//! (see [`crate::kernel`]'s batch-column blocking).
+//! `table[base | key]` with no branches. For a batched call the batch
+//! columns are cut into *lane blocks* of `L ∈ {1, 2, 4, 8}` columns and the
+//! `L` entries of one `(window, key)` are one contiguous `[T; L]` — so a
+//! weight key decoded once adds a whole lane vector to register-resident
+//! accumulators (see [`crate::kernel`]'s lane pass), and the build fills
+//! all lanes of a key with contiguous adds.
 //!
 //! The build still uses the hFFLUT semantics (DESIGN.md §3, paper Fig. 10):
 //! only the MSB-clear half is computed with additions; the MSB-set half is
@@ -61,26 +62,56 @@ pub fn windows(cols: usize, group_size: usize, mu: usize) -> Vec<Window> {
     out
 }
 
+/// Lanes of the widest column block.
+pub(crate) const MAX_LANES: usize = 8;
+
+/// Lane width of a column block holding `cols ∈ 1..=MAX_LANES` batch
+/// columns: the next power of two (the kernel's monomorphized widths), so
+/// 3 and 5–7 columns ride in a block padded with zero lanes.
+pub(crate) fn lane_width(cols: usize) -> usize {
+    cols.next_power_of_two()
+}
+
+/// The column blocks of a `batch`-column call as `(first column, columns,
+/// lanes)`: full [`MAX_LANES`]-column blocks, then a last block sized by
+/// its own width (`batch = 9` is 8 + 1 lanes, not 8 + 8).
+pub(crate) fn column_blocks(batch: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..batch).step_by(MAX_LANES).map(move |col0| {
+        let cols = (batch - col0).min(MAX_LANES);
+        (col0, cols, lane_width(cols))
+    })
+}
+
+/// One column block of a [`FlatLuts`]: batch columns `col0..col0 + cols`
+/// in `lanes`-wide entries (`entries[((w << mu) | k)·lanes + l]`).
+pub(crate) struct LaneBlock<'a, T> {
+    pub col0: usize,
+    pub cols: usize,
+    pub lanes: usize,
+    pub entries: &'a [T],
+}
+
 /// Flat full tables for every window of a *batch* of activation rows, in
-/// the batch-stacked layout the blocked kernels stream.
+/// the lane-blocked layout the kernels stream.
 ///
-/// Entry `k` of window `w` for batch column `b` lives at
-/// `entries[((w << mu) | k)·batch + b]`: the entries of one `(window,
-/// key)` across batch columns are *adjacent*. That granularity is the
-/// point — the kernel decodes each weight key once and reads it for every
-/// batch column, and with per-key stacking those `batch` reads are one
-/// contiguous run sharing cache lines (16 narrowed-i32 columns per 64-byte
-/// line), instead of `batch` scattered lines from `batch` separate tables.
-/// Table-line traffic per column falls almost `batch`-fold, which is what
-/// makes the batched kernel faster than `batch` solo calls on a
-/// line-bandwidth-bound shape. Windows of width `< µ` only populate their
-/// first `2^width` key slots (keys never address beyond them, because the
-/// kernel masks to the window width). `batch = 1` degenerates to the
-/// classic one-table-per-window layout.
+/// Batch columns are cut into *column blocks* of up to 8 columns, each
+/// with its own complete table set, `L ∈ {1, 2, 4, 8}` *lanes* wide
+/// (`column_blocks`; unused lanes are zero). Within block `j` — which
+/// starts at `entries[8·j·windows·2^µ]`, every earlier block being 8 lanes
+/// wide — entry `k` of window `w` for the block's column `l` lives at
+/// `((w << mu) | k)·L + l`: the `L` entries of one `(window, key)` are one
+/// contiguous `[T; L]`. That granularity is the point — the kernel decodes
+/// each weight key once and adds its whole lane vector to `L`
+/// register-resident accumulators (one or two packed adds), instead of
+/// `batch` scattered reads from `batch` separate tables. Windows of width
+/// `< µ` only populate their first `2^width` key slots (keys never address
+/// beyond them, because the kernel masks to the window width). `batch = 1`
+/// is one 1-lane block: the classic one-table-per-window layout.
 #[derive(Clone, Debug)]
 pub struct FlatLuts<T> {
     mu: u32,
     batch: usize,
+    wins: usize,
     entries: Vec<T>,
 }
 
@@ -91,6 +122,7 @@ impl<T> Default for FlatLuts<T> {
         Self {
             mu: 1,
             batch: 1,
+            wins: 0,
             entries: Vec::new(),
         }
     }
@@ -108,7 +140,7 @@ impl<T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>
         Self::build_batched(values, values.len(), wins, mu, 1)
     }
 
-    /// Precompute the batch-stacked tables for `batch` activation rows.
+    /// Precompute the lane-blocked tables for `batch` activation rows.
     /// `values` is row-major (`values[b·cols + c]` is column `c` of batch
     /// row `b`); every window's start/width indexes within one row.
     ///
@@ -137,19 +169,21 @@ impl<T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>
     pub fn rebuild(&mut self, values: &[T], cols: usize, wins: &[Window], mu: u32, batch: usize) {
         assert!((1..=8).contains(&mu), "µ = {mu} unsupported");
         assert_eq!(values.len(), batch * cols, "values are not batch × cols");
-        let stride = 1usize << mu;
+        let per_lane = wins.len() << mu;
         self.mu = mu;
         self.batch = batch;
-        self.entries.clear();
-        self.entries
-            .resize(wins.len() * batch * stride, T::default());
-        for (wi, win) in wins.iter().enumerate() {
-            let t0 = wi * batch * stride;
-            let table = &mut self.entries[t0..t0 + batch * stride];
-            for b in 0..batch {
-                let x0 = b * cols + win.start as usize;
-                let xs = &values[x0..x0 + win.width as usize];
-                fill_window(table, xs, batch, b);
+        self.wins = wins.len();
+        let lanes: usize = column_blocks(batch).map(|(_, _, lanes)| lanes).sum();
+        // No clear: `fill_block` writes every slot.
+        self.entries.resize(per_lane * lanes, T::default());
+        for (col0, bcols, lanes) in column_blocks(batch) {
+            let block = &mut self.entries[col0 * per_lane..][..lanes * per_lane];
+            let rows = &values[col0 * cols..(col0 + bcols) * cols];
+            match lanes {
+                1 => fill_block::<T, 1>(block, rows, cols, wins, mu),
+                2 => fill_block::<T, 2>(block, rows, cols, wins, mu),
+                4 => fill_block::<T, 4>(block, rows, cols, wins, mu),
+                _ => fill_block::<T, MAX_LANES>(block, rows, cols, wins, mu),
             }
         }
     }
@@ -162,16 +196,27 @@ impl<T: Copy> FlatLuts<T> {
         self.mu
     }
 
-    /// Number of stacked batch columns.
+    /// Number of batch columns.
     #[inline]
     pub fn batch(&self) -> usize {
         self.batch
     }
 
-    /// The flat entry buffer (`windows × batch × 2^µ`).
+    /// The flat entry buffer (`windows × 2^µ × Σ block lanes`).
     #[inline]
     pub fn entries(&self) -> &[T] {
         &self.entries
+    }
+
+    /// The column blocks, in column order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = LaneBlock<'_, T>> {
+        let per_lane = self.wins << self.mu;
+        column_blocks(self.batch).map(move |(col0, cols, lanes)| LaneBlock {
+            col0,
+            cols,
+            lanes,
+            entries: &self.entries[col0 * per_lane..][..lanes * per_lane],
+        })
     }
 
     /// Read entry `key` of window `wi` for batch column 0.
@@ -183,40 +228,69 @@ impl<T: Copy> FlatLuts<T> {
     /// Read entry `key` of window `wi` for batch column `b`.
     #[inline]
     pub fn read_batched(&self, wi: usize, b: usize, key: usize) -> T {
-        self.entries[((wi << self.mu) | key) * self.batch + b]
+        let col0 = b - b % MAX_LANES;
+        let lanes = lane_width((self.batch - col0).min(MAX_LANES));
+        let block = col0 * (self.wins << self.mu);
+        self.entries[block + ((wi << self.mu) | key) * lanes + (b - col0)]
     }
 }
 
-/// Fill one window's `2^width` entries for one batch column: compute the
-/// MSB-clear half with additions, mirror the MSB-set half by negation
-/// (hFFLUT vertical symmetry). Key `k` lands at `table[k·stride + offset]`
-/// — `stride = batch`, `offset = b` in the per-key-stacked layout
-/// ([`FlatLuts`] docs); `(1, 0)` is the classic dense table.
-fn fill_window<T: Copy + core::ops::Add<Output = T> + core::ops::Neg<Output = T>>(
-    table: &mut [T],
-    xs: &[T],
-    stride: usize,
-    offset: usize,
-) {
+/// Fill one column block's tables from its `rows` (`≤ L` activation rows
+/// of `cols` values; missing lanes stay zero): per window, transpose the
+/// activations to lane-major and build all `L` lanes of every key at once.
+fn fill_block<T, const L: usize>(block: &mut [T], rows: &[T], cols: usize, wins: &[Window], mu: u32)
+where
+    T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>,
+{
+    for (table, win) in block.chunks_exact_mut(L << mu).zip(wins) {
+        let (start, width) = (win.start as usize, win.width as usize);
+        let mut xs = [[T::default(); L]; 8];
+        for (l, row) in rows.chunks_exact(cols).enumerate() {
+            for (x, &v) in xs.iter_mut().zip(&row[start..start + width]) {
+                x[l] = v;
+            }
+        }
+        fill_window(table, &xs[..width]);
+        table[L << width..].fill(T::default()); // key slots a narrow window never populates
+    }
+}
+
+/// Fill one window's `2^width` keys × `L` lanes (`table[k·L + l]`):
+/// compute the MSB-clear half with additions, mirror the MSB-set half by
+/// negation (hFFLUT vertical symmetry). `xs[j]` holds column `j` of the
+/// window for every lane, so each key is `L` contiguous adds.
+fn fill_window<T, const L: usize>(table: &mut [T], xs: &[[T; L]])
+where
+    T: Copy + core::ops::Add<Output = T> + core::ops::Neg<Output = T>,
+{
     let width = xs.len();
-    let idx = |k: usize| k * stride + offset;
     // Key 0 = −x₀ −x₁ … ; then each remaining MSB-clear key flips exactly
     // one sign relative to an already-computed key: k with lowest set bit b
     // equals (k without b) + 2·x_b.
-    let mut all_minus = -xs[0];
-    for &x in &xs[1..] {
-        all_minus = all_minus + (-x);
+    let mut all_minus = xs[0].map(|x| -x);
+    for x in &xs[1..] {
+        for l in 0..L {
+            all_minus[l] = all_minus[l] + (-x[l]);
+        }
     }
-    table[idx(0)] = all_minus;
+    table[..L].copy_from_slice(&all_minus);
     let half = 1usize << (width - 1);
     for k in 1..half {
-        let b = k.trailing_zeros() as usize;
-        table[idx(k)] = table[idx(k & (k - 1))] + xs[b] + xs[b];
+        let x = &xs[k.trailing_zeros() as usize];
+        let (done, rest) = table.split_at_mut(k * L);
+        let prev = &done[(k & (k - 1)) * L..][..L];
+        for l in 0..L {
+            rest[l] = prev[l] + x[l] + x[l];
+        }
     }
     // MSB-set half: lut[k] = −lut[~k] (exact negation, Fig. 10 decoder).
     let mask = (1usize << width) - 1;
     for k in half..=mask {
-        table[idx(k)] = -table[idx(k ^ mask)];
+        let (done, rest) = table.split_at_mut(k * L);
+        let src = &done[(k ^ mask) * L..][..L];
+        for l in 0..L {
+            rest[l] = -src[l];
+        }
     }
 }
 
@@ -297,32 +371,71 @@ mod tests {
 
     #[test]
     fn batched_tables_stack_per_window_and_match_per_row_builds() {
-        // 2 rows × 11 cols, µ = 4 → per-row windows of widths 4, 4, 3.
+        // 11 cols, µ = 4 → per-row windows of widths 4, 4, 3. Batches
+        // cover every lane width and a multi-block split (9 = 8 + 1).
         let cols = 11usize;
-        let flat: Vec<f64> = (0..2 * cols).map(|i| 0.17 * (i as f64) - 1.3).collect();
+        let flat: Vec<f64> = (0..17 * cols).map(|i| 0.17 * (i as f64) - 1.3).collect();
         let wins = windows(cols, cols, 4);
-        let batched = FlatLuts::build_batched(&flat, cols, &wins, 4, 2);
-        assert_eq!(batched.batch(), 2);
-        assert_eq!(batched.entries().len(), wins.len() * 2 * 16);
-        for b in 0..2usize {
-            let solo = FlatLuts::build(&flat[b * cols..(b + 1) * cols], &wins, 4);
-            for (wi, win) in wins.iter().enumerate() {
-                for k in 0..(1usize << win.width) {
-                    assert_eq!(
-                        batched.read_batched(wi, b, k),
-                        solo.read(wi, k),
-                        "b={b} win={wi} key={k}"
-                    );
+        let per_lane = wins.len() * 16;
+        for (batch, lanes) in [(1usize, 1usize), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8)] {
+            assert_eq!(lane_width(batch), lanes, "B={batch}");
+        }
+        for (batch, total_lanes) in [
+            (1usize, 1usize),
+            (3, 4),
+            (7, 8),
+            (9, 8 + 1),
+            (10, 8 + 2),
+            (17, 16 + 1),
+        ] {
+            let batched = FlatLuts::build_batched(&flat[..batch * cols], cols, &wins, 4, batch);
+            assert_eq!(batched.batch(), batch);
+            assert_eq!(batched.entries().len(), per_lane * total_lanes, "B={batch}");
+            // read_batched ≡ the per-row build, for every column.
+            for b in 0..batch {
+                let solo = FlatLuts::build(&flat[b * cols..(b + 1) * cols], &wins, 4);
+                for (wi, win) in wins.iter().enumerate() {
+                    for k in 0..(1usize << win.width) {
+                        assert_eq!(
+                            batched.read_batched(wi, b, k),
+                            solo.read(wi, k),
+                            "B={batch} b={b} win={wi} key={k}"
+                        );
+                    }
                 }
             }
+            // Blocks are independent table sets: 8-column blocks back to
+            // back, the last sized by its own width; inside a block the
+            // lanes of one (window, key) are adjacent and padding lanes
+            // are zero.
+            let mut at = 0;
+            for blk in batched.blocks() {
+                assert_eq!(blk.col0 % MAX_LANES, 0);
+                assert_eq!(blk.lanes, lane_width(blk.cols));
+                assert_eq!(
+                    blk.entries.as_ptr(),
+                    batched.entries()[at..].as_ptr(),
+                    "B={batch}"
+                );
+                at += blk.entries.len();
+                for (slot, lane_vec) in blk.entries.chunks_exact(blk.lanes).enumerate() {
+                    let (wi, k) = (slot >> 4, slot & 15);
+                    if k >= 1 << wins[wi].width {
+                        continue; // unpopulated slots of a narrow window
+                    }
+                    for (l, &e) in lane_vec.iter().enumerate() {
+                        if l < blk.cols {
+                            assert_eq!(e, batched.read_batched(wi, blk.col0 + l, k));
+                        } else {
+                            assert_eq!(e, 0.0, "B={batch} padding lane {l}");
+                        }
+                    }
+                }
+            }
+            assert_eq!(at, batched.entries().len());
         }
-        // Same (window, key), consecutive columns: adjacent entries — the
-        // line-sharing property the batched kernel depends on.
-        let e = batched.entries();
-        assert_eq!(batched.read_batched(1, 0, 3), e[((1 << 4) | 3) * 2]);
-        assert_eq!(batched.read_batched(1, 1, 3), e[((1 << 4) | 3) * 2 + 1]);
         // Rebuild at a new batch reuses the buffer and relabels the layout.
-        let mut reb = batched.clone();
+        let mut reb = FlatLuts::build_batched(&flat[..9 * cols], cols, &wins, 4, 9);
         reb.rebuild(&flat[..cols], cols, &wins, 4, 1);
         assert_eq!(reb.batch(), 1);
         let solo = FlatLuts::build(&flat[..cols], &wins, 4);

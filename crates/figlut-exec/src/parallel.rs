@@ -18,9 +18,10 @@ use std::sync::OnceLock;
 pub const THREADS_ENV: &str = "FIGLUT_EXEC_THREADS";
 
 /// Computed table look-ups a row panel must carry to be worth a thread:
-/// ≈ 200–700 µs of work at the measured 0.8–2.7 ns per look-up, against a
-/// 47–108 µs cross-vCPU wake-up (derivation: DESIGN.md §6).
-const MIN_PANEL_LOOKUPS: usize = 1 << 18;
+/// ≈ 160–800 µs of work at the measured 0.15–0.76 ns per look-up of the
+/// lane pass, against a 47–108 µs cross-vCPU wake-up (derivation:
+/// DESIGN.md §6).
+const MIN_PANEL_LOOKUPS: usize = 1 << 20;
 
 /// Row panels worth running for a call of `lookups` computed look-ups over
 /// `rows` output rows: one per [`MIN_PANEL_LOOKUPS`], at least 1, at most

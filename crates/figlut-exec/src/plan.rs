@@ -2,7 +2,7 @@
 //!
 //! The kernels' per-call preamble is not free: the window decomposition,
 //! the effective-µ decision, the quantize/align/Σx staging buffers, the
-//! batch-stacked FFLUTs, and every worker's partial-accumulator slab. The
+//! lane-blocked FFLUTs, and every worker's partial-accumulator slab. The
 //! original backend recomputed the windows and reallocated every buffer on
 //! *every* call — once per token per layer under `figlut-serve` decode
 //! traffic. An `ExecPlan` hoists all of it:
@@ -27,8 +27,10 @@
 //! throwaway plan per call, which preserves their historical semantics;
 //! anything that executes the same weights twice should hold a plan.
 
-use crate::kernel::{check, effective_mu, panel_f, panel_i, tile_span_words, tile_windows};
-use crate::lut::{windows, FlatLuts, Window};
+use crate::kernel::{
+    check, effective_mu, panel_f, panel_i, sweep_words, tile_windows, GENERIC_ENTRY_BYTES,
+};
+use crate::lut::{column_blocks, windows, FlatLuts, Window};
 use crate::packed::PackedBcq;
 use crate::parallel::{panel_count, run_strided_panels, thread_count};
 use figlut_gemm::common::mul32;
@@ -50,11 +52,11 @@ struct CallScratch {
     lambdas: Vec<f64>,
     /// Pre-folded offset terms `mul32(Σx·λ)`, `batch × groups`.
     gsum_folds: Vec<f64>,
-    /// Batch-stacked integer tables (wide path).
+    /// Lane-blocked integer tables (wide path).
     luts64: FlatLuts<i64>,
-    /// Batch-stacked integer tables (narrowed path).
+    /// Lane-blocked integer tables (narrowed path).
     luts32: FlatLuts<i32>,
-    /// Batch-stacked float tables (`exec_f`).
+    /// Lane-blocked float tables (`exec_f`).
     lutsf: FlatLuts<f64>,
     /// Per-group activation sums (`exec_f`), `batch × groups`.
     gsums: Vec<f64>,
@@ -178,23 +180,25 @@ impl ExecPlan {
     }
 
     /// Packed weight words one non-empty `exec_*` call at this batch size
-    /// streams through the tile walk: the per-tile word spans of the
-    /// window plan (tile size depends on `batch` — tables are batch-
-    /// stacked, so wider batches shrink the k-tile to hold the cache
-    /// budget), times one pass per (bit-plane, output row).
+    /// streams through the tile walk: one sweep per column block (the
+    /// batch is cut into lane blocks of up to 8 columns, each with its own
+    /// tables), each sweep the per-tile word spans of the window plan,
+    /// times one pass per (bit-plane, output row).
     ///
     /// This is the analytical model of the kernel's weight traffic; the
     /// `exec_streamed_words` trace counter reconciles against it exactly
     /// (asserted by `tests/trace_reconcile.rs`), which is what makes the
     /// traced number trustworthy as a bandwidth proxy.
     pub fn streamed_words(&self, batch: usize) -> u64 {
-        let tile = tile_windows(self.mu as u32, batch);
-        let span: u64 = self
-            .wins
-            .chunks(tile)
-            .map(|t| tile_span_words(t) as u64)
+        // Tier-independent: lane-pass tiles are whole words at any entry
+        // size, and the generic walk sizes its tiles for this one.
+        let per_row: u64 = column_blocks(batch)
+            .map(|(_, _, lanes)| {
+                let tile = tile_windows(self.mu as u32, lanes, GENERIC_ENTRY_BYTES);
+                sweep_words(&self.wins, tile)
+            })
             .sum();
-        span * (self.bits * self.rows) as u64
+        per_row * (self.bits * self.rows) as u64
     }
 
     /// Row panels one `exec_*` call at this batch size runs when the
@@ -308,9 +312,9 @@ impl ExecPlan {
         //   accumulators: a scale group spans `gs` columns, so every
         //   window sum, hFFLUT build intermediate, and running group
         //   partial is a signed sum of at most `gs` mantissas and provably
-        //   fits. This is the whole FP16 operating point, and it makes the
-        //   batched pass's contiguous per-key column reads vectorize on
-        //   plain SSE2 (32-bit lanes).
+        //   fits. This is the whole FP16 operating point, and it makes a
+        //   key's lane vector and its accumulators plain SSE2 32-bit
+        //   lanes.
         // * `µ·max|mantissa| ≤ i32::MAX` — i32 tables (half the table-read
         //   bytes), i64 accumulators (group partials may exceed i32).
         // * otherwise — full i64 tables and accumulators (extreme

@@ -65,22 +65,24 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_exec_plan_calls_are_allocation_free() {
-    // One offset-carrying fast-path shape (the serving operating point)
-    // at both column engines — batch 4 (register column blocks) and
-    // batch 8 (the wide memory-backed pass) — plus a ragged generic-path
-    // shape. Single worker thread: spawning a thread allocates by
-    // definition, and the zero-alloc contract is about the exec hot path,
-    // which is identical on every worker.
+    // One offset-carrying lane-pass shape (the serving operating point) at
+    // lane widths 1, 4 and 8 and across a column-block boundary — batch 1
+    // (1 lane), 3 (4 lanes, one padded), 8 (8 lanes), 9 (8 + 1) — plus a
+    // ragged generic-walk shape. Single worker thread: spawning a thread
+    // allocates by definition, and the zero-alloc contract is about the
+    // exec hot path, which is identical on every worker.
     //
     // The last case is the serving decode shape (48×48, B=6) at the
     // default worker count, as `figlut-model` calls it: far too little
     // work to be worth a second thread, so the plan must keep it on the
     // calling thread — no spawn, hence still zero allocations.
     let many = thread_count().max(2);
-    let cases: [(usize, usize, usize, u32, usize, usize); 4] = [
-        (96, 128, 32, 3, 4, 1), // m, n, gs (even → fast path), q, batch, threads
-        (96, 128, 32, 3, 8, 1), // wide column engine
-        (11, 45, 15, 2, 3, 1),  // gs 15 → generic descriptor walk
+    let cases: [(usize, usize, usize, u32, usize, usize); 6] = [
+        (96, 128, 64, 3, 1, 1), // m, n, gs (64 | gs → lane pass), q, batch, threads
+        (96, 128, 64, 3, 3, 1),
+        (96, 128, 64, 3, 8, 1),
+        (96, 128, 64, 3, 9, 1),
+        (11, 45, 15, 2, 3, 1), // gs 15 → generic descriptor walk
         (48, 48, 48, 3, 6, many),
     ];
     for (m, n, gs, bits, batch, threads) in cases {

@@ -31,13 +31,13 @@ struct Problem {
 /// `u64` word boundary when gs·groups > 64.
 fn problem() -> impl Strategy<Value = Problem> {
     (
-        1usize..=9, // batch (spans both column engines: register blocks and, from 8, the wide pass)
+        1usize..=9,  // batch (every lane width, and 9 = a second column block)
         1usize..=12, // m
-        1usize..=5, // groups
+        1usize..=5,  // groups
         1usize..=17, // group size
-        1u32..=4,   // bits (binary planes)
-        1u32..=4,   // µ
-        0usize..4,  // thread-count choice index
+        1u32..=4,    // bits (binary planes)
+        1u32..=4,    // µ
+        0usize..4,   // thread-count choice index
     )
         .prop_flat_map(|(batch, m, groups, gs, bits, mu, tix)| {
             let threads = [1usize, 2, 3, 8][tix];
@@ -76,6 +76,30 @@ fn cfg(mu: u32) -> EngineConfig {
     }
 }
 
+/// `exec_f` against `gemm_f`, scale-aware: FP32 accumulation in the model
+/// drifts by O(n·2⁻²⁴) of Σ|x|·max|w|; 1e-4 is ~4 decades of margin at
+/// these sizes. `Err` names the first element outside it.
+fn check_exec_f_tolerance(
+    fast: &Mat<f64>,
+    model: &Mat<f64>,
+    x: &Mat<f64>,
+    b: &BcqWeight,
+) -> Result<(), String> {
+    let wd = b.dequantize();
+    for bb in 0..x.rows() {
+        let xs: f64 = x.row(bb).iter().map(|v| v.abs()).sum();
+        for r in 0..wd.rows() {
+            let wmax = wd.row(r).iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            let (f, m) = (fast[(bb, r)], model[(bb, r)]);
+            let err = (f - m).abs() / (xs * wmax).max(1e-6);
+            if err.is_nan() || err >= 1e-4 {
+                return Err(format!("({bb},{r}): exec {f} vs model {m} rel {err}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -108,23 +132,8 @@ proptest! {
         let c = cfg(p.mu);
         let fast = exec_f_threads(&p.x, &packed, &c, p.threads);
         let model = gemm_f(&p.x, &b, &c);
-        let wd = b.dequantize();
-        for bb in 0..p.x.rows() {
-            let xs: f64 = p.x.row(bb).iter().map(|v| v.abs()).sum();
-            for r in 0..wd.rows() {
-                // Scale-aware: FP32 accumulation in the model drifts by
-                // O(n·2⁻²⁴) of Σ|x|·max|w|; 1e-4 is ~4 decades of margin
-                // at these sizes.
-                let wmax = wd.row(r).iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-                let denom = (xs * wmax).max(1e-6);
-                let err = (fast[(bb, r)] - model[(bb, r)]).abs() / denom;
-                prop_assert!(
-                    err < 1e-4,
-                    "({bb},{r}): exec {} vs model {} rel {err}",
-                    fast[(bb, r)],
-                    model[(bb, r)]
-                );
-            }
+        if let Err(e) = check_exec_f_tolerance(&fast, &model, &p.x, &b) {
+            prop_assert!(false, "{}", e);
         }
     }
 
@@ -189,16 +198,16 @@ proptest! {
 
     #[test]
     fn fanned_out_calls_never_change_bits(
-        m in 256usize..=520,  // 2 to 4 panels' worth of look-ups at batch 8
+        m in 512usize..=1040,  // 2 to 4 panels' worth of look-ups at batch 16
         layout in 0usize..3,
         phase in 0.0f64..6.0,
     ) {
         // Shapes big enough that the plan really runs several row panels:
-        // ~512 columns as Q4 at batch 8 (the wide column engine), on the
-        // fast path (gs 64 / 128 → 64 windows of µ 8) and on the generic
-        // descriptor walk (gs 73, µ 4 → 133 ragged windows).
+        // ~512 columns as Q4 at batch 16 (two 8-lane column blocks), on
+        // the lane pass (gs 64 / 128 → 64 windows of µ 8) and on the
+        // generic descriptor walk (gs 73, µ 4 → 133 ragged windows).
         let (groups, gs) = [(8usize, 64usize), (4, 128), (7, 73)][layout];
-        let (n, batch) = (groups * gs, 8usize);
+        let (n, batch) = (groups * gs, 16usize);
         let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173 + phase).sin() * 0.3);
         let x = Mat::from_fn(batch, n, |b, c| ((b * n + c) as f64 * 0.059 + phase).cos() * 3.0);
         let packed = PackedBcq::pack(&BcqWeight::from_uniform(&rtn(&w, RtnParams::grouped(4, gs))));
@@ -217,5 +226,119 @@ proptest! {
         }
         // Below the threshold the same plan keeps the call on one thread.
         prop_assert_eq!(plan.fan_out(1, 8), 1);
+    }
+}
+
+/// Weights for the lane-pass sweeps: `gs` = 0 is one scale group per row.
+fn lane_weights(m: usize, k: usize, gs: usize) -> BcqWeight {
+    let w = Mat::from_fn(m, k, |r, c| ((r * k + c) as f64 * 0.211).sin() * 0.4);
+    if gs == 0 {
+        BcqWeight::quantize(&w, BcqParams::per_row(3))
+    } else {
+        BcqWeight::from_uniform(&rtn(&w, RtnParams::grouped(4, gs)))
+    }
+}
+
+#[test]
+fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
+    // Every shape here takes the lane pass (µ 8, word-aligned groups):
+    // grouped gs 64 / 128, and per-row scales whose rows are a ragged
+    // single word (K 48), a word plus a ragged one (72), whole words (192)
+    // and a group spanning two k-tiles at 8 lanes (512). Batches 1..=17
+    // cross every lane width (1, 2, 4, 8) and column-block boundary (8 | 9,
+    // 16 | 17); odd and even row counts run the 1-row and 2-row passes.
+    let c = cfg(4);
+    for (k, gs) in [
+        (320usize, 64usize),
+        (384, 128),
+        (48, 0),
+        (72, 0),
+        (192, 0),
+        (512, 0),
+    ] {
+        for m in [5usize, 6] {
+            let b = lane_weights(m, k, gs);
+            let packed = PackedBcq::pack(&b);
+            let plan = ExecPlan::new(&packed, &c);
+            let x = Mat::from_fn(17, k, |bb, cc| ((bb * k + cc) as f64 * 0.077).cos() * 2.5);
+            // The model treats batch rows independently, so one 17-row
+            // run is the reference for every batch prefix.
+            let model = gemm_i(&x, &b, &c);
+            for batch in 1..=17usize {
+                let xb = Mat::from_fn(batch, k, |bb, cc| x[(bb, cc)]);
+                for threads in [1usize, 3] {
+                    let y = plan.exec_i_threads(&xb, &packed, &c, threads);
+                    for bb in 0..batch {
+                        assert_eq!(
+                            y.row(bb),
+                            model.row(bb),
+                            "K={k} gs={gs} m={m} B={batch} t={threads} row {bb}"
+                        );
+                    }
+                }
+            }
+            // Batch 1 alone (the 1-lane block) is the same bits again.
+            for bb in 0..17 {
+                let row = Mat::from_fn(1, k, |_, cc| x[(bb, cc)]);
+                let solo = plan.exec_i_threads(&row, &packed, &c, 1);
+                assert_eq!(solo.row(0), model.row(bb), "K={k} gs={gs} m={m} solo {bb}");
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
+    // The narrowing tier follows the aligned mantissa width (format
+    // precision + guard bits), whatever the activations' magnitude: FP16
+    // is i32 tables into i32 accumulators; FP32 + 2 guard bits overflows
+    // i32 over a 64-column group but not over an 8-column window (i32
+    // tables, i64 accumulators); FP32 + 6 overflows i32 in a window (i64
+    // both). Batch 8 on a lane-path shape, so `lane_pass` runs at 8 lanes
+    // at every `(E, A)`; `exec_f` (f64 lanes) is held to its tolerance.
+    use figlut_num::align::AlignedVector;
+    use figlut_num::fp::FpFormat;
+    let (m, k, gs, batch) = (7usize, 256usize, 64usize, 8usize);
+    let b = lane_weights(m, k, gs);
+    let packed = PackedBcq::pack(&b);
+    let x = Mat::from_fn(batch, k, |bb, cc| {
+        ((bb * k + cc) as f64 * 0.083).sin() * 9.0e3
+    });
+    let fits = |terms: usize, maxm: u64| terms as u64 * maxm <= i32::MAX as u64;
+    for (act, guard_bits, tier) in [
+        (FpFormat::Fp16, 4, "i32/i32"),
+        (FpFormat::Fp32, 2, "i32/i64"),
+        (FpFormat::Fp32, 6, "i64/i64"),
+    ] {
+        let c = EngineConfig {
+            act,
+            guard_bits,
+            ..cfg(4)
+        };
+        let mut mant = Vec::new();
+        for bb in 0..batch {
+            let xa: Vec<f64> = x.row(bb).iter().map(|&v| act.quantize(v)).collect();
+            AlignedVector::align_into(&xa, act, guard_bits, c.align, &mut mant);
+        }
+        let maxm = mant.iter().map(|v| v.unsigned_abs()).max().unwrap();
+        let got = match (fits(8, maxm), fits(gs, maxm)) {
+            (_, true) => "i32/i32",
+            (true, false) => "i32/i64",
+            (false, false) => "i64/i64",
+        };
+        assert_eq!(
+            got, tier,
+            "{act:?} + {guard_bits} guard bits: max |mantissa| {maxm}"
+        );
+        for threads in [1usize, 3] {
+            let y = exec_i_threads(&x, &packed, &c, threads);
+            assert_eq!(
+                y.as_slice(),
+                gemm_i(&x, &b, &c).as_slice(),
+                "{tier} t={threads}"
+            );
+        }
+        let (yf, mf) = (exec_f_threads(&x, &packed, &c, 1), gemm_f(&x, &b, &c));
+        check_exec_f_tolerance(&yf, &mf, &x, &b).unwrap_or_else(|e| panic!("{tier} exec_f {e}"));
     }
 }

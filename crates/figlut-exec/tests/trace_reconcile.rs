@@ -24,15 +24,16 @@ fn acts(batch: usize, k: usize) -> Mat<f64> {
 
 #[test]
 fn streamed_words_match_the_plan_formula() {
-    // Fast-path (µ divides 64 and the group size) and generic (gs 15,
-    // µ 4 → ragged windows) shapes, across batch sizes spanning the
-    // register-blocked, wide, and fallback column engines.
+    // Lane-pass (µ 8, groups ending on word boundaries) and generic
+    // shapes (gs 32: groups split a word; gs 15, µ 4: ragged windows), at
+    // batches of one column block, of two (12 = 8 + 4 lanes) and of three
+    // (17 = 8 + 8 + 1).
     let cases = [
         (16, 128, 64, 3, 4usize),
         (16, 128, 64, 3, 12),
         (8, 256, 32, 2, 1),
         (8, 60, 15, 3, 5),
-        (4, 90, 15, 2, 80),
+        (4, 90, 15, 2, 17),
     ];
     for (m, k, gs, bits, batch) in cases {
         let w = packed(m, k, gs, bits, 7);
@@ -62,8 +63,39 @@ fn streamed_words_match_the_plan_formula() {
             "traced words != formula for {m}x{k} gs {gs} bits {bits} batch {batch}"
         );
         assert!(
-            d.exec_ktiles >= calls * m as u64,
-            "at least one tile per row"
+            d.exec_ktiles >= calls * (m * batch.div_ceil(8)) as u64,
+            "at least one tile per row and column block"
+        );
+    }
+
+    // One lane-pass shape on both sides of every lane-width and
+    // column-block boundary: a call sweeps every packed word once per
+    // column block (one session, a snapshot per call).
+    let (m, k, bits) = (4usize, 64usize, 2u32);
+    let w = packed(m, k, 64, bits, 7);
+    let cfg = EngineConfig::paper_default();
+    let plan = ExecPlan::new(&w, &cfg);
+    let batches = [1usize, 4, 8, 9, 16];
+    let xs = batches.map(|b| acts(b, k));
+    let guard = install(Box::new(CollectSink::default()));
+    let mut marks = vec![snapshot()];
+    for x in &xs {
+        plan.exec_i(x, &w, &cfg);
+        marks.push(snapshot());
+    }
+    guard.finish().unwrap();
+    for (pair, batch) in marks.windows(2).zip(batches) {
+        let d = pair[1].since(&pair[0]);
+        assert_eq!(
+            d.exec_streamed_words,
+            plan.streamed_words(batch),
+            "B={batch}"
+        );
+        let sweep = (m * bits as usize * k.div_ceil(64)) as u64;
+        assert_eq!(
+            d.exec_streamed_words,
+            batch.div_ceil(8) as u64 * sweep,
+            "B={batch}"
         );
     }
 }

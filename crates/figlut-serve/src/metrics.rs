@@ -87,8 +87,8 @@ impl StepRecord {
     /// a caller bug: debug builds panic on it, release builds classify it
     /// as [`StepKind::Decode`] (the choice that prices to zero everywhere).
     ///
-    /// ```should_panic
-    /// use figlut_serve::StepRecord;
+    /// ```
+    /// use figlut_serve::{StepKind, StepRecord};
     ///
     /// let bogus = StepRecord {
     ///     prefill_rows: 0,
@@ -97,7 +97,10 @@ impl StepRecord {
     ///     swapped_rows: 0,
     ///     cost: 1,
     /// };
-    /// bogus.kind(); // debug builds: "step record with no rows"
+    /// // Debug builds panic here ("step record with no rows").
+    /// if !cfg!(debug_assertions) {
+    ///     assert_eq!(bogus.kind(), StepKind::Decode);
+    /// }
     /// ```
     pub fn kind(&self) -> StepKind {
         debug_assert!(self.rows() > 0, "step record with no rows");
@@ -809,6 +812,13 @@ mod tests {
             swapped_rows: 0,
             cost,
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "step record with no rows")]
+    fn row_less_step_record_panics_in_debug_builds() {
+        decode_step(0, 1).kind();
     }
 
     fn demo_report() -> ServeReport {

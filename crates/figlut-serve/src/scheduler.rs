@@ -137,8 +137,8 @@ pub struct ServeConfig {
     /// to `c` prompt rows of the oldest pending prompt, so no running
     /// session ever stalls longer than `step_overhead + c + max_batch`
     /// ticks. The emitted tokens are bit-identical either way; the sweet
-    /// spot for the packed host kernels is the exec column engines'
-    /// full-width block (`WIDE_MAX = 64` rows).
+    /// spot for the packed host kernels is a step whose rows fill whole
+    /// 8-column lane blocks of the exec kernel.
     pub prefill_chunk: Option<usize>,
     /// Paged-KV block size. `None` (the default) keeps each session's K/V
     /// in its own contiguous allocation — the pre-paging layout, pinned by
