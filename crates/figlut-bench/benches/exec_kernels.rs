@@ -124,6 +124,42 @@ fn bench_exec_batch_scaling(c: &mut Criterion) {
     }
 }
 
+fn bench_serving_shapes(c: &mut Criterion) {
+    // `serve-wide`'s three linear shapes (d 512, ffn 2048; Q4, one scale
+    // group per row, so every row's group stays open across its k-tiles)
+    // and one shape on the generic descriptor walk (gs 32 splits a word),
+    // at a decode row, a pair, and a full 8-lane block — warm plan calls
+    // into a caller-owned output, one worker thread.
+    let cfg = EngineConfig::paper_default();
+    for (m, n, gs) in [
+        (512usize, 512usize, 512usize),
+        (2048, 512, 512),
+        (512, 2048, 2048),
+        (2048, 2048, 32),
+    ] {
+        let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173).sin() * 0.2);
+        let packed = PackedBcq::pack(&BcqWeight::from_uniform(&rtn(
+            &w,
+            RtnParams::grouped(4, gs),
+        )));
+        let plan = ExecPlan::new(&packed, &cfg);
+        let scale = if gs == n {
+            "rowscale".into()
+        } else {
+            format!("gs{gs}")
+        };
+        let mut g = c.benchmark_group(format!("exec_i_{m}x{n}_q4_{scale}_1t"));
+        for batch in [1usize, 2, 8] {
+            let x = Mat::from_fn(batch, n, |b, cc| ((b * n + cc) as f64 * 0.059).cos());
+            let mut y = Mat::zeros(batch, m);
+            g.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, _| {
+                b.iter(|| plan.exec_i_into(black_box(&x), &packed, &cfg, 1, &mut y))
+            });
+        }
+        g.finish();
+    }
+}
+
 fn bench_packing(c: &mut Criterion) {
     let (_, bcq) = problem(1024, 1024, 1);
     let mut g = c.benchmark_group("pack_1024x1024_q4");
@@ -137,6 +173,7 @@ criterion_group!(
     bench_exec_thread_scaling,
     bench_small_calls,
     bench_exec_batch_scaling,
+    bench_serving_shapes,
     bench_packing
 );
 criterion_main!(benches);

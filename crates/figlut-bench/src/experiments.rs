@@ -1124,7 +1124,8 @@ fn ext_batch_scaling() -> Vec<(String, Table)> {
     t.note("why it scales: batch columns ride in lane blocks of 1, 2, 4 or 8; a block");
     t.note("is swept like a batch-1 call (B plane sweeps -> ceil(B/8)), each decoded key");
     t.note("adds one contiguous lane vector to register accumulators (1-2 packed adds),");
-    t.note("and the FP32 fold interleaves 4 independent per-column rounding chains");
+    t.note("each table tile is visited once per call (LUT-stationary sweep over tile-major");
+    t.note("packed planes) and the FP32 fold is fused into the walk, a lane block at a time");
     t.note("timings are host-dependent and this container's clock is noisy; the pass is");
     t.note("instruction-issue-bound per (key, lane vector), not DRAM-bound: a call costs");
     t.note("about the same anywhere inside a lane block and steps at B = 2, 3, 5, 9, so");

@@ -1,26 +1,26 @@
-//! Cache-blocked, lane-blocked LUT-GEMM kernels over [`PackedBcq`] weights.
+//! LUT-stationary, lane-blocked LUT-GEMM kernels over [`PackedBcq`] weights.
 //!
 //! Both kernels follow the FIGLUT pipeline: per activation row, precompute
 //! one flat FFLUT per µ-column window ([`crate::lut`]); then every output
 //! row *reads* its µ-bit weight keys out of the packed bit-planes instead
-//! of multiplying. Work is blocked four ways:
+//! of multiplying. Like the paper's datapath the sweep is *LUT-stationary*:
+//! a tile of tables is visited once per call and every weight row of the
+//! panel reads it before the next tile is touched. Work is blocked three
+//! ways:
 //!
 //! * **row panels** — output rows are split into contiguous panels, one per
 //!   worker thread ([`crate::parallel`]);
-//! * **sub-panels** — each worker walks its rows in `PANEL_ROWS`-row
-//!   blocks: few enough to bound the per-row partial accumulators a table
-//!   tile streams through, enough that a sub-panel's look-ups outweigh
-//!   re-streaming the whole table set;
-//! * **k-tiles** — windows are visited in cache-sized tiles
-//!   (`tile_windows`), swept across the whole sub-panel before moving
-//!   on, so table reads stay cache-resident while plane bits stream
-//!   sequentially;
 //! * **column blocks** — the batch columns are cut into lane blocks of
 //!   `L ∈ {1, 2, 4, 8}` columns, each with its own tables in which the `L`
 //!   entries of one `(window, key)` are contiguous
 //!   ([`crate::lut::FlatLuts`]); a block is swept like a batch-1 call, so
 //!   the packed planes are streamed once per block (once per call up to
-//!   batch 8) instead of once per batch row.
+//!   batch 8) instead of once per batch row;
+//! * **k-tiles** — [`PackedBcq`] stores the planes tile-major (256
+//!   columns per tile), so a sweep walks *tile → run → row → plane*, a run
+//!   being the part of one scale group inside the tile: a run's tables (at
+//!   most 32 byte windows, 32 KiB of `i32` entries per lane) stay in L1/L2
+//!   while the panel's weight words, scales and offsets stream past them.
 //!
 //! The hot loop is one const-generic pass, `lane_pass`, taken whenever
 //! windows are bytes of the packed words (effective µ = 8, which every
@@ -31,16 +31,22 @@
 //! group test and no shift chain, and the `R × L` accumulators (`R` = 2
 //! output rows sharing the table walk) are locals for the whole run, so
 //! each key costs one or two packed adds from a contiguous `[E; L]` into
-//! registers. Every other shape (odd µ, groups that split a word) takes
-//! the generic descriptor walk (`generic_block`).
+//! registers. Every other shape (odd µ, groups that split a word) is
+//! packed as one tile per row and takes the generic descriptor walk
+//! (`generic_sweep`), row by row.
 //!
-//! The final per-(row, column) fold interleaves four batch columns in
-//! lockstep — the FP32-rounded accumulator chain is serial per column, so
-//! independent columns hide its latency without reordering any single
-//! column's operations — and the integer path narrows tables *and*
-//! accumulators to i32 whenever the plan proves the group-partial bound
-//! (see `Accum`), which is what makes a lane vector one or two SSE2
-//! registers.
+//! The fold is fused into the walk: a run that completes a scale group
+//! folds its partial straight into the row's running output (`Arith`), so
+//! no `rows × groups × q × batch` partials exist anywhere. Only a group
+//! that crosses a tile boundary (wider than a tile, or gs 192) carries
+//! integers between tile visits, in a `rows × q × L` open-group buffer.
+//! Groups complete in ascending order
+//! and planes in ascending order within a group, so each (row, column)
+//! sees exactly the datapath model's fold sequence, and its serial
+//! FP32-rounded chain overlaps the next rows' look-ups. The integer path
+//! narrows tables *and* accumulators to i32 whenever the plan proves the
+//! group-partial bound (see `Accum`), which is what makes a lane vector
+//! one or two SSE2 registers.
 //!
 //! [`exec_i`] reproduces the *exact* arithmetic of the FIGLUT-I datapath
 //! model: the same pre-alignment ([`AlignedVector`]), exact integer window
@@ -63,63 +69,12 @@
 //! [`AlignedVector`]: figlut_num::align::AlignedVector
 
 use crate::lut::{FlatLuts, LaneBlock, Window, MAX_LANES};
-use crate::packed::PackedBcq;
+use crate::packed::{PackedBcq, TILE_WORDS};
 use crate::parallel::thread_count;
 use crate::plan::ExecPlan;
 use figlut_gemm::common::{add32, mul32};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
-
-/// Rows per sub-panel. Every sub-panel re-streams the call's whole table
-/// set (2–8 MB at batch 8 on the OPT-1.3B shapes), so it must carry enough
-/// look-ups to outweigh that: at 64 rows a batch-8 call lost ~10 % to table
-/// re-streaming, from 256 up the gain is inside the noise, and batch 1
-/// (tables 8× smaller) does not care. The cap bounds the live
-/// partial-accumulator footprint (`PANEL_ROWS × batch × groups × q`
-/// scalars) independently of the thread count.
-pub(crate) const PANEL_ROWS: usize = 256;
-
-/// Entry size the generic walk's tiles are sized for — the widest entry,
-/// whatever the call's narrowing tier. Its tiles may split a packed word,
-/// so their size shows in the streamed-word count; fixing it keeps
-/// [`crate::ExecPlan::streamed_words`] one tier-independent formula. (The
-/// lane pass's tiles are whole words: its count is the same at any size.)
-pub(crate) const GENERIC_ENTRY_BYTES: usize = 8;
-
-/// Windows per k-tile of a `lanes`-wide column block with
-/// `entry_bytes`-byte entries, sized so one tile's tables stay around
-/// 256 KiB — comfortably L2-resident next to the streaming plane words,
-/// and each tile is reused across the whole sub-panel before the next
-/// streams in. Measured on the OPT decode shapes, smaller (L1-sized) tiles
-/// lose to per-pass loop overhead and larger ones thrash L2 once k·2^µ
-/// tables outgrow it. Always a multiple of the windows-per-word count for
-/// every µ dividing 64 (the lane pass needs word-aligned tile boundaries).
-pub(crate) fn tile_windows(mu: u32, lanes: usize, entry_bytes: usize) -> usize {
-    let kpw = if 64 % mu == 0 { (64 / mu) as usize } else { 1 };
-    let t = ((262144usize >> mu) / (lanes * entry_bytes)).max(4);
-    t.next_multiple_of(kpw)
-}
-
-/// `true` if calls on this shape take `lane_pass`: windows are bytes of
-/// the packed words and no scale group ends inside a word.
-pub(crate) fn lane_path(mu: usize, group_size: usize, groups: usize) -> bool {
-    mu == 8 && (group_size.is_multiple_of(64) || groups == 1)
-}
-
-/// Packed words one column-block sweep streams per (bit-plane, output
-/// row): per tile, the contiguous word range covering its windows.
-/// Windows cover the columns gap-free, so first-to-last word span is
-/// exactly what both the lane pass and the generic walk read. This is the
-/// unit of the `exec_streamed_words` trace counter and of
-/// [`crate::ExecPlan::streamed_words`] — keeping the two on one formula is
-/// what makes them reconcile exactly.
-pub(crate) fn sweep_words(wins: &[Window], tile: usize) -> u64 {
-    let span = |t: &[Window]| {
-        let (first, last) = (&t[0], &t[t.len() - 1]);
-        (last.start as usize + last.width as usize - 1) / 64 - first.start as usize / 64 + 1
-    };
-    wins.chunks(tile).map(|t| span(t) as u64).sum()
-}
 
 /// Accumulator `Self` absorbing table entries of type `E`. Decoupling the
 /// two lets `exec_i` keep exact `i64` group partials while reading *narrow*
@@ -130,7 +85,7 @@ pub(crate) fn sweep_words(wins: &[Window], tile: usize) -> u64 {
 pub(crate) trait Accum<E: Copy>: Copy + Default {
     /// Fold one table entry into the accumulator.
     fn absorb(&mut self, e: E);
-    /// Fold another accumulator (a completed window sum) into this one.
+    /// Fold another accumulator (the open part of a group) into this one.
     fn merge(&mut self, other: Self);
     /// The accumulated value as `f64`, for the final fold. Converting the
     /// native-width integer directly is bit-identical to the datapath
@@ -206,18 +161,18 @@ impl Accum<f64> for f64 {
 
 /// The lane pass: accumulate one *run* of byte-wide windows — `tables`
 /// holds one `[[E; L]; 256]` per window, `words[r]` starts at the run's
-/// first packed word of output row `r` — for `R` output rows × `L` lanes.
+/// first packed word of output row `r` — for two output rows × `L` lanes.
 /// Each word's eight bytes are the eight keys of its eight tables, fully
 /// unrolled; a ragged last word (a row whose window count is not a
-/// multiple of 8) gets the short tail loop. The `R × L` accumulators are
+/// multiple of 8) gets the short tail loop. The `2 × L` accumulators are
 /// locals, so LLVM keeps them in vector registers for the whole run.
 #[inline(always)]
-fn lane_pass<E: Copy, A: Accum<E>, const L: usize, const R: usize>(
-    words: [&[u64]; R],
+fn lane_pass<E: Copy, A: Accum<E>, const L: usize>(
+    words: [&[u64]; 2],
     tables: &[E],
-) -> [[A; L]; R] {
-    let mut acc = [[A::default(); L]; R];
-    let mut absorb = |keys: &[[u8; 8]; R], j: usize, table: &[E]| {
+) -> [[A; L]; 2] {
+    let mut acc = [[A::default(); L]; 2];
+    let mut absorb = |keys: &[[u8; 8]; 2], j: usize, table: &[E]| {
         for (a, k) in acc.iter_mut().zip(keys) {
             let e = &table[k[j] as usize * L..][..L];
             for l in 0..L {
@@ -242,78 +197,219 @@ fn lane_pass<E: Copy, A: Accum<E>, const L: usize, const R: usize>(
     acc
 }
 
-/// Sweep one `L`-lane column block over rows `r0..` of a lane-path shape:
-/// per k-tile, per row pair (an odd last row alone), per bit-plane, one
-/// [`lane_pass`] per run, merged into
-/// `prow[(group·q + plane)·batch + col0 + lane]`.
-fn lane_block<E: Copy, A: Accum<E>, const L: usize>(
+/// The arithmetic a finished group partial `p` is folded with —
+/// `acc + α·(p·λ)`, then `acc + z·Σx` once per group — and the one place
+/// the two kernels differ.
+pub(crate) trait Arith {
+    /// A running output between the folds of one run (losslessly
+    /// [`load`](Arith::load)ed from and [`store`](Arith::store)d to the
+    /// `f64` output panel).
+    type Acc: Copy + Default;
+    /// A running output read back from the output panel.
+    fn load(v: f64) -> Self::Acc;
+    /// A running output written to the output panel.
+    fn store(acc: Self::Acc) -> f64;
+    /// `acc + b`.
+    fn add(acc: Self::Acc, b: f64) -> Self::Acc;
+    /// `a × b`.
+    fn mul(a: f64, b: f64) -> f64;
+}
+
+/// `exec_i`: every operation FP32-rounded, which makes the plane fold
+/// `figlut_gemm::ifpu::fold_partial` with the i128 partial replaced by the
+/// accumulator's own width ([`Accum::to_f64`] explains why that is
+/// bit-identical). A running output is always an FP32 value, so it is
+/// held as the `f32` it is: that drops no bit, and it lets the compiler
+/// turn `add32` of two widened `f32`s into one `f32` add — the same bits
+/// (`f64` carries more than 2·24 + 2 significand bits, so rounding the
+/// `f64` sum again is innocuous) for three conversions fewer per fold,
+/// which at eight lanes is most of the fold's cost.
+pub(crate) struct Fp32;
+impl Arith for Fp32 {
+    type Acc = f32;
+    #[inline(always)]
+    fn load(v: f64) -> f32 {
+        v as f32
+    }
+    #[inline(always)]
+    fn store(acc: f32) -> f64 {
+        acc as f64
+    }
+    #[inline(always)]
+    fn add(acc: f32, b: f64) -> f32 {
+        add32(acc as f64, b) as f32
+    }
+    #[inline(always)]
+    fn mul(a: f64, b: f64) -> f64 {
+        mul32(a, b)
+    }
+}
+
+/// `exec_f`: native `f64`.
+pub(crate) struct Native;
+impl Arith for Native {
+    type Acc = f64;
+    #[inline(always)]
+    fn load(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn store(acc: f64) -> f64 {
+        acc
+    }
+    #[inline(always)]
+    fn add(a: f64, b: f64) -> f64 {
+        a + b
+    }
+    #[inline(always)]
+    fn mul(a: f64, b: f64) -> f64 {
+        a * b
+    }
+}
+
+/// The per-batch-column operands of the fold. Each column folds with its
+/// own λ and Σx, so every (row, column) result is bit-identical to a
+/// batch-1 call.
+pub(crate) struct Columns<'a> {
+    /// Alignment scale λ per column (`exec_f`: 1).
+    pub lambdas: &'a [f64],
+    /// Offset multiplier per (column, group), `batch × groups`: `exec_i`
+    /// pre-folds the row-invariant `mul32(Σx, λ)`, `exec_f` passes `Σx`.
+    pub gsums: &'a [f64],
+}
+
+/// `f(column)` for each of a block's columns, 0 in its padding lanes.
+fn per_lane<E, const L: usize>(blk: &LaneBlock<'_, E>, f: impl Fn(usize) -> f64) -> [f64; L] {
+    std::array::from_fn(|l| if l < blk.cols { f(blk.col0 + l) } else { 0.0 })
+}
+
+/// Sweep one `L`-lane column block over a worker's rows of a lane-tiled
+/// shape, LUT-stationary: per k-tile, per run (tile ∩ scale group), per
+/// row pair (a lone last row rides with itself), per bit-plane, one
+/// [`lane_pass`]. A run that ends its group folds the partial into the
+/// row's running output `panel[row·batch + column]` and, after the last
+/// plane, the group's offset term; a run that does not parks it in `open`
+/// (`[row][plane][lane]`), where the group's next run picks it up — a
+/// group's first run assigns, so `open` is never cleared. All `L` lanes
+/// fold in lockstep (padding lanes fold zeros).
+fn lane_sweep<E: Copy, A: Accum<E>, R: Arith, const L: usize>(
     w: &PackedBcq,
     blk: &LaneBlock<'_, E>,
-    tile: usize,
+    cx: &Columns<'_>,
     batch: usize,
     r0: usize,
-    partials: &mut [A],
+    panel: &mut [f64],
+    open: &mut Vec<A>,
 ) {
     let q = w.bits();
-    let prow_len = batch * w.groups() * q;
+    let groups = w.groups();
+    let rows = panel.len() / batch;
     let wpg = w.group_size() / 8; // windows per group
     let nwin = w.cols() / 8;
-    let merge = |prow: &mut [A], d0: usize, acc: &[A; L]| {
-        for (p, &a) in prow[d0..d0 + blk.cols].iter_mut().zip(acc) {
-            p.merge(a);
-        }
-    };
-    for win_lo in (0..nwin).step_by(tile) {
-        let win_hi = (win_lo + tile).min(nwin);
-        for (pi, pair) in partials.chunks_mut(2 * prow_len).enumerate() {
-            let r = r0 + 2 * pi;
-            let (p0, p1) = pair.split_at_mut(prow_len);
-            for i in 0..q {
-                let mut lo = win_lo;
-                while lo < win_hi {
-                    let g = lo / wpg;
-                    let hi = win_hi.min((g + 1) * wpg);
-                    let tables = &blk.entries[lo * 256 * L..hi * 256 * L];
-                    let d0 = (g * q + i) * batch + blk.col0;
-                    let w0 = &w.plane_row(i, r)[lo / 8..];
-                    if p1.is_empty() {
-                        let [a0] = lane_pass::<E, A, L, 1>([w0], tables);
-                        merge(p0, d0, &a0);
-                    } else {
-                        let w1 = &w.plane_row(i, r + 1)[lo / 8..];
-                        let [a0, a1] = lane_pass::<E, A, L, 2>([w0, w1], tables);
-                        merge(p0, d0, &a0);
-                        merge(p1, d0, &a1);
+    let tile_wins = 8 * TILE_WORDS;
+    // A group stays open across a tile boundary unless groups tile the
+    // tile exactly (gs 64, 128, 256); gs 192, or any group wider than a
+    // tile, does not.
+    if w.tiles() > 1 && !tile_wins.is_multiple_of(wpg) {
+        open.resize(rows * q * L, A::default());
+    }
+    let lam: [f64; L] = per_lane(blk, |col| cx.lambdas[col]);
+    for t in 0..w.tiles() {
+        let (slab, tw) = w.tile(t, r0, rows);
+        let win_hi = nwin.min((t + 1) * tile_wins);
+        let mut lo = t * tile_wins;
+        while lo < win_hi {
+            let g = lo / wpg;
+            let hi = win_hi.min((g + 1) * wpg);
+            let (starts, ends) = (lo == g * wpg, hi == (g + 1) * wpg);
+            let tables = &blk.entries[lo * 256 * L..hi * 256 * L];
+            let word0 = lo / 8 - t * TILE_WORDS;
+            let scales = w.group_scales(g, r0, rows);
+            let zs = w.group_offsets(g, r0, rows);
+            let gsum: [f64; L] = per_lane(blk, |col| cx.gsums[col * groups + g]);
+            for (pi, pair) in panel.chunks_mut(2 * batch).enumerate() {
+                let ri = 2 * pi;
+                let live = pair.len() / batch; // 2, or 1 for a lone last row
+                let mut y = [[R::Acc::default(); L]; 2];
+                if ends {
+                    for (y, out) in y.iter_mut().zip(pair.chunks(batch)) {
+                        for (y, &o) in y.iter_mut().zip(&out[blk.col0..][..blk.cols]) {
+                            *y = R::load(o);
+                        }
                     }
-                    lo = hi;
+                }
+                for i in 0..q {
+                    let words = [ri, ri + live - 1].map(|r| &slab[(r * q + i) * tw + word0..]);
+                    let mut accs = lane_pass::<E, A, L>(words, tables);
+                    for j in 0..live {
+                        let at = (ri + j) * q + i;
+                        let acc = &mut accs[j];
+                        if !(starts && ends) {
+                            let carry = &mut open[at * L..][..L];
+                            if !starts {
+                                for l in 0..L {
+                                    acc[l].merge(carry[l]);
+                                }
+                            }
+                            if !ends {
+                                carry.copy_from_slice(acc);
+                                continue;
+                            }
+                        }
+                        let (alpha, p) = (scales[at], acc.map(A::to_f64));
+                        y[j] = std::array::from_fn(|l| {
+                            R::add(y[j][l], R::mul(alpha, R::mul(p[l], lam[l])))
+                        });
+                    }
+                }
+                if ends {
+                    for (j, (y, out)) in y.iter_mut().zip(pair.chunks_mut(batch)).enumerate() {
+                        if let Some(&z) = zs.get(ri + j) {
+                            for l in 0..L {
+                                y[l] = R::add(y[l], R::mul(z, gsum[l]));
+                            }
+                        }
+                        for (o, &y) in out[blk.col0..][..blk.cols].iter_mut().zip(&*y) {
+                            *o = R::store(y);
+                        }
+                    }
                 }
             }
+            lo = hi;
         }
     }
 }
 
 /// The generic walk over one column block: per-window descriptors,
 /// arbitrary widths/starts (ragged group tails, µ ∤ 64, groups that split
-/// a word). The key of each descriptor window is decoded from the weight
-/// bits once, then its lane vector is read for every column of the block.
+/// a word), on a shape packed as one tile per row. Row by row, group by
+/// group, plane by plane: the key of each descriptor window is decoded
+/// from the weight bits once, its lane vector read for every column of the
+/// block, and the finished group partial folded at once.
 #[allow(clippy::too_many_arguments)]
-fn generic_block<E: Copy, A: Accum<E>>(
+fn generic_sweep<E: Copy, A: Accum<E>, R: Arith>(
     w: &PackedBcq,
     wins: &[Window],
     blk: &LaneBlock<'_, E>,
     shift: u32,
-    tile: usize,
+    cx: &Columns<'_>,
     batch: usize,
     r0: usize,
-    partials: &mut [A],
+    panel: &mut [f64],
 ) {
     let q = w.bits();
-    let prow_len = batch * w.groups() * q;
-    for (t, tile_wins) in wins.chunks(tile).enumerate() {
-        for (ri, prow) in partials.chunks_mut(prow_len).enumerate() {
-            for i in 0..q {
-                let words = w.plane_row(i, r0 + ri);
-                for (wo, win) in tile_wins.iter().enumerate() {
+    let groups = w.groups();
+    let rows = panel.len() / batch;
+    let (slab, wpr) = w.tile(0, r0, rows);
+    let wpg = wins.len() / groups; // windows per group
+    for (ri, out) in panel.chunks_mut(batch).enumerate() {
+        let out = &mut out[blk.col0..blk.col0 + blk.cols];
+        for (g, group_wins) in wins.chunks(wpg).enumerate() {
+            let scales = w.group_scales(g, r0 + ri, 1);
+            for (i, &alpha) in scales.iter().enumerate() {
+                let words = &slab[(ri * q + i) * wpr..][..wpr];
+                let mut acc = [A::default(); MAX_LANES];
+                for (wo, win) in group_wins.iter().enumerate() {
                     let start = win.start as usize;
                     let wi = start >> 6;
                     let off = (start & 63) as u32;
@@ -323,229 +419,56 @@ fn generic_block<E: Copy, A: Accum<E>>(
                         bits |= words[wi + 1] << (64 - off);
                     }
                     let key = (bits as usize) & ((1usize << win.width) - 1);
-                    let d0 = (win.group as usize * q + i) * batch + blk.col0;
-                    let base = ((t * tile + wo) << shift | key) * blk.lanes;
-                    for (p, &e) in prow[d0..d0 + blk.cols].iter_mut().zip(&blk.entries[base..]) {
-                        p.absorb(e);
+                    let base = ((g * wpg + wo) << shift | key) * blk.lanes;
+                    for (a, &e) in acc.iter_mut().zip(&blk.entries[base..base + blk.lanes]) {
+                        a.absorb(e);
                     }
+                }
+                for ((o, &p), col) in out.iter_mut().zip(&acc).zip(blk.col0..) {
+                    let real = R::mul(p.to_f64(), cx.lambdas[col]);
+                    *o = R::store(R::add(R::load(*o), R::mul(alpha, real)));
+                }
+            }
+            if let [z] = *w.group_offsets(g, r0 + ri, 1) {
+                for (o, col) in out.iter_mut().zip(blk.col0..) {
+                    *o = R::store(R::add(R::load(*o), R::mul(z, cx.gsums[col * groups + g])));
                 }
             }
         }
     }
 }
 
-/// Accumulate all window partials of rows `r0..r0+rows` for every batch
-/// column: the shared tile walk of both kernels, one sweep per column
-/// block. `partials` is `rows × groups × q × batch` in
-/// `[row][group][plane][column]` order — columns innermost, so both the
-/// kernel's per-run merges and the final fold's column-interleaved reads
-/// are contiguous.
-pub(crate) fn accumulate_panel<E: Copy, A: Accum<E>>(
+/// One worker's share of an `exec_*` call: sweep every column block over
+/// output rows `r0..`, folding into `panel` — the worker's zeroed
+/// `rows × batch` slice of the transposed output. `open` is caller-owned
+/// open-group scratch (reused allocation-free across calls).
+pub(crate) fn sweep_panel<E: Copy, A: Accum<E>, R: Arith>(
     w: &PackedBcq,
     wins: &[Window],
     luts: &FlatLuts<E>,
+    cx: &Columns<'_>,
     r0: usize,
-    rows: usize,
-    partials: &mut [A],
+    panel: &mut [f64],
+    open: &mut Vec<A>,
 ) {
     let batch = luts.batch();
-    let q = w.bits();
     let shift = luts.mu();
-    let lane = lane_path(shift as usize, w.group_size(), w.groups());
-    let entry_bytes = if lane {
-        size_of::<E>()
-    } else {
-        GENERIC_ENTRY_BYTES
-    };
-    let partials = &mut partials[..rows * batch * w.groups() * q];
+    // Traffic accounting, off the walk itself: a sweep streams every
+    // packed word of the panel once per column block and visits every
+    // k-tile once per row (guarded so the disabled path costs one load).
+    if figlut_trace::enabled() {
+        let row_sweeps = (luts.blocks().count() * panel.len() / batch) as u64;
+        let row_words = (w.bits() * w.cols().div_ceil(64)) as u64;
+        figlut_trace::counters::bump_exec_streamed_words(row_sweeps * row_words);
+        figlut_trace::counters::bump_exec_ktiles(row_sweeps * w.tiles() as u64);
+    }
     for blk in luts.blocks() {
-        let tile = tile_windows(shift, blk.lanes, entry_bytes);
-        // Traffic accounting, off the walk itself: the words a sweep
-        // streams are fully determined by the window plan (guarded so the
-        // disabled path costs one load).
-        if figlut_trace::enabled() {
-            let per_row = sweep_words(wins, tile) * q as u64;
-            figlut_trace::counters::bump_exec_streamed_words(per_row * rows as u64);
-            figlut_trace::counters::bump_exec_ktiles((wins.len().div_ceil(tile) * rows) as u64);
-        }
-        match (lane, blk.lanes) {
-            (false, _) => generic_block(w, wins, &blk, shift, tile, batch, r0, partials),
-            (true, 1) => lane_block::<E, A, 1>(w, &blk, tile, batch, r0, partials),
-            (true, 2) => lane_block::<E, A, 2>(w, &blk, tile, batch, r0, partials),
-            (true, 4) => lane_block::<E, A, 4>(w, &blk, tile, batch, r0, partials),
-            (true, _) => lane_block::<E, A, MAX_LANES>(w, &blk, tile, batch, r0, partials),
-        }
-    }
-}
-
-/// One worker's share of `exec_i`: sub-panel blocks of integer partials,
-/// then the datapath model's exact FP32-rounded fold per (output row,
-/// batch column). `panel` is the worker's `rows × batch` slice of the
-/// transposed output; `gsum_folds` is `batch × groups`; `partials` is
-/// caller-owned scratch (reused allocation-free across calls).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn panel_i<E: Copy, A: Accum<E>>(
-    w: &PackedBcq,
-    wins: &[Window],
-    luts: &FlatLuts<E>,
-    gsum_folds: &[f64],
-    lambdas: &[f64],
-    r0: usize,
-    panel: &mut [f64],
-    partials: &mut Vec<A>,
-) {
-    let batch = luts.batch();
-    debug_assert_eq!(lambdas.len(), batch);
-    let q = w.bits();
-    let groups = w.groups();
-    let gq = groups * q;
-    let prow_len = batch * gq;
-    let rows = panel.len() / batch;
-    let pr = PANEL_ROWS;
-    partials.clear();
-    partials.resize(pr.min(rows) * prow_len, A::default());
-    for (s, sub) in panel.chunks_mut(pr * batch).enumerate() {
-        let sr0 = r0 + s * pr;
-        let sub_rows = sub.len() / batch;
-        let partials = &mut partials[..sub_rows * prow_len];
-        partials.fill(A::default());
-        accumulate_panel(w, wins, luts, sr0, sub_rows, partials);
-        // Fold in exactly the datapath model's order — per group, plane
-        // partials then the offset term, via the model's own
-        // `fold_partial`; the row-invariant `mul32(Σx, λ)` of the offset
-        // term arrives pre-folded in `gsum_folds`, so its fold stays
-        // open-coded. Each batch column folds with its own λ and Σx, so
-        // every (row, column) result is bit-identical to a batch-1 call.
-        for (ri, out_row) in sub.chunks_mut(batch).enumerate() {
-            let r = sr0 + ri;
-            let scales = w.row_scales(r);
-            let prow = &partials[ri * prow_len..(ri + 1) * prow_len];
-            // Partials are `[group][plane][column]`, so column b of fold
-            // slot gi is `prow[gi·batch + b]`. Each column's fold sequence
-            // is exactly the datapath model's — `fold(acc, a, p) =
-            // add32(acc, mul32(a, mul32(p, λ)))` is
-            // `figlut_gemm::ifpu::fold_partial` with the i128 partial
-            // replaced by the accumulator's own width ([`Accum::to_f64`]
-            // explains why that is bit-identical) — but *four columns are
-            // folded in lockstep*: the FP32-rounded accumulator chain is
-            // serial per column (~3 dependent rounding steps per slot), so
-            // interleaving independent columns hides most of its latency.
-            // Interleaving never reorders any single column's operations,
-            // so results stay bit-identical to batch-1 folds.
-            let fold = |acc: f64, a: f64, p: A, lambda: f64| -> f64 {
-                add32(acc, mul32(a, mul32(p.to_f64(), lambda)))
-            };
-            let zs = w.has_offset().then(|| w.row_offsets(r));
-            let mut b0 = 0;
-            while b0 + 4 <= batch {
-                let mut acc = [0.0f64; 4];
-                let lam = [
-                    lambdas[b0],
-                    lambdas[b0 + 1],
-                    lambdas[b0 + 2],
-                    lambdas[b0 + 3],
-                ];
-                if let Some(zs) = zs {
-                    for g in 0..groups {
-                        for i in 0..q {
-                            let a = scales[g * q + i];
-                            let base = (g * q + i) * batch + b0;
-                            for j in 0..4 {
-                                acc[j] = fold(acc[j], a, prow[base + j], lam[j]);
-                            }
-                        }
-                        for j in 0..4 {
-                            let gf = gsum_folds[(b0 + j) * groups + g];
-                            acc[j] = add32(acc[j], mul32(zs[g], gf));
-                        }
-                    }
-                } else {
-                    for (gi, &a) in scales.iter().enumerate() {
-                        let base = gi * batch + b0;
-                        for j in 0..4 {
-                            acc[j] = fold(acc[j], a, prow[base + j], lam[j]);
-                        }
-                    }
-                }
-                out_row[b0..b0 + 4].copy_from_slice(&acc);
-                b0 += 4;
-            }
-            for (b, out) in out_row.iter_mut().enumerate().skip(b0) {
-                let lambda = lambdas[b];
-                let mut acc = 0.0;
-                if let Some(zs) = zs {
-                    let gsum_fold = &gsum_folds[b * groups..(b + 1) * groups];
-                    for g in 0..groups {
-                        for i in 0..q {
-                            acc = fold(
-                                acc,
-                                scales[g * q + i],
-                                prow[(g * q + i) * batch + b],
-                                lambda,
-                            );
-                        }
-                        acc = add32(acc, mul32(zs[g], gsum_fold[g]));
-                    }
-                } else {
-                    for (gi, &a) in scales.iter().enumerate() {
-                        acc = fold(acc, a, prow[gi * batch + b], lambda);
-                    }
-                }
-                *out = acc;
-            }
-        }
-    }
-}
-
-/// One worker's share of `exec_f`: f64 partials, plain f64 fold. Same
-/// layout contract as [`panel_i`]; `gsums` is `batch × groups`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn panel_f(
-    w: &PackedBcq,
-    wins: &[Window],
-    luts: &FlatLuts<f64>,
-    gsums: &[f64],
-    r0: usize,
-    panel: &mut [f64],
-    partials: &mut Vec<f64>,
-) {
-    let batch = luts.batch();
-    let q = w.bits();
-    let groups = w.groups();
-    let gq = groups * q;
-    let prow_len = batch * gq;
-    let rows = panel.len() / batch;
-    let pr = PANEL_ROWS;
-    partials.clear();
-    partials.resize(pr.min(rows) * prow_len, 0.0);
-    for (s, sub) in panel.chunks_mut(pr * batch).enumerate() {
-        let sr0 = r0 + s * pr;
-        let sub_rows = sub.len() / batch;
-        let partials = &mut partials[..sub_rows * prow_len];
-        partials.fill(0.0);
-        accumulate_panel(w, wins, luts, sr0, sub_rows, partials);
-        for (ri, out_row) in sub.chunks_mut(batch).enumerate() {
-            let r = sr0 + ri;
-            let scales = w.row_scales(r);
-            let prow = &partials[ri * prow_len..(ri + 1) * prow_len];
-            for (b, out) in out_row.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                if w.has_offset() {
-                    let gsum = &gsums[b * groups..(b + 1) * groups];
-                    let zs = w.row_offsets(r);
-                    for g in 0..groups {
-                        for i in 0..q {
-                            acc += scales[g * q + i] * prow[(g * q + i) * batch + b];
-                        }
-                        acc += zs[g] * gsum[g];
-                    }
-                } else {
-                    for (gi, &a) in scales.iter().enumerate() {
-                        acc += a * prow[gi * batch + b];
-                    }
-                }
-                *out = acc;
-            }
+        match (w.lane_tiled(), blk.lanes) {
+            (false, _) => generic_sweep::<E, A, R>(w, wins, &blk, shift, cx, batch, r0, panel),
+            (true, 1) => lane_sweep::<E, A, R, 1>(w, &blk, cx, batch, r0, panel, open),
+            (true, 2) => lane_sweep::<E, A, R, 2>(w, &blk, cx, batch, r0, panel, open),
+            (true, 4) => lane_sweep::<E, A, R, 4>(w, &blk, cx, batch, r0, panel, open),
+            (true, _) => lane_sweep::<E, A, R, MAX_LANES>(w, &blk, cx, batch, r0, panel, open),
         }
     }
 }
@@ -686,12 +609,14 @@ mod tests {
     }
 
     #[test]
-    fn exec_i_spans_sub_panels_and_tiles() {
-        // m > PANEL_ROWS forces multiple sub-panels; n > 64·µ spans words.
-        let m = PANEL_ROWS + 17;
-        let (x, b) = setup(m, 288, 2);
+    fn exec_i_spans_tiles_and_an_odd_row_count() {
+        // Per-row scale over 288 columns: five words, so a full k-tile
+        // and a ragged one, with the row's one group open across both;
+        // 273 rows end on a lone row after 136 pairs.
+        let (x, b) = setup(273, 288, 2);
         let cfg = EngineConfig::paper_default();
         let p = PackedBcq::pack(&b);
+        assert_eq!(p.tiles(), 5usize.div_ceil(TILE_WORDS));
         assert_eq!(
             exec_i_threads(&x, &p, &cfg, 2).as_slice(),
             gemm_i(&x, &b, &cfg).as_slice()
@@ -719,28 +644,6 @@ mod tests {
                 assert_eq!(batched.row(bb), solo.row(0), "B={batch} row {bb}");
             }
         }
-    }
-
-    #[test]
-    fn tile_windows_rescales_with_batch_and_stays_word_aligned() {
-        for mu in [1u32, 2, 4, 8] {
-            let kpw = 64 / mu as usize;
-            let base = tile_windows(mu, 1, 4);
-            assert_eq!(base, 65536 >> mu, "µ={mu}: 256 KiB of 4-byte entries");
-            for lanes in [1usize, 4, 8] {
-                for bytes in [4usize, 8] {
-                    let t = tile_windows(mu, lanes, bytes);
-                    assert!(t >= kpw, "µ={mu} L={lanes}: tile {t} < one word");
-                    assert!(t.is_multiple_of(kpw), "µ={mu} L={lanes}: tile {t} ragged");
-                    assert!(
-                        (t << mu) * lanes * bytes <= 262144 || t == kpw,
-                        "µ={mu} L={lanes} {bytes} B: tile {t} over budget"
-                    );
-                }
-            }
-        }
-        // µ ∤ 64 (generic walk): no alignment constraint, still positive.
-        assert!(tile_windows(3, 8, 8) >= 4);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! | Module | Hardware analogue | Contents |
 //! |---|---|---|
-//! | [`packed`] | weight SRAM layout | [`PackedBcq`]: bit-planes as `u64` words, scales in fold order |
+//! | [`packed`] | weight SRAM layout | [`PackedBcq`]: bit-planes as `u64` words, tile-major (`[k-tile][row][plane][word]`), scales and offsets `[group][row]` |
 //! | [`lut`] | FFLUT generators | flat per-window `2^µ` tables, lane-blocked across activation rows (the 1/4/8 entries of one key contiguous), built half + mirrored (Fig. 10) |
-//! | [`kernel`] | RAC arrays | cache-blocked, lane-blocked [`exec_f`] / [`exec_i`] read-accumulate kernels |
+//! | [`kernel`] | RAC arrays | LUT-stationary, lane-blocked [`exec_f`] / [`exec_i`] read-accumulate kernels: each tile of tables is visited once per call, the fold fused into the walk |
 //! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls |
 //! | [`parallel`] | MPU tiling | row-panel `std::thread::scope` workers: `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a call fans out only as far as its look-up count repays the wake-ups |
 //!

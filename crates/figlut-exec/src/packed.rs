@@ -1,23 +1,47 @@
 //! [`PackedBcq`] — BCQ weights re-packed for the execution kernels.
 //!
 //! `figlut_quant::BcqWeight` is organized for *construction* (one
-//! `BitMatrix` per plane, one scale matrix per plane). The kernels instead
-//! want the memory walked by the inner loop to be contiguous:
+//! `BitMatrix` per plane, one scale matrix per plane). The kernels walk the
+//! weights *LUT-stationary* — one tile of look-up tables at a time, every
+//! output row against it before the next ([`crate::kernel`]) — so the
+//! packed layout is tile-major, and everything one tile visit reads is one
+//! contiguous slice:
 //!
-//! * **Sign planes** stay bit-packed `u64` words (bit = `+1`), but are laid
-//!   out plane-major → row-major in one flat buffer, so streaming one
-//!   plane of one output row is a single sequential slice — the software
-//!   analogue of FIGLUT streaming a weight bit-plane through the MPU.
-//! * **Scales** are transposed to `[row][group][plane]` order, which is
-//!   exactly the order the final per-row fold visits them, and the offsets
-//!   to `[row][group]`.
+//! * **Sign planes** stay bit-packed `u64` words (bit = `+1`), cut along
+//!   the reduction dimension into *k-tiles* of `TILE_WORDS` words (the
+//!   last one as wide as what is left) and laid out
+//!   `[tile][row][plane][word]` — the software analogue of FIGLUT
+//!   streaming every weight row past one generated table. A shape the
+//!   kernels walk window by window (see `lane_tiled`) is a single tile as
+//!   wide as the row.
+//! * **Scales** are `[group][row][plane]` and **offsets** `[group][row]`:
+//!   a group's partials complete for every row of a panel before the next
+//!   group's, which is the order the fused fold visits them.
 //!
-//! Packing is lossless and cheap (a `memcpy` per plane row via
+//! Packing is lossless and cheap (a copy per tile row out of
 //! [`figlut_quant::BitMatrix::row_words`]); [`PackedBcq::unpack`] hands the
 //! weights back to the bit-accurate engines for differential testing.
 
 use figlut_num::Mat;
 use figlut_quant::{BcqWeight, BitMatrix};
+
+/// Packed words per k-tile of a lane-tiled shape: 256 columns, 32
+/// byte-wide windows, two gs-128 scale groups. The kernels sweep a tile one
+/// scale group at a time, so the tables in use are at most `32·256` entries
+/// per lane (32 KiB of `i32` at one lane, 128 KiB for one gs-128 group at
+/// eight), and a tile visit streams `rows × q × 4` words against them.
+/// Measured on the benchmark's four workloads against 1, 2 and 8 words
+/// (CHANGES.md, PR 14): 1 splits a gs-128 group and loses everywhere; 2
+/// and 4 tie on the serving models; 4 is 18–20 % ahead of 2 at batch 1 on
+/// the OPT-1.3B layer set and 5–7 % behind it at batch 8.
+pub(crate) const TILE_WORDS: usize = 4;
+
+/// `true` if the kernels take the lane pass on this shape: windows are
+/// bytes of the packed words (effective µ = 8, which every group size
+/// divisible by 8 gets) and no scale group ends inside a word.
+fn lane_tiled(group_size: usize, groups: usize) -> bool {
+    group_size.is_multiple_of(8) && (group_size.is_multiple_of(64) || groups == 1)
+}
 
 /// A BCQ weight matrix packed for the `figlut-exec` kernels.
 #[derive(Clone, Debug)]
@@ -27,13 +51,15 @@ pub struct PackedBcq {
     group_size: usize,
     bits: usize,
     words_per_row: usize,
-    /// Flat plane bits: `planes[(i·rows + r)·words_per_row ..]` is plane
-    /// `i`, row `r`.
+    /// Words per k-tile: [`TILE_WORDS`] on a lane-tiled shape, the whole
+    /// row otherwise.
+    tile_words: usize,
+    /// Flat plane bits, `[tile][row][plane][word]`: tile `t` starts at
+    /// `t·tile_words·rows·bits` (every earlier tile is full width).
     planes: Vec<u64>,
-    /// Flat scales in fold order: `scales[(r·groups + g)·bits + i]` is
-    /// `αᵢ(r, g)`.
+    /// Flat scales: `scales[(g·rows + r)·bits + i]` is `αᵢ(r, g)`.
     scales: Vec<f64>,
-    /// Flat offsets: `offsets[r·groups + g]` (empty when the source format
+    /// Flat offsets: `offsets[g·rows + r]` (empty when the source format
     /// carries no offset).
     offsets: Vec<f64>,
 }
@@ -46,37 +72,37 @@ impl PackedBcq {
         let gs = w.group_size();
         let groups = w.groups();
         let words_per_row = cols.div_ceil(64);
+        let tile_words = if lane_tiled(gs, groups) {
+            TILE_WORDS
+        } else {
+            words_per_row.max(1)
+        };
         let mut planes = Vec::with_capacity(q * rows * words_per_row);
-        for plane in w.planes() {
+        for w0 in (0..words_per_row).step_by(tile_words) {
+            let w1 = words_per_row.min(w0 + tile_words);
             for r in 0..rows {
-                planes.extend_from_slice(plane.row_words(r));
+                for plane in w.planes() {
+                    planes.extend_from_slice(&plane.row_words(r)[w0..w1]);
+                }
             }
         }
         let mut scales = Vec::with_capacity(rows * groups * q);
-        for r in 0..rows {
-            for g in 0..groups {
-                for i in 0..q {
-                    scales.push(w.alpha(i, r, g * gs));
+        let mut offsets = Vec::with_capacity(if w.has_offset() { rows * groups } else { 0 });
+        for g in 0..groups {
+            for r in 0..rows {
+                scales.extend((0..q).map(|i| w.alpha(i, r, g * gs)));
+                if w.has_offset() {
+                    offsets.push(w.offset(r, g * gs));
                 }
             }
         }
-        let offsets = if w.has_offset() {
-            let mut z = Vec::with_capacity(rows * groups);
-            for r in 0..rows {
-                for g in 0..groups {
-                    z.push(w.offset(r, g * gs));
-                }
-            }
-            z
-        } else {
-            Vec::new()
-        };
         Self {
             rows,
             cols,
             group_size: gs,
             bits: q,
             words_per_row,
+            tile_words,
             planes,
             scales,
             offsets,
@@ -118,51 +144,63 @@ impl PackedBcq {
         !self.offsets.is_empty()
     }
 
-    /// Packed `u64` words of plane `i`, row `r` (bit `c % 64` of word
-    /// `c / 64` ↔ column `c`; bits beyond `cols` are 0).
-    #[inline]
-    pub fn plane_row(&self, i: usize, r: usize) -> &[u64] {
-        let base = (i * self.rows + r) * self.words_per_row;
-        &self.planes[base..base + self.words_per_row]
+    /// `true` if the planes are cut into [`TILE_WORDS`]-word k-tiles for
+    /// the lane pass (`false`: one tile per row, the generic walk).
+    pub(crate) fn lane_tiled(&self) -> bool {
+        lane_tiled(self.group_size, self.groups())
     }
 
-    /// The `groups × bits` scale slice of row `r`, in `[group][plane]`
-    /// (fold) order.
-    #[inline]
-    pub fn row_scales(&self, r: usize) -> &[f64] {
-        let gq = self.groups() * self.bits;
-        &self.scales[r * gq..(r + 1) * gq]
+    /// Number of k-tiles the reduction dimension is cut into — what one
+    /// `exec_*` sweep visits per output row (the unit of the `exec_ktiles`
+    /// trace counter).
+    pub fn tiles(&self) -> usize {
+        self.words_per_row.div_ceil(self.tile_words)
     }
 
-    /// The `groups` offsets of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the format has no offset.
+    /// The contiguous slab of k-tile `t` for output rows `r0..r0 + rows`,
+    /// and the tile's width `tw` in words: plane `i` of row `r0 + j` is
+    /// `slab[(j·bits + i)·tw..][..tw]`, covering columns from
+    /// `64·t·tile_words` (bit `c % 64` of word `c / 64` ↔ column `c`;
+    /// bits beyond `cols` are 0).
     #[inline]
-    pub fn row_offsets(&self, r: usize) -> &[f64] {
-        assert!(self.has_offset(), "format has no offset plane");
-        let groups = self.groups();
-        &self.offsets[r * groups..(r + 1) * groups]
+    pub(crate) fn tile(&self, t: usize, r0: usize, rows: usize) -> (&[u64], usize) {
+        let w0 = t * self.tile_words;
+        let tw = self.tile_words.min(self.words_per_row - w0);
+        let base = (w0 * self.rows + r0 * tw) * self.bits;
+        (&self.planes[base..base + rows * self.bits * tw], tw)
+    }
+
+    /// Scales of group `g` for output rows `r0..r0 + rows`, `[row][plane]`.
+    #[inline]
+    pub(crate) fn group_scales(&self, g: usize, r0: usize, rows: usize) -> &[f64] {
+        &self.scales[(g * self.rows + r0) * self.bits..][..rows * self.bits]
+    }
+
+    /// Offsets of group `g` for output rows `r0..r0 + rows` (empty when
+    /// the format has no offset).
+    #[inline]
+    pub(crate) fn group_offsets(&self, g: usize, r0: usize, rows: usize) -> &[f64] {
+        if self.has_offset() {
+            &self.offsets[g * self.rows + r0..][..rows]
+        } else {
+            &[]
+        }
     }
 
     /// Sign of plane `i` at `(r, c)` as a bool (`true` = `+1`).
     #[inline]
     pub fn get(&self, i: usize, r: usize, c: usize) -> bool {
-        let w = self.plane_row(i, r)[c / 64];
+        let t = c / 64 / self.tile_words;
+        let (slab, tw) = self.tile(t, r, 1);
+        let w = slab[i * tw + (c / 64 - t * self.tile_words)];
         (w >> (c % 64)) & 1 == 1
     }
 
     /// Dequantized value of one element.
     pub fn value(&self, r: usize, c: usize) -> f64 {
         let g = c / self.group_size;
-        let scales = &self.row_scales(r)[g * self.bits..(g + 1) * self.bits];
-        let mut v = if self.has_offset() {
-            self.offsets[r * self.groups() + g]
-        } else {
-            0.0
-        };
-        for (i, &a) in scales.iter().enumerate() {
+        let mut v = self.group_offsets(g, r, 1).first().copied().unwrap_or(0.0);
+        for (i, &a) in self.group_scales(g, r, 1).iter().enumerate() {
             v += if self.get(i, r, c) { a } else { -a };
         }
         v
@@ -190,15 +228,11 @@ impl PackedBcq {
             .map(|i| BitMatrix::from_fn(self.rows, self.cols, |r, c| self.get(i, r, c)))
             .collect();
         let alpha: Vec<Mat<f64>> = (0..q)
-            .map(|i| {
-                Mat::from_fn(self.rows, groups, |r, g| {
-                    self.scales[(r * groups + g) * q + i]
-                })
-            })
+            .map(|i| Mat::from_fn(self.rows, groups, |r, g| self.group_scales(g, r, 1)[i]))
             .collect();
         let offset = self
             .has_offset()
-            .then(|| Mat::from_fn(self.rows, groups, |r, g| self.offsets[r * groups + g]));
+            .then(|| Mat::from_fn(self.rows, groups, |r, g| self.group_offsets(g, r, 1)[0]));
         BcqWeight::from_parts(planes, alpha, offset, self.group_size)
     }
 }
@@ -256,14 +290,49 @@ mod tests {
     }
 
     #[test]
-    fn plane_rows_match_bitmatrix() {
-        let w = weights(2, 130);
-        let b = BcqWeight::quantize(&w, BcqParams::per_row(2));
-        let p = PackedBcq::pack(&b);
-        for i in 0..2 {
-            for r in 0..2 {
-                assert_eq!(p.plane_row(i, r), b.plane(i).row_words(r));
+    fn tile_major_layout_round_trips_off_tile_widths() {
+        // Widths on both sides of a tile (64·TILE_WORDS columns) and of a
+        // word, lane-tiled (per-row scale over whole bytes, gs 64) and
+        // one-tile-per-row (130 columns, gs 10, gs 32): every sign, scale
+        // and offset survives pack → `get` / `dequantize` / `unpack`.
+        let cases = [
+            (3, 48, 0, true),
+            (5, 72, 0, true),
+            (4, 136, 0, true),
+            (2, 520, 0, true),
+            (3, 192, 64, true),
+            (4, 130, 0, false),
+            (4, 70, 10, false),
+            (3, 96, 32, false),
+        ];
+        for (rows, cols, gs, tiled) in cases {
+            let params = if gs == 0 {
+                BcqParams::per_row(3)
+            } else {
+                BcqParams::grouped(3, gs)
+            };
+            let b = BcqWeight::quantize(&weights(rows, cols), params);
+            let p = PackedBcq::pack(&b);
+            assert_eq!(p.lane_tiled(), tiled, "{rows}x{cols} gs {gs}");
+            let words = cols.div_ceil(64);
+            let tiles = if tiled { words.div_ceil(TILE_WORDS) } else { 1 };
+            assert_eq!(p.tiles(), tiles, "{rows}x{cols} gs {gs}");
+            for i in 0..3 {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        assert_eq!(p.get(i, r, c), b.plane(i).get(r, c), "({i},{r},{c})");
+                    }
+                }
             }
+            assert_eq!(b.dequantize().max_abs_diff(&p.dequantize()), 0.0);
+            let back = p.unpack();
+            assert_eq!(back.group_size(), b.group_size());
+            for i in 0..3 {
+                for r in 0..rows {
+                    assert_eq!(back.plane(i).row_words(r), b.plane(i).row_words(r));
+                }
+            }
+            assert_eq!(b.dequantize().max_abs_diff(&back.dequantize()), 0.0);
         }
     }
 }

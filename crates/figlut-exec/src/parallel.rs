@@ -18,10 +18,13 @@ use std::sync::OnceLock;
 pub const THREADS_ENV: &str = "FIGLUT_EXEC_THREADS";
 
 /// Computed table look-ups a row panel must carry to be worth a thread:
-/// ≈ 160–800 µs of work at the measured 0.15–0.76 ns per look-up of the
-/// lane pass, against a 47–108 µs cross-vCPU wake-up (derivation:
-/// DESIGN.md §6).
-const MIN_PANEL_LOOKUPS: usize = 1 << 20;
+/// the worst measured wake-up (108 µs) over the best measured look-up cost
+/// (0.105 ns in a full 8-lane block) is 1.03 M, rounded up to a power of
+/// two. A second panel also pulls the call's tables into another core's
+/// cache, which a look-up count does not see; doubling the constant for
+/// that was tried and did not resolve end to end (derivation, the
+/// 1-vs-2-thread table and the paired runs: DESIGN.md §6).
+const MIN_PANEL_LOOKUPS: usize = 1 << 21;
 
 /// Row panels worth running for a call of `lookups` computed look-ups over
 /// `rows` output rows: one per [`MIN_PANEL_LOOKUPS`], at least 1, at most

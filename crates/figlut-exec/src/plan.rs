@@ -2,7 +2,7 @@
 //!
 //! The kernels' per-call preamble is not free: the window decomposition,
 //! the effective-µ decision, the quantize/align/Σx staging buffers, the
-//! lane-blocked FFLUTs, and every worker's partial-accumulator slab. The
+//! lane-blocked FFLUTs, and every worker's open-group buffer. The
 //! original backend recomputed the windows and reallocated every buffer on
 //! *every* call — once per token per layer under `figlut-serve` decode
 //! traffic. An `ExecPlan` hoists all of it:
@@ -12,9 +12,8 @@
 //!   at call entry and returned at exit, so a steady-state call performs
 //!   **zero heap allocations** in the exec hot path (asserted by
 //!   `tests/alloc.rs` with a counting global allocator);
-//! * worker threads check their accumulation slabs (partials)
-//!   out of a second pool, so the multi-threaded path reuses slabs
-//!   across calls too.
+//! * worker threads check their open-group buffers out of a second
+//!   pool, so the multi-threaded path reuses them across calls too.
 //!
 //! The pools are `Mutex`-guarded free lists: concurrent calls on one plan
 //! are correct (each checks out its own scratch) and steady-state serial
@@ -27,9 +26,7 @@
 //! throwaway plan per call, which preserves their historical semantics;
 //! anything that executes the same weights twice should hold a plan.
 
-use crate::kernel::{
-    check, effective_mu, panel_f, panel_i, sweep_words, tile_windows, GENERIC_ENTRY_BYTES,
-};
+use crate::kernel::{check, effective_mu, sweep_panel, Accum, Arith, Columns, Fp32, Native};
 use crate::lut::{column_blocks, windows, FlatLuts, Window};
 use crate::packed::PackedBcq;
 use crate::parallel::{panel_count, run_strided_panels, thread_count};
@@ -64,28 +61,14 @@ struct CallScratch {
     yt: Vec<f64>,
 }
 
-/// Per-worker accumulation buffers (one checkout per row panel).
+/// Per-worker open-group buffers, one per accumulator type (one checkout
+/// per row panel; `rows × q × lanes`, used only by shapes whose scale
+/// groups span k-tiles).
 #[derive(Debug, Default)]
 struct WorkerScratch {
-    partials_i32: Vec<i32>,
-    partials_i64: Vec<i64>,
-    partials_f: Vec<f64>,
-}
-
-/// Selects the worker-scratch partial buffer matching an integer
-/// accumulator type (lets `run_i` stay generic over the narrowing tier).
-trait PartialScratch: Sized {
-    fn buffer(ws: &mut WorkerScratch) -> &mut Vec<Self>;
-}
-impl PartialScratch for i32 {
-    fn buffer(ws: &mut WorkerScratch) -> &mut Vec<i32> {
-        &mut ws.partials_i32
-    }
-}
-impl PartialScratch for i64 {
-    fn buffer(ws: &mut WorkerScratch) -> &mut Vec<i64> {
-        &mut ws.partials_i64
-    }
+    open_i32: Vec<i32>,
+    open_i64: Vec<i64>,
+    open_f: Vec<f64>,
 }
 
 /// A reusable execution plan for one [`PackedBcq`] under one engine
@@ -180,25 +163,16 @@ impl ExecPlan {
     }
 
     /// Packed weight words one non-empty `exec_*` call at this batch size
-    /// streams through the tile walk: one sweep per column block (the
-    /// batch is cut into lane blocks of up to 8 columns, each with its own
-    /// tables), each sweep the per-tile word spans of the window plan,
-    /// times one pass per (bit-plane, output row).
+    /// streams: one sweep per column block (the batch is cut into lane
+    /// blocks of up to 8 columns, each with its own tables), each sweep
+    /// every word of every (output row, bit-plane) exactly once.
     ///
     /// This is the analytical model of the kernel's weight traffic; the
     /// `exec_streamed_words` trace counter reconciles against it exactly
     /// (asserted by `tests/trace_reconcile.rs`), which is what makes the
     /// traced number trustworthy as a bandwidth proxy.
     pub fn streamed_words(&self, batch: usize) -> u64 {
-        // Tier-independent: lane-pass tiles are whole words at any entry
-        // size, and the generic walk sizes its tiles for this one.
-        let per_row: u64 = column_blocks(batch)
-            .map(|(_, _, lanes)| {
-                let tile = tile_windows(self.mu as u32, lanes, GENERIC_ENTRY_BYTES);
-                sweep_words(&self.wins, tile)
-            })
-            .sum();
-        per_row * (self.bits * self.rows) as u64
+        (column_blocks(batch).count() * self.rows * self.bits * self.cols.div_ceil(64)) as u64
     }
 
     /// Row panels one `exec_*` call at this batch size runs when the
@@ -302,6 +276,10 @@ impl ExecPlan {
                 s.gsum_folds.push(mul32(p as f64, s.lambdas[b]));
             }
         }
+        let cx = Columns {
+            lambdas: &s.lambdas,
+            gsums: &s.gsum_folds,
+        };
         s.yt.clear();
         s.yt.resize(m * batch, 0.0);
         // Narrowing tiers, decided over the whole batch (one entry type
@@ -329,50 +307,43 @@ impl ExecPlan {
             figlut_trace::counters::bump_exec_lut_builds(1);
             if fits(self.group_size) {
                 figlut_trace::counters::bump_exec_tier_i32_i32(1);
-                self.run_i::<i32, i32>(w, &s.luts32, &s.gsum_folds, &s.lambdas, threads, &mut s.yt);
+                self.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, &mut s.yt, |ws| {
+                    &mut ws.open_i32
+                });
             } else {
                 figlut_trace::counters::bump_exec_tier_i32_i64(1);
-                self.run_i::<i32, i64>(w, &s.luts32, &s.gsum_folds, &s.lambdas, threads, &mut s.yt);
+                self.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, &mut s.yt, |ws| {
+                    &mut ws.open_i64
+                });
             }
         } else {
             s.luts64
                 .rebuild(&s.mant, n, &self.wins, self.mu as u32, batch);
             figlut_trace::counters::bump_exec_lut_builds(1);
             figlut_trace::counters::bump_exec_tier_i64_i64(1);
-            self.run_i::<i64, i64>(w, &s.luts64, &s.gsum_folds, &s.lambdas, threads, &mut s.yt);
+            self.run::<_, _, Fp32>(w, &s.luts64, &cx, threads, &mut s.yt, |ws| &mut ws.open_i64);
         }
         scatter(&s.yt, batch, out);
         self.push_call(s);
     }
 
-    /// Fan the transposed output across row panels and run the integer
-    /// kernel at one narrowing tier `(E, A)`, each worker checking
-    /// accumulation scratch out of the pool.
-    fn run_i<E, A>(
+    /// Fan the zeroed transposed output across row panels and sweep each
+    /// with entries `E` into accumulators `A` (the narrowing tier, or
+    /// `f64`), each worker checking its open-group buffer — `open` picks
+    /// the one of `A`'s type — out of the pool.
+    fn run<E: Copy + Sync, A: Accum<E>, R: Arith>(
         &self,
         w: &PackedBcq,
         luts: &FlatLuts<E>,
-        gsum_folds: &[f64],
-        lambdas: &[f64],
+        cx: &Columns<'_>,
         threads: usize,
         yt: &mut [f64],
-    ) where
-        E: Copy + Sync,
-        A: crate::kernel::Accum<E> + PartialScratch + Send,
-    {
+        open: fn(&mut WorkerScratch) -> &mut Vec<A>,
+    ) {
         let batch = luts.batch();
         run_strided_panels(yt, batch, self.fan_out(batch, threads), |r0, panel| {
             let mut ws = self.pop_worker();
-            panel_i(
-                w,
-                &self.wins,
-                luts,
-                gsum_folds,
-                lambdas,
-                r0,
-                panel,
-                A::buffer(&mut ws),
-            );
+            sweep_panel::<E, A, R>(w, &self.wins, luts, cx, r0, panel, open(&mut ws));
             self.push_worker(ws);
         });
     }
@@ -444,16 +415,14 @@ impl ExecPlan {
         figlut_trace::counters::bump_exec_lut_builds(1);
         s.yt.clear();
         s.yt.resize(m * batch, 0.0);
-        {
-            let lutsf = &s.lutsf;
-            let gsums = &s.gsums;
-            let panels = self.fan_out(batch, threads);
-            run_strided_panels(&mut s.yt, batch, panels, |r0, panel| {
-                let mut ws = self.pop_worker();
-                panel_f(w, &self.wins, lutsf, gsums, r0, panel, &mut ws.partials_f);
-                self.push_worker(ws);
-            });
-        }
+        // Float tables already hold real values: the fold's `p·λ` is `p`.
+        s.lambdas.clear();
+        s.lambdas.resize(batch, 1.0);
+        let cx = Columns {
+            lambdas: &s.lambdas,
+            gsums: &s.gsums,
+        };
+        self.run::<_, _, Native>(w, &s.lutsf, &cx, threads, &mut s.yt, |ws| &mut ws.open_f);
         scatter(&s.yt, batch, out);
         self.push_call(s);
     }

@@ -24,7 +24,7 @@ fn env_thread_override_is_bit_invariant() {
     let small = BcqWeight::quantize(&small, BcqParams::grouped(3, 30));
     let big = Mat::from_fn(520, 512, |r, c| ((r * 512 + c) as f64 * 0.137).sin());
     let big = BcqWeight::from_uniform(&rtn(&big, RtnParams::grouped(4, 64)));
-    for (b, batch, fans_out) in [(small, 4usize, false), (big, 16, true)] {
+    for (b, batch, fans_out) in [(small, 4usize, false), (big, 64, true)] {
         let p = PackedBcq::pack(&b);
         let n = p.cols();
         let x = Mat::from_fn(batch, n, |bb, c| ((bb * n + c) as f64 * 0.071).cos());

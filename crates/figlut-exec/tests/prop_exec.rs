@@ -198,16 +198,17 @@ proptest! {
 
     #[test]
     fn fanned_out_calls_never_change_bits(
-        m in 512usize..=1040,  // 2 to 4 panels' worth of look-ups at batch 16
-        layout in 0usize..3,
+        m in 512usize..=1040,  // 4 to 8 panels' worth of look-ups at batch 64
+        layout in 0usize..4,
         phase in 0.0f64..6.0,
     ) {
         // Shapes big enough that the plan really runs several row panels:
-        // ~512 columns as Q4 at batch 16 (two 8-lane column blocks), on
-        // the lane pass (gs 64 / 128 → 64 windows of µ 8) and on the
-        // generic descriptor walk (gs 73, µ 4 → 133 ragged windows).
-        let (groups, gs) = [(8usize, 64usize), (4, 128), (7, 73)][layout];
-        let (n, batch) = (groups * gs, 16usize);
+        // ~512 columns as Q4 at batch 64 (eight 8-lane column blocks), on
+        // the lane pass (gs 64 / 128 → 64 windows of µ 8; one 512-column
+        // group, which every panel carries open across two k-tiles) and on
+        // the generic descriptor walk (gs 73, µ 4 → 133 ragged windows).
+        let (groups, gs) = [(8usize, 64usize), (4, 128), (1, 512), (7, 73)][layout];
+        let (n, batch) = (groups * gs, 64usize);
         let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173 + phase).sin() * 0.3);
         let x = Mat::from_fn(batch, n, |b, c| ((b * n + c) as f64 * 0.059 + phase).cos() * 3.0);
         let packed = PackedBcq::pack(&BcqWeight::from_uniform(&rtn(&w, RtnParams::grouped(4, gs))));
@@ -241,20 +242,32 @@ fn lane_weights(m: usize, k: usize, gs: usize) -> BcqWeight {
 
 #[test]
 fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
-    // Every shape here takes the lane pass (µ 8, word-aligned groups):
-    // grouped gs 64 / 128, and per-row scales whose rows are a ragged
-    // single word (K 48), a word plus a ragged one (72), whole words (192)
-    // and a group spanning two k-tiles at 8 lanes (512). Batches 1..=17
-    // cross every lane width (1, 2, 4, 8) and column-block boundary (8 | 9,
-    // 16 | 17); odd and even row counts run the 1-row and 2-row passes.
+    // Every shape here takes the lane pass (µ 8, word-aligned groups),
+    // and between them they put a scale group everywhere it can lie
+    // against the 256-column k-tiles: four and two groups per tile (gs 64,
+    // 128; the last tile ragged), one (gs 256), a group open across two
+    // and three tiles (gs 512, 768), groups narrower than a tile that
+    // still straddle its boundary (gs 192: two groups over 1.5 tiles,
+    // three over 2.25), and per-row scales whose single group
+    // is a ragged word (K 48), a word plus a ragged one (72), three words
+    // (192) and two / four full tiles plus one ragged byte window (520,
+    // 1032). Batches 1..=17 cross every lane width (1, 2, 4, 8) and
+    // column-block boundary (8 | 9, 16 | 17); odd and even row counts run
+    // a lone last row and whole pairs.
     let c = cfg(4);
     for (k, gs) in [
         (320usize, 64usize),
         (384, 128),
+        (768, 256),
+        (1024, 512),
+        (1536, 768),
+        (384, 192),
+        (576, 192),
         (48, 0),
         (72, 0),
         (192, 0),
-        (512, 0),
+        (520, 0),
+        (1032, 0),
     ] {
         for m in [5usize, 6] {
             let b = lane_weights(m, k, gs);
@@ -277,11 +290,19 @@ fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
                     }
                 }
             }
-            // Batch 1 alone (the 1-lane block) is the same bits again.
+            // Batch 1 alone (the 1-lane block) is the same bits again —
+            // for `exec_f` too, whose open groups carry `f64`.
+            let yf = plan.exec_f_threads(&x, &packed, &c, 3);
             for bb in 0..17 {
                 let row = Mat::from_fn(1, k, |_, cc| x[(bb, cc)]);
                 let solo = plan.exec_i_threads(&row, &packed, &c, 1);
                 assert_eq!(solo.row(0), model.row(bb), "K={k} gs={gs} m={m} solo {bb}");
+                let solo_f = plan.exec_f_threads(&row, &packed, &c, 1);
+                assert_eq!(
+                    solo_f.row(0),
+                    yf.row(bb),
+                    "exec_f K={k} gs={gs} m={m} solo {bb}"
+                );
             }
         }
     }
@@ -294,22 +315,28 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
     // is i32 tables into i32 accumulators; FP32 + 2 guard bits overflows
     // i32 over a 64-column group but not over an 8-column window (i32
     // tables, i64 accumulators); FP32 + 6 overflows i32 in a window (i64
-    // both). Batch 8 on a lane-path shape, so `lane_pass` runs at 8 lanes
-    // at every `(E, A)`; `exec_f` (f64 lanes) is held to its tolerance.
+    // both). Batch 8 on two lane-path shapes, so `lane_pass` runs at 8
+    // lanes at every `(E, A)` — gs 64 folds every run as it ends, the
+    // 520-column per-row group is carried open across three k-tiles in
+    // each tier's own accumulator type; `exec_f` (f64 lanes) is held to
+    // its tolerance.
     use figlut_num::align::AlignedVector;
     use figlut_num::fp::FpFormat;
-    let (m, k, gs, batch) = (7usize, 256usize, 64usize, 8usize);
-    let b = lane_weights(m, k, gs);
-    let packed = PackedBcq::pack(&b);
-    let x = Mat::from_fn(batch, k, |bb, cc| {
-        ((bb * k + cc) as f64 * 0.083).sin() * 9.0e3
-    });
+    let (m, batch) = (7usize, 8usize);
     let fits = |terms: usize, maxm: u64| terms as u64 * maxm <= i32::MAX as u64;
-    for (act, guard_bits, tier) in [
-        (FpFormat::Fp16, 4, "i32/i32"),
-        (FpFormat::Fp32, 2, "i32/i64"),
-        (FpFormat::Fp32, 6, "i64/i64"),
+    for (k, gs, act, guard_bits, tier) in [
+        (256usize, 64usize, FpFormat::Fp16, 4, "i32/i32"),
+        (256, 64, FpFormat::Fp32, 2, "i32/i64"),
+        (256, 64, FpFormat::Fp32, 6, "i64/i64"),
+        (520, 0, FpFormat::Fp16, 4, "i32/i32"),
+        (520, 0, FpFormat::Fp32, 2, "i32/i64"),
+        (520, 0, FpFormat::Fp32, 6, "i64/i64"),
     ] {
+        let b = lane_weights(m, k, gs);
+        let packed = PackedBcq::pack(&b);
+        let x = Mat::from_fn(batch, k, |bb, cc| {
+            ((bb * k + cc) as f64 * 0.083).sin() * 9.0e3
+        });
         let c = EngineConfig {
             act,
             guard_bits,
@@ -321,7 +348,7 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
             AlignedVector::align_into(&xa, act, guard_bits, c.align, &mut mant);
         }
         let maxm = mant.iter().map(|v| v.unsigned_abs()).max().unwrap();
-        let got = match (fits(8, maxm), fits(gs, maxm)) {
+        let got = match (fits(8, maxm), fits(b.group_size(), maxm)) {
             (_, true) => "i32/i32",
             (true, false) => "i32/i64",
             (false, false) => "i64/i64",
@@ -335,10 +362,11 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
             assert_eq!(
                 y.as_slice(),
                 gemm_i(&x, &b, &c).as_slice(),
-                "{tier} t={threads}"
+                "K={k} {tier} t={threads}"
             );
         }
         let (yf, mf) = (exec_f_threads(&x, &packed, &c, 1), gemm_f(&x, &b, &c));
-        check_exec_f_tolerance(&yf, &mf, &x, &b).unwrap_or_else(|e| panic!("{tier} exec_f {e}"));
+        check_exec_f_tolerance(&yf, &mf, &x, &b)
+            .unwrap_or_else(|e| panic!("K={k} {tier} exec_f {e}"));
     }
 }

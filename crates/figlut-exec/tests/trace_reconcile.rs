@@ -1,6 +1,7 @@
 //! Reconciles the exec-layer trace counters against the analytical models
 //! the workspace already commits to: traced streamed words must equal
-//! `ExecPlan::streamed_words` exactly, call/build/tier counters must match
+//! `ExecPlan::streamed_words` and traced k-tile visits their closed form
+//! exactly, call/build/tier counters must match
 //! the call pattern, and enabling tracing must not change a single output
 //! bit. One trace session is installed per test; the `TraceGuard` holds
 //! the process-wide session lock, so the tests serialize naturally.
@@ -24,18 +25,20 @@ fn acts(batch: usize, k: usize) -> Mat<f64> {
 
 #[test]
 fn streamed_words_match_the_plan_formula() {
-    // Lane-pass (µ 8, groups ending on word boundaries) and generic
-    // shapes (gs 32: groups split a word; gs 15, µ 4: ragged windows), at
-    // batches of one column block, of two (12 = 8 + 4 lanes) and of three
-    // (17 = 8 + 8 + 1).
+    // Lane-pass (µ 8, groups ending on word boundaries: packed in k-tiles
+    // of 256 columns) and generic shapes (gs 32: groups split a word;
+    // gs 15, µ 4: ragged windows — one tile per row), at batches of one
+    // column block, of two (12 = 8 + 4 lanes) and of three (17 = 8 + 8 +
+    // 1). A sweep streams every packed word of every (row, plane) once
+    // per column block and visits every k-tile once per row.
     let cases = [
-        (16, 128, 64, 3, 4usize),
-        (16, 128, 64, 3, 12),
-        (8, 256, 32, 2, 1),
-        (8, 60, 15, 3, 5),
-        (4, 90, 15, 2, 17),
+        (16, 128, 64, 3, 4usize, 1usize),
+        (16, 576, 64, 3, 12, 3),
+        (8, 256, 32, 2, 1, 1),
+        (8, 60, 15, 3, 5, 1),
+        (4, 90, 15, 2, 17, 1),
     ];
-    for (m, k, gs, bits, batch) in cases {
+    for (m, k, gs, bits, batch, tiles) in cases {
         let w = packed(m, k, gs, bits, 7);
         let cfg = EngineConfig::paper_default();
         let plan = ExecPlan::new(&w, &cfg);
@@ -62,9 +65,17 @@ fn streamed_words_match_the_plan_formula() {
             calls * plan.streamed_words(batch),
             "traced words != formula for {m}x{k} gs {gs} bits {bits} batch {batch}"
         );
-        assert!(
-            d.exec_ktiles >= calls * (m * batch.div_ceil(8)) as u64,
-            "at least one tile per row and column block"
+        let row_sweeps = (batch.div_ceil(8) * m) as u64;
+        assert_eq!(
+            plan.streamed_words(batch),
+            row_sweeps * (bits as usize * k.div_ceil(64)) as u64,
+            "{m}x{k} gs {gs} batch {batch}"
+        );
+        assert_eq!(w.tiles(), tiles, "{m}x{k} gs {gs}");
+        assert_eq!(
+            d.exec_ktiles,
+            calls * row_sweeps * tiles as u64,
+            "one visit per k-tile, row and column block: {m}x{k} gs {gs} batch {batch}"
         );
     }
 

@@ -201,12 +201,17 @@ impl LayerNorm {
 
     fn forward(&self, x: &Mat<f64>) -> Mat<f64> {
         let d = x.cols();
-        Mat::from_fn(x.rows(), d, |r, c| {
+        let mut out = Mat::zeros(x.rows(), d);
+        for r in 0..x.rows() {
             let row = x.row(r);
             let mean: f64 = row.iter().sum::<f64>() / d as f64;
             let var: f64 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
-            (x[(r, c)] - mean) / (var + 1e-5).sqrt() * self.gamma[c] + self.beta[c]
-        })
+            let sd = (var + 1e-5).sqrt();
+            for (c, o) in out.row_mut(r).iter_mut().enumerate() {
+                *o = (row[c] - mean) / sd * self.gamma[c] + self.beta[c];
+            }
+        }
+        out
     }
 }
 
@@ -372,6 +377,7 @@ impl Transformer {
         });
         let dh = d / cfg.heads;
         let scale = 1.0 / (dh as f64).sqrt();
+        let mut scores: Vec<f64> = Vec::new(); // one buffer for every (head, row)
         for (li, block) in self.blocks.iter().enumerate() {
             // --- attention sublayer ---
             let h = block.ln1.forward(&x);
@@ -389,15 +395,14 @@ impl Transformer {
                 let off = head * dh;
                 for t in 0..seq {
                     // Causal scores for position t.
-                    let mut scores: Vec<f64> = (0..=t)
-                        .map(|u| {
-                            let mut s = 0.0;
-                            for j in 0..dh {
-                                s += q[(t, off + j)] * k[(u, off + j)];
-                            }
-                            s * scale
-                        })
-                        .collect();
+                    scores.clear();
+                    scores.extend((0..=t).map(|u| {
+                        let mut s = 0.0;
+                        for j in 0..dh {
+                            s += q[(t, off + j)] * k[(u, off + j)];
+                        }
+                        s * scale
+                    }));
                     softmax_row(&mut scores);
                     for (u, &a) in scores.iter().enumerate() {
                         for j in 0..dh {
@@ -427,11 +432,29 @@ impl Transformer {
         self.ln_f.forward(&x)
     }
 
+    /// The tied LM head `h · embedᵀ`, dotting each hidden row against
+    /// `embed`'s rows where they lie: per logit the same `k`-ascending sum
+    /// from 0.0 with the same zero-skip as `h.matmul(&embed.transposed())`,
+    /// so every logit is bit-identical to it.
+    fn lm_head(&self, h: &Mat<f64>) -> Mat<f64> {
+        let mut out = Mat::zeros(h.rows(), self.cfg.vocab);
+        for r in 0..h.rows() {
+            let hr = h.row(r);
+            for (v, o) in out.row_mut(r).iter_mut().enumerate() {
+                for (&a, &e) in hr.iter().zip(self.embed.row(v)) {
+                    if a != 0.0 {
+                        *o += a * e;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Next-token logits for every position (`seq × vocab`), via the tied
     /// LM head.
     pub fn logits(&self, tokens: &[usize], backend: &Backend) -> Mat<f64> {
-        let h = self.hidden(tokens, backend, None);
-        h.matmul(&self.embed.transposed())
+        self.lm_head(&self.hidden(tokens, backend, None))
     }
 
     /// Forward pass that also captures each linear layer's input
@@ -444,8 +467,7 @@ impl Transformer {
         capture: &mut Vec<Vec<Mat<f64>>>,
     ) -> Mat<f64> {
         assert_eq!(capture.len(), self.blocks.len() * 6, "capture slots");
-        let h = self.hidden(tokens, backend, Some(capture));
-        h.matmul(&self.embed.transposed())
+        self.lm_head(&self.hidden(tokens, backend, Some(capture)))
     }
 
     /// Create an empty KV cache for incremental decoding — the contiguous
@@ -598,6 +620,7 @@ impl Transformer {
             let (i, t) = row_of[r];
             self.embed[(chunks[i][t], c)] + self.pos[(p0[i] + t, c)]
         });
+        let mut scores: Vec<f64> = Vec::new(); // one buffer for every (head, row)
         for (li, block) in self.blocks.iter().enumerate() {
             let h = block.ln1.forward(&x);
             let q = block.wq.forward(&h, backend);
@@ -619,16 +642,15 @@ impl Transformer {
                         // pre-existing cache plus its own chunk rows 0..=t
                         // (all already pushed above) — never another session.
                         let view = &views[i];
-                        let mut scores: Vec<f64> = (0..=p0[i] + t)
-                            .map(|u| {
-                                let krow = view.key(u);
-                                let mut s = 0.0;
-                                for j in 0..dh {
-                                    s += q[(r, off + j)] * krow[off + j];
-                                }
-                                s * scale
-                            })
-                            .collect();
+                        scores.clear();
+                        scores.extend((0..=p0[i] + t).map(|u| {
+                            let krow = view.key(u);
+                            let mut s = 0.0;
+                            for j in 0..dh {
+                                s += q[(r, off + j)] * krow[off + j];
+                            }
+                            s * scale
+                        }));
                         softmax_row(&mut scores);
                         for (u, &a) in scores.iter().enumerate() {
                             let vrow = view.value(u);
@@ -647,8 +669,7 @@ impl Transformer {
             let down = block.fc2.forward(&act, backend);
             x = Mat::from_fn(rows, d, |r, c| x[(r, c)] + down[(r, c)]);
         }
-        let h = self.ln_f.forward(&x);
-        h.matmul(&self.embed.transposed())
+        self.lm_head(&self.ln_f.forward(&x))
     }
 
     /// One decoding step for a *batch of independent sessions*: consume
@@ -751,6 +772,48 @@ mod tests {
         let m = Transformer::teacher(ModelConfig::tiny(), 1);
         let logits = m.logits(&[0, 5, 9], &Backend::Exact);
         assert_eq!(logits.shape(), (3, 96));
+    }
+
+    #[test]
+    fn layer_norm_is_bit_equal_to_the_per_element_formula() {
+        // The reference recomputes mean and variance for every element;
+        // `forward` computes them once per row. Random rows, non-trivial
+        // γ/β, widths on both sides of a power of two.
+        let mut rng = Rng::new(9);
+        for d in [1usize, 7, 48, 65] {
+            let ln = LayerNorm {
+                gamma: (0..d).map(|_| rng.uniform() * 2.0 - 1.0).collect(),
+                beta: (0..d).map(|_| rng.uniform() - 0.5).collect(),
+            };
+            let x = Mat::from_fn(5, d, |_, _| (rng.uniform() - 0.5) * 8.0);
+            let want = Mat::from_fn(5, d, |r, c| {
+                let row = x.row(r);
+                let mean: f64 = row.iter().sum::<f64>() / d as f64;
+                let var: f64 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
+                (x[(r, c)] - mean) / (var + 1e-5).sqrt() * ln.gamma[c] + ln.beta[c]
+            });
+            assert_eq!(ln.forward(&x).as_slice(), want.as_slice(), "d={d}");
+        }
+    }
+
+    #[test]
+    fn lm_head_is_bit_equal_to_matmul_against_the_transpose() {
+        let m = Transformer::teacher(ModelConfig::tiny(), 11);
+        let mut rng = Rng::new(3);
+        // Exact zeros exercise the zero-skip.
+        let h = Mat::from_fn(
+            4,
+            48,
+            |_, c| {
+                if c % 5 == 0 {
+                    0.0
+                } else {
+                    rng.uniform() - 0.5
+                }
+            },
+        );
+        let want = h.matmul(&m.embed.transposed());
+        assert_eq!(m.lm_head(&h).as_slice(), want.as_slice());
     }
 
     #[test]
