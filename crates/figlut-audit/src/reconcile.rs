@@ -8,7 +8,7 @@
 //!   registry) and **documented** (its field name appears in
 //!   DESIGN.md). A counter failing either check is dead weight that
 //!   silently reports zero.
-//! * Every experiment id in `figlut-bench`'s `EXPERIMENTS` array must
+//! * Every experiment id in `figlut-bench`'s `EXPERIMENTS` table must
 //!   have a CI smoke — the id appears in the CI workflow, or quoted in
 //!   a test file that CI runs via `cargo test` — or a recorded
 //!   exemption (`experiment_exemptions.txt`, `id: reason` lines).
@@ -225,8 +225,9 @@ fn check_experiments(cfg: &Config, findings: &mut Vec<Finding>) -> usize {
     ids.len()
 }
 
-/// String literals of the `EXPERIMENTS` array (read from the *raw* text —
-/// scrubbing would blank exactly the contents we need).
+/// String literals of the file's first `EXPERIMENTS…` array — the
+/// `(id, fn)` table, whose function paths are not literals — read from the
+/// *raw* text: scrubbing would blank exactly the contents we need.
 fn experiment_ids(text: &str) -> Vec<String> {
     let Some(start) = text.find("EXPERIMENTS") else {
         return Vec::new();

@@ -10,15 +10,17 @@
 //! hosts and runs; `ServeReport::workload` prices the very same step
 //! sequence through `figlut-sim` when real energy numbers are wanted.
 //!
-//! Without a [`ServeConfig::prefill_chunk`] budget, each step is either
-//! one session's whole-prompt prefill or one batched decode of every
-//! running session — so a long prompt stalls every running decode for its
-//! full length (head-of-line blocking). With a budget `c`, the scheduler
-//! instead packs **mixed steps**: every running decode row plus up to `c`
-//! prompt rows of the oldest pending prompt, fused into one
-//! [`BatchEngine::step`], bounding each running session's inter-token
-//! stall by `step_overhead + c + max_batch` ticks instead of
-//! `step_overhead + prompt_len + max_batch`.
+//! There is one loop, and every step is one fused [`BatchEngine::step`]:
+//! a set of decode rows plus the next rows of the one prompt in the
+//! prefill slot. [`ServeConfig::prefill_chunk`] only sets how a step is
+//! composed. With a budget `c` the scheduler packs **mixed steps** — every
+//! running decode row plus up to `c` prompt rows — bounding each running
+//! session's inter-token stall by `step_overhead + c + max_batch` ticks.
+//! Without one, the budget is the whole prompt and a step that carries a
+//! prefill carries no decode rows, so a long prompt stalls every running
+//! decode for its full length (head-of-line blocking; the bound becomes
+//! `step_overhead + prompt_len + max_batch`) — step for step the
+//! pre-chunking scheduler, which the golden-trace test pins.
 //!
 //! Scheduling changes *when* sessions advance, never *what* they emit:
 //! tokens are batch-invariant (see [`crate::engine`]), so policies and
@@ -401,12 +403,6 @@ pub struct CheckpointHook<'a> {
     pub sink: Box<dyn FnMut(Checkpoint) + 'a>,
 }
 
-/// What the loop decided to do next.
-enum Action {
-    Prefill,
-    Decode,
-}
-
 /// KV-memory runtime of one serving run.
 enum Memory {
     /// Contiguous per-session caches (paging off): allocation always
@@ -418,7 +414,7 @@ enum Memory {
     Paged(Box<PagedRt>),
 }
 
-/// Mutable paging state threaded through a serving loop.
+/// Mutable paging state threaded through the serving loop.
 struct PagedRt {
     pool: BlockPool,
     registry: PrefixRegistry,
@@ -436,28 +432,12 @@ struct PagedRt {
 }
 
 impl Memory {
+    /// The runtime `cfg` asks for ([`check_config`] has vetted it).
     fn new(engine: &BatchEngine<'_>, cfg: &ServeConfig) -> Self {
         let Some(bs) = cfg.block_size else {
-            assert!(
-                cfg.pool_blocks.is_none(),
-                "pool_blocks requires block_size (a cap needs a pool to cap)"
-            );
             return Memory::Unmanaged;
         };
-        let model_cfg = engine.model().cfg;
-        if let Some(cap) = cfg.pool_blocks {
-            // Deadlock freedom: one full-context session (table plus the
-            // append that reaches max_seq) must always fit, because
-            // preemption can free every block except the last runner's.
-            let need = model_cfg.max_seq.div_ceil(bs);
-            assert!(
-                cap >= need,
-                "pool_blocks {cap} cannot hold one full-context session \
-                 ({need} blocks of {bs} rows for max_seq {})",
-                model_cfg.max_seq
-            );
-        }
-        let pool = BlockPool::for_model(&model_cfg, bs, cfg.pool_blocks);
+        let pool = BlockPool::for_model(&engine.model().cfg, bs, cfg.pool_blocks);
         let registry = PrefixRegistry::new(&pool);
         Memory::Paged(Box::new(PagedRt {
             pool,
@@ -577,9 +557,9 @@ impl PagedRt {
     }
 }
 
-/// Admission bookkeeping shared by both serving loops: stamp the session's
-/// admission tick (queue wait = `admitted - arrival`), bump the trace
-/// counter, and emit an instant event when a session is being traced.
+/// Admission bookkeeping: stamp the session's admission tick (queue wait =
+/// `admitted - arrival`), bump the trace counter, and emit an instant
+/// event when a session is being traced.
 fn note_admission(s: &mut SessionState, clock: u64, queue_after: usize) {
     s.admitted = clock;
     counters::bump_serve_admissions(1);
@@ -594,8 +574,8 @@ fn note_admission(s: &mut SessionState, clock: u64, queue_after: usize) {
     });
 }
 
-/// Per-step trace hook, called right after each `StepRecord` is pushed:
-/// one span per executed scheduler step, stamped with its virtual start
+/// Per-step trace hook, called with each executed step's record: one
+/// span per executed scheduler step, stamped with its virtual start
 /// tick and cost and carrying queue depth, batch occupancy, the phase row
 /// split, and the paging activity since the previous step (`last_swaps`
 /// carries the previous step's cumulative swap counts across calls).
@@ -711,7 +691,7 @@ fn apply_admission(
                 q.iter().map(|r| r.prompt.len() + r.max_new).sum()
             };
             while pending.len() > 1 && load(pending) > tokens {
-                // audit: allow(panic) — the loop condition pending.len() > depth proves nonempty
+                // audit: allow(panic) — the loop condition pending.len() > 1 proves nonempty (the oldest request is never shed)
                 shed.push(pending.pop_back().expect("len checked"));
             }
         }
@@ -812,18 +792,32 @@ fn maybe_pool_spike(
     }
 }
 
-/// The mutable state both serving loops run over — built fresh from a
+/// The mutable state the serving loop runs over — built fresh from a
 /// trace, or rehydrated from a [`Checkpoint`] by [`resume`].
 struct LoopState {
     arrivals: VecDeque<Request>,
     pending: VecDeque<Request>,
     running: Vec<SessionState>,
+    /// The single prefill slot: the admitted session whose prompt is
+    /// still landing. It holds one of the `max_batch` slots and is never
+    /// preempted — it is its step's anchor.
+    prefilling: Option<SessionState>,
     finished: Vec<RequestMetrics>,
     steps: Vec<StepRecord>,
     clock: u64,
     peak_kv_rows: usize,
+    /// FCFS only: set once a pure-decode step runs; admission reopens
+    /// when the batch drains.
     sealed: bool,
     resilience: ResilienceStats,
+    /// Step index at which the forced-preemption hook last fired (at most
+    /// once per index, or an all-preempted batch would loop forever).
+    hook_step: usize,
+    /// Cumulative (swaps_out, swaps_in) at the previous step's span, so
+    /// each step span carries only its own paging activity.
+    last_swaps: (usize, usize),
+    /// Executed-step count at the last checkpoint capture.
+    last_ckpt: usize,
 }
 
 impl LoopState {
@@ -832,12 +826,16 @@ impl LoopState {
             arrivals: trace.requests.iter().cloned().collect(),
             pending: VecDeque::new(),
             running: Vec::new(),
+            prefilling: None,
             finished: Vec::new(),
             steps: Vec::new(),
             clock: 0,
             peak_kv_rows: 0,
             sealed: false,
             resilience: ResilienceStats::default(),
+            hook_step: usize::MAX,
+            last_swaps: (0, 0),
+            last_ckpt: 0,
         }
     }
 
@@ -881,59 +879,353 @@ impl LoopState {
             arrivals: ck.arrivals.into(),
             pending: ck.pending.into(),
             running,
+            prefilling: None,
             finished: ck.finished,
+            last_ckpt: ck.steps.len(),
             steps: ck.steps,
             clock: ck.clock,
             peak_kv_rows: ck.peak_kv_rows,
             sealed: ck.sealed,
             resilience: ck.resilience,
+            hook_step: usize::MAX,
+            last_swaps: (0, 0),
         }
+    }
+
+    /// Snapshot the loop state as a [`Checkpoint`] (running sessions are
+    /// cloned — paged ones as host swap images — so the live run is not
+    /// disturbed). Taken only with the prefill slot empty.
+    fn capture_checkpoint(&self, memory: &Memory) -> Checkpoint {
+        debug_assert!(self.prefilling.is_none(), "checkpoint mid-prefill");
+        let mut sessions: Vec<SessionState> = self
+            .running
+            .iter()
+            .map(|s| {
+                let mut c = s.clone();
+                if matches!(memory, Memory::Paged(_)) {
+                    let _ = c.swap_out();
+                }
+                c
+            })
+            .collect();
+        if let Memory::Paged(rt) = memory {
+            sessions.extend(rt.swapped.iter().cloned());
+        }
+        Checkpoint {
+            clock: self.clock,
+            arrivals: self.arrivals.iter().cloned().collect(),
+            pending: self.pending.iter().cloned().collect(),
+            sessions,
+            finished: self.finished.clone(),
+            steps: self.steps.clone(),
+            peak_kv_rows: self.peak_kv_rows,
+            sealed: self.sealed,
+            resilience: self.resilience,
+        }
+    }
+
+    /// Close `s` into its metrics if it is done, else keep it running.
+    fn retire(&mut self, s: SessionState, max_seq: usize) {
+        match s.finish_reason(max_seq) {
+            Some(reason) => self.finished.push(metrics_of(s, reason, self.clock)),
+            None => self.running.push(s),
+        }
+    }
+
+    /// The serving loop. One prompt prefills at a time (the oldest
+    /// admitted), fused with decode rows into a single
+    /// [`BatchEngine::step`]; TTFT stops only when the prompt's last row
+    /// samples the first token. Each iteration runs, in this order (the
+    /// fixed points every [`FaultPlan`] draw is made at): arrival drain →
+    /// admission policy → restore → idle jump → admit into the prefill
+    /// slot → crash / step-failure draw → forced preemption → pool spike →
+    /// `make_room` → step → retire → checkpoint.
+    ///
+    /// Policies keep their admission character: prefill-priority admits
+    /// into any free slot, decode-priority admits only into an idle engine
+    /// (so it never mixes), and FCFS admits until a pure-decode step runs
+    /// (the batch is full or the queue is empty — the static-batching
+    /// "seal"), then drains.
+    fn run(
+        mut self,
+        engine: &BatchEngine<'_>,
+        cfg: &ServeConfig,
+        mut memory: Memory,
+        mut hooks: ServeHooks<'_>,
+    ) -> ServeReport {
+        let max_seq = engine.model().cfg.max_seq;
+        // The step-composition rule, and the only place `prefill_chunk` is
+        // read: without a budget the whole prompt lands in one step, and a
+        // step that carries a prefill carries no decode rows.
+        let budget = cfg.prefill_chunk.unwrap_or(usize::MAX);
+        let mixes = cfg.prefill_chunk.is_some();
+
+        loop {
+            while self
+                .arrivals
+                .front()
+                .is_some_and(|r| r.arrival <= self.clock)
+            {
+                // audit: allow(panic) — the while condition just observed arrivals.front() is Some
+                self.pending.push_back(self.arrivals.pop_front().unwrap());
+            }
+            apply_admission(
+                cfg.admission,
+                &mut self.pending,
+                self.clock,
+                cfg.step_overhead,
+                &mut self.finished,
+                &mut self.resilience,
+            );
+            // Preempted sessions come back before anything else: restore
+            // the oldest into free batch slots as soon as the pool fits
+            // them (the prefill slot counts against the batch).
+            if let Memory::Paged(rt) = &mut memory {
+                let slots = cfg.max_batch - usize::from(self.prefilling.is_some());
+                restore_swapped(
+                    rt,
+                    &mut self.running,
+                    slots,
+                    hooks.fault_plan.as_mut(),
+                    &mut self.resilience,
+                );
+            }
+            let resident = !self.running.is_empty() || self.prefilling.is_some();
+            if self.pending.is_empty() && !resident && memory.idle() {
+                match self.arrivals.front() {
+                    // Idle: jump the clock to the next arrival.
+                    Some(r) => {
+                        self.clock = r.arrival;
+                        continue;
+                    }
+                    None => break,
+                }
+            }
+            // Admission into the single prefill slot (oldest pending first).
+            if self.prefilling.is_none() {
+                let has_capacity = self.running.len() < cfg.max_batch;
+                let can_admit = has_capacity && !self.pending.is_empty();
+                let admit = match cfg.policy {
+                    Policy::Fcfs => can_admit && !self.sealed,
+                    Policy::PrefillPriority => can_admit,
+                    Policy::DecodePriority => can_admit && self.running.is_empty(),
+                };
+                if admit {
+                    // audit: allow(panic) — can_admit requires a nonempty pending queue
+                    let req = self.pending.pop_front().unwrap();
+                    if req.max_new == 0 {
+                        // A zero generation budget never runs: prefilling
+                        // it would wrongly emit a first token (the
+                        // prompt's last row always samples). Finish at the
+                        // admission tick.
+                        counters::bump_serve_admissions(1);
+                        let m = metrics_without_tokens(req, FinishReason::Completed, self.clock);
+                        self.finished.push(m);
+                        continue;
+                    }
+                    let mut s = memory.start(engine, req);
+                    note_admission(&mut s, self.clock, self.pending.len());
+                    self.prefilling = Some(s);
+                }
+            }
+            if let Some(plan) = hooks.fault_plan.as_mut() {
+                if plan.crashes_at(self.steps.len()) {
+                    // audit: allow(panic) — deliberate fault injection — the crash-consistency tests require a real panic
+                    panic!("injected crash before step {}", self.steps.len());
+                }
+                if plan.draw_step_failure() {
+                    // The scheduled step is abandoned before executing:
+                    // charge the fixed overhead and retry (the step index
+                    // is unchanged, so per-step hooks do not refire, and
+                    // the admitted session, if any, waits out the retry).
+                    counters::bump_serve_step_retries(1);
+                    self.resilience.step_retries += 1;
+                    self.clock += cfg.step_overhead;
+                    continue;
+                }
+            }
+            // Do the running sessions decode this step, or does the rule
+            // reserve it for the prefill? This decides the rows `make_room`
+            // reserves per runner, the decode set the engine steps, and
+            // who gets an emission stamp — nothing else.
+            let decoding = mixes || self.prefilling.is_none();
+            if let Memory::Paged(rt) = &mut memory {
+                // Forced preemption (tests/experiments), once per step index.
+                if let Some(f) = hooks.force_preempt.as_mut() {
+                    if self.hook_step != self.steps.len() && !self.running.is_empty() {
+                        self.hook_step = self.steps.len();
+                        let ids: Vec<usize> = self.running.iter().map(|s| s.request.id).collect();
+                        for id in f(self.steps.len(), &ids) {
+                            if let Some(i) = self.running.iter().position(|s| s.request.id == id) {
+                                rt.preempt(self.running.remove(i));
+                            }
+                        }
+                        if self.running.is_empty() && self.prefilling.is_none() {
+                            // An emptied FCFS batch cannot stay sealed: it
+                            // is restored alongside fresh admits.
+                            self.sealed = false;
+                        }
+                    }
+                }
+                maybe_pool_spike(
+                    rt,
+                    &mut self.running,
+                    &mut hooks.fault_plan,
+                    &mut self.resilience,
+                );
+                if self.running.is_empty() && self.prefilling.is_none() {
+                    // Everything resident was swapped out: the next
+                    // iteration restores (always possible on an
+                    // otherwise-empty pool).
+                    continue;
+                }
+                // Make room for every row this step appends: one per
+                // decoding runner, plus the prompt rows about to land.
+                // Without a prefill at least one runner must survive (the
+                // pool provably fits a lone session).
+                let pf = &self.prefilling;
+                rt.make_room(
+                    &mut self.running,
+                    usize::from(decoding),
+                    || {
+                        pf.as_ref()
+                            .map_or(0, |s| s.blocks_needed(s.prefill_remaining().min(budget)))
+                    },
+                    usize::from(pf.is_none()),
+                );
+            }
+            // One fused step: the decode set + the next prompt rows.
+            let decode_rows = if decoding { self.running.len() } else { 0 };
+            let prefill_pos = self.prefilling.as_ref().map_or(0, |s| s.prefilled);
+            let prefill_rows = {
+                let mut refs: Vec<&mut SessionState> =
+                    self.running.iter_mut().take(decode_rows).collect();
+                engine.step(&mut refs, self.prefilling.as_mut(), budget)
+            };
+            debug_assert!(decode_rows + prefill_rows >= 1);
+            let cost = cfg.step_overhead + (decode_rows + prefill_rows) as u64;
+            self.clock += cost;
+            let rec = StepRecord {
+                prefill_rows,
+                prefill_pos,
+                decode_rows,
+                swapped_rows: memory.take_pending(),
+                cost,
+            };
+            trace_step(
+                self.clock,
+                &rec,
+                self.pending.len(),
+                self.running.len() + usize::from(self.prefilling.is_some()),
+                &memory,
+                &mut self.last_swaps,
+            );
+            self.steps.push(rec);
+            self.peak_kv_rows = self.peak_kv_rows.max(
+                self.running
+                    .iter()
+                    .chain(&self.prefilling)
+                    .map(SessionState::positions)
+                    .sum(),
+            );
+            if decode_rows > 0 && prefill_rows == 0 {
+                self.sealed = true;
+            }
+            // Every decoded session emitted one token this step.
+            for s in self.running.iter_mut().take(decode_rows) {
+                s.token_ticks.push(self.clock);
+            }
+            // The prompt's last row sampled the first token: TTFT stops
+            // here and the session joins the running set (or finishes
+            // outright).
+            if let Some(mut s) = self.prefilling.take_if(|s| s.is_prefilled()) {
+                memory.register(&s);
+                s.token_ticks.push(self.clock);
+                self.retire(s, max_seq);
+            }
+            let survivors = Vec::with_capacity(self.running.len());
+            for s in std::mem::replace(&mut self.running, survivors) {
+                self.retire(s, max_seq);
+            }
+            if self.running.is_empty() && self.prefilling.is_none() {
+                self.sealed = false;
+            }
+            // A due capture waits for the prefill slot to drain: a
+            // checkpoint never holds a half-prefilled session.
+            if let (None, Some(hook)) = (&self.prefilling, hooks.checkpoint.as_mut()) {
+                if self.steps.len() - self.last_ckpt >= hook.every_steps.max(1) {
+                    self.last_ckpt = self.steps.len();
+                    counters::bump_serve_checkpoints(1);
+                    self.resilience.checkpoints += 1;
+                    (hook.sink)(self.capture_checkpoint(&memory));
+                }
+            }
+        }
+        self.finished.sort_by_key(|m| m.id);
+        let mut report = ServeReport {
+            requests: self.finished,
+            steps: self.steps,
+            ticks: self.clock,
+            max_batch: cfg.max_batch,
+            peak_kv_rows: self.peak_kv_rows,
+            paging: None,
+            resilience: self.resilience,
+        };
+        if let Memory::Paged(rt) = &mut memory {
+            debug_assert!(
+                rt.swapped.is_empty(),
+                "run ended with sessions still swapped out"
+            );
+            debug_assert_eq!(
+                rt.pending_swap_rows, 0,
+                "swap traffic left unpriced by any step"
+            );
+            rt.registry.clear();
+            report.paging = Some(PagingStats {
+                block_size: rt.pool.block_size(),
+                pool_blocks: rt.pool.capacity(),
+                peak_live_blocks: rt.pool.peak_live_blocks(),
+                final_live_blocks: rt.pool.live_blocks(),
+                bytes_per_block: rt.pool.bytes_per_block(),
+                swaps_out: rt.swaps_out,
+                swaps_in: rt.swaps_in,
+                swapped_rows: rt.swapped_rows_total,
+                shared_rows: rt.shared_rows,
+            });
+        }
+        // Close the trace run: later serve calls in the same session
+        // continue on a globally-monotone timestamp axis.
+        figlut_trace::end_run(report.ticks);
+        report
     }
 }
 
-/// Capture the current loop state as a [`Checkpoint`] (running sessions
-/// are cloned — paged ones as host swap images — so the live run is not
-/// disturbed) and hand it to the hook's sink.
-#[allow(clippy::too_many_arguments)]
-fn capture_checkpoint(
-    memory: &Memory,
-    hook: &mut CheckpointHook<'_>,
-    arrivals: &VecDeque<Request>,
-    pending: &VecDeque<Request>,
-    running: &[SessionState],
-    finished: &[RequestMetrics],
-    steps: &[StepRecord],
-    clock: u64,
-    peak_kv_rows: usize,
-    sealed: bool,
-    resilience: &mut ResilienceStats,
-) {
-    counters::bump_serve_checkpoints(1);
-    resilience.checkpoints += 1;
-    let mut sessions: Vec<SessionState> = running
-        .iter()
-        .map(|s| {
-            let mut c = s.clone();
-            if matches!(memory, Memory::Paged(_)) {
-                let _ = c.swap_out();
-            }
-            c
-        })
-        .collect();
-    if let Memory::Paged(rt) = memory {
-        sessions.extend(rt.swapped.iter().cloned());
+/// The [`ServeConfig`] preconditions of [`serve_with_hooks`] and
+/// [`resume`], checked once before any state is built (the fields are
+/// `pub`, so the `with_*` builders' own checks can be bypassed).
+fn check_config(cfg: &ServeConfig, max_seq: usize) {
+    assert!(
+        cfg.prefill_chunk != Some(0),
+        "prefill_chunk must be at least 1"
+    );
+    let Some(bs) = cfg.block_size else {
+        assert!(
+            cfg.pool_blocks.is_none(),
+            "pool_blocks requires block_size (a cap needs a pool to cap)"
+        );
+        return;
+    };
+    if let Some(cap) = cfg.pool_blocks {
+        // Deadlock freedom: one full-context session (table plus the
+        // append that reaches max_seq) must always fit, because
+        // preemption can free every block except the last runner's.
+        let need = max_seq.div_ceil(bs);
+        assert!(
+            cap >= need,
+            "pool_blocks {cap} cannot hold one full-context session \
+             ({need} blocks of {bs} rows for max_seq {max_seq})"
+        );
     }
-    (hook.sink)(Checkpoint {
-        clock,
-        arrivals: arrivals.iter().cloned().collect(),
-        pending: pending.iter().cloned().collect(),
-        sessions,
-        finished: finished.to_vec(),
-        steps: steps.to_vec(),
-        peak_kv_rows,
-        sealed,
-        resilience: *resilience,
-    });
 }
 
 /// Serve `trace` to completion and return the full report.
@@ -949,9 +1241,12 @@ fn capture_checkpoint(
 ///
 /// # Panics
 ///
-/// Panics if the trace fails [`Trace::validate`] against the served
-/// model, or if [`ServeConfig::pool_blocks`] cannot hold one full-context
-/// session.
+/// Panics, before any request is served, if the trace fails
+/// [`Trace::validate`] against the served model, if
+/// [`ServeConfig::prefill_chunk`] is `Some(0)`, if
+/// [`ServeConfig::pool_blocks`] is set without
+/// [`ServeConfig::block_size`], or if that pool cannot hold one
+/// full-context session (`max_seq.div_ceil(block_size)` blocks).
 pub fn serve(engine: &BatchEngine<'_>, trace: &Trace, cfg: &ServeConfig) -> ServeReport {
     serve_with_hooks(engine, trace, cfg, ServeHooks::default())
 }
@@ -974,9 +1269,10 @@ pub fn serve_with_hooks(
     hooks: ServeHooks<'_>,
 ) -> ServeReport {
     let model_cfg = engine.model().cfg;
+    check_config(cfg, model_cfg.max_seq);
     trace.validate(&model_cfg);
     let memory = Memory::new(engine, cfg);
-    run_loops(engine, cfg, LoopState::fresh(trace), memory, hooks)
+    LoopState::fresh(trace).run(engine, cfg, memory, hooks)
 }
 
 /// Continue a run from a [`Checkpoint`] captured by
@@ -989,571 +1285,21 @@ pub fn serve_with_hooks(
 ///
 /// # Panics
 ///
-/// Panics if `cfg` paging disagrees with the checkpoint's session images
-/// (a paged checkpoint must resume with paging on, and vice versa), or if
-/// the pool shape (`block_size` × model) differs from the captured one.
+/// Panics on the [`ServeConfig`] preconditions of [`serve`], if `cfg`
+/// paging disagrees with the checkpoint's session images (a paged
+/// checkpoint must resume with paging on, and vice versa), or if the pool
+/// shape (`block_size` × model) differs from the captured one.
 pub fn resume(
     engine: &BatchEngine<'_>,
     checkpoint: Checkpoint,
     cfg: &ServeConfig,
     hooks: ServeHooks<'_>,
 ) -> ServeReport {
+    check_config(cfg, engine.model().cfg.max_seq);
     counters::bump_serve_resumes(1);
     let mut memory = Memory::new(engine, cfg);
     let state = LoopState::from_checkpoint(checkpoint, &mut memory, cfg.max_batch);
-    run_loops(engine, cfg, state, memory, hooks)
-}
-
-/// Shared tail of [`serve_with_hooks`] and [`resume`]: dispatch on the
-/// prefill mode, then close out paging stats and the trace run.
-fn run_loops(
-    engine: &BatchEngine<'_>,
-    cfg: &ServeConfig,
-    state: LoopState,
-    mut memory: Memory,
-    mut hooks: ServeHooks<'_>,
-) -> ServeReport {
-    let mut report = match cfg.prefill_chunk {
-        None => serve_monolithic(engine, cfg, state, &mut memory, &mut hooks),
-        Some(chunk) => serve_chunked(engine, cfg, chunk, state, &mut memory, &mut hooks),
-    };
-    if let Memory::Paged(rt) = &mut memory {
-        debug_assert!(
-            rt.swapped.is_empty(),
-            "run ended with sessions still swapped out"
-        );
-        debug_assert_eq!(
-            rt.pending_swap_rows, 0,
-            "swap traffic left unpriced by any step"
-        );
-        rt.registry.clear();
-        report.paging = Some(PagingStats {
-            block_size: rt.pool.block_size(),
-            pool_blocks: rt.pool.capacity(),
-            peak_live_blocks: rt.pool.peak_live_blocks(),
-            final_live_blocks: rt.pool.live_blocks(),
-            bytes_per_block: rt.pool.bytes_per_block(),
-            swaps_out: rt.swaps_out,
-            swaps_in: rt.swaps_in,
-            swapped_rows: rt.swapped_rows_total,
-            shared_rows: rt.shared_rows,
-        });
-    }
-    // Close the trace run: later serve calls in the same session continue
-    // on a globally-monotone timestamp axis.
-    figlut_trace::end_run(report.ticks);
-    report
-}
-
-/// The `prefill_chunk: None` path: each admitted prompt runs as one
-/// monolithic prefill step; decode steps batch every running session. This
-/// is byte-for-byte the pre-chunking scheduler (pinned by the golden-trace
-/// test below) — kept as its own loop so the default path cannot drift.
-fn serve_monolithic(
-    engine: &BatchEngine<'_>,
-    cfg: &ServeConfig,
-    state: LoopState,
-    memory: &mut Memory,
-    hooks: &mut ServeHooks<'_>,
-) -> ServeReport {
-    let max_seq = engine.model().cfg.max_seq;
-    let LoopState {
-        mut arrivals,
-        mut pending,
-        mut running,
-        mut finished,
-        mut steps,
-        mut clock,
-        mut peak_kv_rows,
-        // FCFS only: set once the current batch starts decoding; admission
-        // reopens when the batch drains.
-        mut sealed,
-        mut resilience,
-    } = state;
-    // Step index at which the forced-preemption hook last fired (at most
-    // once per index, or an all-preempted batch would loop forever).
-    let mut hook_step = usize::MAX;
-    // Cumulative (swaps_out, swaps_in) at the previous step's span, so
-    // each step span carries only its own paging activity.
-    let mut last_swaps = (0usize, 0usize);
-    // Executed-step count at the last checkpoint capture.
-    let mut last_ckpt = steps.len();
-
-    loop {
-        while arrivals.front().is_some_and(|r| r.arrival <= clock) {
-            // audit: allow(panic) — the while condition just observed arrivals.front() is Some
-            pending.push_back(arrivals.pop_front().unwrap());
-        }
-        apply_admission(
-            cfg.admission,
-            &mut pending,
-            clock,
-            cfg.step_overhead,
-            &mut finished,
-            &mut resilience,
-        );
-        // Preempted sessions come back before anything else: restore the
-        // oldest into free batch slots as soon as the pool fits them.
-        if let Memory::Paged(rt) = memory {
-            restore_swapped(
-                rt,
-                &mut running,
-                cfg.max_batch,
-                hooks.fault_plan.as_mut(),
-                &mut resilience,
-            );
-        }
-        if pending.is_empty() && running.is_empty() && memory.idle() {
-            match arrivals.front() {
-                // Idle: jump the clock to the next arrival.
-                Some(r) => {
-                    clock = r.arrival;
-                    continue;
-                }
-                None => break,
-            }
-        }
-        // Forced preemption (tests/experiments), once per step index.
-        if let Memory::Paged(rt) = memory {
-            if let Some(f) = hooks.force_preempt.as_mut() {
-                if hook_step != steps.len() && !running.is_empty() {
-                    hook_step = steps.len();
-                    let ids: Vec<usize> = running.iter().map(|s| s.request.id).collect();
-                    for id in f(steps.len(), &ids) {
-                        if let Some(i) = running.iter().position(|s| s.request.id == id) {
-                            rt.preempt(running.remove(i));
-                        }
-                    }
-                    if running.is_empty() {
-                        // An emptied FCFS batch cannot stay sealed: the
-                        // survivors will be restored alongside fresh admits.
-                        sealed = false;
-                    }
-                }
-            }
-            maybe_pool_spike(rt, &mut running, &mut hooks.fault_plan, &mut resilience);
-            if running.is_empty() && pending.is_empty() {
-                // Everything resident was swapped out: the next iteration
-                // restores (always possible on an otherwise-empty pool).
-                continue;
-            }
-        }
-        if let Some(plan) = hooks.fault_plan.as_mut() {
-            if plan.crashes_at(steps.len()) {
-                // audit: allow(panic) — deliberate fault injection — the crash-consistency tests require a real panic
-                panic!("injected crash before step {}", steps.len());
-            }
-            if plan.draw_step_failure() {
-                // The scheduled step is abandoned before executing: charge
-                // the fixed overhead and retry (the step index is
-                // unchanged, so per-step hooks do not refire).
-                counters::bump_serve_step_retries(1);
-                resilience.step_retries += 1;
-                clock += cfg.step_overhead;
-                continue;
-            }
-        }
-        let has_capacity = running.len() < cfg.max_batch;
-        let can_admit = has_capacity && !pending.is_empty();
-        let action = match cfg.policy {
-            Policy::Fcfs => {
-                if can_admit && !sealed {
-                    Action::Prefill
-                } else {
-                    Action::Decode
-                }
-            }
-            Policy::PrefillPriority => {
-                if can_admit {
-                    Action::Prefill
-                } else {
-                    Action::Decode
-                }
-            }
-            Policy::DecodePriority => {
-                if running.is_empty() {
-                    Action::Prefill
-                } else {
-                    Action::Decode
-                }
-            }
-        };
-        match action {
-            Action::Prefill => {
-                let req = pending
-                    .pop_front()
-                    // audit: allow(panic) — Action::Prefill is only chosen when pending is nonempty
-                    .expect("admission without a pending request");
-                if req.max_new == 0 {
-                    // A zero generation budget never runs: prefilling it
-                    // would wrongly emit a first token (the prompt's last
-                    // row always samples). Finish at the admission tick.
-                    counters::bump_serve_admissions(1);
-                    finished.push(metrics_without_tokens(req, FinishReason::Completed, clock));
-                    continue;
-                }
-                let mut s = memory.start(engine, req);
-                note_admission(&mut s, clock, pending.len());
-                if let Memory::Paged(rt) = memory {
-                    // The whole prompt lands this step; running sessions
-                    // append nothing but may be preempted to make room.
-                    let prompt_rows = s.request.prompt.len();
-                    rt.make_room(&mut running, 0, || s.blocks_needed(prompt_rows), 0);
-                }
-                let rows = engine.prefill(&mut s);
-                memory.register(&s);
-                clock += cfg.step_overhead + rows as u64;
-                steps.push(StepRecord {
-                    prefill_rows: rows,
-                    prefill_pos: 0,
-                    decode_rows: 0,
-                    swapped_rows: memory.take_pending(),
-                    cost: cfg.step_overhead + rows as u64,
-                });
-                trace_step(
-                    clock,
-                    // audit: allow(panic) — a StepRecord was pushed immediately above
-                    steps.last().expect("just pushed"),
-                    pending.len(),
-                    running.len() + 1,
-                    memory,
-                    &mut last_swaps,
-                );
-                peak_kv_rows = peak_kv_rows.max(
-                    s.positions() + running.iter().map(SessionState::positions).sum::<usize>(),
-                );
-                // The prefill itself emits the first token: TTFT stops here.
-                s.token_ticks.push(clock);
-                match s.finish_reason(max_seq) {
-                    Some(reason) => finished.push(metrics_of(s, reason, clock)),
-                    None => running.push(s),
-                }
-            }
-            Action::Decode => {
-                if let Memory::Paged(rt) = memory {
-                    // Every running session appends one row; keep at least
-                    // one survivor (the pool provably fits a lone session).
-                    rt.make_room(&mut running, 1, || 0, 1);
-                }
-                let batch = running.len();
-                debug_assert!(batch >= 1 && batch <= cfg.max_batch);
-                {
-                    let mut refs: Vec<&mut SessionState> = running.iter_mut().collect();
-                    engine.decode(&mut refs);
-                }
-                clock += cfg.step_overhead + batch as u64;
-                steps.push(StepRecord {
-                    prefill_rows: 0,
-                    prefill_pos: 0,
-                    decode_rows: batch,
-                    swapped_rows: memory.take_pending(),
-                    cost: cfg.step_overhead + batch as u64,
-                });
-                trace_step(
-                    clock,
-                    // audit: allow(panic) — a StepRecord was pushed immediately above
-                    steps.last().expect("just pushed"),
-                    pending.len(),
-                    batch,
-                    memory,
-                    &mut last_swaps,
-                );
-                peak_kv_rows =
-                    peak_kv_rows.max(running.iter().map(SessionState::positions).sum::<usize>());
-                sealed = true;
-                let mut still_running = Vec::with_capacity(running.len());
-                for mut s in running.drain(..) {
-                    s.token_ticks.push(clock);
-                    match s.finish_reason(max_seq) {
-                        Some(reason) => finished.push(metrics_of(s, reason, clock)),
-                        None => still_running.push(s),
-                    }
-                }
-                running = still_running;
-                if running.is_empty() {
-                    sealed = false;
-                }
-            }
-        }
-        if let Some(hook) = hooks.checkpoint.as_mut() {
-            if steps.len() - last_ckpt >= hook.every_steps.max(1) {
-                last_ckpt = steps.len();
-                capture_checkpoint(
-                    memory,
-                    hook,
-                    &arrivals,
-                    &pending,
-                    &running,
-                    &finished,
-                    &steps,
-                    clock,
-                    peak_kv_rows,
-                    sealed,
-                    &mut resilience,
-                );
-            }
-        }
-    }
-    finished.sort_by_key(|m| m.id);
-    ServeReport {
-        requests: finished,
-        steps,
-        ticks: clock,
-        max_batch: cfg.max_batch,
-        peak_kv_rows,
-        paging: None,
-        resilience,
-    }
-}
-
-/// The chunked-prefill path: one prompt prefills at a time (the oldest
-/// admitted), `chunk` rows per step, fused with every running decode row
-/// into a single [`BatchEngine::step`]. TTFT stops only when the last
-/// chunk samples the first token.
-///
-/// Policies keep their admission character: prefill-priority admits into
-/// any free slot, decode-priority admits only into an idle engine (so it
-/// never actually mixes), and FCFS admits until a pure-decode step runs
-/// (the batch is full or the queue is empty — the static-batching "seal"),
-/// then drains. A mid-prefill session occupies a batch slot.
-fn serve_chunked(
-    engine: &BatchEngine<'_>,
-    cfg: &ServeConfig,
-    chunk: usize,
-    state: LoopState,
-    memory: &mut Memory,
-    hooks: &mut ServeHooks<'_>,
-) -> ServeReport {
-    assert!(chunk >= 1, "prefill_chunk must be at least 1");
-    let max_seq = engine.model().cfg.max_seq;
-    let mut prefilling: Option<SessionState> = None;
-    let LoopState {
-        mut arrivals,
-        mut pending,
-        mut running,
-        mut finished,
-        mut steps,
-        mut clock,
-        mut peak_kv_rows,
-        // FCFS only: set once a pure-decode step runs; admission reopens
-        // when the batch drains.
-        mut sealed,
-        mut resilience,
-    } = state;
-    // Step index at which the forced-preemption hook last fired (at most
-    // once per index, or an all-preempted batch would loop forever).
-    let mut hook_step = usize::MAX;
-    // Cumulative (swaps_out, swaps_in) at the previous step's span, so
-    // each step span carries only its own paging activity.
-    let mut last_swaps = (0usize, 0usize);
-    // Executed-step count at the last checkpoint capture.
-    let mut last_ckpt = steps.len();
-
-    loop {
-        while arrivals.front().is_some_and(|r| r.arrival <= clock) {
-            // audit: allow(panic) — the while condition just observed arrivals.front() is Some
-            pending.push_back(arrivals.pop_front().unwrap());
-        }
-        apply_admission(
-            cfg.admission,
-            &mut pending,
-            clock,
-            cfg.step_overhead,
-            &mut finished,
-            &mut resilience,
-        );
-        // Preempted sessions come back before anything else (the prefill
-        // slot counts against the batch like everywhere else).
-        if let Memory::Paged(rt) = memory {
-            let slots = cfg.max_batch - usize::from(prefilling.is_some());
-            restore_swapped(
-                rt,
-                &mut running,
-                slots,
-                hooks.fault_plan.as_mut(),
-                &mut resilience,
-            );
-        }
-        if pending.is_empty() && running.is_empty() && prefilling.is_none() && memory.idle() {
-            match arrivals.front() {
-                // Idle: jump the clock to the next arrival.
-                Some(r) => {
-                    clock = r.arrival;
-                    continue;
-                }
-                None => break,
-            }
-        }
-        // Admission into the single prefill slot (oldest pending first).
-        if prefilling.is_none() {
-            let has_capacity = running.len() < cfg.max_batch;
-            let can_admit = has_capacity && !pending.is_empty();
-            let admit = match cfg.policy {
-                Policy::Fcfs => can_admit && !sealed,
-                Policy::PrefillPriority => can_admit,
-                Policy::DecodePriority => can_admit && running.is_empty(),
-            };
-            if admit {
-                // audit: allow(panic) — can_admit requires a nonempty pending queue
-                let req = pending.pop_front().unwrap();
-                if req.max_new == 0 {
-                    // A zero generation budget never runs: prefilling it
-                    // would wrongly emit a first token (the prompt's last
-                    // row always samples). Finish at the admission tick.
-                    counters::bump_serve_admissions(1);
-                    finished.push(metrics_without_tokens(req, FinishReason::Completed, clock));
-                    continue;
-                }
-                let mut s = memory.start(engine, req);
-                note_admission(&mut s, clock, pending.len());
-                prefilling = Some(s);
-            }
-        }
-        if let Some(plan) = hooks.fault_plan.as_mut() {
-            if plan.crashes_at(steps.len()) {
-                // audit: allow(panic) — deliberate fault injection — the crash-consistency tests require a real panic
-                panic!("injected crash before step {}", steps.len());
-            }
-            if plan.draw_step_failure() {
-                // The scheduled step is abandoned before executing: charge
-                // the fixed overhead and retry (the admitted mid-prefill
-                // session, if any, simply waits out the retry).
-                counters::bump_serve_step_retries(1);
-                resilience.step_retries += 1;
-                clock += cfg.step_overhead;
-                continue;
-            }
-        }
-        // Forced preemption (tests/experiments), once per step index. The
-        // mid-prefill session is never preempted: it is the step's anchor.
-        if let Memory::Paged(rt) = memory {
-            if let Some(f) = hooks.force_preempt.as_mut() {
-                if hook_step != steps.len() && !running.is_empty() {
-                    hook_step = steps.len();
-                    let ids: Vec<usize> = running.iter().map(|s| s.request.id).collect();
-                    for id in f(steps.len(), &ids) {
-                        if let Some(i) = running.iter().position(|s| s.request.id == id) {
-                            rt.preempt(running.remove(i));
-                        }
-                    }
-                    if running.is_empty() && prefilling.is_none() {
-                        sealed = false;
-                    }
-                }
-            }
-            maybe_pool_spike(rt, &mut running, &mut hooks.fault_plan, &mut resilience);
-            if running.is_empty() && prefilling.is_none() {
-                // Everything resident was swapped out: the next iteration
-                // restores (always possible on an otherwise-empty pool).
-                continue;
-            }
-            // Make room for every row this step appends: one per running
-            // decode, plus the prefill chunk about to land.
-            let take = prefilling
-                .as_ref()
-                .map_or(0, |s| s.prefill_remaining().min(chunk));
-            let floor = usize::from(prefilling.is_none());
-            let pf = &prefilling;
-            rt.make_room(
-                &mut running,
-                1,
-                || pf.as_ref().map_or(0, |s| s.blocks_needed(take)),
-                floor,
-            );
-        }
-        // One fused step: all running decode rows + the next prefill chunk.
-        let decode_rows = running.len();
-        let prefill_pos = prefilling.as_ref().map_or(0, |s| s.prefilled);
-        let prefill_rows = {
-            let mut refs: Vec<&mut SessionState> = running.iter_mut().collect();
-            engine.step(&mut refs, prefilling.as_mut(), chunk)
-        };
-        debug_assert!(decode_rows + prefill_rows >= 1);
-        let cost = cfg.step_overhead + (decode_rows + prefill_rows) as u64;
-        clock += cost;
-        steps.push(StepRecord {
-            prefill_rows,
-            prefill_pos,
-            decode_rows,
-            swapped_rows: memory.take_pending(),
-            cost,
-        });
-        trace_step(
-            clock,
-            // audit: allow(panic) — a StepRecord was pushed immediately above
-            steps.last().expect("just pushed"),
-            pending.len(),
-            running.len() + usize::from(prefilling.is_some()),
-            memory,
-            &mut last_swaps,
-        );
-        peak_kv_rows = peak_kv_rows.max(
-            running.iter().map(SessionState::positions).sum::<usize>()
-                + prefilling.as_ref().map_or(0, SessionState::positions),
-        );
-        if decode_rows > 0 && prefill_rows == 0 {
-            sealed = true;
-        }
-        // Every running session emitted one token this step.
-        for s in running.iter_mut() {
-            s.token_ticks.push(clock);
-        }
-        // The last chunk sampled the first token: TTFT stops here and the
-        // session joins the running set (or finishes outright).
-        if prefilling.as_ref().is_some_and(SessionState::is_prefilled) {
-            // audit: allow(panic) — guarded by prefilling.as_ref().is_some_and(...) above
-            let mut s = prefilling.take().unwrap();
-            memory.register(&s);
-            s.token_ticks.push(clock);
-            match s.finish_reason(max_seq) {
-                Some(reason) => finished.push(metrics_of(s, reason, clock)),
-                None => running.push(s),
-            }
-        }
-        let mut still_running = Vec::with_capacity(running.len());
-        for s in running.drain(..) {
-            match s.finish_reason(max_seq) {
-                Some(reason) => finished.push(metrics_of(s, reason, clock)),
-                None => still_running.push(s),
-            }
-        }
-        running = still_running;
-        if running.is_empty() && prefilling.is_none() {
-            sealed = false;
-        }
-        // A due capture waits for the prefill slot to drain: a checkpoint
-        // never holds a half-prefilled session.
-        if prefilling.is_none() {
-            if let Some(hook) = hooks.checkpoint.as_mut() {
-                if steps.len() - last_ckpt >= hook.every_steps.max(1) {
-                    last_ckpt = steps.len();
-                    capture_checkpoint(
-                        memory,
-                        hook,
-                        &arrivals,
-                        &pending,
-                        &running,
-                        &finished,
-                        &steps,
-                        clock,
-                        peak_kv_rows,
-                        sealed,
-                        &mut resilience,
-                    );
-                }
-            }
-        }
-    }
-    finished.sort_by_key(|m| m.id);
-    ServeReport {
-        requests: finished,
-        steps,
-        ticks: clock,
-        max_batch: cfg.max_batch,
-        peak_kv_rows,
-        paging: None,
-        resilience,
-    }
+    state.run(engine, cfg, memory, hooks)
 }
 
 #[cfg(test)]
@@ -1684,7 +1430,7 @@ mod tests {
                     }
                     prev = s.decode_rows;
                 }
-                StepKind::Mixed => unreachable!("monolithic path emitted a mixed step"),
+                StepKind::Mixed => unreachable!("monolithic prefill emitted a mixed step"),
             }
         }
         // Prefill-priority must beat FCFS on mean TTFT under this burst.
@@ -1779,10 +1525,11 @@ mod tests {
         assert_eq!(tokens, report.total_tokens());
     }
 
-    /// The `prefill_chunk: None` path is a **pure refactor**: this golden
-    /// trace (packed exec backend, all three policies) was captured from
-    /// the pre-chunking scheduler, and the step sequence, per-request
-    /// timings, and final clock must stay byte-identical to it.
+    /// `prefill_chunk: None` is a composition rule of the one serving
+    /// loop, not a loop of its own, and this golden trace (packed exec
+    /// backend, all three policies) is what keeps the rule honest: it was
+    /// captured from the pre-chunking scheduler, and the step sequence,
+    /// per-request timings, and final clock must stay byte-identical to it.
     #[test]
     fn monolithic_path_matches_pre_chunking_golden_trace() {
         use crate::request::Sampling;
@@ -2224,6 +1971,56 @@ mod tests {
         // Tokens still solo-identical.
         for req in &r.requests {
             assert_eq!(req.generated, engine.solo_run(&trace.requests[req.id]));
+        }
+    }
+
+    /// The `ServeConfig` fields are `pub`, so the builders' checks can be
+    /// bypassed; `serve` and `resume` must reject the config up front, by
+    /// name, not from deep inside the loop.
+    #[test]
+    fn bad_configs_are_rejected_before_any_state_is_built() {
+        let (m, trace) = setup();
+        let engine = BatchEngine::new(&m, Backend::Exact);
+        let base = ServeConfig::new(2, Policy::PrefillPriority);
+        let zero_chunk = ServeConfig {
+            prefill_chunk: Some(0),
+            ..base
+        };
+        let cap_without_pool = base.with_pool_blocks(64);
+        // max_seq 40 at 4 rows per block needs 10 blocks.
+        let short_pool = base.with_block_size(4).with_pool_blocks(9);
+        let empty = || Checkpoint {
+            clock: 0,
+            arrivals: trace.requests.clone(),
+            pending: Vec::new(),
+            sessions: Vec::new(),
+            finished: Vec::new(),
+            steps: Vec::new(),
+            peak_kv_rows: 0,
+            sealed: false,
+            resilience: ResilienceStats::default(),
+        };
+        for (cfg, want) in [
+            (zero_chunk, "prefill_chunk must be at least 1"),
+            (cap_without_pool, "pool_blocks requires block_size"),
+            (short_pool, "cannot hold one full-context session"),
+        ] {
+            for resumed in [false, true] {
+                let run = || {
+                    if resumed {
+                        resume(&engine, empty(), &cfg, ServeHooks::default())
+                    } else {
+                        serve(&engine, &trace, &cfg)
+                    }
+                };
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                    .expect_err("bad config was served");
+                let msg = err.downcast_ref::<String>().map_or_else(
+                    || err.downcast_ref::<&str>().copied().unwrap_or(""),
+                    String::as_str,
+                );
+                assert!(msg.contains(want), "{cfg:?}: panicked with {msg:?}");
+            }
         }
     }
 }

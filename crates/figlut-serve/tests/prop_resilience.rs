@@ -342,8 +342,8 @@ proptest! {
 }
 
 /// A zero generation budget finishes at its admission tick with
-/// well-defined metrics — zero tokens, `first_token == finish` — on both
-/// scheduler loops and every policy, and never panics `metrics_of`.
+/// well-defined metrics — zero tokens, `first_token == finish` — in both
+/// prefill modes and every policy, and never panics `metrics_of`.
 #[test]
 fn zero_budget_requests_finish_without_tokens_on_both_loops() {
     let model = packed_model();

@@ -161,7 +161,7 @@ fn run_scenario(model: &Transformer, backend: Backend, sc: &Scenario) {
                 )
             }
             StepKind::Mixed => {
-                // Mixed steps exist only on the chunked path, within budget
+                // Mixed steps exist only under a chunk budget, within budget
                 // and batch bounds (the prefilling session holds a slot).
                 let chunk = sc.prefill_chunk.expect("mixed step without chunking");
                 assert!(s.prefill_rows >= 1 && s.prefill_rows <= chunk, "{sc:?}");
@@ -245,4 +245,49 @@ fn serving_reports_are_reproducible() {
     let a = serve(&engine, &trace, &cfg);
     let b = serve(&engine, &trace, &cfg);
     assert_eq!(a, b);
+}
+
+/// The two prefill modes are one loop. Wherever a step cannot mix prefill
+/// with decode rows — decode-priority at any `max_batch` (it admits only
+/// into an idle engine) and every policy at `max_batch == 1` — a chunk
+/// budget of the whole context and the monolithic `None` must give equal
+/// reports, field for field: `None` differs from a budget only in the
+/// decode set of a prefill-carrying step, and here that set is empty either
+/// way. Fails if the composition rule ever leaks into anything else
+/// (admission, paging, the clock, retire order).
+#[test]
+fn unmixable_schedules_ignore_the_prefill_mode() {
+    let model = packed_model();
+    let engine = BatchEngine::new(model, Backend::Exec(EngineConfig::paper_default()));
+    let max_seq = model.cfg.max_seq;
+    let shapes: Vec<(Policy, usize)> = (1..=4)
+        .map(|max_batch| (Policy::DecodePriority, max_batch))
+        .chain([(Policy::Fcfs, 1), (Policy::PrefillPriority, 1)])
+        .collect();
+    for (seed, gap) in [(3u64, 0.0), (11, 2.0), (29, 6.0), (71, 15.0)] {
+        let params = TraceParams {
+            requests: 4,
+            mean_interarrival: gap,
+            prompt_len: (1, 7),
+            new_tokens: (1, 5),
+            sampling: Sampling::Temperature(0.7),
+        };
+        let trace = synthetic_trace(&model.cfg, &params, seed);
+        for &(policy, max_batch) in &shapes {
+            let contiguous = ServeConfig::new(max_batch, policy);
+            // Paged at the minimum legal pool: one full-context session.
+            let paged = contiguous
+                .with_block_size(4)
+                .with_pool_blocks(max_seq.div_ceil(4));
+            for monolithic in [contiguous, paged] {
+                assert_eq!(monolithic.prefill_chunk, None);
+                let whole_context = monolithic.with_prefill_chunk(max_seq);
+                assert_eq!(
+                    serve(&engine, &trace, &whole_context),
+                    serve(&engine, &trace, &monolithic),
+                    "seed {seed} {monolithic:?}"
+                );
+            }
+        }
+    }
 }
