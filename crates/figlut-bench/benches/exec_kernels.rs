@@ -1,13 +1,16 @@
 //! Packed execution backend benchmarks: the `figlut-exec` kernels against
 //! the bit-accurate FIGLUT-I datapath model, plus packing, thread
-//! scaling, small-call dispatch, and batch-column amortization (the
-//! software counterparts of `repro ext-throughput` and
-//! `repro ext-batch-scaling`).
+//! scaling, small-call dispatch, batch-column amortization (the software
+//! counterparts of `repro ext-throughput` and `repro ext-batch-scaling`),
+//! and the generator path: staging an activation matrix, and what sharing
+//! one stage between the Q/K/V projections saves.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use figlut_exec::lut::{windows, FlatLuts};
 use figlut_exec::parallel::thread_count;
 use figlut_exec::{exec_f_threads, exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::{figlut, EngineConfig};
+use figlut_num::align::AlignedVector;
 use figlut_num::Mat;
 use figlut_quant::bcq::BcqWeight;
 use figlut_quant::uniform::{rtn, RtnParams};
@@ -160,6 +163,88 @@ fn bench_serving_shapes(c: &mut Criterion) {
     }
 }
 
+fn bench_stage(c: &mut Criterion) {
+    // The generator path of one call, phase by phase: FP16-round and align
+    // `lanes` activation rows of `n` columns, then build their lane-blocked
+    // i32 tables (µ 8, one scale group per row) — at the reduction dims of
+    // `serve-tiny-paged` (48), `serve-wide` (512) and OPT-1.3B (2048), for
+    // a decode row, a pair and a full 8-lane block.
+    let cfg = EngineConfig::paper_default();
+    let mut g = c.benchmark_group("stage");
+    for n in [48usize, 512, 2048] {
+        let wins = windows(n, n, 8);
+        for lanes in [1usize, 2, 8] {
+            let x: Vec<f64> = (0..lanes * n).map(|i| (i as f64 * 0.059).cos()).collect();
+            let (mut xa, mut mant, mut m32) = (Vec::new(), Vec::new(), Vec::<i32>::new());
+            let mut quantize_align = |x: &[f64], m32: &mut Vec<i32>| {
+                xa.clear();
+                xa.extend(x.iter().map(|&v| cfg.act.quantize(v)));
+                mant.clear();
+                for row in xa.chunks_exact(n) {
+                    AlignedVector::align_into(row, cfg.act, cfg.guard_bits, cfg.align, &mut mant);
+                }
+                m32.clear();
+                m32.extend(mant.iter().map(|&v| v as i32));
+            };
+            quantize_align(&x, &mut m32); // the rebuild bench reads `m32` even if this one is filtered out
+            g.bench_function(
+                BenchmarkId::new(format!("quantize_align_n{n}"), lanes),
+                |b| b.iter(|| quantize_align(black_box(&x), &mut m32)),
+            );
+            let mut luts = FlatLuts::default();
+            g.bench_function(BenchmarkId::new(format!("rebuild_n{n}"), lanes), |b| {
+                b.iter(|| luts.rebuild(black_box(&m32), n, &wins, 8, lanes))
+            });
+        }
+    }
+    g.finish();
+}
+
+fn bench_qkv(c: &mut Criterion) {
+    // Q, K and V read the same input: three warm calls, each staging it
+    // again, against one shared call over the three weight matrices — at
+    // the `serve-tiny-paged` (48 × 48, B 6) and `serve-wide` (512 × 512,
+    // B 2) attention shapes, one worker thread.
+    let cfg = EngineConfig::paper_default();
+    let mut g = c.benchmark_group("qkv");
+    for (d, batch) in [(48usize, 6usize), (512, 2)] {
+        let ws = [0.0f64, 1.0, 2.0].map(|phase| {
+            let w = Mat::from_fn(d, d, |r, c| {
+                ((r * d + c) as f64 * 0.173 + phase).sin() * 0.2
+            });
+            PackedBcq::pack(&BcqWeight::from_uniform(&rtn(&w, RtnParams::grouped(4, d))))
+        });
+        let plans = ws.each_ref().map(|w| ExecPlan::new(w, &cfg));
+        let x = Mat::from_fn(batch, d, |b, c| ((b * d + c) as f64 * 0.059).cos());
+        let mut ys = [(); 3].map(|()| Mat::zeros(batch, d));
+        g.bench_function(
+            BenchmarkId::new(format!("{d}x{d}_b{batch}"), "three_calls"),
+            |b| {
+                b.iter(|| {
+                    for ((plan, w), y) in plans.iter().zip(&ws).zip(&mut ys) {
+                        plan.exec_i_into(black_box(&x), w, &cfg, 1, y);
+                    }
+                })
+            },
+        );
+        g.bench_function(
+            BenchmarkId::new(format!("{d}x{d}_b{batch}"), "one_shared_call"),
+            |b| {
+                b.iter(|| {
+                    let [y0, y1, y2] = &mut ys;
+                    let readers = &mut [
+                        (&plans[0], &ws[0], y0),
+                        (&plans[1], &ws[1], y1),
+                        (&plans[2], &ws[2], y2),
+                    ];
+                    ExecPlan::exec_i_shared(black_box(&x), &cfg, 1, readers);
+                })
+            },
+        );
+    }
+    g.finish();
+}
+
 fn bench_packing(c: &mut Criterion) {
     let (_, bcq) = problem(1024, 1024, 1);
     let mut g = c.benchmark_group("pack_1024x1024_q4");
@@ -174,6 +259,8 @@ criterion_group!(
     bench_small_calls,
     bench_exec_batch_scaling,
     bench_serving_shapes,
+    bench_stage,
+    bench_qkv,
     bench_packing
 );
 criterion_main!(benches);

@@ -264,9 +264,9 @@ where
     T: Copy + core::ops::Add<Output = T> + core::ops::Neg<Output = T>,
 {
     let width = xs.len();
-    // Key 0 = −x₀ −x₁ … ; then each remaining MSB-clear key flips exactly
-    // one sign relative to an already-computed key: k with lowest set bit b
-    // equals (k without b) + 2·x_b.
+    // Key 0 = −x₀ −x₁ … ; then the MSB-clear half grows by doubling: bit j
+    // set flips one sign, so keys 2^j..2^(j+1) are keys 0..2^j plus 2·x_j —
+    // one contiguous block add per bit, no data-dependent source index.
     let mut all_minus = xs[0].map(|x| -x);
     for x in &xs[1..] {
         for l in 0..L {
@@ -274,23 +274,19 @@ where
         }
     }
     table[..L].copy_from_slice(&all_minus);
-    let half = 1usize << (width - 1);
-    for k in 1..half {
-        let x = &xs[k.trailing_zeros() as usize];
-        let (done, rest) = table.split_at_mut(k * L);
-        let prev = &done[(k & (k - 1)) * L..][..L];
-        for l in 0..L {
-            rest[l] = prev[l] + x[l] + x[l];
+    for (j, x) in xs[..width - 1].iter().enumerate() {
+        let twice = x.map(|x| x + x);
+        let (done, rest) = table.split_at_mut(L << j);
+        for (dst, src) in rest.chunks_exact_mut(L).zip(done.chunks_exact(L)) {
+            // (a whole lane vector per store keeps the adds in registers)
+            dst.copy_from_slice(&std::array::from_fn::<T, L, _>(|l| src[l] + twice[l]));
         }
     }
-    // MSB-set half: lut[k] = −lut[~k] (exact negation, Fig. 10 decoder).
-    let mask = (1usize << width) - 1;
-    for k in half..=mask {
-        let (done, rest) = table.split_at_mut(k * L);
-        let src = &done[(k ^ mask) * L..][..L];
-        for l in 0..L {
-            rest[l] = -src[l];
-        }
+    // MSB-set half: lut[k] = −lut[~k] (exact negation, Fig. 10 decoder) —
+    // the computed half negated in reverse key order.
+    let (low, high) = table[..L << width].split_at_mut(L << (width - 1));
+    for (dst, src) in high.chunks_exact_mut(L).zip(low.chunks_exact(L).rev()) {
+        dst.copy_from_slice(&std::array::from_fn::<T, L, _>(|l| -src[l]));
     }
 }
 
@@ -355,6 +351,33 @@ mod tests {
                     half.read(Key::new(k, win.width)),
                     "win {wi} key {k}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn byte_wide_tables_match_half_lut_at_every_lane_width() {
+        // The serving operating point: µ = 8, two windows per row, batches
+        // that fill a 1-, 2-, 4- and 8-lane block (3 and 6 pad one).
+        let cols = 16usize;
+        let mant: Vec<i64> = (0..8 * cols as i64)
+            .map(|i| (i * 7919) % 2003 - 1001)
+            .collect();
+        let wins = windows(cols, cols, 8);
+        for batch in [1usize, 2, 3, 4, 6, 8] {
+            let luts = FlatLuts::build_batched(&mant[..batch * cols], cols, &wins, 8, batch);
+            for b in 0..batch {
+                for (wi, win) in wins.iter().enumerate() {
+                    let slice = &mant[b * cols + win.start as usize..][..8];
+                    let half = HalfLut::build(slice, |a, b| a + b);
+                    for k in 0..256u16 {
+                        assert_eq!(
+                            luts.read_batched(wi, b, k as usize),
+                            half.read(Key::new(k, 8)),
+                            "B={batch} b={b} win {wi} key {k}"
+                        );
+                    }
+                }
             }
         }
     }

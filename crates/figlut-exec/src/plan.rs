@@ -1,17 +1,22 @@
 //! [`ExecPlan`] — a reusable execution handle for one [`PackedBcq`].
 //!
-//! The kernels' per-call preamble is not free: the window decomposition,
-//! the effective-µ decision, the quantize/align/Σx staging buffers, the
+//! The kernels' preamble is not free: the window decomposition, the
+//! effective-µ decision, the quantize/align/Σx staging buffers, the
 //! lane-blocked FFLUTs, and every worker's open-group buffer. The
 //! original backend recomputed the windows and reallocated every buffer on
 //! *every* call — once per token per layer under `figlut-serve` decode
 //! traffic. An `ExecPlan` hoists all of it:
 //!
 //! * the window plan and effective µ are computed once at construction;
-//! * every per-call buffer lives in pooled call scratch, checked out
-//!   at call entry and returned at exit, so a steady-state call performs
-//!   **zero heap allocations** in the exec hot path (asserted by
+//! * every staging buffer lives in pooled scratch, checked out once per
+//!   *stage* — one quantize/align/table build of an activation matrix —
+//!   and returned when its last reader has swept, so a steady-state call
+//!   performs **zero heap allocations** in the exec hot path (asserted by
 //!   `tests/alloc.rs` with a counting global allocator);
+//! * a stage is built once per distinct input, not per weight matrix:
+//!   [`ExecPlan::exec_i_shared`] runs any number of readers over one table
+//!   set (the paper's one FFLUT feeding k RACs), and
+//!   [`ExecPlan::exec_i_into`] is its one-reader case;
 //! * worker threads check their open-group buffers out of a second
 //!   pool, so the multi-threaded path reuses them across calls too.
 //!
@@ -36,7 +41,8 @@ use figlut_num::align::AlignedVector;
 use figlut_num::Mat;
 use std::sync::Mutex;
 
-/// Per-call staging buffers (one checkout per `exec_*` call).
+/// Staging buffers of one activation matrix (one checkout per stage: a
+/// single `exec_*` call, or a shared call however many readers it has).
 #[derive(Debug, Default)]
 struct CallScratch {
     /// Quantized activations, `batch × n`.
@@ -57,7 +63,8 @@ struct CallScratch {
     lutsf: FlatLuts<f64>,
     /// Per-group activation sums (`exec_f`), `batch × groups`.
     gsums: Vec<f64>,
-    /// Transposed output `m × batch` the row panels write into.
+    /// Transposed output `m × batch` the row panels of the reader being
+    /// swept write into (readers run one after another and share it).
     yt: Vec<f64>,
 }
 
@@ -185,7 +192,10 @@ impl ExecPlan {
         panel_count(lookups, self.rows, threads)
     }
 
-    fn assert_matches(&self, w: &PackedBcq, cfg: &EngineConfig) {
+    /// Check one reader of a call against `x`: shapes, µ, and that `self`
+    /// is `w`'s plan.
+    fn check_reader(&self, x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig, out: &Mat<f64>) {
+        let (batch, m, _) = check(x, w, cfg);
         assert!(
             self.matches(w, cfg),
             "ExecPlan built for {}x{} (gs {}, q {}, µ {}) used with {:?}-shaped weights / µ {}",
@@ -197,91 +207,87 @@ impl ExecPlan {
             w.shape(),
             cfg.mu,
         );
+        assert_eq!(out.shape(), (batch, m), "output shape mismatch");
     }
 
-    fn pop_call(&self) -> CallScratch {
-        self.calls
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default()
+    /// Open a stage: check scratch out of this plan's pool and quantize
+    /// every row of `x` into it.
+    fn stage(&self, x: &Mat<f64>, cfg: &EngineConfig) -> CallScratch {
+        let mut s = pop(&self.calls);
+        s.xa.clear();
+        for b in 0..x.rows() {
+            s.xa.extend(x.row(b).iter().map(|&v| cfg.act.quantize(v)));
+        }
+        s
     }
 
-    fn push_call(&self, s: CallScratch) {
-        self.calls.lock().unwrap_or_else(|e| e.into_inner()).push(s);
+    /// `true` if `other`'s weights can read tables staged for this plan:
+    /// the same reduction dim, group size and effective µ — hence the same
+    /// window plan, Σx groups and narrowing tier (the row count is free).
+    pub fn shares_stage(&self, other: &ExecPlan) -> bool {
+        self.stage_key() == other.stage_key()
     }
 
-    fn pop_worker(&self) -> WorkerScratch {
-        self.workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default()
+    fn stage_key(&self) -> (usize, usize, usize) {
+        (self.cols, self.group_size, self.mu)
     }
 
-    fn push_worker(&self, s: WorkerScratch) {
-        self.workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(s);
-    }
-
-    /// [`ExecPlan::exec_i_threads`] writing into a caller-owned
-    /// `batch × m` output — the zero-allocation steady-state entry point
-    /// (the convenience wrappers only add the output allocation, a
-    /// [fanned-out](ExecPlan::fan_out) call its thread spawns).
+    /// One table set, k readers (paper Fig. 8/9: an FFLUT feeds k RACs):
+    /// stage `x` **once** — quantize, align, pre-fold the offset terms,
+    /// pick the narrowing tier, build the lane-blocked tables — then sweep
+    /// every reader's `(plan, weights, batch × m output)` over that set.
+    /// The stage depends only on `x`, `cfg` and the shared window plan, so
+    /// each output is bit-identical to the reader's own
+    /// [`ExecPlan::exec_i_into`] call — which *is* the one-reader case. The
+    /// first reader's plan lends the scratch (allocation-free when warm).
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch, `µ ∉ 1..=8`, a plan/weight mismatch
-    /// ([`ExecPlan::matches`]), or an `out` shape other than `batch × m`.
-    pub fn exec_i_into(
-        &self,
+    /// Panics if any reader fails the [`ExecPlan::exec_i_into`] checks, or
+    /// if the readers' plans do not [share a stage](ExecPlan::shares_stage).
+    pub fn exec_i_shared(
         x: &Mat<f64>,
-        w: &PackedBcq,
         cfg: &EngineConfig,
         threads: usize,
-        out: &mut Mat<f64>,
+        readers: &mut [(&ExecPlan, &PackedBcq, &mut Mat<f64>)],
     ) {
-        let (batch, m, n) = check(x, w, cfg);
-        self.assert_matches(w, cfg);
-        assert_eq!(out.shape(), (batch, m), "output shape mismatch");
+        let Some(&(stager, ..)) = readers.first() else {
+            return;
+        };
+        for (plan, w, out) in readers.iter() {
+            assert!(
+                stager.shares_stage(plan),
+                "shared exec readers disagree on (k, gs, µ): staged for {:?}, reader has {:?}",
+                stager.stage_key(),
+                plan.stage_key(),
+            );
+            plan.check_reader(x, w, cfg, out);
+        }
+        let (batch, n, gs) = (x.rows(), stager.cols, stager.group_size);
         if batch == 0 {
             return; // empty activation matrix: nothing to compute
         }
-        figlut_trace::counters::bump_exec_calls(1);
-        let groups = w.groups();
-        let gs = self.group_size;
-        let mut s = self.pop_call();
-        // Stage all batch rows: quantize, align (per row — λ is a per-row
-        // max-exponent decision, exactly as in a batch-1 call), pre-fold
-        // the per-group offset terms mul32(Σx·λ).
-        s.xa.clear();
-        for b in 0..batch {
-            s.xa.extend(x.row(b).iter().map(|&v| cfg.act.quantize(v)));
-        }
+        let mut s = stager.stage(x, cfg);
+        // Align per row (λ is a per-row max-exponent decision, exactly as
+        // in a batch-1 call) and pre-fold the per-group offset terms
+        // mul32(Σx·λ).
         s.mant.clear();
         s.lambdas.clear();
-        for b in 0..batch {
-            let row = &s.xa[b * n..(b + 1) * n];
+        s.gsum_folds.clear();
+        for row in s.xa.chunks_exact(n) {
+            let at = s.mant.len();
             let lambda =
                 AlignedVector::align_into(row, cfg.act, cfg.guard_bits, cfg.align, &mut s.mant);
             s.lambdas.push(lambda);
-        }
-        s.gsum_folds.clear();
-        for b in 0..batch {
-            let mant = &s.mant[b * n..(b + 1) * n];
-            for g in 0..groups {
-                let p: i128 = mant[g * gs..(g + 1) * gs].iter().map(|&v| v as i128).sum();
-                s.gsum_folds.push(mul32(p as f64, s.lambdas[b]));
+            for group in s.mant[at..].chunks_exact(gs) {
+                let p: i128 = group.iter().map(|&v| v as i128).sum();
+                s.gsum_folds.push(mul32(p as f64, lambda));
             }
         }
         let cx = Columns {
             lambdas: &s.lambdas,
             gsums: &s.gsum_folds,
         };
-        s.yt.clear();
-        s.yt.resize(m * batch, 0.0);
         // Narrowing tiers, decided over the whole batch (one entry type
         // per batched table set). Every tier is exact, so they all return
         // bit-identical results — narrower is just faster:
@@ -299,53 +305,83 @@ impl ExecPlan {
         //   activation ranges).
         let maxm = s.mant.iter().map(|&v| v.unsigned_abs()).max().unwrap_or(0);
         let fits = |terms: usize| (terms as u64).saturating_mul(maxm) <= i32::MAX as u64;
-        if fits(self.mu) || fits(self.group_size) {
+        let (i32_groups, mu) = (fits(gs), stager.mu as u32);
+        let i32_tables = i32_groups || fits(stager.mu);
+        if i32_tables {
             s.m32.clear();
             s.m32.extend(s.mant.iter().map(|&v| v as i32));
-            s.luts32
-                .rebuild(&s.m32, n, &self.wins, self.mu as u32, batch);
-            figlut_trace::counters::bump_exec_lut_builds(1);
-            if fits(self.group_size) {
-                figlut_trace::counters::bump_exec_tier_i32_i32(1);
-                self.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, &mut s.yt, |ws| {
-                    &mut ws.open_i32
-                });
-            } else {
-                figlut_trace::counters::bump_exec_tier_i32_i64(1);
-                self.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, &mut s.yt, |ws| {
-                    &mut ws.open_i64
-                });
-            }
+            s.luts32.rebuild(&s.m32, n, &stager.wins, mu, batch);
         } else {
-            s.luts64
-                .rebuild(&s.mant, n, &self.wins, self.mu as u32, batch);
-            figlut_trace::counters::bump_exec_lut_builds(1);
-            figlut_trace::counters::bump_exec_tier_i64_i64(1);
-            self.run::<_, _, Fp32>(w, &s.luts64, &cx, threads, &mut s.yt, |ws| &mut ws.open_i64);
+            s.luts64.rebuild(&s.mant, n, &stager.wins, mu, batch);
         }
-        scatter(&s.yt, batch, out);
-        self.push_call(s);
+        figlut_trace::counters::bump_exec_lut_builds(1);
+        for (plan, w, out) in readers.iter_mut() {
+            figlut_trace::counters::bump_exec_calls(1);
+            let yt = &mut s.yt;
+            if i32_groups {
+                figlut_trace::counters::bump_exec_tier_i32_i32(1);
+                plan.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, yt, out, |ws| &mut ws.open_i32);
+            } else if i32_tables {
+                figlut_trace::counters::bump_exec_tier_i32_i64(1);
+                plan.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, yt, out, |ws| &mut ws.open_i64);
+            } else {
+                figlut_trace::counters::bump_exec_tier_i64_i64(1);
+                plan.run::<_, _, Fp32>(w, &s.luts64, &cx, threads, yt, out, |ws| &mut ws.open_i64);
+            }
+        }
+        push(&stager.calls, s);
     }
 
-    /// Fan the zeroed transposed output across row panels and sweep each
-    /// with entries `E` into accumulators `A` (the narrowing tier, or
-    /// `f64`), each worker checking its open-group buffer — `open` picks
-    /// the one of `A`'s type — out of the pool.
+    /// [`ExecPlan::exec_i_threads`] writing into a caller-owned
+    /// `batch × m` output — the zero-allocation steady-state entry point
+    /// (the convenience wrappers only add the output allocation, a
+    /// [fanned-out](ExecPlan::fan_out) call its thread spawns). The
+    /// one-reader case of [`ExecPlan::exec_i_shared`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch, `µ ∉ 1..=8`, a plan/weight mismatch
+    /// ([`ExecPlan::matches`]), or an `out` shape other than `batch × m`.
+    pub fn exec_i_into(
+        &self,
+        x: &Mat<f64>,
+        w: &PackedBcq,
+        cfg: &EngineConfig,
+        threads: usize,
+        out: &mut Mat<f64>,
+    ) {
+        Self::exec_i_shared(x, cfg, threads, &mut [(self, w, out)]);
+    }
+
+    /// One reader's sweep: zero the transposed output `yt`, fan it across
+    /// row panels and sweep each with entries `E` into accumulators `A`
+    /// (the narrowing tier, or `f64`) — each worker checking its
+    /// open-group buffer, `open` picking the one of `A`'s type, out of the
+    /// pool — then transpose `yt` into the `batch × m` result.
+    #[allow(clippy::too_many_arguments)]
     fn run<E: Copy + Sync, A: Accum<E>, R: Arith>(
         &self,
         w: &PackedBcq,
         luts: &FlatLuts<E>,
         cx: &Columns<'_>,
         threads: usize,
-        yt: &mut [f64],
+        yt: &mut Vec<f64>,
+        out: &mut Mat<f64>,
         open: fn(&mut WorkerScratch) -> &mut Vec<A>,
     ) {
         let batch = luts.batch();
+        yt.clear();
+        yt.resize(self.rows * batch, 0.0);
         run_strided_panels(yt, batch, self.fan_out(batch, threads), |r0, panel| {
-            let mut ws = self.pop_worker();
+            let mut ws = pop(&self.workers);
             sweep_panel::<E, A, R>(w, &self.wins, luts, cx, r0, panel, open(&mut ws));
-            self.push_worker(ws);
+            push(&self.workers, ws);
         });
+        for b in 0..batch {
+            for (r, o) in out.row_mut(b).iter_mut().enumerate() {
+                *o = yt[r * batch + b];
+            }
+        }
     }
 
     /// FIGLUT-I fast path over this plan: `y = x·Wᵀ`, bit-identical to
@@ -390,31 +426,19 @@ impl ExecPlan {
         threads: usize,
         out: &mut Mat<f64>,
     ) {
-        let (batch, m, n) = check(x, w, cfg);
-        self.assert_matches(w, cfg);
-        assert_eq!(out.shape(), (batch, m), "output shape mismatch");
+        self.check_reader(x, w, cfg, out);
+        let (batch, n) = x.shape();
         if batch == 0 {
             return; // empty activation matrix: nothing to compute
         }
         figlut_trace::counters::bump_exec_f_calls(1);
-        let groups = w.groups();
-        let gs = self.group_size;
-        let mut s = self.pop_call();
-        s.xa.clear();
-        for b in 0..batch {
-            s.xa.extend(x.row(b).iter().map(|&v| cfg.act.quantize(v)));
-        }
+        let mut s = self.stage(x, cfg);
         s.gsums.clear();
-        for b in 0..batch {
-            let row = &s.xa[b * n..(b + 1) * n];
-            for g in 0..groups {
-                s.gsums.push(row[g * gs..(g + 1) * gs].iter().sum());
-            }
+        for group in s.xa.chunks_exact(self.group_size) {
+            s.gsums.push(group.iter().sum());
         }
         s.lutsf.rebuild(&s.xa, n, &self.wins, self.mu as u32, batch);
         figlut_trace::counters::bump_exec_lut_builds(1);
-        s.yt.clear();
-        s.yt.resize(m * batch, 0.0);
         // Float tables already hold real values: the fold's `p·λ` is `p`.
         s.lambdas.clear();
         s.lambdas.resize(batch, 1.0);
@@ -422,9 +446,9 @@ impl ExecPlan {
             lambdas: &s.lambdas,
             gsums: &s.gsums,
         };
-        self.run::<_, _, Native>(w, &s.lutsf, &cx, threads, &mut s.yt, |ws| &mut ws.open_f);
-        scatter(&s.yt, batch, out);
-        self.push_call(s);
+        let yt = &mut s.yt;
+        self.run::<_, _, Native>(w, &s.lutsf, &cx, threads, yt, out, |ws| &mut ws.open_f);
+        push(&self.calls, s);
     }
 
     /// FIGLUT-F fast path over this plan: `y = x·Wᵀ` with `f64`
@@ -455,14 +479,16 @@ impl ExecPlan {
     }
 }
 
-/// Transpose the `m × batch` panel output back into the `batch × m`
-/// result (no allocation; every element written exactly once).
-fn scatter(yt: &[f64], batch: usize, out: &mut Mat<f64>) {
-    for b in 0..batch {
-        for (r, o) in out.row_mut(b).iter_mut().enumerate() {
-            *o = yt[r * batch + b];
-        }
-    }
+/// Check a scratch set out of a pool (a fresh one while the pool warms
+/// up). A poisoned lock is recovered: a pooled buffer holds no invariant.
+fn pop<T: Default>(pool: &Mutex<Vec<T>>) -> T {
+    let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
+    pool.pop().unwrap_or_default()
+}
+
+/// Return a scratch set to its pool.
+fn push<T>(pool: &Mutex<Vec<T>>, s: T) {
+    pool.lock().unwrap_or_else(|e| e.into_inner()).push(s);
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Steady-state allocation audit of the [`ExecPlan`] hot path.
 //!
 //! The plan's contract (DESIGN.md §6) is that once its scratch pools are
-//! warm, an `exec_i_into` call performs **zero** heap allocations: the
-//! windows are precomputed, the staging/LUT/partial buffers are recycled,
-//! and the caller owns the output. This test pins that with a counting
-//! global allocator: warm the plan up, arm the counter, run one decode-like
-//! call per shape, and require the count to still be zero.
+//! warm, an `exec_i_into` call — and a shared call over several readers —
+//! performs **zero** heap allocations: the windows are precomputed, the
+//! staging/LUT/partial buffers are recycled, and the caller owns the
+//! output. This test pins that with a counting global allocator: warm the
+//! plan up, arm the counter, run one decode-like call per shape, and
+//! require the count to still be zero.
 //!
 //! This lives in its own integration-test binary on purpose — a global
 //! allocator is per-process, and a sibling `#[test]` allocating on another
@@ -115,5 +116,47 @@ fn warm_exec_plan_calls_are_allocation_free() {
         // And the allocation-free call still produced the right bits.
         let reference = exec_i_threads(&x, &packed, &cfg, 1);
         assert_eq!(y.as_slice(), reference.as_slice(), "steady-state bits");
+    }
+
+    // The Q/K/V shape of a served decode step: one stage, three readers
+    // of different row counts, at the default worker count.
+    let cfg = EngineConfig::paper_default();
+    let weights = [48usize, 24, 72].map(|m| {
+        let w = Mat::from_fn(m, 48, |r, c| {
+            ((r * 48 + c) as f64 * 0.143 + m as f64).sin() * 0.4
+        });
+        PackedBcq::pack(&BcqWeight::quantize(&w, BcqParams::grouped(3, 48)))
+    });
+    let plans = weights.each_ref().map(|p| ExecPlan::new(p, &cfg));
+    let x = Mat::from_fn(6, 48, |bb, c| ((bb * 48 + c) as f64 * 0.067).cos());
+    let mut ys = weights.each_ref().map(|p| Mat::zeros(6, p.rows()));
+    let mut shared_call = |armed: bool| {
+        let [y0, y1, y2] = &mut ys;
+        let [w0, w1, w2] = &weights;
+        let readers = &mut [
+            (&plans[0], w0, y0),
+            (&plans[1], w1, y1),
+            (&plans[2], w2, y2),
+        ];
+        ALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(armed, Ordering::SeqCst);
+        ExecPlan::exec_i_shared(&x, &cfg, many, readers);
+        ARMED.store(false, Ordering::SeqCst);
+        ALLOCS.load(Ordering::SeqCst)
+    };
+    shared_call(false);
+    shared_call(false);
+    let allocs = shared_call(true);
+    assert_eq!(
+        allocs, 0,
+        "steady-state three-reader call allocated {allocs} times"
+    );
+    for (y, p) in ys.iter().zip(&weights) {
+        let reference = exec_i_threads(&x, p, &cfg, 1);
+        assert_eq!(
+            y.as_slice(),
+            reference.as_slice(),
+            "shared steady-state bits"
+        );
     }
 }

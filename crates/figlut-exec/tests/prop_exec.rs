@@ -370,3 +370,119 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
             .unwrap_or_else(|e| panic!("K={k} {tier} exec_f {e}"));
     }
 }
+
+/// `rows[i] × k` weight matrices under one grouping (`gs` = 0: per-row
+/// scales) — the readers of one shared call.
+fn reader_weights(rows: &[usize], k: usize, gs: usize) -> Vec<(BcqWeight, PackedBcq)> {
+    let weights = rows.iter().enumerate().map(|(i, &m)| {
+        let w = Mat::from_fn(m, k, |r, c| {
+            ((r * k + c) as f64 * 0.211 + i as f64).sin() * 0.4
+        });
+        let b = match gs {
+            0 => BcqWeight::quantize(&w, BcqParams::per_row(3)),
+            _ => BcqWeight::from_uniform(&rtn(&w, RtnParams::grouped(4, gs))),
+        };
+        let packed = PackedBcq::pack(&b);
+        (b, packed)
+    });
+    weights.collect()
+}
+
+#[test]
+fn shared_call_is_bit_identical_to_single_calls_and_the_model() {
+    // One staged table set read by 2–4 weight matrices of different row
+    // counts ≡ the same readers called one by one ≡ the datapath model:
+    // per-row scales, the two lane-pass group sizes and the generic walk
+    // (gs 15), at every narrowing tier (the activation formats of
+    // `lane_pass_is_bit_exact_at_every_narrowing_tier`, which pins the
+    // tier each selects on the 256 × gs 64 shape), batches 1..=17 across
+    // every lane width and column-block boundary, 1 and 3 threads.
+    use figlut_num::fp::FpFormat;
+    let rows = [5usize, 1, 8, 3];
+    let shapes = [(72usize, 0usize), (256, 64), (384, 128), (45, 15)];
+    let tiers = [
+        (FpFormat::Fp16, 4),
+        (FpFormat::Fp32, 2),
+        (FpFormat::Fp32, 6),
+    ];
+    for (si, (k, gs)) in shapes.into_iter().enumerate() {
+        for (ti, (act, guard_bits)) in tiers.into_iter().enumerate() {
+            let c = EngineConfig {
+                act,
+                guard_bits,
+                ..cfg(4)
+            };
+            let weights = reader_weights(&rows[..2 + (si + ti) % 3], k, gs);
+            let plans: Vec<ExecPlan> = weights.iter().map(|(_, p)| ExecPlan::new(p, &c)).collect();
+            let x = Mat::from_fn(17, k, |bb, cc| ((bb * k + cc) as f64 * 0.083).sin() * 9.0e3);
+            let models: Vec<Mat<f64>> = weights.iter().map(|(b, _)| gemm_i(&x, b, &c)).collect();
+            for batch in 1..=17usize {
+                let xb = Mat::from_fn(batch, k, |bb, cc| x[(bb, cc)]);
+                for threads in [1usize, 3] {
+                    let mut outs: Vec<Mat<f64>> = weights
+                        .iter()
+                        .map(|(_, p)| Mat::from_fn(batch, p.rows(), |_, _| f64::NAN))
+                        .collect();
+                    let mut readers: Vec<_> = plans
+                        .iter()
+                        .zip(&weights)
+                        .zip(&mut outs)
+                        .map(|((plan, (_, p)), out)| (plan, p, out))
+                        .collect();
+                    ExecPlan::exec_i_shared(&xb, &c, threads, &mut readers);
+                    for (i, ((plan, (_, p)), out)) in
+                        plans.iter().zip(&weights).zip(&outs).enumerate()
+                    {
+                        let solo = plan.exec_i_threads(&xb, p, &c, threads);
+                        let what = format!(
+                            "K={k} gs={gs} {act:?}+{guard_bits} B={batch} t={threads} reader {i}"
+                        );
+                        assert_eq!(out.as_slice(), solo.as_slice(), "shared != single: {what}");
+                        for bb in 0..batch {
+                            assert_eq!(
+                                out.row(bb),
+                                models[i].row(bb),
+                                "shared != model: {what} row {bb}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A two-reader shared call staged for a `k × gs` first reader under µ 4,
+/// whose second reader was packed and planned as `(k, gs, µ)`.
+fn shared_call_over((k, gs): (usize, usize), second: (usize, usize, u32)) {
+    let w0 = reader_weights(&[4], k, gs).remove(0).1;
+    let w1 = reader_weights(&[6], second.0, second.1).remove(0).1;
+    let plans = (
+        ExecPlan::new(&w0, &cfg(4)),
+        ExecPlan::new(&w1, &cfg(second.2)),
+    );
+    let x = Mat::from_fn(2, k, |bb, cc| ((bb * k + cc) as f64 * 0.05).cos());
+    let (mut y0, mut y1) = (Mat::zeros(2, 4), Mat::zeros(2, 6));
+    let readers = &mut [(&plans.0, &w0, &mut y0), (&plans.1, &w1, &mut y1)];
+    ExecPlan::exec_i_shared(&x, &cfg(4), 1, readers);
+}
+
+#[test]
+#[should_panic(expected = "shared exec readers disagree")]
+fn shared_call_rejects_a_reader_with_another_reduction_dim() {
+    shared_call_over((64, 16), (128, 16, 4));
+}
+
+#[test]
+#[should_panic(expected = "shared exec readers disagree")]
+fn shared_call_rejects_a_reader_with_another_group_size() {
+    shared_call_over((64, 16), (64, 32, 4));
+}
+
+#[test]
+#[should_panic(expected = "shared exec readers disagree")]
+fn shared_call_rejects_a_reader_with_another_effective_mu() {
+    // gs 15 has no even divisor, so the configured µ is the executed one:
+    // planned under µ 3, a reader cannot use tables staged for µ 4.
+    shared_call_over((45, 15), (45, 15, 3));
+}

@@ -2,7 +2,8 @@
 //! the workspace already commits to: traced streamed words must equal
 //! `ExecPlan::streamed_words` and traced k-tile visits their closed form
 //! exactly, call/build/tier counters must match
-//! the call pattern, and enabling tracing must not change a single output
+//! the call pattern (one build per staged input, one call and one tier pick
+//! per reader), and enabling tracing must not change a single output
 //! bit. One trace session is installed per test; the `TraceGuard` holds
 //! the process-wide session lock, so the tests serialize naturally.
 
@@ -134,6 +135,51 @@ fn plan_reuse_and_float_path_are_counted() {
     assert_eq!(d.exec_lut_builds, 4, "every non-empty call rebuilds once");
     // The float path streams the same packed words as the integer path.
     assert_eq!(d.exec_streamed_words, 4 * plan.streamed_words(2));
+}
+
+#[test]
+fn a_shared_call_builds_once_and_counts_every_reader() {
+    // Three weight matrices of different row counts over one staged table
+    // set: one LUT build, but a call, a tier pick and the streamed words /
+    // k-tile visits of every reader — the sum of their closed forms.
+    let (k, batch) = (576usize, 12usize); // three k-tiles, 8 + 4 lanes
+    let ws = [16usize, 5, 9].map(|m| packed(m, k, 64, 3, m as u64));
+    let cfg = EngineConfig::paper_default();
+    let x = acts(batch, k);
+    let mut ys = ws.each_ref().map(|w| Mat::zeros(batch, w.rows()));
+
+    // Every instrumented call sits inside the guard: an unguarded one
+    // would bump a sibling test's counters.
+    let guard = install(Box::new(CollectSink::default()));
+    let plans = ws.each_ref().map(|w| ExecPlan::new(w, &cfg));
+    let want = ws.each_ref().map(|w| exec_i(&x, w, &cfg));
+    let before = snapshot();
+    {
+        let [y0, y1, y2] = &mut ys;
+        let readers = &mut [
+            (&plans[0], &ws[0], y0),
+            (&plans[1], &ws[1], y1),
+            (&plans[2], &ws[2], y2),
+        ];
+        ExecPlan::exec_i_shared(&x, &cfg, 1, readers);
+    }
+    let d = snapshot().since(&before);
+    guard.finish().unwrap();
+
+    assert_eq!(d.exec_lut_builds, 1, "one build per staged input");
+    assert_eq!(d.exec_calls, 3, "one call per reader");
+    assert_eq!(d.exec_tier_i32_i32, 3, "one tier pick per reader (FP16)");
+    assert_eq!(d.exec_tier_i32_i64 + d.exec_tier_i64_i64, 0);
+    let words: u64 = plans.iter().map(|p| p.streamed_words(batch)).sum();
+    assert_eq!(d.exec_streamed_words, words);
+    let ktiles: u64 = ws
+        .iter()
+        .map(|w| (batch.div_ceil(8) * w.rows() * w.tiles()) as u64)
+        .sum();
+    assert_eq!(d.exec_ktiles, ktiles);
+    for (y, want) in ys.iter().zip(&want) {
+        assert_eq!(y.as_slice(), want.as_slice());
+    }
 }
 
 #[test]

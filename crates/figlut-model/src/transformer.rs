@@ -15,6 +15,7 @@
 //! claim.
 
 use crate::rng::Rng;
+use figlut_exec::parallel::thread_count;
 use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::{Engine, EngineConfig, Weights};
 use figlut_num::Mat;
@@ -174,13 +175,16 @@ impl Linear {
                 exec_i(x, &PackedBcq::pack(&BcqWeight::from_uniform(u)), cfg)
             }
         };
+        self.add_bias(&mut y);
+        y
+    }
+
+    fn add_bias(&self, y: &mut Mat<f64>) {
         for r in 0..y.rows() {
-            let row = y.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v += self.bias[c];
+            for (v, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
+                *v += b;
             }
         }
-        y
     }
 }
 
@@ -253,6 +257,35 @@ impl Block {
             &mut self.fc1,
             &mut self.fc2,
         ]
+    }
+
+    /// The Q, K and V projections of `h`. They read the same input, so
+    /// when all three are packed under plans that share a stage (same
+    /// precision grouping and effective µ, matching the call-site config)
+    /// `h` is quantized, aligned and tabulated once and the three weight
+    /// matrices read that one table set — the paper's one FFLUT, k RACs.
+    /// Anything else (mixed group sizes, un-packed or FP layers, another
+    /// backend) is three plain forwards; the bits are the same either way.
+    fn qkv(&self, h: &Mat<f64>, backend: &Backend) -> [Mat<f64>; 3] {
+        use LinearWeights::Packed;
+        let lins = [&self.wq, &self.wk, &self.wv];
+        if let (Backend::Exec(cfg), [Packed(pq, q), Packed(pk, k), Packed(pv, v)]) =
+            (backend, lins.map(|l| &l.weights))
+        {
+            let fits =
+                |(p, plan): (&PackedBcq, &ExecPlan)| plan.matches(p, cfg) && q.shares_stage(plan);
+            if [(pq, q), (pk, k), (pv, v)].into_iter().all(fits) {
+                let mut ys = [pq, pk, pv].map(|p| Mat::zeros(h.rows(), p.rows()));
+                let [yq, yk, yv] = &mut ys;
+                let readers = &mut [(q, pq, yq), (k, pk, yk), (v, pv, yv)];
+                ExecPlan::exec_i_shared(h, cfg, thread_count(), readers);
+                for (lin, y) in lins.iter().zip(&mut ys) {
+                    lin.add_bias(y);
+                }
+                return ys;
+            }
+        }
+        lins.map(|l| l.forward(h, backend))
     }
 }
 
@@ -387,9 +420,7 @@ impl Transformer {
                 cap[li * 6 + 1].push(h.clone());
                 cap[li * 6 + 2].push(h.clone());
             }
-            let q = block.wq.forward(&h, backend);
-            let k = block.wk.forward(&h, backend);
-            let v = block.wv.forward(&h, backend);
+            let [q, k, v] = block.qkv(&h, backend);
             let mut ctx = Mat::zeros(seq, d);
             for head in 0..cfg.heads {
                 let off = head * dh;
@@ -623,9 +654,7 @@ impl Transformer {
         let mut scores: Vec<f64> = Vec::new(); // one buffer for every (head, row)
         for (li, block) in self.blocks.iter().enumerate() {
             let h = block.ln1.forward(&x);
-            let q = block.wq.forward(&h, backend);
-            let k = block.wk.forward(&h, backend);
-            let v = block.wv.forward(&h, backend);
+            let [q, k, v] = block.qkv(&h, backend);
             for (r, &(i, _)) in row_of.iter().enumerate() {
                 caches[i].push_row(li, k.row(r), v.row(r));
             }

@@ -155,33 +155,43 @@ fn align_core(
         "aligned mantissa width {} exceeds i64",
         p + guard_bits
     );
-    let mut e_max = i32::MIN;
-    for &v in values {
-        assert!(v.is_finite(), "cannot align non-finite activation {v}");
-        if v != 0.0 {
-            e_max = e_max.max(exponent_of(v));
-        }
-    }
+    // One scan: the largest magnitude as an integer. Encodings order like
+    // magnitudes, so it carries the maximum exponent, and ∞ / NaN sort
+    // above every finite value — finding none of them proves finiteness.
+    let max_abs = values
+        .iter()
+        .fold(0u64, |m, v| m.max(v.to_bits() & (u64::MAX >> 1)));
+    assert!(
+        max_abs < f64::INFINITY.to_bits(),
+        "cannot align non-finite activation {}",
+        values
+            .iter()
+            .find(|v| !v.is_finite())
+            .map_or(f64::NAN, |&v| v)
+    );
     let frac_bits = p - 1 + guard_bits;
-    if e_max == i32::MIN {
+    if max_abs == 0 {
         out.extend(std::iter::repeat_n(0i64, values.len()));
         return (0, frac_bits);
     }
+    let e_max = exponent_of(f64::from_bits(max_abs));
     let scale = pow2(frac_bits as i32 - e_max);
-    out.extend(values.iter().map(|&v| {
-        if v == 0.0 {
-            return 0;
+    // `v * scale` is exact (power-of-two scaling) and below 2^(frac_bits+1)
+    // in magnitude; zeros of either sign come out as mantissa 0.
+    match mode {
+        // Below 2^51, adding and subtracting 1.5·2^52 leaves exactly the
+        // nearest integer, ties to even: the sum lands in the binade whose
+        // ulp is 1, and the hardware's RNE does the rounding. Wider
+        // mantissas keep the explicit tie test.
+        AlignMode::RoundNearestEven if frac_bits < 50 => {
+            const MAGIC: f64 = 1.5 * (1u64 << 52) as f64;
+            out.extend(values.iter().map(|&v| ((v * scale + MAGIC) - MAGIC) as i64));
         }
-        let exact = v * scale; // exact: power-of-two scaling
-        match mode {
-            AlignMode::RoundNearestEven => {
-                // `round_ties_even` on the exact product is precisely
-                // the RNE barrel shift of the mantissa.
-                round_ties_even(exact) as i64
-            }
-            AlignMode::Truncate => exact.trunc() as i64,
+        AlignMode::RoundNearestEven => {
+            out.extend(values.iter().map(|&v| round_ties_even(v * scale) as i64));
         }
-    }));
+        AlignMode::Truncate => out.extend(values.iter().map(|&v| (v * scale).trunc() as i64)),
+    }
     (e_max, frac_bits)
 }
 

@@ -432,6 +432,25 @@ impl FpFormat {
     /// must apply format rounding at specific datapath points.
     pub fn quantize(self, x: f64) -> f64 {
         match self {
+            // FP16 is the activation format of every serving call, so its
+            // normal range skips the soft-float round trip: with the
+            // unbiased exponent in EMIN..EMAX (−14..=14) the result is a
+            // normal FP16 (a rounding carry reaches at most 2^15, still
+            // finite), and RNE to 10 mantissa bits is RNE of the `f64`
+            // encoding's low 42 bits *as an integer* — add half an ulp minus
+            // one plus the kept LSB, clear the dropped bits; a mantissa
+            // carry walks into the exponent field by itself. Zeros,
+            // subnormal results, the top binade (overflow), NaN and ∞ take
+            // the `Sf` route.
+            FpFormat::Fp16
+                if (Fp16::EMIN..Fp16::EMAX)
+                    .contains(&(((x.to_bits() >> 52) & 0x7ff) as i32 - 1023)) =>
+            {
+                const DROPPED: u32 = 52 - (Fp16::PRECISION - 1);
+                let bits = x.to_bits();
+                let rounded = bits + ((1u64 << (DROPPED - 1)) - 1) + ((bits >> DROPPED) & 1);
+                f64::from_bits(rounded & !((1u64 << DROPPED) - 1))
+            }
             FpFormat::Fp16 => Fp16::from_f64(x).to_f64(),
             FpFormat::Bf16 => Bf16::from_f64(x).to_f64(),
             FpFormat::Fp32 => Fp32::from_f64(x).to_f64(),

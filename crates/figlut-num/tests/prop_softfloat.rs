@@ -178,3 +178,167 @@ proptest! {
         prop_assert_eq!(sum_int as f64 * a.scale(), exact);
     }
 }
+
+/// SplitMix64 — the equivalence sweeps below want 10⁶ cheap patterns, not
+/// 10⁶ shrinkable proptest cases.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn fp16_quantize_fast_path_is_bit_equal_to_softfloat() {
+    let same = |x: f64| {
+        let (fast, soft) = (FpFormat::Fp16.quantize(x), Fp16::from_f64(x).to_f64());
+        assert_eq!(
+            fast.to_bits(),
+            soft.to_bits(),
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    };
+    // Both ends of the fast range, the subnormal and overflow thresholds,
+    // and the specials, in both signs.
+    let p = |e: i32| 2.0f64.powi(e);
+    for x in [
+        0.0,
+        p(-14),
+        p(-14) - p(-24),
+        f64::from_bits(p(-14).to_bits() - 1),
+        p(-24),
+        p(-25),
+        p(-15),
+        32767.9,
+        f64::from_bits(p(15).to_bits() - 1),
+        p(15),
+        65504.0,
+        65519.99,
+        65520.0,
+        f64::INFINITY,
+        f64::MIN_POSITIVE,
+    ] {
+        same(x);
+        same(-x);
+    }
+    assert!(FpFormat::Fp16.quantize(f64::NAN).is_nan());
+    // Random encodings around the FP16 range. Of the 42 dropped fraction
+    // bits, the low 41 are random, zero (with bit 41 set: an exact tie,
+    // resolved by the random kept LSB) or all ones (just below a tie / just
+    // below the next value); the kept bits are random or all ones (a
+    // round-up carries into the next binade).
+    let mut rng = 0x5eed_u64;
+    for _ in 0..1_000_000 {
+        let r = splitmix(&mut rng);
+        let exp = (1023 - 30 + (r % 51) as i64) as u64; // −30..=20
+        let mut frac = splitmix(&mut rng) & ((1 << 52) - 1);
+        let low41 = (1u64 << 41) - 1;
+        match (r >> 8) % 4 {
+            0 => frac &= !low41,
+            1 => frac |= low41,
+            _ => {}
+        }
+        if (r >> 12).is_multiple_of(8) {
+            frac |= !((1u64 << 42) - 1) & ((1 << 52) - 1);
+        }
+        same(f64::from_bits((r >> 63) << 63 | exp << 52 | frac));
+    }
+}
+
+/// The alignment algorithm as it stood before the fast paths (three passes,
+/// explicit tie test) — the reference `align` / `align_into` must match.
+fn align_reference(values: &[f64], frac_bits: u32, mode: AlignMode) -> (Vec<i64>, i32) {
+    let exponent_of = |v: f64| {
+        let e = ((v.to_bits() >> 52) & 0x7ff) as i32;
+        assert_ne!(e, 0, "the sweeps below draw no f64 subnormals");
+        e - 1023
+    };
+    let e_max = values
+        .iter()
+        .filter(|&&v| v != 0.0)
+        .map(|&v| exponent_of(v))
+        .max();
+    let Some(e_max) = e_max else {
+        return (vec![0; values.len()], 0);
+    };
+    let scale = 2.0f64.powi(frac_bits as i32 - e_max);
+    let mantissas = values
+        .iter()
+        .map(|&v| {
+            let exact = v * scale;
+            match mode {
+                AlignMode::Truncate => exact.trunc() as i64,
+                AlignMode::RoundNearestEven if (exact - exact.trunc()).abs() == 0.5 => {
+                    let down = exact.trunc() as i64;
+                    down + (down % 2) // the even neighbour, away from zero if odd
+                }
+                AlignMode::RoundNearestEven => exact.round() as i64,
+            }
+        })
+        .collect();
+    (mantissas, e_max)
+}
+
+#[test]
+fn align_fast_paths_are_bit_equal_to_the_reference_algorithm() {
+    // FP16-shaped rows (11-bit significands) whose exponents spread over
+    // 0..=30 positions below a random top: every shift distance, zeros of
+    // both signs, and — a significand shifted right by s ties with
+    // probability 2⁻ˢ, plus the forced `…1000` patterns — exact ties.
+    // Guard 44 keeps 54 fractional bits and runs on the same rows with
+    // their low fraction bits filled in: products up to 2⁵⁵ with every bit
+    // significant, where the add-and-subtract rounding would be wrong and
+    // the explicit tie test must still run.
+    let mut rng = 0xa11c_u64;
+    let mut flat = Vec::new();
+    for case in 0..20_000 {
+        let len = 1 + (splitmix(&mut rng) % 24) as usize;
+        let top = (splitmix(&mut rng) % 28) as i32 - 14;
+        let spread = case % 31;
+        let row: Vec<f64> = (0..len)
+            .map(|_| {
+                let r = splitmix(&mut rng);
+                if r.is_multiple_of(11) {
+                    return if r & 1 == 0 { 0.0 } else { -0.0 };
+                }
+                let shift = (r >> 8) as i32 % (spread + 1);
+                let mut sig = 1024 | ((r >> 16) & 1023) as i64;
+                if (r >> 32).is_multiple_of(4) && (1..=10).contains(&shift) {
+                    sig = (sig >> shift << shift) | (1 << (shift - 1)); // tie after the shift
+                }
+                let v = sig as f64 * 2.0f64.powi(top - shift - 10);
+                if r >> 63 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            })
+            .collect();
+        let wide: Vec<f64> = row
+            .iter()
+            .map(|&v| match v == 0.0 {
+                true => v,
+                false => f64::from_bits(v.to_bits() | splitmix(&mut rng) >> 22),
+            })
+            .collect();
+        for mode in [AlignMode::RoundNearestEven, AlignMode::Truncate] {
+            for guard in [0u32, 4, 44] {
+                let row = if guard == 44 { &wide } else { &row };
+                let (want, e_max) = align_reference(row, 10 + guard, mode);
+                let a = AlignedVector::align(row, FpFormat::Fp16, guard, mode);
+                assert_eq!(
+                    a.mantissas(),
+                    &want[..],
+                    "{mode:?} guard {guard} row {row:?}"
+                );
+                assert_eq!(a.shared_exponent(), e_max, "row {row:?}");
+                flat.clear();
+                let scale = AlignedVector::align_into(row, FpFormat::Fp16, guard, mode, &mut flat);
+                assert_eq!(flat, want, "align_into, {mode:?} guard {guard} row {row:?}");
+                assert_eq!(scale, a.scale());
+            }
+        }
+    }
+}

@@ -13,7 +13,7 @@
 //! | counter group | reconciles with |
 //! |---|---|
 //! | `exec_streamed_words` | `ExecPlan::streamed_words` (the tile-walk formula) |
-//! | `exec_calls` / `exec_lut_builds` / tier counters | one LUT build + one tier pick per non-empty call |
+//! | `exec_calls` / `exec_lut_builds` / tier counters | one build per staged input, one call and one tier pick per reader |
 //! | `model_*_rows` | `Σ StepRecord::rows()` over a serve run |
 //! | `kv_swap_*_rows` | `Σ StepRecord.swapped_rows` = `PagingStats.swapped_rows` |
 //! | `serve_steps` / `serve_admissions` / … | `ServeReport.steps.len()`, request count, `PagingStats.swaps_out/in` |
@@ -72,13 +72,15 @@ macro_rules! registry {
 }
 
 registry! {
-    /// Integer exec kernel calls (`ExecPlan::exec_i_into` with a non-empty batch).
+    /// Integer exec kernel calls: one per reader of a non-empty
+    /// `ExecPlan::exec_i_shared` call (`exec_i_into` is one reader).
     EXEC_CALLS, bump_exec_calls, exec_calls;
     /// Float exec kernel calls (`ExecPlan::exec_f_into` with a non-empty batch).
     EXEC_F_CALLS, bump_exec_f_calls, exec_f_calls;
     /// `ExecPlan` constructions (calls minus builds = plan reuse).
     EXEC_PLAN_BUILDS, bump_exec_plan_builds, exec_plan_builds;
-    /// Batched FFLUT (re)builds — one per non-empty exec call, at exactly one tier.
+    /// Batched FFLUT (re)builds — one per staged input (a non-empty exec call,
+    /// however many readers share it), at exactly one tier.
     EXEC_LUT_BUILDS, bump_exec_lut_builds, exec_lut_builds;
     /// Packed weight words streamed by the tile walk, summed over every
     /// (k-tile, bit-plane, output row). Reconciles with
