@@ -13,9 +13,18 @@
 //! time *is* the measurement). Inside the deterministic crates' shipping
 //! `src/`, the allowance itself is rejected — those crates must stay
 //! clean, full stop.
+//!
+//! One rule applies *only* there: a `static` whose type names `Atomic*`,
+//! `Mutex`, `RwLock`, `Cell` or `RefCell` outside `thread_local!` is
+//! process-wide mutable state — whatever one thread writes, a sibling
+//! thread's result can read (the trace session and the KV checksum switch
+//! were both this). State belongs to a value its user owns, or to the
+//! thread. Write-once constants (`OnceLock<usize>`) are not mutable state
+//! and pass; tests, benches and the non-deterministic crates are out of
+//! the rule's scope.
 
 use crate::markers::{is_test_code, Markers};
-use crate::scrub::words;
+use crate::scrub::{braced_regions, in_regions, words};
 use crate::{Config, Finding, Lint, SourceFile};
 
 /// Forbidden identifiers and why each is nondeterministic.
@@ -39,6 +48,22 @@ const FORBIDDEN_PATTERNS: &[(&str, &str)] = &[
     ("time::SystemTime", "wall-clock type"),
 ];
 
+/// Interior-mutable types a deterministic crate's `static` may not hold
+/// (any `Atomic*` too — see the module docs).
+const SHARED_MUTABLE: &[&str] = &["Mutex", "RwLock", "Cell", "RefCell"];
+
+/// If `code` opens a `static` item, the interior-mutable type word its
+/// declaration (up to the `=`) names, if any.
+fn shared_mutable_static(code: &str) -> Option<&str> {
+    let head = code.trim_start();
+    let head = match head.strip_prefix("pub") {
+        Some(rest) => rest[rest.find(' ')?..].trim_start(),
+        None => head,
+    };
+    let decl = head.strip_prefix("static ")?.split('=').next()?;
+    words(decl).find(|w| w.starts_with("Atomic") || SHARED_MUTABLE.contains(w))
+}
+
 /// Run the lint over every audited file.
 pub fn check(
     cfg: &Config,
@@ -48,8 +73,15 @@ pub fn check(
 ) {
     for (fi, file) in files.iter().enumerate() {
         let strict_crate = cfg.deterministic_crates.contains(&file.krate);
+        let thread_locals = braced_regions(&file.scrubbed, "thread_local!");
         for (line, code) in file.scrubbed.code.iter().enumerate() {
             let mut hits: Vec<(&str, &str)> = Vec::new();
+            let strict = strict_crate && !is_test_code(file, line);
+            if strict && !in_regions(&thread_locals, line) {
+                if let Some(ty) = shared_mutable_static(code) {
+                    hits.push((ty, "in a `static`: process-wide mutable state"));
+                }
+            }
             for &(word, why) in FORBIDDEN {
                 if words(code).any(|w| w == word) {
                     hits.push((word, why));
@@ -63,7 +95,6 @@ pub fn check(
             if hits.is_empty() {
                 continue;
             }
-            let strict = strict_crate && !is_test_code(file, line);
             let allowed = markers.take(fi, line, "determinism");
             for (what, why) in hits {
                 if allowed && !strict {

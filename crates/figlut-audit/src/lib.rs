@@ -16,7 +16,12 @@
 //! * **determinism (1)** — forbids randomized or wall-clock constructs
 //!   (`HashMap`, `HashSet`, `Instant`, `SystemTime`, thread-id reads) in
 //!   audited code; in the deterministic core crates' `src/` not even an
-//!   allowance can excuse them.
+//!   allowance can excuse them. In those crates' shipping `src/` — and
+//!   only there, not in tests, benches or the harness crates — a `static`
+//!   holding `Atomic*`, `Mutex`, `RwLock`, `Cell` or `RefCell` outside
+//!   `thread_local!` is a finding too: state one thread writes and a
+//!   sibling reads belongs to a value its user owns (write-once
+//!   `OnceLock` constants pass).
 //! * **unsafe-discipline (2)** — every `unsafe` needs a `SAFETY:`
 //!   comment; crates whose `src/` has no `unsafe` must declare
 //!   `#![forbid(unsafe_code)]`.

@@ -57,7 +57,7 @@ fn check_counters(cfg: &Config, files: &[SourceFile], findings: &mut Vec<Finding
             lint: Lint::Reconcile,
             file: rel.clone(),
             line: 0,
-            message: "no `IDENT, bump_x, field;` entries found in the `registry!` block".into(),
+            message: "no `bump_x, field;` entries found in the `registry!` block".into(),
         });
         return 0;
     }
@@ -96,7 +96,7 @@ fn check_counters(cfg: &Config, files: &[SourceFile], findings: &mut Vec<Finding
     entries.len()
 }
 
-/// Parse `IDENT, bump_x, field;` triples out of the `registry! { … }`
+/// Parse `bump_x, field;` pairs out of the `registry! { … }`
 /// invocation, returning `(0-based line, bump, field)`.
 fn registry_entries(scrubbed: &crate::scrub::Scrubbed) -> Vec<(usize, String, String)> {
     let mut out = Vec::new();
@@ -120,8 +120,10 @@ fn registry_entries(scrubbed: &crate::scrub::Scrubbed) -> Vec<(usize, String, St
         if opened && depth > 0 {
             if let Some(body) = line.strip_suffix(';') {
                 let parts: Vec<&str> = body.split(',').map(str::trim).collect();
-                if parts.len() == 3 && parts.iter().all(|p| is_ident(p)) {
-                    out.push((i, parts[1].to_string(), parts[2].to_string()));
+                if let [bump, field] = parts[..] {
+                    if is_ident(bump) && is_ident(field) {
+                        out.push((i, bump.to_string(), field.to_string()));
+                    }
                 }
             }
         }

@@ -198,13 +198,17 @@ pub fn words(code_line: &str) -> impl Iterator<Item = &str> {
 /// ranges. Lints that only govern shipping code (the panic-path
 /// inventory, the deterministic-crate marker ban) skip these lines.
 pub fn cfg_test_regions(scrubbed: &Scrubbed) -> Vec<std::ops::Range<usize>> {
+    braced_regions(scrubbed, "#[cfg(test)]")
+}
+
+/// Line ranges of the `{ … }` items introduced by a line starting with
+/// `opener` (`#[cfg(test)]`, `thread_local!`), opener line included.
+pub fn braced_regions(scrubbed: &Scrubbed, opener: &str) -> Vec<std::ops::Range<usize>> {
     let mut regions = Vec::new();
     let n = scrubbed.code.len();
     let mut i = 0;
     while i < n {
-        let line = scrubbed.code[i].trim();
-        let is_cfg_test = line.starts_with("#[cfg(test)]");
-        if !is_cfg_test {
+        if !scrubbed.code[i].trim().starts_with(opener) {
             i += 1;
             continue;
         }

@@ -8,3 +8,5 @@ pub fn lookup(m: &HashMap<u32, u32>, k: u32) -> Option<u32> {
 
 // audit: allow(determinism) — markers are banned in deterministic src, so this is a finding
 pub type Clock = std::time::Instant;
+
+pub static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

@@ -2,5 +2,5 @@
 
 registry! {
     /// Never bumped anywhere, never documented.
-    DEAD_COUNTER, bump_dead_counter, dead_counter;
+    bump_dead_counter, dead_counter;
 }

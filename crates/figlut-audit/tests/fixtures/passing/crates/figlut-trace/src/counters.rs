@@ -2,5 +2,5 @@
 
 registry! {
     /// Bumped by `tool::tick`, documented in DESIGN.md.
-    LIVE_COUNTER, bump_live_counter, live_counter;
+    bump_live_counter, live_counter;
 }

@@ -1,9 +1,10 @@
 //! Packed execution backend benchmarks: the `figlut-exec` kernels against
 //! the bit-accurate FIGLUT-I datapath model, plus packing, thread
-//! scaling, small-call dispatch, batch-column amortization (the software
-//! counterparts of `repro ext-throughput` and `repro ext-batch-scaling`),
-//! and the generator path: staging an activation matrix, and what sharing
-//! one stage between the Q/K/V projections saves.
+//! scaling, small-call dispatch, batch-column amortization (the inner-loop
+//! view of what the benchmark reports as `tok_per_s` on `gemm-b1` /
+//! `gemm-b8` and `exec.b8_amortization_x`), and the generator path:
+//! staging an activation matrix, and what sharing one stage between the
+//! Q/K/V projections saves.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use figlut_exec::lut::{windows, FlatLuts};

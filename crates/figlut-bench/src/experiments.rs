@@ -39,7 +39,7 @@ type Experiment = fn() -> Vec<(String, Table)>;
 /// `ext-node`, `ext-prefill`, … are not in the paper). The one source of
 /// [`EXPERIMENTS`] and of [`run`]'s dispatch (`figlut-audit` reads the ids
 /// from here too, as the first string literal of each row).
-const EXPERIMENTS_TABLE: [(&str, Experiment); 28] = [
+const EXPERIMENTS_TABLE: [(&str, Experiment); 26] = [
     ("table1", table1),
     ("fig1", fig1),
     ("fig2", fig2),
@@ -61,8 +61,6 @@ const EXPERIMENTS_TABLE: [(&str, Experiment); 28] = [
     ("ext-node", ext_node),
     ("ext-prefill", ext_prefill),
     ("ext-quant", ext_quant),
-    ("ext-throughput", ext_throughput),
-    ("ext-batch-scaling", ext_batch_scaling),
     ("ext-serving", ext_serving),
     ("ext-chunked-prefill", ext_chunked_prefill),
     ("ext-paged-kv", ext_paged_kv),
@@ -71,8 +69,8 @@ const EXPERIMENTS_TABLE: [(&str, Experiment); 28] = [
 ];
 
 /// All experiment ids, in [`run`] order.
-pub const EXPERIMENTS: [&str; 28] = {
-    let mut ids = [""; 28];
+pub const EXPERIMENTS: [&str; 26] = {
+    let mut ids = [""; 26];
     let mut i = 0;
     while i < ids.len() {
         ids[i] = EXPERIMENTS_TABLE[i].0;
@@ -893,228 +891,6 @@ fn ext_quant() -> Vec<(String, Table)> {
     vec![("ext_quant".into(), t)]
 }
 
-fn ext_throughput() -> Vec<(String, Table)> {
-    // Extension: host-side software throughput of the packed figlut-exec
-    // backend vs the bit-accurate FIGLUT-I datapath model, on the real
-    // OPT-1.3B decode GEMM set (batch 32, Q4, µ = 4). "GF/s" counts the
-    // effective FLOPs of the FP GEMM being replaced (2·batch·m·n), the
-    // usual accounting for weight-only-quantized kernels. The datapath
-    // model's rate is measured at batch 2 (its per-row cost is linear in
-    // batch; running it at batch 32 would take minutes by design — it is a
-    // correctness model, which is the point of this table).
-    use figlut_exec::{exec_i_threads, PackedBcq};
-    // audit: allow(determinism) — wall-clock time is this experiment's measurement
-    use std::time::Instant;
-
-    let opt = opt_config("OPT-1.3B");
-    let d = opt.d_model;
-    let shapes: [(&str, usize, usize); 3] = [
-        ("QKV/out proj", d, d),
-        ("FFN up", opt.ffn, d),
-        ("FFN down", d, opt.ffn),
-    ];
-    let batch = 32usize;
-    let model_batch = 2usize;
-    let threads = figlut_exec::parallel::thread_count();
-    let cfg = EngineConfig::paper_default();
-
-    let mut t = Table::new(
-        format!(
-            "Extension — exec backend throughput vs FIGLUT-I datapath model \
-             (OPT-1.3B decode, batch {batch}, Q4, mu=4, {threads} threads)"
-        ),
-        &[
-            "GEMM (m x n)",
-            "model GF/s",
-            "exec 1T GF/s",
-            "speedup 1T",
-            "exec NT GF/s",
-            "speedup NT",
-        ],
-    );
-    let mut min_speedup_1t = f64::INFINITY;
-    for (name, m, n) in shapes {
-        let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173).sin() * 0.2);
-        let u = rtn(&w, RtnParams::grouped(4, 128));
-        let bcq = BcqWeight::from_uniform(&u);
-        let packed = PackedBcq::pack(&bcq);
-        let x = Mat::from_fn(batch, n, |b, c| ((b * n + c) as f64 * 0.059).cos());
-        let xm = Mat::from_fn(model_batch, n, |b, c| x[(b, c)]);
-
-        let gf = |rows: usize, secs: f64| 2.0 * (rows * m * n) as f64 / secs / 1e9;
-        // audit: allow(determinism) — wall-clock time is this experiment's measurement
-        let started = Instant::now();
-        let ym = figlut_gemm::figlut::gemm_i(&xm, &bcq, &cfg);
-        let model_rate = gf(model_batch, started.elapsed().as_secs_f64());
-
-        // audit: allow(determinism) — wall-clock time is this experiment's measurement
-        let started = Instant::now();
-        let y1 = exec_i_threads(&x, &packed, &cfg, 1);
-        let exec1_rate = gf(batch, started.elapsed().as_secs_f64());
-
-        // audit: allow(determinism) — wall-clock time is this experiment's measurement
-        let started = Instant::now();
-        let yn = exec_i_threads(&x, &packed, &cfg, threads);
-        let execn_rate = gf(batch, started.elapsed().as_secs_f64());
-
-        // Differential guard: this is a *benchmark of the same bits*.
-        assert_eq!(y1.as_slice(), yn.as_slice(), "{name}: thread divergence");
-        for b in 0..model_batch {
-            assert_eq!(ym.row(b), y1.row(b), "{name}: exec != model");
-        }
-
-        min_speedup_1t = min_speedup_1t.min(exec1_rate / model_rate);
-        t.row(vec![
-            format!("{name} ({m} x {n})"),
-            f3(model_rate),
-            f3(exec1_rate),
-            ratio(exec1_rate / model_rate),
-            f3(execn_rate),
-            ratio(execn_rate / model_rate),
-        ]);
-    }
-    t.note(format!(
-        "minimum single-thread speedup over the datapath model: {}",
-        ratio(min_speedup_1t)
-    ));
-    t.note(format!(
-        "'model GF/s' is measured at batch {model_batch}, not batch {batch}: the datapath \
-         model's per-row cost is batch-linear by construction, so its batch-{batch} run \
-         would take {}x the measured time at the same GF/s rate — the speedup columns \
-         compare per-row throughput at equal work",
-        batch / model_batch
-    ));
-    t.note("timings are host-dependent; outputs are asserted bit-identical across");
-    t.note("backend, batch subset, and thread count before any rate is reported");
-    vec![("ext_throughput".into(), t)]
-}
-
-fn ext_batch_scaling() -> Vec<(String, Table)> {
-    // Extension: the batch-column blocking measured end to end — one
-    // batched `exec_i` call over B activation rows vs B sequential batch-1
-    // calls on the same rows, across the OPT-1.3B decode GEMM set. The
-    // lane-blocked kernel streams the packed weight planes once per block
-    // of up to 8 columns (B plane sweeps → ⌈B/8⌉), adds each decoded key's
-    // contiguous lane vector to register-resident accumulators, and folds
-    // four columns in lockstep — so a call costs about the same anywhere
-    // inside a lane block (1, 2, 3–4, 5–8 columns). Before any rate is reported,
-    // the batched output is asserted bit-identical to the per-column runs
-    // — the invariance `prop_exec`/`prop_serve` pin, re-checked on the
-    // measured inputs.
-    use figlut_exec::{ExecPlan, PackedBcq};
-    // audit: allow(determinism) — wall-clock time is this experiment's measurement
-    use std::time::Instant;
-
-    let opt = opt_config("OPT-1.3B");
-    let d = opt.d_model;
-    let shapes: [(&str, usize, usize); 3] = [
-        ("QKV/out proj", d, d),
-        ("FFN up", opt.ffn, d),
-        ("FFN down", d, opt.ffn),
-    ];
-    let cfg = EngineConfig::paper_default();
-    let threads_nt = figlut_exec::parallel::thread_count();
-
-    // Best-of-5 wall times: the container clock is noisy and this is a
-    // measurement, not a statistics suite (`benches/exec_kernels.rs` has
-    // the criterion run).
-    let time = |f: &dyn Fn()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            // audit: allow(determinism) — wall-clock time is this experiment's measurement
-            let started = Instant::now();
-            f();
-            best = best.min(started.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    let mut t = Table::new(
-        format!(
-            "Extension — batch-blocked exec_i amortization \
-             (OPT-1.3B decode GEMMs, Q4, 1 thread; NT = {threads_nt} threads)"
-        ),
-        &[
-            "GEMM (m x n)",
-            "batch B",
-            "1 call @ B (ms)",
-            "B x batch-1 (ms)",
-            "speedup",
-            "tok/s total",
-            "tok/s total NT",
-        ],
-    );
-    let mut best_speedup_at_8 = 0.0f64;
-    for (name, m, n) in shapes {
-        let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173).sin() * 0.2);
-        let u = rtn(&w, RtnParams::grouped(4, 128));
-        let bcq = BcqWeight::from_uniform(&u);
-        let packed = PackedBcq::pack(&bcq);
-        let plan = ExecPlan::new(&packed, &cfg);
-        let x16 = Mat::from_fn(16, n, |b, c| ((b * n + c) as f64 * 0.059).cos());
-        for batch in [1usize, 2, 4, 8, 16] {
-            let x = Mat::from_fn(batch, n, |b, c| x16[(b, c)]);
-            let rows: Vec<Mat<f64>> = (0..batch)
-                .map(|b| Mat::from_fn(1, n, |_, c| x[(b, c)]))
-                .collect();
-
-            // Bit-identity gate: batched ≡ per-column, before any timing
-            // is reported.
-            let yb = plan.exec_i_threads(&x, &packed, &cfg, 1);
-            for (b, row) in rows.iter().enumerate() {
-                let solo = plan.exec_i_threads(row, &packed, &cfg, 1);
-                assert_eq!(
-                    yb.row(b),
-                    solo.row(0),
-                    "{name} B={batch}: batched row {b} diverged from its batch-1 run"
-                );
-            }
-
-            let batched = time(&|| {
-                let _ = plan.exec_i_threads(&x, &packed, &cfg, 1);
-            });
-            let sequential = time(&|| {
-                for row in &rows {
-                    let _ = plan.exec_i_threads(row, &packed, &cfg, 1);
-                }
-            });
-            let batched_nt = time(&|| {
-                let _ = plan.exec_i_threads(&x, &packed, &cfg, threads_nt);
-            });
-            let speedup = sequential / batched;
-            if batch == 8 {
-                best_speedup_at_8 = best_speedup_at_8.max(speedup);
-            }
-            t.row(vec![
-                format!("{name} ({m} x {n})"),
-                batch.to_string(),
-                f3(batched * 1e3),
-                f3(sequential * 1e3),
-                ratio(speedup),
-                f3(batch as f64 / batched),
-                f3(batch as f64 / batched_nt),
-            ]);
-        }
-    }
-    t.note(format!(
-        "best batched-vs-sequential speedup at B = 8 across the decode set: {} \
-         (single thread)",
-        ratio(best_speedup_at_8)
-    ));
-    t.note("outputs asserted bit-identical (batched row b == batch-1 run of row b)");
-    t.note("before any rate is reported; gemm_i parity is pinned by prop_exec");
-    t.note("why it scales: batch columns ride in lane blocks of 1, 2, 4 or 8; a block");
-    t.note("is swept like a batch-1 call (B plane sweeps -> ceil(B/8)), each decoded key");
-    t.note("adds one contiguous lane vector to register accumulators (1-2 packed adds),");
-    t.note("each table tile is visited once per call (LUT-stationary sweep over tile-major");
-    t.note("packed planes) and the FP32 fold is fused into the walk, a lane block at a time");
-    t.note("timings are host-dependent and this container's clock is noisy; the pass is");
-    t.note("instruction-issue-bound per (key, lane vector), not DRAM-bound: a call costs");
-    t.note("about the same anywhere inside a lane block and steps at B = 2, 3, 5, 9, so");
-    t.note("the speedup peaks at full blocks (B = 4, 8, 16) and is sublinear in B");
-    vec![("ext_batch_scaling".into(), t)]
-}
-
 fn ext_serving() -> Vec<(String, Table)> {
     // Extension: the paper's motivating scenario run end to end — an LLM
     // *serving* workload (seeded arrival trace, continuous batching) on the
@@ -1660,10 +1436,6 @@ fn ext_resilience() -> Vec<(String, Table)> {
         ServeConfig, ServeHooks, Slo,
     };
 
-    // Restore corruption is only injectable where it can be detected, so
-    // the per-block checksum pass stays on for this experiment (stamping
-    // never changes tokens or any other experiment's tables).
-    figlut_model::set_kv_checksums(true);
     let teacher = Transformer::teacher(ModelConfig::scaled(2, 48, 4), 102);
     let (calib, _) = corpora(&teacher, 7);
     let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });

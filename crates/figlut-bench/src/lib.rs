@@ -10,8 +10,9 @@
 //! ```
 //!
 //! Each experiment prints an aligned text table and writes a CSV to
-//! `results/`. Criterion benches in `benches/` cover the hot kernels
-//! (LUT construction, RAC vs MAC, full engines). `repro analyze <trace>`
+//! `results/`. The criterion bench `benches/exec_kernels.rs` is the
+//! inner-loop microscope for the packed kernels (end-to-end numbers are the
+//! `bench/` crate's, not this one's). `repro analyze <trace>`
 //! replays an exported `figlut-trace` file offline into distribution
 //! tables ([`analyze`]).
 

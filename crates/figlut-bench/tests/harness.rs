@@ -45,14 +45,12 @@ fn experiment_registry_is_complete() {
     // unknown ids come back as a named error, not a panic.
     assert!(EXPERIMENTS.contains(&"table5"));
     assert!(EXPERIMENTS.contains(&"fig17"));
-    assert!(EXPERIMENTS.contains(&"ext-throughput"));
-    assert!(EXPERIMENTS.contains(&"ext-batch-scaling"));
     assert!(EXPERIMENTS.contains(&"ext-serving"));
     assert!(EXPERIMENTS.contains(&"ext-chunked-prefill"));
     assert!(EXPERIMENTS.contains(&"ext-paged-kv"));
     assert!(EXPERIMENTS.contains(&"ext-overload"));
     assert!(EXPERIMENTS.contains(&"ext-resilience"));
-    assert_eq!(EXPERIMENTS.len(), 28);
+    assert_eq!(EXPERIMENTS.len(), 26);
     let err = figlut_bench::run("fig99", &std::env::temp_dir()).unwrap_err();
     assert_eq!(err, figlut_bench::UnknownExperiment("fig99".into()));
     let msg = err.to_string();

@@ -455,7 +455,7 @@ pub(crate) fn sweep_panel<E: Copy, A: Accum<E>, R: Arith>(
     let shift = luts.mu();
     // Traffic accounting, off the walk itself: a sweep streams every
     // packed word of the panel once per column block and visits every
-    // k-tile once per row (guarded so the disabled path costs one load).
+    // k-tile once per row (guarded so the disabled path costs one read).
     if figlut_trace::enabled() {
         let row_sweeps = (luts.blocks().count() * panel.len() / batch) as u64;
         let row_words = (w.bits() * w.cols().div_ceil(64)) as u64;

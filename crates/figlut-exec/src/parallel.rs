@@ -100,10 +100,16 @@ where
     }
     let chunk = m.div_ceil(t);
     let (first, rest) = out.split_at_mut(chunk * stride);
+    // Workers record into the caller's trace session, if it is in one:
+    // membership is per thread and never inherited.
+    let session = figlut_trace::current();
     std::thread::scope(|s| {
         for (idx, panel) in rest.chunks_mut(chunk * stride).enumerate() {
-            let work = &work;
-            s.spawn(move || work((idx + 1) * chunk, panel));
+            let (work, session) = (&work, &session);
+            s.spawn(move || {
+                let _scope = session.as_ref().map(figlut_trace::SessionHandle::enter);
+                work((idx + 1) * chunk, panel);
+            });
         }
         work(0, first);
     });

@@ -4,8 +4,8 @@
 //! exactly, call/build/tier counters must match
 //! the call pattern (one build per staged input, one call and one tier pick
 //! per reader), and enabling tracing must not change a single output
-//! bit. One trace session is installed per test; the `TraceGuard` holds
-//! the process-wide session lock, so the tests serialize naturally.
+//! bit. Each test installs its own session on its own thread, so the
+//! tests run side by side without seeing each other.
 
 use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::EngineConfig;
@@ -31,53 +31,61 @@ fn streamed_words_match_the_plan_formula() {
     // gs 15, µ 4: ragged windows — one tile per row), at batches of one
     // column block, of two (12 = 8 + 4 lanes) and of three (17 = 8 + 8 +
     // 1). A sweep streams every packed word of every (row, plane) once
-    // per column block and visits every k-tile once per row.
+    // per column block and visits every k-tile once per row. The last row
+    // is the one that fans out (2 × 2^21 look-ups): its second panel runs
+    // on a scoped worker, whose counts reach this session only through the
+    // hand-off in `parallel.rs`.
     let cases = [
-        (16, 128, 64, 3, 4usize, 1usize),
-        (16, 576, 64, 3, 12, 3),
-        (8, 256, 32, 2, 1, 1),
-        (8, 60, 15, 3, 5, 1),
-        (4, 90, 15, 2, 17, 1),
+        (16, 128, 64, 3, 4usize, 1usize, 1usize),
+        (16, 576, 64, 3, 12, 3, 1),
+        (8, 256, 32, 2, 1, 1, 1),
+        (8, 60, 15, 3, 5, 1, 1),
+        (4, 90, 15, 2, 17, 1, 1),
+        (128, 2048, 64, 4, 32, 8, 2),
     ];
-    for (m, k, gs, bits, batch, tiles) in cases {
+    for (m, k, gs, bits, batch, tiles, fan) in cases {
         let w = packed(m, k, gs, bits, 7);
         let cfg = EngineConfig::paper_default();
         let plan = ExecPlan::new(&w, &cfg);
-        let x = acts(batch, k);
-
-        let guard = install(Box::new(CollectSink::default()));
-        let before = snapshot();
-        let calls = 3;
-        for _ in 0..calls {
-            plan.exec_i(&x, &w, &cfg);
-        }
-        let d = snapshot().since(&before);
-        guard.finish().unwrap();
-
-        assert_eq!(d.exec_calls, calls, "case {m}x{k} gs {gs} batch {batch}");
-        assert_eq!(d.exec_lut_builds, calls, "one LUT build per call");
-        assert_eq!(
-            d.exec_tier_i32_i32 + d.exec_tier_i32_i64 + d.exec_tier_i64_i64,
-            calls,
-            "exactly one tier per call"
-        );
-        assert_eq!(
-            d.exec_streamed_words,
-            calls * plan.streamed_words(batch),
-            "traced words != formula for {m}x{k} gs {gs} bits {bits} batch {batch}"
-        );
+        assert_eq!(plan.fan_out(batch, 2), fan, "{m}x{k} batch {batch}");
+        assert_eq!(w.tiles(), tiles, "{m}x{k} gs {gs}");
         let row_sweeps = (batch.div_ceil(8) * m) as u64;
         assert_eq!(
             plan.streamed_words(batch),
             row_sweeps * (bits as usize * k.div_ceil(64)) as u64,
             "{m}x{k} gs {gs} batch {batch}"
         );
-        assert_eq!(w.tiles(), tiles, "{m}x{k} gs {gs}");
-        assert_eq!(
-            d.exec_ktiles,
-            calls * row_sweeps * tiles as u64,
-            "one visit per k-tile, row and column block: {m}x{k} gs {gs} batch {batch}"
-        );
+        let x = acts(batch, k);
+
+        for threads in [1, 2] {
+            let case = format!("{m}x{k} gs {gs} bits {bits} batch {batch} threads {threads}");
+            let guard = install(Box::new(CollectSink::default()));
+            let before = snapshot();
+            let calls = 3;
+            for _ in 0..calls {
+                plan.exec_i_threads(&x, &w, &cfg, threads);
+            }
+            let d = snapshot().since(&before);
+            guard.finish().unwrap();
+
+            assert_eq!(d.exec_calls, calls, "{case}");
+            assert_eq!(d.exec_lut_builds, calls, "one LUT build per call: {case}");
+            assert_eq!(
+                d.exec_tier_i32_i32 + d.exec_tier_i32_i64 + d.exec_tier_i64_i64,
+                calls,
+                "exactly one tier per call: {case}"
+            );
+            assert_eq!(
+                d.exec_streamed_words,
+                calls * plan.streamed_words(batch),
+                "traced words != formula for {case}"
+            );
+            assert_eq!(
+                d.exec_ktiles,
+                calls * row_sweeps * tiles as u64,
+                "one visit per k-tile, row and column block: {case}"
+            );
+        }
     }
 
     // One lane-pass shape on both sides of every lane-width and
@@ -148,11 +156,9 @@ fn a_shared_call_builds_once_and_counts_every_reader() {
     let x = acts(batch, k);
     let mut ys = ws.each_ref().map(|w| Mat::zeros(batch, w.rows()));
 
-    // Every instrumented call sits inside the guard: an unguarded one
-    // would bump a sibling test's counters.
-    let guard = install(Box::new(CollectSink::default()));
     let plans = ws.each_ref().map(|w| ExecPlan::new(w, &cfg));
     let want = ws.each_ref().map(|w| exec_i(&x, w, &cfg));
+    let guard = install(Box::new(CollectSink::default()));
     let before = snapshot();
     {
         let [y0, y1, y2] = &mut ys;

@@ -35,34 +35,15 @@
 //!   [`KvCache::restore`] re-allocates and copies back. Contents round-trip
 //!   bit-exactly, which is what makes scheduler preemption invisible to
 //!   the token stream.
-//! * **Checksums (gated).** When [`set_kv_checksums`] turns the pass on,
-//!   every block write re-stamps an FNV-1a checksum of the block's K/V
-//!   bits and [`KvCache::verify_checksums`] detects silent corruption
-//!   (injected through [`KvCache::corrupt_row`] by the serving layer's
-//!   fault plans). Off by default; the disabled path is one relaxed atomic
-//!   load per site, exactly like the `figlut-trace` counter gate.
+//! * **Checksums (per pool).** In a pool built
+//!   [`with_checksums`](BlockPool::with_checksums), every block write
+//!   re-stamps an FNV-1a checksum of the block's K/V bits and
+//!   [`KvCache::verify_checksums`] detects silent corruption (injected
+//!   through [`KvCache::corrupt_row`] by the serving layer's fault plans).
+//!   Off by default; the flag is read under the pool lock each site
+//!   already holds.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Global gate for the per-block checksum pass (off by default).
-static CHECKSUMS: AtomicBool = AtomicBool::new(false);
-
-/// Turn the per-block KV checksum pass on or off (process-wide).
-///
-/// Disabled (the default), block writes skip checksum maintenance and
-/// [`KvCache::verify_checksums`] vacuously passes — the cost is one relaxed
-/// atomic load per site, mirroring the `figlut-trace` counter gate, so the
-/// zero-overhead pins and every committed result stay byte-identical.
-pub fn set_kv_checksums(enabled: bool) {
-    CHECKSUMS.store(enabled, Ordering::Relaxed);
-}
-
-/// `true` while the per-block checksum pass is enabled.
-#[inline]
-pub fn kv_checksums_enabled() -> bool {
-    CHECKSUMS.load(Ordering::Relaxed)
-}
 
 /// FNV-1a over raw `f64` bit patterns — the per-block checksum kernel.
 fn fnv1a_f64(h: &mut u64, data: &[f64]) {
@@ -81,8 +62,8 @@ struct Block {
     refs: usize,
     keys: Vec<f64>,
     values: Vec<f64>,
-    /// FNV-1a over the block's K/V bits, maintained only while
-    /// [`kv_checksums_enabled`] — stale (and never read) otherwise.
+    /// FNV-1a over the block's K/V bits, maintained only in a pool
+    /// [`BlockPool::with_checksums`] — stale (and never read) otherwise.
     sum: u64,
 }
 
@@ -93,6 +74,8 @@ struct PoolInner {
     d_model: usize,
     /// Maximum live (allocated, unfreed) blocks; `None` = unbounded.
     capacity: Option<usize>,
+    /// Maintain and verify per-block checksums.
+    checksums: bool,
     blocks: Vec<Block>,
     /// Freed slab indices, reused LIFO (deterministic).
     free: Vec<usize>,
@@ -131,11 +114,7 @@ impl PoolInner {
 
     /// Recompute block `id`'s checksum over its current contents.
     fn restamp(&mut self, id: usize) {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let b = &self.blocks[id];
-        fnv1a_f64(&mut h, &b.keys);
-        fnv1a_f64(&mut h, &b.values);
-        self.blocks[id].sum = h;
+        self.blocks[id].sum = self.current_sum(id);
     }
 
     /// Recompute block `id`'s checksum without storing it.
@@ -199,6 +178,7 @@ impl BlockPool {
                 layers,
                 d_model,
                 capacity,
+                checksums: false,
                 blocks: Vec::new(),
                 free: Vec::new(),
                 live: 0,
@@ -214,6 +194,15 @@ impl BlockPool {
         capacity: Option<usize>,
     ) -> Self {
         Self::new(block_size, cfg.layers, cfg.d_model, capacity)
+    }
+
+    /// Turn the per-block checksum pass on or off for this pool (every
+    /// handle sharing it). Call before the first block write: blocks
+    /// written while the pass was off carry no valid stamp.
+    #[must_use]
+    pub fn with_checksums(self, enabled: bool) -> Self {
+        self.lock().checksums = enabled;
+        self
     }
 
     fn lock(&self) -> MutexGuard<'_, PoolInner> {
@@ -326,7 +315,7 @@ impl PagedKv {
             dst.keys[lo..hi].copy_from_slice(&keys);
             dst.values[lo..hi].copy_from_slice(&values);
         }
-        if kv_checksums_enabled() {
+        if p.checksums {
             p.restamp(new);
         }
         p.ref_dec(old);
@@ -373,7 +362,7 @@ impl PagedKv {
         let blk = &mut p.blocks[self.table[b]];
         blk.keys[lo..lo + d].copy_from_slice(k);
         blk.values[lo..lo + d].copy_from_slice(v);
-        if kv_checksums_enabled() {
+        if p.checksums {
             p.restamp(self.table[b]);
         }
         drop(p);
@@ -676,7 +665,7 @@ impl KvCache {
                     blk.values[lo..lo + d].copy_from_slice(&values);
                 }
             }
-            if kv_checksums_enabled() {
+            if pool.checksums {
                 for &id in &paged.table {
                     pool.restamp(id);
                 }
@@ -722,18 +711,19 @@ impl KvCache {
     /// Verify every resident block's stored checksum against its current
     /// contents: `Err(table_index)` names the first corrupted block.
     ///
-    /// Vacuously `Ok` while the pass is disabled (see [`set_kv_checksums`])
-    /// and for contiguous or swapped caches (host images are never silently
-    /// mutated in this model). A detected mismatch bumps the
-    /// `kv_checksum_faults` trace counter.
+    /// Vacuously `Ok` unless the pool was built
+    /// [`with_checksums`](BlockPool::with_checksums), and for contiguous or
+    /// swapped caches (host images are never silently mutated in this
+    /// model). A detected mismatch bumps the `kv_checksum_faults` trace
+    /// counter.
     pub fn verify_checksums(&self) -> Result<(), usize> {
-        if !kv_checksums_enabled() {
-            return Ok(());
-        }
         let KvCache::Paged(p) = self else {
             return Ok(());
         };
         let pool = p.pool.lock();
+        if !pool.checksums {
+            return Ok(());
+        }
         for (b, &id) in p.table.iter().enumerate() {
             if pool.current_sum(id) != pool.blocks[id].sum {
                 figlut_trace::counters::bump_kv_checksum_faults(1);
@@ -1217,14 +1207,13 @@ mod tests {
 
     #[test]
     fn checksums_detect_injected_corruption_when_enabled() {
-        let p = pool(3);
         // Disabled (the default): verify is vacuous even on corrupted data.
-        let mut c = KvCache::paged(&p);
+        let mut c = KvCache::paged(&pool(3));
         fill(&mut c, 0, 7);
         assert!(c.corrupt_row(99));
         assert_eq!(c.verify_checksums(), Ok(()), "disabled pass never fires");
-        drop(c);
-        set_kv_checksums(true);
+        // A second pool in the same process, with the pass on.
+        let p = pool(3).with_checksums(true);
         let mut c = KvCache::paged(&p);
         fill(&mut c, 0, 7);
         assert_eq!(c.verify_checksums(), Ok(()), "clean writes stamp validly");
@@ -1237,8 +1226,6 @@ mod tests {
             c.verify_checksums().is_err(),
             "silent bit flip must be detected"
         );
-        set_kv_checksums(false);
-        assert_eq!(c.verify_checksums(), Ok(()), "gate turns the pass back off");
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub mod transformer;
 pub mod workload;
 
 pub use config::{OptConfig, OPT_FAMILY};
-pub use kv::{kv_checksums_enabled, set_kv_checksums, BlockPool, KvCache, PrefixRegistry};
+pub use kv::{BlockPool, KvCache, PrefixRegistry};
 pub use transformer::{Backend, ModelConfig, Transformer};

@@ -5,7 +5,9 @@ use figlut_gemm::{Engine, EngineConfig};
 use figlut_model::calibrate::{quantize_model, to_bcq, to_packed, Method};
 use figlut_model::corpus::generate;
 use figlut_model::ppl::perplexity;
-use figlut_model::transformer::{Backend, ModelConfig, Transformer};
+use figlut_model::transformer::{Backend, LinearWeights, ModelConfig, Transformer};
+use figlut_quant::bcq::{BcqParams, BcqWeight};
+use figlut_trace::{install, snapshot, CollectSink};
 
 fn setup() -> (
     Transformer,
@@ -169,4 +171,62 @@ fn mixed_precision_model_serves_on_figlut() {
         )
     });
     assert!(err.is_err(), "FIGNA must reject BCQ layers (Table I)");
+}
+
+/// The teacher with linear `i` (layer-major, `wq wk wv wo fc1 fc2`)
+/// quantized to BCQ under `params(i)`.
+fn quantized(params: impl Fn(usize) -> BcqParams) -> Transformer {
+    let mut m = Transformer::teacher(ModelConfig::tiny(), 55);
+    m.map_linears(|i, lin| {
+        if let LinearWeights::Fp(w) = &lin.weights {
+            lin.weights = LinearWeights::Bcq(BcqWeight::quantize(w, params(i)));
+        }
+    });
+    m
+}
+
+#[test]
+fn qkv_share_one_stage_and_a_mismatched_block_falls_back() {
+    let cfg = EngineConfig::paper_default();
+    let layers = ModelConfig::tiny().layers as u64;
+    // Every projection Q3 per-row; then Q/K/V of mixed widths (tables do
+    // not depend on the plane count, so they still share); then layer 0's
+    // `wq` alone at group size 24 — its windows differ, so that block must
+    // take three plain forwards.
+    let uniform = quantized(|_| BcqParams::per_row(3));
+    let mixed_bits = quantized(|i| BcqParams::per_row(if i % 6 == 0 { 3 } else { 4 }));
+    let mixed_groups = quantized(|i| match i {
+        0 => BcqParams::grouped(3, 24),
+        _ => BcqParams::per_row(4),
+    });
+    let chunks: [&[usize]; 2] = [&[0, 9, 33], &[5]];
+    for (name, model, builds) in [
+        ("uniform", &uniform, 4 * layers),
+        ("mixed bits", &mixed_bits, 4 * layers),
+        ("mixed groups", &mixed_groups, 4 * layers + 2),
+    ] {
+        let packed = to_packed(model);
+        let mut caches = [packed.new_cache(), packed.new_cache()];
+        let guard = install(Box::new(CollectSink::default()));
+        let before = snapshot();
+        let fast = packed.forward_batch(&chunks, &mut caches, &Backend::Exec(cfg));
+        let d = snapshot().since(&before);
+        guard.finish().unwrap();
+        assert_eq!(d.exec_calls, 6 * layers, "{name}: one call per projection");
+        assert_eq!(
+            d.exec_lut_builds, builds,
+            "{name}: one build per distinct input"
+        );
+
+        let mut caches = [model.new_cache(), model.new_cache()];
+        let engine = Backend::Engine(Engine::FiglutI, cfg);
+        let slow = model.forward_batch(&chunks, &mut caches, &engine);
+        assert_eq!(fast.as_slice(), slow.as_slice(), "{name}: logits moved");
+        let toks = [0usize, 9, 33, 5];
+        assert_eq!(
+            packed.logits(&toks, &Backend::Exec(cfg)).as_slice(),
+            model.logits(&toks, &engine).as_slice(),
+            "{name}: full-sequence logits moved"
+        );
+    }
 }

@@ -157,8 +157,8 @@ impl SessionState {
 
     /// Verify the session's resident KV blocks against their stored
     /// checksums: `Err(block_index)` names the first corrupted block.
-    /// Vacuously `Ok` while the checksum pass is disabled (see
-    /// [`figlut_model::set_kv_checksums`]).
+    /// Vacuously `Ok` unless the session's pool was built
+    /// [`with_checksums`](figlut_model::BlockPool::with_checksums).
     pub fn verify_kv(&self) -> Result<(), usize> {
         self.cache.verify_checksums()
     }

@@ -15,8 +15,9 @@
 //! decoded weight key is read for all batch columns before the next word
 //! loads) through the layer's cached `ExecPlan` — no per-token window
 //! recomputation, no per-token allocation — instead of paying a full
-//! weight sweep per session (`repro ext-batch-scaling` measures the win;
-//! the energy model and the kernels now batch the same way).
+//! weight sweep per session (the benchmark's `exec.b8_amortization_x`
+//! measures the win; the energy model and the kernels now batch the same
+//! way).
 //!
 //! | Module | Contents |
 //! |---|---|

@@ -226,12 +226,11 @@ impl ServeConfig {
 /// * **Swap-in failure** — a restore attempt is abandoned; the preempted
 ///   session stays queued and is retried on a later iteration.
 /// * **Restore corruption** — the swap-in transfer silently flips one KV
-///   bit. Injected only while the checksum pass is on (see
-///   [`figlut_model::set_kv_checksums`]): the verify pass detects the
-///   mismatch, the corrupted blocks are dropped, and the clean host image
-///   is re-queued for another restore — the classic detect-and-retransfer
-///   recovery. (Without checksums the corruption would silently diverge
-///   the token stream, so an un-checksummed plan never injects it.)
+///   bit. A run whose plan sets this rate builds its block pool with the
+///   checksum pass on ([`BlockPool::with_checksums`]): the verify pass
+///   detects the mismatch, the corrupted blocks are dropped, and the clean
+///   host image is re-queued for another restore — the classic
+///   detect-and-retransfer recovery.
 /// * **Pool-exhaustion spike** — the newest running session is preempted
 ///   to host as if the pool had momentarily vanished; the existing
 ///   preempt/restore machinery recovers it. Requires paging.
@@ -274,8 +273,8 @@ impl FaultPlan {
         self
     }
 
-    /// Corrupt swap-in transfers at `permille`/1000 (checksums must be on
-    /// for the fault to be injected at all — see the type docs).
+    /// Corrupt swap-in transfers at `permille`/1000 (a nonzero rate turns
+    /// the run's block checksums on — see the type docs).
     pub fn with_restore_corruption(mut self, permille: u32) -> Self {
         self.corrupt_restore_permille = permille;
         self
@@ -322,14 +321,10 @@ impl FaultPlan {
         self.draw(self.pool_spike_permille)
     }
 
-    /// `Some(salt)` when a restore-corruption fault fires (only while the
-    /// checksum pass can catch it).
+    /// `Some(salt)` when a restore-corruption fault fires.
     fn draw_restore_corruption(&mut self) -> Option<u64> {
-        if figlut_model::kv_checksums_enabled() && self.draw(self.corrupt_restore_permille) {
-            Some(self.rng.next_u64())
-        } else {
-            None
-        }
+        self.draw(self.corrupt_restore_permille)
+            .then(|| self.rng.next_u64())
     }
 
     fn crashes_at(&self, step: usize) -> bool {
@@ -432,12 +427,15 @@ struct PagedRt {
 }
 
 impl Memory {
-    /// The runtime `cfg` asks for ([`check_config`] has vetted it).
-    fn new(engine: &BatchEngine<'_>, cfg: &ServeConfig) -> Self {
+    /// The runtime `cfg` asks for ([`check_config`] has vetted it). The
+    /// pool checksums its blocks exactly when `faults` can corrupt a
+    /// restore — the one fault only the verify pass catches.
+    fn new(engine: &BatchEngine<'_>, cfg: &ServeConfig, faults: Option<&FaultPlan>) -> Self {
         let Some(bs) = cfg.block_size else {
             return Memory::Unmanaged;
         };
-        let pool = BlockPool::for_model(&engine.model().cfg, bs, cfg.pool_blocks);
+        let pool = BlockPool::for_model(&engine.model().cfg, bs, cfg.pool_blocks)
+            .with_checksums(faults.is_some_and(|f| f.corrupt_restore_permille > 0));
         let registry = PrefixRegistry::new(&pool);
         Memory::Paged(Box::new(PagedRt {
             pool,
@@ -1271,7 +1269,7 @@ pub fn serve_with_hooks(
     let model_cfg = engine.model().cfg;
     check_config(cfg, model_cfg.max_seq);
     trace.validate(&model_cfg);
-    let memory = Memory::new(engine, cfg);
+    let memory = Memory::new(engine, cfg, hooks.fault_plan.as_ref());
     LoopState::fresh(trace).run(engine, cfg, memory, hooks)
 }
 
@@ -1297,7 +1295,7 @@ pub fn resume(
 ) -> ServeReport {
     check_config(cfg, engine.model().cfg.max_seq);
     counters::bump_serve_resumes(1);
-    let mut memory = Memory::new(engine, cfg);
+    let mut memory = Memory::new(engine, cfg, hooks.fault_plan.as_ref());
     let state = LoopState::from_checkpoint(checkpoint, &mut memory, cfg.max_batch);
     state.run(engine, cfg, memory, hooks)
 }

@@ -14,7 +14,7 @@
 use figlut_gemm::EngineConfig;
 use figlut_model::calibrate::{quantize_model, to_packed, Method};
 use figlut_model::corpus::generate;
-use figlut_model::{set_kv_checksums, Backend, ModelConfig, Transformer};
+use figlut_model::{Backend, ModelConfig, Transformer};
 use figlut_serve::{
     resume, serve, serve_with_hooks, synthetic_trace, AdmissionPolicy, BatchEngine, Checkpoint,
     CheckpointHook, FaultPlan, FinishReason, Policy, Sampling, ServeConfig, ServeHooks, Slo,
@@ -111,9 +111,6 @@ fn config_of(sc: &FaultScenario) -> ServeConfig {
 }
 
 fn run_faulted(sc: &FaultScenario) {
-    // The checksum pass stays on for the whole test binary: restore
-    // corruption is only injectable while it can be detected.
-    set_kv_checksums(true);
     let model = packed_model();
     let engine = packed_engine();
     let params = TraceParams {

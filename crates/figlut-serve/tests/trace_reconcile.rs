@@ -11,6 +11,10 @@
 //!   records, forward calls = steps, model rows = `Σ StepRecord::rows()`,
 //!   preempt/restore counts and swap rows = `PagingStats`.
 //!
+//! * **Session isolation** — two sessions tracing different scenarios at
+//!   the same time, beside untraced serving, each reconcile against their
+//!   own report.
+//!
 //! Quantified over backends (datapath-exact and packed exec), block sizes,
 //! pool pressure, chunked prefill, and a forced-preemption schedule.
 
@@ -23,7 +27,7 @@ use figlut_serve::{
     ServeReport, TraceParams,
 };
 use figlut_trace::{install, snapshot, CollectSink, Counters, OwnedEvent};
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 
 fn packed_model() -> &'static Transformer {
     static MODEL: OnceLock<Transformer> = OnceLock::new();
@@ -313,4 +317,36 @@ fn timestamps_stay_monotone_across_runs_in_one_session() {
         .filter(|e| e.run() == 1 && matches!(e, OwnedEvent::Span { .. }))
         .count();
     assert_eq!(run1_spans, second.steps.len());
+}
+
+/// A session records what its own thread does and nothing else: two
+/// threads trace different scenarios at the same time (the barrier holds
+/// both sessions open before either serves) while a third serves untraced
+/// throughout, and each trace reconciles against its own report.
+#[test]
+fn concurrent_sessions_reconcile_against_their_own_reports() {
+    let scs = scenarios();
+    let installed = Barrier::new(3);
+    std::thread::scope(|s| {
+        for sc in [&scs[1], &scs[4]] {
+            let installed = &installed;
+            s.spawn(move || {
+                let sink = CollectSink::default();
+                let events = sink.events();
+                let guard = install(Box::new(sink));
+                installed.wait();
+                let report = run(sc);
+                let counters = snapshot();
+                guard.finish().unwrap();
+                reconcile(sc, &report, &events.lock().unwrap(), &counters);
+            });
+        }
+        s.spawn(|| {
+            installed.wait();
+            for sc in &scs {
+                run(sc);
+            }
+            assert_eq!(snapshot(), Counters::default(), "untraced thread recorded");
+        });
+    });
 }

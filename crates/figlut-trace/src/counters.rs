@@ -1,10 +1,11 @@
-//! The process-wide counter registry.
+//! The per-session counter registry.
 //!
-//! Each counter is a relaxed `AtomicU64` bumped by an instrumentation site
-//! in `figlut-exec`, `figlut-model`, or `figlut-serve`. Bumps are dropped
-//! while no trace session is installed ([`crate::enabled`] is the gate), so
-//! the disabled path costs one relaxed load per site and the counters of a
-//! session always start from zero ([`crate::install`] resets them).
+//! Each counter is a relaxed `AtomicU64` owned by one trace session and
+//! bumped by an instrumentation site in `figlut-exec`, `figlut-model`, or
+//! `figlut-serve`. A bump lands in the session the *calling thread* is in
+//! ([`crate::install`], [`crate::SessionHandle::enter`]) and is dropped on a
+//! thread in none: the disabled path costs one thread-local read per site,
+//! a fresh session starts from zero, and sessions never see each other.
 //!
 //! Every counter reconciles against an analytical formula the workspace
 //! already commits to — that is the design contract, asserted by the
@@ -22,18 +23,19 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! registry {
-    ($($(#[$m:meta])* $STATIC:ident, $bump:ident, $field:ident;)+) => {
-        $( static $STATIC: AtomicU64 = AtomicU64::new(0); )+
+    ($($(#[$m:meta])* $bump:ident, $field:ident;)+) => {
+        #[derive(Default)]
+        pub(crate) struct Registry {
+            $( $field: AtomicU64, )+
+        }
 
         $(
             $(#[$m])*
             ///
-            /// Adds `n` while a trace session is installed; dropped otherwise.
+            /// Adds `n` to the calling thread's session (dropped if none).
             #[inline]
             pub fn $bump(n: u64) {
-                if crate::enabled() {
-                    $STATIC.fetch_add(n, Ordering::Relaxed);
-                }
+                crate::with_session(|s| s.counters.$field.fetch_add(n, Ordering::Relaxed));
             }
         )+
 
@@ -45,14 +47,13 @@ macro_rules! registry {
             $( pub $field: u64, )+
         }
 
-        /// Snapshot the registry.
+        /// Snapshot the calling thread's session: all zeros on a thread in
+        /// none — so snapshot *before* [`crate::TraceGuard::finish`].
         pub fn snapshot() -> Counters {
-            Counters { $( $field: $STATIC.load(Ordering::Relaxed), )+ }
-        }
-
-        /// Zero every counter (done by [`crate::install`]).
-        pub fn reset() {
-            $( $STATIC.store(0, Ordering::Relaxed); )+
+            crate::with_session(|s| Counters {
+                $( $field: s.counters.$field.load(Ordering::Relaxed), )+
+            })
+            .unwrap_or_default()
         }
 
         impl Counters {
@@ -74,60 +75,60 @@ macro_rules! registry {
 registry! {
     /// Integer exec kernel calls: one per reader of a non-empty
     /// `ExecPlan::exec_i_shared` call (`exec_i_into` is one reader).
-    EXEC_CALLS, bump_exec_calls, exec_calls;
+    bump_exec_calls, exec_calls;
     /// Float exec kernel calls (`ExecPlan::exec_f_into` with a non-empty batch).
-    EXEC_F_CALLS, bump_exec_f_calls, exec_f_calls;
+    bump_exec_f_calls, exec_f_calls;
     /// `ExecPlan` constructions (calls minus builds = plan reuse).
-    EXEC_PLAN_BUILDS, bump_exec_plan_builds, exec_plan_builds;
+    bump_exec_plan_builds, exec_plan_builds;
     /// Batched FFLUT (re)builds — one per staged input (a non-empty exec call,
     /// however many readers share it), at exactly one tier.
-    EXEC_LUT_BUILDS, bump_exec_lut_builds, exec_lut_builds;
+    bump_exec_lut_builds, exec_lut_builds;
     /// Packed weight words streamed by the tile walk, summed over every
     /// (k-tile, bit-plane, output row). Reconciles with
     /// `ExecPlan::streamed_words` per call.
-    EXEC_STREAMED_WORDS, bump_exec_streamed_words, exec_streamed_words;
+    bump_exec_streamed_words, exec_streamed_words;
     /// K-tile walks: one per (k-tile, output row) of each panel pass.
-    EXEC_KTILES, bump_exec_ktiles, exec_ktiles;
+    bump_exec_ktiles, exec_ktiles;
     /// Calls running the narrowest tier (i32 tables, i32 accumulators).
-    EXEC_TIER_I32_I32, bump_exec_tier_i32_i32, exec_tier_i32_i32;
+    bump_exec_tier_i32_i32, exec_tier_i32_i32;
     /// Calls running the middle tier (i32 tables, i64 accumulators).
-    EXEC_TIER_I32_I64, bump_exec_tier_i32_i64, exec_tier_i32_i64;
+    bump_exec_tier_i32_i64, exec_tier_i32_i64;
     /// Calls running the widest tier (i64 tables and accumulators).
-    EXEC_TIER_I64_I64, bump_exec_tier_i64_i64, exec_tier_i64_i64;
+    bump_exec_tier_i64_i64, exec_tier_i64_i64;
     /// `Transformer::forward_batch` invocations.
-    MODEL_FORWARD_CALLS, bump_model_forward_calls, model_forward_calls;
+    bump_model_forward_calls, model_forward_calls;
     /// Token rows from multi-token chunks (prefill-phase rows).
-    MODEL_PREFILL_ROWS, bump_model_prefill_rows, model_prefill_rows;
+    bump_model_prefill_rows, model_prefill_rows;
     /// Token rows from single-token chunks (decode-phase rows).
-    MODEL_DECODE_ROWS, bump_model_decode_rows, model_decode_rows;
+    bump_model_decode_rows, model_decode_rows;
     /// Copy-on-write block copies actually performed by the paged KV cache.
-    KV_COW_COPIES, bump_kv_cow_copies, kv_cow_copies;
+    bump_kv_cow_copies, kv_cow_copies;
     /// KV positions copied to host by preemption swap-outs.
-    KV_SWAP_OUT_ROWS, bump_kv_swap_out_rows, kv_swap_out_rows;
+    bump_kv_swap_out_rows, kv_swap_out_rows;
     /// KV positions copied back from host by restores.
-    KV_SWAP_IN_ROWS, bump_kv_swap_in_rows, kv_swap_in_rows;
+    bump_kv_swap_in_rows, kv_swap_in_rows;
     /// Scheduler steps executed (= emitted `StepRecord`s).
-    SERVE_STEPS, bump_serve_steps, serve_steps;
+    bump_serve_steps, serve_steps;
     /// Requests admitted out of the pending queue.
-    SERVE_ADMISSIONS, bump_serve_admissions, serve_admissions;
+    bump_serve_admissions, serve_admissions;
     /// Sessions preempted to host under pool pressure.
-    SERVE_PREEMPTIONS, bump_serve_preemptions, serve_preemptions;
+    bump_serve_preemptions, serve_preemptions;
     /// Preempted sessions restored into the running set.
-    SERVE_RESTORES, bump_serve_restores, serve_restores;
+    bump_serve_restores, serve_restores;
     /// KV block checksum mismatches detected by the verify pass.
-    KV_CHECKSUM_FAULTS, bump_kv_checksum_faults, kv_checksum_faults;
+    bump_kv_checksum_faults, kv_checksum_faults;
     /// Scheduler steps retried after an injected transient failure.
-    SERVE_STEP_RETRIES, bump_serve_step_retries, serve_step_retries;
+    bump_serve_step_retries, serve_step_retries;
     /// Restore attempts retried after an injected swap-in failure.
-    SERVE_SWAP_IN_RETRIES, bump_serve_swap_in_retries, serve_swap_in_retries;
+    bump_serve_swap_in_retries, serve_swap_in_retries;
     /// Sessions preempted by injected pool-exhaustion spikes.
-    SERVE_POOL_SPIKES, bump_serve_pool_spikes, serve_pool_spikes;
+    bump_serve_pool_spikes, serve_pool_spikes;
     /// Requests shed by the admission policy (`FinishReason::Shed`).
-    SERVE_SHEDS, bump_serve_sheds, serve_sheds;
+    bump_serve_sheds, serve_sheds;
     /// Scheduler checkpoints captured at tick boundaries.
-    SERVE_CHECKPOINTS, bump_serve_checkpoints, serve_checkpoints;
+    bump_serve_checkpoints, serve_checkpoints;
     /// Serve runs resumed from a checkpoint.
-    SERVE_RESUMES, bump_serve_resumes, serve_resumes;
+    bump_serve_resumes, serve_resumes;
 }
 
 #[cfg(test)]

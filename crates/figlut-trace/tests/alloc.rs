@@ -1,8 +1,8 @@
 //! Heap audit of the *disabled* trace path.
 //!
-//! The layer's contract (DESIGN.md §8) is that with no session installed —
+//! The layer's contract (DESIGN.md §8) is that on a thread in no session —
 //! the default for every production run — each instrumentation site costs
-//! one relaxed atomic load and performs **zero** heap allocations. This
+//! one thread-local read and performs **zero** heap allocations. This
 //! pins it with a counting global allocator over every disabled entry
 //! point an instrumented hot path can reach: the `enabled()` gate, each
 //! counter bump, event emission, and run scoping. [`Hist`] shares the
