@@ -13,6 +13,12 @@
 //! (FIGLUT-F, FIGLUT-I, FIGNA, …). Swapping backends under an identical
 //! model is how the reproduction demonstrates Table IV's numerical-parity
 //! claim.
+//!
+//! There is one transformer body, [`Transformer::forward_batch`]'s: the
+//! full-sequence [`Transformer::logits`] (perplexity, calibration capture,
+//! sampling) runs it over one session with a fresh contiguous KV cache,
+//! and the serving entry points (`prefill`, `decode_step`, `decode_batch`)
+//! are thin wrappers over it.
 
 use crate::rng::Rng;
 use figlut_exec::parallel::thread_count;
@@ -325,6 +331,38 @@ fn erf(x: f64) -> f64 {
     s * y
 }
 
+/// Vocabulary rows [`Transformer::lm_head`] dots per pass over `h`.
+const HEAD_PASS: usize = 8;
+
+/// `out[v] = Σₖ h[k]·rows[v·d + k]` over the `d`-wide rows of `rows`
+/// (`d = h.len()`), `N` rows per pass over `h` (`out.len()` a multiple of
+/// `N`): one `k`-ascending chain per row from 0.0, skipping `h[k] == 0` —
+/// `Mat::matmul`'s order, `N` independent chains at a time.
+fn dot_rows<const N: usize>(h: &[f64], rows: &[f64], out: &mut [f64]) {
+    let d = h.len();
+    for (o, rows) in out.chunks_exact_mut(N).zip(rows.chunks_exact(N * d)) {
+        let e: [&[f64]; N] = std::array::from_fn(|i| &rows[i * d..(i + 1) * d]);
+        let mut acc = [0.0; N];
+        for (k, &a) in h.iter().enumerate() {
+            if a != 0.0 {
+                for (s, e) in acc.iter_mut().zip(&e) {
+                    *s += a * e[k];
+                }
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+}
+
+/// `x += y`, row by row, in place.
+fn add_rows(x: &mut Mat<f64>, y: &Mat<f64>) {
+    for r in 0..x.rows() {
+        for (a, b) in x.row_mut(r).iter_mut().zip(y.row(r)) {
+            *a += b;
+        }
+    }
+}
+
 fn softmax_row(row: &mut [f64]) {
     let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
@@ -380,115 +418,37 @@ impl Transformer {
         }
     }
 
-    /// Hidden states after the final LayerNorm for a token sequence
-    /// (`seq × d`), with optional capture of every linear layer's input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is empty, exceeds `max_seq`, or contains
-    /// out-of-vocabulary ids.
-    fn hidden(
-        &self,
-        tokens: &[usize],
-        backend: &Backend,
-        mut capture: Option<&mut Vec<Vec<Mat<f64>>>>,
-    ) -> Mat<f64> {
-        let cfg = &self.cfg;
-        assert!(!tokens.is_empty(), "empty sequence");
-        assert!(
-            tokens.len() <= cfg.max_seq,
-            "sequence {} exceeds max_seq {}",
-            tokens.len(),
-            cfg.max_seq
-        );
-        let seq = tokens.len();
-        let d = cfg.d_model;
-        let mut x = Mat::from_fn(seq, d, |t, c| {
-            let tok = tokens[t];
-            assert!(tok < cfg.vocab, "token {tok} out of vocabulary");
-            self.embed[(tok, c)] + self.pos[(t, c)]
-        });
-        let dh = d / cfg.heads;
-        let scale = 1.0 / (dh as f64).sqrt();
-        let mut scores: Vec<f64> = Vec::new(); // one buffer for every (head, row)
-        for (li, block) in self.blocks.iter().enumerate() {
-            // --- attention sublayer ---
-            let h = block.ln1.forward(&x);
-            if let Some(cap) = capture.as_deref_mut() {
-                // wq, wk, wv share the same input.
-                cap[li * 6].push(h.clone());
-                cap[li * 6 + 1].push(h.clone());
-                cap[li * 6 + 2].push(h.clone());
-            }
-            let [q, k, v] = block.qkv(&h, backend);
-            let mut ctx = Mat::zeros(seq, d);
-            for head in 0..cfg.heads {
-                let off = head * dh;
-                for t in 0..seq {
-                    // Causal scores for position t.
-                    scores.clear();
-                    scores.extend((0..=t).map(|u| {
-                        let mut s = 0.0;
-                        for j in 0..dh {
-                            s += q[(t, off + j)] * k[(u, off + j)];
-                        }
-                        s * scale
-                    }));
-                    softmax_row(&mut scores);
-                    for (u, &a) in scores.iter().enumerate() {
-                        for j in 0..dh {
-                            ctx[(t, off + j)] += a * v[(u, off + j)];
-                        }
-                    }
-                }
-            }
-            if let Some(cap) = capture.as_deref_mut() {
-                cap[li * 6 + 3].push(ctx.clone());
-            }
-            let attn_out = block.wo.forward(&ctx, backend);
-            x = Mat::from_fn(seq, d, |t, c| x[(t, c)] + attn_out[(t, c)]);
-            // --- FFN sublayer ---
-            let h = block.ln2.forward(&x);
-            if let Some(cap) = capture.as_deref_mut() {
-                cap[li * 6 + 4].push(h.clone());
-            }
-            let up = block.fc1.forward(&h, backend);
-            let act = up.map(|&v| gelu(v));
-            if let Some(cap) = capture.as_deref_mut() {
-                cap[li * 6 + 5].push(act.clone());
-            }
-            let down = block.fc2.forward(&act, backend);
-            x = Mat::from_fn(seq, d, |t, c| x[(t, c)] + down[(t, c)]);
-        }
-        self.ln_f.forward(&x)
-    }
-
-    /// The tied LM head `h · embedᵀ`, dotting each hidden row against
-    /// `embed`'s rows where they lie: per logit the same `k`-ascending sum
-    /// from 0.0 with the same zero-skip as `h.matmul(&embed.transposed())`,
-    /// so every logit is bit-identical to it.
+    /// The tied LM head `h · embedᵀ` against `embed`'s rows where they lie,
+    /// [`HEAD_PASS`] vocabulary rows per pass over `h` and one at a time for
+    /// the `vocab % HEAD_PASS` tail ([`dot_rows`]): every logit is
+    /// bit-identical to `h.matmul(&embed.transposed())`.
     fn lm_head(&self, h: &Mat<f64>) -> Mat<f64> {
         let mut out = Mat::zeros(h.rows(), self.cfg.vocab);
+        let embed = self.embed.as_slice();
+        let split = self.cfg.vocab / HEAD_PASS * HEAD_PASS;
         for r in 0..h.rows() {
-            let hr = h.row(r);
-            for (v, o) in out.row_mut(r).iter_mut().enumerate() {
-                for (&a, &e) in hr.iter().zip(self.embed.row(v)) {
-                    if a != 0.0 {
-                        *o += a * e;
-                    }
-                }
-            }
+            let (hr, o) = (h.row(r), out.row_mut(r));
+            let (body, tail) = o.split_at_mut(split);
+            dot_rows::<HEAD_PASS>(hr, embed, body);
+            dot_rows::<1>(hr, &embed[split * self.cfg.d_model..], tail);
         }
         out
     }
 
     /// Next-token logits for every position (`seq × vocab`), via the tied
-    /// LM head.
+    /// LM head: the [`Transformer::forward_batch`] body over one session
+    /// with a fresh contiguous cache, so row `t` is bit-identical to the
+    /// `t`-th [`Transformer::decode_step`] of the same tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sequence is empty, exceeds `max_seq`, or contains
+    /// out-of-vocabulary ids.
     pub fn logits(&self, tokens: &[usize], backend: &Backend) -> Mat<f64> {
-        self.lm_head(&self.hidden(tokens, backend, None))
+        self.forward(&[tokens], &mut [self.new_cache()], backend, None)
     }
 
-    /// Forward pass that also captures each linear layer's input
+    /// [`Transformer::logits`] that also captures each linear layer's input
     /// activations, indexed `layer·6 + {wq,wk,wv,wo,fc1,fc2}`. Each entry
     /// is a list of `seq × in_features` matrices (one per call).
     pub fn logits_with_capture(
@@ -498,7 +458,7 @@ impl Transformer {
         capture: &mut Vec<Vec<Mat<f64>>>,
     ) -> Mat<f64> {
         assert_eq!(capture.len(), self.blocks.len() * 6, "capture slots");
-        self.lm_head(&self.hidden(tokens, backend, Some(capture)))
+        self.forward(&[tokens], &mut [self.new_cache()], backend, Some(capture))
     }
 
     /// Create an empty KV cache for incremental decoding — the contiguous
@@ -533,11 +493,11 @@ impl Transformer {
     /// One incremental decoding step: consume `token` at the cache's
     /// current position and return the next-token logits.
     ///
-    /// Mathematically identical to recomputing the full sequence (the
-    /// per-position attention is unchanged; only K/V recomputation is
-    /// avoided) — asserted bit-tightly in tests. This is the serving-style
-    /// execution mode whose GEMV shapes (`batch × d` with batch = sequences
-    /// in flight) the paper's Table V evaluates.
+    /// Bit-identical to the same row of [`Transformer::logits`] over the
+    /// whole sequence — one body, only the K/V recomputation is skipped.
+    /// This is the serving-style execution mode whose GEMV shapes
+    /// (`batch × d` with batch = sequences in flight) the paper's Table V
+    /// evaluates.
     ///
     /// # Panics
     ///
@@ -551,17 +511,12 @@ impl Transformer {
     /// and return the next-token logits for every consumed position
     /// (`chunk × vocab`).
     ///
-    /// This is the serving *prefill* path: the whole prompt flows through
-    /// each linear layer as one `chunk × d` GEMM over the shared weights —
-    /// the amortized-weight-traffic regime the paper's batched evaluation
-    /// targets — while attention stays causal over cache + earlier chunk
-    /// rows. Every per-row operation is performed in exactly the order
-    /// [`Transformer::decode_step`] performs it, so feeding a prompt as one
-    /// chunk, token by token, or any split in between yields bit-identical
-    /// logits and cache contents (pinned by `tests/prop_decode.rs`).
-    ///
-    /// Thin wrapper over [`Transformer::forward_batch`] with a single
-    /// session contributing the whole chunk.
+    /// The serving *prefill* path: the whole chunk flows through each
+    /// linear layer as one `chunk × d` GEMM while attention stays causal
+    /// over cache + earlier chunk rows, so one chunk, token by token, or any
+    /// split in between yields bit-identical logits and cache contents
+    /// (pinned by `tests/prop_decode.rs`). Thin wrapper over
+    /// [`Transformer::forward_batch`] with a single session.
     ///
     /// # Panics
     ///
@@ -576,25 +531,19 @@ impl Transformer {
     /// position, and the `total-rows × vocab` next-token logits come back
     /// session-major (session 0's chunk rows first, then session 1's, …).
     ///
-    /// This is the general forward path the serving layer schedules:
-    /// decode steps are chunks of length 1, prefill chunks are longer, and
-    /// any mix of the two rides one `rows × d` GEMM per linear layer over
-    /// the shared (packed) weights — one traversal of each layer's weights
-    /// serves every token-row in flight, prefill and decode alike (the
-    /// paper's weight-traffic amortization, now without segregating the
-    /// phases). Attention stays strictly per-session: a decode row attends
-    /// to its own full cache, a chunk row attends causally to its session's
-    /// cache plus the earlier rows of its own chunk.
+    /// The forward path the serving layer schedules: decode rows (chunks of
+    /// length 1) and prefill chunks ride one `rows × d` GEMM per linear
+    /// layer over the shared (packed) weights — the paper's weight-traffic
+    /// amortization — while attention stays strictly per-session (a row
+    /// attends causally to its own session's cache and earlier chunk rows).
     ///
-    /// **Bit-identity.** Every per-row operation (LayerNorm, attention over
-    /// the session's own cache, GELU, residuals) reads only that row, and
+    /// **Bit-identity.** Every per-row operation reads only that row and
     /// every backend computes GEMM output rows independently in a fixed
-    /// per-row order, so each returned row is bit-identical to running its
-    /// session alone — any chunking, any co-scheduled mix (pinned for
-    /// arbitrary mixes by `tests/prop_decode.rs` and `figlut-serve`'s
-    /// property suite). [`Transformer::prefill`],
-    /// [`Transformer::decode_batch`], and [`Transformer::decode_step`] are
-    /// thin wrappers over this method.
+    /// order, so each returned row is bit-identical to running its session
+    /// alone, under any chunking or co-scheduled mix (pinned by
+    /// `tests/prop_decode.rs` and `figlut-serve`'s property suite).
+    /// [`Transformer::prefill`], [`Transformer::decode_batch`] and
+    /// [`Transformer::decode_step`] are thin wrappers over this method.
     ///
     /// # Panics
     ///
@@ -606,6 +555,33 @@ impl Transformer {
         chunks: &[&[usize]],
         caches: &mut [KvCache],
         backend: &Backend,
+    ) -> Mat<f64> {
+        let logits = self.forward(chunks, caches, backend, None);
+        // Phase accounting: a single-token chunk is a decode row, a longer
+        // chunk prefill rows (the scheduler's definition, so the counters
+        // reconcile with `Σ StepRecord::rows()`).
+        if figlut_trace::enabled() {
+            figlut_trace::counters::bump_model_forward_calls(1);
+            for chunk in chunks {
+                if chunk.len() == 1 {
+                    figlut_trace::counters::bump_model_decode_rows(1);
+                } else {
+                    figlut_trace::counters::bump_model_prefill_rows(chunk.len() as u64);
+                }
+            }
+        }
+        logits
+    }
+
+    /// The one transformer body: [`Transformer::forward_batch`] without the
+    /// trace accounting, and with an optional `capture` hook receiving each
+    /// linear layer's input (see [`Transformer::logits_with_capture`]).
+    fn forward(
+        &self,
+        chunks: &[&[usize]],
+        caches: &mut [KvCache],
+        backend: &Backend,
+        mut capture: Option<&mut Vec<Vec<Mat<f64>>>>,
     ) -> Mat<f64> {
         let cfg = &self.cfg;
         assert!(!chunks.is_empty(), "empty batch");
@@ -629,74 +605,67 @@ impl Transformer {
             }
             row_of.extend((0..chunk.len()).map(|t| (i, t)));
         }
-        // Phase accounting for the trace layer: a single-token chunk is a
-        // decode row, a longer chunk contributes prefill rows (the serving
-        // scheduler's phase definition, so the counters reconcile with
-        // `Σ StepRecord::rows()`).
-        if figlut_trace::enabled() {
-            figlut_trace::counters::bump_model_forward_calls(1);
-            for chunk in chunks {
-                if chunk.len() == 1 {
-                    figlut_trace::counters::bump_model_decode_rows(1);
-                } else {
-                    figlut_trace::counters::bump_model_prefill_rows(chunk.len() as u64);
-                }
+        let mut keep = |slot: usize, m: &Mat<f64>| {
+            if let Some(cap) = capture.as_deref_mut() {
+                cap[slot].push(m.clone());
             }
-        }
+        };
         let rows = row_of.len();
-        let d = cfg.d_model;
-        let dh = d / cfg.heads;
+        let (d, dh) = (cfg.d_model, cfg.d_model / cfg.heads);
         let scale = 1.0 / (dh as f64).sqrt();
         let mut x = Mat::from_fn(rows, d, |r, c| {
             let (i, t) = row_of[r];
             self.embed[(chunks[i][t], c)] + self.pos[(p0[i] + t, c)]
         });
-        let mut scores: Vec<f64> = Vec::new(); // one buffer for every (head, row)
+        let mut scores: Vec<f64> = Vec::new(); // head-major scores of one row
         for (li, block) in self.blocks.iter().enumerate() {
             let h = block.ln1.forward(&x);
+            (li * 6..li * 6 + 3).for_each(|slot| keep(slot, &h)); // wq, wk, wv
             let [q, k, v] = block.qkv(&h, backend);
             for (r, &(i, _)) in row_of.iter().enumerate() {
                 caches[i].push_row(li, k.row(r), v.row(r));
             }
             let mut ctx = Mat::zeros(rows, d);
-            {
-                // One view per session for the whole layer: rows read by
-                // logical position, so a paged cache yields the identical
-                // f64 rows in the identical order as a contiguous one.
-                let views: Vec<LayerView<'_>> = caches.iter().map(|c| c.layer_view(li)).collect();
-                for head in 0..cfg.heads {
-                    let off = head * dh;
-                    for (r, &(i, t)) in row_of.iter().enumerate() {
-                        // Causal: row t of session i sees that session's
-                        // pre-existing cache plus its own chunk rows 0..=t
-                        // (all already pushed above) — never another session.
-                        let view = &views[i];
-                        scores.clear();
-                        scores.extend((0..=p0[i] + t).map(|u| {
-                            let krow = view.key(u);
-                            let mut s = 0.0;
-                            for j in 0..dh {
-                                s += q[(r, off + j)] * krow[off + j];
-                            }
-                            s * scale
-                        }));
-                        softmax_row(&mut scores);
-                        for (u, &a) in scores.iter().enumerate() {
-                            let vrow = view.value(u);
-                            for j in 0..dh {
-                                ctx[(r, off + j)] += a * vrow[off + j];
-                            }
+            // One view per session for the whole layer: a paged cache yields
+            // the identical f64 rows in the identical order as a contiguous one.
+            let views: Vec<LayerView<'_>> = caches.iter().map(|c| c.layer_view(li)).collect();
+            for (r, &(i, t)) in row_of.iter().enumerate() {
+                // Causal: row t of session i sees its session's cache plus
+                // its own chunk rows 0..=t (pushed above), never another
+                // session. Each K/V row is resolved once and sliced per head;
+                // a score is Σⱼ in j order then × scale, a ctx element
+                // accumulates over u ascending.
+                let (view, n, qr) = (&views[i], p0[i] + t + 1, q.row(r));
+                scores.resize(cfg.heads * n, 0.0);
+                for u in 0..n {
+                    let heads = qr.chunks_exact(dh).zip(view.key(u).chunks_exact(dh));
+                    for (head, (qh, kh)) in heads.enumerate() {
+                        let s = qh.iter().zip(kh).fold(0.0, |s, (a, b)| s + a * b);
+                        scores[head * n + u] = s * scale;
+                    }
+                }
+                scores.chunks_exact_mut(n).for_each(softmax_row);
+                let cr = ctx.row_mut(r);
+                for u in 0..n {
+                    let heads = cr.chunks_exact_mut(dh).zip(view.value(u).chunks_exact(dh));
+                    for (head, (ch, vh)) in heads.enumerate() {
+                        let a = scores[head * n + u];
+                        for (c, v) in ch.iter_mut().zip(vh) {
+                            *c += a * v;
                         }
                     }
                 }
             }
-            let attn_out = block.wo.forward(&ctx, backend);
-            x = Mat::from_fn(rows, d, |r, c| x[(r, c)] + attn_out[(r, c)]);
+            keep(li * 6 + 3, &ctx);
+            add_rows(&mut x, &block.wo.forward(&ctx, backend));
             let h = block.ln2.forward(&x);
-            let up = block.fc1.forward(&h, backend);
-            let act = up.map(|&v| gelu(v));
-            let down = block.fc2.forward(&act, backend);
-            x = Mat::from_fn(rows, d, |r, c| x[(r, c)] + down[(r, c)]);
+            keep(li * 6 + 4, &h);
+            let mut act = block.fc1.forward(&h, backend);
+            for r in 0..rows {
+                act.row_mut(r).iter_mut().for_each(|v| *v = gelu(*v));
+            }
+            keep(li * 6 + 5, &act);
+            add_rows(&mut x, &block.fc2.forward(&act, backend));
         }
         self.lm_head(&self.ln_f.forward(&x))
     }
@@ -705,24 +674,12 @@ impl Transformer {
     /// `tokens[i]` at session `i`'s current position (which may differ per
     /// session) and return the `batch × vocab` next-token logits.
     ///
-    /// This is the continuous-batching step `figlut-serve` runs: the six
-    /// linear projections execute as one `batch × d` GEMM over the shared
-    /// (packed) weights. Under `Backend::Exec` with a pre-packed model
-    /// that is now literally one weight fetch per layer: the batch-blocked
-    /// kernels stream each packed plane word once and index every
-    /// session's look-up tables with it (`figlut-exec`'s batch-column
-    /// blocking), the software realization of the paper's weight-traffic
-    /// amortization — while attention, LayerNorm, and the residual stream
-    /// remain strictly per-row against each session's own [`KvCache`].
-    ///
-    /// Because every backend computes GEMM outputs row by row in a fixed
-    /// per-row order, row `i` is **bit-identical** to running
-    /// [`Transformer::decode_step`] alone on session `i` — batching can
-    /// change *when* a token is produced, never *which* token (pinned by
-    /// `tests/prop_decode.rs` and `figlut-serve`'s property suite).
-    ///
-    /// Thin wrapper over [`Transformer::forward_batch`] with every session
-    /// contributing a chunk of exactly one token.
+    /// The continuous-batching decode step: one `batch × d` GEMM per linear
+    /// layer — under `Backend::Exec` on a packed model, one stream of each
+    /// packed plane word indexing every session's tables — and row `i` is
+    /// **bit-identical** to [`Transformer::decode_step`] alone on session
+    /// `i`. Thin wrapper over [`Transformer::forward_batch`] with every
+    /// session contributing a chunk of exactly one token.
     ///
     /// # Panics
     ///
@@ -735,20 +692,22 @@ impl Transformer {
         caches: &mut [KvCache],
         backend: &Backend,
     ) -> Mat<f64> {
-        assert!(!tokens.is_empty(), "empty batch");
-        assert_eq!(tokens.len(), caches.len(), "tokens/caches length mismatch");
         let chunks: Vec<&[usize]> = tokens.chunks(1).collect();
         self.forward_batch(&chunks, caches, backend)
     }
 
     /// Autoregressively sample `len` tokens after a BOS token (id 0) at the
     /// given softmax temperature. Deterministic in `rng`.
+    ///
+    /// Decodes incrementally through one contiguous cache — each token's
+    /// logits are bit-identical to the last row of [`Transformer::logits`]
+    /// over the prefix, at O(len) forward rows instead of O(len²).
     pub fn sample(&self, len: usize, temperature: f64, rng: &mut Rng) -> Vec<usize> {
         assert!(len < self.cfg.max_seq, "sample length exceeds max_seq");
         let mut toks = vec![0usize];
+        let mut cache = self.new_cache();
         for _ in 0..len {
-            let logits = self.logits(&toks, &Backend::Exact);
-            let last = logits.row(logits.rows() - 1);
+            let last = self.decode_step(toks[toks.len() - 1], &mut cache, &Backend::Exact);
             let max = last.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let weights: Vec<f64> = last
                 .iter()
@@ -827,22 +786,29 @@ mod tests {
 
     #[test]
     fn lm_head_is_bit_equal_to_matmul_against_the_transpose() {
-        let m = Transformer::teacher(ModelConfig::tiny(), 11);
-        let mut rng = Rng::new(3);
-        // Exact zeros exercise the zero-skip.
-        let h = Mat::from_fn(
-            4,
-            48,
-            |_, c| {
-                if c % 5 == 0 {
-                    0.0
-                } else {
-                    rng.uniform() - 0.5
-                }
-            },
-        );
-        let want = h.matmul(&m.embed.transposed());
-        assert_eq!(m.lm_head(&h).as_slice(), want.as_slice());
+        // Vocab 96 is all 8-row passes; 101 and 5 run the scalar tail.
+        for vocab in [96, 101, 5] {
+            let cfg = ModelConfig {
+                vocab,
+                ..ModelConfig::tiny()
+            };
+            let m = Transformer::teacher(cfg, 11);
+            let mut rng = Rng::new(3);
+            // Exact zeros exercise the zero-skip.
+            let h = Mat::from_fn(
+                4,
+                48,
+                |_, c| {
+                    if c % 5 == 0 {
+                        0.0
+                    } else {
+                        rng.uniform() - 0.5
+                    }
+                },
+            );
+            let want = h.matmul(&m.embed.transposed());
+            assert_eq!(m.lm_head(&h).as_slice(), want.as_slice(), "vocab {vocab}");
+        }
     }
 
     #[test]
@@ -926,7 +892,7 @@ mod tests {
     #[test]
     fn kv_cache_decoding_matches_full_forward() {
         // Incremental decoding must reproduce the teacher-forced logits at
-        // every position, near-exactly (same f64 operations, same order).
+        // every position bit for bit (same f64 operations, same order).
         let m = Transformer::teacher(ModelConfig::tiny(), 13);
         let toks = [0usize, 7, 19, 3, 88, 42];
         let full = m.logits(&toks, &Backend::Exact);
@@ -934,14 +900,7 @@ mod tests {
         assert!(cache.is_empty());
         for (t, &tok) in toks.iter().enumerate() {
             let step = m.decode_step(tok, &mut cache, &Backend::Exact);
-            for v in 0..96 {
-                assert!(
-                    (step[v] - full[(t, v)]).abs() < 1e-9,
-                    "t={t} v={v}: {} vs {}",
-                    step[v],
-                    full[(t, v)]
-                );
-            }
+            assert_eq!(step, full.row(t), "t={t}");
         }
         assert_eq!(cache.len(), toks.len());
     }
