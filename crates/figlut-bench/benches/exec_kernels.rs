@@ -57,10 +57,10 @@ fn bench_exec_thread_scaling(c: &mut Criterion) {
 fn bench_small_calls(c: &mut Criterion) {
     // The dispatch cliff: warm plan calls at the `ext-serving` decode
     // shapes (d_model 48: attention 48×48, FFN up 192×48, Q3, B=6) do
-    // tens of µs of work, less than waking a second thread costs. `1t`
-    // and `default` must read the same — the plan keeps such a call on
-    // the calling thread whatever `threads` allows (DESIGN.md §6,
-    // "fan-out rule").
+    // tens of µs of work, less than spawning a second thread costs. `1t`
+    // and `default` must read the same — such a call opens no crew and
+    // stays on the calling thread whatever `threads` allows (DESIGN.md §6,
+    // "The step crew").
     let cfg = EngineConfig::paper_default();
     let mut g = c.benchmark_group("small_call_q3_b6");
     for (m, n) in [(48usize, 48usize), (192, 48)] {

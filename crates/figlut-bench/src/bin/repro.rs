@@ -15,7 +15,7 @@
 //! Output: aligned text tables on stdout, CSVs under `--out-dir` (default
 //! `results/`, created if absent). `--threads N` sets the *maximum*
 //! `figlut-exec` worker count for the throughput/serving experiments — a
-//! call too small to repay a thread wake-up uses fewer — and an explicit
+//! step too small to repay a thread spawn uses fewer — and an explicit
 //! `FIGLUT_EXEC_THREADS` environment variable still wins (results are
 //! bit-identical for every value — thread count only moves the measured
 //! rates).

@@ -15,7 +15,7 @@
 //! | [`lut`] | FFLUT generators | flat per-window `2^µ` tables, lane-blocked across activation rows (the 1/4/8 entries of one key contiguous), built half + mirrored (Fig. 10) |
 //! | [`kernel`] | RAC arrays | LUT-stationary, lane-blocked [`exec_f`] / [`exec_i`] read-accumulate kernels: each tile of tables is visited once per call, the fold fused into the walk |
 //! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls |
-//! | [`parallel`] | MPU tiling | row-panel `std::thread::scope` workers: `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a call fans out only as far as its look-up count repays the wake-ups |
+//! | [`parallel`] | MPU tiling | the step crew: one `std::thread::scope` per step (a forward pass, or one direct call), its workers claiming row parts of every GEMM phase; `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a step opens a crew only as large as its summed look-ups repay the spawns |
 //!
 //! The correctness story is *differential*: [`exec_i`] is **bit-identical**
 //! to `figlut_gemm::figlut::gemm_i` (same pre-alignment, exact integer

@@ -16,9 +16,11 @@
 //! * a stage is built once per distinct input, not per weight matrix:
 //!   [`ExecPlan::exec_i_shared`] runs any number of readers over one table
 //!   set (the paper's one FFLUT feeding k RACs), and
-//!   [`ExecPlan::exec_i_into`] is its one-reader case;
-//! * worker threads check their open-group buffers out of a second
-//!   pool, so the multi-threaded path reuses them across calls too.
+//!   [`ExecPlan::exec_i_into`] is its one-reader case; on a
+//!   [`Crew`] of several threads, each builds its own copy of the tables
+//!   from the one stage ([`crate::parallel`]);
+//! * every sweeping thread checks its open-group buffers out of a second
+//!   pool, so crews reuse them across steps too.
 //!
 //! The pools are `Mutex`-guarded free lists: concurrent calls on one plan
 //! are correct (each checks out its own scratch) and steady-state serial
@@ -31,51 +33,274 @@
 //! throwaway plan per call, which preserves their historical semantics;
 //! anything that executes the same weights twice should hold a plan.
 
-use crate::kernel::{check, effective_mu, sweep_panel, Accum, Arith, Columns, Fp32, Native};
+use crate::kernel::{check, effective_mu, sweep_panel, Columns, Fp32, Native};
 use crate::lut::{column_blocks, windows, FlatLuts, Window};
 use crate::packed::PackedBcq;
-use crate::parallel::{panel_count, run_strided_panels, thread_count};
+use crate::parallel::{crew_size, thread_count, Crew};
 use figlut_gemm::common::mul32;
 use figlut_gemm::EngineConfig;
 use figlut_num::align::AlignedVector;
 use figlut_num::Mat;
+use std::ops::Range;
 use std::sync::Mutex;
 
-/// Staging buffers of one activation matrix (one checkout per stage: a
-/// single `exec_*` call, or a shared call however many readers it has).
+/// One staged activation matrix: the quantized rows, their alignment, the
+/// fold operands and the narrowing tier — everything a thread needs to
+/// build the tables and fold a reader's sweep. Staged by the calling
+/// thread once per distinct input (a single `exec_*` call, or a shared
+/// call however many readers it has).
 #[derive(Debug, Default)]
-struct CallScratch {
+pub(crate) struct Stage {
     /// Quantized activations, `batch × n`.
     xa: Vec<f64>,
     /// Aligned integer mantissas, `batch × n`.
     mant: Vec<i64>,
     /// Narrowed mantissas (i32 table path), `batch × n`.
     m32: Vec<i32>,
-    /// Per-batch-row alignment scales λ.
+    /// Per-batch-row alignment scales λ (`exec_f`: 1).
     lambdas: Vec<f64>,
-    /// Pre-folded offset terms `mul32(Σx·λ)`, `batch × groups`.
-    gsum_folds: Vec<f64>,
-    /// Lane-blocked integer tables (wide path).
-    luts64: FlatLuts<i64>,
-    /// Lane-blocked integer tables (narrowed path).
-    luts32: FlatLuts<i32>,
-    /// Lane-blocked float tables (`exec_f`).
-    lutsf: FlatLuts<f64>,
-    /// Per-group activation sums (`exec_f`), `batch × groups`.
+    /// Offset multiplier per (column, group), `batch × groups`: `exec_i`
+    /// pre-folds the row-invariant `mul32(Σx·λ)`, `exec_f` keeps `Σx`.
     gsums: Vec<f64>,
-    /// Transposed output `m × batch` the row panels of the reader being
-    /// swept write into (readers run one after another and share it).
-    yt: Vec<f64>,
+    /// Batch rows staged.
+    batch: usize,
+    /// Which tables are built, and into which accumulators they sweep.
+    tier: Tier,
+}
+
+/// Table entry and accumulator types of a stage. Every integer tier is
+/// exact, so they all return bit-identical results — narrower is faster.
+#[derive(Clone, Copy, Debug, Default)]
+enum Tier {
+    /// `gs·max|mantissa| ≤ i32::MAX`: i32 tables *and* i32 group
+    /// accumulators. A scale group spans `gs` columns, so every window
+    /// sum, hFFLUT build intermediate and running group partial is a
+    /// signed sum of at most `gs` mantissas and provably fits. This is the
+    /// whole FP16 operating point, and it makes a key's lane vector and
+    /// its accumulators plain SSE2 32-bit lanes.
+    #[default]
+    I32I32,
+    /// `µ·max|mantissa| ≤ i32::MAX`: i32 tables (half the table-read
+    /// bytes), i64 accumulators (group partials may exceed i32).
+    I32I64,
+    /// Extreme activation ranges: i64 tables and accumulators.
+    I64I64,
+    /// `exec_f`: float tables, `f64` accumulators, native arithmetic.
+    Float,
+}
+
+impl Stage {
+    /// Quantize every row of `x` into `xa`.
+    fn quantize(&mut self, x: &Mat<f64>, cfg: &EngineConfig) {
+        self.xa.clear();
+        for b in 0..x.rows() {
+            self.xa
+                .extend(x.row(b).iter().map(|&v| cfg.act.quantize(v)));
+        }
+        self.batch = x.rows();
+    }
+
+    /// Stage `x` for `exec_i` under `plan`'s window plan: quantize, align
+    /// per row (λ is a per-row max-exponent decision, exactly as in a
+    /// batch-1 call), pre-fold the per-group offset terms `mul32(Σx·λ)`,
+    /// and pick the narrowing tier over the whole batch (one entry type per
+    /// batched table set).
+    fn stage_i(&mut self, x: &Mat<f64>, cfg: &EngineConfig, plan: &ExecPlan) {
+        let (n, gs) = (plan.cols, plan.group_size);
+        self.quantize(x, cfg);
+        self.mant.clear();
+        self.lambdas.clear();
+        self.gsums.clear();
+        for row in self.xa.chunks_exact(n) {
+            let at = self.mant.len();
+            let lambda =
+                AlignedVector::align_into(row, cfg.act, cfg.guard_bits, cfg.align, &mut self.mant);
+            self.lambdas.push(lambda);
+            for group in self.mant[at..].chunks_exact(gs) {
+                let p: i128 = group.iter().map(|&v| v as i128).sum();
+                self.gsums.push(mul32(p as f64, lambda));
+            }
+        }
+        let maxm = self
+            .mant
+            .iter()
+            .map(|&v| v.unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        let fits = |terms: usize| (terms as u64).saturating_mul(maxm) <= i32::MAX as u64;
+        self.tier = if fits(gs) {
+            Tier::I32I32
+        } else if fits(plan.mu) {
+            Tier::I32I64
+        } else {
+            Tier::I64I64
+        };
+        if !matches!(self.tier, Tier::I64I64) {
+            self.m32.clear();
+            self.m32.extend(self.mant.iter().map(|&v| v as i32));
+        }
+        figlut_trace::counters::bump_exec_lut_builds(1);
+    }
+
+    /// Stage `x` for `exec_f`: quantize and per-group `Σx`. Float tables
+    /// hold real values, so the fold's `p·λ` is `p`.
+    fn stage_f(&mut self, x: &Mat<f64>, cfg: &EngineConfig, plan: &ExecPlan) {
+        self.quantize(x, cfg);
+        self.gsums.clear();
+        for group in self.xa.chunks_exact(plan.group_size) {
+            self.gsums.push(group.iter().sum());
+        }
+        self.lambdas.clear();
+        self.lambdas.resize(self.batch, 1.0);
+        self.tier = Tier::Float;
+        figlut_trace::counters::bump_exec_lut_builds(1);
+    }
+
+    /// Batch rows staged.
+    pub(crate) fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Count one reader's call at this stage's tier.
+    fn count_call(&self) {
+        use figlut_trace::counters as c;
+        match self.tier {
+            Tier::I32I32 => c::bump_exec_tier_i32_i32(1),
+            Tier::I32I64 => c::bump_exec_tier_i32_i64(1),
+            Tier::I64I64 => c::bump_exec_tier_i64_i64(1),
+            Tier::Float => return c::bump_exec_f_calls(1),
+        }
+        c::bump_exec_calls(1);
+    }
+}
+
+/// The lane-blocked tables of a stage, one set per sweeping thread: each
+/// builds its own from the shared stage, so no core reads table lines
+/// another core wrote (DESIGN.md §6, "The step crew"). The build is a pure
+/// function of the stage, so every thread's tables hold the same bits.
+#[derive(Debug, Default)]
+pub(crate) struct Tables {
+    /// Narrowed integer tables (i32 entries).
+    luts32: FlatLuts<i32>,
+    /// Wide integer tables.
+    luts64: FlatLuts<i64>,
+    /// Float tables (`exec_f`).
+    lutsf: FlatLuts<f64>,
+}
+
+impl Tables {
+    /// Build `stage`'s tables under `plan`'s window plan.
+    pub(crate) fn build(&mut self, stage: &Stage, plan: &ExecPlan) {
+        let (n, wins, mu, batch) = (plan.cols, &plan.wins, plan.mu as u32, stage.batch);
+        match stage.tier {
+            Tier::I32I32 | Tier::I32I64 => self.luts32.rebuild(&stage.m32, n, wins, mu, batch),
+            Tier::I64I64 => self.luts64.rebuild(&stage.mant, n, wins, mu, batch),
+            Tier::Float => self.lutsf.rebuild(&stage.xa, n, wins, mu, batch),
+        }
+    }
+
+    /// Sweep output rows `r0..` of reader `(plan, w)` over these tables of
+    /// `stage` into `panel` (zeroed, `rows × batch`), checking an
+    /// open-group buffer out of `plan`'s pool.
+    fn sweep(&self, stage: &Stage, plan: &ExecPlan, w: &PackedBcq, r0: usize, panel: &mut [f64]) {
+        let cx = Columns {
+            lambdas: &stage.lambdas,
+            gsums: &stage.gsums,
+        };
+        let wins = &plan.wins;
+        let mut ws = pop(&plan.workers);
+        match stage.tier {
+            Tier::I32I32 => {
+                sweep_panel::<_, _, Fp32>(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i32)
+            }
+            Tier::I32I64 => {
+                sweep_panel::<_, _, Fp32>(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i64)
+            }
+            Tier::I64I64 => {
+                sweep_panel::<_, _, Fp32>(w, wins, &self.luts64, &cx, r0, panel, &mut ws.open_i64)
+            }
+            Tier::Float => {
+                sweep_panel::<_, _, Native>(w, wins, &self.lutsf, &cx, r0, panel, &mut ws.open_f)
+            }
+        }
+        push(&plan.workers, ws);
+    }
+}
+
+/// What the calling thread of a stage uses — one checkout of a plan's pool
+/// per stage: the stage, its own tables, and the transposed output it
+/// sweeps into.
+#[derive(Debug, Default)]
+pub(crate) struct CallScratch {
+    pub(crate) stage: Stage,
+    pub(crate) tables: Tables,
+    /// `rows × batch`, the concatenated readers' transposed output.
+    pub(crate) yt: Vec<f64>,
 }
 
 /// Per-worker open-group buffers, one per accumulator type (one checkout
-/// per row panel; `rows × q × lanes`, used only by shapes whose scale
+/// per reader sweep; `rows × q × lanes`, used only by shapes whose scale
 /// groups span k-tiles).
 #[derive(Debug, Default)]
 struct WorkerScratch {
     open_i32: Vec<i32>,
     open_i64: Vec<i64>,
     open_f: Vec<f64>,
+}
+
+/// Part `p` of `parts` contiguous parts of `rows` concatenated output
+/// rows: an even row count each (the lane pass walks row pairs), so the
+/// last parts may be short or empty.
+pub(crate) fn part_rows(rows: usize, parts: usize, p: usize) -> Range<usize> {
+    let chunk = rows.div_ceil(parts).next_multiple_of(2);
+    (p * chunk).min(rows)..((p + 1) * chunk).min(rows)
+}
+
+/// Sweep `rows` of the readers' concatenated output rows (reader 0's
+/// first) over `tables` of `stage` into `panel`, resized to
+/// `rows.len() × batch`.
+pub(crate) fn sweep_rows<'r>(
+    readers: impl Iterator<Item = (&'r ExecPlan, &'r PackedBcq)>,
+    stage: &Stage,
+    tables: &Tables,
+    rows: Range<usize>,
+    panel: &mut Vec<f64>,
+) {
+    let batch = stage.batch;
+    panel.clear();
+    panel.resize(rows.len() * batch, 0.0);
+    let mut base = 0;
+    for (plan, w) in readers {
+        let (lo, hi) = (rows.start.max(base), rows.end.min(base + plan.rows));
+        if lo < hi {
+            let at = (lo - rows.start) * batch..(hi - rows.start) * batch;
+            tables.sweep(stage, plan, w, lo - base, &mut panel[at]);
+        }
+        base += plan.rows;
+    }
+}
+
+/// Transpose `panel` — `rows` of the concatenated output rows, as
+/// [`sweep_rows`] left them — into the readers' `batch × m` outputs.
+pub(crate) fn scatter(
+    readers: &mut [(&ExecPlan, &PackedBcq, &mut Mat<f64>)],
+    rows: Range<usize>,
+    batch: usize,
+    panel: &[f64],
+) {
+    let mut base = 0;
+    for (plan, _, out) in readers.iter_mut() {
+        let (lo, hi) = (rows.start.max(base), rows.end.min(base + plan.rows));
+        if lo < hi {
+            for b in 0..batch {
+                let dst = &mut out.row_mut(b)[lo - base..hi - base];
+                for (o, r) in dst.iter_mut().zip(lo..hi) {
+                    *o = panel[(r - rows.start) * batch + b];
+                }
+            }
+        }
+        base += plan.rows;
+    }
 }
 
 /// A reusable execution plan for one [`PackedBcq`] under one engine
@@ -169,6 +394,11 @@ impl ExecPlan {
             && effective_mu(self.group_size, cfg.mu) == self.mu
     }
 
+    /// Output rows of the weights this plan was built for.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
     /// Packed weight words one non-empty `exec_*` call at this batch size
     /// streams: one sweep per column block (the batch is cut into lane
     /// blocks of up to 8 columns, each with its own tables), each sweep
@@ -182,14 +412,19 @@ impl ExecPlan {
         (column_blocks(batch).count() * self.rows * self.bits * self.cols.div_ceil(64)) as u64
     }
 
-    /// Row panels one `exec_*` call at this batch size runs when the
-    /// caller allows at most `threads`: its computed table look-ups (one
-    /// per output row × bit-plane × window × batch column) weighed against
-    /// a thread wake-up (DESIGN.md §6, "fan-out rule"). Speed only —
+    /// Table look-ups one call at this batch size computes: one per output
+    /// row × bit-plane × window × batch column — the work a step sums to
+    /// size its crew ([`crew_size`]).
+    pub fn lookups(&self, batch: usize) -> usize {
+        (self.rows * self.bits * self.wins.len()).saturating_mul(batch)
+    }
+
+    /// Threads one direct call at this batch size runs on when the caller
+    /// allows at most `threads`: the crew of a one-call step,
+    /// [`crew_size`] of its [look-ups](ExecPlan::lookups). Speed only —
     /// results are bit-identical for every value.
     pub fn fan_out(&self, batch: usize, threads: usize) -> usize {
-        let lookups = (self.rows * self.bits * self.wins.len()).saturating_mul(batch);
-        panel_count(lookups, self.rows, threads)
+        crew_size(self.lookups(batch), threads)
     }
 
     /// Check one reader of a call against `x`: shapes, µ, and that `self`
@@ -210,17 +445,6 @@ impl ExecPlan {
         assert_eq!(out.shape(), (batch, m), "output shape mismatch");
     }
 
-    /// Open a stage: check scratch out of this plan's pool and quantize
-    /// every row of `x` into it.
-    fn stage(&self, x: &Mat<f64>, cfg: &EngineConfig) -> CallScratch {
-        let mut s = pop(&self.calls);
-        s.xa.clear();
-        for b in 0..x.rows() {
-            s.xa.extend(x.row(b).iter().map(|&v| cfg.act.quantize(v)));
-        }
-        s
-    }
-
     /// `true` if `other`'s weights can read tables staged for this plan:
     /// the same reduction dim, group size and effective µ — hence the same
     /// window plan, Σx groups and narrowing tier (the row count is free).
@@ -232,24 +456,49 @@ impl ExecPlan {
         (self.cols, self.group_size, self.mu)
     }
 
-    /// One table set, k readers (paper Fig. 8/9: an FFLUT feeds k RACs):
-    /// stage `x` **once** — quantize, align, pre-fold the offset terms,
-    /// pick the narrowing tier, build the lane-blocked tables — then sweep
-    /// every reader's `(plan, weights, batch × m output)` over that set.
-    /// The stage depends only on `x`, `cfg` and the shared window plan, so
-    /// each output is bit-identical to the reader's own
-    /// [`ExecPlan::exec_i_into`] call — which *is* the one-reader case. The
-    /// first reader's plan lends the scratch (allocation-free when warm).
+    /// One table set, k readers (paper Fig. 8/9: an FFLUT feeds k RACs),
+    /// as one step: [`ExecPlan::exec_i_crew`] on a [`Crew`] sized by the
+    /// readers' summed look-ups, at most `threads`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ExecPlan::exec_i_crew`].
+    pub fn exec_i_shared<'a>(
+        x: &Mat<f64>,
+        cfg: &EngineConfig,
+        threads: usize,
+        readers: &mut [(&'a ExecPlan, &'a PackedBcq, &mut Mat<f64>)],
+    ) {
+        let lookups = readers
+            .iter()
+            .map(|(plan, ..)| plan.lookups(x.rows()))
+            .sum();
+        Crew::run(crew_size(lookups, threads), |crew| {
+            Self::exec_i_crew(crew, x, cfg, readers);
+        });
+    }
+
+    /// One GEMM phase of a step on `crew`: stage `x` **once** — quantize,
+    /// align, pre-fold the offset terms, pick the narrowing tier — then
+    /// sweep every reader's `(plan, weights, batch × m output)` over the
+    /// lane-blocked tables of that stage, the readers' output rows
+    /// concatenated and cut into one part per crew thread, each thread
+    /// building its own copy of the tables. The stage and the tables depend
+    /// only on `x`, `cfg` and the shared window plan, and each output
+    /// element is swept by one thread in a fixed order, so every output is
+    /// bit-identical to the reader's own one-thread
+    /// [`ExecPlan::exec_i_into`] call. The first reader's plan lends the
+    /// caller's scratch (allocation-free when warm, on a crew of one).
     ///
     /// # Panics
     ///
     /// Panics if any reader fails the [`ExecPlan::exec_i_into`] checks, or
     /// if the readers' plans do not [share a stage](ExecPlan::shares_stage).
-    pub fn exec_i_shared(
+    pub fn exec_i_crew<'a>(
+        crew: &Crew<'_, 'a>,
         x: &Mat<f64>,
         cfg: &EngineConfig,
-        threads: usize,
-        readers: &mut [(&ExecPlan, &PackedBcq, &mut Mat<f64>)],
+        readers: &mut [(&'a ExecPlan, &'a PackedBcq, &mut Mat<f64>)],
     ) {
         let Some(&(stager, ..)) = readers.first() else {
             return;
@@ -263,80 +512,21 @@ impl ExecPlan {
             );
             plan.check_reader(x, w, cfg, out);
         }
-        let (batch, n, gs) = (x.rows(), stager.cols, stager.group_size);
-        if batch == 0 {
+        if x.rows() == 0 {
             return; // empty activation matrix: nothing to compute
         }
-        let mut s = stager.stage(x, cfg);
-        // Align per row (λ is a per-row max-exponent decision, exactly as
-        // in a batch-1 call) and pre-fold the per-group offset terms
-        // mul32(Σx·λ).
-        s.mant.clear();
-        s.lambdas.clear();
-        s.gsum_folds.clear();
-        for row in s.xa.chunks_exact(n) {
-            let at = s.mant.len();
-            let lambda =
-                AlignedVector::align_into(row, cfg.act, cfg.guard_bits, cfg.align, &mut s.mant);
-            s.lambdas.push(lambda);
-            for group in s.mant[at..].chunks_exact(gs) {
-                let p: i128 = group.iter().map(|&v| v as i128).sum();
-                s.gsum_folds.push(mul32(p as f64, lambda));
-            }
-        }
-        let cx = Columns {
-            lambdas: &s.lambdas,
-            gsums: &s.gsum_folds,
-        };
-        // Narrowing tiers, decided over the whole batch (one entry type
-        // per batched table set). Every tier is exact, so they all return
-        // bit-identical results — narrower is just faster:
-        //
-        // * `gs·max|mantissa| ≤ i32::MAX` — i32 tables *and* i32 group
-        //   accumulators: a scale group spans `gs` columns, so every
-        //   window sum, hFFLUT build intermediate, and running group
-        //   partial is a signed sum of at most `gs` mantissas and provably
-        //   fits. This is the whole FP16 operating point, and it makes a
-        //   key's lane vector and its accumulators plain SSE2 32-bit
-        //   lanes.
-        // * `µ·max|mantissa| ≤ i32::MAX` — i32 tables (half the table-read
-        //   bytes), i64 accumulators (group partials may exceed i32).
-        // * otherwise — full i64 tables and accumulators (extreme
-        //   activation ranges).
-        let maxm = s.mant.iter().map(|&v| v.unsigned_abs()).max().unwrap_or(0);
-        let fits = |terms: usize| (terms as u64).saturating_mul(maxm) <= i32::MAX as u64;
-        let (i32_groups, mu) = (fits(gs), stager.mu as u32);
-        let i32_tables = i32_groups || fits(stager.mu);
-        if i32_tables {
-            s.m32.clear();
-            s.m32.extend(s.mant.iter().map(|&v| v as i32));
-            s.luts32.rebuild(&s.m32, n, &stager.wins, mu, batch);
-        } else {
-            s.luts64.rebuild(&s.mant, n, &stager.wins, mu, batch);
-        }
-        figlut_trace::counters::bump_exec_lut_builds(1);
-        for (plan, w, out) in readers.iter_mut() {
-            figlut_trace::counters::bump_exec_calls(1);
-            let yt = &mut s.yt;
-            if i32_groups {
-                figlut_trace::counters::bump_exec_tier_i32_i32(1);
-                plan.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, yt, out, |ws| &mut ws.open_i32);
-            } else if i32_tables {
-                figlut_trace::counters::bump_exec_tier_i32_i64(1);
-                plan.run::<_, _, Fp32>(w, &s.luts32, &cx, threads, yt, out, |ws| &mut ws.open_i64);
-            } else {
-                figlut_trace::counters::bump_exec_tier_i64_i64(1);
-                plan.run::<_, _, Fp32>(w, &s.luts64, &cx, threads, yt, out, |ws| &mut ws.open_i64);
-            }
-        }
+        let mut s = pop(&stager.calls);
+        s.stage.stage_i(x, cfg, stager);
+        readers.iter().for_each(|_| s.stage.count_call());
+        crew.sweep(readers, &mut s);
         push(&stager.calls, s);
     }
 
     /// [`ExecPlan::exec_i_threads`] writing into a caller-owned
     /// `batch × m` output — the zero-allocation steady-state entry point
-    /// (the convenience wrappers only add the output allocation, a
-    /// [fanned-out](ExecPlan::fan_out) call its thread spawns). The
-    /// one-reader case of [`ExecPlan::exec_i_shared`].
+    /// (the convenience wrappers only add the output allocation, a call
+    /// that [fans out](ExecPlan::fan_out) its crew). The one-reader case
+    /// of [`ExecPlan::exec_i_shared`].
     ///
     /// # Panics
     ///
@@ -351,37 +541,6 @@ impl ExecPlan {
         out: &mut Mat<f64>,
     ) {
         Self::exec_i_shared(x, cfg, threads, &mut [(self, w, out)]);
-    }
-
-    /// One reader's sweep: zero the transposed output `yt`, fan it across
-    /// row panels and sweep each with entries `E` into accumulators `A`
-    /// (the narrowing tier, or `f64`) — each worker checking its
-    /// open-group buffer, `open` picking the one of `A`'s type, out of the
-    /// pool — then transpose `yt` into the `batch × m` result.
-    #[allow(clippy::too_many_arguments)]
-    fn run<E: Copy + Sync, A: Accum<E>, R: Arith>(
-        &self,
-        w: &PackedBcq,
-        luts: &FlatLuts<E>,
-        cx: &Columns<'_>,
-        threads: usize,
-        yt: &mut Vec<f64>,
-        out: &mut Mat<f64>,
-        open: fn(&mut WorkerScratch) -> &mut Vec<A>,
-    ) {
-        let batch = luts.batch();
-        yt.clear();
-        yt.resize(self.rows * batch, 0.0);
-        run_strided_panels(yt, batch, self.fan_out(batch, threads), |r0, panel| {
-            let mut ws = pop(&self.workers);
-            sweep_panel::<E, A, R>(w, &self.wins, luts, cx, r0, panel, open(&mut ws));
-            push(&self.workers, ws);
-        });
-        for b in 0..batch {
-            for (r, o) in out.row_mut(b).iter_mut().enumerate() {
-                *o = yt[r * batch + b];
-            }
-        }
     }
 
     /// FIGLUT-I fast path over this plan: `y = x·Wᵀ`, bit-identical to
@@ -412,8 +571,8 @@ impl ExecPlan {
     }
 
     /// [`ExecPlan::exec_f_threads`] writing into a caller-owned
-    /// `batch × m` output (allocation-free in steady state, thread spawns
-    /// of a [fanned-out](ExecPlan::fan_out) call aside).
+    /// `batch × m` output (allocation-free in steady state, the crew of a
+    /// call that [fans out](ExecPlan::fan_out) aside).
     ///
     /// # Panics
     ///
@@ -427,28 +586,16 @@ impl ExecPlan {
         out: &mut Mat<f64>,
     ) {
         self.check_reader(x, w, cfg, out);
-        let (batch, n) = x.shape();
-        if batch == 0 {
+        if x.rows() == 0 {
             return; // empty activation matrix: nothing to compute
         }
-        figlut_trace::counters::bump_exec_f_calls(1);
-        let mut s = self.stage(x, cfg);
-        s.gsums.clear();
-        for group in s.xa.chunks_exact(self.group_size) {
-            s.gsums.push(group.iter().sum());
-        }
-        s.lutsf.rebuild(&s.xa, n, &self.wins, self.mu as u32, batch);
-        figlut_trace::counters::bump_exec_lut_builds(1);
-        // Float tables already hold real values: the fold's `p·λ` is `p`.
-        s.lambdas.clear();
-        s.lambdas.resize(batch, 1.0);
-        let cx = Columns {
-            lambdas: &s.lambdas,
-            gsums: &s.gsums,
-        };
-        let yt = &mut s.yt;
-        self.run::<_, _, Native>(w, &s.lutsf, &cx, threads, yt, out, |ws| &mut ws.open_f);
-        push(&self.calls, s);
+        Crew::run(self.fan_out(x.rows(), threads), |crew| {
+            let mut s = pop(&self.calls);
+            s.stage.stage_f(x, cfg, self);
+            s.stage.count_call();
+            crew.sweep(&mut [(self, w, out)], &mut s);
+            push(&self.calls, s);
+        });
     }
 
     /// FIGLUT-F fast path over this plan: `y = x·Wᵀ` with `f64`

@@ -1,6 +1,6 @@
 //! The `FIGLUT_EXEC_THREADS` override must never change output bits: the
 //! kernels' reduction order is fixed per output element regardless of how
-//! rows are split into panels (pins the contract of `parallel.rs`).
+//! rows are split into parts (pins the contract of `parallel.rs`).
 //!
 //! This lives in its own integration-test binary (own process) because it
 //! mutates the process environment; the property tests use the explicit
@@ -17,8 +17,8 @@ use figlut_quant::uniform::{rtn, RtnParams};
 fn env_thread_override_is_bit_invariant() {
     let cfg = EngineConfig::paper_default();
     // A small ragged shape the plan keeps on one thread whatever the
-    // override says, and one with enough look-ups that it really fans out
-    // (DESIGN.md §6, "fan-out rule") — asserted, so this test cannot
+    // override says, and one with enough look-ups that it really opens a
+    // crew (DESIGN.md §6, "The step crew") — asserted, so this test cannot
     // quietly stop exercising more than one panel.
     let small = Mat::from_fn(37, 150, |r, c| ((r * 150 + c) as f64 * 0.137).sin());
     let small = BcqWeight::quantize(&small, BcqParams::grouped(3, 30));

@@ -4,9 +4,10 @@
 //! tile/word/µ sizes).
 //!
 //! Every shape `problem()` draws is far too small to be worth a second
-//! thread, so `ExecPlan` runs it as one panel whatever `threads` says
-//! (DESIGN.md §6, "fan-out rule"); the thread-invariance proof over shapes
-//! that really fan out is `fanned_out_calls_never_change_bits`.
+//! thread, so a direct call runs it on the calling thread alone whatever
+//! `threads` says (DESIGN.md §6, "The step crew"); the thread-invariance
+//! proof over calls that really open a crew is
+//! `fanned_out_calls_never_change_bits`.
 
 use figlut_exec::{exec_f_threads, exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::figlut::{gemm_f, gemm_i};

@@ -5,8 +5,10 @@
 //! the call pattern (one build per staged input, one call and one tier pick
 //! per reader), and enabling tracing must not change a single output
 //! bit. Each test installs its own session on its own thread, so the
-//! tests run side by side without seeing each other.
+//! tests run side by side without seeing each other; a crew's workers
+//! enter the session of the thread that opened it.
 
+use figlut_exec::parallel::{crew_size, Crew};
 use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
@@ -32,9 +34,9 @@ fn streamed_words_match_the_plan_formula() {
     // column block, of two (12 = 8 + 4 lanes) and of three (17 = 8 + 8 +
     // 1). A sweep streams every packed word of every (row, plane) once
     // per column block and visits every k-tile once per row. The last row
-    // is the one that fans out (2 × 2^21 look-ups): its second panel runs
-    // on a scoped worker, whose counts reach this session only through the
-    // hand-off in `parallel.rs`.
+    // is the one that fans out (2 × 2^21 look-ups): it runs on a crew whose
+    // worker's counts reach this session only through the hand-off in
+    // `parallel.rs`.
     let cases = [
         (16, 128, 64, 3, 4usize, 1usize, 1usize),
         (16, 576, 64, 3, 12, 3, 1),
@@ -186,6 +188,50 @@ fn a_shared_call_builds_once_and_counts_every_reader() {
     for (y, want) in ys.iter().zip(&want) {
         assert_eq!(y.as_slice(), want.as_slice());
     }
+}
+
+#[test]
+fn a_crewed_step_counts_what_one_thread_counts() {
+    // A two-phase step — three readers over one stage, then one reader
+    // over another input — worth a crew of two: the worker sweeps inside
+    // this session, so every counter but the crews, and every output bit,
+    // equals the 1-thread step's.
+    let (k, batch) = (512usize, 8usize);
+    let ws = [256usize, 256, 256, 512].map(|m| packed(m, k, 64, 4, m as u64 + 1));
+    let cfg = EngineConfig::paper_default();
+    let plans = ws.each_ref().map(|w| ExecPlan::new(w, &cfg));
+    let (x, x2) = (acts(batch, k), acts(batch, k).map(|v| v * 0.5));
+    let lookups: usize = plans.iter().map(|p| p.lookups(batch)).sum();
+    let step = |threads: usize| {
+        let mut ys = ws.each_ref().map(|w| Mat::zeros(batch, w.rows()));
+        let guard = install(Box::new(CollectSink::default()));
+        Crew::run(crew_size(lookups, threads), |crew| {
+            let [y0, y1, y2, y3] = &mut ys;
+            let qkv = &mut [
+                (&plans[0], &ws[0], y0),
+                (&plans[1], &ws[1], y1),
+                (&plans[2], &ws[2], y2),
+            ];
+            ExecPlan::exec_i_crew(crew, &x, &cfg, qkv);
+            ExecPlan::exec_i_crew(crew, &x2, &cfg, &mut [(&plans[3], &ws[3], y3)]);
+        });
+        let counters = snapshot();
+        guard.finish().unwrap();
+        (ys, counters)
+    };
+    let ((alone, one), (crewed, two)) = (step(1), step(2));
+    assert_eq!((one.exec_crews, two.exec_crews), (0, 1));
+    assert_eq!((two.exec_calls, two.exec_lut_builds), (4, 2));
+    assert_eq!(
+        two.exec_streamed_words,
+        plans.iter().map(|p| p.streamed_words(batch)).sum::<u64>()
+    );
+    let rest = |c: &figlut_trace::Counters| figlut_trace::Counters {
+        exec_crews: 0,
+        ..*c
+    };
+    assert_eq!(rest(&two), rest(&one), "a counter moved with the crew");
+    assert_eq!(crewed, alone, "the crew changed an output");
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! are thin wrappers over it.
 
 use crate::rng::Rng;
-use figlut_exec::parallel::thread_count;
+use figlut_exec::parallel::{crew_size, thread_count, Crew};
 use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::{Engine, EngineConfig, Weights};
 use figlut_num::Mat;
@@ -139,7 +139,9 @@ pub enum Backend {
 }
 
 impl Linear {
-    fn forward(&self, x: &Mat<f64>, backend: &Backend) -> Mat<f64> {
+    /// `x·Wᵀ + b` under `backend`; a packed layer whose cached plan matches
+    /// the backend's config runs on the step's `crew`.
+    fn forward<'a>(&'a self, x: &Mat<f64>, backend: &Backend, crew: &Crew<'_, 'a>) -> Mat<f64> {
         let mut y = match (backend, &self.weights) {
             (Backend::Exact, LinearWeights::Fp(w)) => x.matmul(&w.transposed()),
             (Backend::Exact, LinearWeights::Uniform(u)) => x.matmul(&u.dequantize().transposed()),
@@ -163,15 +165,17 @@ impl Linear {
             }
             // Exec fast path. A pre-packed layer carries its ExecPlan, so
             // the steady-state call reuses the cached window plan and
-            // scratch pools; if the call-site config is incompatible with
-            // the cached plan (a different effective µ), fall back to a
-            // throwaway plan — same bits, per-call setup cost. Non-packed
-            // quantized weights are packed on the fly (correct, but pay
-            // the packing cost per call — use `to_packed` for repeated
-            // evaluation).
+            // scratch pools, on the step's crew; if the call-site config is
+            // incompatible with the cached plan (a different effective µ),
+            // fall back to a throwaway plan — same bits, per-call setup
+            // cost. Non-packed quantized weights are packed on the fly
+            // (correct, but pay the packing cost per call — use
+            // `to_packed` for repeated evaluation).
             (Backend::Exec(cfg), LinearWeights::Packed(p, plan)) => {
                 if plan.matches(p, cfg) {
-                    plan.exec_i(x, p, cfg)
+                    let mut y = Mat::zeros(x.rows(), p.rows());
+                    ExecPlan::exec_i_crew(crew, x, cfg, &mut [(plan, p, &mut y)]);
+                    y
                 } else {
                     exec_i(x, p, cfg)
                 }
@@ -272,7 +276,9 @@ impl Block {
     /// matrices read that one table set — the paper's one FFLUT, k RACs.
     /// Anything else (mixed group sizes, un-packed or FP layers, another
     /// backend) is three plain forwards; the bits are the same either way.
-    fn qkv(&self, h: &Mat<f64>, backend: &Backend) -> [Mat<f64>; 3] {
+    /// The shared call is one GEMM phase of the step's `crew`: the three
+    /// readers' rows form one concatenated set cut into its row parts.
+    fn qkv<'a>(&'a self, h: &Mat<f64>, backend: &Backend, crew: &Crew<'_, 'a>) -> [Mat<f64>; 3] {
         use LinearWeights::Packed;
         let lins = [&self.wq, &self.wk, &self.wv];
         if let (Backend::Exec(cfg), [Packed(pq, q), Packed(pk, k), Packed(pv, v)]) =
@@ -284,14 +290,14 @@ impl Block {
                 let mut ys = [pq, pk, pv].map(|p| Mat::zeros(h.rows(), p.rows()));
                 let [yq, yk, yv] = &mut ys;
                 let readers = &mut [(q, pq, yq), (k, pk, yk), (v, pv, yv)];
-                ExecPlan::exec_i_shared(h, cfg, thread_count(), readers);
+                ExecPlan::exec_i_crew(crew, h, cfg, readers);
                 for (lin, y) in lins.iter().zip(&mut ys) {
                     lin.add_bias(y);
                 }
                 return ys;
             }
         }
-        lins.map(|l| l.forward(h, backend))
+        lins.map(|l| l.forward(h, backend, crew))
     }
 }
 
@@ -605,69 +611,95 @@ impl Transformer {
             }
             row_of.extend((0..chunk.len()).map(|t| (i, t)));
         }
-        let mut keep = |slot: usize, m: &Mat<f64>| {
-            if let Some(cap) = capture.as_deref_mut() {
-                cap[slot].push(m.clone());
-            }
-        };
         let rows = row_of.len();
-        let (d, dh) = (cfg.d_model, cfg.d_model / cfg.heads);
-        let scale = 1.0 / (dh as f64).sqrt();
-        let mut x = Mat::from_fn(rows, d, |r, c| {
-            let (i, t) = row_of[r];
-            self.embed[(chunks[i][t], c)] + self.pos[(p0[i] + t, c)]
-        });
-        let mut scores: Vec<f64> = Vec::new(); // head-major scores of one row
-        for (li, block) in self.blocks.iter().enumerate() {
-            let h = block.ln1.forward(&x);
-            (li * 6..li * 6 + 3).for_each(|slot| keep(slot, &h)); // wq, wk, wv
-            let [q, k, v] = block.qkv(&h, backend);
-            for (r, &(i, _)) in row_of.iter().enumerate() {
-                caches[i].push_row(li, k.row(r), v.row(r));
-            }
-            let mut ctx = Mat::zeros(rows, d);
-            // One view per session for the whole layer: a paged cache yields
-            // the identical f64 rows in the identical order as a contiguous one.
-            let views: Vec<LayerView<'_>> = caches.iter().map(|c| c.layer_view(li)).collect();
-            for (r, &(i, t)) in row_of.iter().enumerate() {
-                // Causal: row t of session i sees its session's cache plus
-                // its own chunk rows 0..=t (pushed above), never another
-                // session. Each K/V row is resolved once and sliced per head;
-                // a score is Σⱼ in j order then × scale, a ctx element
-                // accumulates over u ascending.
-                let (view, n, qr) = (&views[i], p0[i] + t + 1, q.row(r));
-                scores.resize(cfg.heads * n, 0.0);
-                for u in 0..n {
-                    let heads = qr.chunks_exact(dh).zip(view.key(u).chunks_exact(dh));
-                    for (head, (qh, kh)) in heads.enumerate() {
-                        let s = qh.iter().zip(kh).fold(0.0, |s, (a, b)| s + a * b);
-                        scores[head * n + u] = s * scale;
-                    }
+        // One crew for the whole step, sized by its summed GEMM work: every
+        // exec phase below runs as row parts on it.
+        let size = crew_size(self.step_lookups(rows, backend), thread_count());
+        Crew::run(size, |crew| {
+            let mut keep = |slot: usize, m: &Mat<f64>| {
+                if let Some(cap) = capture.as_deref_mut() {
+                    cap[slot].push(m.clone());
                 }
-                scores.chunks_exact_mut(n).for_each(softmax_row);
-                let cr = ctx.row_mut(r);
-                for u in 0..n {
-                    let heads = cr.chunks_exact_mut(dh).zip(view.value(u).chunks_exact(dh));
-                    for (head, (ch, vh)) in heads.enumerate() {
-                        let a = scores[head * n + u];
-                        for (c, v) in ch.iter_mut().zip(vh) {
-                            *c += a * v;
+            };
+            let (d, dh) = (cfg.d_model, cfg.d_model / cfg.heads);
+            let scale = 1.0 / (dh as f64).sqrt();
+            let mut x = Mat::from_fn(rows, d, |r, c| {
+                let (i, t) = row_of[r];
+                self.embed[(chunks[i][t], c)] + self.pos[(p0[i] + t, c)]
+            });
+            let mut scores: Vec<f64> = Vec::new(); // head-major scores of one row
+            for (li, block) in self.blocks.iter().enumerate() {
+                let h = block.ln1.forward(&x);
+                (li * 6..li * 6 + 3).for_each(|slot| keep(slot, &h)); // wq, wk, wv
+                let [q, k, v] = block.qkv(&h, backend, crew);
+                for (r, &(i, _)) in row_of.iter().enumerate() {
+                    caches[i].push_row(li, k.row(r), v.row(r));
+                }
+                let mut ctx = Mat::zeros(rows, d);
+                // One view per session for the whole layer: a paged cache yields
+                // the identical f64 rows in the identical order as a contiguous one.
+                let views: Vec<LayerView<'_>> = caches.iter().map(|c| c.layer_view(li)).collect();
+                for (r, &(i, t)) in row_of.iter().enumerate() {
+                    // Causal: row t of session i sees its session's cache plus
+                    // its own chunk rows 0..=t (pushed above), never another
+                    // session. Each K/V row is resolved once and sliced per head;
+                    // a score is Σⱼ in j order then × scale, a ctx element
+                    // accumulates over u ascending.
+                    let (view, n, qr) = (&views[i], p0[i] + t + 1, q.row(r));
+                    scores.resize(cfg.heads * n, 0.0);
+                    for u in 0..n {
+                        let heads = qr.chunks_exact(dh).zip(view.key(u).chunks_exact(dh));
+                        for (head, (qh, kh)) in heads.enumerate() {
+                            let s = qh.iter().zip(kh).fold(0.0, |s, (a, b)| s + a * b);
+                            scores[head * n + u] = s * scale;
+                        }
+                    }
+                    scores.chunks_exact_mut(n).for_each(softmax_row);
+                    let cr = ctx.row_mut(r);
+                    for u in 0..n {
+                        let heads = cr.chunks_exact_mut(dh).zip(view.value(u).chunks_exact(dh));
+                        for (head, (ch, vh)) in heads.enumerate() {
+                            let a = scores[head * n + u];
+                            for (c, v) in ch.iter_mut().zip(vh) {
+                                *c += a * v;
+                            }
                         }
                     }
                 }
+                keep(li * 6 + 3, &ctx);
+                add_rows(&mut x, &block.wo.forward(&ctx, backend, crew));
+                let h = block.ln2.forward(&x);
+                keep(li * 6 + 4, &h);
+                let mut act = block.fc1.forward(&h, backend, crew);
+                for r in 0..rows {
+                    act.row_mut(r).iter_mut().for_each(|v| *v = gelu(*v));
+                }
+                keep(li * 6 + 5, &act);
+                add_rows(&mut x, &block.fc2.forward(&act, backend, crew));
             }
-            keep(li * 6 + 3, &ctx);
-            add_rows(&mut x, &block.wo.forward(&ctx, backend));
-            let h = block.ln2.forward(&x);
-            keep(li * 6 + 4, &h);
-            let mut act = block.fc1.forward(&h, backend);
-            for r in 0..rows {
-                act.row_mut(r).iter_mut().for_each(|v| *v = gelu(*v));
-            }
-            keep(li * 6 + 5, &act);
-            add_rows(&mut x, &block.fc2.forward(&act, backend));
-        }
-        self.lm_head(&self.ln_f.forward(&x))
+            self.lm_head(&self.ln_f.forward(&x))
+        })
+    }
+
+    /// Table look-ups a step of `rows` token rows computes in the exec
+    /// kernels under `backend`: `ExecPlan::lookups(rows)` summed over every
+    /// packed linear whose cached plan matches the backend's config. This
+    /// is what sizes the step's crew
+    /// (`figlut_exec::parallel::crew_size(step_lookups, threads)`); 0 under
+    /// any other backend.
+    pub fn step_lookups(&self, rows: usize, backend: &Backend) -> usize {
+        let Backend::Exec(cfg) = backend else {
+            return 0;
+        };
+        let lookups = self
+            .blocks
+            .iter()
+            .flat_map(Block::linears)
+            .map(|l| match &l.weights {
+                LinearWeights::Packed(p, plan) if plan.matches(p, cfg) => plan.lookups(rows),
+                _ => 0,
+            });
+        lookups.sum()
     }
 
     /// One decoding step for a *batch of independent sessions*: consume

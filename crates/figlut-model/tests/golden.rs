@@ -12,13 +12,19 @@
 //! with block size 4, logits and cache contents. Two models: `tiny()`
 //! (vocab 96, a multiple of the LM head's 8-row pass) and vocab 101, so the
 //! head's scalar tail runs too.
+//!
+//! A third pin, recorded at one thread before forward steps ran on worker
+//! crews, covers a d-256 packed model whose mixed step is wide enough to
+//! open a crew: the same digest must come out at 1, 2 and 8 threads.
 
+use figlut_exec::parallel::{crew_size, THREADS_ENV};
 use figlut_gemm::EngineConfig;
 use figlut_model::calibrate::to_packed;
 use figlut_model::transformer::LinearWeights;
 use figlut_model::{Backend, BlockPool, KvCache, ModelConfig, Transformer};
 use figlut_num::Mat;
 use figlut_quant::bcq::{BcqParams, BcqWeight};
+use figlut_quant::uniform::{rtn, RtnParams};
 
 fn fnv1a(h: &mut u64, vals: &[f64]) {
     for v in vals {
@@ -92,6 +98,50 @@ fn tiny_model_bits_are_pinned() {
         ],
         "{got:#018x?}"
     );
+}
+
+/// The digest of one mixed `forward_batch` step of 1 + 5 + 8 rows on a
+/// packed RTN-Q3 d-256 model (logits and every session's cache contents), at each
+/// of `threads`.
+fn wide_step_digests<const N: usize>(threads: [&str; N]) -> [u64; N] {
+    let cfg = ModelConfig {
+        d_model: 256,
+        ffn: 1024,
+        ..ModelConfig::tiny()
+    };
+    let mut q = Transformer::teacher(cfg, 23);
+    q.map_linears(|_, lin| {
+        if let LinearWeights::Fp(w) = &lin.weights {
+            lin.weights = LinearWeights::Uniform(rtn(w, RtnParams::per_row(3)));
+        }
+    });
+    let packed = to_packed(&q);
+    let exec = Backend::Exec(EngineConfig::paper_default());
+    // The step is wide enough for a crew of two, and of four at 8 threads.
+    let lookups = packed.step_lookups(14, &exec);
+    assert_eq!([2, 8].map(|t| crew_size(lookups, t)), [2, 4], "{lookups}");
+
+    let toks = [0usize, 7, 19, 3, 88, 42, 11, 5, 60, 2, 95];
+    let digests = threads.map(|t| {
+        std::env::set_var(THREADS_ENV, t);
+        let mut caches: Vec<KvCache> = (0..3).map(|_| packed.new_cache()).collect();
+        let _ = packed.prefill(&toks[..5], &mut caches[0], &exec);
+        let _ = packed.prefill(&toks[..3], &mut caches[1], &exec);
+        let chunks: [&[usize]; 3] = [&toks[5..6], &toks[3..8], &toks[..8]];
+        let step = packed.forward_batch(&chunks, &mut caches, &exec);
+        let rows: Vec<Vec<f64>> = caches.iter().map(cache_rows).collect();
+        digest(std::iter::once(step.as_slice()).chain(rows.iter().map(Vec::as_slice)))
+    });
+    std::env::remove_var(THREADS_ENV);
+    digests
+}
+
+#[test]
+fn wide_step_bits_are_pinned() {
+    // The other tests here stay below the crew rule, so the thread
+    // override this one sets cannot change what they run.
+    let got = wide_step_digests(["1", "2", "8"]);
+    assert_eq!(got, [0x16b7_7202_d468_3d77; 3], "{got:#018x?}");
 }
 
 #[test]

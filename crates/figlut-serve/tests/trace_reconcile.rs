@@ -14,13 +14,16 @@
 //! * **Session isolation** — two sessions tracing different scenarios at
 //!   the same time, beside untraced serving, each reconcile against their
 //!   own report.
+//! * **Workers inside the session** — a model wide enough that steps run
+//!   on a worker crew counts at 2 threads exactly what it counts at one.
 //!
 //! Quantified over backends (datapath-exact and packed exec), block sizes,
 //! pool pressure, chunked prefill, and a forced-preemption schedule.
 
+use figlut_exec::parallel::THREADS_ENV;
 use figlut_gemm::EngineConfig;
 use figlut_model::calibrate::{quantize_model, to_packed, Method};
-use figlut_model::corpus::generate;
+use figlut_model::corpus::{generate, Corpus};
 use figlut_model::{Backend, ModelConfig, Transformer};
 use figlut_serve::{
     serve_with_hooks, synthetic_trace, BatchEngine, Policy, Sampling, ServeConfig, ServeHooks,
@@ -349,4 +352,54 @@ fn concurrent_sessions_reconcile_against_their_own_reports() {
             assert_eq!(snapshot(), Counters::default(), "untraced thread recorded");
         });
     });
+}
+
+/// The crew's workers sweep inside the caller's session: serving a d-256
+/// packed model at 2 threads — steps of three rows and up open a crew —
+/// records every exec counter exactly as one thread does, the crews aside,
+/// and reconciles against its report. (The override cannot reach the other
+/// tests here: no `tiny()` step is worth a worker.)
+#[test]
+fn crewed_steps_count_what_one_thread_counts() {
+    let cfg = ModelConfig {
+        d_model: 256,
+        ffn: 1024,
+        ..ModelConfig::tiny()
+    };
+    let no_calibration = Corpus {
+        sequences: Vec::new(),
+    };
+    let teacher = Transformer::teacher(cfg, 56);
+    let model = to_packed(&quantize_model(&teacher, &no_calibration, Method::Rtn { bits: 4 }).0);
+    let sc = Scenario {
+        name: "wide-exec-crewed",
+        backend: Backend::Exec(EngineConfig::paper_default()),
+        cfg: ServeConfig::new(3, Policy::PrefillPriority),
+        force_preempt: false,
+    };
+    let engine = BatchEngine::new(&model, sc.backend);
+    let trace = synthetic_trace(&model.cfg, &TraceParams::light(4), 11);
+    let [(alone, one), (crewed, two)] = ["1", "2"].map(|threads| {
+        std::env::set_var(THREADS_ENV, threads);
+        let sink = CollectSink::default();
+        let events = sink.events();
+        let guard = install(Box::new(sink));
+        let report = serve_with_hooks(&engine, &trace, &sc.cfg, ServeHooks::default());
+        let counters = snapshot();
+        guard.finish().unwrap();
+        reconcile(&sc, &report, &events.lock().unwrap(), &counters);
+        (report, counters)
+    });
+    std::env::remove_var(THREADS_ENV);
+
+    assert_eq!(crewed, alone, "the crew changed the report");
+    assert_eq!(one.exec_crews, 0);
+    assert!(two.exec_crews > 0, "no step opened a crew at 2 threads");
+    // Calls, builds, streamed words, k-tiles, tiers — and every other
+    // counter — as at one thread.
+    let rest = |c: &Counters| Counters {
+        exec_crews: 0,
+        ..*c
+    };
+    assert_eq!(rest(&two), rest(&one), "a counter moved with the crew");
 }

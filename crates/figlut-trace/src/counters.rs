@@ -15,6 +15,7 @@
 //! |---|---|
 //! | `exec_streamed_words` | `ExecPlan::streamed_words` (the tile-walk formula) |
 //! | `exec_calls` / `exec_lut_builds` / tier counters | one build per staged input, one call and one tier pick per reader |
+//! | `exec_crews` | the steps the crew rule sizes above one thread (`parallel::crew_size`) |
 //! | `model_*_rows` | `Σ StepRecord::rows()` over a serve run |
 //! | `kv_swap_*_rows` | `Σ StepRecord.swapped_rows` = `PagingStats.swapped_rows` |
 //! | `serve_steps` / `serve_admissions` / … | `ServeReport.steps.len()`, request count, `PagingStats.swaps_out/in` |
@@ -74,14 +75,16 @@ macro_rules! registry {
 
 registry! {
     /// Integer exec kernel calls: one per reader of a non-empty
-    /// `ExecPlan::exec_i_shared` call (`exec_i_into` is one reader).
+    /// `ExecPlan::exec_i_crew` phase (`exec_i_shared` is a one-phase step,
+    /// `exec_i_into` its one-reader case).
     bump_exec_calls, exec_calls;
     /// Float exec kernel calls (`ExecPlan::exec_f_into` with a non-empty batch).
     bump_exec_f_calls, exec_f_calls;
     /// `ExecPlan` constructions (calls minus builds = plan reuse).
     bump_exec_plan_builds, exec_plan_builds;
     /// Batched FFLUT (re)builds — one per staged input (a non-empty exec call,
-    /// however many readers share it), at exactly one tier.
+    /// however many readers share it), at exactly one tier. The private
+    /// table copy each crew worker builds from that stage is not a stage.
     bump_exec_lut_builds, exec_lut_builds;
     /// Packed weight words streamed by the tile walk, summed over every
     /// (k-tile, bit-plane, output row). Reconciles with
@@ -95,6 +98,9 @@ registry! {
     bump_exec_tier_i32_i64, exec_tier_i32_i64;
     /// Calls running the widest tier (i64 tables and accumulators).
     bump_exec_tier_i64_i64, exec_tier_i64_i64;
+    /// Steps (a `forward_batch`, or one direct exec call) whose summed
+    /// look-ups opened a crew of scoped workers (`parallel::crew_size` > 1).
+    bump_exec_crews, exec_crews;
     /// `Transformer::forward_batch` invocations.
     bump_model_forward_calls, model_forward_calls;
     /// Token rows from multi-token chunks (prefill-phase rows).
