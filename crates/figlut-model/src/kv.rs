@@ -1,22 +1,24 @@
 //! Paged KV storage: a refcounted [`BlockPool`], per-session block tables,
 //! copy-on-write prefix sharing, and preempt-to-host swap images.
 //!
-//! The serving layer's original [`KvCache`] stored each session's K/V rows
-//! contiguously, so N sessions sharing a system-prompt prefix stored N full
-//! copies and the only memory-pressure valve was killing a session. This
-//! module replaces the representation with vLLM-style block-table paging
-//! while keeping the *numerics* untouched:
+//! Every resident [`KvCache`] is a vLLM-style block table into a pool; there
+//! is no other layout. A cache from
+//! [`Transformer::new_cache`](crate::transformer::Transformer::new_cache)
+//! draws from a private, unbounded pool whose one block holds the whole
+//! context (`max_seq` positions), so its rows form one run. A serving pool
+//! uses smaller blocks, so that sessions can share prefixes and be
+//! preempted. The block size never touches the *numerics*:
 //!
 //! * **Blocks.** A [`BlockPool`] owns fixed-size blocks (`block_size`
 //!   positions × all layers × K and V rows), refcounted and recycled
 //!   through a free list. Allocation order is deterministic (LIFO free
 //!   list), so every run is bit-reproducible.
-//! * **Block tables.** A paged [`KvCache`] maps logical positions to
-//!   blocks. The attention gather in
-//!   [`crate::transformer::Transformer::forward_batch`] reads K/V rows
-//!   *by logical position* through a crate-internal `LayerView`, so the stored `f64`
-//!   values and the read order — and therefore every downstream bit — are
-//!   identical to the contiguous layout.
+//! * **Block tables.** A [`KvCache`] maps logical positions to blocks.
+//!   Attention in [`crate::transformer::Transformer::forward_batch`] reads
+//!   one layer's rows in place through a crate-internal `LayerView`: one
+//!   `rows × d_model` K and V slice per block, positions ascending. The
+//!   stored `f64` values and the read order — and therefore every
+//!   downstream bit — are the same for every block size.
 //! * **Prefix sharing (storage-level, copy-on-write).** A
 //!   [`PrefixRegistry`] maps prompt prefixes (keyed by an FNV-1a hash,
 //!   verified by exact token comparison so collisions are harmless) to the
@@ -205,6 +207,11 @@ impl BlockPool {
         self
     }
 
+    /// `true` when both handles share one pool.
+    fn same(&self, other: &BlockPool) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     fn lock(&self) -> MutexGuard<'_, PoolInner> {
         // Recover from poisoning: a panic mid-operation (e.g. the capacity
         // assert) must not cascade into aborts when caches drop during
@@ -369,21 +376,27 @@ impl PagedKv {
         self.lens[li] += 1;
     }
 
-    /// Materialize layer `li`'s rows (bounded by that layer's length) into
-    /// flat owned storage for the attention gather.
-    fn gather_layer(&self, li: usize) -> (Vec<f64>, Vec<f64>, usize) {
-        let p = self.pool.lock();
-        let (bs, d) = (p.block_size, p.d_model);
-        let len = self.lens[li];
-        let mut keys = Vec::with_capacity(len * d);
-        let mut values = Vec::with_capacity(len * d);
-        for pos in 0..len {
-            let lo = p.row_off(li, pos % bs);
-            let blk = &p.blocks[self.table[pos / bs]];
-            keys.extend_from_slice(&blk.keys[lo..lo + d]);
-            values.extend_from_slice(&blk.values[lo..lo + d]);
+    /// Layer `li`'s rows in place, with the pool locked.
+    fn layer_view(&self, li: usize) -> LayerView<'_> {
+        LayerView {
+            pool: self.pool.lock(),
+            table: &self.table,
+            li,
         }
-        (keys, values, d)
+    }
+
+    /// Every layer's rows as flat `[layer][position][d_model]` K and V
+    /// images, copied run by run.
+    fn image(&self) -> (Vec<f64>, Vec<f64>) {
+        let size = self.lens.iter().sum::<usize>() * self.pool.d_model();
+        let (mut keys, mut values) = (Vec::with_capacity(size), Vec::with_capacity(size));
+        for (li, &len) in self.lens.iter().enumerate() {
+            for (k, v) in self.layer_view(li).runs(len) {
+                keys.extend_from_slice(k);
+                values.extend_from_slice(v);
+            }
+        }
+        (keys, values)
     }
 
     fn release(&mut self) {
@@ -433,82 +446,63 @@ pub struct SwappedKv {
 /// One side (K or V) of a materialized cache: `[layer][position][d_model]`.
 pub type KvSnapshot = Vec<Vec<Vec<f64>>>;
 
+/// Split a flat `[layer][position][d]` image into per-layer rows, layer
+/// `li` holding `lens[li]` positions.
+fn split_image(flat: &[f64], lens: &[usize], d: usize) -> KvSnapshot {
+    let mut rest = flat;
+    lens.iter()
+        .map(|&len| {
+            let (layer, tail) = rest.split_at(len * d);
+            rest = tail;
+            layer.chunks(d).map(<[f64]>::to_vec).collect()
+        })
+        .collect()
+}
+
 /// Per-layer cached key/value rows for incremental decoding.
 ///
-/// Three representations share one interface: the original contiguous
-/// per-session storage (the default — byte-for-byte the pre-paging
-/// behavior), a paged block table into a shared [`BlockPool`], and a
-/// host-side swap image of a preempted session. All three expose logical
-/// positions; the transformer's attention never sees which one it reads.
+/// A resident cache is a block table into a [`BlockPool`]: a serving pool
+/// many sessions share, or the private one-block pool of
+/// [`Transformer::new_cache`](crate::transformer::Transformer::new_cache).
+/// A preempted session's cache is a host-side swap image instead. Both
+/// expose logical positions, and which block holds a row never changes
+/// its bits.
 #[derive(Clone, Debug)]
 pub enum KvCache {
-    /// Contiguous per-session storage (`[layer][position][d_model]`).
-    Contiguous {
-        /// Cached key rows.
-        keys: Vec<Vec<Vec<f64>>>,
-        /// Cached value rows.
-        values: Vec<Vec<Vec<f64>>>,
-    },
-    /// A block table into a shared [`BlockPool`].
+    /// A block table into a [`BlockPool`].
     Paged(PagedKv),
     /// Swapped out to host: contents preserved, no blocks held. Stepping a
     /// session in this state is a scheduler bug and panics.
     Swapped(SwappedKv),
 }
 
-impl Default for KvCache {
-    fn default() -> Self {
-        KvCache::Contiguous {
-            keys: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-}
-
-/// Read-only view of one layer's K/V rows for the attention gather —
-/// borrowed in place for contiguous caches, materialized for paged ones.
-/// Either way, `key(pos)`/`value(pos)` return the identical `f64` rows in
-/// the identical order, which is the whole bit-identity argument.
-pub(crate) enum LayerView<'a> {
-    Borrowed {
-        keys: &'a [Vec<f64>],
-        values: &'a [Vec<f64>],
-    },
-    Owned {
-        keys: Vec<f64>,
-        values: Vec<f64>,
-        d: usize,
-    },
+/// One layer's K/V rows, read in place: the view holds the pool's lock,
+/// and [`LayerView::runs`] yields one `rows × d_model` K and V slice per
+/// block of the table, positions ascending. A one-block cache is one run.
+/// The slices are the stored rows themselves, so every reader sees the
+/// same bits in the same order whatever the block size.
+pub(crate) struct LayerView<'a> {
+    pool: MutexGuard<'a, PoolInner>,
+    table: &'a [usize],
+    li: usize,
 }
 
 impl LayerView<'_> {
-    #[inline]
-    pub(crate) fn key(&self, pos: usize) -> &[f64] {
-        match self {
-            LayerView::Borrowed { keys, .. } => &keys[pos],
-            LayerView::Owned { keys, d, .. } => &keys[pos * d..(pos + 1) * d],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn value(&self, pos: usize) -> &[f64] {
-        match self {
-            LayerView::Borrowed { values, .. } => &values[pos],
-            LayerView::Owned { values, d, .. } => &values[pos * d..(pos + 1) * d],
-        }
+    /// The `(keys, values)` runs of positions `0..n`, one per block.
+    pub(crate) fn runs(&self, n: usize) -> impl Iterator<Item = (&[f64], &[f64])> + '_ {
+        let (bs, d) = (self.pool.block_size, self.pool.d_model);
+        let lo = self.pool.row_off(self.li, 0);
+        let starts = (0..n).step_by(bs);
+        self.table.iter().zip(starts).map(move |(&id, start)| {
+            let hi = lo + (n - start).min(bs) * d;
+            let b = &self.pool.blocks[id];
+            (&b.keys[lo..hi], &b.values[lo..hi])
+        })
     }
 }
 
 impl KvCache {
-    /// An empty contiguous cache for a `layers`-layer model.
-    pub fn contiguous(layers: usize) -> Self {
-        KvCache::Contiguous {
-            keys: vec![Vec::new(); layers],
-            values: vec![Vec::new(); layers],
-        }
-    }
-
-    /// An empty paged cache drawing blocks from `pool`.
+    /// An empty cache drawing blocks from `pool`.
     pub fn paged(pool: &BlockPool) -> Self {
         let layers = pool.layers();
         KvCache::Paged(PagedKv {
@@ -522,7 +516,6 @@ impl KvCache {
     /// Number of cached positions.
     pub fn len(&self) -> usize {
         match self {
-            KvCache::Contiguous { keys, .. } => keys.first().map_or(0, Vec::len),
             KvCache::Paged(p) => p.len(),
             KvCache::Swapped(s) => s.len,
         }
@@ -538,19 +531,19 @@ impl KvCache {
         matches!(self, KvCache::Swapped(_))
     }
 
-    /// Blocks this cache currently holds in its pool (0 for contiguous and
-    /// swapped caches).
+    /// Blocks this cache currently holds in its pool (0 for swapped
+    /// caches).
     pub fn resident_blocks(&self) -> usize {
         match self {
             KvCache::Paged(p) => p.table.len(),
-            _ => 0,
+            KvCache::Swapped(_) => 0,
         }
     }
 
     /// Pool blocks that appending `rows` more positions will allocate
     /// (fresh tail blocks plus a copy-on-write of a still-shared block the
-    /// first private write lands in). Contiguous caches never allocate; a
-    /// swapped cache cannot append (see [`KvCache::restore_blocks`]).
+    /// first private write lands in). A swapped cache cannot append (see
+    /// [`KvCache::restore_blocks`]).
     ///
     /// The estimate is exact at call time and can only over-count later
     /// (a shared block's refcount may drop before the write, skipping the
@@ -573,16 +566,8 @@ impl KvCache {
     /// (0 for resident caches).
     pub fn restore_blocks(&self) -> usize {
         match self {
-            KvCache::Swapped(s) => s.len.div_ceil(self.block_size_of()),
-            _ => 0,
-        }
-    }
-
-    fn block_size_of(&self) -> usize {
-        match self {
-            KvCache::Paged(p) => p.block_size(),
-            KvCache::Swapped(s) => s.pool.block_size(),
-            KvCache::Contiguous { .. } => panic!("contiguous cache has no block size"),
+            KvCache::Swapped(s) => s.len.div_ceil(s.pool.block_size()),
+            KvCache::Paged(_) => 0,
         }
     }
 
@@ -592,8 +577,8 @@ impl KvCache {
     ///
     /// # Panics
     ///
-    /// Panics on a contiguous or already-swapped cache, or mid-step (when
-    /// layers disagree on length).
+    /// Panics on an already-swapped cache, or mid-step (when layers
+    /// disagree on length).
     pub fn swap_out(&mut self) -> usize {
         let KvCache::Paged(p) = self else {
             panic!("swap_out on a non-paged cache");
@@ -603,17 +588,7 @@ impl KvCache {
             p.lens.iter().all(|&l| l == len),
             "swap_out mid-step: layer lengths disagree"
         );
-        let (layers, d) = {
-            let pool = p.pool.lock();
-            (pool.layers, pool.d_model)
-        };
-        let mut keys = Vec::with_capacity(layers * len * d);
-        let mut values = Vec::with_capacity(layers * len * d);
-        for li in 0..layers {
-            let (k, v, _) = p.gather_layer(li);
-            keys.extend_from_slice(&k);
-            values.extend_from_slice(&v);
-        }
+        let (keys, values) = p.image();
         let image = SwappedKv {
             pool: p.pool.clone(),
             len,
@@ -646,27 +621,20 @@ impl KvCache {
             shared_len: 0,
         };
         {
+            // One (layer, block) run per copy, straight from the image.
             let mut pool = paged.pool.lock();
             let (bs, d, layers) = (pool.block_size, pool.d_model, pool.layers);
-            for _ in 0..len.div_ceil(bs) {
+            for start in (0..len).step_by(bs) {
                 let id = pool.alloc();
                 paged.table.push(id);
-            }
-            for li in 0..layers {
-                for pos in 0..len {
-                    let src = (li * len + pos) * d;
-                    let lo = pool.row_off(li, pos % bs);
-                    let (keys, values) = (
-                        s.keys[src..src + d].to_vec(),
-                        s.values[src..src + d].to_vec(),
-                    );
-                    let blk = &mut pool.blocks[paged.table[pos / bs]];
-                    blk.keys[lo..lo + d].copy_from_slice(&keys);
-                    blk.values[lo..lo + d].copy_from_slice(&values);
+                let n = (len - start).min(bs) * d;
+                for li in 0..layers {
+                    let (src, lo) = ((li * len + start) * d, pool.row_off(li, 0));
+                    let blk = &mut pool.blocks[id];
+                    blk.keys[lo..lo + n].copy_from_slice(&s.keys[src..src + n]);
+                    blk.values[lo..lo + n].copy_from_slice(&s.values[src..src + n]);
                 }
-            }
-            if pool.checksums {
-                for &id in &paged.table {
+                if pool.checksums {
                     pool.restamp(id);
                 }
             }
@@ -680,10 +648,6 @@ impl KvCache {
     /// Append layer `li`'s K/V row at that layer's current position.
     pub(crate) fn push_row(&mut self, li: usize, k: &[f64], v: &[f64]) {
         match self {
-            KvCache::Contiguous { keys, values } => {
-                keys[li].push(k.to_vec());
-                values[li].push(v.to_vec());
-            }
             KvCache::Paged(p) => p.push_row(li, k, v),
             KvCache::Swapped(_) => {
                 panic!("KV write to a swapped-out cache — restore before stepping")
@@ -691,17 +655,11 @@ impl KvCache {
         }
     }
 
-    /// The attention gather's view of layer `li`.
+    /// Attention's in-place view of layer `li`; it holds the pool's lock
+    /// until dropped.
     pub(crate) fn layer_view(&self, li: usize) -> LayerView<'_> {
         match self {
-            KvCache::Contiguous { keys, values } => LayerView::Borrowed {
-                keys: &keys[li],
-                values: &values[li],
-            },
-            KvCache::Paged(p) => {
-                let (keys, values, d) = p.gather_layer(li);
-                LayerView::Owned { keys, values, d }
-            }
+            KvCache::Paged(p) => p.layer_view(li),
             KvCache::Swapped(_) => {
                 panic!("KV read from a swapped-out cache — restore before stepping")
             }
@@ -712,10 +670,9 @@ impl KvCache {
     /// contents: `Err(table_index)` names the first corrupted block.
     ///
     /// Vacuously `Ok` unless the pool was built
-    /// [`with_checksums`](BlockPool::with_checksums), and for contiguous or
-    /// swapped caches (host images are never silently mutated in this
-    /// model). A detected mismatch bumps the `kv_checksum_faults` trace
-    /// counter.
+    /// [`with_checksums`](BlockPool::with_checksums), and for swapped
+    /// caches (host images are never silently mutated in this model). A
+    /// detected mismatch bumps the `kv_checksum_faults` trace counter.
     pub fn verify_checksums(&self) -> Result<(), usize> {
         let KvCache::Paged(p) = self else {
             return Ok(());
@@ -737,7 +694,7 @@ impl KvCache {
     /// LSB of one cached `f64`, chosen deterministically from `salt`)
     /// *without* re-stamping the block's checksum — modelling a device-side
     /// upset that only [`KvCache::verify_checksums`] can catch. Returns
-    /// `false` (and injects nothing) on non-paged or empty caches.
+    /// `false` (and injects nothing) on swapped or empty caches.
     ///
     /// Callers must only corrupt caches whose blocks are private (e.g. a
     /// freshly restored session); corrupting a shared block would alias the
@@ -784,39 +741,23 @@ impl KvCache {
     }
 
     /// Materialize the full contents as `([layer][pos][d] keys, values)` —
-    /// representation-independent, for tests and differential checks.
+    /// the same for every block size and for a swap image, for tests and
+    /// differential checks.
     pub fn snapshot(&self) -> (KvSnapshot, KvSnapshot) {
         match self {
-            KvCache::Contiguous { keys, values } => (keys.clone(), values.clone()),
             KvCache::Paged(p) => {
-                let layers = p.lens.len();
-                let mut keys = Vec::with_capacity(layers);
-                let mut values = Vec::with_capacity(layers);
-                for li in 0..layers {
-                    let (k, v, d) = p.gather_layer(li);
-                    keys.push(k.chunks(d).map(<[f64]>::to_vec).collect());
-                    values.push(v.chunks(d).map(<[f64]>::to_vec).collect());
-                }
-                (keys, values)
+                let ((keys, values), d) = (p.image(), p.pool.d_model());
+                (
+                    split_image(&keys, &p.lens, d),
+                    split_image(&values, &p.lens, d),
+                )
             }
             KvCache::Swapped(s) => {
-                let d = {
-                    let pool = s.pool.lock();
-                    pool.d_model
-                };
-                let layers = s.keys.len() / (s.len * d).max(1);
-                let per_layer = s.len * d;
-                let split = |flat: &[f64]| {
-                    (0..layers)
-                        .map(|li| {
-                            flat[li * per_layer..(li + 1) * per_layer]
-                                .chunks(d)
-                                .map(<[f64]>::to_vec)
-                                .collect()
-                        })
-                        .collect()
-                };
-                (split(&s.keys), split(&s.values))
+                let (lens, d) = (vec![s.len; s.pool.layers()], s.pool.d_model());
+                (
+                    split_image(&s.keys, &lens, d),
+                    split_image(&s.values, &lens, d),
+                )
             }
         }
     }
@@ -877,11 +818,16 @@ impl PrefixRegistry {
     }
 
     /// Register the whole-block prefix of `tokens` as stored in `cache`
-    /// (a paged cache that has consumed at least that many positions).
-    /// No-ops on contiguous/swapped caches, prefixes shorter than one
-    /// block, and exact duplicates.
+    /// (a resident cache of this registry's pool that has consumed at
+    /// least that many positions). No-ops on caches of any other pool (a
+    /// [`Transformer::new_cache`](crate::transformer::Transformer::new_cache)
+    /// cache among them), swapped caches, prefixes shorter than one block,
+    /// and exact duplicates.
     pub fn register(&mut self, tokens: &[usize], cache: &KvCache) {
-        let KvCache::Paged(p) = cache else { return };
+        let p = match cache {
+            KvCache::Paged(p) if p.pool.same(&self.pool) => p,
+            _ => return,
+        };
         let bs = p.block_size();
         let keep = tokens.len() / bs * bs;
         if keep == 0 || p.len() < keep {
@@ -935,11 +881,16 @@ impl PrefixRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `cache` is not an empty paged cache.
+    /// Panics if `cache` is not an empty resident cache of this registry's
+    /// pool.
     pub fn adopt_into(&self, prompt: &[usize], cache: &mut KvCache) -> usize {
         let KvCache::Paged(p) = cache else {
             panic!("prefix adoption into a non-paged cache");
         };
+        assert!(
+            p.pool.same(&self.pool),
+            "prefix adoption into a cache of another pool"
+        );
         assert!(
             p.table.is_empty() && p.len() == 0,
             "prefix adoption into a non-empty cache"
@@ -1013,14 +964,18 @@ mod tests {
 
     #[test]
     fn paged_rows_read_back_identically_across_block_sizes() {
-        let mut reference = KvCache::contiguous(2);
-        fill(&mut reference, 0, 11);
-        for bs in [1usize, 2, 3, 7, 16] {
+        let rows = |row: fn(usize, usize) -> Vec<f64>| -> KvSnapshot {
+            (0..2)
+                .map(|li| (0..11).map(|pos| row(li, pos)).collect())
+                .collect()
+        };
+        let reference = (rows(krow), rows(vrow));
+        for bs in [1usize, 2, 3, 7, 11, 16] {
             let p = pool(bs);
             let mut c = KvCache::paged(&p);
             fill(&mut c, 0, 11);
             assert_eq!(c.len(), 11);
-            assert_eq!(c.snapshot(), reference.snapshot(), "bs={bs}");
+            assert_eq!(c.snapshot(), reference, "bs={bs}");
             assert_eq!(c.resident_blocks(), 11usize.div_ceil(bs));
         }
     }
@@ -1052,23 +1007,27 @@ mod tests {
 
     #[test]
     fn swap_roundtrip_is_bit_exact_and_frees_blocks() {
-        let p = pool(3);
-        let mut c = KvCache::paged(&p);
-        fill(&mut c, 0, 8);
-        let snap = c.snapshot();
-        let rows = c.swap_out();
-        assert_eq!(rows, 8);
-        assert!(c.is_swapped());
-        assert_eq!(p.live_blocks(), 0, "swap-out frees every block");
-        assert_eq!(c.len(), 8, "logical length survives the swap");
-        assert_eq!(c.restore_blocks(), 3);
-        let back = c.restore();
-        assert_eq!(back, 8);
-        assert!(!c.is_swapped());
-        assert_eq!(c.snapshot(), snap, "restore must be bit-exact");
-        // The restored session keeps decoding normally.
-        fill(&mut c, 8, 1);
-        assert_eq!(c.len(), 9);
+        // An empty cache is one more input: its image keeps both layers.
+        for n in [8, 0] {
+            let p = pool(3);
+            let mut c = KvCache::paged(&p);
+            fill(&mut c, 0, n);
+            let snap = c.snapshot();
+            let rows = c.swap_out();
+            assert_eq!(rows, n);
+            assert!(c.is_swapped());
+            assert_eq!(p.live_blocks(), 0, "swap-out frees every block");
+            assert_eq!(c.len(), n, "logical length survives the swap");
+            assert_eq!(c.snapshot(), snap, "the image holds the same rows");
+            assert_eq!(c.restore_blocks(), n.div_ceil(3));
+            let back = c.restore();
+            assert_eq!(back, n);
+            assert!(!c.is_swapped());
+            assert_eq!(c.snapshot(), snap, "restore must be bit-exact");
+            // The restored session keeps decoding normally.
+            fill(&mut c, n, 1);
+            assert_eq!(c.len(), n + 1);
+        }
     }
 
     #[test]
@@ -1152,7 +1111,6 @@ mod tests {
         assert_eq!(a.blocks_needed(1), 1, "COW counts as an allocation");
         drop(b);
         assert_eq!(a.blocks_needed(1), 0, "sole owner again");
-        assert_eq!(KvCache::contiguous(2).blocks_needed(100), 0);
     }
 
     #[test]
@@ -1251,6 +1209,14 @@ mod tests {
         fill(&mut c, 0, 4);
         let _ = c.swap_out();
         c.rebind_pool(&pool(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache of another pool")]
+    fn adoption_into_another_pools_cache_panics() {
+        let reg = PrefixRegistry::new(&pool(2));
+        let mut c = KvCache::paged(&pool(2));
+        let _ = reg.adopt_into(&[1, 2], &mut c);
     }
 
     #[test]

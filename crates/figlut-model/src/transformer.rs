@@ -16,9 +16,9 @@
 //!
 //! There is one transformer body, [`Transformer::forward_batch`]'s: the
 //! full-sequence [`Transformer::logits`] (perplexity, calibration capture,
-//! sampling) runs it over one session with a fresh contiguous KV cache,
-//! and the serving entry points (`prefill`, `decode_step`, `decode_batch`)
-//! are thin wrappers over it.
+//! sampling) runs it over one session with a fresh one-block KV cache
+//! ([`Transformer::new_cache`]), and the serving entry points (`prefill`,
+//! `decode_step`, `decode_batch`) are thin wrappers over it.
 
 use crate::rng::Rng;
 use figlut_exec::parallel::{crew_size, thread_count, Crew};
@@ -26,6 +26,7 @@ use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::{Engine, EngineConfig, Weights};
 use figlut_num::Mat;
 use figlut_quant::{BcqWeight, UniformWeight};
+use std::borrow::BorrowMut;
 
 /// Scaled-down OPT-style architecture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -301,8 +302,8 @@ impl Block {
     }
 }
 
+use crate::kv::BlockPool;
 pub use crate::kv::KvCache;
-use crate::kv::{BlockPool, LayerView};
 
 /// A decoder-only transformer.
 #[derive(Clone, Debug)]
@@ -443,7 +444,7 @@ impl Transformer {
 
     /// Next-token logits for every position (`seq × vocab`), via the tied
     /// LM head: the [`Transformer::forward_batch`] body over one session
-    /// with a fresh contiguous cache, so row `t` is bit-identical to the
+    /// with a fresh [`Transformer::new_cache`], so row `t` is bit-identical to the
     /// `t`-th [`Transformer::decode_step`] of the same tokens.
     ///
     /// # Panics
@@ -467,17 +468,19 @@ impl Transformer {
         self.forward(&[tokens], &mut [self.new_cache()], backend, Some(capture))
     }
 
-    /// Create an empty KV cache for incremental decoding — the contiguous
-    /// per-session representation, byte-for-byte the pre-paging layout.
+    /// Create an empty KV cache for incremental decoding, over a private,
+    /// unbounded pool whose one block holds the whole context (`max_seq`
+    /// positions): attention reads the session's rows as one run.
     pub fn new_cache(&self) -> KvCache {
-        KvCache::contiguous(self.cfg.layers)
+        KvCache::paged(&BlockPool::for_model(&self.cfg, self.cfg.max_seq, None))
     }
 
-    /// Create an empty *paged* KV cache drawing blocks from `pool`.
-    /// Numerically indistinguishable from [`Transformer::new_cache`]: the
-    /// attention gather reads rows by logical position through either
-    /// representation, so logits and sampled tokens are bit-identical
-    /// (pinned by this crate's tests and `figlut-serve`'s property suite).
+    /// Create an empty KV cache drawing blocks from a shared `pool`.
+    /// Numerically indistinguishable from [`Transformer::new_cache`]:
+    /// attention reads the rows in place, block run by block run in
+    /// position order, so logits and sampled tokens are bit-identical for
+    /// every block size (pinned by this crate's tests and `figlut-serve`'s
+    /// property suite).
     ///
     /// # Panics
     ///
@@ -536,6 +539,7 @@ impl Transformer {
     /// consumes `chunks[i]` (≥ 1 token-rows) starting at its own cache
     /// position, and the `total-rows × vocab` next-token logits come back
     /// session-major (session 0's chunk rows first, then session 1's, …).
+    /// `caches[i]` is session `i`'s cache, owned or lent (`&mut KvCache`).
     ///
     /// The forward path the serving layer schedules: decode rows (chunks of
     /// length 1) and prefill chunks ride one `rows × d` GEMM per linear
@@ -556,10 +560,10 @@ impl Transformer {
     /// Panics on an empty batch, a `chunks`/`caches` length mismatch, an
     /// empty chunk, a chunk that overflows its session's `max_seq` cache,
     /// or an out-of-vocabulary token.
-    pub fn forward_batch(
+    pub fn forward_batch<C: BorrowMut<KvCache>>(
         &self,
         chunks: &[&[usize]],
-        caches: &mut [KvCache],
+        caches: &mut [C],
         backend: &Backend,
     ) -> Mat<f64> {
         let logits = self.forward(chunks, caches, backend, None);
@@ -582,17 +586,17 @@ impl Transformer {
     /// The one transformer body: [`Transformer::forward_batch`] without the
     /// trace accounting, and with an optional `capture` hook receiving each
     /// linear layer's input (see [`Transformer::logits_with_capture`]).
-    fn forward(
+    fn forward<C: BorrowMut<KvCache>>(
         &self,
         chunks: &[&[usize]],
-        caches: &mut [KvCache],
+        caches: &mut [C],
         backend: &Backend,
         mut capture: Option<&mut Vec<Vec<Mat<f64>>>>,
     ) -> Mat<f64> {
         let cfg = &self.cfg;
         assert!(!chunks.is_empty(), "empty batch");
         assert_eq!(chunks.len(), caches.len(), "chunks/caches length mismatch");
-        let p0: Vec<usize> = caches.iter().map(KvCache::len).collect();
+        let p0: Vec<usize> = caches.iter().map(|c| c.borrow().len()).collect();
         // (session, offset-in-chunk) of every fused row, session-major.
         let mut row_of: Vec<(usize, usize)> = Vec::new();
         for (i, (chunk, &p)) in chunks.iter().zip(&p0).enumerate() {
@@ -633,35 +637,40 @@ impl Transformer {
                 (li * 6..li * 6 + 3).for_each(|slot| keep(slot, &h)); // wq, wk, wv
                 let [q, k, v] = block.qkv(&h, backend, crew);
                 for (r, &(i, _)) in row_of.iter().enumerate() {
-                    caches[i].push_row(li, k.row(r), v.row(r));
+                    caches[i].borrow_mut().push_row(li, k.row(r), v.row(r));
                 }
                 let mut ctx = Mat::zeros(rows, d);
-                // One view per session for the whole layer: a paged cache yields
-                // the identical f64 rows in the identical order as a contiguous one.
-                let views: Vec<LayerView<'_>> = caches.iter().map(|c| c.layer_view(li)).collect();
-                for (r, &(i, t)) in row_of.iter().enumerate() {
-                    // Causal: row t of session i sees its session's cache plus
-                    // its own chunk rows 0..=t (pushed above), never another
-                    // session. Each K/V row is resolved once and sliced per head;
-                    // a score is Σⱼ in j order then × scale, a ctx element
-                    // accumulates over u ascending.
-                    let (view, n, qr) = (&views[i], p0[i] + t + 1, q.row(r));
-                    scores.resize(cfg.heads * n, 0.0);
-                    for u in 0..n {
-                        let heads = qr.chunks_exact(dh).zip(view.key(u).chunks_exact(dh));
-                        for (head, (qh, kh)) in heads.enumerate() {
-                            let s = qh.iter().zip(kh).fold(0.0, |s, (a, b)| s + a * b);
-                            scores[head * n + u] = s * scale;
+                let mut fused = 0..rows; // session-major row indices
+                for (i, cache) in caches.iter().enumerate() {
+                    // One session's view at a time: sessions of one step may
+                    // share a pool, and the view holds its lock.
+                    let view = cache.borrow().layer_view(li);
+                    for (t, r) in fused.by_ref().take(chunks[i].len()).enumerate() {
+                        // Causal: row t of session i sees its session's cache
+                        // plus its own chunk rows 0..=t (pushed above), never
+                        // another session. Positions u ascend across the view's
+                        // block runs; a score is Σⱼ in j order then × scale, a
+                        // ctx element accumulates over u ascending.
+                        let (n, qr) = (p0[i] + t + 1, q.row(r));
+                        scores.resize(cfg.heads * n, 0.0);
+                        let keys = view.runs(n).flat_map(|(k, _)| k.chunks_exact(d));
+                        for (u, kr) in keys.enumerate() {
+                            let heads = qr.chunks_exact(dh).zip(kr.chunks_exact(dh));
+                            for (head, (qh, kh)) in heads.enumerate() {
+                                let s = qh.iter().zip(kh).fold(0.0, |s, (a, b)| s + a * b);
+                                scores[head * n + u] = s * scale;
+                            }
                         }
-                    }
-                    scores.chunks_exact_mut(n).for_each(softmax_row);
-                    let cr = ctx.row_mut(r);
-                    for u in 0..n {
-                        let heads = cr.chunks_exact_mut(dh).zip(view.value(u).chunks_exact(dh));
-                        for (head, (ch, vh)) in heads.enumerate() {
-                            let a = scores[head * n + u];
-                            for (c, v) in ch.iter_mut().zip(vh) {
-                                *c += a * v;
+                        scores.chunks_exact_mut(n).for_each(softmax_row);
+                        let cr = ctx.row_mut(r);
+                        let values = view.runs(n).flat_map(|(_, v)| v.chunks_exact(d));
+                        for (u, vr) in values.enumerate() {
+                            let heads = cr.chunks_exact_mut(dh).zip(vr.chunks_exact(dh));
+                            for (head, (ch, vh)) in heads.enumerate() {
+                                let a = scores[head * n + u];
+                                for (c, v) in ch.iter_mut().zip(vh) {
+                                    *c += a * v;
+                                }
                             }
                         }
                     }
@@ -718,10 +727,10 @@ impl Transformer {
     /// Panics if the batch is empty, `tokens` and `caches` disagree in
     /// length, any session's cache is full, or any token is out of
     /// vocabulary.
-    pub fn decode_batch(
+    pub fn decode_batch<C: BorrowMut<KvCache>>(
         &self,
         tokens: &[usize],
-        caches: &mut [KvCache],
+        caches: &mut [C],
         backend: &Backend,
     ) -> Mat<f64> {
         let chunks: Vec<&[usize]> = tokens.chunks(1).collect();
@@ -731,7 +740,7 @@ impl Transformer {
     /// Autoregressively sample `len` tokens after a BOS token (id 0) at the
     /// given softmax temperature. Deterministic in `rng`.
     ///
-    /// Decodes incrementally through one contiguous cache — each token's
+    /// Decodes incrementally through one [`Transformer::new_cache`] — each token's
     /// logits are bit-identical to the last row of [`Transformer::logits`]
     /// over the prefix, at O(len) forward rows instead of O(len²).
     pub fn sample(&self, len: usize, temperature: f64, rng: &mut Rng) -> Vec<usize> {
@@ -1127,6 +1136,25 @@ mod tests {
             live_before + 1,
             "only the private tail allocates"
         );
+    }
+
+    #[test]
+    fn registry_ignores_caches_of_other_pools() {
+        // A second pool's cache and a `new_cache` (its own private pool):
+        // their block ids mean nothing in the registry's pool.
+        let m = Transformer::teacher(ModelConfig::tiny(), 43);
+        let prompt = [0usize, 7, 19, 3, 88, 42, 11, 5];
+        let pool = BlockPool::for_model(&m.cfg, 4, None);
+        let other = BlockPool::for_model(&m.cfg, 4, None);
+        let mut registry = crate::kv::PrefixRegistry::new(&pool);
+        for mut cache in [m.new_paged_cache(&other), m.new_cache()] {
+            let _ = m.prefill(&prompt, &mut cache, &Backend::Exact);
+            let live = (pool.live_blocks(), other.live_blocks());
+            registry.register(&prompt, &cache);
+            assert!(registry.is_empty());
+            assert_eq!((pool.live_blocks(), other.live_blocks()), live);
+        }
+        assert_eq!(other.live_blocks(), 0, "the foreign cache freed its blocks");
     }
 
     #[test]

@@ -115,11 +115,14 @@ proptest! {
                     chunks.push(&p[consumed[i]..consumed[i] + take]);
                 }
             }
-            let mut live_caches: Vec<KvCache> =
-                live.iter().map(|&i| std::mem::take(&mut caches[i])).collect();
+            let mut live_caches: Vec<&mut KvCache> = caches
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(i, c)| live.contains(&i).then_some(c))
+                .collect();
             let logits = model.forward_batch(&chunks, &mut live_caches, &backend);
             let mut row = 0usize;
-            for ((&i, &take), cache) in live.iter().zip(&takes).zip(live_caches) {
+            for (&i, &take) in live.iter().zip(&takes) {
                 for t in 0..take {
                     prop_assert_eq!(
                         logits.row(row),
@@ -131,7 +134,6 @@ proptest! {
                     row += 1;
                 }
                 consumed[i] += take;
-                caches[i] = cache;
             }
         }
         for (cache, p) in caches.iter().zip(&prompts) {

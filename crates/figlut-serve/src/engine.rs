@@ -137,7 +137,7 @@ impl SessionState {
     }
 
     /// Pool blocks that stepping this session by `rows` positions may
-    /// allocate (0 for contiguous caches).
+    /// allocate.
     pub fn blocks_needed(&self, rows: usize) -> usize {
         self.cache.blocks_needed(rows)
     }
@@ -150,7 +150,7 @@ impl SessionState {
     /// Fault injection: silently flip one stored KV bit, chosen
     /// deterministically from `salt`, without re-stamping the block's
     /// checksum (see [`KvCache::corrupt_row`]). `false` when the session's
-    /// cache holds nothing corruptible (non-paged or empty).
+    /// cache holds nothing corruptible (swapped out or empty).
     pub fn corrupt_kv(&mut self, salt: u64) -> bool {
         self.cache.corrupt_row(salt)
     }
@@ -195,16 +195,16 @@ impl<'m> BatchEngine<'m> {
     }
 
     /// Create the session state for an admitted request (no compute yet),
-    /// with the default contiguous KV cache.
+    /// with a private one-block KV cache ([`Transformer::new_cache`]).
     pub fn start(&self, request: Request) -> SessionState {
         let cache = self.model.new_cache();
         self.start_with_cache(request, cache)
     }
 
     /// Create the session state for an admitted request over a
-    /// caller-provided cache — a paged cache from a shared [`BlockPool`]
-    /// (possibly pre-loaded with an adopted shared prefix), or the default
-    /// contiguous one. The cache choice is invisible to the token stream.
+    /// caller-provided cache — one from a shared [`BlockPool`] (possibly
+    /// pre-loaded with an adopted shared prefix), or a private one-block
+    /// cache. The cache choice is invisible to the token stream.
     ///
     /// [`BlockPool`]: figlut_model::BlockPool
     pub fn start_with_cache(&self, request: Request, cache: KvCache) -> SessionState {
@@ -323,31 +323,22 @@ impl<'m> BatchEngine<'m> {
             }
             None => (0, 0),
         };
-        let mut caches: Vec<KvCache> = decoding
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.cache))
-            .collect();
-        if let Some(s) = prefilling.as_mut() {
-            caches.push(std::mem::take(&mut s.cache));
-        }
         let logits = {
+            // Every session's cache is lent in place for the step.
             let mut chunks: Vec<&[usize]> = tokens.iter().map(std::slice::from_ref).collect();
-            if let Some(s) = &prefilling {
+            let mut caches: Vec<&mut KvCache> = decoding.iter_mut().map(|s| &mut s.cache).collect();
+            if let Some(s) = prefilling.as_deref_mut() {
                 chunks.push(&s.request.prompt[start..start + take]);
+                caches.push(&mut s.cache);
             }
             self.model
                 .forward_batch(&chunks, &mut caches, &self.backend)
         };
-        let mut caches = caches.into_iter();
         for (i, s) in decoding.iter_mut().enumerate() {
-            // audit: allow(panic) — forward_batch returns one cache per submitted chunk, in order
-            s.cache = caches.next().unwrap();
             let next = sample(logits.row(i), &s.request.sampling, &mut s.rng);
             s.generated.push(next);
         }
         if let Some(s) = prefilling {
-            // audit: allow(panic) — forward_batch returns one cache per submitted chunk, in order
-            s.cache = caches.next().unwrap();
             s.prefilled = start + take;
             if s.is_prefilled() {
                 // The prompt's last row — bit-identical to the row a

@@ -142,9 +142,11 @@ pub struct ServeConfig {
     /// spot for the packed host kernels is a step whose rows fill whole
     /// 8-column lane blocks of the exec kernel.
     pub prefill_chunk: Option<usize>,
-    /// Paged-KV block size. `None` (the default) keeps each session's K/V
-    /// in its own contiguous allocation — the pre-paging layout, pinned by
-    /// the golden trace. `Some(b)` stores K/V in pool blocks of `b`
+    /// Paged-KV block size. `None` (the default) gives each session a
+    /// private one-block cache
+    /// ([`Transformer::new_cache`](figlut_model::Transformer::new_cache)) and no memory
+    /// management — the schedule pinned by the golden trace. `Some(b)`
+    /// stores K/V in one shared pool's blocks of `b`
     /// positions behind a per-session block table, enabling shared-prefix
     /// storage and preempt/restore. The emitted tokens are bit-identical
     /// either way: paging changes where rows live, never what they hold.
@@ -163,7 +165,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A configuration with the default per-step overhead of 1 tick,
-    /// monolithic (un-chunked) prefill, and contiguous (un-paged) KV.
+    /// monolithic (un-chunked) prefill, and unmanaged KV (one private
+    /// one-block cache per session).
     pub fn new(max_batch: usize, policy: Policy) -> Self {
         assert!(max_batch >= 1, "max_batch must be at least 1");
         Self {
@@ -335,7 +338,8 @@ impl FaultPlan {
 /// A crash-consistent snapshot of a serving run, captured by
 /// [`ServeHooks::checkpoint`] at a step boundary (chunked runs: with no
 /// prefill in flight) and resumable with [`resume`]. Sessions are stored
-/// as host swap images when paging is on (contiguous clones otherwise),
+/// as host swap images when paging is on (resident clones otherwise, which
+/// share their block until the live session's next write copies it),
 /// the sampler RNGs and generated tokens ride inside the cloned
 /// [`SessionState`]s, and the virtual clock, queues, finished metrics, and
 /// executed steps are carried verbatim — so a resumed run continues the
@@ -400,9 +404,9 @@ pub struct CheckpointHook<'a> {
 
 /// KV-memory runtime of one serving run.
 enum Memory {
-    /// Contiguous per-session caches (paging off): allocation always
-    /// succeeds and there is nothing to manage. This path is byte-for-byte
-    /// the pre-paging scheduler.
+    /// Paging off: each session's cache has a private, unbounded one-block
+    /// pool, so allocation always succeeds and there is nothing to manage.
+    /// This path is byte-for-byte the pre-paging scheduler.
     Unmanaged,
     /// Block-table paging: a (possibly bounded) [`BlockPool`], the
     /// shared-prefix registry, and the swapped-out session queue.
@@ -457,8 +461,9 @@ impl Memory {
         }
     }
 
-    /// Open a session for `req`: contiguous cache when unmanaged, a paged
-    /// cache (adopting the longest registered shared prefix) when paging.
+    /// Open a session for `req`: a private one-block cache when unmanaged,
+    /// a cache of the shared pool (adopting the longest registered shared
+    /// prefix) when paging.
     fn start(&mut self, engine: &BatchEngine<'_>, req: Request) -> SessionState {
         match self {
             Memory::Unmanaged => engine.start(req),
@@ -859,7 +864,7 @@ impl LoopState {
                 for mut s in ck.sessions {
                     assert!(
                         s.is_swapped(),
-                        "request {}: contiguous checkpoint resumed with paging",
+                        "request {}: unpaged checkpoint resumed with paging",
                         s.request.id
                     );
                     s.rebind_pool(&rt.pool);
