@@ -1120,8 +1120,8 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
     // reported, every token stream is asserted bit-identical to its solo
     // batch-1 run — paging and preemption move bytes, never tokens — and
     // the unbounded paged rows are asserted to cut resident KV below half
-    // of contiguous at energy within 5% (sharing is storage-only, so the
-    // executed step sequence is identical and energy is *exactly* equal).
+    // of contiguous and, since adopters skip the shared prompt rows instead
+    // of recomputing them, to price strictly less energy per token.
     use figlut_serve::{serve, BatchEngine, Policy, Request, Sampling, ServeConfig, Trace};
 
     let teacher = Transformer::teacher(
@@ -1236,15 +1236,17 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
         let energy = report.energy_per_token_pj(&tech, &spec, opt, avg_bits);
         match pool {
             None => {
-                // The issue's acceptance gates: the shared prefix halves
-                // resident KV (and then some) at energy within 5%.
+                // The shared prefix halves resident KV (and then some), and
+                // the prompt rows adopters skip are energy never spent.
                 assert!(
                     frac < 0.5,
                     "bs {bs}: resident KV {frac:.2}x of contiguous, expected < 0.5x"
                 );
                 assert!(
-                    (energy - contig_energy).abs() <= 0.05 * contig_energy,
-                    "bs {bs}: energy/token {energy} drifted from contiguous {contig_energy}"
+                    stats.shared_rows > 0 && energy < contig_energy,
+                    "bs {bs}: energy/token {energy} not below contiguous {contig_energy} \
+                     with {} shared rows",
+                    stats.shared_rows
                 );
                 assert_eq!(stats.swaps_out, 0, "bs {bs}: preempted without a pool cap");
             }
@@ -1270,11 +1272,13 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
     }
     t.note("tokens asserted bit-identical to solo batch-1 runs for every layout and");
     t.note("pool cap before any number is reported; unbounded paged rows additionally");
-    t.note("asserted to hold resident KV < 0.5x contiguous at energy within 5%");
+    t.note("asserted to share rows, hold resident KV < 0.5x contiguous, and price");
+    t.note("strictly less energy per token than contiguous");
     t.note("peak KV: contiguous prices peak_kv_rows x one row's K+V bytes; paged");
     t.note("prices peak_live_blocks x bytes_per_block (same f64 host storage)");
-    t.note("sharing is storage-only (adopters still compute all prefill rows), so the");
-    t.note("unbounded step sequences match contiguous exactly and energy is equal;");
+    t.note("adopters skip the shared prompt rows (all but a wholly shared prompt's");
+    t.note("last row), so paged steps carry fewer prefill rows: fewer ticks and less");
+    t.note("energy than contiguous, which recomputes the prefix for every session;");
     t.note("the capped row swaps blocks to host and back (priced as non-GEMM DRAM");
     t.note("traffic in nJ/token) yet still emits the same tokens");
     vec![("ext_paged_kv".into(), t)]

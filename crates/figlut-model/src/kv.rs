@@ -19,19 +19,21 @@
 //!   `rows × d_model` K and V slice per block, positions ascending. The
 //!   stored `f64` values and the read order — and therefore every
 //!   downstream bit — are the same for every block size.
-//! * **Prefix sharing (storage-level, copy-on-write).** A
+//! * **Prefix sharing (copy-on-write, compute skipped).** A
 //!   [`PrefixRegistry`] maps prompt prefixes (keyed by an FNV-1a hash,
 //!   verified by exact token comparison so collisions are harmless) to the
 //!   blocks holding their K/V rows. A new session *adopts* the longest
-//!   matching prefix: its table references the shared blocks and its
-//!   writes below the adopted length become no-ops — sound because K/V
-//!   rows are a deterministic function of the token prefix, so the session
-//!   would write bit-identical data (debug builds assert exactly that).
-//!   The first write *past* the shared prefix into a still-shared block
-//!   triggers copy-on-write. Compute is **not** deduplicated: the adopter
-//!   still runs every prompt row through the model, so step sequences,
-//!   virtual-clock costs, and energy pricing are unchanged — sharing is a
-//!   resident-bytes win only.
+//!   matching prefix: its table references the shared blocks, and the
+//!   cache counts the adopted rows as consumed — all but the prompt's last
+//!   row, which always runs because it samples the first token. Sound
+//!   because K/V rows are a deterministic function of the token prefix:
+//!   the adopter would have computed bit-identical rows. When the whole
+//!   prompt is shared, that last row's write lands below the adopted
+//!   length and is a no-op (debug builds assert the bits match). The
+//!   first write *past* the shared prefix into a still-shared block
+//!   triggers copy-on-write. An adopter's prefill therefore runs only its
+//!   private rows, so sharing cuts compute, ticks and priced energy as well
+//!   as resident bytes.
 //! * **Swap images.** [`KvCache::swap_out`] copies a session's rows to a
 //!   host-side [`SwappedKv`] image and frees its blocks;
 //!   [`KvCache::restore`] re-allocates and copies back. Contents round-trip
@@ -272,7 +274,9 @@ impl BlockPool {
 /// `lens[li]` counts the rows layer `li` has written (layers advance in
 /// order within one forward step, so lengths differ by at most one row
 /// mid-step and are equal between steps). `shared_len` marks the adopted
-/// prefix: writes below it are no-ops against already-shared data.
+/// prefix. Adoption starts `lens` at most one row below it (a wholly shared
+/// prompt's last row), and a write below it is a no-op against the
+/// already-shared data.
 #[derive(Debug)]
 pub struct PagedKv {
     pool: BlockPool,
@@ -332,9 +336,9 @@ impl PagedKv {
     fn push_row(&mut self, li: usize, k: &[f64], v: &[f64]) {
         let pos = self.lens[li];
         if pos < self.shared_len {
-            // Adopted prefix: the row is already stored (bit-identical by
-            // determinism — the adopter computes the same K/V from the
-            // same token prefix). Debug builds verify the claim.
+            // The last row of a wholly adopted prompt: already stored
+            // (bit-identical by determinism — the adopter computes the same
+            // K/V from the same token prefix). Debug builds verify it.
             #[cfg(debug_assertions)]
             {
                 let p = self.pool.lock();
@@ -385,20 +389,6 @@ impl PagedKv {
         }
     }
 
-    /// Every layer's rows as flat `[layer][position][d_model]` K and V
-    /// images, copied run by run.
-    fn image(&self) -> (Vec<f64>, Vec<f64>) {
-        let size = self.lens.iter().sum::<usize>() * self.pool.d_model();
-        let (mut keys, mut values) = (Vec::with_capacity(size), Vec::with_capacity(size));
-        for (li, &len) in self.lens.iter().enumerate() {
-            for (k, v) in self.layer_view(li).runs(len) {
-                keys.extend_from_slice(k);
-                values.extend_from_slice(v);
-            }
-        }
-        (keys, values)
-    }
-
     fn release(&mut self) {
         let mut p = self.pool.lock();
         for &id in &self.table {
@@ -431,6 +421,26 @@ impl Drop for PagedKv {
     }
 }
 
+/// Every layer's rows of `table` as flat `[layer][position][d_model]` K
+/// and V images, layer `li` holding `lens[li]` positions, copied run by
+/// run.
+fn image_of(pool: &BlockPool, table: &[usize], lens: &[usize]) -> (Vec<f64>, Vec<f64>) {
+    let size = lens.iter().sum::<usize>() * pool.d_model();
+    let (mut keys, mut values) = (Vec::with_capacity(size), Vec::with_capacity(size));
+    for (li, &len) in lens.iter().enumerate() {
+        let view = LayerView {
+            pool: pool.lock(),
+            table,
+            li,
+        };
+        for (k, v) in view.runs(len) {
+            keys.extend_from_slice(k);
+            values.extend_from_slice(v);
+        }
+    }
+    (keys, values)
+}
+
 /// A preempted session's KV contents, copied to host memory. Restoring
 /// copies the same bits back into freshly allocated blocks, so a
 /// preempt/restore round trip is invisible to the session's numerics.
@@ -441,6 +451,59 @@ pub struct SwappedKv {
     /// `[layer][position][d_model]`, flattened.
     keys: Vec<f64>,
     values: Vec<f64>,
+}
+
+impl SwappedKv {
+    /// Blocks a copy back into the pool allocates.
+    fn blocks(&self) -> usize {
+        self.len.div_ceil(self.pool.block_size())
+    }
+
+    /// Copy the image into freshly allocated blocks of its pool, one
+    /// (layer, block) run per copy.
+    fn to_paged(&self) -> PagedKv {
+        let len = self.len;
+        let mut paged = PagedKv {
+            pool: self.pool.clone(),
+            table: Vec::new(),
+            lens: vec![len; self.pool.layers()],
+            shared_len: 0,
+        };
+        let mut pool = paged.pool.lock();
+        let (bs, d, layers) = (pool.block_size, pool.d_model, pool.layers);
+        for start in (0..len).step_by(bs) {
+            let id = pool.alloc();
+            paged.table.push(id);
+            let n = (len - start).min(bs) * d;
+            for li in 0..layers {
+                let (src, lo) = ((li * len + start) * d, pool.row_off(li, 0));
+                let blk = &mut pool.blocks[id];
+                blk.keys[lo..lo + n].copy_from_slice(&self.keys[src..src + n]);
+                blk.values[lo..lo + n].copy_from_slice(&self.values[src..src + n]);
+            }
+            if pool.checksums {
+                pool.restamp(id);
+            }
+        }
+        drop(pool);
+        paged
+    }
+
+    /// Re-target the image at `pool`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pool`'s shape (block size, layers, width) differs from
+    /// the image's original pool.
+    fn rebind(&mut self, pool: &BlockPool) {
+        assert!(
+            self.pool.block_size() == pool.block_size()
+                && self.pool.layers() == pool.layers()
+                && self.pool.d_model() == pool.d_model(),
+            "rebind_pool across differently shaped pools"
+        );
+        self.pool = pool.clone();
+    }
 }
 
 /// One side (K or V) of a materialized cache: `[layer][position][d_model]`.
@@ -566,7 +629,7 @@ impl KvCache {
     /// (0 for resident caches).
     pub fn restore_blocks(&self) -> usize {
         match self {
-            KvCache::Swapped(s) => s.len.div_ceil(s.pool.block_size()),
+            KvCache::Swapped(s) => s.blocks(),
             KvCache::Paged(_) => 0,
         }
     }
@@ -588,7 +651,7 @@ impl KvCache {
             p.lens.iter().all(|&l| l == len),
             "swap_out mid-step: layer lengths disagree"
         );
-        let (keys, values) = p.image();
+        let (keys, values) = image_of(&p.pool, &p.table, &p.lens);
         let image = SwappedKv {
             pool: p.pool.clone(),
             len,
@@ -614,33 +677,7 @@ impl KvCache {
             panic!("restore on a cache that is not swapped out");
         };
         let len = s.len;
-        let mut paged = PagedKv {
-            pool: s.pool.clone(),
-            table: Vec::new(),
-            lens: vec![0; s.pool.layers()],
-            shared_len: 0,
-        };
-        {
-            // One (layer, block) run per copy, straight from the image.
-            let mut pool = paged.pool.lock();
-            let (bs, d, layers) = (pool.block_size, pool.d_model, pool.layers);
-            for start in (0..len).step_by(bs) {
-                let id = pool.alloc();
-                paged.table.push(id);
-                let n = (len - start).min(bs) * d;
-                for li in 0..layers {
-                    let (src, lo) = ((li * len + start) * d, pool.row_off(li, 0));
-                    let blk = &mut pool.blocks[id];
-                    blk.keys[lo..lo + n].copy_from_slice(&s.keys[src..src + n]);
-                    blk.values[lo..lo + n].copy_from_slice(&s.values[src..src + n]);
-                }
-                if pool.checksums {
-                    pool.restamp(id);
-                }
-            }
-        }
-        paged.lens = vec![len; paged.lens.len()];
-        *self = KvCache::Paged(paged);
+        *self = KvCache::Paged(s.to_paged());
         figlut_trace::counters::bump_kv_swap_in_rows(len as u64);
         len
     }
@@ -731,13 +768,7 @@ impl KvCache {
         let KvCache::Swapped(s) = self else {
             panic!("rebind_pool on a cache that is not swapped out");
         };
-        assert!(
-            s.pool.block_size() == pool.block_size()
-                && s.pool.layers() == pool.layers()
-                && s.pool.d_model() == pool.d_model(),
-            "rebind_pool across differently shaped pools"
-        );
-        s.pool = pool.clone();
+        s.rebind(pool);
     }
 
     /// Materialize the full contents as `([layer][pos][d] keys, values)` —
@@ -746,7 +777,8 @@ impl KvCache {
     pub fn snapshot(&self) -> (KvSnapshot, KvSnapshot) {
         match self {
             KvCache::Paged(p) => {
-                let ((keys, values), d) = (p.image(), p.pool.d_model());
+                let (keys, values) = image_of(&p.pool, &p.table, &p.lens);
+                let d = p.pool.d_model();
                 (
                     split_image(&keys, &p.lens, d),
                     split_image(&values, &p.lens, d),
@@ -782,6 +814,15 @@ struct PrefixEntry {
     hash: u64,
     tokens: Vec<usize>,
     blocks: Vec<usize>,
+}
+
+/// A registered prefix copied to host memory by
+/// [`PrefixRegistry::images`]: its tokens and a swap image of their
+/// whole-block K/V rows.
+#[derive(Clone, Debug)]
+pub struct PrefixImage {
+    tokens: Vec<usize>,
+    kv: SwappedKv,
 }
 
 /// Registered prompt prefixes and the blocks that hold their K/V rows.
@@ -875,9 +916,11 @@ impl PrefixRegistry {
     }
 
     /// Adopt the longest registered prefix of `prompt` into a fresh paged
-    /// `cache`: the table references the shared blocks and writes below
-    /// the adopted length become no-ops. Returns the adopted positions
-    /// (0 when nothing matched).
+    /// `cache`: the table references the shared blocks, and the cache has
+    /// consumed `min(m, prompt.len() − 1)` positions, where `m` is the
+    /// returned adopted length (0 when nothing matched). Feed the prompt
+    /// from there. The last prompt row always runs, because it samples the
+    /// first token; when the whole prompt is shared, its write is a no-op.
     ///
     /// # Panics
     ///
@@ -907,7 +950,48 @@ impl PrefixRegistry {
         drop(pool);
         p.table = blocks.to_vec();
         p.shared_len = m;
+        p.lens.fill(m.min(prompt.len() - 1));
         m
+    }
+
+    /// Every entry copied to host, in registration order — what a
+    /// checkpoint carries so that a resumed run keeps adopting the
+    /// prefixes its crashed run had registered.
+    pub fn images(&self) -> Vec<PrefixImage> {
+        let layers = self.pool.layers();
+        self.entries
+            .iter()
+            .map(|e| {
+                let len = e.tokens.len();
+                let (keys, values) = image_of(&self.pool, &e.blocks, &vec![len; layers]);
+                PrefixImage {
+                    tokens: e.tokens.clone(),
+                    kv: SwappedKv {
+                        pool: self.pool.clone(),
+                        len,
+                        keys,
+                        values,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Re-register host [`images`](PrefixRegistry::images) into this
+    /// registry's pool, oldest first. An image the pool cannot hold right
+    /// now is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an image's pool shape (block size, layers, width)
+    /// differs from this registry's pool.
+    pub fn reload(&mut self, images: Vec<PrefixImage>) {
+        for PrefixImage { tokens, mut kv } in images {
+            kv.rebind(&self.pool);
+            if self.pool.available_blocks() >= kv.blocks() {
+                self.register(&tokens, &KvCache::Paged(kv.to_paged()));
+            }
+        }
     }
 
     /// Drop the oldest entry, releasing its block references (blocks no
@@ -1057,24 +1141,70 @@ mod tests {
         reg.register(&prompt, &a);
         assert_eq!(reg.len(), 1);
         // An adopter sharing 10 prompt tokens adopts the 8 whole-block
-        // positions and stores nothing new below them.
+        // positions as consumed and computes only rows 8..10.
         let mut b = KvCache::paged(&p);
         let adopted = reg.adopt_into(&prompt, &mut b);
         assert_eq!(adopted, 8);
+        assert_eq!(b.len(), 8, "the adopted rows count as consumed");
+        assert_eq!(b.blocks_needed(2), 1);
         let before = p.live_blocks();
-        fill(&mut b, 0, 10); // rows 0..8 are no-op writes; 8..10 allocate
+        fill(&mut b, 8, 2);
         assert_eq!(
             p.live_blocks(),
             before + 1,
             "only the private tail allocates"
         );
         assert_eq!(a.snapshot(), b.snapshot(), "adopted contents identical");
+        // A prompt that is wholly shared keeps its last row to run: the
+        // cache stops one short, and that row's write is a no-op.
+        let mut c = KvCache::paged(&p);
+        assert_eq!(reg.adopt_into(&prompt[..8], &mut c), 8);
+        assert_eq!(c.len(), 7);
+        assert_eq!(c.blocks_needed(1), 0, "the last row is already stored");
+        let before = p.live_blocks();
+        fill(&mut c, 7, 1);
+        assert_eq!(p.live_blocks(), before, "a no-op write allocates nothing");
+        let (ak, av) = a.snapshot();
+        let prefix =
+            |s: KvSnapshot| -> KvSnapshot { s.into_iter().map(|l| l[..8].to_vec()).collect() };
+        assert_eq!(c.snapshot(), (prefix(ak), prefix(av)));
         // Dropping sessions leaves only the registry's references.
         drop(a);
         drop(b);
+        drop(c);
         assert_eq!(p.live_blocks(), 2);
         reg.clear();
         assert_eq!(p.live_blocks(), 0, "registry eviction frees the prefix");
+    }
+
+    #[test]
+    fn registry_images_reload_into_a_fresh_pool() {
+        let p = pool(4);
+        let mut reg = PrefixRegistry::new(&p);
+        let prompt: Vec<usize> = (0..10).collect();
+        let mut a = KvCache::paged(&p);
+        fill(&mut a, 0, 10);
+        reg.register(&prompt, &a); // 8 rows, 2 blocks
+        reg.register(&prompt[..5], &a); // 4 rows, 1 block
+        let images = reg.images();
+        let fresh = pool(4);
+        let mut back = PrefixRegistry::new(&fresh);
+        back.reload(images.clone());
+        assert_eq!(back.len(), 2);
+        assert_eq!(fresh.live_blocks(), 3, "each image is copied in");
+        let mut b = KvCache::paged(&fresh);
+        assert_eq!(back.adopt_into(&prompt, &mut b), 8);
+        fill(&mut b, 8, 2);
+        assert_eq!(b.snapshot(), a.snapshot(), "reloaded rows are bit-exact");
+        // A pool with no room for an image drops it, oldest kept first.
+        let tight = BlockPool::new(4, 2, 4, Some(2));
+        let mut small = PrefixRegistry::new(&tight);
+        small.reload(images);
+        assert_eq!(small.len(), 1);
+        assert_eq!(tight.live_blocks(), 2);
+        drop(b);
+        back.clear();
+        assert_eq!(fresh.live_blocks(), 0);
     }
 
     #[test]
@@ -1117,7 +1247,7 @@ mod tests {
     fn cow_mid_step_preserves_shared_rows_for_lagging_layers() {
         // The model writes layer 0's rows before layer 1 touches anything,
         // so the copy-on-write a partial-block adoption triggers fires
-        // while layer 1's cursor is still 0 — the shared rows must survive
+        // while layer 1's cursor still lags — the shared rows must survive
         // for every layer regardless.
         let p = pool(3);
         let mut owner = KvCache::paged(&p);
@@ -1126,18 +1256,29 @@ mod tests {
         reg.register(&[7, 8, 9, 1], &owner); // whole-block prefix: 3 rows
         let mut adopter = KvCache::paged(&p);
         assert_eq!(reg.adopt_into(&[7, 5], &mut adopter), 1);
-        // Layer 0 in full, like a prefill pass: the shared no-op at pos 0,
-        // then the private write at pos 1 that forces the COW.
-        adopter.push_row(0, &krow(0, 0), &vrow(0, 0));
+        assert_eq!(adopter.len(), 1, "prefill starts past the adopted row");
+        // Layer 0 first, like a prefill pass: the private write at pos 1
+        // forces the COW while layer 1 has not written its pos 1 yet.
         adopter.push_row(0, &krow(0, 9), &vrow(0, 9));
-        // Now layer 1 reaches pos 0: the copied block must still hold the
-        // owner's layer-1 row (the shared-prefix debug assert checks it).
-        adopter.push_row(1, &krow(1, 0), &vrow(1, 0));
         adopter.push_row(1, &krow(1, 9), &vrow(1, 9));
         let (k, v) = adopter.snapshot();
         assert_eq!(k[1][0], krow(1, 0));
         assert_eq!(v[1][0], vrow(1, 0));
         assert_eq!(k[0][1], krow(0, 9));
+        // A wholly shared prompt fed on past its end in one chunk: layer 0
+        // no-ops its last prompt row and then forces the COW, while layer
+        // 1's cursor is still *below* the adopted length. Its no-op then
+        // reads the copied block (the debug assert checks the bits).
+        let mut whole = KvCache::paged(&p);
+        assert_eq!(reg.adopt_into(&[7, 8], &mut whole), 2);
+        assert_eq!(whole.len(), 1);
+        for li in 0..2 {
+            whole.push_row(li, &krow(li, 1), &vrow(li, 1));
+            whole.push_row(li, &krow(li, 9), &vrow(li, 9));
+        }
+        let (k, _) = whole.snapshot();
+        assert_eq!(k[1][..2], [krow(1, 0), krow(1, 1)]);
+        assert_eq!(k[1][2], krow(1, 9));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   pipelines (RTN / GPTQ / ShiftAddLLM-style, incl. mixed precision).
 //! * [`ppl`] — teacher-forced perplexity evaluation.
 //! * [`kv`] — paged KV storage: refcounted block pool, copy-on-write
-//!   prefix sharing, and preempt-to-host swap images (the serving layer's
-//!   memory subsystem).
+//!   prefix sharing that skips the adopted prompt rows, and preempt-to-host
+//!   swap images (the serving layer's memory subsystem).
 //! * [`workload`] — OPT GEMM inventories as `figlut-sim` workloads.
 //! * [`rng`] — the deterministic Gaussian generator behind all synthetic
 //!   weights (results are bit-reproducible across runs).
@@ -37,5 +37,5 @@ pub mod transformer;
 pub mod workload;
 
 pub use config::{OptConfig, OPT_FAMILY};
-pub use kv::{BlockPool, KvCache, PrefixRegistry};
+pub use kv::{BlockPool, KvCache, PrefixImage, PrefixRegistry};
 pub use transformer::{Backend, ModelConfig, Transformer};

@@ -1109,9 +1109,10 @@ mod tests {
 
     #[test]
     fn adopted_prefix_prefill_bit_matches_private_storage() {
-        // Prefix sharing is storage-level: an adopter recomputes its whole
-        // prompt (identical logits) while writing nothing below the shared
-        // length.
+        // An adopter feeds only the prompt rows its cache has not consumed
+        // — the private tail, or the last row of a wholly shared prompt —
+        // and still samples from the solo run's last logits row over the
+        // solo run's cache contents.
         let m = Transformer::teacher(ModelConfig::tiny(), 41);
         let shared: Vec<usize> = vec![0, 7, 19, 3, 88, 42, 11, 5];
         let pool = BlockPool::for_model(&m.cfg, 4, None);
@@ -1120,22 +1121,31 @@ mod tests {
         let _ = m.prefill(&shared, &mut first, &Backend::Exact);
         registry.register(&shared, &first);
 
-        let mut prompt = shared.clone();
-        prompt.extend([9usize, 2]);
-        let mut solo = m.new_cache();
-        let solo_logits = m.prefill(&prompt, &mut solo, &Backend::Exact);
+        let mut tailed = shared.clone();
+        tailed.extend([9usize, 2]);
+        for (prompt, consumed, allocs) in [(&tailed, 8, 1), (&shared, 7, 0)] {
+            let mut solo = m.new_cache();
+            let solo_logits = m.prefill(prompt, &mut solo, &Backend::Exact);
 
-        let mut adopted = m.new_paged_cache(&pool);
-        assert_eq!(registry.adopt_into(&prompt, &mut adopted), 8);
-        let live_before = pool.live_blocks();
-        let adopted_logits = m.prefill(&prompt, &mut adopted, &Backend::Exact);
-        assert_eq!(adopted_logits.as_slice(), solo_logits.as_slice());
-        assert_eq!(adopted.snapshot(), solo.snapshot());
-        assert_eq!(
-            pool.live_blocks(),
-            live_before + 1,
-            "only the private tail allocates"
-        );
+            let mut adopted = m.new_paged_cache(&pool);
+            assert_eq!(registry.adopt_into(prompt, &mut adopted), 8);
+            assert_eq!(adopted.len(), consumed);
+            let live_before = pool.live_blocks();
+            let logits = m.prefill(&prompt[consumed..], &mut adopted, &Backend::Exact);
+            assert_eq!(logits.rows(), prompt.len() - consumed);
+            assert_eq!(
+                logits.row(logits.rows() - 1),
+                solo_logits.row(prompt.len() - 1),
+                "prompt of {}",
+                prompt.len()
+            );
+            assert_eq!(adopted.snapshot(), solo.snapshot());
+            assert_eq!(
+                pool.live_blocks(),
+                live_before + allocs,
+                "only the private tail allocates"
+            );
+        }
     }
 
     #[test]

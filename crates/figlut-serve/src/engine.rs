@@ -61,18 +61,28 @@ pub struct SessionState {
     /// the TTFT stamp — set only when the *last* prefill chunk samples the
     /// first token).
     pub token_ticks: Vec<u64>,
-    /// Prompt tokens consumed by prefill chunks so far.
+    /// Prompt tokens consumed so far: the rows the cache held at start (an
+    /// adopted shared prefix), then every prefill chunk.
     pub prefilled: usize,
     /// Virtual-clock tick at which the scheduler admitted the request out
     /// of the pending queue (stamped by the serving loop; 0 until then).
     /// `admitted - arrival` is pure queueing delay, which TTFT alone
     /// conflates with prefill compute time.
     pub admitted: u64,
+    /// Prompt rows the cache held at start, which no step computes.
+    skipped: usize,
     cache: KvCache,
     rng: Rng,
 }
 
 impl SessionState {
+    /// Prompt rows the session's cache had already consumed when it
+    /// started (an adopted shared prefix; 0 for a fresh cache). Its
+    /// prefill computes only the other `prompt.len() − skipped` rows.
+    pub fn skipped(&self) -> usize {
+        self.skipped
+    }
+
     /// KV-cache positions consumed so far.
     pub fn positions(&self) -> usize {
         self.cache.len()
@@ -206,25 +216,45 @@ impl<'m> BatchEngine<'m> {
     /// pre-loaded with an adopted shared prefix), or a private one-block
     /// cache. The cache choice is invisible to the token stream.
     ///
+    /// A session starts at its cache's length: a cache that has consumed
+    /// `n` positions must hold the rows of the prompt's first `n` tokens
+    /// (what [`PrefixRegistry::adopt_into`] leaves, with `n` below the
+    /// prompt length), and prefill feeds the prompt from position `n`. A
+    /// fresh cache has length 0, so its prefill runs the whole prompt.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache already holds the whole prompt: the prompt's
+    /// last row must run, because it samples the first token.
+    ///
     /// [`BlockPool`]: figlut_model::BlockPool
+    /// [`PrefixRegistry::adopt_into`]: figlut_model::PrefixRegistry::adopt_into
     pub fn start_with_cache(&self, request: Request, cache: KvCache) -> SessionState {
         let rng = Rng::new(request.seed);
+        let skipped = cache.len();
+        assert!(
+            skipped == 0 || skipped < request.prompt.len(),
+            "request {}: the cache holds {skipped} positions of a {}-token prompt",
+            request.id,
+            request.prompt.len()
+        );
         SessionState {
             request,
             generated: Vec::new(),
             token_ticks: Vec::new(),
-            prefilled: 0,
+            prefilled: skipped,
             admitted: 0,
+            skipped,
             cache,
             rng,
         }
     }
 
-    /// Run the session's prompt through the model as one chunk, sample its
-    /// first token, and return the number of token-rows processed (the
-    /// prompt length — the step's virtual-clock weight). Thin wrapper over
-    /// [`BatchEngine::step`] with no decode rows and an unbounded chunk
-    /// budget.
+    /// Run the session's remaining prompt through the model as one chunk,
+    /// sample its first token, and return the number of token-rows
+    /// processed (`prompt.len() − skipped` — the step's virtual-clock
+    /// weight). Thin wrapper over [`BatchEngine::step`] with no decode rows
+    /// and an unbounded chunk budget.
     ///
     /// # Panics
     ///

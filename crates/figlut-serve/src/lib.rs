@@ -23,7 +23,7 @@
 //! |---|---|
 //! | [`request`] | [`Request`], [`Sampling`], seeded arrival traces ([`synthetic_trace`]) and the [`Scenario`] library (bursty on-off, heavy-tail, flash-crowd) |
 //! | [`engine`] | [`BatchEngine`]: fused mixed steps (decode rows + prefill chunks in one pass) over one shared model, [`solo_run`](BatchEngine::solo_run) reference |
-//! | [`scheduler`] | [`serve`]: admission, mixed prefill/decode steps, [`Policy`] × `max_batch` × [`ServeConfig::prefill_chunk`]; paged KV ([`ServeConfig::block_size`] × [`ServeConfig::pool_blocks`]) with shared prefixes and preempt/restore ([`serve_with_hooks`]); resilience — [`AdmissionPolicy`] shedding, deterministic [`FaultPlan`] injection, crash-consistent [`Checkpoint`]/[`resume`] (DESIGN.md §10) |
+//! | [`scheduler`] | [`serve`]: admission, mixed prefill/decode steps, [`Policy`] × `max_batch` × [`ServeConfig::prefill_chunk`]; paged KV ([`ServeConfig::block_size`] × [`ServeConfig::pool_blocks`]) with shared prefixes (adopted rows are never recomputed) and preempt/restore ([`serve_with_hooks`]); resilience — [`AdmissionPolicy`] shedding, deterministic [`FaultPlan`] injection, crash-consistent [`Checkpoint`]/[`resume`] (DESIGN.md §10) |
 //! | [`metrics`] | [`ServeReport`]: tokens/s, TTFT (with per-session [`TtftSplit`] decomposition), full latency [`Dist`]ributions, [`Slo`] [`Goodput`], inter-token stalls, occupancy, [`PagingStats`], phase-split `figlut-sim` energy per token |
 //!
 //! **The correctness commitment** is the repo's signature move applied at

@@ -60,8 +60,9 @@ pub struct StepRecord {
     /// Prompt token-rows processed (0 = no prefill part this step).
     pub prefill_rows: usize,
     /// KV-cache position at which the prefill chunk starts (0 for a
-    /// whole-prompt prefill; later chunks of a chunked prefill start
-    /// deeper, which matters to the quadratic attention pricing).
+    /// whole-prompt prefill; an adopter's first chunk starts at its skipped
+    /// rows, and later chunks of a chunked prefill start deeper, which
+    /// matters to the quadratic attention pricing).
     pub prefill_pos: usize,
     /// Decode token-rows processed (the running batch; 0 = prefill-only).
     pub decode_rows: usize,
@@ -127,10 +128,14 @@ pub struct RequestMetrics {
     pub first_token: u64,
     /// Tick at which the session finished.
     pub finish: u64,
-    /// Prompt length in tokens — the row count the session's prefill
+    /// Prompt length in tokens.
+    pub prompt_len: usize,
+    /// Prompt rows the session adopted from the shared-prefix registry and
+    /// never computed (`min(adopted, prompt_len − 1)`; 0 without paging).
+    /// `prompt_len − skipped` is the row count the session's prefill
     /// charged the virtual clock, and the prefill share of
     /// [`RequestMetrics::ttft_split`].
-    pub prompt_len: usize,
+    pub skipped: usize,
     /// Tokens emitted.
     pub tokens: usize,
     /// Why the session ended.
@@ -173,8 +178,9 @@ impl RequestMetrics {
     ///
     /// * **queue** — `admitted − arrival`: pure scheduling delay before the
     ///   prefill began.
-    /// * **prefill** — `prompt_len`: the session's own prompt rows, each of
-    ///   which costs exactly one tick under the virtual-clock cost model.
+    /// * **prefill** — `prompt_len − skipped`: the prompt rows the session
+    ///   computed (an adopted shared prefix is not), each of which costs
+    ///   exactly one tick under the virtual-clock cost model.
     /// * **sample** — the remainder of `first_token − admitted`: step
     ///   overheads plus *foreign* rows (co-scheduled decode batches in the
     ///   fused chunked path) the session's prefill steps carried.
@@ -183,14 +189,15 @@ impl RequestMetrics {
     /// scheduler runs exactly one prefill at a time and a session's prefill
     /// steps run consecutively from its admission, so the steps ending in
     /// `(admitted, first_token]` cost exactly `first_token − admitted`
-    /// ticks and carry exactly `prompt_len` prefill rows (pinned by the
-    /// trace-reconciliation suite).
+    /// ticks and carry exactly `prompt_len − skipped` prefill rows (pinned
+    /// by the trace-reconciliation suite).
     pub fn ttft_split(&self) -> TtftSplit {
         let compute = self.first_token - self.admitted;
+        let rows = (self.prompt_len - self.skipped) as u64;
         TtftSplit {
             queue: self.queue_wait(),
-            prefill: (self.prompt_len as u64).min(compute),
-            sample: compute.saturating_sub(self.prompt_len as u64),
+            prefill: rows.min(compute),
+            sample: compute.saturating_sub(rows),
         }
     }
 }
@@ -201,7 +208,8 @@ impl RequestMetrics {
 pub struct TtftSplit {
     /// Ticks queued before admission.
     pub queue: u64,
-    /// Ticks charged for the session's own prompt rows (= prompt length).
+    /// Ticks charged for the prompt rows the session computed
+    /// (`prompt_len − skipped`).
     pub prefill: u64,
     /// Ticks of step overhead and co-scheduled foreign rows between
     /// admission and the first token.
@@ -385,7 +393,9 @@ pub struct PagingStats {
     /// per-step [`StepRecord::swapped_rows`]).
     pub swapped_rows: usize,
     /// Prompt positions admitted sessions adopted from the shared-prefix
-    /// registry instead of storing privately.
+    /// registry instead of storing privately. All but a wholly shared
+    /// prompt's last row are never computed either (Σ
+    /// [`RequestMetrics::skipped`]).
     pub shared_rows: usize,
 }
 
@@ -833,6 +843,7 @@ mod tests {
                 first_token: first,
                 finish,
                 prompt_len: 2,
+                skipped: 0,
                 tokens,
                 reason: FinishReason::Completed,
                 generated: vec![1; tokens],
@@ -1044,6 +1055,7 @@ mod tests {
             first_token: 3,
             finish: 3,
             prompt_len: 2,
+            skipped: 0,
             tokens: 1,
             reason: FinishReason::Completed,
             generated: vec![1],

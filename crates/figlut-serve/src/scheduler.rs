@@ -31,7 +31,7 @@ use crate::engine::{BatchEngine, FinishReason, SessionState};
 use crate::metrics::{PagingStats, RequestMetrics, ResilienceStats, ServeReport, StepRecord};
 use crate::request::{Request, Trace};
 use figlut_model::rng::Rng;
-use figlut_model::{BlockPool, PrefixRegistry};
+use figlut_model::{BlockPool, PrefixImage, PrefixRegistry};
 use figlut_trace::{counters, Event};
 use std::collections::VecDeque;
 
@@ -102,7 +102,10 @@ pub enum AdmissionPolicy {
     /// SLO-aware shedding: drop any pending request whose time-to-first-
     /// token is already unattainable — `queue wait so far + prompt_len +
     /// step_overhead` is a lower bound on its TTFT no schedule can beat,
-    /// so once that exceeds `ttft` the request is dead weight.
+    /// so once that exceeds `ttft` the request is dead weight. The bound
+    /// charges the whole prompt, so under paging it over-estimates a
+    /// request that would adopt a shared prefix (whose adopted rows never
+    /// run) and may shed it early.
     SloShed {
         /// The TTFT bound (ticks) being enforced.
         ttft: u64,
@@ -341,12 +344,16 @@ impl FaultPlan {
 /// as host swap images when paging is on (resident clones otherwise, which
 /// share their block until the live session's next write copies it),
 /// the sampler RNGs and generated tokens ride inside the cloned
-/// [`SessionState`]s, and the virtual clock, queues, finished metrics, and
-/// executed steps are carried verbatim — so a resumed run continues the
-/// exact schedule and emits byte-identical tokens, with the final
-/// [`ServeReport`]'s requests, steps, and ticks reconciling against the
-/// uninterrupted run (paging pool peaks may differ: the resumed pool and
-/// prefix registry start fresh).
+/// [`SessionState`]s, the shared-prefix registry rides as host images of
+/// its entries, and the virtual clock, queues, finished metrics, and
+/// executed steps are carried verbatim. A resumed run re-registers the
+/// prefixes, so later admissions adopt (and skip) exactly what they would
+/// have: it continues the exact schedule and emits byte-identical tokens,
+/// with the final [`ServeReport`]'s requests, steps, and ticks reconciling
+/// against the uninterrupted run on an unbounded pool. The resumed pool
+/// holds private copies of what the crashed run shared, so its storage
+/// accounting (pool peaks, shared rows) may differ, and under a pool cap
+/// so may the preemptions and the schedule.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// Virtual clock at capture.
@@ -358,6 +365,9 @@ pub struct Checkpoint {
     /// Live sessions: the running batch in order, then any preempted
     /// sessions in restore (FIFO) order. Paged sessions are host images.
     pub sessions: Vec<SessionState>,
+    /// The shared-prefix registry's entries as host images, in
+    /// registration order (empty when paging is off).
+    pub prefixes: Vec<PrefixImage>,
     /// Requests already finished, with their metrics.
     pub finished: Vec<RequestMetrics>,
     /// Steps already executed.
@@ -463,7 +473,7 @@ impl Memory {
 
     /// Open a session for `req`: a private one-block cache when unmanaged,
     /// a cache of the shared pool (adopting the longest registered shared
-    /// prefix) when paging.
+    /// prefix, whose rows the session's prefill then skips) when paging.
     fn start(&mut self, engine: &BatchEngine<'_>, req: Request) -> SessionState {
         match self {
             Memory::Unmanaged => engine.start(req),
@@ -643,6 +653,7 @@ fn metrics_of(s: SessionState, reason: FinishReason, finish: u64) -> RequestMetr
         first_token: s.token_ticks.first().copied().unwrap_or(finish),
         finish,
         prompt_len: s.request.prompt.len(),
+        skipped: s.skipped(),
         tokens: s.generated.len(),
         reason,
         generated: s.generated,
@@ -661,6 +672,7 @@ fn metrics_without_tokens(req: Request, reason: FinishReason, tick: u64) -> Requ
         first_token: tick,
         finish: tick,
         prompt_len: req.prompt.len(),
+        skipped: 0,
         tokens: 0,
         reason,
         generated: Vec::new(),
@@ -846,7 +858,9 @@ impl LoopState {
     /// from their host images into a fresh pool (rebind + restore, outside
     /// the swap accounting — in the uninterrupted run they were never
     /// preempted); sessions the pool or batch cannot hold yet queue as
-    /// swapped and come back through the normal restore path.
+    /// swapped and come back through the normal restore path. Then the
+    /// registered prefixes are copied back into the pool, oldest first, as
+    /// far as it has room.
     fn from_checkpoint(ck: Checkpoint, memory: &mut Memory, max_batch: usize) -> Self {
         let mut running: Vec<SessionState> = Vec::new();
         match memory {
@@ -876,6 +890,7 @@ impl LoopState {
                         rt.swapped.push_back(s);
                     }
                 }
+                rt.registry.reload(ck.prefixes);
             }
         }
         Self {
@@ -911,14 +926,19 @@ impl LoopState {
                 c
             })
             .collect();
-        if let Memory::Paged(rt) = memory {
-            sessions.extend(rt.swapped.iter().cloned());
-        }
+        let prefixes = match memory {
+            Memory::Unmanaged => Vec::new(),
+            Memory::Paged(rt) => {
+                sessions.extend(rt.swapped.iter().cloned());
+                rt.registry.images()
+            }
+        };
         Checkpoint {
             clock: self.clock,
             arrivals: self.arrivals.iter().cloned().collect(),
             pending: self.pending.iter().cloned().collect(),
             sessions,
+            prefixes,
             finished: self.finished.clone(),
             steps: self.steps.clone(),
             peak_kv_rows: self.peak_kv_rows,
@@ -1280,11 +1300,13 @@ pub fn serve_with_hooks(
 
 /// Continue a run from a [`Checkpoint`] captured by
 /// [`ServeHooks::checkpoint`]: rebuild the scheduler state (sessions,
-/// queues, clock, executed steps) in a fresh memory runtime and run the
-/// remaining schedule to completion. The resumed report's requests,
-/// steps, and ticks reconcile exactly with the uninterrupted run's; with
-/// a bounded pool the *storage* accounting (pool peaks, shared rows) may
-/// differ, because the resumed pool and prefix registry start empty.
+/// queues, clock, executed steps, registered prefixes) in a fresh memory
+/// runtime and run the remaining schedule to completion. On an unbounded
+/// pool the resumed report's requests, steps, and ticks reconcile exactly
+/// with the uninterrupted run's. The *storage* accounting (pool peaks,
+/// shared rows) may differ, because the resumed pool holds private copies
+/// of what the crashed run shared; under a pool cap that can move
+/// preemptions, and with them the schedule.
 ///
 /// # Panics
 ///
@@ -1833,8 +1855,13 @@ mod tests {
         }
         let stats = r.paging.expect("paging stats");
         // 17-token prompt, bs 4: requests 1 and 2 each adopt the 16-row
-        // whole-block prefix registered by request 0.
+        // whole-block prefix registered by request 0, and compute only
+        // their 17th row.
         assert_eq!(stats.shared_rows, 32);
+        let skipped: Vec<usize> = r.requests.iter().map(|m| m.skipped).collect();
+        assert_eq!(skipped, [0, 16, 16]);
+        let prefill_rows: usize = r.steps.iter().map(|s| s.prefill_rows).sum();
+        assert_eq!(prefill_rows, 17 + 1 + 1);
         assert_eq!(stats.final_live_blocks, 0);
         // Shared storage beats private storage at the peak: three private
         // 17-row tables would already hold 15 blocks.
@@ -1997,6 +2024,7 @@ mod tests {
             arrivals: trace.requests.clone(),
             pending: Vec::new(),
             sessions: Vec::new(),
+            prefixes: Vec::new(),
             finished: Vec::new(),
             steps: Vec::new(),
             peak_kv_rows: 0,

@@ -4,7 +4,10 @@
 //! token stream bit-identical to its solo batch-1 run, across fault
 //! schedules × admission policies × paged-KV layouts — and a run killed
 //! by an injected crash, resumed from its last checkpoint, reconciles
-//! byte-identically (tokens, steps, ticks) with the uninterrupted run.
+//! byte-identically (tokens, steps, ticks) with the uninterrupted run —
+//! also when its prompts share a prefix, because the checkpoint carries
+//! the prefix registry that decides which prompt rows later admissions
+//! skip.
 //!
 //! Shed requests are the one sanctioned deviation: an admission policy
 //! may finish a request with `FinishReason::Shed`, zero tokens, and
@@ -16,9 +19,9 @@ use figlut_model::calibrate::{quantize_model, to_packed, Method};
 use figlut_model::corpus::generate;
 use figlut_model::{Backend, ModelConfig, Transformer};
 use figlut_serve::{
-    resume, serve, serve_with_hooks, synthetic_trace, AdmissionPolicy, BatchEngine, Checkpoint,
-    CheckpointHook, FaultPlan, FinishReason, Policy, Sampling, ServeConfig, ServeHooks, Slo,
-    TraceParams,
+    flash_crowd_trace, resume, serve, serve_with_hooks, synthetic_trace, AdmissionPolicy,
+    BatchEngine, Checkpoint, CheckpointHook, FaultPlan, FinishReason, FlashCrowdParams, Policy,
+    Sampling, ServeConfig, ServeHooks, Slo, Trace, TraceParams,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -262,7 +265,6 @@ fn crash_scenario() -> impl Strategy<Value = CrashScenario> {
 
 fn run_crash(sc: &CrashScenario) {
     let model = packed_model();
-    let engine = packed_engine();
     let params = TraceParams {
         requests: sc.requests,
         mean_interarrival: sc.mean_interarrival,
@@ -276,20 +278,34 @@ fn run_crash(sc: &CrashScenario) {
     if sc.paged {
         cfg = cfg.with_block_size(8);
     }
-    let clean = serve(&engine, &trace, &cfg);
+    kill_and_resume(&trace, &cfg, sc.every_steps, sc.crash_step, sc);
+}
+
+/// Serve `trace` clean, then again with checkpoints every `every_steps`
+/// steps and a crash before step `crash_step`, resume from the last
+/// checkpoint, and reconcile the two runs.
+fn kill_and_resume(
+    trace: &Trace,
+    cfg: &ServeConfig,
+    every_steps: usize,
+    crash_step: usize,
+    sc: &dyn std::fmt::Debug,
+) {
+    let engine = packed_engine();
+    let clean = serve(&engine, trace, cfg);
 
     // Kill the run with an injected panic, checkpointing as it goes.
     let checkpoints: RefCell<Vec<Checkpoint>> = RefCell::new(Vec::new());
     let hooks = ServeHooks {
-        fault_plan: Some(FaultPlan::new(0, 0).with_crash_at_step(sc.crash_step)),
+        fault_plan: Some(FaultPlan::new(0, 0).with_crash_at_step(crash_step)),
         checkpoint: Some(CheckpointHook {
-            every_steps: sc.every_steps,
+            every_steps,
             sink: Box::new(|ck| checkpoints.borrow_mut().push(ck)),
         }),
         ..Default::default()
     };
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        serve_with_hooks(&engine, &trace, &cfg, hooks)
+        serve_with_hooks(&engine, trace, cfg, hooks)
     }));
     let Err(_) = crashed else {
         // The crash step lay beyond the schedule: the run completed, and
@@ -308,13 +324,13 @@ fn run_crash(sc: &CrashScenario) {
     // next loop top, so the freshest capture holds at most `crash_step`
     // executed steps.
     assert!(
-        last.steps.len() <= sc.crash_step,
+        last.steps.len() <= crash_step,
         "{sc:?}: capture after crash"
     );
 
     // Resume from the last checkpoint: byte-identical tokens and a
     // reconciled report (requests, steps, ticks, KV peak).
-    let resumed = resume(&engine, last, &cfg, ServeHooks::default());
+    let resumed = resume(&engine, last, cfg, ServeHooks::default());
     assert_eq!(resumed.requests, clean.requests, "{sc:?}");
     assert_eq!(resumed.steps, clean.steps, "{sc:?}");
     assert_eq!(resumed.ticks, clean.ticks, "{sc:?}");
@@ -335,6 +351,85 @@ proptest! {
     #[test]
     fn killed_runs_resume_byte_identically(sc in crash_scenario()) {
         run_crash(&sc);
+    }
+}
+
+#[derive(Clone, Debug)]
+struct SharedCrashScenario {
+    seed: u64,
+    requests: usize,
+    mean_interarrival: f64,
+    max_batch: usize,
+    policy: Policy,
+    prefill_chunk: Option<usize>,
+    block_size: usize,
+    /// The shared prefix holds at least one whole block.
+    prefix_len: usize,
+    every_steps: usize,
+    crash_step: usize,
+}
+
+fn shared_crash_scenario() -> impl Strategy<Value = SharedCrashScenario> {
+    (
+        (
+            any::<u64>(),
+            2usize..=6, // requests
+            0usize..=6, // mean inter-arrival
+            1usize..=4, // max_batch
+            0usize..3,  // policy index
+            0usize..3,  // chunked-prefill budget choice
+        ),
+        (
+            0usize..3,   // block size choice
+            0usize..=8,  // prefix length past one block
+            1usize..=4,  // checkpoint cadence
+            0usize..=24, // injected crash step
+        ),
+    )
+        .prop_map(
+            |(
+                (seed, requests, gap, max_batch, pix, cix),
+                (bix, extra, every_steps, crash_step),
+            )| {
+                let block_size = [2, 4, 8][bix];
+                SharedCrashScenario {
+                    seed,
+                    requests,
+                    mean_interarrival: gap as f64,
+                    max_batch,
+                    policy: Policy::ALL[pix],
+                    prefill_chunk: [None, Some(2), Some(5)][cix],
+                    block_size,
+                    prefix_len: block_size + extra,
+                    every_steps,
+                    crash_step,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Checkpoint/resume under prefix sharing: the checkpoint carries the
+    /// registry, so admissions after the resume adopt — and skip — the
+    /// same prefix rows as the uninterrupted run, and steps and ticks
+    /// reconcile (unbounded paged pool, prompts sharing at least a block).
+    #[test]
+    fn killed_shared_prefix_runs_resume_byte_identically(sc in shared_crash_scenario()) {
+        let model = packed_model();
+        let params = FlashCrowdParams {
+            requests: sc.requests,
+            mean_interarrival: sc.mean_interarrival,
+            prefix_len: sc.prefix_len,
+            tail_len: (0, 4),
+            new_tokens: (1, 6),
+            sampling: Sampling::Greedy,
+        };
+        let trace = flash_crowd_trace(&model.cfg, &params, sc.seed);
+        let mut cfg = ServeConfig::new(sc.max_batch, sc.policy).with_block_size(sc.block_size);
+        cfg.prefill_chunk = sc.prefill_chunk;
+        kill_and_resume(&trace, &cfg, sc.every_steps, sc.crash_step, &sc);
     }
 }
 

@@ -7,7 +7,9 @@
 //! KV over `block_size ∈ {1, 2, 7, 16, 64}` with unbounded and tight block
 //! pools (memory-pressure preemption), and scheduler-injected forced
 //! preemption points (`ServeHooks::force_preempt`) — with block-refcount
-//! conservation and swap-traffic pricing checked on every run.
+//! conservation and swap-traffic pricing checked on every run. A second
+//! property serves flash-crowd traces, whose prompts share a prefix, and
+//! checks that adopted prefix rows are skipped exactly, never recomputed.
 //!
 //! Runs on the packed `Backend::Exec` path (the backend `ext-serving`
 //! measures); a slimmer companion property covers the FIGLUT-I datapath
@@ -19,8 +21,8 @@ use figlut_model::calibrate::{quantize_model, to_packed, Method};
 use figlut_model::corpus::generate;
 use figlut_model::{Backend, ModelConfig, Transformer};
 use figlut_serve::{
-    serve, serve_with_hooks, synthetic_trace, BatchEngine, Policy, Sampling, ServeConfig,
-    ServeHooks, StepKind, TraceParams,
+    flash_crowd_trace, serve, serve_with_hooks, synthetic_trace, BatchEngine, FlashCrowdParams,
+    Policy, Sampling, ServeConfig, ServeHooks, ServeReport, StepKind, Trace, TraceParams,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -231,6 +233,134 @@ proptest! {
             Backend::Engine(Engine::FiglutI, EngineConfig::paper_default()),
             &slim,
         );
+    }
+}
+
+#[derive(Clone, Debug)]
+struct CrowdScenario {
+    seed: u64,
+    requests: usize,
+    mean_interarrival: f64,
+    max_batch: usize,
+    policy: Policy,
+    prefill_chunk: Option<usize>,
+    prefix_len: usize,
+    /// Longest divergent tail; tails start at 0, so some prompts are
+    /// wholly shared.
+    tail_max: usize,
+    block_size: usize,
+    /// As [`Scenario::pool_mode`].
+    pool_mode: usize,
+}
+
+fn crowd_scenario() -> impl Strategy<Value = CrowdScenario> {
+    (
+        (
+            any::<u64>(),
+            2usize..=6,  // requests
+            0usize..=6,  // mean inter-arrival (0 = burst)
+            1usize..=4,  // max_batch
+            0usize..3,   // policy index
+            0usize..4,   // chunked-prefill budget choice
+            1usize..=16, // shared prefix length
+            0usize..=4,  // longest tail
+        ),
+        (
+            0usize..5, // block size choice
+            0usize..3, // pool tightness
+        ),
+    )
+        .prop_map(
+            |(
+                (seed, requests, gap, max_batch, pix, cix, prefix_len, tail_max),
+                (bix, pool_mode),
+            )| {
+                CrowdScenario {
+                    seed,
+                    requests,
+                    mean_interarrival: gap as f64,
+                    max_batch,
+                    policy: Policy::ALL[pix],
+                    prefill_chunk: [None, Some(1), Some(3), Some(8)][cix],
+                    prefix_len,
+                    tail_max,
+                    block_size: [1, 2, 4, 7, 16][bix],
+                    pool_mode,
+                }
+            },
+        )
+}
+
+/// The adoption a request's admission sees, modelled independently of the
+/// registry: every session admitted earlier registered the whole-block
+/// prefix of its prompt when its prefill ended (one prefill runs at a
+/// time), and a request adopts its longest common prefix with any of
+/// them. Exact on an unbounded pool; a capped pool may evict entries
+/// first, so there it is an upper bound.
+fn modelled_adoption(report: &ServeReport, trace: &Trace, bs: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..trace.len()).collect();
+    order.sort_by_key(|&i| report.requests[i].admitted);
+    let mut registered: Vec<&[usize]> = Vec::new();
+    let mut adopted = vec![0; trace.len()];
+    for i in order {
+        let prompt = &trace.requests[i].prompt;
+        adopted[i] = registered
+            .iter()
+            .map(|e| e.iter().zip(prompt).take_while(|(a, b)| a == b).count())
+            .max()
+            .unwrap_or(0);
+        registered.push(&prompt[..prompt.len() / bs * bs]);
+    }
+    adopted
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Prefix adoption skips compute without moving a token: flash-crowd
+    /// traces (one shared prefix, short divergent tails, some wholly
+    /// shared prompts) across block sizes, pool caps, policies and chunk
+    /// budgets. Every request skips `min(adopted, prompt_len − 1)` rows,
+    /// the steps carry exactly the prompt rows nobody skipped, tokens equal
+    /// the solo runs, and every block comes back.
+    #[test]
+    fn adopted_prefixes_skip_their_rows_and_keep_solo_tokens(sc in crowd_scenario()) {
+        let model = packed_model();
+        let engine = BatchEngine::new(model, Backend::Exec(EngineConfig::paper_default()));
+        let params = FlashCrowdParams {
+            requests: sc.requests,
+            mean_interarrival: sc.mean_interarrival,
+            prefix_len: sc.prefix_len,
+            tail_len: (0, sc.tail_max),
+            new_tokens: (1, 6),
+            sampling: Sampling::Greedy,
+        };
+        let trace = flash_crowd_trace(&model.cfg, &params, sc.seed);
+        let mut cfg = ServeConfig::new(sc.max_batch, sc.policy).with_block_size(sc.block_size);
+        cfg.prefill_chunk = sc.prefill_chunk;
+        let min_cap = model.cfg.max_seq.div_ceil(sc.block_size);
+        cfg.pool_blocks = [None, Some(min_cap), Some(min_cap + 2)][sc.pool_mode];
+        let report = serve(&engine, &trace, &cfg);
+
+        let stats = report.paging.expect("paging stats");
+        assert_eq!(stats.final_live_blocks, 0, "{sc:?}: leaked KV blocks");
+        let modelled = modelled_adoption(&report, &trace, sc.block_size);
+        let mut computed = 0;
+        for (r, req) in report.requests.iter().zip(&trace.requests) {
+            assert_eq!(r.generated, engine.solo_run(req), "{sc:?} request {}", r.id);
+            let bound = modelled[r.id].min(r.prompt_len - 1);
+            if cfg.pool_blocks.is_none() {
+                assert_eq!(r.skipped, bound, "{sc:?} request {}", r.id);
+            } else {
+                assert!(r.skipped <= bound, "{sc:?} request {}", r.id);
+            }
+            computed += r.prompt_len - r.skipped;
+        }
+        if cfg.pool_blocks.is_none() {
+            assert_eq!(stats.shared_rows, modelled.iter().sum::<usize>(), "{sc:?}");
+        }
+        let prefill_rows: usize = report.steps.iter().map(|s| s.prefill_rows).sum();
+        assert_eq!(prefill_rows, computed, "{sc:?}: steps ran skipped rows");
     }
 }
 

@@ -231,12 +231,14 @@ fn tracing_is_a_pure_observer_and_reconciles() {
 /// scheduler runs one prefill anchor at a time and its steps run
 /// consecutively from admission, so for every request the spans ending in
 /// `(admitted, first_token]` (its prefill-carrying steps) cost exactly
-/// `first_token − admitted` ticks and carry exactly `prompt_len` prefill
-/// rows. That is precisely `TtftSplit`'s claim: `prefill` is the
-/// session's own rows, `sample` is the step overheads plus co-scheduled
-/// foreign rows in the same window, `queue` is everything before it.
+/// `first_token − admitted` ticks and carry exactly `prompt_len − skipped`
+/// prefill rows (an adopted shared prefix is never computed). That is
+/// precisely `TtftSplit`'s claim: `prefill` is the rows the session
+/// computed, `sample` is the step overheads plus co-scheduled foreign rows
+/// in the same window, `queue` is everything before it.
 #[test]
 fn ttft_decomposition_reconciles_against_the_step_log() {
+    let mut skipped = 0;
     for sc in scenarios() {
         let sink = CollectSink::default();
         let events = sink.events();
@@ -248,6 +250,7 @@ fn ttft_decomposition_reconciles_against_the_step_log() {
         // One run in this session, so span timestamps are local ticks.
         for r in &report.requests {
             let split = r.ttft_split();
+            let computed = (r.prompt_len - r.skipped) as u64;
             assert_eq!(
                 split.queue + split.prefill + split.sample,
                 r.ttft(),
@@ -256,8 +259,8 @@ fn ttft_decomposition_reconciles_against_the_step_log() {
             );
             assert_eq!(split.queue, r.admitted - r.arrival, "{name}: queue share");
             assert_eq!(
-                split.prefill, r.prompt_len as u64,
-                "{name}: prefill share must be the prompt length"
+                split.prefill, computed,
+                "{name}: prefill share must be the computed prompt rows"
             );
             let (mut window_cost, mut window_prefill_rows) = (0u64, 0u64);
             for e in events.iter() {
@@ -278,7 +281,7 @@ fn ttft_decomposition_reconciles_against_the_step_log() {
                 r.id
             );
             assert_eq!(
-                window_prefill_rows, r.prompt_len as u64,
+                window_prefill_rows, computed,
                 "{name}: request {}'s window carries foreign prefill rows",
                 r.id
             );
@@ -288,8 +291,10 @@ fn ttft_decomposition_reconciles_against_the_step_log() {
                 "{name}: request {} compute share != window cost",
                 r.id
             );
+            skipped += r.skipped;
         }
     }
+    assert!(skipped > 0, "no scenario adopted a shared prefix");
 }
 
 #[test]
