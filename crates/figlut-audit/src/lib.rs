@@ -35,9 +35,7 @@
 //!   ordering review.
 //! * **reconciliation (16)** — every counter declared in
 //!   `figlut-trace`'s `registry!` block must be incremented somewhere
-//!   and named in DESIGN.md; every experiment id registered in
-//!   `figlut-bench` must have a CI smoke (directly in the workflow or
-//!   via a test that CI runs) or a recorded exemption.
+//!   and named in DESIGN.md.
 //!
 //! Run it as `repro audit` or `cargo run -p figlut-audit`; `--json`
 //! emits machine-readable output, `--update-baseline` regenerates the
@@ -74,7 +72,7 @@ pub enum Lint {
     PanicPath,
     /// Mutex poison recovery and nested-acquisition review.
     LockDiscipline,
-    /// Counter-registry and experiment-registry reconciliation.
+    /// Counter-registry reconciliation.
     Reconcile,
 }
 
@@ -128,19 +126,10 @@ pub struct Config {
     pub deterministic_crates: Vec<String>,
     /// Committed panic-path baseline (grandfathered unjustified sites).
     pub baseline: PathBuf,
-    /// Committed experiment-smoke exemptions (`id: reason` lines).
-    pub exemptions: PathBuf,
     /// The `registry!` block declaring the trace counters.
     pub counters_file: PathBuf,
-    /// The file declaring the `EXPERIMENTS` id array.
-    pub experiments_file: PathBuf,
     /// The design document counters must be named in.
     pub design_file: PathBuf,
-    /// The CI workflow experiment ids must be smoked from.
-    pub ci_file: PathBuf,
-    /// Directories (relative to root) scanned for test files that count
-    /// as CI smokes (CI runs `cargo test`).
-    pub smoke_test_dirs: Vec<PathBuf>,
 }
 
 impl Config {
@@ -162,15 +151,8 @@ impl Config {
             .map(|s| s.to_string())
             .collect(),
             baseline: root.join("crates/figlut-audit/panic_baseline.txt"),
-            exemptions: root.join("crates/figlut-audit/experiment_exemptions.txt"),
             counters_file: root.join("crates/figlut-trace/src/counters.rs"),
-            experiments_file: root.join("crates/figlut-bench/src/experiments.rs"),
             design_file: root.join("DESIGN.md"),
-            ci_file: root.join(".github/workflows/ci.yml"),
-            smoke_test_dirs: vec![
-                PathBuf::from("crates/figlut-bench/tests"),
-                PathBuf::from("tests"),
-            ],
             root,
         }
     }
@@ -200,7 +182,7 @@ pub struct SourceFile {
     pub scrubbed: scrub::Scrubbed,
     /// `#[cfg(test)] mod` line ranges within the file.
     pub test_regions: Vec<std::ops::Range<usize>>,
-    /// Raw text (reconciliation needs literal string contents).
+    /// Raw text (panic-path excerpts quote it).
     pub raw: String,
 }
 
@@ -217,8 +199,6 @@ pub struct Report {
     /// Counters reconciled from the `registry!` block (0 means the
     /// registry source was absent — fixture workspaces).
     pub counters_checked: usize,
-    /// Experiment ids reconciled against CI (0 means absent).
-    pub experiments_checked: usize,
     /// The baseline content that `--update-baseline` would write.
     pub fresh_baseline: String,
 }
@@ -250,13 +230,12 @@ impl Report {
         let _ = writeln!(
             out,
             "audit: {} finding(s) across {} file(s); {} justified + {} baselined panic site(s); \
-             {} counter(s), {} experiment(s) reconciled",
+             {} counter(s) reconciled",
             self.findings.len(),
             self.files_scanned,
             self.panics_justified,
             self.panics_baselined,
             self.counters_checked,
-            self.experiments_checked,
         );
         for (name, n) in per {
             let _ = writeln!(out, "  {name}: {n}");
@@ -283,12 +262,11 @@ impl Report {
         let _ = write!(
             out,
             "],\"files_scanned\":{},\"panics_justified\":{},\"panics_baselined\":{},\
-             \"counters_checked\":{},\"experiments_checked\":{},\"exit_code\":{}}}",
+             \"counters_checked\":{},\"exit_code\":{}}}",
             self.files_scanned,
             self.panics_justified,
             self.panics_baselined,
             self.counters_checked,
-            self.experiments_checked,
             self.exit_code()
         );
         out
@@ -334,7 +312,7 @@ pub fn audit(cfg: &Config) -> Result<Report, String> {
     unsafety::check(cfg, &files, &mut findings);
     let inventory = panics::check(cfg, &files, &mut markers, &mut findings);
     locks::check(&files, &mut markers, &mut findings);
-    let recon = reconcile::check(cfg, &files, &mut findings);
+    let counters_checked = reconcile::check(cfg, &files, &mut findings);
 
     markers.flag_unused(&mut findings);
 
@@ -347,8 +325,7 @@ pub fn audit(cfg: &Config) -> Result<Report, String> {
         files_scanned: files.len(),
         panics_justified: inventory.justified,
         panics_baselined: inventory.baselined,
-        counters_checked: recon.counters_checked,
-        experiments_checked: recon.experiments_checked,
+        counters_checked,
         fresh_baseline: inventory.fresh_baseline,
     })
 }

@@ -1,42 +1,21 @@
-//! Counter/experiment reconciliation lint.
+//! Counter reconciliation lint.
 //!
-//! Observability that drifts from reality is worse than none, so the
-//! audit cross-checks the two registries the workspace commits to:
+//! Observability that drifts from reality is worse than none, so every
+//! counter declared in `figlut-trace`'s `registry!` block must be
+//! **live** (its `bump_*` function called somewhere outside the registry)
+//! and **documented** (its field name appears in DESIGN.md). A counter
+//! failing either check is dead weight that silently reports zero.
 //!
-//! * Every counter declared in `figlut-trace`'s `registry!` block must
-//!   be **live** (its `bump_*` function called somewhere outside the
-//!   registry) and **documented** (its field name appears in
-//!   DESIGN.md). A counter failing either check is dead weight that
-//!   silently reports zero.
-//! * Every experiment id in `figlut-bench`'s `EXPERIMENTS` table must
-//!   have a CI smoke — the id appears in the CI workflow, or quoted in
-//!   a test file that CI runs via `cargo test` — or a recorded
-//!   exemption (`experiment_exemptions.txt`, `id: reason` lines).
-//!   Unused exemptions are findings, so the exemption list cannot rot.
+//! The check is skipped when the registry source is absent (the fixture
+//! workspaces without one); the returned count says whether it ran — the
+//! self-audit test pins it for the real workspace.
 //!
-//! Both sub-checks are skipped when their source file is absent (the
-//! fixture workspaces), and the counts in [`Summary`] say what actually
-//! ran — the self-audit test pins them for the real workspace.
+//! Experiments need no such lint: CI runs `repro`'s whole experiment
+//! table and compares every committed `results/` artifact, so neither
+//! list can drift from the code.
 
 use crate::{Config, Finding, Lint, Scope, SourceFile};
-use std::collections::BTreeMap;
 use std::path::Path;
-
-/// What the reconciliation pass actually covered.
-pub struct Summary {
-    /// Counters parsed out of the `registry!` block.
-    pub counters_checked: usize,
-    /// Experiment ids parsed out of the `EXPERIMENTS` array.
-    pub experiments_checked: usize,
-}
-
-/// Run both reconciliation sub-checks.
-pub fn check(cfg: &Config, files: &[SourceFile], findings: &mut Vec<Finding>) -> Summary {
-    Summary {
-        counters_checked: check_counters(cfg, files, findings),
-        experiments_checked: check_experiments(cfg, findings),
-    }
-}
 
 fn rel_of(cfg: &Config, path: &Path) -> String {
     path.strip_prefix(&cfg.root)
@@ -45,7 +24,10 @@ fn rel_of(cfg: &Config, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn check_counters(cfg: &Config, files: &[SourceFile], findings: &mut Vec<Finding>) -> usize {
+/// Reconcile the counter registry against its call sites and DESIGN.md,
+/// returning the number of counters checked (0 when the registry source
+/// is absent).
+pub fn check(cfg: &Config, files: &[SourceFile], findings: &mut Vec<Finding>) -> usize {
     let Ok(text) = std::fs::read_to_string(&cfg.counters_file) else {
         return 0;
     };
@@ -153,117 +135,4 @@ fn contains_word(text: &str, word: &str) -> bool {
         from = at + word.len();
     }
     false
-}
-
-fn check_experiments(cfg: &Config, findings: &mut Vec<Finding>) -> usize {
-    let Ok(text) = std::fs::read_to_string(&cfg.experiments_file) else {
-        return 0;
-    };
-    let rel = rel_of(cfg, &cfg.experiments_file);
-    let ids = experiment_ids(&text);
-    if ids.is_empty() {
-        findings.push(Finding {
-            lint: Lint::Reconcile,
-            file: rel.clone(),
-            line: 0,
-            message: "no string literals found in the `EXPERIMENTS` array".into(),
-        });
-        return 0;
-    }
-    let ci = std::fs::read_to_string(&cfg.ci_file).unwrap_or_default();
-    let mut smoke_texts = Vec::new();
-    for dir in &cfg.smoke_test_dirs {
-        let dir = cfg.root.join(dir);
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            let mut paths: Vec<_> = entries
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-                .collect();
-            paths.sort();
-            for p in paths {
-                if let Ok(t) = std::fs::read_to_string(&p) {
-                    smoke_texts.push(t);
-                }
-            }
-        }
-    }
-    let mut exemptions = load_exemptions(cfg);
-    for id in &ids {
-        let quoted = format!("\"{id}\"");
-        let covered = contains_word(&ci, id) || smoke_texts.iter().any(|t| t.contains(&quoted));
-        if covered {
-            continue;
-        }
-        if let Some(used) = exemptions.get_mut(id.as_str()) {
-            *used = true;
-            continue;
-        }
-        findings.push(Finding {
-            lint: Lint::Reconcile,
-            file: rel.clone(),
-            line: 0,
-            message: format!(
-                "experiment `{id}` has no CI smoke (not in {} or any smoke-test dir) and \
-                 no exemption in {}",
-                rel_of(cfg, &cfg.ci_file),
-                rel_of(cfg, &cfg.exemptions)
-            ),
-        });
-    }
-    for (id, used) in exemptions {
-        if !used {
-            findings.push(Finding {
-                lint: Lint::Reconcile,
-                file: rel_of(cfg, &cfg.exemptions),
-                line: 0,
-                message: format!(
-                    "exemption for `{id}` is unused (the experiment is smoked or gone) — \
-                     remove it"
-                ),
-            });
-        }
-    }
-    ids.len()
-}
-
-/// String literals of the file's first `EXPERIMENTS…` array — the
-/// `(id, fn)` table, whose function paths are not literals — read from the
-/// *raw* text: scrubbing would blank exactly the contents we need.
-fn experiment_ids(text: &str) -> Vec<String> {
-    let Some(start) = text.find("EXPERIMENTS") else {
-        return Vec::new();
-    };
-    let Some(end) = text[start..].find("];") else {
-        return Vec::new();
-    };
-    let body = &text[start..start + end];
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(open) = rest.find('"') {
-        let after = &rest[open + 1..];
-        let Some(close) = after.find('"') else { break };
-        out.push(after[..close].to_string());
-        rest = &after[close + 1..];
-    }
-    out
-}
-
-fn load_exemptions(cfg: &Config) -> BTreeMap<String, bool> {
-    let mut out = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(&cfg.exemptions) else {
-        return out;
-    };
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((id, reason)) = line.split_once(':') {
-            if !reason.trim().is_empty() {
-                out.insert(id.trim().to_string(), false);
-            }
-        }
-    }
-    out
 }

@@ -86,9 +86,8 @@ fn failing_workspace_fires_every_lint_family() {
         r.render()
     );
 
-    // reconcile: dead + undocumented counter, unsmoked experiment,
-    // unused exemption, unknown marker key; plus the marker-grammar
-    // findings (stale marker, missing justification).
+    // reconcile: dead + undocumented counter, unknown marker key; plus
+    // the marker-grammar findings (stale marker, missing justification).
     assert!(
         has(&r, Lint::Reconcile, "counters.rs", "never called"),
         "{}",
@@ -96,16 +95,6 @@ fn failing_workspace_fires_every_lint_family() {
     );
     assert!(
         has(&r, Lint::Reconcile, "counters.rs", "not named"),
-        "{}",
-        r.render()
-    );
-    assert!(
-        has(&r, Lint::Reconcile, "experiments.rs", "no CI smoke"),
-        "{}",
-        r.render()
-    );
-    assert!(
-        has(&r, Lint::Reconcile, "experiment_exemptions.txt", "unused"),
         "{}",
         r.render()
     );
@@ -136,10 +125,9 @@ fn passing_workspace_is_clean() {
     assert!(r.findings.is_empty(), "{}", r.render());
     // The justified constructs were actually seen, not skipped: the
     // allow(panic) markers (one standalone, one on the justified lock
-    // unwrap) were consumed, and both registries reconciled.
+    // unwrap) were consumed, and the counter registry reconciled.
     assert_eq!(r.panics_justified, 2, "{}", r.render());
     assert_eq!(r.counters_checked, 1);
-    assert_eq!(r.experiments_checked, 2);
 }
 
 /// Copy a fixture tree into a scratch dir so `--update-baseline` and
@@ -216,11 +204,10 @@ fn self_audit_is_clean_and_registries_are_fully_reconciled() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let r = audit(&Config::for_workspace(root)).expect("workspace audit");
     assert_eq!(r.exit_code(), 0, "{}", r.render());
-    // Pin the reconciliation surface: if a counter or experiment is
-    // added, it must arrive with documentation and a smoke, and these
-    // counts move with it.
+    // Pin the reconciliation surface: if a counter is added, it must
+    // arrive with a call site and documentation, and this count moves
+    // with it.
     assert_eq!(r.counters_checked, 27, "{}", r.render());
-    assert_eq!(r.experiments_checked, 26, "{}", r.render());
     assert!(
         r.files_scanned > 80,
         "only {} files scanned",

@@ -36,7 +36,7 @@
 //!
 //! `repro audit [--json] [--update-baseline]` runs the workspace static
 //! invariant checker (`figlut-audit`) over this source tree: determinism,
-//! unsafe-discipline, panic-path, lock-discipline, and counter/experiment
+//! unsafe-discipline, panic-path, lock-discipline, and counter
 //! reconciliation lints. Exit code is the bitwise OR of the failing lint
 //! families (see DESIGN.md §11); 0 means clean.
 

@@ -20,6 +20,7 @@ use figlut_num::fp::FpFormat;
 use figlut_num::Mat;
 use figlut_quant::bcq::{BcqParams, BcqWeight};
 use figlut_quant::uniform::{rtn, RtnParams};
+use figlut_serve::{FinishReason, ServeReport};
 use figlut_sim::complexity::TABLE1;
 use figlut_sim::engine::evaluate;
 use figlut_sim::gpu::TABLE5_GPUS;
@@ -37,8 +38,8 @@ type Experiment = fn() -> Vec<(String, Table)>;
 /// The experiment table — every id with the function that runs it, in
 /// paper order, then the reproduction's extensions (`ablation`,
 /// `ext-node`, `ext-prefill`, … are not in the paper). The one source of
-/// [`EXPERIMENTS`] and of [`run`]'s dispatch (`figlut-audit` reads the ids
-/// from here too, as the first string literal of each row).
+/// [`EXPERIMENTS`] and of [`run`]'s dispatch. CI runs it whole (`repro`
+/// with no ids), so a row added here is exercised without further lists.
 const EXPERIMENTS_TABLE: [(&str, Experiment); 26] = [
     ("table1", table1),
     ("fig1", fig1),
@@ -891,6 +892,52 @@ fn ext_quant() -> Vec<(String, Table)> {
     vec![("ext_quant".into(), t)]
 }
 
+// --------------------------------------------------------------------------
+// Shared serving setup
+// --------------------------------------------------------------------------
+
+/// The model every serving experiment serves: a `cfg` teacher, quantized
+/// ShiftAdd-Q3 on its calibration corpus, packed for the exec backend.
+fn served_model(cfg: ModelConfig, seed: u64) -> Transformer {
+    let teacher = Transformer::teacher(cfg, seed);
+    let (calib, _) = corpora(&teacher, 7);
+    let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });
+    to_packed(&q)
+}
+
+/// The batch-invariance gate every serving row passes before any number
+/// is reported: each served request's tokens equal its solo batch-1 run
+/// (`solo`, indexed by request id), and each shed request emitted nothing.
+/// `what` names the row in the panic message. Returns the shed count.
+fn assert_solo(report: &ServeReport, solo: &[Vec<usize>], what: &str) -> usize {
+    let mut shed = 0;
+    for r in &report.requests {
+        if r.reason == FinishReason::Shed {
+            shed += 1;
+            assert_eq!(r.tokens, 0, "{what}: shed request {} emitted", r.id);
+        } else {
+            assert_eq!(
+                r.generated, solo[r.id],
+                "{what}: request {} diverged from its solo run",
+                r.id
+            );
+        }
+    }
+    shed
+}
+
+/// nJ per emitted token of a served trace: the executed step sequence
+/// priced on FIGLUT-I (FP16 activations) at 28 nm, scaled up to the real
+/// OPT-1.3B shape, at `model`'s average weight precision.
+fn nj_per_token(report: &ServeReport, model: &Transformer) -> f64 {
+    report.energy_per_token_pj(
+        &Tech::cmos28(),
+        &EngineSpec::paper(SimEngine::FiglutI, FpFormat::Fp16),
+        opt_config("OPT-1.3B"),
+        model.average_bits(),
+    ) / 1e3
+}
+
 fn ext_serving() -> Vec<(String, Table)> {
     // Extension: the paper's motivating scenario run end to end — an LLM
     // *serving* workload (seeded arrival trace, continuous batching) on the
@@ -903,10 +950,7 @@ fn ext_serving() -> Vec<(String, Table)> {
         serve, synthetic_trace, BatchEngine, Policy, Sampling, ServeConfig, TraceParams,
     };
 
-    let teacher = Transformer::teacher(ModelConfig::scaled(2, 48, 4), 102);
-    let (calib, _) = corpora(&teacher, 7);
-    let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });
-    let model = to_packed(&q);
+    let model = served_model(ModelConfig::scaled(2, 48, 4), 102);
     let engine = BatchEngine::new(&model, Backend::Exec(EngineConfig::paper_default()));
 
     let params = TraceParams {
@@ -918,11 +962,6 @@ fn ext_serving() -> Vec<(String, Table)> {
     };
     let trace = synthetic_trace(&model.cfg, &params, 4242);
     let solo: Vec<Vec<usize>> = trace.requests.iter().map(|r| engine.solo_run(r)).collect();
-
-    let tech = Tech::cmos28();
-    let opt = opt_config("OPT-1.3B");
-    let spec = EngineSpec::paper(SimEngine::FiglutI, FpFormat::Fp16);
-    let avg_bits = model.average_bits();
 
     let mut t = Table::new(
         format!(
@@ -951,24 +990,17 @@ fn ext_serving() -> Vec<(String, Table)> {
         (Policy::PrefillPriority, 8),
     ] {
         let report = serve(&engine, &trace, &ServeConfig::new(max_batch, policy));
-        // The batch-invariance gate: no throughput number is reported
-        // unless the tokens are exactly the solo batch-1 tokens.
-        for r in &report.requests {
-            assert_eq!(
-                r.generated, solo[r.id],
-                "{policy:?} max_batch={max_batch}: request {} diverged from its solo run",
-                r.id
-            );
-        }
+        assert_solo(&report, &solo, &format!("{policy:?} max_batch={max_batch}"));
+        let dists = report.distributions();
         t.row(vec![
             policy.name().into(),
             max_batch.to_string(),
             f3(report.tokens_per_kilotick()),
-            f3(report.mean_ttft()),
-            report.latency_percentile(50.0).to_string(),
-            report.latency_percentile(99.0).to_string(),
+            f3(dists.ttft.mean()),
+            dists.latency.percentile(50.0).to_string(),
+            dists.latency.percentile(99.0).to_string(),
             f3(report.mean_decode_occupancy()),
-            f3(report.energy_per_token_pj(&tech, &spec, opt, avg_bits) / 1e3),
+            f3(nj_per_token(&report, &model)),
         ]);
         last = Some(report);
     }
@@ -995,16 +1027,15 @@ fn ext_chunked_prefill() -> Vec<(String, Table)> {
     // monolithic prefill stalls every running decode for the full prompt,
     // while a chunk budget `c` bounds each step — and therefore every
     // running session's inter-token stall — by
-    // `step_overhead + c + max_batch` ticks. Before any number is
+    // `STEP_OVERHEAD + c + max_batch` ticks. Before any number is
     // reported, every emitted token stream is asserted bit-identical to
     // its solo batch-1 run, and the chunked rows are asserted to respect
     // the stall bound.
-    use figlut_serve::{serve, BatchEngine, Policy, Request, Sampling, ServeConfig, Trace};
+    use figlut_serve::{
+        serve, BatchEngine, Policy, Request, Sampling, ServeConfig, Trace, STEP_OVERHEAD,
+    };
 
-    let teacher = Transformer::teacher(ModelConfig::scaled(2, 48, 4), 102);
-    let (calib, _) = corpora(&teacher, 7);
-    let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });
-    let model = to_packed(&q);
+    let model = served_model(ModelConfig::scaled(2, 48, 4), 102);
     let engine = BatchEngine::new(&model, Backend::Exec(EngineConfig::paper_default()));
 
     let long_prompt = 30usize;
@@ -1035,11 +1066,6 @@ fn ext_chunked_prefill() -> Vec<(String, Table)> {
         ],
     };
     let solo: Vec<Vec<usize>> = trace.requests.iter().map(|r| engine.solo_run(r)).collect();
-
-    let tech = Tech::cmos28();
-    let opt = opt_config("OPT-1.3B");
-    let spec = EngineSpec::paper(SimEngine::FiglutI, FpFormat::Fp16);
-    let avg_bits = model.average_bits();
     let max_batch = 4usize;
 
     let mut t = Table::new(
@@ -1063,22 +1089,17 @@ fn ext_chunked_prefill() -> Vec<(String, Table)> {
         let mut cfg = ServeConfig::new(max_batch, Policy::PrefillPriority);
         cfg.prefill_chunk = chunk;
         let report = serve(&engine, &trace, &cfg);
-        // The batch-invariance gate: chunking must move stalls, not tokens.
-        for r in &report.requests {
-            assert_eq!(
-                r.generated, solo[r.id],
-                "chunk {chunk:?}: request {} diverged from its solo run",
-                r.id
-            );
-        }
+        // Chunking must move stalls, not tokens.
+        assert_solo(&report, &solo, &format!("chunk {chunk:?}"));
+        let dists = report.distributions();
         if let Some(c) = chunk {
-            // The tentpole's latency guarantee, asserted before reporting:
-            // stalls are bounded by the chunk, not the foreign prompt.
-            let bound = cfg.step_overhead + (c.min(long_prompt) + max_batch) as u64;
+            // The latency guarantee, asserted before reporting: stalls are
+            // bounded by the chunk, not the foreign prompt.
+            let bound = STEP_OVERHEAD + (c.min(long_prompt) + max_batch) as u64;
+            let stall = dists.stall.max();
             assert!(
-                report.max_inter_token_stall() <= bound,
-                "chunk {c}: stall {} exceeds bound {bound}",
-                report.max_inter_token_stall()
+                stall <= bound,
+                "chunk {c}: stall {stall} exceeds bound {bound}"
             );
         }
         let mixed = report
@@ -1089,12 +1110,12 @@ fn ext_chunked_prefill() -> Vec<(String, Table)> {
         t.row(vec![
             chunk.map_or("none".into(), |c| c.to_string()),
             f3(report.tokens_per_kilotick()),
-            f3(report.mean_ttft()),
-            report.latency_percentile(99.0).to_string(),
-            report.max_inter_token_stall().to_string(),
-            report.stall_percentile(99.0).to_string(),
+            f3(dists.ttft.mean()),
+            dists.latency.percentile(99.0).to_string(),
+            dists.stall.max().to_string(),
+            dists.stall.percentile(99.0).to_string(),
             mixed.to_string(),
-            f3(report.energy_per_token_pj(&tech, &spec, opt, avg_bits) / 1e3),
+            f3(nj_per_token(&report, &model)),
         ]);
     }
     t.note("tokens asserted bit-identical to solo batch-1 runs for every chunk budget");
@@ -1124,16 +1145,13 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
     // of recomputing them, to price strictly less energy per token.
     use figlut_serve::{serve, BatchEngine, Policy, Request, Sampling, ServeConfig, Trace};
 
-    let teacher = Transformer::teacher(
+    let model = served_model(
         ModelConfig {
             max_seq: 96,
             ..ModelConfig::tiny()
         },
         103,
     );
-    let (calib, _) = corpora(&teacher, 7);
-    let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });
-    let model = to_packed(&q);
     let engine = BatchEngine::new(&model, Backend::Exec(EngineConfig::paper_default()));
 
     let sessions = 8usize;
@@ -1164,11 +1182,6 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
             .collect(),
     };
     let solo: Vec<Vec<usize>> = trace.requests.iter().map(|r| engine.solo_run(r)).collect();
-
-    let tech = Tech::cmos28();
-    let opt = opt_config("OPT-1.3B");
-    let spec = EngineSpec::paper(SimEngine::FiglutI, FpFormat::Fp16);
-    let avg_bits = model.average_bits();
     let max_batch = sessions;
     // Contiguous resident KV uses the same per-row storage a block holds.
     let row_bytes = 2 * model.cfg.layers * model.cfg.d_model * std::mem::size_of::<f64>();
@@ -1193,15 +1206,9 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
 
     let base = ServeConfig::new(max_batch, Policy::PrefillPriority);
     let contiguous = serve(&engine, &trace, &base);
-    for r in &contiguous.requests {
-        assert_eq!(
-            r.generated, solo[r.id],
-            "contiguous: request {} diverged from its solo run",
-            r.id
-        );
-    }
+    assert_solo(&contiguous, &solo, "contiguous");
     let contig_bytes = contiguous.peak_kv_rows * row_bytes;
-    let contig_energy = contiguous.energy_per_token_pj(&tech, &spec, opt, avg_bits);
+    let contig_energy = nj_per_token(&contiguous, &model);
     t.row(vec![
         "contiguous".into(),
         "-".into(),
@@ -1210,7 +1217,7 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
         "0".into(),
         "0/0".into(),
         f3(contiguous.tokens_per_kilotick()),
-        f3(contig_energy / 1e3),
+        f3(contig_energy),
     ]);
 
     let min_cap = model.cfg.max_seq.div_ceil(8);
@@ -1218,22 +1225,15 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
         let mut cfg = base.with_block_size(bs);
         cfg.pool_blocks = pool;
         let report = serve(&engine, &trace, &cfg);
-        // The batch-invariance gate, now over memory layout: paging and
-        // preemption may move bytes, never tokens.
-        for r in &report.requests {
-            assert_eq!(
-                r.generated, solo[r.id],
-                "bs {bs} pool {pool:?}: request {} diverged from its solo run",
-                r.id
-            );
-        }
+        // Paging and preemption may move bytes, never tokens.
+        assert_solo(&report, &solo, &format!("bs {bs} pool {pool:?}"));
         // audit: allow(panic) — the run above was constructed with a paged KV config
         let stats = report.paging.expect("paged run must report paging stats");
         assert_eq!(stats.final_live_blocks, 0, "bs {bs}: leaked KV blocks");
         assert_eq!(stats.swaps_out, stats.swaps_in, "bs {bs}: swap asymmetry");
         let paged_bytes = stats.peak_live_blocks * stats.bytes_per_block;
         let frac = paged_bytes as f64 / contig_bytes as f64;
-        let energy = report.energy_per_token_pj(&tech, &spec, opt, avg_bits);
+        let energy = nj_per_token(&report, &model);
         match pool {
             None => {
                 // The shared prefix halves resident KV (and then some), and
@@ -1267,7 +1267,7 @@ fn ext_paged_kv() -> Vec<(String, Table)> {
             stats.shared_rows.to_string(),
             format!("{}/{}", stats.swaps_out, stats.swaps_in),
             f3(report.tokens_per_kilotick()),
-            f3(energy / 1e3),
+            f3(energy),
         ]);
     }
     t.note("tokens asserted bit-identical to solo batch-1 runs for every layout and");
@@ -1296,12 +1296,9 @@ fn ext_overload() -> Vec<(String, Table)> {
     // to respect the chunked-prefill bound; only then do we report how
     // goodput (tokens from sessions meeting the TTFT + stall SLO) falls
     // away from raw throughput as queueing delay blows TTFT past the SLO.
-    use figlut_serve::{serve, BatchEngine, Policy, Scenario, ServeConfig, Slo};
+    use figlut_serve::{serve, BatchEngine, Policy, Scenario, ServeConfig, Slo, STEP_OVERHEAD};
 
-    let teacher = Transformer::teacher(ModelConfig::scaled(2, 48, 4), 102);
-    let (calib, _) = corpora(&teacher, 7);
-    let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });
-    let model = to_packed(&q);
+    let model = served_model(ModelConfig::scaled(2, 48, 4), 102);
     let engine = BatchEngine::new(&model, Backend::Exec(EngineConfig::paper_default()));
 
     let requests = 12usize;
@@ -1350,26 +1347,17 @@ fn ext_overload() -> Vec<(String, Table)> {
                 );
             }
             let report = serve(&engine, &trace, &cfg);
-            // The batch-invariance gate: overload may delay tokens, never
-            // change them.
-            for r in &report.requests {
-                assert_eq!(
-                    r.generated,
-                    solo[r.id],
-                    "{} load {load}: request {} diverged from its solo run",
-                    sc.name(),
-                    r.id
-                );
-            }
-            // PR 5's chunked-prefill latency guarantee holds at any load.
-            let bound = cfg.step_overhead + (chunk + max_batch) as u64;
-            assert!(
-                report.max_inter_token_stall() <= bound,
-                "{} load {load}: stall {} exceeds bound {bound}",
-                sc.name(),
-                report.max_inter_token_stall()
-            );
+            // Overload may delay tokens, never change them.
+            assert_solo(&report, &solo, &format!("{} load {load}", sc.name()));
+            // The chunked-prefill latency guarantee holds at any load.
             let dists = report.distributions();
+            let bound = STEP_OVERHEAD + (chunk + max_batch) as u64;
+            let stall = dists.stall.max();
+            assert!(
+                stall <= bound,
+                "{} load {load}: stall {stall} exceeds bound {bound}",
+                sc.name()
+            );
             let good = report.goodput(&slo);
             // The headline claim, pinned: at 10x load every scenario has
             // sessions blowing the SLO, so goodput < raw throughput.
@@ -1394,7 +1382,7 @@ fn ext_overload() -> Vec<(String, Table)> {
                 f3(report.tokens_per_kilotick()),
                 f3(good.tokens_per_kilotick),
                 format!("{}/{}", good.met_requests, report.requests.len()),
-                f3(report.mean_ttft()),
+                f3(dists.ttft.mean()),
                 dists.ttft.percentile(99.0).to_string(),
                 format!(
                     "{:.1}/{:.1}/{:.1}",
@@ -1436,14 +1424,11 @@ fn ext_resilience() -> Vec<(String, Table)> {
     // rejection. The headline gate: SLO-aware shedding beats unbounded
     // admission on goodput even while faults are being injected.
     use figlut_serve::{
-        serve_with_hooks, AdmissionPolicy, BatchEngine, FaultPlan, FinishReason, Policy, Scenario,
-        ServeConfig, ServeHooks, Slo,
+        serve_with_hooks, AdmissionPolicy, BatchEngine, FaultPlan, Policy, Scenario, ServeConfig,
+        ServeHooks, Slo,
     };
 
-    let teacher = Transformer::teacher(ModelConfig::scaled(2, 48, 4), 102);
-    let (calib, _) = corpora(&teacher, 7);
-    let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });
-    let model = to_packed(&q);
+    let model = served_model(ModelConfig::scaled(2, 48, 4), 102);
     let engine = BatchEngine::new(&model, Backend::Exec(EngineConfig::paper_default()));
 
     let requests = 12usize;
@@ -1515,19 +1500,7 @@ fn ext_resilience() -> Vec<(String, Table)> {
         // stream bit-identical to its solo run despite the injected
         // faults, every shed an honest zero-token rejection.
         assert_eq!(report.requests.len(), trace.len(), "{admission:?}");
-        let mut shed = 0usize;
-        for r in &report.requests {
-            if r.reason == FinishReason::Shed {
-                shed += 1;
-                assert_eq!(r.tokens, 0, "{admission:?}: shed request emitted");
-            } else {
-                assert_eq!(
-                    r.generated, solo[r.id],
-                    "{admission:?}: request {} diverged from its solo run under faults",
-                    r.id
-                );
-            }
-        }
+        let shed = assert_solo(&report, &solo, &format!("{admission:?} under faults"));
         let res = &report.resilience;
         assert_eq!(res.shed_requests, shed, "{admission:?}");
         // The plan actually fired: this row demonstrates recovery, not a
@@ -1569,7 +1542,7 @@ fn ext_resilience() -> Vec<(String, Table)> {
                 res.step_retries, res.swap_in_retries, res.checksum_faults
             ),
             res.pool_spikes.to_string(),
-            f3(report.mean_ttft()),
+            f3(dists.ttft.mean()),
             dists.queue_wait.percentile(99.0).to_string(),
         ]);
     }
@@ -1650,4 +1623,31 @@ fn calibration() -> Vec<(String, Table)> {
         ratio(tw(SimEngine::FiglutI, 2.0) / tw(SimEngine::Figna, 2.0)),
     ]);
     vec![("calibration".into(), t)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use figlut_serve::{serve, synthetic_trace, BatchEngine, Policy, ServeConfig, TraceParams};
+
+    /// The serving experiments' batch-invariance gate can fail: a report
+    /// that differs from the solo runs by one token is rejected (and the
+    /// untouched report is not, or the panic would name the clean row).
+    #[test]
+    #[should_panic(expected = "flipped: request 0 diverged from its solo run")]
+    fn solo_gate_rejects_one_flipped_token() {
+        let model = Transformer::teacher(ModelConfig::tiny(), 7);
+        let engine = BatchEngine::new(&model, Backend::Exact);
+        let trace = synthetic_trace(&model.cfg, &TraceParams::light(2), 42);
+        let solo: Vec<Vec<usize>> = trace.requests.iter().map(|r| engine.solo_run(r)).collect();
+        let mut report = serve(
+            &engine,
+            &trace,
+            &ServeConfig::new(2, Policy::PrefillPriority),
+        );
+        assert_eq!(assert_solo(&report, &solo, "clean"), 0);
+        let token = &mut report.requests[0].generated[0];
+        *token = (*token + 1) % model.cfg.vocab;
+        assert_solo(&report, &solo, "flipped");
+    }
 }

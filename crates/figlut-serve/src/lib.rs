@@ -68,5 +68,5 @@ pub use request::{
 };
 pub use scheduler::{
     resume, serve, serve_with_hooks, AdmissionPolicy, Checkpoint, CheckpointHook, FaultPlan,
-    Policy, ServeConfig, ServeHooks,
+    Policy, ServeConfig, ServeHooks, STEP_OVERHEAD,
 };

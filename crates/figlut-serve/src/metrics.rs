@@ -244,9 +244,13 @@ impl Dist {
         }
     }
 
-    /// Exact nearest-rank percentile (`p` in `(0, 100]`); empty sample → 0,
-    /// singleton → that element at every `p`. Same edge behavior as the
-    /// report-level percentiles (pinned by `percentile_edge_behavior`).
+    /// Exact nearest-rank percentile (`p` in `(0, 100]`).
+    ///
+    /// An empty sample returns 0 — not an error — so percentiles over
+    /// quantities that can legitimately be absent (inter-token stalls of
+    /// single-token sessions, queue waits of an empty run) degrade to 0
+    /// instead of panicking. A singleton returns that element at every `p`
+    /// (both pinned by `percentile_edge_behavior`).
     ///
     /// # Panics
     ///
@@ -347,27 +351,6 @@ pub struct Goodput {
     pub tokens_per_kilotick: f64,
 }
 
-/// Nearest-rank percentile (`p` in `(0, 100]`) of `values`.
-///
-/// **Edge behavior, relied on by callers:** an empty sample returns 0 —
-/// not an error — so report-level percentiles over quantities that can
-/// legitimately be absent (inter-token stalls of single-token sessions,
-/// queue waits of an empty run) degrade to 0 instead of panicking. A
-/// single-element sample returns that element at every `p`.
-///
-/// # Panics
-///
-/// Panics if `p` is out of range.
-fn percentile(mut values: Vec<u64>, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 100.0, "percentile {p} out of (0, 100]");
-    if values.is_empty() {
-        return 0;
-    }
-    values.sort_unstable();
-    let rank = ((p / 100.0) * values.len() as f64).ceil() as usize;
-    values[rank.saturating_sub(1)]
-}
-
 /// Paged-KV accounting for one serving run (present only when
 /// [`crate::ServeConfig::block_size`] was set).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -407,7 +390,7 @@ pub struct PagingStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Scheduled steps abandoned by injected transient failures and
-    /// retried (each charged `step_overhead` ticks).
+    /// retried (each charged [`crate::STEP_OVERHEAD`] ticks).
     pub step_retries: usize,
     /// Restore attempts abandoned (injected swap-in failures plus
     /// detected-corruption retries) and re-queued.
@@ -460,28 +443,6 @@ impl ServeReport {
         self.total_tokens() as f64 * 1000.0 / self.ticks as f64
     }
 
-    /// Mean time-to-first-token, in ticks.
-    pub fn mean_ttft(&self) -> f64 {
-        let n = self.requests.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.requests.iter().map(|r| r.ttft() as f64).sum::<f64>() / n as f64
-    }
-
-    /// Nearest-rank latency percentile (`p` in `(0, 100]`), in ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range or no request finished.
-    pub fn latency_percentile(&self, p: f64) -> u64 {
-        assert!(!self.requests.is_empty(), "no finished requests");
-        percentile(
-            self.requests.iter().map(RequestMetrics::latency).collect(),
-            p,
-        )
-    }
-
     /// Number of steps that advanced at least one decode row.
     pub fn decode_steps(&self) -> usize {
         self.steps.iter().filter(|s| s.decode_rows > 0).count()
@@ -499,63 +460,24 @@ impl ServeReport {
         rows as f64 / (steps * self.max_batch) as f64
     }
 
-    /// Every inter-token stall (gap between consecutive emitted tokens of
-    /// one session), across all requests, in ticks.
-    pub fn inter_token_stalls(&self) -> Vec<u64> {
-        self.requests
-            .iter()
-            .flat_map(RequestMetrics::inter_token_stalls)
-            .collect()
-    }
-
-    /// The worst inter-token stall any session experienced, in ticks (0 if
-    /// no session emitted a second token). This is the number chunked
-    /// prefill bounds: with a chunk budget `c` every step costs at most
-    /// `step_overhead + c + max_batch` ticks, so no running session ever
-    /// waits a whole foreign prompt length for its next token.
-    pub fn max_inter_token_stall(&self) -> u64 {
-        self.inter_token_stalls().into_iter().max().unwrap_or(0)
-    }
-
-    /// Nearest-rank percentile of the inter-token stalls (`p` in
-    /// `(0, 100]`), in ticks.
-    ///
-    /// Single-token sessions contribute no stalls (a session must emit a
-    /// second token to have an inter-token gap), so a run of only
-    /// single-token sessions — or an empty run — returns 0 at every `p`
-    /// rather than panicking. Pinned by the `percentile_edge_behavior`
-    /// test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn stall_percentile(&self, p: f64) -> u64 {
-        percentile(self.inter_token_stalls(), p)
-    }
-
-    /// Mean ticks requests spent queued before admission.
-    pub fn mean_queue_wait(&self) -> f64 {
-        let n = self.requests.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.requests
-            .iter()
-            .map(|r| r.queue_wait() as f64)
-            .sum::<f64>()
-            / n as f64
-    }
-
     /// Materialize the report's four latency distributions — TTFT,
-    /// end-to-end latency, inter-token stalls, queue wait — each sorted
-    /// and histogrammed exactly once. Callers needing several percentiles
-    /// (the `Display` impl, `repro analyze`, experiments) build this once
-    /// instead of re-sorting per percentile call.
+    /// end-to-end latency, inter-token stalls (every gap between
+    /// consecutive tokens of one session, across all sessions), queue
+    /// wait — each sorted and histogrammed exactly once. These are the
+    /// report's only latency aggregates: means, percentiles and maxima are
+    /// read off the [`Dist`]s. The stall maximum is the number chunked
+    /// prefill bounds: with a chunk budget `c` every step costs at most
+    /// `STEP_OVERHEAD + c + max_batch` ticks ([`crate::STEP_OVERHEAD`]).
     pub fn distributions(&self) -> ServeDists {
         ServeDists {
             ttft: Dist::from_values(self.requests.iter().map(RequestMetrics::ttft).collect()),
             latency: Dist::from_values(self.requests.iter().map(RequestMetrics::latency).collect()),
-            stall: Dist::from_values(self.inter_token_stalls()),
+            stall: Dist::from_values(
+                self.requests
+                    .iter()
+                    .flat_map(RequestMetrics::inter_token_stalls)
+                    .collect(),
+            ),
             queue_wait: Dist::from_values(
                 self.requests
                     .iter()
@@ -868,18 +790,18 @@ mod tests {
         let r = demo_report();
         assert_eq!(r.total_tokens(), 12);
         assert_eq!(r.tokens_per_kilotick(), 400.0);
-        assert_eq!(r.mean_ttft(), (5.0 + 7.0 + 6.0) / 3.0);
+        assert_eq!(r.distributions().ttft.mean(), (5.0 + 7.0 + 6.0) / 3.0);
         assert_eq!(r.decode_steps(), 2);
         assert_eq!(r.mean_decode_occupancy(), 5.0 / 8.0);
     }
 
     #[test]
     fn percentiles_nearest_rank() {
-        let r = demo_report();
+        let latency = demo_report().distributions().latency;
         // Latencies: 20, 28, 16 → sorted 16, 20, 28.
-        assert_eq!(r.latency_percentile(50.0), 20);
-        assert_eq!(r.latency_percentile(99.0), 28);
-        assert_eq!(r.latency_percentile(1.0), 16);
+        assert_eq!(latency.percentile(50.0), 20);
+        assert_eq!(latency.percentile(99.0), 28);
+        assert_eq!(latency.percentile(1.0), 16);
     }
 
     #[test]
@@ -1041,13 +963,15 @@ mod tests {
         // Request 0: ticks 5,10,15,20 → gaps 5,5,5. Request 1: 9,14,19,24,30
         // → gaps 5,5,5,6. Request 2: 16,21,26 → gaps 5,5.
         assert_eq!(r.requests[1].token_ticks, vec![9, 14, 19, 24, 30]);
-        assert_eq!(r.max_inter_token_stall(), 6);
-        assert_eq!(r.stall_percentile(50.0), 5);
+        let stall = r.distributions().stall;
+        assert_eq!(stall.max(), 6);
+        assert_eq!(stall.percentile(50.0), 5);
         // Inject a head-of-line blocking spike into request 2.
         r.requests[2].token_ticks = vec![16, 21, 62];
-        assert_eq!(r.max_inter_token_stall(), 41);
-        assert_eq!(r.stall_percentile(99.0), 41);
-        assert_eq!(r.stall_percentile(50.0), 5);
+        let stall = r.distributions().stall;
+        assert_eq!(stall.max(), 41);
+        assert_eq!(stall.percentile(99.0), 41);
+        assert_eq!(stall.percentile(50.0), 5);
         let single = RequestMetrics {
             id: 9,
             arrival: 0,
@@ -1070,14 +994,15 @@ mod tests {
             paging: None,
             resilience: ResilienceStats::default(),
         };
-        assert_eq!(lone.max_inter_token_stall(), 0);
-        assert_eq!(lone.stall_percentile(99.0), 0);
+        let stall = lone.distributions().stall;
+        assert_eq!(stall.max(), 0);
+        assert_eq!(stall.percentile(99.0), 0);
     }
 
     #[test]
     #[should_panic(expected = "percentile")]
     fn percentile_range_checked() {
-        let _ = demo_report().latency_percentile(0.0);
+        let _ = demo_report().distributions().latency.percentile(0.0);
     }
 
     #[test]
@@ -1090,15 +1015,17 @@ mod tests {
             req.generated.truncate(1);
             req.token_ticks.truncate(1);
         }
+        let stall = r.distributions().stall;
         for p in [1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(r.stall_percentile(p), 0, "p{p} of empty sample");
+            assert_eq!(stall.percentile(p), 0, "p{p} of empty sample");
         }
         // Single-element sample → that element at every p.
         r.requests[0].tokens = 2;
         r.requests[0].generated.push(1);
         r.requests[0].token_ticks.push(12);
+        let stall = r.distributions().stall;
         for p in [1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(r.stall_percentile(p), 7, "p{p} of singleton sample");
+            assert_eq!(stall.percentile(p), 7, "p{p} of singleton sample");
         }
     }
 
@@ -1107,7 +1034,7 @@ mod tests {
         let r = demo_report();
         // demo requests are admitted 2 ticks after arrival.
         assert_eq!(r.requests[0].queue_wait(), 2);
-        assert_eq!(r.mean_queue_wait(), 2.0);
+        assert_eq!(r.distributions().queue_wait.mean(), 2.0);
         // queue wait + post-admission compute == TTFT, per request.
         for req in &r.requests {
             assert_eq!(
@@ -1141,17 +1068,35 @@ mod tests {
     fn distributions_match_exact_percentiles() {
         let r = demo_report();
         let d = r.distributions();
-        // The cached sorted views must agree with the one-shot percentile
-        // path at every probe, and the histogram must hold the same count.
+        // The sorted views must agree with a nearest-rank pick over the
+        // raw per-request values at every probe, and the histogram must
+        // hold the same count.
+        let nearest_rank = |mut v: Vec<u64>, p: f64| {
+            v.sort_unstable();
+            v[((p / 100.0) * v.len() as f64).ceil() as usize - 1]
+        };
+        let latencies: Vec<u64> = r.requests.iter().map(RequestMetrics::latency).collect();
+        let stalls: Vec<u64> = r
+            .requests
+            .iter()
+            .flat_map(RequestMetrics::inter_token_stalls)
+            .collect();
         for p in [1.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            assert_eq!(d.latency.percentile(p), r.latency_percentile(p), "p{p}");
-            assert_eq!(d.stall.percentile(p), r.stall_percentile(p), "p{p}");
+            assert_eq!(
+                d.latency.percentile(p),
+                nearest_rank(latencies.clone(), p),
+                "p{p}"
+            );
+            assert_eq!(
+                d.stall.percentile(p),
+                nearest_rank(stalls.clone(), p),
+                "p{p}"
+            );
         }
         assert_eq!(d.ttft.count(), r.requests.len());
         assert_eq!(d.ttft.hist().count(), r.requests.len() as u64);
-        assert_eq!(d.ttft.mean(), r.mean_ttft());
-        assert_eq!(d.queue_wait.mean(), r.mean_queue_wait());
-        assert_eq!(d.stall.max(), r.max_inter_token_stall());
+        assert_eq!(d.stall.count(), stalls.len());
+        assert_eq!(d.stall.max(), stalls.iter().copied().max().unwrap());
         // Small tick values land in exact unit buckets, so the histogram
         // quantile agrees with the exact one on this report.
         assert_eq!(d.latency.hist().quantile(50.0), d.latency.percentile(50.0));

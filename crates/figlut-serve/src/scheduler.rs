@@ -3,7 +3,7 @@
 //!
 //! The serving loop is an event loop over *steps*, and advances the
 //! virtual clock by a deterministic cost per step
-//! (`step_overhead + token-rows processed`) — a linear stand-in for the
+//! ([`STEP_OVERHEAD`]` + token-rows processed`) — a linear stand-in for the
 //! row-proportional GEMM time of both the packed host kernels and the
 //! modeled accelerator at these memory-bound shapes. Because the clock is
 //! virtual, every latency and throughput number is bit-reproducible across
@@ -15,11 +15,11 @@
 //! prefill slot. [`ServeConfig::prefill_chunk`] only sets how a step is
 //! composed. With a budget `c` the scheduler packs **mixed steps** — every
 //! running decode row plus up to `c` prompt rows — bounding each running
-//! session's inter-token stall by `step_overhead + c + max_batch` ticks.
+//! session's inter-token stall by `STEP_OVERHEAD + c + max_batch` ticks.
 //! Without one, the budget is the whole prompt and a step that carries a
 //! prefill carries no decode rows, so a long prompt stalls every running
 //! decode for its full length (head-of-line blocking; the bound becomes
-//! `step_overhead + prompt_len + max_batch`) — step for step the
+//! `STEP_OVERHEAD + prompt_len + max_batch`) — step for step the
 //! pre-chunking scheduler, which the golden-trace test pins.
 //!
 //! Scheduling changes *when* sessions advance, never *what* they emit:
@@ -101,7 +101,7 @@ pub enum AdmissionPolicy {
     },
     /// SLO-aware shedding: drop any pending request whose time-to-first-
     /// token is already unattainable — `queue wait so far + prompt_len +
-    /// step_overhead` is a lower bound on its TTFT no schedule can beat,
+    /// STEP_OVERHEAD` is a lower bound on its TTFT no schedule can beat,
     /// so once that exceeds `ttft` the request is dead weight. The bound
     /// charges the whole prompt, so under paging it over-estimates a
     /// request that would adopt a shared prefix (whose adopted rows never
@@ -124,6 +124,10 @@ impl AdmissionPolicy {
     }
 }
 
+/// Fixed virtual-clock cost added to every step, on top of one tick per
+/// token-row processed (and charged alone for a retried step).
+pub const STEP_OVERHEAD: u64 = 1;
+
 /// Scheduler knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -132,15 +136,12 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Batch-assembly policy.
     pub policy: Policy,
-    /// Fixed virtual-clock cost added to every step, on top of one tick
-    /// per token-row processed.
-    pub step_overhead: u64,
     /// Chunked-prefill budget. `None` (the default) runs each admitted
     /// prompt as one monolithic prefill step that stalls every running
     /// decode for the prompt's full length. `Some(c)` fuses prefill into
     /// **mixed steps**: every step carries all running decode rows plus up
     /// to `c` prompt rows of the oldest pending prompt, so no running
-    /// session ever stalls longer than `step_overhead + c + max_batch`
+    /// session ever stalls longer than `STEP_OVERHEAD + c + max_batch`
     /// ticks. The emitted tokens are bit-identical either way; the sweet
     /// spot for the packed host kernels is a step whose rows fill whole
     /// 8-column lane blocks of the exec kernel.
@@ -167,15 +168,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A configuration with the default per-step overhead of 1 tick,
-    /// monolithic (un-chunked) prefill, and unmanaged KV (one private
-    /// one-block cache per session).
+    /// A configuration with monolithic (un-chunked) prefill and unmanaged
+    /// KV (one private one-block cache per session).
     pub fn new(max_batch: usize, policy: Policy) -> Self {
         assert!(max_batch >= 1, "max_batch must be at least 1");
         Self {
             max_batch,
             policy,
-            step_overhead: 1,
             prefill_chunk: None,
             block_size: None,
             pool_blocks: None,
@@ -228,7 +227,7 @@ impl ServeConfig {
 /// Fault classes (each gated by a per-mille rate, default 0):
 ///
 /// * **Transient step failure** — the scheduled step is abandoned before
-///   executing; the scheduler charges `step_overhead` ticks and retries.
+///   executing; the scheduler charges [`STEP_OVERHEAD`] ticks and retries.
 /// * **Swap-in failure** — a restore attempt is abandoned; the preempted
 ///   session stays queued and is retried on a later iteration.
 /// * **Restore corruption** — the swap-in transfer silently flips one KV
@@ -688,7 +687,6 @@ fn apply_admission(
     policy: AdmissionPolicy,
     pending: &mut VecDeque<Request>,
     clock: u64,
-    step_overhead: u64,
     finished: &mut Vec<RequestMetrics>,
     resilience: &mut ResilienceStats,
 ) {
@@ -715,7 +713,7 @@ fn apply_admission(
                 // The best case from here: admitted this very tick, prompt
                 // rows at one tick each, one step overhead. Unattainable
                 // TTFT = certain SLO miss = dead weight in the queue.
-                (clock - r.arrival) + r.prompt.len() as u64 + step_overhead > ttft
+                (clock - r.arrival) + r.prompt.len() as u64 + STEP_OVERHEAD > ttft
             };
             let mut keep = VecDeque::with_capacity(pending.len());
             while let Some(r) = pending.pop_front() {
@@ -996,7 +994,6 @@ impl LoopState {
                 cfg.admission,
                 &mut self.pending,
                 self.clock,
-                cfg.step_overhead,
                 &mut self.finished,
                 &mut self.resilience,
             );
@@ -1063,7 +1060,7 @@ impl LoopState {
                     // the admitted session, if any, waits out the retry).
                     counters::bump_serve_step_retries(1);
                     self.resilience.step_retries += 1;
-                    self.clock += cfg.step_overhead;
+                    self.clock += STEP_OVERHEAD;
                     continue;
                 }
             }
@@ -1126,7 +1123,7 @@ impl LoopState {
                 engine.step(&mut refs, self.prefilling.as_mut(), budget)
             };
             debug_assert!(decode_rows + prefill_rows >= 1);
-            let cost = cfg.step_overhead + (decode_rows + prefill_rows) as u64;
+            let cost = STEP_OVERHEAD + (decode_rows + prefill_rows) as u64;
             self.clock += cost;
             let rec = StepRecord {
                 prefill_rows,
@@ -1464,11 +1461,13 @@ mod tests {
             &trace,
             &ServeConfig::new(2, Policy::PrefillPriority),
         );
+        let (pp_ttft, fcfs_ttft) = (
+            pp.distributions().ttft.mean(),
+            fcfs.distributions().ttft.mean(),
+        );
         assert!(
-            pp.mean_ttft() < fcfs.mean_ttft(),
-            "prefill-priority TTFT {} !< fcfs {}",
-            pp.mean_ttft(),
-            fcfs.mean_ttft()
+            pp_ttft < fcfs_ttft,
+            "prefill-priority TTFT {pp_ttft} !< fcfs {fcfs_ttft}"
         );
     }
 
@@ -1901,7 +1900,7 @@ mod tests {
 
     /// A long prompt landing on a busy engine: without chunking, every
     /// running session stalls for the whole prompt; with a chunk budget
-    /// `c`, no inter-token stall exceeds `step_overhead + c + max_batch`
+    /// `c`, no inter-token stall exceeds `STEP_OVERHEAD + c + max_batch`
     /// ticks — and the tokens are bit-identical throughout.
     #[test]
     fn chunked_prefill_bounds_inter_token_stalls() {
@@ -1929,23 +1928,23 @@ mod tests {
         let max_batch = 4usize;
         let base = ServeConfig::new(max_batch, Policy::PrefillPriority);
         let mono = serve(&engine, &trace, &base);
+        let mono_stall = mono.distributions().stall.max();
         // The monolithic prefill stalls a running session for ≥ the whole
         // 30-row prompt.
         assert!(
-            mono.max_inter_token_stall() >= 30,
-            "expected head-of-line blocking, stall {}",
-            mono.max_inter_token_stall()
+            mono_stall >= 30,
+            "expected head-of-line blocking, stall {mono_stall}"
         );
         for chunk in [4usize, 8] {
             let r = serve(&engine, &trace, &base.with_prefill_chunk(chunk));
-            let bound = base.step_overhead + (chunk + max_batch) as u64;
+            let bound = STEP_OVERHEAD + (chunk + max_batch) as u64;
             for s in &r.steps {
                 assert!(s.cost <= bound, "chunk {chunk}: step cost {}", s.cost);
             }
+            let stall = r.distributions().stall.max();
             assert!(
-                r.max_inter_token_stall() <= bound,
-                "chunk {chunk}: stall {} > bound {bound}",
-                r.max_inter_token_stall()
+                stall <= bound,
+                "chunk {chunk}: stall {stall} > bound {bound}"
             );
             // The long prompt really was chunked into mixed steps.
             assert!(r.steps.iter().any(|s| s.kind() == StepKind::Mixed));
@@ -1958,7 +1957,7 @@ mod tests {
                     req.id
                 );
             }
-            assert!(r.max_inter_token_stall() < mono.max_inter_token_stall());
+            assert!(stall < mono_stall);
         }
     }
 

@@ -80,7 +80,7 @@ fn prelude_reexports_resolve() {
         &trace,
         &ServeConfig::new(2, Policy::PrefillPriority).with_prefill_chunk(8),
     );
-    let _stall: u64 = chunked.max_inter_token_stall();
+    let _stall: u64 = chunked.distributions().stall.max();
     for r in &chunked.requests {
         assert_eq!(r.generated, engine.solo_run(&trace.requests[r.id]));
     }
