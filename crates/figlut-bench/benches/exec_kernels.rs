@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use figlut_exec::lut::{windows, FlatLuts};
 use figlut_exec::parallel::thread_count;
-use figlut_exec::{exec_f_threads, exec_i_threads, ExecPlan, PackedBcq};
+use figlut_exec::{exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::{figlut, EngineConfig};
 use figlut_num::align::AlignedVector;
 use figlut_num::Mat;
@@ -34,9 +34,6 @@ fn bench_exec_vs_model(c: &mut Criterion) {
     });
     g.bench_function("exec_i_1t", |b| {
         b.iter(|| black_box(exec_i_threads(&x, &packed, &cfg, 1)))
-    });
-    g.bench_function("exec_f_1t", |b| {
-        b.iter(|| black_box(exec_f_threads(&x, &packed, &cfg, 1)))
     });
     g.finish();
 }

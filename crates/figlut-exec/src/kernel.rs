@@ -1,6 +1,6 @@
-//! LUT-stationary, lane-blocked LUT-GEMM kernels over [`PackedBcq`] weights.
+//! The LUT-stationary, lane-blocked LUT-GEMM kernel over [`PackedBcq`] weights.
 //!
-//! Both kernels follow the FIGLUT pipeline: per activation row, precompute
+//! The kernel follows the FIGLUT pipeline: per activation row, precompute
 //! one flat FFLUT per µ-column window ([`crate::lut`]); then every output
 //! row *reads* its µ-bit weight keys out of the packed bit-planes instead
 //! of multiplying. Like the paper's datapath the sweep is *LUT-stationary*:
@@ -36,14 +36,14 @@
 //! (`generic_sweep`), row by row.
 //!
 //! The fold is fused into the walk: a run that completes a scale group
-//! folds its partial straight into the row's running output (`Arith`), so
+//! folds its partial straight into the row's running output (`add_f32`), so
 //! no `rows × groups × q × batch` partials exist anywhere. Only a group
 //! that crosses a tile boundary (wider than a tile, or gs 192) carries
 //! integers between tile visits, in a `rows × q × L` open-group buffer.
 //! Groups complete in ascending order
 //! and planes in ascending order within a group, so each (row, column)
 //! sees exactly the datapath model's fold sequence, and its serial
-//! FP32-rounded chain overlaps the next rows' look-ups. The integer path
+//! FP32-rounded chain overlaps the next rows' look-ups. The kernel
 //! narrows tables *and* accumulators to i32 whenever the plan proves the
 //! group-partial bound (see `Accum`), which is what makes a lane vector
 //! one or two SSE2 registers.
@@ -57,10 +57,8 @@
 //! `figlut_gemm::figlut::gemm_i` (and therefore to iFPU; DESIGN.md §3),
 //! *and* each batch row is bit-identical to a batch-1 call on that row
 //! alone (the invariance `figlut-serve` builds on, pinned by
-//! `tests/prop_exec.rs`). [`exec_f`] accumulates window partials in native
-//! `f64` in a fixed (window-order) sequence, so it tracks
-//! `figlut_gemm::figlut::gemm_f` to within the scale-aware tolerance the
-//! property tests assert, at much higher throughput.
+//! `tests/prop_exec.rs`). FIGLUT-F has no fast path here: its datapath
+//! model is `figlut_gemm::figlut::gemm_f`.
 //!
 //! The entry points here build a throwaway [`ExecPlan`] per call; repeated
 //! execution over the same weights should build the plan once and call its
@@ -144,21 +142,6 @@ impl Accum<i32> for i32 {
         self as f64
     }
 }
-impl Accum<f64> for f64 {
-    #[inline(always)]
-    fn absorb(&mut self, e: f64) {
-        *self += e;
-    }
-    #[inline(always)]
-    fn merge(&mut self, other: f64) {
-        *self += other;
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
 /// The lane pass: accumulate one *run* of byte-wide windows — `tables`
 /// holds one `[[E; L]; 256]` per window, `words[r]` starts at the run's
 /// first packed word of output row `r` — for two output rows × `L` lanes.
@@ -197,25 +180,9 @@ fn lane_pass<E: Copy, A: Accum<E>, const L: usize>(
     acc
 }
 
-/// The arithmetic a finished group partial `p` is folded with —
-/// `acc + α·(p·λ)`, then `acc + z·Σx` once per group — and the one place
-/// the two kernels differ.
-pub(crate) trait Arith {
-    /// A running output between the folds of one run (losslessly
-    /// [`load`](Arith::load)ed from and [`store`](Arith::store)d to the
-    /// `f64` output panel).
-    type Acc: Copy + Default;
-    /// A running output read back from the output panel.
-    fn load(v: f64) -> Self::Acc;
-    /// A running output written to the output panel.
-    fn store(acc: Self::Acc) -> f64;
-    /// `acc + b`.
-    fn add(acc: Self::Acc, b: f64) -> Self::Acc;
-    /// `a × b`.
-    fn mul(a: f64, b: f64) -> f64;
-}
-
-/// `exec_i`: every operation FP32-rounded, which makes the plane fold
+/// The fold's FP32-rounded `acc + b` on a running output: with every
+/// product `mul32`-rounded, a finished group partial `p` folds as
+/// `acc + α·(p·λ)`, then `acc + z·Σx` once per group — the plane fold
 /// `figlut_gemm::ifpu::fold_partial` with the i128 partial replaced by the
 /// accumulator's own width ([`Accum::to_f64`] explains why that is
 /// bit-identical). A running output is always an FP32 value, so it is
@@ -224,57 +191,19 @@ pub(crate) trait Arith {
 /// (`f64` carries more than 2·24 + 2 significand bits, so rounding the
 /// `f64` sum again is innocuous) for three conversions fewer per fold,
 /// which at eight lanes is most of the fold's cost.
-pub(crate) struct Fp32;
-impl Arith for Fp32 {
-    type Acc = f32;
-    #[inline(always)]
-    fn load(v: f64) -> f32 {
-        v as f32
-    }
-    #[inline(always)]
-    fn store(acc: f32) -> f64 {
-        acc as f64
-    }
-    #[inline(always)]
-    fn add(acc: f32, b: f64) -> f32 {
-        add32(acc as f64, b) as f32
-    }
-    #[inline(always)]
-    fn mul(a: f64, b: f64) -> f64 {
-        mul32(a, b)
-    }
-}
-
-/// `exec_f`: native `f64`.
-pub(crate) struct Native;
-impl Arith for Native {
-    type Acc = f64;
-    #[inline(always)]
-    fn load(v: f64) -> f64 {
-        v
-    }
-    #[inline(always)]
-    fn store(acc: f64) -> f64 {
-        acc
-    }
-    #[inline(always)]
-    fn add(a: f64, b: f64) -> f64 {
-        a + b
-    }
-    #[inline(always)]
-    fn mul(a: f64, b: f64) -> f64 {
-        a * b
-    }
+#[inline(always)]
+fn add_f32(acc: f32, b: f64) -> f32 {
+    add32(acc as f64, b) as f32
 }
 
 /// The per-batch-column operands of the fold. Each column folds with its
 /// own λ and Σx, so every (row, column) result is bit-identical to a
 /// batch-1 call.
 pub(crate) struct Columns<'a> {
-    /// Alignment scale λ per column (`exec_f`: 1).
+    /// Alignment scale λ per column.
     pub lambdas: &'a [f64],
-    /// Offset multiplier per (column, group), `batch × groups`: `exec_i`
-    /// pre-folds the row-invariant `mul32(Σx, λ)`, `exec_f` passes `Σx`.
+    /// Offset multiplier per (column, group), `batch × groups`: the
+    /// row-invariant `mul32(Σx, λ)`, pre-folded at staging.
     pub gsums: &'a [f64],
 }
 
@@ -292,7 +221,7 @@ fn per_lane<E, const L: usize>(blk: &LaneBlock<'_, E>, f: impl Fn(usize) -> f64)
 /// (`[row][plane][lane]`), where the group's next run picks it up — a
 /// group's first run assigns, so `open` is never cleared. All `L` lanes
 /// fold in lockstep (padding lanes fold zeros).
-fn lane_sweep<E: Copy, A: Accum<E>, R: Arith, const L: usize>(
+fn lane_sweep<E: Copy, A: Accum<E>, const L: usize>(
     w: &PackedBcq,
     blk: &LaneBlock<'_, E>,
     cx: &Columns<'_>,
@@ -330,11 +259,11 @@ fn lane_sweep<E: Copy, A: Accum<E>, R: Arith, const L: usize>(
             for (pi, pair) in panel.chunks_mut(2 * batch).enumerate() {
                 let ri = 2 * pi;
                 let live = pair.len() / batch; // 2, or 1 for a lone last row
-                let mut y = [[R::Acc::default(); L]; 2];
+                let mut y = [[0f32; L]; 2];
                 if ends {
                     for (y, out) in y.iter_mut().zip(pair.chunks(batch)) {
                         for (y, &o) in y.iter_mut().zip(&out[blk.col0..][..blk.cols]) {
-                            *y = R::load(o);
+                            *y = o as f32;
                         }
                     }
                 }
@@ -358,7 +287,7 @@ fn lane_sweep<E: Copy, A: Accum<E>, R: Arith, const L: usize>(
                         }
                         let (alpha, p) = (scales[at], acc.map(A::to_f64));
                         y[j] = std::array::from_fn(|l| {
-                            R::add(y[j][l], R::mul(alpha, R::mul(p[l], lam[l])))
+                            add_f32(y[j][l], mul32(alpha, mul32(p[l], lam[l])))
                         });
                     }
                 }
@@ -366,11 +295,11 @@ fn lane_sweep<E: Copy, A: Accum<E>, R: Arith, const L: usize>(
                     for (j, (y, out)) in y.iter_mut().zip(pair.chunks_mut(batch)).enumerate() {
                         if let Some(&z) = zs.get(ri + j) {
                             for l in 0..L {
-                                y[l] = R::add(y[l], R::mul(z, gsum[l]));
+                                y[l] = add_f32(y[l], mul32(z, gsum[l]));
                             }
                         }
                         for (o, &y) in out[blk.col0..][..blk.cols].iter_mut().zip(&*y) {
-                            *o = R::store(y);
+                            *o = y as f64;
                         }
                     }
                 }
@@ -387,7 +316,7 @@ fn lane_sweep<E: Copy, A: Accum<E>, R: Arith, const L: usize>(
 /// from the weight bits once, its lane vector read for every column of the
 /// block, and the finished group partial folded at once.
 #[allow(clippy::too_many_arguments)]
-fn generic_sweep<E: Copy, A: Accum<E>, R: Arith>(
+fn generic_sweep<E: Copy, A: Accum<E>>(
     w: &PackedBcq,
     wins: &[Window],
     blk: &LaneBlock<'_, E>,
@@ -425,24 +354,24 @@ fn generic_sweep<E: Copy, A: Accum<E>, R: Arith>(
                     }
                 }
                 for ((o, &p), col) in out.iter_mut().zip(&acc).zip(blk.col0..) {
-                    let real = R::mul(p.to_f64(), cx.lambdas[col]);
-                    *o = R::store(R::add(R::load(*o), R::mul(alpha, real)));
+                    let real = mul32(p.to_f64(), cx.lambdas[col]);
+                    *o = add_f32(*o as f32, mul32(alpha, real)) as f64;
                 }
             }
             if let [z] = *w.group_offsets(g, r0 + ri, 1) {
                 for (o, col) in out.iter_mut().zip(blk.col0..) {
-                    *o = R::store(R::add(R::load(*o), R::mul(z, cx.gsums[col * groups + g])));
+                    *o = add_f32(*o as f32, mul32(z, cx.gsums[col * groups + g])) as f64;
                 }
             }
         }
     }
 }
 
-/// One worker's share of an `exec_*` call: sweep every column block over
+/// One worker's share of an `exec_i` call: sweep every column block over
 /// output rows `r0..`, folding into `panel` — the worker's zeroed
 /// `rows × batch` slice of the transposed output. `open` is caller-owned
 /// open-group scratch (reused allocation-free across calls).
-pub(crate) fn sweep_panel<E: Copy, A: Accum<E>, R: Arith>(
+pub(crate) fn sweep_panel<E: Copy, A: Accum<E>>(
     w: &PackedBcq,
     wins: &[Window],
     luts: &FlatLuts<E>,
@@ -464,25 +393,25 @@ pub(crate) fn sweep_panel<E: Copy, A: Accum<E>, R: Arith>(
     }
     for blk in luts.blocks() {
         match (w.lane_tiled(), blk.lanes) {
-            (false, _) => generic_sweep::<E, A, R>(w, wins, &blk, shift, cx, batch, r0, panel),
-            (true, 1) => lane_sweep::<E, A, R, 1>(w, &blk, cx, batch, r0, panel, open),
-            (true, 2) => lane_sweep::<E, A, R, 2>(w, &blk, cx, batch, r0, panel, open),
-            (true, 4) => lane_sweep::<E, A, R, 4>(w, &blk, cx, batch, r0, panel, open),
-            (true, _) => lane_sweep::<E, A, R, MAX_LANES>(w, &blk, cx, batch, r0, panel, open),
+            (false, _) => generic_sweep::<E, A>(w, wins, &blk, shift, cx, batch, r0, panel),
+            (true, 1) => lane_sweep::<E, A, 1>(w, &blk, cx, batch, r0, panel, open),
+            (true, 2) => lane_sweep::<E, A, 2>(w, &blk, cx, batch, r0, panel, open),
+            (true, 4) => lane_sweep::<E, A, 4>(w, &blk, cx, batch, r0, panel, open),
+            (true, _) => lane_sweep::<E, A, MAX_LANES>(w, &blk, cx, batch, r0, panel, open),
         }
     }
 }
 
-/// The window width the kernels actually use. The datapath models read
+/// The window width the kernel actually uses. The datapath models read
 /// µ-wide windows because that is the hardware's LUT size; the *software*
 /// backend is free to widen them — per-(group, plane) partials are sums
 /// over whole groups, and integer addition is associative, so any window
-/// decomposition of a group yields bit-identical `exec_i` results (and
-/// `exec_f` stays within its tolerance). Wider windows halve or quarter
-/// the lookup count at the price of bigger tables; 8 (256-entry, 2 KiB
-/// tables) is the sweet spot, mirroring the paper's own µ-vs-table-power
-/// trade-off (Fig. 8). Falls back to the configured µ (generic descriptor
-/// walk) when the group size has no even divisor in range.
+/// decomposition of a group yields bit-identical `exec_i` results. Wider
+/// windows halve or quarter the lookup count at the price of bigger
+/// tables; 8 (256-entry, 2 KiB tables) is the sweet spot, mirroring the
+/// paper's own µ-vs-table-power trade-off (Fig. 8). Falls back to the
+/// configured µ (generic descriptor walk) when the group size has no even
+/// divisor in range.
 pub(crate) fn effective_mu(gs: usize, cfg_mu: u32) -> usize {
     for e in [8usize, 4, 2] {
         if gs.is_multiple_of(e) {
@@ -492,7 +421,7 @@ pub(crate) fn effective_mu(gs: usize, cfg_mu: u32) -> usize {
     cfg_mu as usize
 }
 
-/// Validate shapes/config shared by both kernels; returns `(batch, m, n)`.
+/// Validate a call's shapes and config; returns `(batch, m, n)`.
 pub(crate) fn check(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> (usize, usize, usize) {
     assert!((1..=8).contains(&cfg.mu), "µ = {} unsupported", cfg.mu);
     let (batch, n) = x.shape();
@@ -523,30 +452,10 @@ pub fn exec_i(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
     exec_i_threads(x, w, cfg, thread_count())
 }
 
-/// FIGLUT-F fast path: `y = x·Wᵀ` with `f64` accumulation, tracking
-/// `figlut_gemm::figlut::gemm_f` within scale-aware tolerance, on at most
-/// `threads` worker threads (a maximum, see [`ExecPlan::fan_out`]; the
-/// result is bit-identical for every value). Builds a throwaway
-/// [`ExecPlan`]; callers that execute the same weights repeatedly should
-/// cache one.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or `µ ∉ 1..=8`.
-pub fn exec_f_threads(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig, threads: usize) -> Mat<f64> {
-    ExecPlan::new(w, cfg).exec_f_threads(x, w, cfg, threads)
-}
-
-/// [`exec_f_threads`] with the default worker count
-/// ([`crate::parallel::thread_count`]; override via `FIGLUT_EXEC_THREADS`).
-pub fn exec_f(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
-    exec_f_threads(x, w, cfg, thread_count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figlut_gemm::figlut::{gemm_f, gemm_i};
+    use figlut_gemm::figlut::gemm_i;
     use figlut_quant::bcq::{BcqParams, BcqWeight};
     use figlut_quant::uniform::{rtn, RtnParams};
 
@@ -642,27 +551,6 @@ mod tests {
                 let row = Mat::from_fn(1, 96, |_, c| x[(bb, c)]);
                 let solo = exec_i_threads(&row, &p, &cfg, 1);
                 assert_eq!(batched.row(bb), solo.row(0), "B={batch} row {bb}");
-            }
-        }
-    }
-
-    #[test]
-    fn exec_f_tracks_gemm_f() {
-        let (x, b) = setup(6, 64, 3);
-        let cfg = EngineConfig::paper_default();
-        let p = PackedBcq::pack(&b);
-        let ye = exec_f(&x, &p, &cfg);
-        let ym = gemm_f(&x, &b, &cfg);
-        for bb in 0..x.rows() {
-            let xs: f64 = x.row(bb).iter().map(|v| v.abs()).sum();
-            for r in 0..6 {
-                let denom = xs.max(1.0);
-                assert!(
-                    ((ye[(bb, r)] - ym[(bb, r)]) / denom).abs() < 1e-4,
-                    "({bb},{r}): {} vs {}",
-                    ye[(bb, r)],
-                    ym[(bb, r)]
-                );
             }
         }
     }

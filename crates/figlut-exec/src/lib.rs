@@ -13,18 +13,18 @@
 //! |---|---|---|
 //! | [`packed`] | weight SRAM layout | [`PackedBcq`]: bit-planes as `u64` words, tile-major (`[k-tile][row][plane][word]`), scales and offsets `[group][row]` |
 //! | [`lut`] | FFLUT generators | flat per-window `2^µ` tables, lane-blocked across activation rows (the 1/4/8 entries of one key contiguous), built half + mirrored (Fig. 10) |
-//! | [`kernel`] | RAC arrays | LUT-stationary, lane-blocked [`exec_f`] / [`exec_i`] read-accumulate kernels: each tile of tables is visited once per call, the fold fused into the walk |
+//! | [`kernel`] | RAC arrays | the LUT-stationary, lane-blocked [`exec_i`] read-accumulate kernel: each tile of tables is visited once per call, the FP32-rounded fold fused into the walk |
 //! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls |
 //! | [`parallel`] | MPU tiling | the step crew: one `std::thread::scope` per step (a forward pass, or one direct call), its workers claiming row parts of every GEMM phase; `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a step opens a crew only as large as its summed look-ups repay the spawns |
 //!
 //! The correctness story is *differential*: [`exec_i`] is **bit-identical**
 //! to `figlut_gemm::figlut::gemm_i` (same pre-alignment, exact integer
 //! window sums, same FP32-rounded fold sequence — integer associativity
-//! makes the blocking invisible), and [`exec_f`] tracks
-//! `figlut_gemm::figlut::gemm_f` within scale-aware tolerance. Both hold
-//! for every thread count: each output element is computed by one thread in
-//! a fixed order, so results are deterministic and
-//! thread-count-independent. A batched call streams each packed weight
+//! makes the blocking invisible). FIGLUT-F has no fast path here; its
+//! datapath model is `figlut_gemm::figlut::gemm_f`, priced by `figlut-sim`.
+//! The identity holds for every thread count: each output element is
+//! computed by one thread in a fixed order, so results are deterministic
+//! and thread-count-independent. A batched call streams each packed weight
 //! word once per block of up to 8 batch columns (the paper's
 //! weight-traffic amortization, executed on the host) and every batch row is
 //! bit-identical to its batch-1 run. The property tests in `tests/`
@@ -52,6 +52,6 @@ pub mod packed;
 pub mod parallel;
 pub mod plan;
 
-pub use kernel::{exec_f, exec_f_threads, exec_i, exec_i_threads};
+pub use kernel::{exec_i, exec_i_threads};
 pub use packed::PackedBcq;
 pub use plan::ExecPlan;

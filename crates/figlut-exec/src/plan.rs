@@ -29,11 +29,11 @@
 //! between clones — which is what lets `figlut-model` keep a plan inside
 //! its `Clone`-able `LinearWeights::Packed` variant.
 //!
-//! The free functions [`crate::exec_i`] / [`crate::exec_f`] build a
-//! throwaway plan per call, which preserves their historical semantics;
-//! anything that executes the same weights twice should hold a plan.
+//! The free function [`crate::exec_i`] builds a throwaway plan per call,
+//! which preserves its historical semantics; anything that executes the
+//! same weights twice should hold a plan.
 
-use crate::kernel::{check, effective_mu, sweep_panel, Columns, Fp32, Native};
+use crate::kernel::{check, effective_mu, sweep_panel, Columns};
 use crate::lut::{column_blocks, windows, FlatLuts, Window};
 use crate::packed::PackedBcq;
 use crate::parallel::{crew_size, thread_count, Crew};
@@ -47,7 +47,7 @@ use std::sync::Mutex;
 /// One staged activation matrix: the quantized rows, their alignment, the
 /// fold operands and the narrowing tier — everything a thread needs to
 /// build the tables and fold a reader's sweep. Staged by the calling
-/// thread once per distinct input (a single `exec_*` call, or a shared
+/// thread once per distinct input (a single `exec_i` call, or a shared
 /// call however many readers it has).
 #[derive(Debug, Default)]
 pub(crate) struct Stage {
@@ -57,10 +57,10 @@ pub(crate) struct Stage {
     mant: Vec<i64>,
     /// Narrowed mantissas (i32 table path), `batch × n`.
     m32: Vec<i32>,
-    /// Per-batch-row alignment scales λ (`exec_f`: 1).
+    /// Per-batch-row alignment scales λ.
     lambdas: Vec<f64>,
-    /// Offset multiplier per (column, group), `batch × groups`: `exec_i`
-    /// pre-folds the row-invariant `mul32(Σx·λ)`, `exec_f` keeps `Σx`.
+    /// Offset multiplier per (column, group), `batch × groups`: the
+    /// row-invariant `mul32(Σx·λ)`, pre-folded.
     gsums: Vec<f64>,
     /// Batch rows staged.
     batch: usize,
@@ -85,29 +85,22 @@ enum Tier {
     I32I64,
     /// Extreme activation ranges: i64 tables and accumulators.
     I64I64,
-    /// `exec_f`: float tables, `f64` accumulators, native arithmetic.
-    Float,
 }
 
 impl Stage {
-    /// Quantize every row of `x` into `xa`.
-    fn quantize(&mut self, x: &Mat<f64>, cfg: &EngineConfig) {
+    /// Stage `x` under `plan`'s window plan: quantize, align per row (λ is
+    /// a per-row max-exponent decision, exactly as in a batch-1 call),
+    /// pre-fold the per-group offset terms `mul32(Σx·λ)`, and pick the
+    /// narrowing tier over the whole batch (one entry type per batched
+    /// table set).
+    fn stage_i(&mut self, x: &Mat<f64>, cfg: &EngineConfig, plan: &ExecPlan) {
+        let (n, gs) = (plan.cols, plan.group_size);
         self.xa.clear();
         for b in 0..x.rows() {
             self.xa
                 .extend(x.row(b).iter().map(|&v| cfg.act.quantize(v)));
         }
         self.batch = x.rows();
-    }
-
-    /// Stage `x` for `exec_i` under `plan`'s window plan: quantize, align
-    /// per row (λ is a per-row max-exponent decision, exactly as in a
-    /// batch-1 call), pre-fold the per-group offset terms `mul32(Σx·λ)`,
-    /// and pick the narrowing tier over the whole batch (one entry type per
-    /// batched table set).
-    fn stage_i(&mut self, x: &Mat<f64>, cfg: &EngineConfig, plan: &ExecPlan) {
-        let (n, gs) = (plan.cols, plan.group_size);
-        self.quantize(x, cfg);
         self.mant.clear();
         self.lambdas.clear();
         self.gsums.clear();
@@ -142,20 +135,6 @@ impl Stage {
         figlut_trace::counters::bump_exec_lut_builds(1);
     }
 
-    /// Stage `x` for `exec_f`: quantize and per-group `Σx`. Float tables
-    /// hold real values, so the fold's `p·λ` is `p`.
-    fn stage_f(&mut self, x: &Mat<f64>, cfg: &EngineConfig, plan: &ExecPlan) {
-        self.quantize(x, cfg);
-        self.gsums.clear();
-        for group in self.xa.chunks_exact(plan.group_size) {
-            self.gsums.push(group.iter().sum());
-        }
-        self.lambdas.clear();
-        self.lambdas.resize(self.batch, 1.0);
-        self.tier = Tier::Float;
-        figlut_trace::counters::bump_exec_lut_builds(1);
-    }
-
     /// Batch rows staged.
     pub(crate) fn batch(&self) -> usize {
         self.batch
@@ -168,7 +147,6 @@ impl Stage {
             Tier::I32I32 => c::bump_exec_tier_i32_i32(1),
             Tier::I32I64 => c::bump_exec_tier_i32_i64(1),
             Tier::I64I64 => c::bump_exec_tier_i64_i64(1),
-            Tier::Float => return c::bump_exec_f_calls(1),
         }
         c::bump_exec_calls(1);
     }
@@ -184,8 +162,6 @@ pub(crate) struct Tables {
     luts32: FlatLuts<i32>,
     /// Wide integer tables.
     luts64: FlatLuts<i64>,
-    /// Float tables (`exec_f`).
-    lutsf: FlatLuts<f64>,
 }
 
 impl Tables {
@@ -195,7 +171,6 @@ impl Tables {
         match stage.tier {
             Tier::I32I32 | Tier::I32I64 => self.luts32.rebuild(&stage.m32, n, wins, mu, batch),
             Tier::I64I64 => self.luts64.rebuild(&stage.mant, n, wins, mu, batch),
-            Tier::Float => self.lutsf.rebuild(&stage.xa, n, wins, mu, batch),
         }
     }
 
@@ -210,18 +185,9 @@ impl Tables {
         let wins = &plan.wins;
         let mut ws = pop(&plan.workers);
         match stage.tier {
-            Tier::I32I32 => {
-                sweep_panel::<_, _, Fp32>(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i32)
-            }
-            Tier::I32I64 => {
-                sweep_panel::<_, _, Fp32>(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i64)
-            }
-            Tier::I64I64 => {
-                sweep_panel::<_, _, Fp32>(w, wins, &self.luts64, &cx, r0, panel, &mut ws.open_i64)
-            }
-            Tier::Float => {
-                sweep_panel::<_, _, Native>(w, wins, &self.lutsf, &cx, r0, panel, &mut ws.open_f)
-            }
+            Tier::I32I32 => sweep_panel(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i32),
+            Tier::I32I64 => sweep_panel(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i64),
+            Tier::I64I64 => sweep_panel(w, wins, &self.luts64, &cx, r0, panel, &mut ws.open_i64),
         }
         push(&plan.workers, ws);
     }
@@ -245,7 +211,6 @@ pub(crate) struct CallScratch {
 struct WorkerScratch {
     open_i32: Vec<i32>,
     open_i64: Vec<i64>,
-    open_f: Vec<f64>,
 }
 
 /// Part `p` of `parts` contiguous parts of `rows` concatenated output
@@ -569,61 +534,6 @@ impl ExecPlan {
     pub fn exec_i(&self, x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
         self.exec_i_threads(x, w, cfg, thread_count())
     }
-
-    /// [`ExecPlan::exec_f_threads`] writing into a caller-owned
-    /// `batch × m` output (allocation-free in steady state, the crew of a
-    /// call that [fans out](ExecPlan::fan_out) aside).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ExecPlan::exec_i_into`].
-    pub fn exec_f_into(
-        &self,
-        x: &Mat<f64>,
-        w: &PackedBcq,
-        cfg: &EngineConfig,
-        threads: usize,
-        out: &mut Mat<f64>,
-    ) {
-        self.check_reader(x, w, cfg, out);
-        if x.rows() == 0 {
-            return; // empty activation matrix: nothing to compute
-        }
-        Crew::run(self.fan_out(x.rows(), threads), |crew| {
-            let mut s = pop(&self.calls);
-            s.stage.stage_f(x, cfg, self);
-            s.stage.count_call();
-            crew.sweep(&mut [(self, w, out)], &mut s);
-            push(&self.calls, s);
-        });
-    }
-
-    /// FIGLUT-F fast path over this plan: `y = x·Wᵀ` with `f64`
-    /// accumulation, tracking `figlut_gemm::figlut::gemm_f` within the
-    /// scale-aware tolerance the property tests assert. `threads` is the
-    /// *maximum* worker count ([`ExecPlan::fan_out`] decides how many
-    /// run); the result is bit-identical for every value.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, `µ ∉ 1..=8`, or a plan/weight mismatch.
-    pub fn exec_f_threads(
-        &self,
-        x: &Mat<f64>,
-        w: &PackedBcq,
-        cfg: &EngineConfig,
-        threads: usize,
-    ) -> Mat<f64> {
-        let mut y = Mat::zeros(x.rows(), w.rows());
-        self.exec_f_into(x, w, cfg, threads, &mut y);
-        y
-    }
-
-    /// [`ExecPlan::exec_f_threads`] with the default maximum worker count
-    /// ([`crate::parallel::thread_count`]).
-    pub fn exec_f(&self, x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
-        self.exec_f_threads(x, w, cfg, thread_count())
-    }
 }
 
 /// Check a scratch set out of a pool (a fresh one while the pool warms
@@ -681,8 +591,6 @@ mod tests {
         let x = Mat::from_fn(0, 32, |_, _| 0.0);
         let y = plan.exec_i(&x, &p, &cfg);
         assert_eq!(y.shape(), (0, 5));
-        let yf = plan.exec_f(&x, &p, &cfg);
-        assert_eq!(yf.shape(), (0, 5));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `*_threads` API instead.
 
 use figlut_exec::parallel::{thread_count, THREADS_ENV};
-use figlut_exec::{exec_f, exec_i, ExecPlan, PackedBcq};
+use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
 use figlut_quant::bcq::{BcqParams, BcqWeight};
@@ -30,19 +30,16 @@ fn env_thread_override_is_bit_invariant() {
         let x = Mat::from_fn(batch, n, |bb, c| ((bb * n + c) as f64 * 0.071).cos());
         assert_eq!(ExecPlan::new(&p, &cfg).fan_out(batch, 2) > 1, fans_out);
 
-        let mut runs_i: Vec<Vec<f64>> = Vec::new();
-        let mut runs_f: Vec<Vec<f64>> = Vec::new();
+        let mut runs: Vec<Vec<f64>> = Vec::new();
         for t in ["1", "2", "8"] {
             std::env::set_var(THREADS_ENV, t);
             assert_eq!(thread_count(), t.parse::<usize>().unwrap());
-            runs_i.push(exec_i(&x, &p, &cfg).into_vec());
-            runs_f.push(exec_f(&x, &p, &cfg).into_vec());
+            runs.push(exec_i(&x, &p, &cfg).into_vec());
         }
         std::env::remove_var(THREADS_ENV);
 
-        for t in 1..runs_i.len() {
-            assert_eq!(runs_i[0], runs_i[t], "exec_i diverged at thread set {t}");
-            assert_eq!(runs_f[0], runs_f[t], "exec_f diverged at thread set {t}");
+        for t in 1..runs.len() {
+            assert_eq!(runs[0], runs[t], "exec_i diverged at thread set {t}");
         }
     }
 

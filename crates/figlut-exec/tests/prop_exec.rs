@@ -9,8 +9,8 @@
 //! proof over calls that really open a crew is
 //! `fanned_out_calls_never_change_bits`.
 
-use figlut_exec::{exec_f_threads, exec_i_threads, ExecPlan, PackedBcq};
-use figlut_gemm::figlut::{gemm_f, gemm_i};
+use figlut_exec::{exec_i_threads, ExecPlan, PackedBcq};
+use figlut_gemm::figlut::gemm_i;
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
 use figlut_quant::bcq::{BcqParams, BcqWeight};
@@ -77,30 +77,6 @@ fn cfg(mu: u32) -> EngineConfig {
     }
 }
 
-/// `exec_f` against `gemm_f`, scale-aware: FP32 accumulation in the model
-/// drifts by O(n·2⁻²⁴) of Σ|x|·max|w|; 1e-4 is ~4 decades of margin at
-/// these sizes. `Err` names the first element outside it.
-fn check_exec_f_tolerance(
-    fast: &Mat<f64>,
-    model: &Mat<f64>,
-    x: &Mat<f64>,
-    b: &BcqWeight,
-) -> Result<(), String> {
-    let wd = b.dequantize();
-    for bb in 0..x.rows() {
-        let xs: f64 = x.row(bb).iter().map(|v| v.abs()).sum();
-        for r in 0..wd.rows() {
-            let wmax = wd.row(r).iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-            let (f, m) = (fast[(bb, r)], model[(bb, r)]);
-            let err = (f - m).abs() / (xs * wmax).max(1e-6);
-            if err.is_nan() || err >= 1e-4 {
-                return Err(format!("({bb},{r}): exec {f} vs model {m} rel {err}"));
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -124,18 +100,6 @@ proptest! {
         let fast = exec_i_threads(&p.x, &packed, &c, p.threads);
         let model = gemm_i(&p.x, &b, &c);
         prop_assert_eq!(fast.as_slice(), model.as_slice());
-    }
-
-    #[test]
-    fn exec_f_within_scale_aware_tolerance_of_gemm_f(p in problem()) {
-        let b = quantize(&p);
-        let packed = PackedBcq::pack(&b);
-        let c = cfg(p.mu);
-        let fast = exec_f_threads(&p.x, &packed, &c, p.threads);
-        let model = gemm_f(&p.x, &b, &c);
-        if let Err(e) = check_exec_f_tolerance(&fast, &model, &p.x, &b) {
-            prop_assert!(false, "{}", e);
-        }
     }
 
     #[test]
@@ -172,12 +136,9 @@ proptest! {
         let packed = PackedBcq::pack(&b);
         let c = cfg(p.mu);
         let i1 = exec_i_threads(&p.x, &packed, &c, 1);
-        let f1 = exec_f_threads(&p.x, &packed, &c, 1);
         for t in [2usize, 3, 8] {
             let it = exec_i_threads(&p.x, &packed, &c, t);
-            let ft = exec_f_threads(&p.x, &packed, &c, t);
             prop_assert_eq!(it.as_slice(), i1.as_slice(), "exec_i t={}", t);
-            prop_assert_eq!(ft.as_slice(), f1.as_slice(), "exec_f t={}", t);
         }
     }
 
@@ -216,15 +177,12 @@ proptest! {
         let c = cfg(4);
         let plan = ExecPlan::new(&packed, &c);
         let i1 = plan.exec_i_threads(&x, &packed, &c, 1);
-        let f1 = plan.exec_f_threads(&x, &packed, &c, 1);
         for t in [2usize, 3, 8] {
             // The gate must not hollow this test out: these calls fan out.
             let panels = plan.fan_out(batch, t);
             prop_assert!((2..=t).contains(&panels), "m={} t={}: {} panels", m, t, panels);
             let it = plan.exec_i_threads(&x, &packed, &c, t);
-            let ft = plan.exec_f_threads(&x, &packed, &c, t);
             prop_assert_eq!(it.as_slice(), i1.as_slice(), "exec_i m={} t={}", m, t);
-            prop_assert_eq!(ft.as_slice(), f1.as_slice(), "exec_f m={} t={}", m, t);
         }
         // Below the threshold the same plan keeps the call on one thread.
         prop_assert_eq!(plan.fan_out(1, 8), 1);
@@ -291,19 +249,11 @@ fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
                     }
                 }
             }
-            // Batch 1 alone (the 1-lane block) is the same bits again —
-            // for `exec_f` too, whose open groups carry `f64`.
-            let yf = plan.exec_f_threads(&x, &packed, &c, 3);
+            // Batch 1 alone (the 1-lane block) is the same bits again.
             for bb in 0..17 {
                 let row = Mat::from_fn(1, k, |_, cc| x[(bb, cc)]);
                 let solo = plan.exec_i_threads(&row, &packed, &c, 1);
                 assert_eq!(solo.row(0), model.row(bb), "K={k} gs={gs} m={m} solo {bb}");
-                let solo_f = plan.exec_f_threads(&row, &packed, &c, 1);
-                assert_eq!(
-                    solo_f.row(0),
-                    yf.row(bb),
-                    "exec_f K={k} gs={gs} m={m} solo {bb}"
-                );
             }
         }
     }
@@ -319,8 +269,7 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
     // both). Batch 8 on two lane-path shapes, so `lane_pass` runs at 8
     // lanes at every `(E, A)` — gs 64 folds every run as it ends, the
     // 520-column per-row group is carried open across three k-tiles in
-    // each tier's own accumulator type; `exec_f` (f64 lanes) is held to
-    // its tolerance.
+    // each tier's own accumulator type.
     use figlut_num::align::AlignedVector;
     use figlut_num::fp::FpFormat;
     let (m, batch) = (7usize, 8usize);
@@ -366,9 +315,6 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
                 "K={k} {tier} t={threads}"
             );
         }
-        let (yf, mf) = (exec_f_threads(&x, &packed, &c, 1), gemm_f(&x, &b, &c));
-        check_exec_f_tolerance(&yf, &mf, &x, &b)
-            .unwrap_or_else(|e| panic!("K={k} {tier} exec_f {e}"));
     }
 }
 

@@ -123,7 +123,7 @@ fn streamed_words_match_the_plan_formula() {
 }
 
 #[test]
-fn plan_reuse_and_float_path_are_counted() {
+fn plan_reuse_is_counted() {
     let w = packed(8, 128, 64, 3, 11);
     let cfg = EngineConfig::paper_default();
     let x = acts(2, 128);
@@ -133,7 +133,6 @@ fn plan_reuse_and_float_path_are_counted() {
     let plan = ExecPlan::new(&w, &cfg);
     plan.exec_i(&x, &w, &cfg);
     plan.exec_i(&x, &w, &cfg);
-    plan.exec_f(&x, &w, &cfg);
     // The free function builds (and discards) a plan per call.
     exec_i(&x, &w, &cfg);
     let d = snapshot().since(&before);
@@ -141,10 +140,9 @@ fn plan_reuse_and_float_path_are_counted() {
 
     assert_eq!(d.exec_plan_builds, 2, "one held plan + one throwaway");
     assert_eq!(d.exec_calls, 3);
-    assert_eq!(d.exec_f_calls, 1);
-    assert_eq!(d.exec_lut_builds, 4, "every non-empty call rebuilds once");
-    // The float path streams the same packed words as the integer path.
-    assert_eq!(d.exec_streamed_words, 4 * plan.streamed_words(2));
+    assert_eq!(d.exec_lut_builds, 3, "every non-empty call rebuilds once");
+    // A throwaway plan streams the same packed words as the held one.
+    assert_eq!(d.exec_streamed_words, 3 * plan.streamed_words(2));
 }
 
 #[test]

@@ -644,7 +644,7 @@ impl KvCache {
     /// disagree on length).
     pub fn swap_out(&mut self) -> usize {
         let KvCache::Paged(p) = self else {
-            panic!("swap_out on a non-paged cache");
+            panic!("swap_out on a swapped-out cache");
         };
         let len = p.len();
         assert!(
@@ -915,6 +915,13 @@ impl PrefixRegistry {
         best
     }
 
+    /// The length [`PrefixRegistry::adopt_into`] would return for `prompt`
+    /// now, without adopting anything: the longest registered prefix's
+    /// matched positions, 0 when nothing matches.
+    pub fn adoptable(&self, prompt: &[usize]) -> usize {
+        self.lookup(prompt).map_or(0, |(_, m)| m)
+    }
+
     /// Adopt the longest registered prefix of `prompt` into a fresh paged
     /// `cache`: the table references the shared blocks, and the cache has
     /// consumed `min(m, prompt.len() − 1)` positions, where `m` is the
@@ -928,7 +935,7 @@ impl PrefixRegistry {
     /// pool.
     pub fn adopt_into(&self, prompt: &[usize], cache: &mut KvCache) -> usize {
         let KvCache::Paged(p) = cache else {
-            panic!("prefix adoption into a non-paged cache");
+            panic!("prefix adoption into a swapped-out cache");
         };
         assert!(
             p.pool.same(&self.pool),

@@ -100,12 +100,12 @@ pub enum AdmissionPolicy {
         tokens: usize,
     },
     /// SLO-aware shedding: drop any pending request whose time-to-first-
-    /// token is already unattainable — `queue wait so far + prompt_len +
-    /// STEP_OVERHEAD` is a lower bound on its TTFT no schedule can beat,
-    /// so once that exceeds `ttft` the request is dead weight. The bound
-    /// charges the whole prompt, so under paging it over-estimates a
-    /// request that would adopt a shared prefix (whose adopted rows never
-    /// run) and may shed it early.
+    /// token is already unattainable — `queue wait so far + rows that will
+    /// run + STEP_OVERHEAD` is a lower bound on its TTFT no schedule can
+    /// beat, so once that exceeds `ttft` the request is dead weight. Under
+    /// paging, the rows that will run are `prompt_len − min(m,
+    /// prompt_len − 1)` for the shared prefix `m` the request would adopt
+    /// now; unpaged, the whole prompt.
     SloShed {
         /// The TTFT bound (ticks) being enforced.
         ttft: u64,
@@ -484,6 +484,19 @@ impl Memory {
         }
     }
 
+    /// Prompt rows a session started for `prompt` now would skip: the
+    /// registry's would-adopt length, less the last row, which always runs
+    /// (0 unpaged). Adopts nothing.
+    fn skippable(&self, prompt: &[usize]) -> usize {
+        match self {
+            Memory::Unmanaged => 0,
+            Memory::Paged(rt) => rt
+                .registry
+                .adoptable(prompt)
+                .min(prompt.len().saturating_sub(1)),
+        }
+    }
+
     /// Offer a freshly-prefilled session's prompt to the prefix registry.
     fn register(&mut self, s: &SessionState) {
         if let Memory::Paged(rt) = self {
@@ -682,11 +695,13 @@ fn metrics_without_tokens(req: Request, reason: FinishReason, tick: u64) -> Requ
 /// Apply the admission policy to the pending queue (called right after
 /// each arrival drain). Shed requests finish immediately with
 /// [`FinishReason::Shed`]; [`AdmissionPolicy::Unbounded`] is a no-op, so
-/// the default path is untouched.
+/// the default path is untouched. `memory` prices the prompt rows an
+/// adopter would skip.
 fn apply_admission(
     policy: AdmissionPolicy,
     pending: &mut VecDeque<Request>,
     clock: u64,
+    memory: &Memory,
     finished: &mut Vec<RequestMetrics>,
     resilience: &mut ResilienceStats,
 ) {
@@ -710,10 +725,12 @@ fn apply_admission(
         }
         AdmissionPolicy::SloShed { ttft } => {
             let blown = |r: &Request| {
-                // The best case from here: admitted this very tick, prompt
-                // rows at one tick each, one step overhead. Unattainable
-                // TTFT = certain SLO miss = dead weight in the queue.
-                (clock - r.arrival) + r.prompt.len() as u64 + STEP_OVERHEAD > ttft
+                // The best case from here: admitted this very tick, the
+                // prompt rows that will run (an adopted prefix's do not)
+                // at one tick each, one step overhead. Unattainable TTFT =
+                // certain SLO miss = dead weight in the queue.
+                let rows = r.prompt.len() - memory.skippable(&r.prompt);
+                (clock - r.arrival) + rows as u64 + STEP_OVERHEAD > ttft
             };
             let mut keep = VecDeque::with_capacity(pending.len());
             while let Some(r) = pending.pop_front() {
@@ -994,6 +1011,7 @@ impl LoopState {
                 cfg.admission,
                 &mut self.pending,
                 self.clock,
+                &memory,
                 &mut self.finished,
                 &mut self.resilience,
             );
@@ -1869,6 +1887,41 @@ mod tests {
             "no sharing at the peak: {} blocks",
             stats.peak_live_blocks
         );
+    }
+
+    /// SLO shedding charges only the prompt rows that will run. Request 1
+    /// repeats request 0's 17-token prompt one tick later and waits behind
+    /// it on a one-slot engine. From tick 18, when request 0's prefill has
+    /// registered its 16-row prefix, request 1 would run one row: its best
+    /// TTFT is at most 25 ticks, inside the bound. Charging the whole
+    /// prompt would put it at 35 and shed it.
+    #[test]
+    fn slo_shed_admits_a_request_its_adopted_prefix_makes_feasible() {
+        use crate::request::{Request, Sampling, Trace};
+        let m = Transformer::teacher(ModelConfig::tiny(), 91);
+        let engine = BatchEngine::new(&m, Backend::Exact);
+        let prompt: Vec<usize> = (0..17).map(|i| (i * 5 + 1) % m.cfg.vocab).collect();
+        let mk = |id, arrival| Request {
+            id,
+            arrival,
+            prompt: prompt.clone(),
+            max_new: 4,
+            sampling: Sampling::Greedy,
+            seed: 60 + id as u64,
+        };
+        let trace = Trace {
+            requests: vec![mk(0, 0), mk(1, 1)],
+        };
+        let cfg = ServeConfig::new(1, Policy::PrefillPriority)
+            .with_block_size(4)
+            .with_admission(AdmissionPolicy::SloShed { ttft: 30 });
+        let r = serve(&engine, &trace, &cfg);
+        assert_eq!(r.resilience.shed_requests, 0);
+        let late = r.requests.iter().find(|q| q.id == 1).expect("request 1");
+        assert_ne!(late.reason, FinishReason::Shed);
+        assert_eq!(late.skipped, 16);
+        assert!(late.first_token - late.arrival <= 30);
+        assert_eq!(late.generated, engine.solo_run(&trace.requests[1]));
     }
 
     /// With paging on but no preemption, the schedule, timings, and every

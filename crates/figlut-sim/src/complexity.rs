@@ -11,7 +11,7 @@
 pub struct FeatureRow {
     /// Platform name.
     pub name: &'static str,
-    /// Native FP-INT operation (no dequantization)?
+    /// Direct FP-INT operation (no dequantization)?
     pub fp_int: bool,
     /// Supports mixed weight precision on one hardware build?
     pub mixed_precision: bool,

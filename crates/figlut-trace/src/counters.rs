@@ -74,16 +74,15 @@ macro_rules! registry {
 }
 
 registry! {
-    /// Integer exec kernel calls: one per reader of a non-empty
+    /// Exec kernel calls: one per reader of a non-empty
     /// `ExecPlan::exec_i_crew` phase (`exec_i_shared` is a one-phase step,
     /// `exec_i_into` its one-reader case).
     bump_exec_calls, exec_calls;
-    /// Float exec kernel calls (`ExecPlan::exec_f_into` with a non-empty batch).
-    bump_exec_f_calls, exec_f_calls;
     /// `ExecPlan` constructions (calls minus builds = plan reuse).
     bump_exec_plan_builds, exec_plan_builds;
-    /// Batched FFLUT (re)builds — one per staged input (a non-empty exec call,
-    /// however many readers share it), at exactly one tier. The private
+    /// Batched FFLUT (re)builds — one per staged input (a non-empty
+    /// `exec_i_crew` phase, however many readers share it), at exactly one
+    /// tier. The private
     /// table copy each crew worker builds from that stage is not a stage.
     bump_exec_lut_builds, exec_lut_builds;
     /// Packed weight words streamed by the tile walk, summed over every

@@ -30,14 +30,11 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(format!("trailing garbage at byte {}", p.pos));
         }
         Ok(v)
@@ -94,20 +91,24 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The parser's cursor: a byte offset into `src` that only ever advances
+/// by whole scalars (ASCII matches, `len_utf8`), so it always sits on a
+/// char boundary — except after a non-ASCII escape byte, which returns an
+/// error at once.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect_byte(&mut self, b: u8) -> Result<(), String> {
@@ -125,7 +126,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -154,13 +155,13 @@ impl Parser<'_> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
+            match self.src.get(self.pos..).and_then(|s| s.chars().next()) {
                 None => return Err("unterminated string".into()),
-                Some(b'"') => {
+                Some('"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some('\\') => {
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -175,9 +176,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
                             let code =
                                 u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
@@ -189,14 +189,7 @@ impl Parser<'_> {
                         other => return Err(format!("bad escape '\\{}'", other as char)),
                     }
                 }
-                Some(_) => {
-                    // SAFETY: `self.bytes` is the byte view of the `&str`
-                    // the parser was constructed from, and `self.pos` only
-                    // ever advances by whole scalars (ASCII matches above,
-                    // `len_utf8` below), so the suffix is valid UTF-8.
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                Some(c) => {
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -209,7 +202,7 @@ impl Parser<'_> {
         while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let s = &self.src[start..self.pos];
         s.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{s}' at byte {start}"))

@@ -1,3 +1,6 @@
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 //! # figlut-trace — deterministic observability for the FIGLUT workspace
 //!
 //! A structured event/span/counter layer threaded through the execution
@@ -49,7 +52,6 @@
 //! Nothing is process-wide, so sessions and untraced work share a process
 //! without a lock and without seeing each other (the handle rides in a
 //! thread-local: nothing is threaded through the layers' `Copy` configs).
-#![warn(missing_docs)]
 
 pub mod counters;
 pub mod fmt;

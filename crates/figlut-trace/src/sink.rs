@@ -338,17 +338,19 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
         let ph = field("ph")?
             .as_str()
             .ok_or_else(|| format!("event {i}: \"ph\" is not a string"))?;
-        for key in ["ts", "pid", "tid"] {
+        let num = |key: &str| {
             field(key)?
                 .as_num()
-                .ok_or_else(|| format!("event {i}: \"{key}\" is not a number"))?;
-        }
+                .ok_or_else(|| format!("event {i}: \"{key}\" is not a number"))
+        };
+        let ts = num("ts")?;
+        num("pid")?;
+        num("tid")?;
         if ph == "X" {
             field("dur")?
                 .as_num()
                 .ok_or_else(|| format!("event {i}: span \"dur\" is not a number"))?;
         }
-        let ts = e.get("ts").unwrap().as_num().unwrap();
         if ts < last_ts {
             return Err(format!(
                 "event {i}: ts {ts} goes backwards (previous {last_ts})"

@@ -49,7 +49,7 @@ pub use figlut_trace as trace;
 
 /// The most commonly used items, one `use` away.
 pub mod prelude {
-    pub use figlut_exec::{exec_f, exec_i, ExecPlan, PackedBcq};
+    pub use figlut_exec::{exec_i, ExecPlan, PackedBcq};
     pub use figlut_gemm::{Engine, EngineConfig, Weights};
     pub use figlut_lut::{FullLut, GenSchedule, HalfLut, Key, LutRead, Rac};
     pub use figlut_model::{Backend, BlockPool, ModelConfig, OptConfig, Transformer, OPT_FAMILY};

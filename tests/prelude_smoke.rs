@@ -51,7 +51,6 @@ fn prelude_reexports_resolve() {
         plan.exec_i(&m, &packed, &cfg).as_slice(),
         exec_i(&m, &packed, &cfg).as_slice()
     );
-    let _ = exec_f(&m, &packed, &cfg);
 
     // figlut-model
     let opt: &OptConfig = &OPT_FAMILY[0];
