@@ -225,7 +225,14 @@ impl PackedBcq {
         let groups = self.groups();
         let q = self.bits;
         let planes: Vec<BitMatrix> = (0..q)
-            .map(|i| BitMatrix::from_fn(self.rows, self.cols, |r, c| self.get(i, r, c)))
+            .map(|i| {
+                BitMatrix::from_row_fn(self.rows, self.cols, |r, words| {
+                    for (t, tile) in words.chunks_mut(self.tile_words).enumerate() {
+                        let (slab, tw) = self.tile(t, r, 1);
+                        tile.copy_from_slice(&slab[i * tw..][..tw]);
+                    }
+                })
+            })
             .collect();
         let alpha: Vec<Mat<f64>> = (0..q)
             .map(|i| Mat::from_fn(self.rows, groups, |r, g| self.group_scales(g, r, 1)[i]))
@@ -279,14 +286,28 @@ mod tests {
 
     #[test]
     fn unpack_roundtrips_exactly() {
-        let w = weights(4, 40);
-        let u = rtn(&w, RtnParams::grouped(4, 10));
-        let b = BcqWeight::from_uniform(&u);
-        let p = PackedBcq::pack(&b);
-        let back = p.unpack();
-        assert_eq!(back.bits(), b.bits());
-        assert_eq!(back.group_size(), b.group_size());
-        assert_eq!(b.dequantize().max_abs_diff(&back.dequantize()), 0.0);
+        // gs 10 (one tile per row), gs 192 (lane-tiled, a group spanning
+        // three words and a tile edge) and ragged per-row widths: every
+        // plane word, α and offset comes back bit for bit.
+        for (rows, cols, gs) in [(4, 40, 10), (3, 384, 192), (3, 300, 0), (2, 264, 0)] {
+            let w = weights(rows, cols);
+            let u = rtn(&w, RtnParams::grouped(4, gs));
+            let b = BcqWeight::from_uniform(&u);
+            let p = PackedBcq::pack(&b);
+            let back = p.unpack();
+            assert_eq!(back.bits(), b.bits());
+            assert_eq!(back.group_size(), b.group_size());
+            for i in 0..4 {
+                for r in 0..rows {
+                    assert_eq!(back.plane(i).row_words(r), b.plane(i).row_words(r));
+                    for c in (0..cols).step_by(b.group_size()) {
+                        assert_eq!(back.alpha(i, r, c).to_bits(), b.alpha(i, r, c).to_bits());
+                        assert_eq!(back.offset(r, c).to_bits(), b.offset(r, c).to_bits());
+                    }
+                }
+            }
+            assert_eq!(b.dequantize().max_abs_diff(&back.dequantize()), 0.0);
+        }
     }
 
     #[test]

@@ -163,13 +163,25 @@ impl BcqWeight {
     /// `z = s·(2^q − 1)/2 + base`. The represented values are identical to
     /// the uniform container's, so FIGLUT can execute RTN/GPTQ models
     /// without any re-quantization error.
+    ///
+    /// Each plane is built a word at a time, eight codes per multiply
+    /// ([`BitMatrix::from_row_fn`]); the plane words are bit-identical to
+    /// the per-element definition `plane i (r, c) = bit i of code (r, c)`.
+    /// α and z are the scalar formulas above, element for element, so a ±0,
+    /// infinite or NaN scale or base gives the same bits it always did.
     pub fn from_uniform(u: &crate::uniform::UniformWeight) -> Self {
         let (rows, cols) = u.shape();
         let q = u.bits();
         let gs = u.group_size();
         let groups = cols / gs;
         let planes: Vec<BitMatrix> = (0..q)
-            .map(|i| BitMatrix::from_fn(rows, cols, |r, c| (u.code(r, c) >> i) & 1 == 1))
+            .map(|i| {
+                BitMatrix::from_row_fn(rows, cols, |r, words| {
+                    for (word, codes) in words.iter_mut().zip(u.row_codes(r).chunks(64)) {
+                        *word = plane_word(codes, i);
+                    }
+                })
+            })
             .collect();
         let alpha: Vec<Mat<f64>> = (0..q)
             .map(|i| {
@@ -450,6 +462,35 @@ fn weighted_err(ws: &[f64], d: &[f64], alpha: &[f64], z: f64, signs: &[Vec<bool>
         err += dc * (w - v) * (w - v);
     }
     err
+}
+
+/// Bit `i` of up to 64 codes as one plane word (bit `k` ↔ `codes[k]`),
+/// eight codes per multiply: in a little-endian word of eight codes the
+/// masked bits sit 8 apart, and the multiply gathers them into the top
+/// byte without carries, since every partial product lands on a distinct
+/// bit.
+#[inline(always)]
+fn plane_word(codes: &[u8], i: u32) -> u64 {
+    let byte = |le: [u8; 8]| {
+        ((u64::from_le_bytes(le) >> i) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080)
+            >> 56
+    };
+    let eights = codes.chunks_exact(8);
+    let tail = eights.remainder();
+    let mut word = 0;
+    let mut k = 0;
+    for eight in eights {
+        let mut le = [0; 8];
+        le.copy_from_slice(eight);
+        word |= byte(le) << k;
+        k += 8;
+    }
+    if !tail.is_empty() {
+        let mut le = [0; 8];
+        le[..tail.len()].copy_from_slice(tail);
+        word |= byte(le) << k;
+    }
+    word
 }
 
 #[cfg(test)]

@@ -31,21 +31,33 @@ impl BitMatrix {
 
     /// Build from a closure returning `true` for `+1`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> bool) -> Self {
-        let mut m = Self::new(rows, cols);
-        for r in 0..rows {
+        Self::from_row_fn(rows, cols, |r, words| {
             for c in 0..cols {
-                if f(r, c) {
-                    m.set(r, c, true);
-                }
+                words[c / 64] |= (f(r, c) as u64) << (c % 64);
+            }
+        })
+    }
+
+    /// Build a whole row of packed words at a time: `f(r, words)` fills
+    /// row `r`'s `cols.div_ceil(64)` words, which start zeroed, in the
+    /// [`Self::row_words`] layout. Padding bits beyond `cols` are cleared
+    /// after each call, so `f` may write anything there; the result is
+    /// bit-identical to [`Self::from_fn`] over the same column bits.
+    pub fn from_row_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, &mut [u64])) -> Self {
+        let mut m = Self::new(rows, cols);
+        let wpr = m.words_per_row;
+        let pad = match cols % 64 {
+            0 => u64::MAX,
+            tail => (1 << tail) - 1,
+        };
+        for r in 0..rows {
+            let words = &mut m.data[r * wpr..][..wpr];
+            f(r, words);
+            if let Some(last) = words.last_mut() {
+                *last &= pad;
             }
         }
         m
-    }
-
-    /// Build from signs: positive values (and zero) become `+1`.
-    pub fn from_signs(rows: usize, cols: usize, values: &[f64]) -> Self {
-        assert_eq!(values.len(), rows * cols, "sign buffer length mismatch");
-        Self::from_fn(rows, cols, |r, c| values[r * cols + c] >= 0.0)
     }
 
     /// Number of rows.
@@ -186,11 +198,39 @@ mod tests {
 
     #[test]
     fn signs() {
-        let m = BitMatrix::from_signs(1, 4, &[1.0, -2.0, 0.0, -0.5]);
+        let m = BitMatrix::from_fn(1, 4, |_, c| c % 2 == 0);
         assert_eq!(m.sign(0, 0), 1.0);
         assert_eq!(m.sign(0, 1), -1.0);
-        assert_eq!(m.sign(0, 2), 1.0, "zero maps to +1");
+        assert_eq!(m.sign_i(0, 2), 1);
         assert_eq!(m.sign_i(0, 3), -1);
+    }
+
+    #[test]
+    fn from_row_fn_clears_padding_and_matches_from_fn() {
+        // 130 columns: the last word holds two real bits and 62 padding
+        // bits, which the closure sets and the constructor must clear.
+        let bit = |r: usize, c: usize| (r * 7 + c * 3) % 5 < 2;
+        let by_row = BitMatrix::from_row_fn(3, 130, |r, words| {
+            assert_eq!(words, &[0; 3], "rows start zeroed");
+            words.fill(u64::MAX);
+            for c in 0..130 {
+                if !bit(r, c) {
+                    words[c / 64] &= !(1 << (c % 64));
+                }
+            }
+        });
+        assert_eq!(by_row, BitMatrix::from_fn(3, 130, bit));
+        assert_eq!(
+            by_row.count_plus(),
+            (0..3)
+                .flat_map(|r| (0..130).map(move |c| bit(r, c)))
+                .filter(|&b| b)
+                .count()
+        );
+        for cols in [64, 0] {
+            let m = BitMatrix::from_row_fn(2, cols, |_, words| words.fill(u64::MAX));
+            assert_eq!(m.count_plus(), 2 * cols);
+        }
     }
 
     #[test]

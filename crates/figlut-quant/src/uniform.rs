@@ -125,13 +125,16 @@ impl UniformWeight {
     /// Quantize `x` onto the grid of `(r, c)`'s group, returning the code.
     pub fn nearest_code(&self, r: usize, c: usize, x: f64) -> u8 {
         let s = self.scale(r, c);
-        let b = self.base(r, c);
-        let max = (1u32 << self.bits) - 1;
         if s == 0.0 {
             return 0;
         }
-        let v = ((x - b) / s).round();
-        v.clamp(0.0, max as f64) as u8
+        grid_code((x - self.base(r, c)) / s, ((1u32 << self.bits) - 1) as f64)
+    }
+
+    /// The codes of row `r`, one byte per column.
+    #[inline]
+    pub(crate) fn row_codes(&self, r: usize) -> &[u8] {
+        &self.codes[r * self.cols..][..self.cols]
     }
 
     /// Payload size in bits: codes + one (scale, base) pair per group in the
@@ -143,6 +146,18 @@ impl UniformWeight {
 }
 
 /// Round-to-nearest uniform quantization of `w`.
+///
+/// Each group's grid comes from the min and max (asymmetric) or the absmax
+/// (symmetric) of its non-NaN values, and each code is
+/// `round((x − base) / scale)` clamped to `0..=2^bits − 1`, rounding half
+/// away from zero; a zero-scale group and a NaN weight get code 0. The
+/// result is bit-identical to the scalar definition (sequential
+/// `fold(f64::min)` / `fold(f64::max)` / absmax folds, then `f64::round`
+/// per element): the group extremes come from one pass over eight
+/// independent accumulators, and where an asymmetric group's min or max is
+/// ±0, whose sign depends on fold order and lands in the stored base, the
+/// group's grid comes from the sequential folds. A symmetric group with no
+/// nonzero value has absmax +0, as the scalar absmax fold gives.
 ///
 /// # Panics
 ///
@@ -172,11 +187,13 @@ pub fn rtn(w: &Mat<f64>, params: RtnParams) -> UniformWeight {
     for r in 0..rows {
         for g in 0..groups {
             let slice = &w.row(r)[g * group_size..(g + 1) * group_size];
+            let (mn, mx) = min_max(slice);
             let (s, b) = if params.symmetric {
-                let absmax = slice.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
                 // Codes 0..=levels map to −absmax..+absmax; zero code is the
                 // midpoint (levels even keeps an exact zero for odd level
-                // counts).
+                // counts). A group with no nonzero value has absmax +0.
+                let a = mx.max(-mn);
+                let absmax = if a > 0.0 { a } else { 0.0 };
                 let s = if absmax == 0.0 {
                     0.0
                 } else {
@@ -184,8 +201,16 @@ pub fn rtn(w: &Mat<f64>, params: RtnParams) -> UniformWeight {
                 };
                 (s, -absmax)
             } else {
-                let mn = slice.iter().cloned().fold(f64::INFINITY, f64::min);
-                let mx = slice.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                // A zero extreme's sign depends on fold order, and the base
+                // stores it: take the sequential folds' bits.
+                let (mn, mx) = if mn == 0.0 || mx == 0.0 {
+                    (
+                        slice.iter().copied().fold(f64::INFINITY, f64::min),
+                        slice.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                    )
+                } else {
+                    (mn, mx)
+                };
                 let s = if mx > mn {
                     (mx - mn) / levels as f64
                 } else {
@@ -195,13 +220,11 @@ pub fn rtn(w: &Mat<f64>, params: RtnParams) -> UniformWeight {
             };
             scale[(r, g)] = s;
             base[(r, g)] = b;
-            for (j, &x) in slice.iter().enumerate() {
-                let code = if s == 0.0 {
-                    0
-                } else {
-                    ((x - b) / s).round().clamp(0.0, levels as f64) as u8
-                };
-                codes[r * cols + g * group_size + j] = code;
+            if s != 0.0 {
+                let out = &mut codes[r * cols + g * group_size..][..group_size];
+                for (code, &x) in out.iter_mut().zip(slice) {
+                    *code = grid_code((x - b) / s, levels as f64);
+                }
             }
         }
     }
@@ -214,6 +237,45 @@ pub fn rtn(w: &Mat<f64>, params: RtnParams) -> UniformWeight {
         scale,
         base,
     }
+}
+
+/// `(min, max)` of the non-NaN values of `xs` (`(+∞, −∞)` if there are
+/// none), in one pass over eight independent accumulators. The values are
+/// those of the sequential folds; only the sign of a zero extreme may
+/// differ, since `f64::min`/`max` may return either of `+0` and `−0`.
+fn min_max(xs: &[f64]) -> (f64, f64) {
+    const LANES: usize = 8;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let chunks = xs.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for j in 0..LANES {
+            lo[j] = lo[j].min(chunk[j]);
+            hi[j] = hi[j].max(chunk[j]);
+        }
+    }
+    for (j, &x) in tail.iter().enumerate() {
+        lo[j] = lo[j].min(x);
+        hi[j] = hi[j].max(x);
+    }
+    (
+        lo.into_iter().fold(f64::INFINITY, f64::min),
+        hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    )
+}
+
+/// The code of grid position `q = (x − base) / scale` on a grid of
+/// `levels + 1` codes: `q` clamped to `[0, levels]`, then rounded half away
+/// from zero, with NaN giving 0. This equals `q.round().clamp(0, levels)`
+/// on every input (both bounds are integers, and `round` is monotone), but
+/// needs no libm call: a truncating cast and one compare of the exact
+/// fraction.
+#[inline(always)]
+fn grid_code(q: f64, levels: f64) -> u8 {
+    let c = q.clamp(0.0, levels);
+    let whole = c as u8;
+    whole + (c - whole as f64 >= 0.5) as u8
 }
 
 /// Build a [`UniformWeight`] with the given grids and all-zero codes, for
