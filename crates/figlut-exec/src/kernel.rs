@@ -1,90 +1,73 @@
-//! The LUT-stationary, lane-blocked LUT-GEMM kernel over [`PackedBcq`] weights.
+//! The LUT-stationary LUT-GEMM kernel over [`PackedBcq`] weights.
 //!
 //! The kernel follows the FIGLUT pipeline: per activation row, precompute
-//! one flat FFLUT per µ-column window ([`crate::lut`]); then every output
-//! row *reads* its µ-bit weight keys out of the packed bit-planes instead
-//! of multiplying. Like the paper's datapath the sweep is *LUT-stationary*:
-//! a tile of tables is visited once per call and every weight row of the
-//! panel reads it before the next tile is touched. Work is blocked three
-//! ways:
+//! the FFLUTs of its windows ([`crate::lut`]); then every output row
+//! *reads* its weight keys out of the packed bit-planes instead of
+//! multiplying. Work is blocked three ways:
 //!
-//! * **row panels** — output rows are split into contiguous panels, one per
-//!   worker thread ([`crate::parallel`]);
-//! * **column blocks** — the batch columns are cut into lane blocks of
-//!   `L ∈ {1, 2, 4, 8}` columns, each with its own tables in which the `L`
-//!   entries of one `(window, key)` are contiguous
-//!   ([`crate::lut::FlatLuts`]); a block is swept like a batch-1 call, so
-//!   the packed planes are streamed once per block (once per call up to
+//! * **row panels** — contiguous output rows per worker thread, whole
+//!   four-row lane groups ([`crate::parallel`]);
+//! * **column blocks** — up to eight batch columns share one sweep, so the
+//!   packed planes are streamed once per block (once per call up to
 //!   batch 8) instead of once per batch row;
-//! * **k-tiles** — [`PackedBcq`] stores the planes tile-major (256
-//!   columns per tile), so a sweep walks *tile → run → row → plane*, a run
-//!   being the part of one scale group inside the tile: a run's tables (at
-//!   most 32 byte windows, 32 KiB of `i32` entries per lane) stay in L1/L2
-//!   while the panel's weight words, scales and offsets stream past them.
+//! * **k-tiles** — the sweep walks *tile → run → row group → plane*, a run
+//!   being the part of one scale group inside a tile, so a run's tables
+//!   stay in cache while the panel's keys, scales and offsets stream past.
 //!
-//! The hot loop is one const-generic pass, `lane_pass`, taken whenever
-//! windows are bytes of the packed words (effective µ = 8, which every
-//! group size divisible by 8 gets) and scale groups end on word boundaries
-//! (`gs % 64 == 0`, or one group per row). It walks a *run* — one tile ∩
-//! one scale group — a word at a time: the word's eight bytes are eight
-//! keys, each indexing its own 256-entry table with no bounds check, no
-//! group test and no shift chain, and the `R × L` accumulators (`R` = 2
-//! output rows sharing the table walk) are locals for the whole run, so
-//! each key costs one or two packed adds from a contiguous `[E; L]` into
-//! registers. Every other shape (odd µ, groups that split a word) is
-//! packed as one tile per row and takes the generic descriptor walk
-//! (`generic_sweep`), row by row.
+//! Every group size divisible by 8 is swept a key byte (µ = 8 window) at a
+//! time by one of two passes over the same layout and the same walk
+//! (`walk`):
 //!
-//! The fold is fused into the walk: a run that completes a scale group
-//! folds its partial straight into the row's running output (`add_f32`), so
-//! no `rows × groups × q × batch` partials exist anywhere. Only a group
-//! that crosses a tile boundary (wider than a tile, or gs 192) carries
-//! integers between tile visits, in a `rows × q × L` open-group buffer.
-//! Groups complete in ascending order
-//! and planes in ascending order within a group, so each (row, column)
-//! sees exactly the datapath model's fold sequence, and its serial
-//! FP32-rounded chain overlaps the next rows' look-ups. The kernel
-//! narrows tables *and* accumulators to i32 whenever the plan proves the
-//! group-partial bound (see `Accum`), which is what makes a lane vector
-//! one or two SSE2 registers.
+//! * the **shuffle pass** (the `shuffle` module, the register FFLUT) takes a
+//!   block of one or two columns, 32 rows per group: each key
+//!   byte is two µ = 4 nibble windows whose 16-entry byte-plane tables one
+//!   `vpshufb` reads for all 32 rows. It needs the narrow tier and a proof
+//!   that every entry fits its byte planes (`Stage`);
+//! * the **lane pass** (`lane_pass`) takes blocks of three to eight
+//!   columns, four rows per group: a key indexes its 256-entry table of
+//!   `L ∈ {4, 8}` lanes, whose contiguous `[E; L]` it adds to
+//!   register-resident accumulators.
+//!
+//! Every other shape (µ ∤ 8, ragged group tails) takes the generic
+//! descriptor walk (`generic_sweep`), row by row. The fold is fused into
+//! the walk: a run that completes a scale group folds its partial straight
+//! into the row's running output, and only a group that crosses a tile
+//! boundary carries its integer sums to its next run (`open`). Groups
+//! complete in ascending order and planes in ascending order within a
+//! group, so each (row, column) sees exactly the datapath model's fold
+//! sequence.
 //!
 //! [`exec_i`] reproduces the *exact* arithmetic of the FIGLUT-I datapath
 //! model: the same pre-alignment ([`AlignedVector`]), exact integer window
-//! sums (associativity makes the blocking — including the tile and
-//! column-block splits — invisible), and the same FP32-rounded fold
-//! sequence (`figlut_gemm::ifpu::fold_partial`) per `(group, plane)` in
-//! the same order — so its output is bit-identical to
+//! sums (associativity makes every blocking, table split and byte-plane
+//! recombination invisible), and the same FP32-rounded fold sequence
+//! (`figlut_gemm::ifpu::fold_partial`) — so its output is bit-identical to
 //! `figlut_gemm::figlut::gemm_i` (and therefore to iFPU; DESIGN.md §3),
 //! *and* each batch row is bit-identical to a batch-1 call on that row
 //! alone (the invariance `figlut-serve` builds on, pinned by
-//! `tests/prop_exec.rs`). FIGLUT-F has no fast path here: its datapath
-//! model is `figlut_gemm::figlut::gemm_f`.
-//!
-//! The entry points here build a throwaway [`ExecPlan`] per call; repeated
-//! execution over the same weights should build the plan once and call its
-//! methods instead ([`crate::plan`]).
+//! `tests/prop_exec.rs`). The entry points here build a throwaway
+//! [`ExecPlan`] per call; repeated execution over the same weights should
+//! hold a plan ([`crate::plan`]).
 //!
 //! [`AlignedVector`]: figlut_num::align::AlignedVector
 
-use crate::lut::{FlatLuts, LaneBlock, Window, MAX_LANES};
-use crate::packed::{PackedBcq, TILE_WORDS};
+use crate::lut::{lane_width, FlatLuts, LaneBlock, NibbleLuts, Window, MAX_LANES};
+use crate::packed::PackedBcq;
 use crate::parallel::thread_count;
 use crate::plan::ExecPlan;
+use crate::shuffle::{self, BLOCK_ROWS};
 use figlut_gemm::common::{add32, mul32};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
+use std::ops::{AddAssign, Range};
 
-/// Accumulator `Self` absorbing table entries of type `E`. Decoupling the
-/// two lets `exec_i` keep exact `i64` group partials while reading *narrow*
-/// `i32` tables — half the bytes per lookup, which matters because large-k
-/// shapes are bound by table-read bandwidth, not arithmetic. Sign extension
-/// is exact, so narrowing never changes a result (the build site proves the
-/// no-overflow bound first).
-pub(crate) trait Accum<E: Copy>: Copy + Default {
-    /// Fold one table entry into the accumulator.
-    fn absorb(&mut self, e: E);
-    /// Fold another accumulator (the open part of a group) into this one.
-    fn merge(&mut self, other: Self);
+/// Accumulator `Self` absorbing table entries of type `E` (`From`: exact
+/// sign extension). Decoupling the two lets `exec_i` keep exact `i64`
+/// group partials while reading *narrow* `i32` tables — half the bytes per
+/// lookup, which matters because large-k shapes are bound by table-read
+/// bandwidth, not arithmetic. The build site proves the no-overflow bound
+/// of a narrow type first.
+pub(crate) trait Accum<E>: Copy + Default + AddAssign + From<E> {
     /// The accumulated value as `f64`, for the final fold. Converting the
     /// native-width integer directly is bit-identical to the datapath
     /// API's `i128 as f64` (same integer value, same round-to-nearest) but
@@ -92,29 +75,10 @@ pub(crate) trait Accum<E: Copy>: Copy + Default {
     /// sits on the per-(row, column) fold path.
     fn to_f64(self) -> f64;
 }
-impl Accum<i64> for i64 {
-    #[inline(always)]
-    fn absorb(&mut self, e: i64) {
-        *self += e;
-    }
-    #[inline(always)]
-    fn merge(&mut self, other: i64) {
-        *self += other;
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-}
-impl Accum<i32> for i64 {
-    #[inline(always)]
-    fn absorb(&mut self, e: i32) {
-        *self += e as i64;
-    }
-    #[inline(always)]
-    fn merge(&mut self, other: i64) {
-        *self += other;
-    }
+impl<E> Accum<E> for i64
+where
+    i64: From<E>,
+{
     #[inline(always)]
     fn to_f64(self) -> f64 {
         self as f64
@@ -130,54 +94,56 @@ impl Accum<i32> for i64 {
 /// plain SSE2 `paddd` instead of sign-extending loads into four `paddq`.
 impl Accum<i32> for i32 {
     #[inline(always)]
-    fn absorb(&mut self, e: i32) {
-        *self += e;
-    }
-    #[inline(always)]
-    fn merge(&mut self, other: i32) {
-        *self += other;
-    }
-    #[inline(always)]
     fn to_f64(self) -> f64 {
         self as f64
     }
 }
+
+/// Rows the lane pass sweeps at once (their keys are one 32-bit load).
+pub(crate) const LANE_ROWS: usize = 4;
+
 /// The lane pass: accumulate one *run* of byte-wide windows — `tables`
-/// holds one `[[E; L]; 256]` per window, `words[r]` starts at the run's
-/// first packed word of output row `r` — for two output rows × `L` lanes.
-/// Each word's eight bytes are the eight keys of its eight tables, fully
-/// unrolled; a ragged last word (a row whose window count is not a
-/// multiple of 8) gets the short tail loop. The `2 × L` accumulators are
-/// locals, so LLVM keeps them in vector registers for the whole run.
+/// holds one `[[E; L]; 256]` per window — for four output rows × `L`
+/// lanes: rows `at..at + 4` (`at` a multiple of 4) of a block, whose keys
+/// sit side by side in every key byte of `keys` (`crate::packed`), so one
+/// 32-bit load reads all four. The `4 × L` accumulators are locals, so
+/// LLVM keeps them in vector registers for the whole run.
 #[inline(always)]
 fn lane_pass<E: Copy, A: Accum<E>, const L: usize>(
-    words: [&[u64]; 2],
+    keys: &[[u8; BLOCK_ROWS]],
+    at: usize,
     tables: &[E],
-) -> [[A; L]; 2] {
-    let mut acc = [[A::default(); L]; 2];
-    let mut absorb = |keys: &[[u8; 8]; 2], j: usize, table: &[E]| {
-        for (a, k) in acc.iter_mut().zip(keys) {
-            let e = &table[k[j] as usize * L..][..L];
-            for l in 0..L {
-                a[l].absorb(e[l]);
-            }
-        }
-    };
-    let mut per_word = tables.chunks_exact(8 * 256 * L);
-    for (wi, word_tables) in per_word.by_ref().enumerate() {
-        let keys = words.map(|w| w[wi].to_le_bytes());
-        for j in 0..8 {
-            absorb(&keys, j, &word_tables[j * 256 * L..][..256 * L]);
+) -> [[A; L]; LANE_ROWS] {
+    let mut acc = [[A::default(); L]; LANE_ROWS];
+    let at = at % BLOCK_ROWS / LANE_ROWS * LANE_ROWS;
+    // Four keys a step, unrolled: 6 % faster at batch 8 than one a step.
+    let mut fours = tables.chunks_exact(4 * 256 * L);
+    for (tables, keys) in fours.by_ref().zip(keys.chunks_exact(4)) {
+        for (table, k) in tables.chunks_exact(256 * L).zip(keys) {
+            absorb(&mut acc, table, &k[at..at + LANE_ROWS]);
         }
     }
-    let tail = per_word.remainder();
-    if !tail.is_empty() {
-        let keys = words.map(|w| w[tables.len() / (8 * 256 * L)].to_le_bytes());
-        for (j, table) in tail.chunks_exact(256 * L).enumerate() {
-            absorb(&keys, j, table);
-        }
+    let done = tables.len() / (4 * 256 * L) * 4;
+    for (table, k) in fours.remainder().chunks_exact(256 * L).zip(&keys[done..]) {
+        absorb(&mut acc, table, &k[at..at + LANE_ROWS]);
     }
     acc
+}
+
+/// Add entry `keys[j]` of one window's `table` to row `j`'s accumulators.
+#[inline(always)]
+fn absorb<E: Copy, A: Accum<E>, const L: usize>(
+    acc: &mut [[A; L]; LANE_ROWS],
+    table: &[E],
+    keys: &[u8],
+) {
+    let keys = u32::from_le_bytes(keys.try_into().unwrap_or_default());
+    for (j, a) in acc.iter_mut().enumerate() {
+        let e = &table[(keys >> (8 * j) & 0xff) as usize * L..][..L];
+        for l in 0..L {
+            a[l] += A::from(e[l]);
+        }
+    }
 }
 
 /// The fold's FP32-rounded `acc + b` on a running output: with every
@@ -200,157 +166,190 @@ fn add_f32(acc: f32, b: f64) -> f32 {
 /// own λ and Σx, so every (row, column) result is bit-identical to a
 /// batch-1 call.
 pub(crate) struct Columns<'a> {
-    /// Alignment scale λ per column.
+    /// Alignment scale λ per batch column of the call.
     pub lambdas: &'a [f64],
     /// Offset multiplier per (column, group), `batch × groups`: the
     /// row-invariant `mul32(Σx, λ)`, pre-folded at staging.
     pub gsums: &'a [f64],
 }
 
-/// `f(column)` for each of a block's columns, 0 in its padding lanes.
-fn per_lane<E, const L: usize>(blk: &LaneBlock<'_, E>, f: impl Fn(usize) -> f64) -> [f64; L] {
-    std::array::from_fn(|l| if l < blk.cols { f(blk.col0 + l) } else { 0.0 })
+/// `f(column)` for each of a block's `cols` columns from `col0`, 0 in its
+/// padding lanes.
+fn per_lane<const L: usize>((col0, cols): (usize, usize), f: impl Fn(usize) -> f64) -> [f64; L] {
+    std::array::from_fn(|l| if l < cols { f(col0 + l) } else { 0.0 })
 }
 
-/// Sweep one `L`-lane column block over a worker's rows of a lane-tiled
-/// shape, LUT-stationary: per k-tile, per run (tile ∩ scale group), per
-/// row pair (a lone last row rides with itself), per bit-plane, one
-/// [`lane_pass`]. A run that ends its group folds the partial into the
-/// row's running output `panel[row·batch + column]` and, after the last
-/// plane, the group's offset term; a run that does not parks it in `open`
-/// (`[row][plane][lane]`), where the group's next run picks it up — a
+/// The LUT-stationary walk of one column block (batch columns
+/// `col0..col0 + cols`, `L` lanes) over a worker's rows `r0..` of a µ-8
+/// shape: per k-tile, per run (the key bytes `run` of one scale group
+/// inside the tile), per aligned `G`-row group, per plane, one
+/// `pass(keys, at, run)` — `keys` the run's key bytes of the group's
+/// 32-row block, `at` the group's first row in them — returning the run's
+/// integer sums `[row % G][lane]`. A run that ends its group folds the
+/// partial into the row's running output `panel[row·batch + column]` and,
+/// after the last plane, the group's offset term; a run that does not
+/// parks it in `open` (`[row][plane][lane]`) for the group's next run — a
 /// group's first run assigns, so `open` is never cleared. All `L` lanes
 /// fold in lockstep (padding lanes fold zeros).
-fn lane_sweep<E: Copy, A: Accum<E>, const L: usize>(
+fn walk<E: Copy, A: Accum<E>, const G: usize, const L: usize>(
     w: &PackedBcq,
-    blk: &LaneBlock<'_, E>,
+    blk: (usize, usize),
     cx: &Columns<'_>,
-    batch: usize,
     r0: usize,
     panel: &mut [f64],
     open: &mut Vec<A>,
+    mut pass: impl FnMut(&[[u8; BLOCK_ROWS]], usize, Range<usize>) -> [[A; L]; G],
 ) {
-    let q = w.bits();
-    let groups = w.groups();
+    let (q, groups, (col0, cols), batch) = (w.bits(), w.groups(), blk, cx.lambdas.len());
     let rows = panel.len() / batch;
-    let wpg = w.group_size() / 8; // windows per group
-    let nwin = w.cols() / 8;
-    let tile_wins = 8 * TILE_WORDS;
+    let kpg = w.group_size() / 8; // key bytes per group
+    let (nkb, tk) = (w.key_bytes, w.tile_keys);
     // A group stays open across a tile boundary unless groups tile the
     // tile exactly (gs 64, 128, 256); gs 192, or any group wider than a
     // tile, does not.
-    if w.tiles() > 1 && !tile_wins.is_multiple_of(wpg) {
+    if w.tiles() > 1 && !tk.is_multiple_of(kpg) {
         open.resize(rows * q * L, A::default());
     }
     let lam: [f64; L] = per_lane(blk, |col| cx.lambdas[col]);
     for t in 0..w.tiles() {
-        let (slab, tw) = w.tile(t, r0, rows);
-        let win_hi = nwin.min((t + 1) * tile_wins);
-        let mut lo = t * tile_wins;
-        while lo < win_hi {
-            let g = lo / wpg;
-            let hi = win_hi.min((g + 1) * wpg);
-            let (starts, ends) = (lo == g * wpg, hi == (g + 1) * wpg);
-            let tables = &blk.entries[lo * 256 * L..hi * 256 * L];
-            let word0 = lo / 8 - t * TILE_WORDS;
-            let scales = w.group_scales(g, r0, rows);
-            let zs = w.group_offsets(g, r0, rows);
+        let (k0, k1) = (t * tk, nkb.min((t + 1) * tk));
+        for g in k0 / kpg..k1.div_ceil(kpg) {
+            let (lo, hi) = (k0.max(g * kpg), k1.min((g + 1) * kpg));
+            let (starts, ends) = (lo == g * kpg, hi == (g + 1) * kpg);
+            let zs = w.group_offsets(g);
             let gsum: [f64; L] = per_lane(blk, |col| cx.gsums[col * groups + g]);
-            for (pi, pair) in panel.chunks_mut(2 * batch).enumerate() {
-                let ri = 2 * pi;
-                let live = pair.len() / batch; // 2, or 1 for a lone last row
-                let mut y = [[0f32; L]; 2];
+            for b in r0 / G..(r0 + rows).div_ceil(G) {
+                // Rows of the block outside the panel are summed and folded
+                // too, and never stored.
+                let live = (b * G).max(r0)..((b + 1) * G).min(r0 + rows);
+                let out = |r: usize| (r - r0) * batch + col0..(r - r0) * batch + col0 + cols;
+                let mut y = [[0f32; L]; G];
                 if ends {
-                    for (y, out) in y.iter_mut().zip(pair.chunks(batch)) {
-                        for (y, &o) in y.iter_mut().zip(&out[blk.col0..][..blk.cols]) {
+                    for r in live.clone() {
+                        for (y, &o) in y[r - b * G].iter_mut().zip(&panel[out(r)]) {
                             *y = o as f32;
                         }
                     }
                 }
                 for i in 0..q {
-                    let words = [ri, ri + live - 1].map(|r| &slab[(r * q + i) * tw + word0..]);
-                    let mut accs = lane_pass::<E, A, L>(words, tables);
-                    for j in 0..live {
-                        let at = (ri + j) * q + i;
-                        let acc = &mut accs[j];
-                        if !(starts && ends) {
+                    let (tile, _) = w.block_keys(t, b * G / BLOCK_ROWS, i);
+                    let mut accs = pass(&tile[lo - k0..hi - k0], b * G % BLOCK_ROWS, lo..hi);
+                    if !(starts && ends) {
+                        let js = live.start - b * G..live.end - b * G;
+                        let at = (live.start - r0) * q + i;
+                        for (acc, at) in accs[js].iter_mut().zip((at..).step_by(q)) {
                             let carry = &mut open[at * L..][..L];
                             if !starts {
                                 for l in 0..L {
-                                    acc[l].merge(carry[l]);
+                                    acc[l] += carry[l];
                                 }
                             }
                             if !ends {
                                 carry.copy_from_slice(acc);
-                                continue;
                             }
                         }
-                        let (alpha, p) = (scales[at], acc.map(A::to_f64));
-                        y[j] = std::array::from_fn(|l| {
-                            add_f32(y[j][l], mul32(alpha, mul32(p[l], lam[l])))
-                        });
+                    }
+                    if ends {
+                        let alphas = &w.group_scales(g, i)[b * G..(b + 1) * G];
+                        for ((y, acc), &alpha) in y.iter_mut().zip(&accs).zip(alphas) {
+                            let p = acc.map(A::to_f64);
+                            *y = std::array::from_fn(|l| {
+                                add_f32(y[l], mul32(alpha, mul32(p[l], lam[l])))
+                            });
+                        }
                     }
                 }
                 if ends {
-                    for (j, (y, out)) in y.iter_mut().zip(pair.chunks_mut(batch)).enumerate() {
-                        if let Some(&z) = zs.get(ri + j) {
-                            for l in 0..L {
-                                y[l] = add_f32(y[l], mul32(z, gsum[l]));
-                            }
+                    if let Some(zs) = zs.get(b * G..(b + 1) * G) {
+                        for (y, &z) in y.iter_mut().zip(zs) {
+                            *y = std::array::from_fn(|l| add_f32(y[l], mul32(z, gsum[l])));
                         }
-                        for (o, &y) in out[blk.col0..][..blk.cols].iter_mut().zip(&*y) {
+                    }
+                    for r in live {
+                        for (o, &y) in panel[out(r)].iter_mut().zip(&y[r - b * G]) {
                             *o = y as f64;
                         }
                     }
                 }
             }
-            lo = hi;
         }
     }
 }
 
+/// The lane pass over one `L`-lane column block: [`walk`] four rows at a
+/// time, each plane one [`lane_pass`].
+fn lane_sweep<E: Copy, A: Accum<E>, const L: usize>(
+    w: &PackedBcq,
+    blk: &LaneBlock<'_, E>,
+    cx: &Columns<'_>,
+    r0: usize,
+    panel: &mut [f64],
+    open: &mut Vec<A>,
+) {
+    let (cols, per) = ((blk.col0, blk.cols), 256 * L);
+    walk::<E, A, LANE_ROWS, L>(w, cols, cx, r0, panel, open, |keys, at, run| {
+        lane_pass::<E, A, L>(keys, at, &blk.entries[run.start * per..run.end * per])
+    });
+}
+
+/// The shuffle pass over a block of columns: [`walk`] 32 rows at a time,
+/// each plane one [`shuffle::pass`] per column over the same keys.
+fn shuffle_sweep<A: Accum<i32>, const L: usize>(
+    w: &PackedBcq,
+    nib: &NibbleLuts,
+    blk: (usize, usize),
+    cx: &Columns<'_>,
+    r0: usize,
+    panel: &mut [f64],
+    open: &mut Vec<A>,
+) {
+    walk::<i32, A, BLOCK_ROWS, L>(w, blk, cx, r0, panel, open, |keys, _, run| {
+        let mut sums = [[A::default(); L]; BLOCK_ROWS];
+        for l in 0..blk.1 {
+            let tables = nib.column(blk.0 + l, run.clone());
+            let s = shuffle::pass(keys, tables, nib.planes);
+            for (sum, &s) in sums.iter_mut().zip(s.as_flattened()) {
+                sum[l] = A::from(s);
+            }
+        }
+        sums
+    });
+}
+
 /// The generic walk over one column block: per-window descriptors,
-/// arbitrary widths/starts (ragged group tails, µ ∤ 64, groups that split
-/// a word), on a shape packed as one tile per row. Row by row, group by
-/// group, plane by plane: the key of each descriptor window is decoded
-/// from the weight bits once, its lane vector read for every column of the
-/// block, and the finished group partial folded at once.
-#[allow(clippy::too_many_arguments)]
+/// arbitrary widths/starts (ragged group tails, µ ∤ 8) — every shape whose
+/// group size is not a multiple of 8. Row by row, group by group, plane by
+/// plane: the key of each descriptor window is decoded from the row's key
+/// bytes (one tile per row at these shapes) once, its lane vector read for every column of the block, and the
+/// finished group partial folded at once.
 fn generic_sweep<E: Copy, A: Accum<E>>(
     w: &PackedBcq,
     wins: &[Window],
     blk: &LaneBlock<'_, E>,
     shift: u32,
     cx: &Columns<'_>,
-    batch: usize,
     r0: usize,
     panel: &mut [f64],
 ) {
-    let q = w.bits();
+    let batch = cx.lambdas.len();
     let groups = w.groups();
-    let rows = panel.len() / batch;
-    let (slab, wpr) = w.tile(0, r0, rows);
     let wpg = wins.len() / groups; // windows per group
+    debug_assert_eq!(w.tiles(), 1, "a generic shape is one tile per row");
     for (ri, out) in panel.chunks_mut(batch).enumerate() {
+        let r = r0 + ri;
         let out = &mut out[blk.col0..blk.col0 + blk.cols];
         for (g, group_wins) in wins.chunks(wpg).enumerate() {
-            let scales = w.group_scales(g, r0 + ri, 1);
-            for (i, &alpha) in scales.iter().enumerate() {
-                let words = &slab[(ri * q + i) * wpr..][..wpr];
+            for i in 0..w.bits() {
+                let alpha = w.group_scales(g, i)[r];
+                let (keys, at) = w.row_keys(0, r, i);
+                let byte = |kb: usize| keys.get(kb).map_or(0, |k| usize::from(k[at]));
                 let mut acc = [A::default(); MAX_LANES];
                 for (wo, win) in group_wins.iter().enumerate() {
-                    let start = win.start as usize;
-                    let wi = start >> 6;
-                    let off = (start & 63) as u32;
-                    let mut bits = words[wi] >> off;
-                    if off + win.width > 64 {
-                        // width ≤ 8 ⇒ off ≥ 57 here, so the shift below is < 64.
-                        bits |= words[wi + 1] << (64 - off);
-                    }
-                    let key = (bits as usize) & ((1usize << win.width) - 1);
+                    let (c, width) = (win.start as usize, win.width as usize);
+                    let key = (byte(c / 8) | byte(c / 8 + 1) << 8) >> (c % 8) & ((1 << width) - 1);
                     let base = ((g * wpg + wo) << shift | key) * blk.lanes;
                     for (a, &e) in acc.iter_mut().zip(&blk.entries[base..base + blk.lanes]) {
-                        a.absorb(e);
+                        *a += A::from(e);
                     }
                 }
                 for ((o, &p), col) in out.iter_mut().zip(&acc).zip(blk.col0..) {
@@ -358,7 +357,7 @@ fn generic_sweep<E: Copy, A: Accum<E>>(
                     *o = add_f32(*o as f32, mul32(alpha, real)) as f64;
                 }
             }
-            if let [z] = *w.group_offsets(g, r0 + ri, 1) {
+            if let Some(&z) = w.group_offsets(g).get(r) {
                 for (o, col) in out.iter_mut().zip(blk.col0..) {
                     *o = add_f32(*o as f32, mul32(z, cx.gsums[col * groups + g])) as f64;
                 }
@@ -367,51 +366,76 @@ fn generic_sweep<E: Copy, A: Accum<E>>(
     }
 }
 
-/// One worker's share of an `exec_i` call: sweep every column block over
-/// output rows `r0..`, folding into `panel` — the worker's zeroed
-/// `rows × batch` slice of the transposed output. `open` is caller-owned
-/// open-group scratch (reused allocation-free across calls).
-pub(crate) fn sweep_panel<E: Copy, A: Accum<E>>(
+/// How a call's `batch` columns divide between the passes: columns
+/// `from..batch` take the shuffle pass, the ones before ride lane blocks
+/// at least `min_lanes` wide; returns `(from, min_lanes)`. Both passes
+/// need `bytes` (a group size divisible by 8; any other takes the generic
+/// walk). The shuffle pass, given `shuffle` (the stage's proof that its
+/// entries fit their byte planes), takes a last block of one or two
+/// columns; the lane pass takes blocks of three or more, and pads a block
+/// of one or two to four lanes.
+pub(crate) fn split(bytes: bool, shuffle: bool, batch: usize) -> (usize, usize) {
+    match (bytes, shuffle) {
+        (true, true) if batch % MAX_LANES <= 2 => (batch - batch % MAX_LANES, 4),
+        (true, _) => (batch, 4),
+        (false, _) => (batch, 1),
+    }
+}
+
+/// One worker's share of an `exec_i` call for one reader: sweep output
+/// rows `r0..` — lane blocks over `luts`, the generic walk over `luts` on
+/// a shape of another group size, the columns `nib` holds with the
+/// shuffle pass — folding into `panel`, the worker's zeroed `rows × batch`
+/// slice of the transposed output. `open` is caller-owned open-group
+/// scratch (reused allocation-free across calls).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_panel<E: Copy, A: Accum<E> + Accum<i32>>(
     w: &PackedBcq,
     wins: &[Window],
     luts: &FlatLuts<E>,
+    nib: &NibbleLuts,
     cx: &Columns<'_>,
     r0: usize,
     panel: &mut [f64],
     open: &mut Vec<A>,
 ) {
-    let batch = luts.batch();
-    let shift = luts.mu();
-    // Traffic accounting, off the walk itself: a sweep streams every
-    // packed word of the panel once per column block and visits every
-    // k-tile once per row (guarded so the disabled path costs one read).
+    let batch = cx.lambdas.len();
+    // Traffic accounting, off the walk itself, as the plan's formulas count
+    // it whichever pass takes a column: every packed word of the panel once
+    // per 8-column block of the call, every k-tile once per row and block
+    // (guarded so the disabled path costs one read).
     if figlut_trace::enabled() {
-        let row_sweeps = (luts.blocks().count() * panel.len() / batch) as u64;
+        let row_sweeps = (batch.div_ceil(MAX_LANES) * panel.len() / batch) as u64;
         let row_words = (w.bits() * w.cols().div_ceil(64)) as u64;
         figlut_trace::counters::bump_exec_streamed_words(row_sweeps * row_words);
         figlut_trace::counters::bump_exec_ktiles(row_sweeps * w.tiles() as u64);
     }
+    let bytes = w.group_size().is_multiple_of(8);
     for blk in luts.blocks() {
-        match (w.lane_tiled(), blk.lanes) {
-            (false, _) => generic_sweep::<E, A>(w, wins, &blk, shift, cx, batch, r0, panel),
-            (true, 1) => lane_sweep::<E, A, 1>(w, &blk, cx, batch, r0, panel, open),
-            (true, 2) => lane_sweep::<E, A, 2>(w, &blk, cx, batch, r0, panel, open),
-            (true, 4) => lane_sweep::<E, A, 4>(w, &blk, cx, batch, r0, panel, open),
-            (true, _) => lane_sweep::<E, A, MAX_LANES>(w, &blk, cx, batch, r0, panel, open),
+        match (bytes, blk.lanes) {
+            (true, 4) => lane_sweep::<E, A, 4>(w, &blk, cx, r0, panel, open),
+            (true, _) => lane_sweep::<E, A, MAX_LANES>(w, &blk, cx, r0, panel, open),
+            (false, _) => generic_sweep::<E, A>(w, wins, &blk, luts.mu(), cx, r0, panel),
+        }
+    }
+    let cols = nib.cols.clone();
+    for col0 in cols.clone().step_by(MAX_LANES) {
+        let blk = (col0, (cols.end - col0).min(MAX_LANES));
+        match lane_width(blk.1) {
+            1 => shuffle_sweep::<A, 1>(w, nib, blk, cx, r0, panel, open),
+            2 => shuffle_sweep::<A, 2>(w, nib, blk, cx, r0, panel, open),
+            4 => shuffle_sweep::<A, 4>(w, nib, blk, cx, r0, panel, open),
+            _ => shuffle_sweep::<A, MAX_LANES>(w, nib, blk, cx, r0, panel, open),
         }
     }
 }
 
 /// The window width the kernel actually uses. The datapath models read
-/// µ-wide windows because that is the hardware's LUT size; the *software*
-/// backend is free to widen them — per-(group, plane) partials are sums
-/// over whole groups, and integer addition is associative, so any window
-/// decomposition of a group yields bit-identical `exec_i` results. Wider
-/// windows halve or quarter the lookup count at the price of bigger
-/// tables; 8 (256-entry, 2 KiB tables) is the sweet spot, mirroring the
-/// paper's own µ-vs-table-power trade-off (Fig. 8). Falls back to the
-/// configured µ (generic descriptor walk) when the group size has no even
-/// divisor in range.
+/// µ-wide windows because that is the hardware's LUT size; any window
+/// decomposition of a group yields bit-identical `exec_i` results
+/// (integer addition is associative), so the software backend widens them
+/// to 8 — the key bytes — where the group size allows, else to 4 or 2,
+/// else keeps the configured µ (generic descriptor walk).
 pub(crate) fn effective_mu(gs: usize, cfg_mu: u32) -> usize {
     for e in [8usize, 4, 2] {
         if gs.is_multiple_of(e) {
@@ -455,6 +479,7 @@ pub fn exec_i(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::TILE_WORDS;
     use figlut_gemm::figlut::gemm_i;
     use figlut_quant::bcq::{BcqParams, BcqWeight};
     use figlut_quant::uniform::{rtn, RtnParams};
@@ -521,7 +546,7 @@ mod tests {
     fn exec_i_spans_tiles_and_an_odd_row_count() {
         // Per-row scale over 288 columns: five words, so a full k-tile
         // and a ragged one, with the row's one group open across both;
-        // 273 rows end on a lone row after 136 pairs.
+        // 273 rows end inside a 4-row group and a 32-row block.
         let (x, b) = setup(273, 288, 2);
         let cfg = EngineConfig::paper_default();
         let p = PackedBcq::pack(&b);

@@ -1,4 +1,8 @@
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block
+)]
 #![warn(missing_docs)]
 
 //! # figlut-exec — high-throughput packed LUT-GEMM execution backend
@@ -51,6 +55,8 @@ pub mod lut;
 pub mod packed;
 pub mod parallel;
 pub mod plan;
+#[allow(unsafe_code)]
+mod shuffle;
 
 pub use kernel::{exec_i, exec_i_threads};
 pub use packed::PackedBcq;

@@ -1,27 +1,30 @@
-//! Flat per-window FFLUT precomputation.
+//! Flat per-window FFLUT precomputation, in the two layouts the kernel's
+//! passes read.
 //!
 //! The datapath models in `figlut-gemm` rebuild a boxed
 //! [`figlut_lut::table::HalfLut`] per window per activation row and decode
-//! every read through [`figlut_lut::key::Key::fold`]. That is the right
-//! shape for proving the hardware's MSB-fold decoder transparent; it is the
-//! wrong shape for throughput. This module precomputes, per activation
-//! tile, the *full* `2^µ`-entry table of every window into one flat buffer
-//! with a constant power-of-two stride, so the kernel's inner loop is
-//! `table[base | key]` with no branches. For a batched call the batch
-//! columns are cut into *lane blocks* of `L ∈ {1, 2, 4, 8}` columns and the
-//! `L` entries of one `(window, key)` are one contiguous `[T; L]` — so a
-//! weight key decoded once adds a whole lane vector to register-resident
-//! accumulators (see [`crate::kernel`]'s lane pass), and the build fills
-//! all lanes of a key with contiguous adds.
+//! every read through [`figlut_lut::key::Key::fold`] — the right shape for
+//! proving the hardware's MSB-fold decoder transparent, the wrong one for
+//! throughput. Here every table is flat, so a read is `table[base | key]`:
 //!
-//! The build still uses the hFFLUT semantics (DESIGN.md §3, paper Fig. 10):
-//! only the MSB-clear half is computed with additions; the MSB-set half is
-//! mirrored by exact negation (vertical symmetry `lut[~k] = −lut[k]`).
-//! For integer tables every entry is the exact signed sum
-//! `Σ ±mantissa`, so any build order yields bit-identical tables — which is
-//! what makes [`crate::kernel::exec_i`] bit-exact against
+//! * [`FlatLuts`], the lane pass's: the *full* `2^µ`-entry table of every
+//!   window, batch columns cut into *lane blocks* in which the `L` entries
+//!   of one `(window, key)` are one contiguous `[T; L]` — so a weight key
+//!   decoded once adds a whole lane vector to register-resident
+//!   accumulators, and the build fills all lanes of a key with contiguous
+//!   adds. It uses the hFFLUT semantics (DESIGN.md §3, paper Fig. 10):
+//!   only the MSB-clear half is computed with additions; the MSB-set half
+//!   is mirrored by exact negation (`lut[~k] = −lut[k]`).
+//! * `NibbleLuts`, the shuffle pass's: 16-entry µ = 4 tables split into
+//!   byte planes, one 16-byte register operand each.
+//!
+//! Integer entries are exact signed sums `Σ ±mantissa`, so any build order
+//! yields bit-identical tables — which is what makes
+//! [`crate::kernel::exec_i`] bit-exact against
 //! `figlut_gemm::figlut::gemm_i` (integer addition is associative). The
 //! unit tests pin the tables against `figlut-lut` reads key by key.
+
+use std::ops::Range;
 
 /// One µ-wide column window of a scale group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,11 +77,15 @@ pub(crate) fn lane_width(cols: usize) -> usize {
 
 /// The column blocks of a `batch`-column call as `(first column, columns,
 /// lanes)`: full [`MAX_LANES`]-column blocks, then a last block sized by
-/// its own width (`batch = 9` is 8 + 1 lanes, not 8 + 8).
-pub(crate) fn column_blocks(batch: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+/// its own width (`batch = 9` is 8 + 1 lanes, not 8 + 8), at least
+/// `min_lanes` wide.
+pub(crate) fn column_blocks(
+    batch: usize,
+    min_lanes: usize,
+) -> impl Iterator<Item = (usize, usize, usize)> {
     (0..batch).step_by(MAX_LANES).map(move |col0| {
         let cols = (batch - col0).min(MAX_LANES);
-        (col0, cols, lane_width(cols))
+        (col0, cols, lane_width(cols).max(min_lanes))
     })
 }
 
@@ -99,18 +106,17 @@ pub(crate) struct LaneBlock<'a, T> {
 /// (`column_blocks`; unused lanes are zero). Within block `j` — which
 /// starts at `entries[8·j·windows·2^µ]`, every earlier block being 8 lanes
 /// wide — entry `k` of window `w` for the block's column `l` lives at
-/// `((w << mu) | k)·L + l`: the `L` entries of one `(window, key)` are one
-/// contiguous `[T; L]`. That granularity is the point — the kernel decodes
-/// each weight key once and adds its whole lane vector to `L`
-/// register-resident accumulators (one or two packed adds), instead of
-/// `batch` scattered reads from `batch` separate tables. Windows of width
-/// `< µ` only populate their first `2^width` key slots (keys never address
-/// beyond them, because the kernel masks to the window width). `batch = 1`
-/// is one 1-lane block: the classic one-table-per-window layout.
+/// `((w << mu) | k)·L + l`. Windows of width `< µ` only populate their
+/// first `2^width` key slots (keys never address beyond them, because the
+/// kernel masks to the window width). `batch = 1` is one 1-lane block:
+/// the classic one-table-per-window layout.
 #[derive(Clone, Debug)]
 pub struct FlatLuts<T> {
     mu: u32,
     batch: usize,
+    /// The narrowest block (1, or 4 where the lane pass pads a one- or
+    /// two-column block).
+    min_lanes: usize,
     wins: usize,
     entries: Vec<T>,
 }
@@ -122,6 +128,7 @@ impl<T> Default for FlatLuts<T> {
         Self {
             mu: 1,
             batch: 1,
+            min_lanes: 1,
             wins: 0,
             entries: Vec::new(),
         }
@@ -129,54 +136,41 @@ impl<T> Default for FlatLuts<T> {
 }
 
 impl<T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>> FlatLuts<T> {
-    /// Precompute the tables for one activation row `values` (aligned
-    /// mantissas or rounded activations) under the given window
-    /// decomposition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `µ ∉ 1..=8`.
-    pub fn build(values: &[T], wins: &[Window], mu: u32) -> Self {
-        Self::build_batched(values, values.len(), wins, mu, 1)
-    }
-
-    /// Precompute the lane-blocked tables for `batch` activation rows.
-    /// `values` is row-major (`values[b·cols + c]` is column `c` of batch
-    /// row `b`); every window's start/width indexes within one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `µ ∉ 1..=8` or `values.len() ≠ batch·cols`.
-    pub fn build_batched(
-        values: &[T],
-        cols: usize,
-        wins: &[Window],
-        mu: u32,
-        batch: usize,
-    ) -> Self {
-        let mut luts = Self::default();
-        luts.rebuild(values, cols, wins, mu, batch);
-        luts
-    }
-
-    /// [`FlatLuts::build_batched`] into `self`, reusing the entry buffer —
-    /// allocation-free once the buffer has seen the shape (the
-    /// `figlut-exec` steady-state contract).
+    /// Precompute the lane-blocked tables for `batch` activation rows into
+    /// `self`: `values` is row-major (`values[b·cols + c]` is column `c` of
+    /// batch row `b`); every window's start/width indexes within one row.
+    /// Reuses the entry buffer — allocation-free once the buffer has seen
+    /// the shape (the `figlut-exec` steady-state contract).
     ///
     /// # Panics
     ///
     /// Panics if `µ ∉ 1..=8` or `values.len() ≠ batch·cols`.
     pub fn rebuild(&mut self, values: &[T], cols: usize, wins: &[Window], mu: u32, batch: usize) {
+        self.rebuild_lanes(values, cols, wins, mu, batch, 1);
+    }
+
+    /// [`FlatLuts::rebuild`] with every block at least `min_lanes` wide.
+    pub(crate) fn rebuild_lanes(
+        &mut self,
+        values: &[T],
+        cols: usize,
+        wins: &[Window],
+        mu: u32,
+        batch: usize,
+        min_lanes: usize,
+    ) {
         assert!((1..=8).contains(&mu), "µ = {mu} unsupported");
         assert_eq!(values.len(), batch * cols, "values are not batch × cols");
         let per_lane = wins.len() << mu;
         self.mu = mu;
         self.batch = batch;
+        self.min_lanes = min_lanes;
         self.wins = wins.len();
-        let lanes: usize = column_blocks(batch).map(|(_, _, lanes)| lanes).sum();
+        let blocks = || column_blocks(batch, min_lanes);
+        let lanes: usize = blocks().map(|(_, _, lanes)| lanes).sum();
         // No clear: `fill_block` writes every slot.
         self.entries.resize(per_lane * lanes, T::default());
-        for (col0, bcols, lanes) in column_blocks(batch) {
+        for (col0, bcols, lanes) in blocks() {
             let block = &mut self.entries[col0 * per_lane..][..lanes * per_lane];
             let rows = &values[col0 * cols..(col0 + bcols) * cols];
             match lanes {
@@ -196,42 +190,15 @@ impl<T: Copy> FlatLuts<T> {
         self.mu
     }
 
-    /// Number of batch columns.
-    #[inline]
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// The flat entry buffer (`windows × 2^µ × Σ block lanes`).
-    #[inline]
-    pub fn entries(&self) -> &[T] {
-        &self.entries
-    }
-
     /// The column blocks, in column order.
     pub(crate) fn blocks(&self) -> impl Iterator<Item = LaneBlock<'_, T>> {
         let per_lane = self.wins << self.mu;
-        column_blocks(self.batch).map(move |(col0, cols, lanes)| LaneBlock {
+        column_blocks(self.batch, self.min_lanes).map(move |(col0, cols, lanes)| LaneBlock {
             col0,
             cols,
             lanes,
             entries: &self.entries[col0 * per_lane..][..lanes * per_lane],
         })
-    }
-
-    /// Read entry `key` of window `wi` for batch column 0.
-    #[inline]
-    pub fn read(&self, wi: usize, key: usize) -> T {
-        self.read_batched(wi, 0, key)
-    }
-
-    /// Read entry `key` of window `wi` for batch column `b`.
-    #[inline]
-    pub fn read_batched(&self, wi: usize, b: usize, key: usize) -> T {
-        let col0 = b - b % MAX_LANES;
-        let lanes = lane_width((self.batch - col0).min(MAX_LANES));
-        let block = col0 * (self.wins << self.mu);
-        self.entries[block + ((wi << self.mu) | key) * lanes + (b - col0)]
     }
 }
 
@@ -290,11 +257,107 @@ where
     }
 }
 
+/// The shuffle pass's tables ([`crate::shuffle`]), the register FFLUT:
+/// for every batch column `c` of the set and byte window `kb` (columns
+/// `8·kb..8·kb + 8`), the 16-entry tables of its two nibble windows
+/// (µ = 4; half 0 is columns `8·kb..8·kb + 4`, the key's low nibble).
+/// Every entry `e` is stored as the `P` bytes of `e + 2^(8P−1)`, so
+/// `tables[((c·key_bytes + kb)·P + p)·2 + h]` is byte plane `p` of half
+/// `h`. An entry is a signed sum of four mantissas, within `±4·max|m|`, so
+/// `P` bytes hold it once `8·max|m| < 256^P` ([`NibbleLuts::planes_for`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NibbleLuts {
+    /// Byte planes `P` per entry.
+    pub(crate) planes: usize,
+    /// Key bytes (µ = 8 windows) per column.
+    key_bytes: usize,
+    /// The batch columns the set holds.
+    pub(crate) cols: Range<usize>,
+    tables: Vec<[u8; 16]>,
+}
+
+impl NibbleLuts {
+    /// The byte planes an entry needs when no mantissa exceeds `max_m` in
+    /// magnitude: the least `P ≤ 4` with `8·max_m < 256^P`, if any.
+    pub(crate) fn planes_for(max_m: u64) -> Option<usize> {
+        (1..=4).find(|&p| max_m.saturating_mul(8) < 1 << (8 * p))
+    }
+
+    /// Build the tables of batch columns `cols` from `m32` (`batch × n`
+    /// aligned mantissas, `n` a multiple of 8) in `planes` byte planes,
+    /// reusing the buffer (allocation-free once it has seen the shape).
+    pub(crate) fn rebuild(&mut self, m32: &[i32], n: usize, cols: Range<usize>, planes: usize) {
+        self.planes = planes;
+        self.key_bytes = n / 8;
+        self.cols = cols.clone();
+        self.tables.clear();
+        let bias = 1u32 << (8 * planes - 1);
+        for x in m32[cols.start * n..cols.end * n].chunks_exact(8) {
+            let halves = [&x[..4], &x[4..]].map(|x| {
+                // Key 0 is −Σx; setting bit j adds 2·x_j (the doubling of
+                // `fill_window`).
+                let mut e = [0i32; 16];
+                e[0] = -x.iter().sum::<i32>();
+                for (j, &v) in x.iter().enumerate() {
+                    let (done, rest) = e.split_at_mut(1 << j);
+                    for (d, &s) in rest[..1 << j].iter_mut().zip(&*done) {
+                        *d = s + 2 * v;
+                    }
+                }
+                e.map(|e| (e as u32).wrapping_add(bias))
+            });
+            for p in 0..planes {
+                for h in halves {
+                    self.tables.push(h.map(|u| (u >> (8 * p)) as u8));
+                }
+            }
+        }
+    }
+
+    /// The tables of key bytes `keys` of batch column `c`.
+    #[inline]
+    pub(crate) fn column(&self, c: usize, keys: Range<usize>) -> &[[u8; 16]] {
+        let at = |kb: usize| ((c - self.cols.start) * self.key_bytes + kb) * 2 * self.planes;
+        &self.tables[at(keys.start)..at(keys.end)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use figlut_lut::key::Key;
     use figlut_lut::table::{FullLut, HalfLut, LutRead};
+
+    impl<T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>> FlatLuts<T> {
+        fn build(values: &[T], wins: &[Window], mu: u32) -> Self {
+            Self::build_batched(values, values.len(), wins, mu, 1)
+        }
+
+        fn build_batched(
+            values: &[T],
+            cols: usize,
+            wins: &[Window],
+            mu: u32,
+            batch: usize,
+        ) -> Self {
+            let mut luts = Self::default();
+            luts.rebuild(values, cols, wins, mu, batch);
+            luts
+        }
+
+        /// Entry `key` of window `wi` for batch column 0.
+        fn read(&self, wi: usize, key: usize) -> T {
+            self.read_batched(wi, 0, key)
+        }
+
+        /// Entry `key` of window `wi` for batch column `b`.
+        fn read_batched(&self, wi: usize, b: usize, key: usize) -> T {
+            let col0 = b - b % MAX_LANES;
+            let lanes = lane_width((self.batch - col0).min(MAX_LANES)).max(self.min_lanes);
+            let block = col0 * (self.wins << self.mu);
+            self.entries[block + ((wi << self.mu) | key) * lanes + (b - col0)]
+        }
+    }
 
     #[test]
     fn windows_match_engine_decomposition() {
@@ -412,8 +475,8 @@ mod tests {
             (17, 16 + 1),
         ] {
             let batched = FlatLuts::build_batched(&flat[..batch * cols], cols, &wins, 4, batch);
-            assert_eq!(batched.batch(), batch);
-            assert_eq!(batched.entries().len(), per_lane * total_lanes, "B={batch}");
+            assert_eq!(batched.batch, batch);
+            assert_eq!(batched.entries.len(), per_lane * total_lanes, "B={batch}");
             // read_batched ≡ the per-row build, for every column.
             for b in 0..batch {
                 let solo = FlatLuts::build(&flat[b * cols..(b + 1) * cols], &wins, 4);
@@ -437,7 +500,7 @@ mod tests {
                 assert_eq!(blk.lanes, lane_width(blk.cols));
                 assert_eq!(
                     blk.entries.as_ptr(),
-                    batched.entries()[at..].as_ptr(),
+                    batched.entries[at..].as_ptr(),
                     "B={batch}"
                 );
                 at += blk.entries.len();
@@ -455,14 +518,14 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(at, batched.entries().len());
+            assert_eq!(at, batched.entries.len());
         }
         // Rebuild at a new batch reuses the buffer and relabels the layout.
         let mut reb = FlatLuts::build_batched(&flat[..9 * cols], cols, &wins, 4, 9);
         reb.rebuild(&flat[..cols], cols, &wins, 4, 1);
-        assert_eq!(reb.batch(), 1);
+        assert_eq!(reb.batch, 1);
         let solo = FlatLuts::build(&flat[..cols], &wins, 4);
-        assert_eq!(reb.entries(), solo.entries());
+        assert_eq!(reb.entries, solo.entries);
     }
 
     #[test]

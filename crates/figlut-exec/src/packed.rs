@@ -1,45 +1,44 @@
 //! [`PackedBcq`] — BCQ weights re-packed for the execution kernels.
 //!
 //! `figlut_quant::BcqWeight` is organized for *construction* (one
-//! `BitMatrix` per plane, one scale matrix per plane). The kernels walk the
-//! weights *LUT-stationary* — one tile of look-up tables at a time, every
-//! output row against it before the next ([`crate::kernel`]) — so the
-//! packed layout is tile-major, and everything one tile visit reads is one
-//! contiguous slice:
+//! `BitMatrix` per plane, one scale matrix per plane). The kernels read
+//! the sign bits as byte keys (µ = 8 windows), LUT-stationary, one k-tile
+//! at a time ([`crate::kernel`]), so there is one layout, tile-major and
+//! key-byte-major, which both kernel passes, the generic walk and the
+//! accessors read:
 //!
-//! * **Sign planes** stay bit-packed `u64` words (bit = `+1`), cut along
-//!   the reduction dimension into *k-tiles* of `TILE_WORDS` words (the
-//!   last one as wide as what is left) and laid out
-//!   `[tile][row][plane][word]` — the software analogue of FIGLUT
-//!   streaming every weight row past one generated table. A shape the
-//!   kernels walk window by window (see `lane_tiled`) is a single tile as
-//!   wide as the row.
-//! * **Scales** are `[group][row][plane]` and **offsets** `[group][row]`:
-//!   a group's partials complete for every row of a panel before the next
-//!   group's, which is the order the fused fold visits them.
+//! * **Sign planes** are cut along the reduction dimension into *k-tiles*
+//!   of `TILE_WORDS` words (32 key bytes; the last one as wide as what is
+//!   left) and along the rows into 32-row *blocks*:
+//!   `[tile][block][plane][key byte][32 rows]`. One `[u8; 32]` holds one
+//!   key byte (bit `c % 8` ↔ column `c`, bit = `+1`) of a block's 32 rows,
+//!   row `r` in byte `r` — the order the shuffle pass's widening chain
+//!   emits its sums in. The shuffle pass loads it as one register; the
+//!   lane pass reads four rows' keys at stride 32. The last block is
+//!   padded with zero keys. A shape whose groups split a word (see
+//!   `lane_tiled`) is a single tile as wide as the row.
+//! * **Scales** are `[group][plane][row]` and **offsets** `[group][row]`,
+//!   both padded with zeros to whole blocks, so one plane's scales of a
+//!   block are one slice and a fold can run over all 32 rows.
 //!
-//! Packing is lossless and cheap (a copy per tile row out of
-//! [`figlut_quant::BitMatrix::row_words`]); [`PackedBcq::unpack`] hands the
-//! weights back to the bit-accurate engines for differential testing.
+//! Packing is lossless and cheap (a byte transpose out of
+//! [`figlut_quant::BitMatrix::row_words`]); [`PackedBcq::unpack`] hands
+//! the weights back to the bit-accurate engines for differential testing.
 
+use crate::shuffle::BLOCK_ROWS;
 use figlut_num::Mat;
 use figlut_quant::{BcqWeight, BitMatrix};
 
 /// Packed words per k-tile of a lane-tiled shape: 256 columns, 32
-/// byte-wide windows, two gs-128 scale groups. The kernels sweep a tile one
-/// scale group at a time, so the tables in use are at most `32·256` entries
-/// per lane (32 KiB of `i32` at one lane, 128 KiB for one gs-128 group at
-/// eight), and a tile visit streams `rows × q × 4` words against them.
-/// Measured on the benchmark's four workloads against 1, 2 and 8 words
-/// (CHANGES.md, PR 14): 1 splits a gs-128 group and loses everywhere; 2
-/// and 4 tie on the serving models; 4 is 18–20 % ahead of 2 at batch 1 on
-/// the OPT-1.3B layer set and 5–7 % behind it at batch 8.
+/// byte-wide windows, two gs-128 scale groups (at most 128 KiB of 8-lane
+/// tables per run). Measured against 1, 2 and 8 words (CHANGES.md):
+/// 1 loses everywhere; 4 is 18–20 % ahead of 2 at batch 1 and 5–7 %
+/// behind it at batch 8.
 pub(crate) const TILE_WORDS: usize = 4;
 
-/// `true` if the kernels take the lane pass on this shape: windows are
-/// bytes of the packed words (effective µ = 8, which every group size
-/// divisible by 8 gets) and no scale group ends inside a word.
-fn lane_tiled(group_size: usize, groups: usize) -> bool {
+/// `true` if the planes are cut into [`TILE_WORDS`]-word k-tiles: windows
+/// are key bytes (µ = 8) and no scale group ends inside a word.
+pub(crate) fn lane_tiled(group_size: usize, groups: usize) -> bool {
     group_size.is_multiple_of(8) && (group_size.is_multiple_of(64) || groups == 1)
 }
 
@@ -50,17 +49,20 @@ pub struct PackedBcq {
     cols: usize,
     group_size: usize,
     bits: usize,
-    words_per_row: usize,
-    /// Words per k-tile: [`TILE_WORDS`] on a lane-tiled shape, the whole
-    /// row otherwise.
-    tile_words: usize,
-    /// Flat plane bits, `[tile][row][plane][word]`: tile `t` starts at
-    /// `t·tile_words·rows·bits` (every earlier tile is full width).
-    planes: Vec<u64>,
-    /// Flat scales: `scales[(g·rows + r)·bits + i]` is `αᵢ(r, g)`.
+    /// Key bytes per row, `⌈cols / 8⌉`.
+    pub(crate) key_bytes: usize,
+    /// Key bytes per k-tile: `8·TILE_WORDS` on a lane-tiled shape, the
+    /// whole row otherwise.
+    pub(crate) tile_keys: usize,
+    /// Plane bits, `[tile][block][plane][key byte]`, each a key byte of
+    /// the block's 32 rows: tile `t` starts at `t·tile_keys·blocks·bits`
+    /// (every earlier tile is full width).
+    planes: Vec<[u8; BLOCK_ROWS]>,
+    /// Flat scales: `scales[(g·bits + i)·R + r]` is `αᵢ(r, g)`, `R` the
+    /// row count rounded up to whole blocks (padding rows read 0).
     scales: Vec<f64>,
-    /// Flat offsets: `offsets[g·rows + r]` (empty when the source format
-    /// carries no offset).
+    /// Flat offsets: `offsets[g·R + r]`, padded like the scales (empty when
+    /// the source format carries no offset).
     offsets: Vec<f64>,
 }
 
@@ -71,29 +73,45 @@ impl PackedBcq {
         let q = w.bits() as usize;
         let gs = w.group_size();
         let groups = w.groups();
-        let words_per_row = cols.div_ceil(64);
-        let tile_words = if lane_tiled(gs, groups) {
-            TILE_WORDS
+        let key_bytes = cols.div_ceil(8);
+        let tile_keys = if lane_tiled(gs, groups) {
+            8 * TILE_WORDS
         } else {
-            words_per_row.max(1)
+            key_bytes.max(1)
         };
-        let mut planes = Vec::with_capacity(q * rows * words_per_row);
-        for w0 in (0..words_per_row).step_by(tile_words) {
-            let w1 = words_per_row.min(w0 + tile_words);
-            for r in 0..rows {
-                for plane in w.planes() {
-                    planes.extend_from_slice(&plane.row_words(r)[w0..w1]);
+        let blocks = rows.div_ceil(BLOCK_ROWS);
+        let mut planes = vec![[0u8; BLOCK_ROWS]; key_bytes * blocks * q];
+        // Block by block: a block's source rows (`32·q` of them) stay in
+        // cache while its tiles are written, each one contiguous slice.
+        for b in 0..blocks {
+            let rows = b * BLOCK_ROWS..rows.min((b + 1) * BLOCK_ROWS);
+            for k0 in (0..key_bytes).step_by(tile_keys) {
+                let tk = tile_keys.min(key_bytes - k0);
+                for (i, plane) in w.planes().iter().enumerate() {
+                    let base = k0 * blocks * q + (b * q + i) * tk;
+                    let chunk = &mut planes[base..base + tk];
+                    for (j, r) in rows.clone().enumerate() {
+                        let words = &plane.row_words(r)[k0 / 8..];
+                        for (keys, word) in chunk.chunks_mut(8).zip(words) {
+                            for (key, byte) in keys.iter_mut().zip(word.to_le_bytes()) {
+                                key[j] = byte;
+                            }
+                        }
+                    }
                 }
             }
         }
-        let mut scales = Vec::with_capacity(rows * groups * q);
-        let mut offsets = Vec::with_capacity(if w.has_offset() { rows * groups } else { 0 });
+        let padded = blocks * BLOCK_ROWS;
+        let mut scales = Vec::with_capacity(padded * groups * q);
+        let mut offsets = Vec::with_capacity(if w.has_offset() { padded * groups } else { 0 });
         for g in 0..groups {
-            for r in 0..rows {
-                scales.extend((0..q).map(|i| w.alpha(i, r, g * gs)));
-                if w.has_offset() {
-                    offsets.push(w.offset(r, g * gs));
-                }
+            for i in 0..q {
+                scales.extend((0..rows).map(|r| w.alpha(i, r, g * gs)));
+                scales.resize(scales.len() + padded - rows, 0.0);
+            }
+            if w.has_offset() {
+                offsets.extend((0..rows).map(|r| w.offset(r, g * gs)));
+                offsets.resize(offsets.len() + padded - rows, 0.0);
             }
         }
         Self {
@@ -101,8 +119,8 @@ impl PackedBcq {
             cols,
             group_size: gs,
             bits: q,
-            words_per_row,
-            tile_words,
+            key_bytes,
+            tile_keys,
             planes,
             scales,
             offsets,
@@ -144,44 +162,48 @@ impl PackedBcq {
         !self.offsets.is_empty()
     }
 
-    /// `true` if the planes are cut into [`TILE_WORDS`]-word k-tiles for
-    /// the lane pass (`false`: one tile per row, the generic walk).
-    pub(crate) fn lane_tiled(&self) -> bool {
-        lane_tiled(self.group_size, self.groups())
-    }
-
     /// Number of k-tiles the reduction dimension is cut into — what one
     /// `exec_*` sweep visits per output row (the unit of the `exec_ktiles`
     /// trace counter).
     pub fn tiles(&self) -> usize {
-        self.words_per_row.div_ceil(self.tile_words)
+        self.key_bytes.div_ceil(self.tile_keys)
     }
 
-    /// The contiguous slab of k-tile `t` for output rows `r0..r0 + rows`,
-    /// and the tile's width `tw` in words: plane `i` of row `r0 + j` is
-    /// `slab[(j·bits + i)·tw..][..tw]`, covering columns from
-    /// `64·t·tile_words` (bit `c % 64` of word `c / 64` ↔ column `c`;
-    /// bits beyond `cols` are 0).
+    /// The key bytes of k-tile `t` for plane `i` of the 32-row block `b`,
+    /// from the tile's first column `8·t·tile_keys` on: element `j` holds
+    /// key byte `j` of row `32·b + r` at `[r]`.
     #[inline]
-    pub(crate) fn tile(&self, t: usize, r0: usize, rows: usize) -> (&[u64], usize) {
-        let w0 = t * self.tile_words;
-        let tw = self.tile_words.min(self.words_per_row - w0);
-        let base = (w0 * self.rows + r0 * tw) * self.bits;
-        (&self.planes[base..base + rows * self.bits * tw], tw)
+    pub(crate) fn block_keys(&self, t: usize, b: usize, i: usize) -> (&[[u8; BLOCK_ROWS]], usize) {
+        let k0 = t * self.tile_keys;
+        let tk = self.tile_keys.min(self.key_bytes - k0);
+        let blocks = self.rows.div_ceil(BLOCK_ROWS);
+        let base = k0 * blocks * self.bits + (b * self.bits + i) * tk;
+        (&self.planes[base..base + tk], tk)
     }
 
-    /// Scales of group `g` for output rows `r0..r0 + rows`, `[row][plane]`.
+    /// [`PackedBcq::block_keys`] of row `r`'s block, and the byte that
+    /// holds row `r` in each of them.
     #[inline]
-    pub(crate) fn group_scales(&self, g: usize, r0: usize, rows: usize) -> &[f64] {
-        &self.scales[(g * self.rows + r0) * self.bits..][..rows * self.bits]
+    pub(crate) fn row_keys(&self, t: usize, r: usize, i: usize) -> (&[[u8; BLOCK_ROWS]], usize) {
+        let (keys, _) = self.block_keys(t, r / BLOCK_ROWS, i);
+        (keys, r % BLOCK_ROWS)
     }
 
-    /// Offsets of group `g` for output rows `r0..r0 + rows` (empty when
-    /// the format has no offset).
+    /// Scales of plane `i` of group `g`, one per output row, then 0 up to
+    /// a whole block.
     #[inline]
-    pub(crate) fn group_offsets(&self, g: usize, r0: usize, rows: usize) -> &[f64] {
+    pub(crate) fn group_scales(&self, g: usize, i: usize) -> &[f64] {
+        let padded = self.rows.next_multiple_of(BLOCK_ROWS);
+        &self.scales[(g * self.bits + i) * padded..][..padded]
+    }
+
+    /// Offsets of group `g`, padded like [`PackedBcq::group_scales`]
+    /// (empty when the format has no offset).
+    #[inline]
+    pub(crate) fn group_offsets(&self, g: usize) -> &[f64] {
+        let padded = self.rows.next_multiple_of(BLOCK_ROWS);
         if self.has_offset() {
-            &self.offsets[g * self.rows + r0..][..rows]
+            &self.offsets[g * padded..][..padded]
         } else {
             &[]
         }
@@ -190,17 +212,17 @@ impl PackedBcq {
     /// Sign of plane `i` at `(r, c)` as a bool (`true` = `+1`).
     #[inline]
     pub fn get(&self, i: usize, r: usize, c: usize) -> bool {
-        let t = c / 64 / self.tile_words;
-        let (slab, tw) = self.tile(t, r, 1);
-        let w = slab[i * tw + (c / 64 - t * self.tile_words)];
-        (w >> (c % 64)) & 1 == 1
+        let t = c / 8 / self.tile_keys;
+        let (keys, at) = self.row_keys(t, r, i);
+        keys[c / 8 - t * self.tile_keys][at] >> (c % 8) & 1 == 1
     }
 
     /// Dequantized value of one element.
     pub fn value(&self, r: usize, c: usize) -> f64 {
         let g = c / self.group_size;
-        let mut v = self.group_offsets(g, r, 1).first().copied().unwrap_or(0.0);
-        for (i, &a) in self.group_scales(g, r, 1).iter().enumerate() {
+        let mut v = self.group_offsets(g).get(r).copied().unwrap_or(0.0);
+        for i in 0..self.bits {
+            let a = self.group_scales(g, i)[r];
             v += if self.get(i, r, c) { a } else { -a };
         }
         v
@@ -211,14 +233,6 @@ impl PackedBcq {
         Mat::from_fn(self.rows, self.cols, |r, c| self.value(r, c))
     }
 
-    /// Build a reusable [`crate::plan::ExecPlan`] for these weights under
-    /// `cfg` (shorthand for [`crate::plan::ExecPlan::new`]). Hold the plan
-    /// wherever the same weights execute more than once — it caches the
-    /// window decomposition and recycles every kernel scratch buffer.
-    pub fn plan(&self, cfg: &figlut_gemm::EngineConfig) -> crate::plan::ExecPlan {
-        crate::plan::ExecPlan::new(self, cfg)
-    }
-
     /// Convert back to the construction-oriented container (for running the
     /// bit-accurate `figlut-gemm` engines on the same weights).
     pub fn unpack(&self) -> BcqWeight {
@@ -227,19 +241,22 @@ impl PackedBcq {
         let planes: Vec<BitMatrix> = (0..q)
             .map(|i| {
                 BitMatrix::from_row_fn(self.rows, self.cols, |r, words| {
-                    for (t, tile) in words.chunks_mut(self.tile_words).enumerate() {
-                        let (slab, tw) = self.tile(t, r, 1);
-                        tile.copy_from_slice(&slab[i * tw..][..tw]);
+                    for t in 0..self.tiles() {
+                        let (keys, at) = self.row_keys(t, r, i);
+                        for (j, key) in keys.iter().enumerate() {
+                            let kb = t * self.tile_keys + j;
+                            words[kb / 8] |= u64::from(key[at]) << (8 * (kb % 8));
+                        }
                     }
                 })
             })
             .collect();
         let alpha: Vec<Mat<f64>> = (0..q)
-            .map(|i| Mat::from_fn(self.rows, groups, |r, g| self.group_scales(g, r, 1)[i]))
+            .map(|i| Mat::from_fn(self.rows, groups, |r, g| self.group_scales(g, i)[r]))
             .collect();
         let offset = self
             .has_offset()
-            .then(|| Mat::from_fn(self.rows, groups, |r, g| self.group_offsets(g, r, 1)[0]));
+            .then(|| Mat::from_fn(self.rows, groups, |r, g| self.group_offsets(g)[r]));
         BcqWeight::from_parts(planes, alpha, offset, self.group_size)
     }
 }
@@ -334,7 +351,8 @@ mod tests {
             };
             let b = BcqWeight::quantize(&weights(rows, cols), params);
             let p = PackedBcq::pack(&b);
-            assert_eq!(p.lane_tiled(), tiled, "{rows}x{cols} gs {gs}");
+            let got = lane_tiled(p.group_size(), p.groups());
+            assert_eq!(got, tiled, "{rows}x{cols} gs {gs}");
             let words = cols.div_ceil(64);
             let tiles = if tiled { words.div_ceil(TILE_WORDS) } else { 1 };
             assert_eq!(p.tiles(), tiles, "{rows}x{cols} gs {gs}");

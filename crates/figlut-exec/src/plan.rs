@@ -2,39 +2,29 @@
 //!
 //! The kernels' preamble is not free: the window decomposition, the
 //! effective-µ decision, the quantize/align/Σx staging buffers, the
-//! lane-blocked FFLUTs, and every worker's open-group buffer. The
-//! original backend recomputed the windows and reallocated every buffer on
-//! *every* call — once per token per layer under `figlut-serve` decode
-//! traffic. An `ExecPlan` hoists all of it:
+//! FFLUTs, and every worker's open-group buffer. An `ExecPlan` hoists all
+//! of it, so a decode step recomputes and reallocates nothing:
 //!
 //! * the window plan and effective µ are computed once at construction;
 //! * every staging buffer lives in pooled scratch, checked out once per
 //!   *stage* — one quantize/align/table build of an activation matrix —
-//!   and returned when its last reader has swept, so a steady-state call
-//!   performs **zero heap allocations** in the exec hot path (asserted by
-//!   `tests/alloc.rs` with a counting global allocator);
+//!   so a steady-state call performs **zero heap allocations** in the exec
+//!   hot path (asserted by `tests/alloc.rs` with a counting allocator);
 //! * a stage is built once per distinct input, not per weight matrix:
 //!   [`ExecPlan::exec_i_shared`] runs any number of readers over one table
 //!   set (the paper's one FFLUT feeding k RACs), and
-//!   [`ExecPlan::exec_i_into`] is its one-reader case; on a
-//!   [`Crew`] of several threads, each builds its own copy of the tables
-//!   from the one stage ([`crate::parallel`]);
-//! * every sweeping thread checks its open-group buffers out of a second
-//!   pool, so crews reuse them across steps too.
+//!   [`ExecPlan::exec_i_into`] is its one-reader case; on a [`Crew`] of
+//!   several threads, each builds its own copy of the tables from the one
+//!   stage ([`crate::parallel`]).
 //!
 //! The pools are `Mutex`-guarded free lists: concurrent calls on one plan
-//! are correct (each checks out its own scratch) and steady-state serial
-//! calls are allocation-free. `Clone` clones the plan's *decisions* (shape,
-//! windows, µ) but starts with empty pools — scratch is never shared
-//! between clones — which is what lets `figlut-model` keep a plan inside
-//! its `Clone`-able `LinearWeights::Packed` variant.
-//!
-//! The free function [`crate::exec_i`] builds a throwaway plan per call,
-//! which preserves its historical semantics; anything that executes the
-//! same weights twice should hold a plan.
+//! are correct (each checks out its own scratch). `Clone` clones the
+//! plan's *decisions* (shape, windows, µ) but starts with empty pools,
+//! which is what lets `figlut-model` keep a plan inside its `Clone`-able
+//! `LinearWeights::Packed` variant.
 
-use crate::kernel::{check, effective_mu, sweep_panel, Columns};
-use crate::lut::{column_blocks, windows, FlatLuts, Window};
+use crate::kernel::{check, effective_mu, split, sweep_panel, Columns, LANE_ROWS};
+use crate::lut::{column_blocks, windows, FlatLuts, NibbleLuts, Window};
 use crate::packed::PackedBcq;
 use crate::parallel::{crew_size, thread_count, Crew};
 use figlut_gemm::common::mul32;
@@ -66,6 +56,8 @@ pub(crate) struct Stage {
     batch: usize,
     /// Which tables are built, and into which accumulators they sweep.
     tier: Tier,
+    /// Byte planes of a shuffle-table entry, at [`Tier::I32I32`].
+    key_planes: Option<usize>,
 }
 
 /// Table entry and accumulator types of a stage. Every integer tier is
@@ -128,6 +120,10 @@ impl Stage {
         } else {
             Tier::I64I64
         };
+        self.key_planes = match self.tier {
+            Tier::I32I32 => NibbleLuts::planes_for(maxm),
+            _ => None,
+        };
         if !matches!(self.tier, Tier::I64I64) {
             self.m32.clear();
             self.m32.extend(self.mant.iter().map(|&v| v as i32));
@@ -158,20 +154,33 @@ impl Stage {
 /// function of the stage, so every thread's tables hold the same bits.
 #[derive(Debug, Default)]
 pub(crate) struct Tables {
-    /// Narrowed integer tables (i32 entries).
+    /// Narrowed integer tables (i32 entries) of the lane blocks.
     luts32: FlatLuts<i32>,
-    /// Wide integer tables.
+    /// Wide integer tables of the lane blocks.
     luts64: FlatLuts<i64>,
+    /// Byte-plane nibble tables of the shuffle columns.
+    nib: NibbleLuts,
 }
 
 impl Tables {
-    /// Build `stage`'s tables under `plan`'s window plan.
+    /// Build `stage`'s tables under `plan`'s window plan: lane-blocked and
+    /// nibble tables for the columns each pass sweeps ([`split`]).
     pub(crate) fn build(&mut self, stage: &Stage, plan: &ExecPlan) {
         let (n, wins, mu, batch) = (plan.cols, &plan.wins, plan.mu as u32, stage.batch);
+        let (from, min) = plan.split(stage);
         match stage.tier {
-            Tier::I32I32 | Tier::I32I64 => self.luts32.rebuild(&stage.m32, n, wins, mu, batch),
-            Tier::I64I64 => self.luts64.rebuild(&stage.mant, n, wins, mu, batch),
+            Tier::I32I32 | Tier::I32I64 => {
+                let m32 = &stage.m32[..from * n];
+                self.luts32.rebuild_lanes(m32, n, wins, mu, from, min);
+            }
+            Tier::I64I64 => {
+                let mant = &stage.mant[..from * n];
+                self.luts64.rebuild_lanes(mant, n, wins, mu, from, min);
+            }
         }
+        let shuffled = if from < batch { from..batch } else { 0..0 };
+        let planes = stage.key_planes.unwrap_or(1);
+        self.nib.rebuild(&stage.m32, n, shuffled, planes);
     }
 
     /// Sweep output rows `r0..` of reader `(plan, w)` over these tables of
@@ -183,11 +192,12 @@ impl Tables {
             gsums: &stage.gsums,
         };
         let wins = &plan.wins;
-        let mut ws = pop(&plan.workers);
+        let (mut ws, nib) = (pop(&plan.workers), &self.nib);
+        let (o32, o64) = (&mut ws.open_i32, &mut ws.open_i64);
         match stage.tier {
-            Tier::I32I32 => sweep_panel(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i32),
-            Tier::I32I64 => sweep_panel(w, wins, &self.luts32, &cx, r0, panel, &mut ws.open_i64),
-            Tier::I64I64 => sweep_panel(w, wins, &self.luts64, &cx, r0, panel, &mut ws.open_i64),
+            Tier::I32I32 => sweep_panel(w, wins, &self.luts32, nib, &cx, r0, panel, o32),
+            Tier::I32I64 => sweep_panel(w, wins, &self.luts32, nib, &cx, r0, panel, o64),
+            Tier::I64I64 => sweep_panel(w, wins, &self.luts64, nib, &cx, r0, panel, o64),
         }
         push(&plan.workers, ws);
     }
@@ -214,10 +224,11 @@ struct WorkerScratch {
 }
 
 /// Part `p` of `parts` contiguous parts of `rows` concatenated output
-/// rows: an even row count each (the lane pass walks row pairs), so the
-/// last parts may be short or empty.
+/// rows: whole lane-pass row groups each, so the last parts may be short
+/// or empty. A part that starts or ends inside a 32-row block sweeps that
+/// block's shuffle-pass group too and stores only its own rows.
 pub(crate) fn part_rows(rows: usize, parts: usize, p: usize) -> Range<usize> {
-    let chunk = rows.div_ceil(parts).next_multiple_of(2);
+    let chunk = rows.div_ceil(parts).next_multiple_of(LANE_ROWS);
     (p * chunk).min(rows)..((p + 1) * chunk).min(rows)
 }
 
@@ -359,6 +370,12 @@ impl ExecPlan {
             && effective_mu(self.group_size, cfg.mu) == self.mu
     }
 
+    /// `(from, min_lanes)` of a call staged as `stage` ([`split`]).
+    fn split(&self, stage: &Stage) -> (usize, usize) {
+        let shuffle = stage.key_planes.is_some();
+        split(self.group_size.is_multiple_of(8), shuffle, stage.batch)
+    }
+
     /// Output rows of the weights this plan was built for.
     pub(crate) fn rows(&self) -> usize {
         self.rows
@@ -374,7 +391,7 @@ impl ExecPlan {
     /// (asserted by `tests/trace_reconcile.rs`), which is what makes the
     /// traced number trustworthy as a bandwidth proxy.
     pub fn streamed_words(&self, batch: usize) -> u64 {
-        (column_blocks(batch).count() * self.rows * self.bits * self.cols.div_ceil(64)) as u64
+        (column_blocks(batch, 1).count() * self.rows * self.bits * self.cols.div_ceil(64)) as u64
     }
 
     /// Table look-ups one call at this batch size computes: one per output
@@ -445,15 +462,12 @@ impl ExecPlan {
 
     /// One GEMM phase of a step on `crew`: stage `x` **once** — quantize,
     /// align, pre-fold the offset terms, pick the narrowing tier — then
-    /// sweep every reader's `(plan, weights, batch × m output)` over the
-    /// lane-blocked tables of that stage, the readers' output rows
-    /// concatenated and cut into one part per crew thread, each thread
-    /// building its own copy of the tables. The stage and the tables depend
-    /// only on `x`, `cfg` and the shared window plan, and each output
-    /// element is swept by one thread in a fixed order, so every output is
-    /// bit-identical to the reader's own one-thread
-    /// [`ExecPlan::exec_i_into`] call. The first reader's plan lends the
-    /// caller's scratch (allocation-free when warm, on a crew of one).
+    /// sweep every reader's `(plan, weights, batch × m output)` over that
+    /// stage's tables, the readers' output rows concatenated and cut into
+    /// one part per crew thread, each thread building its own copy of the
+    /// tables. Each output element is swept by one thread in a fixed order,
+    /// so every output is bit-identical to the reader's own one-thread
+    /// [`ExecPlan::exec_i_into`] call.
     ///
     /// # Panics
     ///

@@ -66,11 +66,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_exec_plan_calls_are_allocation_free() {
-    // One offset-carrying lane-pass shape (the serving operating point) at
-    // lane widths 1, 4 and 8 and across a column-block boundary — batch 1
-    // (1 lane), 3 (4 lanes, one padded), 8 (8 lanes), 9 (8 + 1) — a
-    // per-row-scale shape whose group stays open between k-tiles (the
-    // pooled open-group buffer), plus a ragged generic-walk shape. Single worker thread: spawning a thread
+    // One offset-carrying µ-8 shape (the serving operating point) on the
+    // shuffle pass — batch 1 and 2 — and on the lane pass — batch 3 (4
+    // lanes, one padded), 8 (8 lanes) — and across a column-block boundary
+    // (9 = 8 lanes + 1 shuffle column); a per-row-scale shape whose group
+    // stays open between k-tiles (the pooled open-group buffer); gs 32
+    // (one tile per row) at batch 1 and 8; plus a
+    // ragged generic-walk shape. Single worker thread: spawning a thread
     // allocates by definition, and the zero-alloc contract is about the
     // exec hot path, which is identical on every worker.
     //
@@ -79,14 +81,17 @@ fn warm_exec_plan_calls_are_allocation_free() {
     // work to be worth a second thread, so the plan must keep it on the
     // calling thread — no spawn, hence still zero allocations.
     let many = thread_count().max(2);
-    let cases: [(usize, usize, usize, u32, usize, usize); 8] = [
-        (96, 128, 64, 3, 1, 1), // m, n, gs (64 | gs → lane pass), q, batch, threads
+    let cases: [(usize, usize, usize, u32, usize, usize); 11] = [
+        (96, 128, 64, 3, 1, 1), // m, n, gs (8 | gs → shuffle / lane pass), q, batch, threads
+        (96, 128, 64, 3, 2, 1),
         (96, 128, 64, 3, 3, 1),
         (96, 128, 64, 3, 8, 1),
         (96, 128, 64, 3, 9, 1),
         (96, 520, 520, 3, 8, 1), // one group open across three k-tiles
-        (96, 520, 520, 3, 9, 1), // … its buffer resized between the 8- and 1-lane blocks
-        (11, 45, 15, 2, 3, 1),   // gs 15 → generic descriptor walk
+        (96, 520, 520, 3, 9, 1), // … its buffer resized between the lane and shuffle blocks
+        (96, 256, 32, 3, 1, 1),  // gs 32: one tile per row
+        (96, 256, 32, 3, 8, 1),
+        (11, 45, 15, 2, 3, 1), // gs 15 → generic descriptor walk
         (48, 48, 48, 3, 6, many),
     ];
     for (m, n, gs, bits, batch, threads) in cases {

@@ -161,15 +161,16 @@ proptest! {
     #[test]
     fn fanned_out_calls_never_change_bits(
         m in 512usize..=1040,  // 4 to 8 panels' worth of look-ups at batch 64
-        layout in 0usize..4,
+        layout in 0usize..5,
         phase in 0.0f64..6.0,
     ) {
         // Shapes big enough that the plan really runs several row panels:
         // ~512 columns as Q4 at batch 64 (eight 8-lane column blocks), on
         // the lane pass (gs 64 / 128 → 64 windows of µ 8; one 512-column
-        // group, which every panel carries open across two k-tiles) and on
-        // the generic descriptor walk (gs 73, µ 4 → 133 ragged windows).
-        let (groups, gs) = [(8usize, 64usize), (4, 128), (1, 512), (7, 73)][layout];
+        // group, which every panel carries open across two k-tiles; gs 32,
+        // one tile per row) and on the generic descriptor walk (gs 73,
+        // µ 4 → 133 ragged windows).
+        let (groups, gs) = [(8usize, 64usize), (4, 128), (1, 512), (7, 73), (16, 32)][layout];
         let (n, batch) = (groups * gs, 64usize);
         let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173 + phase).sin() * 0.3);
         let x = Mat::from_fn(batch, n, |b, c| ((b * n + c) as f64 * 0.059 + phase).cos() * 3.0);
@@ -201,8 +202,10 @@ fn lane_weights(m: usize, k: usize, gs: usize) -> BcqWeight {
 
 #[test]
 fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
-    // Every shape here takes the lane pass (µ 8, word-aligned groups),
-    // and between them they put a scale group everywhere it can lie
+    // Every shape here is swept a key byte at a time (µ 8, word-aligned
+    // groups): by the lane pass in blocks of 3–8 columns, by the shuffle
+    // pass in a block of one or two. Between them they put a scale group
+    // everywhere it can lie
     // against the 256-column k-tiles: four and two groups per tile (gs 64,
     // 128; the last tile ragged), one (gs 256), a group open across two
     // and three tiles (gs 512, 768), groups narrower than a tile that
@@ -210,9 +213,9 @@ fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
     // three over 2.25), and per-row scales whose single group
     // is a ragged word (K 48), a word plus a ragged one (72), three words
     // (192) and two / four full tiles plus one ragged byte window (520,
-    // 1032). Batches 1..=17 cross every lane width (1, 2, 4, 8) and
-    // column-block boundary (8 | 9, 16 | 17); odd and even row counts run
-    // a lone last row and whole pairs.
+    // 1032). Batches 1..=17 cross every block width (1, 2 shuffled; 4, 8
+    // lanes) and column-block boundary (8 | 9, 16 | 17); 5, 6 and 37 rows
+    // end inside a 4-row group and a 32-row block.
     let c = cfg(4);
     for (k, gs) in [
         (320usize, 64usize),
@@ -228,7 +231,7 @@ fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
         (520, 0),
         (1032, 0),
     ] {
-        for m in [5usize, 6] {
+        for m in [5usize, 6, 37] {
             let b = lane_weights(m, k, gs);
             let packed = PackedBcq::pack(&b);
             let plan = ExecPlan::new(&packed, &c);
@@ -249,7 +252,7 @@ fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
                     }
                 }
             }
-            // Batch 1 alone (the 1-lane block) is the same bits again.
+            // Batch 1 alone (the shuffle pass) is the same bits again.
             for bb in 0..17 {
                 let row = Mat::from_fn(1, k, |_, cc| x[(bb, cc)]);
                 let solo = plan.exec_i_threads(&row, &packed, &c, 1);
@@ -432,4 +435,87 @@ fn shared_call_rejects_a_reader_with_another_effective_mu() {
     // gs 15 has no even divisor, so the configured µ is the executed one:
     // planned under µ 3, a reader cannot use tables staged for µ 4.
     shared_call_over((45, 15), (45, 15, 3));
+}
+
+#[test]
+fn short_groups_are_exact_on_both_passes() {
+    // Group sizes that are multiples of 8 but end inside a word (gs 32, 40,
+    // 96: one tile per row, groups shorter than the lane pass's runs) at
+    // the FP16 tier — batches 1 and 2 on the shuffle pass, 3 (padded to 4
+    // lanes) and 8 on the lane pass, 9 on both — and at FP32's, whose
+    // tables the shuffle pass's byte planes cannot prove (lane pass at
+    // every batch); 5, 37 and 64 rows (a ragged and whole 32-row blocks);
+    // each row against the model and against its batch-1 run.
+    use figlut_num::fp::FpFormat;
+    for (k, gs) in [(256usize, 32usize), (320, 40), (288, 96), (96, 32)] {
+        for (act, guard_bits) in [(FpFormat::Fp16, 4), (FpFormat::Fp32, 2)] {
+            let c = EngineConfig {
+                act,
+                guard_bits,
+                ..cfg(4)
+            };
+            for m in [5usize, 37, 64] {
+                let b = lane_weights(m, k, gs);
+                let packed = PackedBcq::pack(&b);
+                let plan = ExecPlan::new(&packed, &c);
+                let x = Mat::from_fn(9, k, |bb, cc| ((bb * k + cc) as f64 * 0.071).sin() * 3.0);
+                let model = gemm_i(&x, &b, &c);
+                for batch in [1usize, 2, 3, 8, 9] {
+                    let xb = Mat::from_fn(batch, k, |bb, cc| x[(bb, cc)]);
+                    for threads in [1usize, 3] {
+                        let y = plan.exec_i_threads(&xb, &packed, &c, threads);
+                        for bb in 0..batch {
+                            let what = format!("K={k} gs={gs} {act:?} m={m} B={batch} t={threads}");
+                            assert_eq!(y.row(bb), model.row(bb), "{what} row {bb}");
+                            let row = Mat::from_fn(1, k, |_, cc| x[(bb, cc)]);
+                            let solo = plan.exec_i_threads(&row, &packed, &c, 1);
+                            assert_eq!(y.row(bb), solo.row(0), "{what} solo {bb}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn crew_parts_that_split_a_block_keep_the_bits() {
+    // A three-reader shared call of 45, 70 and 13 rows (128 concatenated)
+    // on crews of 2 and 3 threads, forced open whatever the look-up
+    // count: parts are whole four-row lane groups of the concatenated rows
+    // (44 on a crew of 3), so parts and reader boundaries start and end
+    // mid-block. Batch 1 and 2 (shuffle pass) and 3 (lane pass) against
+    // one-thread single calls.
+    use figlut_exec::parallel::Crew;
+    let c = cfg(4);
+    let weights = reader_weights(&[45, 70, 13], 256, 64);
+    let plans: Vec<ExecPlan> = weights.iter().map(|(_, p)| ExecPlan::new(p, &c)).collect();
+    for batch in [1usize, 2, 3] {
+        let x = Mat::from_fn(batch, 256, |bb, cc| {
+            ((bb * 256 + cc) as f64 * 0.049).cos() * 2.0
+        });
+        for size in [2usize, 3] {
+            let mut outs: Vec<Mat<f64>> = weights
+                .iter()
+                .map(|(_, p)| Mat::from_fn(batch, p.rows(), |_, _| f64::NAN))
+                .collect();
+            let mut readers: Vec<_> = plans
+                .iter()
+                .zip(&weights)
+                .zip(&mut outs)
+                .map(|((plan, (_, p)), out)| (plan, p, out))
+                .collect();
+            Crew::run(size, |crew| {
+                ExecPlan::exec_i_crew(crew, &x, &c, &mut readers)
+            });
+            for (i, ((plan, (_, p)), out)) in plans.iter().zip(&weights).zip(&outs).enumerate() {
+                let solo = plan.exec_i_threads(&x, p, &c, 1);
+                assert_eq!(
+                    out.as_slice(),
+                    solo.as_slice(),
+                    "B={batch} crew {size} reader {i}"
+                );
+            }
+        }
+    }
 }

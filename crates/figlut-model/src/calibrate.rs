@@ -186,11 +186,11 @@ pub fn to_bcq(model: &Transformer) -> Transformer {
 /// throwaway plan (same bits) if invoked with a config whose effective µ
 /// differs.
 pub fn to_packed_with(model: &Transformer, cfg: &figlut_gemm::EngineConfig) -> Transformer {
-    use figlut_exec::PackedBcq;
+    use figlut_exec::{ExecPlan, PackedBcq};
     let mut out = model.clone();
     let pack = |b: &BcqWeight| {
         let p = PackedBcq::pack(b);
-        let plan = p.plan(cfg);
+        let plan = ExecPlan::new(&p, cfg);
         LinearWeights::Packed(p, plan)
     };
     out.map_linears(|_, lin| match &lin.weights {
