@@ -128,7 +128,7 @@ fn bench_exec_batch_scaling(c: &mut Criterion) {
 fn bench_serving_shapes(c: &mut Criterion) {
     // `serve-wide`'s three linear shapes (d 512, ffn 2048; Q4, one scale
     // group per row, so every row's group stays open across its k-tiles)
-    // and one shape on the generic descriptor walk (gs 32 splits a word),
+    // and one shape whose groups split a word (gs 32: one k-tile per row),
     // at a decode row, a pair, and a full 8-lane block — warm plan calls
     // into a caller-owned output, one worker thread.
     let cfg = EngineConfig::paper_default();

@@ -14,8 +14,9 @@
 //!   being the part of one scale group inside a tile, so a run's tables
 //!   stay in cache while the panel's keys, scales and offsets stream past.
 //!
-//! Every group size divisible by 8 is swept a key byte (µ = 8 window) at a
-//! time by one of two passes over the same layout and the same walk
+//! Every scale group starts on a key byte ([`crate::packed`]), so every
+//! shape is swept a key byte (a window of at most 8 columns of one group)
+//! at a time by one of two passes over the same layout and the same walk
 //! (`walk`):
 //!
 //! * the **shuffle pass** (the `shuffle` module, the register FFLUT) takes a
@@ -28,11 +29,12 @@
 //!   `L ∈ {4, 8}` lanes, whose contiguous `[E; L]` it adds to
 //!   register-resident accumulators.
 //!
-//! Every other shape (µ ∤ 8, ragged group tails) takes the generic
-//! descriptor walk (`generic_sweep`), row by row. The fold is fused into
-//! the walk: a run that completes a scale group folds its partial straight
-//! into the row's running output, and only a group that crosses a tile
-//! boundary carries its integer sums to its next run (`open`). Groups
+//! A window narrower than 8 columns (a ragged group's last byte) has zero
+//! pad bits, so its key only reaches the entries of its real columns. The
+//! fold is fused into the walk: a run that completes a scale group folds
+//! its partial straight into the row's running output, and only a group
+//! that crosses a tile boundary carries its integer sums to its next run
+//! (`open`). Groups
 //! complete in ascending order and planes in ascending order within a
 //! group, so each (row, column) sees exactly the datapath model's fold
 //! sequence.
@@ -51,7 +53,7 @@
 //!
 //! [`AlignedVector`]: figlut_num::align::AlignedVector
 
-use crate::lut::{lane_width, FlatLuts, LaneBlock, NibbleLuts, Window, MAX_LANES};
+use crate::lut::{FlatLuts, LaneBlock, NibbleLuts, MAX_LANES};
 use crate::packed::PackedBcq;
 use crate::parallel::thread_count;
 use crate::plan::ExecPlan;
@@ -180,10 +182,9 @@ fn per_lane<const L: usize>((col0, cols): (usize, usize), f: impl Fn(usize) -> f
 }
 
 /// The LUT-stationary walk of one column block (batch columns
-/// `col0..col0 + cols`, `L` lanes) over a worker's rows `r0..` of a µ-8
-/// shape: per k-tile, per run (the key bytes `run` of one scale group
-/// inside the tile), per aligned `G`-row group, per plane, one
-/// `pass(keys, at, run)` — `keys` the run's key bytes of the group's
+/// `col0..col0 + cols`, `L` lanes) over a worker's rows `r0..`: per
+/// k-tile, per run (the key bytes `run` of one scale group inside the
+/// tile), per aligned `G`-row group, per plane, one `pass(keys, at, run)` — `keys` the run's key bytes of the group's
 /// 32-row block, `at` the group's first row in them — returning the run's
 /// integer sums `[row % G][lane]`. A run that ends its group folds the
 /// partial into the row's running output `panel[row·batch + column]` and,
@@ -202,7 +203,7 @@ fn walk<E: Copy, A: Accum<E>, const G: usize, const L: usize>(
 ) {
     let (q, groups, (col0, cols), batch) = (w.bits(), w.groups(), blk, cx.lambdas.len());
     let rows = panel.len() / batch;
-    let kpg = w.group_size() / 8; // key bytes per group
+    let kpg = w.group_size().div_ceil(8); // key bytes per group
     let (nkb, tk) = (w.key_bytes, w.tile_keys);
     // A group stays open across a tile boundary unless groups tile the
     // tile exactly (gs 64, 128, 256); gs 192, or any group wider than a
@@ -232,7 +233,7 @@ fn walk<E: Copy, A: Accum<E>, const G: usize, const L: usize>(
                     }
                 }
                 for i in 0..q {
-                    let (tile, _) = w.block_keys(t, b * G / BLOCK_ROWS, i);
+                    let tile = w.block_keys(t, b * G / BLOCK_ROWS, i);
                     let mut accs = pass(&tile[lo - k0..hi - k0], b * G % BLOCK_ROWS, lo..hi);
                     if !(starts && ends) {
                         let js = live.start - b * G..live.end - b * G;
@@ -316,82 +317,13 @@ fn shuffle_sweep<A: Accum<i32>, const L: usize>(
     });
 }
 
-/// The generic walk over one column block: per-window descriptors,
-/// arbitrary widths/starts (ragged group tails, µ ∤ 8) — every shape whose
-/// group size is not a multiple of 8. Row by row, group by group, plane by
-/// plane: the key of each descriptor window is decoded from the row's key
-/// bytes (one tile per row at these shapes) once, its lane vector read for every column of the block, and the
-/// finished group partial folded at once.
-fn generic_sweep<E: Copy, A: Accum<E>>(
-    w: &PackedBcq,
-    wins: &[Window],
-    blk: &LaneBlock<'_, E>,
-    shift: u32,
-    cx: &Columns<'_>,
-    r0: usize,
-    panel: &mut [f64],
-) {
-    let batch = cx.lambdas.len();
-    let groups = w.groups();
-    let wpg = wins.len() / groups; // windows per group
-    debug_assert_eq!(w.tiles(), 1, "a generic shape is one tile per row");
-    for (ri, out) in panel.chunks_mut(batch).enumerate() {
-        let r = r0 + ri;
-        let out = &mut out[blk.col0..blk.col0 + blk.cols];
-        for (g, group_wins) in wins.chunks(wpg).enumerate() {
-            for i in 0..w.bits() {
-                let alpha = w.group_scales(g, i)[r];
-                let (keys, at) = w.row_keys(0, r, i);
-                let byte = |kb: usize| keys.get(kb).map_or(0, |k| usize::from(k[at]));
-                let mut acc = [A::default(); MAX_LANES];
-                for (wo, win) in group_wins.iter().enumerate() {
-                    let (c, width) = (win.start as usize, win.width as usize);
-                    let key = (byte(c / 8) | byte(c / 8 + 1) << 8) >> (c % 8) & ((1 << width) - 1);
-                    let base = ((g * wpg + wo) << shift | key) * blk.lanes;
-                    for (a, &e) in acc.iter_mut().zip(&blk.entries[base..base + blk.lanes]) {
-                        *a += A::from(e);
-                    }
-                }
-                for ((o, &p), col) in out.iter_mut().zip(&acc).zip(blk.col0..) {
-                    let real = mul32(p.to_f64(), cx.lambdas[col]);
-                    *o = add_f32(*o as f32, mul32(alpha, real)) as f64;
-                }
-            }
-            if let Some(&z) = w.group_offsets(g).get(r) {
-                for (o, col) in out.iter_mut().zip(blk.col0..) {
-                    *o = add_f32(*o as f32, mul32(z, cx.gsums[col * groups + g])) as f64;
-                }
-            }
-        }
-    }
-}
-
-/// How a call's `batch` columns divide between the passes: columns
-/// `from..batch` take the shuffle pass, the ones before ride lane blocks
-/// at least `min_lanes` wide; returns `(from, min_lanes)`. Both passes
-/// need `bytes` (a group size divisible by 8; any other takes the generic
-/// walk). The shuffle pass, given `shuffle` (the stage's proof that its
-/// entries fit their byte planes), takes a last block of one or two
-/// columns; the lane pass takes blocks of three or more, and pads a block
-/// of one or two to four lanes.
-pub(crate) fn split(bytes: bool, shuffle: bool, batch: usize) -> (usize, usize) {
-    match (bytes, shuffle) {
-        (true, true) if batch % MAX_LANES <= 2 => (batch - batch % MAX_LANES, 4),
-        (true, _) => (batch, 4),
-        (false, _) => (batch, 1),
-    }
-}
-
 /// One worker's share of an `exec_i` call for one reader: sweep output
-/// rows `r0..` — lane blocks over `luts`, the generic walk over `luts` on
-/// a shape of another group size, the columns `nib` holds with the
-/// shuffle pass — folding into `panel`, the worker's zeroed `rows × batch`
-/// slice of the transposed output. `open` is caller-owned open-group
-/// scratch (reused allocation-free across calls).
-#[allow(clippy::too_many_arguments)]
+/// rows `r0..` — lane blocks over `luts`, the columns `nib` holds with
+/// the shuffle pass — folding into `panel`, the worker's zeroed
+/// `rows × batch` slice of the transposed output. `open` is caller-owned
+/// open-group scratch (reused allocation-free across calls).
 pub(crate) fn sweep_panel<E: Copy, A: Accum<E> + Accum<i32>>(
     w: &PackedBcq,
-    wins: &[Window],
     luts: &FlatLuts<E>,
     nib: &NibbleLuts,
     cx: &Columns<'_>,
@@ -406,43 +338,23 @@ pub(crate) fn sweep_panel<E: Copy, A: Accum<E> + Accum<i32>>(
     // (guarded so the disabled path costs one read).
     if figlut_trace::enabled() {
         let row_sweeps = (batch.div_ceil(MAX_LANES) * panel.len() / batch) as u64;
-        let row_words = (w.bits() * w.cols().div_ceil(64)) as u64;
+        let row_words = (w.bits() * w.key_bytes.div_ceil(8)) as u64;
         figlut_trace::counters::bump_exec_streamed_words(row_sweeps * row_words);
         figlut_trace::counters::bump_exec_ktiles(row_sweeps * w.tiles() as u64);
     }
-    let bytes = w.group_size().is_multiple_of(8);
     for blk in luts.blocks() {
-        match (bytes, blk.lanes) {
-            (true, 4) => lane_sweep::<E, A, 4>(w, &blk, cx, r0, panel, open),
-            (true, _) => lane_sweep::<E, A, MAX_LANES>(w, &blk, cx, r0, panel, open),
-            (false, _) => generic_sweep::<E, A>(w, wins, &blk, luts.mu(), cx, r0, panel),
+        match blk.lanes {
+            4 => lane_sweep::<E, A, 4>(w, &blk, cx, r0, panel, open),
+            _ => lane_sweep::<E, A, MAX_LANES>(w, &blk, cx, r0, panel, open),
         }
     }
-    let cols = nib.cols.clone();
-    for col0 in cols.clone().step_by(MAX_LANES) {
-        let blk = (col0, (cols.end - col0).min(MAX_LANES));
-        match lane_width(blk.1) {
-            1 => shuffle_sweep::<A, 1>(w, nib, blk, cx, r0, panel, open),
-            2 => shuffle_sweep::<A, 2>(w, nib, blk, cx, r0, panel, open),
-            4 => shuffle_sweep::<A, 4>(w, nib, blk, cx, r0, panel, open),
-            _ => shuffle_sweep::<A, MAX_LANES>(w, nib, blk, cx, r0, panel, open),
-        }
+    // `Tables::build` leaves the shuffle pass at most two columns.
+    let blk = (nib.cols.start, nib.cols.len());
+    match blk.1 {
+        0 => {}
+        1 => shuffle_sweep::<A, 1>(w, nib, blk, cx, r0, panel, open),
+        _ => shuffle_sweep::<A, 2>(w, nib, blk, cx, r0, panel, open),
     }
-}
-
-/// The window width the kernel actually uses. The datapath models read
-/// µ-wide windows because that is the hardware's LUT size; any window
-/// decomposition of a group yields bit-identical `exec_i` results
-/// (integer addition is associative), so the software backend widens them
-/// to 8 — the key bytes — where the group size allows, else to 4 or 2,
-/// else keeps the configured µ (generic descriptor walk).
-pub(crate) fn effective_mu(gs: usize, cfg_mu: u32) -> usize {
-    for e in [8usize, 4, 2] {
-        if gs.is_multiple_of(e) {
-            return e;
-        }
-    }
-    cfg_mu as usize
 }
 
 /// Validate a call's shapes and config; returns `(batch, m, n)`.
@@ -511,15 +423,12 @@ mod tests {
 
     #[test]
     fn exec_i_bit_identical_all_mu() {
-        // Per-row scales (gs = 40, even): `effective_mu` widens every
-        // configured µ to 8, so all eight iterations take the fast path.
+        // Whatever µ the config names, the kernel sweeps key-byte windows,
+        // bit-identical to the model's µ-wide ones: per-row scales over 40
+        // columns (five key bytes), and gs = 15 (two key bytes per group,
+        // the second seven columns wide). Batch 3 runs the lane pass.
         let (x, b) = setup(4, 40, 3);
         let p = PackedBcq::pack(&b);
-        // gs = 15 (no even divisor): `effective_mu` keeps the configured
-        // µ, so µ ∈ {3, 5, 6, 7} (64 % µ ≠ 0) and µ ∈ {2, 4, 8}
-        // (15 % µ ≠ 0, ragged tails) all walk the generic descriptor
-        // path; only µ = 1 stays fast. Batch 3 exercises the batched
-        // variants of both walks.
         let w9 = Mat::from_fn(5, 45, |r, c| ((r * 45 + c) as f64 * 0.201).sin() * 0.5);
         let b9 = BcqWeight::quantize(&w9, BcqParams::grouped(3, 15));
         let x9 = Mat::from_fn(3, 45, |bb, c| ((bb * 45 + c) as f64 * 0.063).cos());
@@ -532,12 +441,12 @@ mod tests {
             assert_eq!(
                 exec_i(&x, &p, &cfg).as_slice(),
                 gemm_i(&x, &b, &cfg).as_slice(),
-                "fast µ={mu}"
+                "per-row µ={mu}"
             );
             assert_eq!(
                 exec_i(&x9, &p9, &cfg).as_slice(),
                 gemm_i(&x9, &b9, &cfg).as_slice(),
-                "generic µ={mu}"
+                "gs 15 µ={mu}"
             );
         }
     }
@@ -582,11 +491,8 @@ mod tests {
 
     #[test]
     fn grouped_scales_and_ragged_tail() {
-        // gs = 10 with µ = 4: `effective_mu` narrows to 2 (the largest
-        // even divisor), so this runs the fast path at MU = 2 with five
-        // windows per group and tile boundaries landing mid-group;
-        // n = 70 spans words. (The truly ragged generic walk is pinned by
-        // `exec_i_bit_identical_all_mu`'s gs = 15 half.)
+        // gs = 10: each group is two key bytes, the second two columns
+        // wide, so seven groups pad n = 70 out to 14 key bytes.
         let w = Mat::from_fn(7, 70, |r, c| ((r * 70 + c) as f64 * 0.113).sin());
         let b = BcqWeight::quantize(&w, BcqParams::grouped(3, 10));
         let x = Mat::from_fn(2, 70, |bb, c| ((bb + c) as f64 * 0.091).cos());
@@ -600,7 +506,7 @@ mod tests {
 
     #[test]
     fn grouped_scales_fast_path() {
-        // gs = 12 with µ = 4 → full-width windows, several groups per tile.
+        // gs = 12: each group an 8- and a 4-column key byte, 11 groups.
         let w = Mat::from_fn(9, 132, |r, c| ((r * 132 + c) as f64 * 0.119).sin());
         let b = BcqWeight::quantize(&w, BcqParams::grouped(2, 12));
         let x = Mat::from_fn(2, 132, |bb, c| ((bb + c) as f64 * 0.087).cos());

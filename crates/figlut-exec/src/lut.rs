@@ -15,7 +15,8 @@
 //!   adds. It uses the hFFLUT semantics (DESIGN.md §3, paper Fig. 10):
 //!   only the MSB-clear half is computed with additions; the MSB-set half
 //!   is mirrored by exact negation (`lut[~k] = −lut[k]`).
-//! * `NibbleLuts`, the shuffle pass's: 16-entry µ = 4 tables split into
+//! * `NibbleLuts`, the shuffle pass's: per key byte (a window of at most 8
+//!   columns), the 16-entry tables of its two µ = 4 nibbles, split into
 //!   byte planes, one 16-byte register operand each.
 //!
 //! Integer entries are exact signed sums `Σ ±mantissa`, so any build order
@@ -102,14 +103,15 @@ pub(crate) struct LaneBlock<'a, T> {
 /// the lane-blocked layout the kernels stream.
 ///
 /// Batch columns are cut into *column blocks* of up to 8 columns, each
-/// with its own complete table set, `L ∈ {1, 2, 4, 8}` *lanes* wide
-/// (`column_blocks`; unused lanes are zero). Within block `j` — which
-/// starts at `entries[8·j·windows·2^µ]`, every earlier block being 8 lanes
-/// wide — entry `k` of window `w` for the block's column `l` lives at
-/// `((w << mu) | k)·L + l`. Windows of width `< µ` only populate their
-/// first `2^width` key slots (keys never address beyond them, because the
-/// kernel masks to the window width). `batch = 1` is one 1-lane block:
-/// the classic one-table-per-window layout.
+/// with its own complete table set, `L` *lanes* wide (`column_blocks`;
+/// unused lanes are zero): `L ∈ {1, 2, 4, 8}`, the kernel's own sets at
+/// least 4 (a one- or two-column block is padded). Within block `j` —
+/// which starts at `entries[8·j·windows·2^µ]`, every earlier block being 8
+/// lanes wide — entry `k` of window `w` for the block's column `l` lives
+/// at `((w << mu) | k)·L + l`. Windows of width `< µ` only populate their
+/// first `2^width` key slots, the rest zero (a packed key's bits past its
+/// window's width are zero). `batch = 1` is one 1-lane block: the classic
+/// one-table-per-window layout.
 #[derive(Clone, Debug)]
 pub struct FlatLuts<T> {
     mu: u32,
@@ -184,12 +186,6 @@ impl<T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>
 }
 
 impl<T: Copy> FlatLuts<T> {
-    /// Table stride shift (the configured µ).
-    #[inline]
-    pub fn mu(&self) -> u32 {
-        self.mu
-    }
-
     /// The column blocks, in column order.
     pub(crate) fn blocks(&self) -> impl Iterator<Item = LaneBlock<'_, T>> {
         let per_lane = self.wins << self.mu;
@@ -258,9 +254,10 @@ where
 }
 
 /// The shuffle pass's tables ([`crate::shuffle`]), the register FFLUT:
-/// for every batch column `c` of the set and byte window `kb` (columns
-/// `8·kb..8·kb + 8`), the 16-entry tables of its two nibble windows
-/// (µ = 4; half 0 is columns `8·kb..8·kb + 4`, the key's low nibble).
+/// for every batch column `c` of the set and key byte `kb` (window `kb`
+/// of the plan, at most 8 columns, a narrower one zero-filled to 8), the
+/// 16-entry tables of its two nibble windows (µ = 4; half 0 is the
+/// window's first four columns, the key's low nibble).
 /// Every entry `e` is stored as the `P` bytes of `e + 2^(8P−1)`, so
 /// `tables[((c·key_bytes + kb)·P + p)·2 + h]` is byte plane `p` of half
 /// `h`. An entry is a signed sum of four mantissas, within `±4·max|m|`, so
@@ -269,7 +266,7 @@ where
 pub(crate) struct NibbleLuts {
     /// Byte planes `P` per entry.
     pub(crate) planes: usize,
-    /// Key bytes (µ = 8 windows) per column.
+    /// Key bytes (windows) per column.
     key_bytes: usize,
     /// The batch columns the set holds.
     pub(crate) cols: Range<usize>,
@@ -284,31 +281,46 @@ impl NibbleLuts {
     }
 
     /// Build the tables of batch columns `cols` from `m32` (`batch × n`
-    /// aligned mantissas, `n` a multiple of 8) in `planes` byte planes,
-    /// reusing the buffer (allocation-free once it has seen the shape).
-    pub(crate) fn rebuild(&mut self, m32: &[i32], n: usize, cols: Range<usize>, planes: usize) {
+    /// aligned mantissas) over the key-byte windows `wins` in `planes` byte
+    /// planes, reusing the buffer (allocation-free once it has seen the
+    /// shape).
+    pub(crate) fn rebuild(
+        &mut self,
+        m32: &[i32],
+        n: usize,
+        wins: &[Window],
+        cols: Range<usize>,
+        planes: usize,
+    ) {
         self.planes = planes;
-        self.key_bytes = n / 8;
+        self.key_bytes = wins.len();
         self.cols = cols.clone();
         self.tables.clear();
         let bias = 1u32 << (8 * planes - 1);
-        for x in m32[cols.start * n..cols.end * n].chunks_exact(8) {
-            let halves = [&x[..4], &x[4..]].map(|x| {
-                // Key 0 is −Σx; setting bit j adds 2·x_j (the doubling of
-                // `fill_window`).
-                let mut e = [0i32; 16];
-                e[0] = -x.iter().sum::<i32>();
-                for (j, &v) in x.iter().enumerate() {
-                    let (done, rest) = e.split_at_mut(1 << j);
-                    for (d, &s) in rest[..1 << j].iter_mut().zip(&*done) {
-                        *d = s + 2 * v;
+        for row in m32[cols.start * n..cols.end * n].chunks_exact(n) {
+            for win in wins {
+                // A narrow window's missing columns read 0: its entries are
+                // the sums over its real columns.
+                let mut x = [0i32; 8];
+                let width = win.width as usize;
+                x[..width].copy_from_slice(&row[win.start as usize..][..width]);
+                let halves = [&x[..4], &x[4..]].map(|x| {
+                    // Key 0 is −Σx; setting bit j adds 2·x_j (the doubling
+                    // of `fill_window`).
+                    let mut e = [0i32; 16];
+                    e[0] = -x.iter().sum::<i32>();
+                    for (j, &v) in x.iter().enumerate() {
+                        let (done, rest) = e.split_at_mut(1 << j);
+                        for (d, &s) in rest[..1 << j].iter_mut().zip(&*done) {
+                            *d = s + 2 * v;
+                        }
                     }
-                }
-                e.map(|e| (e as u32).wrapping_add(bias))
-            });
-            for p in 0..planes {
-                for h in halves {
-                    self.tables.push(h.map(|u| (u >> (8 * p)) as u8));
+                    e.map(|e| (e as u32).wrapping_add(bias))
+                });
+                for p in 0..planes {
+                    for h in halves {
+                        self.tables.push(h.map(|u| (u >> (8 * p)) as u8));
+                    }
                 }
             }
         }

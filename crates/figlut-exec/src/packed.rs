@@ -2,21 +2,24 @@
 //!
 //! `figlut_quant::BcqWeight` is organized for *construction* (one
 //! `BitMatrix` per plane, one scale matrix per plane). The kernels read
-//! the sign bits as byte keys (µ = 8 windows), LUT-stationary, one k-tile
-//! at a time ([`crate::kernel`]), so there is one layout, tile-major and
-//! key-byte-major, which both kernel passes, the generic walk and the
-//! accessors read:
+//! the sign bits as byte keys (≤ 8-column windows), LUT-stationary, one
+//! k-tile at a time ([`crate::kernel`]), so there is one layout, tile-major
+//! and key-byte-major, which both kernel passes and the accessors read:
 //!
+//! * **Key bytes**: every scale group starts on one, so a key byte is a
+//!   window of one group: column `c` is bit `c / gs · 8⌈gs/8⌉ + c % gs` of
+//!   a row's `groups·⌈gs/8⌉` key bytes, a ragged group's last byte padded
+//!   with zero bits (bit `c` is column `c` if `gs % 8 == 0` or `groups = 1`).
 //! * **Sign planes** are cut along the reduction dimension into *k-tiles*
 //!   of `TILE_WORDS` words (32 key bytes; the last one as wide as what is
 //!   left) and along the rows into 32-row *blocks*:
 //!   `[tile][block][plane][key byte][32 rows]`. One `[u8; 32]` holds one
-//!   key byte (bit `c % 8` ↔ column `c`, bit = `+1`) of a block's 32 rows,
-//!   row `r` in byte `r` — the order the shuffle pass's widening chain
-//!   emits its sums in. The shuffle pass loads it as one register; the
-//!   lane pass reads four rows' keys at stride 32. The last block is
-//!   padded with zero keys. A shape whose groups split a word (see
-//!   `lane_tiled`) is a single tile as wide as the row.
+//!   key byte (bit = `+1`) of a block's 32 rows, row `r` in byte `r` —
+//!   the order the shuffle pass's widening chain emits its sums in. The
+//!   shuffle pass loads it as one register; the lane pass reads four rows'
+//!   keys at stride 32. The last block is padded with zero keys. A shape
+//!   whose groups split a tile's words (see `lane_tiled`) is a single tile
+//!   as wide as the row.
 //! * **Scales** are `[group][plane][row]` and **offsets** `[group][row]`,
 //!   both padded with zeros to whole blocks, so one plane's scales of a
 //!   block are one slice and a fold can run over all 32 rows.
@@ -36,10 +39,16 @@ use figlut_quant::{BcqWeight, BitMatrix};
 /// behind it at batch 8.
 pub(crate) const TILE_WORDS: usize = 4;
 
-/// `true` if the planes are cut into [`TILE_WORDS`]-word k-tiles: windows
-/// are key bytes (µ = 8) and no scale group ends inside a word.
+/// `true` if the planes are cut into [`TILE_WORDS`]-word k-tiles: no
+/// scale group ends inside a word of key bytes (`⌈gs/8⌉ % 8 == 0`), or
+/// one group spans the row.
 pub(crate) fn lane_tiled(group_size: usize, groups: usize) -> bool {
-    group_size.is_multiple_of(8) && (group_size.is_multiple_of(64) || groups == 1)
+    group_size.div_ceil(8).is_multiple_of(8) || groups == 1
+}
+
+/// Bit of column `c` in a row's key bytes (module docs).
+fn key_bit(c: usize, gs: usize) -> usize {
+    c / gs * 8 * gs.div_ceil(8) + c % gs
 }
 
 /// A BCQ weight matrix packed for the `figlut-exec` kernels.
@@ -49,7 +58,7 @@ pub struct PackedBcq {
     cols: usize,
     group_size: usize,
     bits: usize,
-    /// Key bytes per row, `⌈cols / 8⌉`.
+    /// Key bytes per row, `groups·⌈gs/8⌉`.
     pub(crate) key_bytes: usize,
     /// Key bytes per k-tile: `8·TILE_WORDS` on a lane-tiled shape, the
     /// whole row otherwise.
@@ -73,34 +82,13 @@ impl PackedBcq {
         let q = w.bits() as usize;
         let gs = w.group_size();
         let groups = w.groups();
-        let key_bytes = cols.div_ceil(8);
+        let key_bytes = groups * gs.div_ceil(8);
         let tile_keys = if lane_tiled(gs, groups) {
             8 * TILE_WORDS
         } else {
             key_bytes.max(1)
         };
         let blocks = rows.div_ceil(BLOCK_ROWS);
-        let mut planes = vec![[0u8; BLOCK_ROWS]; key_bytes * blocks * q];
-        // Block by block: a block's source rows (`32·q` of them) stay in
-        // cache while its tiles are written, each one contiguous slice.
-        for b in 0..blocks {
-            let rows = b * BLOCK_ROWS..rows.min((b + 1) * BLOCK_ROWS);
-            for k0 in (0..key_bytes).step_by(tile_keys) {
-                let tk = tile_keys.min(key_bytes - k0);
-                for (i, plane) in w.planes().iter().enumerate() {
-                    let base = k0 * blocks * q + (b * q + i) * tk;
-                    let chunk = &mut planes[base..base + tk];
-                    for (j, r) in rows.clone().enumerate() {
-                        let words = &plane.row_words(r)[k0 / 8..];
-                        for (keys, word) in chunk.chunks_mut(8).zip(words) {
-                            for (key, byte) in keys.iter_mut().zip(word.to_le_bytes()) {
-                                key[j] = byte;
-                            }
-                        }
-                    }
-                }
-            }
-        }
         let padded = blocks * BLOCK_ROWS;
         let mut scales = Vec::with_capacity(padded * groups * q);
         let mut offsets = Vec::with_capacity(if w.has_offset() { padded * groups } else { 0 });
@@ -114,17 +102,50 @@ impl PackedBcq {
                 offsets.resize(offsets.len() + padded - rows, 0.0);
             }
         }
-        Self {
+        let mut p = Self {
             rows,
             cols,
             group_size: gs,
             bits: q,
             key_bytes,
             tile_keys,
-            planes,
+            planes: vec![[0u8; BLOCK_ROWS]; key_bytes * blocks * q],
             scales,
             offsets,
+        };
+        if !p.bits_are_columns() {
+            for (i, plane) in w.planes().iter().enumerate() {
+                for r in 0..rows {
+                    for c in (0..cols).filter(|&c| plane.get(r, c)) {
+                        let bit = key_bit(c, gs);
+                        let at = p.key_at(bit / 8, r / BLOCK_ROWS, i);
+                        p.planes[at][r % BLOCK_ROWS] |= 1 << (bit % 8);
+                    }
+                }
+            }
+            return p;
         }
+        // Block by block: a block's source rows (`32·q` of them) stay in
+        // cache while its tiles are written, each one contiguous slice.
+        for b in 0..blocks {
+            let rows = b * BLOCK_ROWS..rows.min((b + 1) * BLOCK_ROWS);
+            for k0 in (0..key_bytes).step_by(tile_keys) {
+                let tk = tile_keys.min(key_bytes - k0);
+                for (i, plane) in w.planes().iter().enumerate() {
+                    let base = p.key_at(k0, b, i);
+                    let chunk = &mut p.planes[base..base + tk];
+                    for (j, r) in rows.clone().enumerate() {
+                        let words = &plane.row_words(r)[k0 / 8..];
+                        for (keys, word) in chunk.chunks_mut(8).zip(words) {
+                            for (key, byte) in keys.iter_mut().zip(word.to_le_bytes()) {
+                                key[j] = byte;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        p
     }
 
     /// `(rows, cols)` of the represented matrix.
@@ -169,24 +190,29 @@ impl PackedBcq {
         self.key_bytes.div_ceil(self.tile_keys)
     }
 
-    /// The key bytes of k-tile `t` for plane `i` of the 32-row block `b`,
-    /// from the tile's first column `8·t·tile_keys` on: element `j` holds
-    /// key byte `j` of row `32·b + r` at `[r]`.
-    #[inline]
-    pub(crate) fn block_keys(&self, t: usize, b: usize, i: usize) -> (&[[u8; BLOCK_ROWS]], usize) {
-        let k0 = t * self.tile_keys;
-        let tk = self.tile_keys.min(self.key_bytes - k0);
-        let blocks = self.rows.div_ceil(BLOCK_ROWS);
-        let base = k0 * blocks * self.bits + (b * self.bits + i) * tk;
-        (&self.planes[base..base + tk], tk)
+    /// `true` if key bit `c` is column `c` (`gs % 8 == 0`, or one group
+    /// spans the row): the key bytes are the plane words' bytes.
+    fn bits_are_columns(&self) -> bool {
+        self.group_size.is_multiple_of(8) || self.groups() == 1
     }
 
-    /// [`PackedBcq::block_keys`] of row `r`'s block, and the byte that
-    /// holds row `r` in each of them.
+    /// Index in `planes` of key byte `kb` of plane `i` of the 32-row block
+    /// `b`.
     #[inline]
-    pub(crate) fn row_keys(&self, t: usize, r: usize, i: usize) -> (&[[u8; BLOCK_ROWS]], usize) {
-        let (keys, _) = self.block_keys(t, r / BLOCK_ROWS, i);
-        (keys, r % BLOCK_ROWS)
+    fn key_at(&self, kb: usize, b: usize, i: usize) -> usize {
+        let k0 = kb - kb % self.tile_keys;
+        let tk = self.tile_keys.min(self.key_bytes - k0);
+        let blocks = self.rows.div_ceil(BLOCK_ROWS);
+        k0 * blocks * self.bits + (b * self.bits + i) * tk + kb - k0
+    }
+
+    /// The key bytes of k-tile `t` for plane `i` of the 32-row block `b`:
+    /// element `j` holds the tile's key byte `j` of row `32·b + r` at `[r]`.
+    #[inline]
+    pub(crate) fn block_keys(&self, t: usize, b: usize, i: usize) -> &[[u8; BLOCK_ROWS]] {
+        let k0 = t * self.tile_keys;
+        let at = self.key_at(k0, b, i);
+        &self.planes[at..at + self.tile_keys.min(self.key_bytes - k0)]
     }
 
     /// Scales of plane `i` of group `g`, one per output row, then 0 up to
@@ -210,15 +236,24 @@ impl PackedBcq {
     }
 
     /// Sign of plane `i` at `(r, c)` as a bool (`true` = `+1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i`, `r` or `c` is out of bounds.
     #[inline]
     pub fn get(&self, i: usize, r: usize, c: usize) -> bool {
-        let t = c / 8 / self.tile_keys;
-        let (keys, at) = self.row_keys(t, r, i);
-        keys[c / 8 - t * self.tile_keys][at] >> (c % 8) & 1 == 1
+        assert!(
+            i < self.bits && r < self.rows && c < self.cols,
+            "({i},{r},{c}) out of bounds"
+        );
+        let bit = key_bit(c, self.group_size);
+        self.planes[self.key_at(bit / 8, r / BLOCK_ROWS, i)][r % BLOCK_ROWS] >> (bit % 8) & 1 == 1
     }
 
-    /// Dequantized value of one element.
+    /// Dequantized value of one element (panics out of bounds, as
+    /// [`PackedBcq::get`]).
     pub fn value(&self, r: usize, c: usize) -> f64 {
+        assert!(r < self.rows && c < self.cols, "({r},{c}) out of bounds");
         let g = c / self.group_size;
         let mut v = self.group_offsets(g).get(r).copied().unwrap_or(0.0);
         for i in 0..self.bits {
@@ -240,12 +275,15 @@ impl PackedBcq {
         let q = self.bits;
         let planes: Vec<BitMatrix> = (0..q)
             .map(|i| {
+                if !self.bits_are_columns() {
+                    return BitMatrix::from_fn(self.rows, self.cols, |r, c| self.get(i, r, c));
+                }
                 BitMatrix::from_row_fn(self.rows, self.cols, |r, words| {
                     for t in 0..self.tiles() {
-                        let (keys, at) = self.row_keys(t, r, i);
+                        let keys = self.block_keys(t, r / BLOCK_ROWS, i);
                         for (j, key) in keys.iter().enumerate() {
                             let kb = t * self.tile_keys + j;
-                            words[kb / 8] |= u64::from(key[at]) << (8 * (kb % 8));
+                            words[kb / 8] |= u64::from(key[r % BLOCK_ROWS]) << (8 * (kb % 8));
                         }
                     }
                 })
@@ -304,9 +342,22 @@ mod tests {
     #[test]
     fn unpack_roundtrips_exactly() {
         // gs 10 (one tile per row), gs 192 (lane-tiled, a group spanning
-        // three words and a tile edge) and ragged per-row widths: every
-        // plane word, α and offset comes back bit for bit.
-        for (rows, cols, gs) in [(4, 40, 10), (3, 384, 192), (3, 300, 0), (2, 264, 0)] {
+        // three words and a tile edge), groups that end inside a key byte
+        // (gs 1, 3, 15, 17) and ragged per-row widths (1001: four tiles,
+        // a ragged last byte): every plane word, α and offset comes back
+        // bit for bit.
+        let cases = [
+            (4, 40, 10),
+            (3, 384, 192),
+            (3, 300, 0),
+            (2, 264, 0),
+            (3, 12, 1),
+            (4, 30, 3),
+            (3, 45, 15),
+            (2, 68, 17),
+            (3, 1001, 0),
+        ];
+        for (rows, cols, gs) in cases {
             let w = weights(rows, cols);
             let u = rtn(&w, RtnParams::grouped(4, gs));
             let b = BcqWeight::from_uniform(&u);
@@ -330,18 +381,24 @@ mod tests {
     #[test]
     fn tile_major_layout_round_trips_off_tile_widths() {
         // Widths on both sides of a tile (64·TILE_WORDS columns) and of a
-        // word, lane-tiled (per-row scale over whole bytes, gs 64) and
-        // one-tile-per-row (130 columns, gs 10, gs 32): every sign, scale
-        // and offset survives pack → `get` / `dequantize` / `unpack`.
+        // word, lane-tiled (per-row scales, gs 64) and one-tile-per-row
+        // (gs 10, gs 32, and groups that end inside a key byte: gs 1, 3,
+        // 15, 17): every sign, scale and offset survives pack → `get` /
+        // `dequantize` / `unpack`.
         let cases = [
             (3, 48, 0, true),
             (5, 72, 0, true),
             (4, 136, 0, true),
             (2, 520, 0, true),
             (3, 192, 64, true),
-            (4, 130, 0, false),
+            (4, 130, 0, true),
+            (3, 1001, 0, true),
             (4, 70, 10, false),
             (3, 96, 32, false),
+            (3, 10, 1, false),
+            (4, 30, 3, false),
+            (3, 45, 15, false),
+            (2, 68, 17, false),
         ];
         for (rows, cols, gs, tiled) in cases {
             let params = if gs == 0 {
@@ -353,8 +410,14 @@ mod tests {
             let p = PackedBcq::pack(&b);
             let got = lane_tiled(p.group_size(), p.groups());
             assert_eq!(got, tiled, "{rows}x{cols} gs {gs}");
-            let words = cols.div_ceil(64);
-            let tiles = if tiled { words.div_ceil(TILE_WORDS) } else { 1 };
+            let g = p.group_size();
+            let key_bytes = cols / g * g.div_ceil(8);
+            assert_eq!(p.key_bytes, key_bytes, "{rows}x{cols} gs {gs}");
+            let tiles = if tiled {
+                key_bytes.div_ceil(8 * TILE_WORDS)
+            } else {
+                1
+            };
             assert_eq!(p.tiles(), tiles, "{rows}x{cols} gs {gs}");
             for i in 0..3 {
                 for r in 0..rows {
@@ -373,5 +436,26 @@ mod tests {
             }
             assert_eq!(b.dequantize().max_abs_diff(&back.dequantize()), 0.0);
         }
+    }
+
+    /// A 5 × 24 weight in gs-12 groups: each group's second key byte has
+    /// four pad bits, and the last block 27 pad rows.
+    fn ragged() -> PackedBcq {
+        PackedBcq::pack(&BcqWeight::quantize(
+            &weights(5, 24),
+            BcqParams::grouped(2, 12),
+        ))
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn get_past_the_last_column_panics() {
+        let _ = ragged().get(0, 0, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn value_past_the_last_row_panics() {
+        let _ = ragged().value(5, 0);
     }
 }

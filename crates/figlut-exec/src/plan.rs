@@ -1,11 +1,14 @@
 //! [`ExecPlan`] — a reusable execution handle for one [`PackedBcq`].
 //!
 //! The kernels' preamble is not free: the window decomposition, the
-//! effective-µ decision, the quantize/align/Σx staging buffers, the
-//! FFLUTs, and every worker's open-group buffer. An `ExecPlan` hoists all
-//! of it, so a decode step recomputes and reallocates nothing:
+//! quantize/align/Σx staging buffers, the FFLUTs, and every worker's
+//! open-group buffer. An `ExecPlan` hoists all of it, so a decode step
+//! recomputes and reallocates nothing:
 //!
-//! * the window plan and effective µ are computed once at construction;
+//! * the window plan — one window per key byte, `windows(n, gs, 8)`,
+//!   whatever µ the config names (integer window sums are associative, so
+//!   µ never changes a bit of the result) — is computed once at
+//!   construction;
 //! * every staging buffer lives in pooled scratch, checked out once per
 //!   *stage* — one quantize/align/table build of an activation matrix —
 //!   so a steady-state call performs **zero heap allocations** in the exec
@@ -19,12 +22,12 @@
 //!
 //! The pools are `Mutex`-guarded free lists: concurrent calls on one plan
 //! are correct (each checks out its own scratch). `Clone` clones the
-//! plan's *decisions* (shape, windows, µ) but starts with empty pools,
+//! plan's *decisions* (shape, windows) but starts with empty pools,
 //! which is what lets `figlut-model` keep a plan inside its `Clone`-able
 //! `LinearWeights::Packed` variant.
 
-use crate::kernel::{check, effective_mu, split, sweep_panel, Columns, LANE_ROWS};
-use crate::lut::{column_blocks, windows, FlatLuts, NibbleLuts, Window};
+use crate::kernel::{check, sweep_panel, Columns, LANE_ROWS};
+use crate::lut::{column_blocks, windows, FlatLuts, NibbleLuts, Window, MAX_LANES};
 use crate::packed::PackedBcq;
 use crate::parallel::{crew_size, thread_count, Crew};
 use figlut_gemm::common::mul32;
@@ -72,8 +75,9 @@ enum Tier {
     /// its accumulators plain SSE2 32-bit lanes.
     #[default]
     I32I32,
-    /// `µ·max|mantissa| ≤ i32::MAX`: i32 tables (half the table-read
-    /// bytes), i64 accumulators (group partials may exceed i32).
+    /// `8·max|mantissa| ≤ i32::MAX` (a window spans at most 8 columns):
+    /// i32 tables (half the table-read bytes), i64 accumulators (group
+    /// partials may exceed i32).
     I32I64,
     /// Extreme activation ranges: i64 tables and accumulators.
     I64I64,
@@ -115,7 +119,7 @@ impl Stage {
         let fits = |terms: usize| (terms as u64).saturating_mul(maxm) <= i32::MAX as u64;
         self.tier = if fits(gs) {
             Tier::I32I32
-        } else if fits(plan.mu) {
+        } else if fits(8) {
             Tier::I32I64
         } else {
             Tier::I64I64
@@ -163,24 +167,30 @@ pub(crate) struct Tables {
 }
 
 impl Tables {
-    /// Build `stage`'s tables under `plan`'s window plan: lane-blocked and
-    /// nibble tables for the columns each pass sweeps ([`split`]).
+    /// Build `stage`'s tables under `plan`'s window plan: lane-blocked
+    /// tables, at least 4 lanes wide, for columns `..from` and nibble
+    /// tables for the shuffle pass's `from..`. The shuffle pass, given the
+    /// stage's proof that its entries fit their byte planes, takes a last
+    /// block of one or two columns; the lane pass takes blocks of three or
+    /// more, and pads a block of one or two to four lanes.
     pub(crate) fn build(&mut self, stage: &Stage, plan: &ExecPlan) {
-        let (n, wins, mu, batch) = (plan.cols, &plan.wins, plan.mu as u32, stage.batch);
-        let (from, min) = plan.split(stage);
+        let (n, wins, batch) = (plan.cols, &plan.wins, stage.batch);
+        let tail = batch % MAX_LANES;
+        let shuffled = stage.key_planes.is_some() && tail <= 2;
+        let from = if shuffled { batch - tail } else { batch };
         match stage.tier {
             Tier::I32I32 | Tier::I32I64 => {
                 let m32 = &stage.m32[..from * n];
-                self.luts32.rebuild_lanes(m32, n, wins, mu, from, min);
+                self.luts32.rebuild_lanes(m32, n, wins, 8, from, 4);
             }
             Tier::I64I64 => {
                 let mant = &stage.mant[..from * n];
-                self.luts64.rebuild_lanes(mant, n, wins, mu, from, min);
+                self.luts64.rebuild_lanes(mant, n, wins, 8, from, 4);
             }
         }
-        let shuffled = if from < batch { from..batch } else { 0..0 };
+        let cols = if shuffled { from..batch } else { 0..0 }; // `m32` is stale at I64I64
         let planes = stage.key_planes.unwrap_or(1);
-        self.nib.rebuild(&stage.m32, n, shuffled, planes);
+        self.nib.rebuild(&stage.m32, n, wins, cols, planes);
     }
 
     /// Sweep output rows `r0..` of reader `(plan, w)` over these tables of
@@ -191,13 +201,12 @@ impl Tables {
             lambdas: &stage.lambdas,
             gsums: &stage.gsums,
         };
-        let wins = &plan.wins;
         let (mut ws, nib) = (pop(&plan.workers), &self.nib);
         let (o32, o64) = (&mut ws.open_i32, &mut ws.open_i64);
         match stage.tier {
-            Tier::I32I32 => sweep_panel(w, wins, &self.luts32, nib, &cx, r0, panel, o32),
-            Tier::I32I64 => sweep_panel(w, wins, &self.luts32, nib, &cx, r0, panel, o64),
-            Tier::I64I64 => sweep_panel(w, wins, &self.luts64, nib, &cx, r0, panel, o64),
+            Tier::I32I32 => sweep_panel(w, &self.luts32, nib, &cx, r0, panel, o32),
+            Tier::I32I64 => sweep_panel(w, &self.luts32, nib, &cx, r0, panel, o64),
+            Tier::I64I64 => sweep_panel(w, &self.luts64, nib, &cx, r0, panel, o64),
         }
         push(&plan.workers, ws);
     }
@@ -279,9 +288,9 @@ pub(crate) fn scatter(
     }
 }
 
-/// A reusable execution plan for one [`PackedBcq`] under one engine
-/// config: precomputed windows, the effective-µ decision, and pooled
-/// scratch for allocation-free steady-state calls (module docs).
+/// A reusable execution plan for one [`PackedBcq`]: precomputed windows
+/// and pooled scratch for allocation-free steady-state calls (module
+/// docs).
 ///
 /// ```
 /// use figlut_exec::{exec_i, ExecPlan, PackedBcq};
@@ -307,9 +316,7 @@ pub struct ExecPlan {
     cols: usize,
     group_size: usize,
     bits: usize,
-    /// The window width actually executed (`effective_mu`; [`ExecPlan::matches`]
-    /// re-derives it from a call-site config to decide compatibility).
-    mu: usize,
+    /// One window per key byte.
     wins: Vec<Window>,
     calls: Mutex<Vec<CallScratch>>,
     workers: Mutex<Vec<WorkerScratch>>,
@@ -324,7 +331,6 @@ impl Clone for ExecPlan {
             cols: self.cols,
             group_size: self.group_size,
             bits: self.bits,
-            mu: self.mu,
             wins: self.wins.clone(),
             calls: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
@@ -333,8 +339,8 @@ impl Clone for ExecPlan {
 }
 
 impl ExecPlan {
-    /// Build the plan for `w` under `cfg`: effective-µ decision + window
-    /// decomposition, and empty scratch pools that warm up on first use.
+    /// Build the plan for `w`: the window decomposition, and empty scratch
+    /// pools that warm up on first use.
     ///
     /// # Panics
     ///
@@ -344,36 +350,24 @@ impl ExecPlan {
         figlut_trace::counters::bump_exec_plan_builds(1);
         let (rows, cols) = w.shape();
         let gs = w.group_size();
-        let mu = effective_mu(gs, cfg.mu);
         Self {
             rows,
             cols,
             group_size: gs,
             bits: w.bits(),
-            mu,
-            wins: windows(cols, gs, mu),
+            wins: windows(cols, gs, 8),
             calls: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
         }
     }
 
-    /// `true` if this plan was built for exactly this weight shape and an
-    /// equivalent config (same effective µ, hence the same window plan).
-    /// Callers holding a plan next to interchangeable configs (e.g.
-    /// `figlut-model`'s `Backend::Exec`) use this to decide between the
-    /// cached plan and a throwaway one.
-    pub fn matches(&self, w: &PackedBcq, cfg: &EngineConfig) -> bool {
-        (1..=8).contains(&cfg.mu)
-            && w.shape() == (self.rows, self.cols)
+    /// `true` if this plan was built for exactly this weight shape (rows,
+    /// columns, group size and planes). The config never matters: every µ
+    /// executes the same key-byte windows.
+    pub fn matches(&self, w: &PackedBcq, _cfg: &EngineConfig) -> bool {
+        w.shape() == (self.rows, self.cols)
             && w.group_size() == self.group_size
             && w.bits() == self.bits
-            && effective_mu(self.group_size, cfg.mu) == self.mu
-    }
-
-    /// `(from, min_lanes)` of a call staged as `stage` ([`split`]).
-    fn split(&self, stage: &Stage) -> (usize, usize) {
-        let shuffle = stage.key_planes.is_some();
-        split(self.group_size.is_multiple_of(8), shuffle, stage.batch)
     }
 
     /// Output rows of the weights this plan was built for.
@@ -391,7 +385,9 @@ impl ExecPlan {
     /// (asserted by `tests/trace_reconcile.rs`), which is what makes the
     /// traced number trustworthy as a bandwidth proxy.
     pub fn streamed_words(&self, batch: usize) -> u64 {
-        (column_blocks(batch, 1).count() * self.rows * self.bits * self.cols.div_ceil(64)) as u64
+        // One window per key byte, eight key bytes per word.
+        let words = self.wins.len().div_ceil(8);
+        (column_blocks(batch, 1).count() * self.rows * self.bits * words) as u64
     }
 
     /// Table look-ups one call at this batch size computes: one per output
@@ -415,27 +411,27 @@ impl ExecPlan {
         let (batch, m, _) = check(x, w, cfg);
         assert!(
             self.matches(w, cfg),
-            "ExecPlan built for {}x{} (gs {}, q {}, µ {}) used with {:?}-shaped weights / µ {}",
+            "ExecPlan built for {}x{} (gs {}, q {}) used with {:?}-shaped weights (gs {}, q {})",
             self.rows,
             self.cols,
             self.group_size,
             self.bits,
-            self.mu,
             w.shape(),
-            cfg.mu,
+            w.group_size(),
+            w.bits(),
         );
         assert_eq!(out.shape(), (batch, m), "output shape mismatch");
     }
 
     /// `true` if `other`'s weights can read tables staged for this plan:
-    /// the same reduction dim, group size and effective µ — hence the same
-    /// window plan, Σx groups and narrowing tier (the row count is free).
+    /// the same reduction dim and group size — hence the same window plan,
+    /// Σx groups and narrowing tier (the row count is free).
     pub fn shares_stage(&self, other: &ExecPlan) -> bool {
         self.stage_key() == other.stage_key()
     }
 
-    fn stage_key(&self) -> (usize, usize, usize) {
-        (self.cols, self.group_size, self.mu)
+    fn stage_key(&self) -> (usize, usize) {
+        (self.cols, self.group_size)
     }
 
     /// One table set, k readers (paper Fig. 8/9: an FFLUT feeds k RACs),
@@ -485,7 +481,7 @@ impl ExecPlan {
         for (plan, w, out) in readers.iter() {
             assert!(
                 stager.shares_stage(plan),
-                "shared exec readers disagree on (k, gs, µ): staged for {:?}, reader has {:?}",
+                "shared exec readers disagree on (k, gs): staged for {:?}, reader has {:?}",
                 stager.stage_key(),
                 plan.stage_key(),
             );
@@ -619,29 +615,25 @@ mod tests {
     }
 
     #[test]
-    fn matches_tracks_shape_and_effective_mu() {
-        let (_, b) = setup(4, 30, 15, 2); // gs 15: no even divisor
+    fn matches_ignores_mu() {
+        // Every µ executes the same key-byte windows, so a plan matches its
+        // weights under any configured µ, on an odd group size (gs 15) as
+        // on an even one; only the weights decide.
+        let cfg = |mu| EngineConfig {
+            mu,
+            ..EngineConfig::paper_default()
+        };
+        let (_, b) = setup(4, 30, 15, 2);
         let p = PackedBcq::pack(&b);
-        let cfg3 = EngineConfig {
-            mu: 3,
-            ..EngineConfig::paper_default()
-        };
-        let plan = ExecPlan::new(&p, &cfg3);
-        assert!(plan.matches(&p, &cfg3));
-        // Different configured µ on an odd group size changes the window
-        // plan → incompatible.
-        let cfg4 = EngineConfig {
-            mu: 4,
-            ..EngineConfig::paper_default()
-        };
-        assert!(!plan.matches(&p, &cfg4));
-        // Even group size: every configured µ widens to 8 → compatible.
         let (_, be) = setup(4, 32, 16, 2);
         let pe = PackedBcq::pack(&be);
-        let plan_e = ExecPlan::new(&pe, &cfg3);
-        assert!(plan_e.matches(&pe, &cfg4));
-        // Wrong weights for the plan.
-        assert!(!plan.matches(&pe, &cfg3));
+        let (plan, plan_e) = (ExecPlan::new(&p, &cfg(3)), ExecPlan::new(&pe, &cfg(3)));
+        for mu in 1..=8 {
+            assert!(plan.matches(&p, &cfg(mu)), "µ {mu}");
+            assert!(plan_e.matches(&pe, &cfg(mu)), "µ {mu}");
+            // Wrong weights for the plan.
+            assert!(!plan.matches(&pe, &cfg(mu)), "µ {mu}");
+        }
     }
 
     #[test]

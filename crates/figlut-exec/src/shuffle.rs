@@ -214,7 +214,7 @@ mod tests {
         for planes in 1..=4 {
             for b in 0..2 {
                 for i in 0..2 {
-                    let (keys, _) = p.block_keys(0, b, i);
+                    let keys = p.block_keys(0, b, i);
                     let mut next = bytes((planes * 10 + b) as u64);
                     let tables: Vec<[u8; 16]> = (0..2 * planes * keys.len())
                         .map(|_| [(); 16].map(|_| next()))

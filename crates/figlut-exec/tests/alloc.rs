@@ -71,8 +71,8 @@ fn warm_exec_plan_calls_are_allocation_free() {
     // lanes, one padded), 8 (8 lanes) — and across a column-block boundary
     // (9 = 8 lanes + 1 shuffle column); a per-row-scale shape whose group
     // stays open between k-tiles (the pooled open-group buffer); gs 32
-    // (one tile per row) at batch 1 and 8; plus a
-    // ragged generic-walk shape. Single worker thread: spawning a thread
+    // (one tile per row) at batch 1 and 8; plus a ragged-group shape
+    // (gs 15). Single worker thread: spawning a thread
     // allocates by definition, and the zero-alloc contract is about the
     // exec hot path, which is identical on every worker.
     //
@@ -91,7 +91,7 @@ fn warm_exec_plan_calls_are_allocation_free() {
         (96, 520, 520, 3, 9, 1), // … its buffer resized between the lane and shuffle blocks
         (96, 256, 32, 3, 1, 1),  // gs 32: one tile per row
         (96, 256, 32, 3, 8, 1),
-        (11, 45, 15, 2, 3, 1), // gs 15 → generic descriptor walk
+        (11, 45, 15, 2, 3, 1), // gs 15: a ragged group, its second key byte 7 columns wide
         (48, 48, 48, 3, 6, many),
     ];
     for (m, n, gs, bits, batch, threads) in cases {

@@ -108,7 +108,7 @@ proptest! {
         // call over a B-row activation matrix is bit-identical to B
         // independent 1-row calls AND to the datapath model — for
         // arbitrary shapes, µ, group sizes, offsets, and thread counts,
-        // including ragged generic-path shapes. Run through a reused
+        // including ragged-group shapes. Run through a reused
         // ExecPlan so the cached-plan path (what Backend::Exec executes in
         // steady state) is the thing being pinned.
         let b = quantize(&p);
@@ -166,10 +166,10 @@ proptest! {
     ) {
         // Shapes big enough that the plan really runs several row panels:
         // ~512 columns as Q4 at batch 64 (eight 8-lane column blocks), on
-        // the lane pass (gs 64 / 128 → 64 windows of µ 8; one 512-column
+        // the lane pass (gs 64 / 128 → 64 key-byte windows; one 512-column
         // group, which every panel carries open across two k-tiles; gs 32,
-        // one tile per row) and on the generic descriptor walk (gs 73,
-        // µ 4 → 133 ragged windows).
+        // one tile per row; gs 73, ten key bytes per group, the last one
+        // column wide).
         let (groups, gs) = [(8usize, 64usize), (4, 128), (1, 512), (7, 73), (16, 32)][layout];
         let (n, batch) = (groups * gs, 64usize);
         let w = Mat::from_fn(m, n, |r, c| ((r * n + c) as f64 * 0.173 + phase).sin() * 0.3);
@@ -269,10 +269,11 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
     // is i32 tables into i32 accumulators; FP32 + 2 guard bits overflows
     // i32 over a 64-column group but not over an 8-column window (i32
     // tables, i64 accumulators); FP32 + 6 overflows i32 in a window (i64
-    // both). Batch 8 on two lane-path shapes, so `lane_pass` runs at 8
+    // both). Batch 8 on three lane-path shapes, so `lane_pass` runs at 8
     // lanes at every `(E, A)` — gs 64 folds every run as it ends, the
     // 520-column per-row group is carried open across three k-tiles in
-    // each tier's own accumulator type.
+    // each tier's own accumulator type, and gs 100 ends every group on a
+    // four-column key byte.
     use figlut_num::align::AlignedVector;
     use figlut_num::fp::FpFormat;
     let (m, batch) = (7usize, 8usize);
@@ -284,6 +285,9 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
         (520, 0, FpFormat::Fp16, 4, "i32/i32"),
         (520, 0, FpFormat::Fp32, 2, "i32/i64"),
         (520, 0, FpFormat::Fp32, 6, "i64/i64"),
+        (300, 100, FpFormat::Fp16, 4, "i32/i32"),
+        (300, 100, FpFormat::Fp32, 2, "i32/i64"),
+        (300, 100, FpFormat::Fp32, 6, "i64/i64"),
     ] {
         let b = lane_weights(m, k, gs);
         let packed = PackedBcq::pack(&b);
@@ -342,11 +346,13 @@ fn reader_weights(rows: &[usize], k: usize, gs: usize) -> Vec<(BcqWeight, Packed
 fn shared_call_is_bit_identical_to_single_calls_and_the_model() {
     // One staged table set read by 2–4 weight matrices of different row
     // counts ≡ the same readers called one by one ≡ the datapath model:
-    // per-row scales, the two lane-pass group sizes and the generic walk
+    // per-row scales, the two lane-pass group sizes and a ragged group
     // (gs 15), at every narrowing tier (the activation formats of
     // `lane_pass_is_bit_exact_at_every_narrowing_tier`, which pins the
     // tier each selects on the 256 × gs 64 shape), batches 1..=17 across
-    // every lane width and column-block boundary, 1 and 3 threads.
+    // every lane width and column-block boundary, 1 and 3 threads. The
+    // readers are planned under µ 1, 3, 5 and 7 and called under µ 4:
+    // every µ executes the same key-byte windows.
     use figlut_num::fp::FpFormat;
     let rows = [5usize, 1, 8, 3];
     let shapes = [(72usize, 0usize), (256, 64), (384, 128), (45, 15)];
@@ -363,7 +369,11 @@ fn shared_call_is_bit_identical_to_single_calls_and_the_model() {
                 ..cfg(4)
             };
             let weights = reader_weights(&rows[..2 + (si + ti) % 3], k, gs);
-            let plans: Vec<ExecPlan> = weights.iter().map(|(_, p)| ExecPlan::new(p, &c)).collect();
+            let plans: Vec<ExecPlan> = (1..)
+                .step_by(2)
+                .zip(&weights)
+                .map(|(mu, (_, p))| ExecPlan::new(p, &EngineConfig { mu, ..c }))
+                .collect();
             let x = Mat::from_fn(17, k, |bb, cc| ((bb * k + cc) as f64 * 0.083).sin() * 9.0e3);
             let models: Vec<Mat<f64>> = weights.iter().map(|(b, _)| gemm_i(&x, b, &c)).collect();
             for batch in 1..=17usize {
@@ -402,15 +412,12 @@ fn shared_call_is_bit_identical_to_single_calls_and_the_model() {
     }
 }
 
-/// A two-reader shared call staged for a `k × gs` first reader under µ 4,
-/// whose second reader was packed and planned as `(k, gs, µ)`.
-fn shared_call_over((k, gs): (usize, usize), second: (usize, usize, u32)) {
+/// A two-reader shared call staged for a `k × gs` first reader, whose
+/// second reader was packed and planned as `(k, gs)`.
+fn shared_call_over((k, gs): (usize, usize), second: (usize, usize)) {
     let w0 = reader_weights(&[4], k, gs).remove(0).1;
     let w1 = reader_weights(&[6], second.0, second.1).remove(0).1;
-    let plans = (
-        ExecPlan::new(&w0, &cfg(4)),
-        ExecPlan::new(&w1, &cfg(second.2)),
-    );
+    let plans = (ExecPlan::new(&w0, &cfg(4)), ExecPlan::new(&w1, &cfg(4)));
     let x = Mat::from_fn(2, k, |bb, cc| ((bb * k + cc) as f64 * 0.05).cos());
     let (mut y0, mut y1) = (Mat::zeros(2, 4), Mat::zeros(2, 6));
     let readers = &mut [(&plans.0, &w0, &mut y0), (&plans.1, &w1, &mut y1)];
@@ -420,34 +427,38 @@ fn shared_call_over((k, gs): (usize, usize), second: (usize, usize, u32)) {
 #[test]
 #[should_panic(expected = "shared exec readers disagree")]
 fn shared_call_rejects_a_reader_with_another_reduction_dim() {
-    shared_call_over((64, 16), (128, 16, 4));
+    shared_call_over((64, 16), (128, 16));
 }
 
 #[test]
 #[should_panic(expected = "shared exec readers disagree")]
 fn shared_call_rejects_a_reader_with_another_group_size() {
-    shared_call_over((64, 16), (64, 32, 4));
-}
-
-#[test]
-#[should_panic(expected = "shared exec readers disagree")]
-fn shared_call_rejects_a_reader_with_another_effective_mu() {
-    // gs 15 has no even divisor, so the configured µ is the executed one:
-    // planned under µ 3, a reader cannot use tables staged for µ 4.
-    shared_call_over((45, 15), (45, 15, 3));
+    shared_call_over((64, 16), (64, 32));
 }
 
 #[test]
 fn short_groups_are_exact_on_both_passes() {
-    // Group sizes that are multiples of 8 but end inside a word (gs 32, 40,
-    // 96: one tile per row, groups shorter than the lane pass's runs) at
-    // the FP16 tier — batches 1 and 2 on the shuffle pass, 3 (padded to 4
-    // lanes) and 8 on the lane pass, 9 on both — and at FP32's, whose
-    // tables the shuffle pass's byte planes cannot prove (lane pass at
-    // every batch); 5, 37 and 64 rows (a ragged and whole 32-row blocks);
-    // each row against the model and against its batch-1 run.
+    // Groups that end inside a word (gs 32, 40, 96: one tile per row,
+    // groups shorter than the lane pass's runs) or inside a key byte (gs
+    // 12 and 333, the last key byte of each group four and five columns
+    // wide), and a 1001-column per-row group (four k-tiles, open across
+    // each boundary, its last key byte one column wide) at the FP16 tier —
+    // batches 1 and 2 on the shuffle pass, 3 (padded to 4 lanes) and 8 on
+    // the lane pass, 9 on both — and at FP32's, whose tables the shuffle
+    // pass's byte planes cannot prove (lane pass at every batch); 5, 37
+    // and 64 rows (a ragged and whole 32-row blocks); each row against the
+    // model and against its batch-1 run.
     use figlut_num::fp::FpFormat;
-    for (k, gs) in [(256usize, 32usize), (320, 40), (288, 96), (96, 32)] {
+    let shapes = [
+        (256usize, 32usize),
+        (320, 40),
+        (288, 96),
+        (96, 32),
+        (96, 12),
+        (666, 333),
+        (1001, 0),
+    ];
+    for (k, gs) in shapes {
         for (act, guard_bits) in [(FpFormat::Fp16, 4), (FpFormat::Fp32, 2)] {
             let c = EngineConfig {
                 act,

@@ -180,11 +180,8 @@ pub fn to_bcq(model: &Transformer) -> Transformer {
 /// forward passes reuse the cached window plan and kernel scratch instead
 /// of recomputing them per token per layer. Values are unchanged, so
 /// perplexity under `Backend::Exec` is bit-identical to
-/// `Backend::Engine(Engine::FiglutI, cfg)` on the source model.
-///
-/// The plans are built for `cfg`; `Backend::Exec` falls back to a
-/// throwaway plan (same bits) if invoked with a config whose effective µ
-/// differs.
+/// `Backend::Engine(Engine::FiglutI, cfg)` on the source model. A plan
+/// serves every µ, so `Backend::Exec` may run the model under any config.
 pub fn to_packed_with(model: &Transformer, cfg: &figlut_gemm::EngineConfig) -> Transformer {
     use figlut_exec::{ExecPlan, PackedBcq};
     let mut out = model.clone();

@@ -164,22 +164,16 @@ impl Linear {
             (Backend::Engine(e, cfg), LinearWeights::Packed(p, _)) => {
                 e.run(x, &Weights::Bcq(&p.unpack()), cfg)
             }
-            // Exec fast path. A pre-packed layer carries its ExecPlan, so
-            // the steady-state call reuses the cached window plan and
-            // scratch pools, on the step's crew; if the call-site config is
-            // incompatible with the cached plan (a different effective µ),
-            // fall back to a throwaway plan — same bits, per-call setup
-            // cost. Non-packed quantized weights are packed on the fly
-            // (correct, but pay the packing cost per call — use
-            // `to_packed` for repeated evaluation).
+            // Exec fast path. A pre-packed layer carries its own ExecPlan
+            // (which serves every µ), so the steady-state call reuses the
+            // cached window plan and scratch pools, on the step's crew.
+            // Non-packed quantized weights are packed on the fly (correct,
+            // but pay the packing cost per call — use `to_packed` for
+            // repeated evaluation).
             (Backend::Exec(cfg), LinearWeights::Packed(p, plan)) => {
-                if plan.matches(p, cfg) {
-                    let mut y = Mat::zeros(x.rows(), p.rows());
-                    ExecPlan::exec_i_crew(crew, x, cfg, &mut [(plan, p, &mut y)]);
-                    y
-                } else {
-                    exec_i(x, p, cfg)
-                }
+                let mut y = Mat::zeros(x.rows(), p.rows());
+                ExecPlan::exec_i_crew(crew, x, cfg, &mut [(plan, p, &mut y)]);
+                y
             }
             (Backend::Exec(cfg), LinearWeights::Bcq(b)) => exec_i(x, &PackedBcq::pack(b), cfg),
             (Backend::Exec(cfg), LinearWeights::Uniform(u)) => {
@@ -272,9 +266,9 @@ impl Block {
 
     /// The Q, K and V projections of `h`. They read the same input, so
     /// when all three are packed under plans that share a stage (same
-    /// precision grouping and effective µ, matching the call-site config)
-    /// `h` is quantized, aligned and tabulated once and the three weight
-    /// matrices read that one table set — the paper's one FFLUT, k RACs.
+    /// reduction width and group size) `h` is quantized, aligned and
+    /// tabulated once and the three weight matrices read that one table
+    /// set — the paper's one FFLUT, k RACs.
     /// Anything else (mixed group sizes, un-packed or FP layers, another
     /// backend) is three plain forwards; the bits are the same either way.
     /// The shared call is one GEMM phase of the step's `crew`: the three
@@ -285,9 +279,7 @@ impl Block {
         if let (Backend::Exec(cfg), [Packed(pq, q), Packed(pk, k), Packed(pv, v)]) =
             (backend, lins.map(|l| &l.weights))
         {
-            let fits =
-                |(p, plan): (&PackedBcq, &ExecPlan)| plan.matches(p, cfg) && q.shares_stage(plan);
-            if [(pq, q), (pk, k), (pv, v)].into_iter().all(fits) {
+            if [k, v].into_iter().all(|plan| q.shares_stage(plan)) {
                 let mut ys = [pq, pk, pv].map(|p| Mat::zeros(h.rows(), p.rows()));
                 let [yq, yk, yv] = &mut ys;
                 let readers = &mut [(q, pq, yq), (k, pk, yk), (v, pv, yv)];
@@ -692,20 +684,19 @@ impl Transformer {
 
     /// Table look-ups a step of `rows` token rows computes in the exec
     /// kernels under `backend`: `ExecPlan::lookups(rows)` summed over every
-    /// packed linear whose cached plan matches the backend's config. This
-    /// is what sizes the step's crew
+    /// packed linear. This is what sizes the step's crew
     /// (`figlut_exec::parallel::crew_size(step_lookups, threads)`); 0 under
     /// any other backend.
     pub fn step_lookups(&self, rows: usize, backend: &Backend) -> usize {
-        let Backend::Exec(cfg) = backend else {
+        if !matches!(backend, Backend::Exec(_)) {
             return 0;
-        };
+        }
         let lookups = self
             .blocks
             .iter()
             .flat_map(Block::linears)
             .map(|l| match &l.weights {
-                LinearWeights::Packed(p, plan) if plan.matches(p, cfg) => plan.lookups(rows),
+                LinearWeights::Packed(_, plan) => plan.lookups(rows),
                 _ => 0,
             });
         lookups.sum()
