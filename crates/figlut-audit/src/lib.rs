@@ -24,7 +24,9 @@
 //!   `OnceLock` constants pass).
 //! * **unsafe-discipline (2)** — every `unsafe` needs a `SAFETY:`
 //!   comment; crates whose `src/` has no `unsafe` must declare
-//!   `#![forbid(unsafe_code)]`.
+//!   `#![forbid(unsafe_code)]`; `#[target_feature` and
+//!   `is_x86_feature_detected!` stay in a crate's `#[allow(unsafe_code)]`
+//!   module.
 //! * **panic-path (4)** — inventories `unwrap`/`expect`/`panic!`-class
 //!   sites in shipping `src/`; each is either justified by an inline
 //!   allowance or grandfathered in a committed baseline; new unjustified

@@ -58,6 +58,16 @@ fn failing_workspace_fires_every_lint_family() {
     // unsafe-discipline: a bare unsafe fn, and an unsafe-free crate
     // whose root lacks #![forbid(unsafe_code)].
     assert!(has(&r, Lint::Unsafety, "tool", "SAFETY"), "{}", r.render());
+    // ... and runtime detection and a `#[target_feature]` entry in a module
+    // the crate root does not mark `#[allow(unsafe_code)]` (the passing
+    // twin marks it).
+    for marker in ["#[target_feature", "is_x86_feature_detected!"] {
+        assert!(
+            has(&r, Lint::Unsafety, "tool/src/simd.rs", marker),
+            "{}",
+            r.render()
+        );
+    }
     assert!(
         has(&r, Lint::Unsafety, "figlut-num", "#![forbid(unsafe_code)]"),
         "{}",

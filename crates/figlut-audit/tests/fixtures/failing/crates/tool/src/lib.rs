@@ -1,5 +1,8 @@
 //! Fixture crate violating the unsafe, panic, lock, and marker rules.
 
+// Runtime detection outside an `#[allow(unsafe_code)]` module.
+pub mod simd;
+
 use std::sync::Mutex;
 
 pub static A: Mutex<u32> = Mutex::new(0);

@@ -53,23 +53,23 @@
 //!
 //! [`AlignedVector`]: figlut_num::align::AlignedVector
 
-use crate::lut::{FlatLuts, LaneBlock, NibbleLuts, MAX_LANES};
+use crate::lut::{FlatLuts, NibbleLuts, MAX_LANES};
 use crate::packed::PackedBcq;
 use crate::parallel::thread_count;
 use crate::plan::ExecPlan;
-use crate::shuffle::{self, BLOCK_ROWS};
+use crate::shuffle::{Isa, BLOCK_ROWS};
 use figlut_gemm::common::{add32, mul32};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
 use std::ops::{AddAssign, Range};
 
-/// Accumulator `Self` absorbing table entries of type `E` (`From`: exact
-/// sign extension). Decoupling the two lets `exec_i` keep exact `i64`
-/// group partials while reading *narrow* `i32` tables — half the bytes per
-/// lookup, which matters because large-k shapes are bound by table-read
-/// bandwidth, not arithmetic. The build site proves the no-overflow bound
-/// of a narrow type first.
-pub(crate) trait Accum<E>: Copy + Default + AddAssign + From<E> {
+/// Accumulator of exact integer sums, absorbing table entries of any type
+/// it is `From` (exact sign extension). Decoupling the two lets `exec_i`
+/// keep exact `i64` group partials while reading *narrow* `i32` tables —
+/// half the bytes per lookup, which matters because large-k shapes are
+/// bound by table-read bandwidth, not arithmetic. The build site proves
+/// the no-overflow bound of a narrow type first.
+pub(crate) trait Accum: Copy + Default + AddAssign {
     /// The accumulated value as `f64`, for the final fold. Converting the
     /// native-width integer directly is bit-identical to the datapath
     /// API's `i128 as f64` (same integer value, same round-to-nearest) but
@@ -77,10 +77,7 @@ pub(crate) trait Accum<E>: Copy + Default + AddAssign + From<E> {
     /// sits on the per-(row, column) fold path.
     fn to_f64(self) -> f64;
 }
-impl<E> Accum<E> for i64
-where
-    i64: From<E>,
-{
+impl Accum for i64 {
     #[inline(always)]
     fn to_f64(self) -> f64 {
         self as f64
@@ -92,9 +89,9 @@ where
 /// sum, build intermediate, and running group partial (a group spans
 /// `group_size` columns, so any partial sum of its ±mantissa terms is
 /// within that bound). The payoff over `i32 → i64`: a key's lane vector
-/// and its accumulators are both 32-bit lanes, so an 8-lane add is two
-/// plain SSE2 `paddd` instead of sign-extending loads into four `paddq`.
-impl Accum<i32> for i32 {
+/// and its accumulators are both 32-bit lanes, so an 8-lane add is one
+/// AVX2 `vpaddd` (two `paddd` in the baseline build), not widened `paddq`s.
+impl Accum for i32 {
     #[inline(always)]
     fn to_f64(self) -> f64 {
         self as f64
@@ -111,7 +108,7 @@ pub(crate) const LANE_ROWS: usize = 4;
 /// 32-bit load reads all four. The `4 × L` accumulators are locals, so
 /// LLVM keeps them in vector registers for the whole run.
 #[inline(always)]
-fn lane_pass<E: Copy, A: Accum<E>, const L: usize>(
+fn lane_pass<E: Copy, A: Accum + From<E>, const L: usize>(
     keys: &[[u8; BLOCK_ROWS]],
     at: usize,
     tables: &[E],
@@ -134,7 +131,7 @@ fn lane_pass<E: Copy, A: Accum<E>, const L: usize>(
 
 /// Add entry `keys[j]` of one window's `table` to row `j`'s accumulators.
 #[inline(always)]
-fn absorb<E: Copy, A: Accum<E>, const L: usize>(
+fn absorb<E: Copy, A: Accum + From<E>, const L: usize>(
     acc: &mut [[A; L]; LANE_ROWS],
     table: &[E],
     keys: &[u8],
@@ -181,25 +178,63 @@ fn per_lane<const L: usize>((col0, cols): (usize, usize), f: impl Fn(usize) -> f
     std::array::from_fn(|l| if l < cols { f(col0 + l) } else { 0.0 })
 }
 
+/// One pass of [`walk`] in build `I`: the integer sums `[row % G][lane]`
+/// of one run of key bytes for one `G`-row group. A type with an inlined
+/// method, not a closure, so it compiles into the walk's entry.
+trait RunPass<A, const G: usize, const L: usize> {
+    /// The sums of `keys`, the key bytes `run` of a 32-row block, for the
+    /// group whose first row is `at` in the block.
+    fn pass<I: Isa>(&self, keys: &[[u8; 32]], at: usize, run: Range<usize>) -> [[A; L]; G];
+}
+
+/// The lane pass over one lane block's tables, four rows at a time.
+struct LaneRun<'a, E>(&'a [E]);
+
+impl<E: Copy, A: Accum + From<E>, const L: usize> RunPass<A, LANE_ROWS, L> for LaneRun<'_, E> {
+    #[inline(always)]
+    fn pass<I: Isa>(&self, keys: &[[u8; 32]], at: usize, run: Range<usize>) -> [[A; L]; 4] {
+        lane_pass::<E, A, L>(keys, at, &self.0[run.start * 256 * L..run.end * 256 * L])
+    }
+}
+
+/// The shuffle pass over columns `(col0, cols)`, 32 rows at a time.
+struct ShuffleRun<'a>(&'a NibbleLuts, (usize, usize));
+
+impl<A: Accum + From<i32>, const L: usize> RunPass<A, BLOCK_ROWS, L> for ShuffleRun<'_> {
+    #[inline(always)]
+    fn pass<I: Isa>(&self, keys: &[[u8; 32]], _: usize, run: Range<usize>) -> [[A; L]; 32] {
+        let ShuffleRun(nib, (col0, cols)) = *self;
+        let mut sums = [[A::default(); L]; BLOCK_ROWS];
+        for l in 0..cols {
+            let s = I::pass(keys, nib.column(col0 + l, run.clone()), nib.planes);
+            for (sum, &s) in sums.iter_mut().zip(s.as_flattened()) {
+                sum[l] = A::from(s);
+            }
+        }
+        sums
+    }
+}
+
 /// The LUT-stationary walk of one column block (batch columns
 /// `col0..col0 + cols`, `L` lanes) over a worker's rows `r0..`: per
 /// k-tile, per run (the key bytes `run` of one scale group inside the
-/// tile), per aligned `G`-row group, per plane, one `pass(keys, at, run)` — `keys` the run's key bytes of the group's
-/// 32-row block, `at` the group's first row in them — returning the run's
-/// integer sums `[row % G][lane]`. A run that ends its group folds the
+/// tile), per aligned `G`-row group, per plane, one [`RunPass::pass`] —
+/// `keys` the run's key bytes of the group's 32-row block, `at` the
+/// group's first row in them. A run that ends its group folds the
 /// partial into the row's running output `panel[row·batch + column]` and,
 /// after the last plane, the group's offset term; a run that does not
 /// parks it in `open` (`[row][plane][lane]`) for the group's next run — a
 /// group's first run assigns, so `open` is never cleared. All `L` lanes
 /// fold in lockstep (padding lanes fold zeros).
-fn walk<E: Copy, A: Accum<E>, const G: usize, const L: usize>(
+#[inline(always)]
+fn walk<I: Isa, A: Accum, const G: usize, const L: usize>(
     w: &PackedBcq,
     blk: (usize, usize),
     cx: &Columns<'_>,
     r0: usize,
     panel: &mut [f64],
     open: &mut Vec<A>,
-    mut pass: impl FnMut(&[[u8; BLOCK_ROWS]], usize, Range<usize>) -> [[A; L]; G],
+    run: impl RunPass<A, G, L>,
 ) {
     let (q, groups, (col0, cols), batch) = (w.bits(), w.groups(), blk, cx.lambdas.len());
     let rows = panel.len() / batch;
@@ -234,7 +269,8 @@ fn walk<E: Copy, A: Accum<E>, const G: usize, const L: usize>(
                 }
                 for i in 0..q {
                     let tile = w.block_keys(t, b * G / BLOCK_ROWS, i);
-                    let mut accs = pass(&tile[lo - k0..hi - k0], b * G % BLOCK_ROWS, lo..hi);
+                    let mut accs =
+                        run.pass::<I>(&tile[lo - k0..hi - k0], b * G % BLOCK_ROWS, lo..hi);
                     if !(starts && ends) {
                         let js = live.start - b * G..live.end - b * G;
                         let at = (live.start - r0) * q + i;
@@ -277,52 +313,13 @@ fn walk<E: Copy, A: Accum<E>, const G: usize, const L: usize>(
     }
 }
 
-/// The lane pass over one `L`-lane column block: [`walk`] four rows at a
-/// time, each plane one [`lane_pass`].
-fn lane_sweep<E: Copy, A: Accum<E>, const L: usize>(
-    w: &PackedBcq,
-    blk: &LaneBlock<'_, E>,
-    cx: &Columns<'_>,
-    r0: usize,
-    panel: &mut [f64],
-    open: &mut Vec<A>,
-) {
-    let (cols, per) = ((blk.col0, blk.cols), 256 * L);
-    walk::<E, A, LANE_ROWS, L>(w, cols, cx, r0, panel, open, |keys, at, run| {
-        lane_pass::<E, A, L>(keys, at, &blk.entries[run.start * per..run.end * per])
-    });
-}
-
-/// The shuffle pass over a block of columns: [`walk`] 32 rows at a time,
-/// each plane one [`shuffle::pass`] per column over the same keys.
-fn shuffle_sweep<A: Accum<i32>, const L: usize>(
-    w: &PackedBcq,
-    nib: &NibbleLuts,
-    blk: (usize, usize),
-    cx: &Columns<'_>,
-    r0: usize,
-    panel: &mut [f64],
-    open: &mut Vec<A>,
-) {
-    walk::<i32, A, BLOCK_ROWS, L>(w, blk, cx, r0, panel, open, |keys, _, run| {
-        let mut sums = [[A::default(); L]; BLOCK_ROWS];
-        for l in 0..blk.1 {
-            let tables = nib.column(blk.0 + l, run.clone());
-            let s = shuffle::pass(keys, tables, nib.planes);
-            for (sum, &s) in sums.iter_mut().zip(s.as_flattened()) {
-                sum[l] = A::from(s);
-            }
-        }
-        sums
-    });
-}
-
-/// One worker's share of an `exec_i` call for one reader: sweep output
-/// rows `r0..` — lane blocks over `luts`, the columns `nib` holds with
-/// the shuffle pass — folding into `panel`, the worker's zeroed
+/// One worker's share of an `exec_i` call for one reader, in build `I`:
+/// sweep output rows `r0..` — lane blocks over `luts`, the columns `nib`
+/// holds with the shuffle pass — folding into `panel`, the worker's zeroed
 /// `rows × batch` slice of the transposed output. `open` is caller-owned
 /// open-group scratch (reused allocation-free across calls).
-pub(crate) fn sweep_panel<E: Copy, A: Accum<E> + Accum<i32>>(
+#[inline(always)]
+pub(crate) fn sweep_panel<I: Isa, E: Copy, A: Accum + From<E> + From<i32>>(
     w: &PackedBcq,
     luts: &FlatLuts<E>,
     nib: &NibbleLuts,
@@ -343,17 +340,19 @@ pub(crate) fn sweep_panel<E: Copy, A: Accum<E> + Accum<i32>>(
         figlut_trace::counters::bump_exec_ktiles(row_sweeps * w.tiles() as u64);
     }
     for blk in luts.blocks() {
+        let (cols, run) = ((blk.col0, blk.cols), LaneRun(blk.entries));
         match blk.lanes {
-            4 => lane_sweep::<E, A, 4>(w, &blk, cx, r0, panel, open),
-            _ => lane_sweep::<E, A, MAX_LANES>(w, &blk, cx, r0, panel, open),
+            4 => walk::<I, A, LANE_ROWS, 4>(w, cols, cx, r0, panel, open, run),
+            _ => walk::<I, A, LANE_ROWS, MAX_LANES>(w, cols, cx, r0, panel, open, run),
         }
     }
     // `Tables::build` leaves the shuffle pass at most two columns.
     let blk = (nib.cols.start, nib.cols.len());
+    let run = ShuffleRun(nib, blk);
     match blk.1 {
         0 => {}
-        1 => shuffle_sweep::<A, 1>(w, nib, blk, cx, r0, panel, open),
-        _ => shuffle_sweep::<A, 2>(w, nib, blk, cx, r0, panel, open),
+        1 => walk::<I, A, BLOCK_ROWS, 1>(w, blk, cx, r0, panel, open, run),
+        _ => walk::<I, A, BLOCK_ROWS, 2>(w, blk, cx, r0, panel, open, run),
     }
 }
 

@@ -152,6 +152,7 @@ impl<T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>
     }
 
     /// [`FlatLuts::rebuild`] with every block at least `min_lanes` wide.
+    #[inline(always)]
     pub(crate) fn rebuild_lanes(
         &mut self,
         values: &[T],
@@ -201,6 +202,7 @@ impl<T: Copy> FlatLuts<T> {
 /// Fill one column block's tables from its `rows` (`≤ L` activation rows
 /// of `cols` values; missing lanes stay zero): per window, transpose the
 /// activations to lane-major and build all `L` lanes of every key at once.
+#[inline(always)]
 fn fill_block<T, const L: usize>(block: &mut [T], rows: &[T], cols: usize, wins: &[Window], mu: u32)
 where
     T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>,
@@ -222,6 +224,7 @@ where
 /// compute the MSB-clear half with additions, mirror the MSB-set half by
 /// negation (hFFLUT vertical symmetry). `xs[j]` holds column `j` of the
 /// window for every lane, so each key is `L` contiguous adds.
+#[inline(always)]
 fn fill_window<T, const L: usize>(table: &mut [T], xs: &[[T; L]])
 where
     T: Copy + core::ops::Add<Output = T> + core::ops::Neg<Output = T>,
@@ -284,6 +287,7 @@ impl NibbleLuts {
     /// aligned mantissas) over the key-byte windows `wins` in `planes` byte
     /// planes, reusing the buffer (allocation-free once it has seen the
     /// shape).
+    #[inline(always)]
     pub(crate) fn rebuild(
         &mut self,
         m32: &[i32],

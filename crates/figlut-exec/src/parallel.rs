@@ -150,7 +150,7 @@ impl Shared<'_> {
             }
             let _finish = Finish(&self.done);
             if !built {
-                tables.build(&job.stage, job.readers[0].0);
+                crate::shuffle::build(tables, &job.stage, job.readers[0].0);
                 built = true;
             }
             let rows = part_rows(job.rows, parts, p);
@@ -252,7 +252,7 @@ impl<'a> Crew<'_, 'a> {
         let batch = s.stage.batch();
         let Some(team) = &self.team else {
             let all = readers.iter().map(|&(plan, w, _)| (plan, w));
-            s.tables.build(&s.stage, readers[0].0);
+            crate::shuffle::build(&mut s.tables, &s.stage, readers[0].0);
             sweep_rows(all, &s.stage, &s.tables, 0..rows, &mut s.yt);
             scatter(readers, 0..rows, batch, &s.yt);
             return;

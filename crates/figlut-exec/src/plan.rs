@@ -30,6 +30,7 @@ use crate::kernel::{check, sweep_panel, Columns, LANE_ROWS};
 use crate::lut::{column_blocks, windows, FlatLuts, NibbleLuts, Window, MAX_LANES};
 use crate::packed::PackedBcq;
 use crate::parallel::{crew_size, thread_count, Crew};
+use crate::shuffle::{self, Isa};
 use figlut_gemm::common::mul32;
 use figlut_gemm::EngineConfig;
 use figlut_num::align::AlignedVector;
@@ -72,7 +73,7 @@ enum Tier {
     /// sum, hFFLUT build intermediate and running group partial is a
     /// signed sum of at most `gs` mantissas and provably fits. This is the
     /// whole FP16 operating point, and it makes a key's lane vector and
-    /// its accumulators plain SSE2 32-bit lanes.
+    /// its accumulators 32-bit lanes (one AVX2 `vpaddd` per 8-lane add).
     #[default]
     I32I32,
     /// `8·max|mantissa| ≤ i32::MAX` (a window spans at most 8 columns):
@@ -167,12 +168,13 @@ pub(crate) struct Tables {
 }
 
 impl Tables {
-    /// Build `stage`'s tables under `plan`'s window plan: lane-blocked
-    /// tables, at least 4 lanes wide, for columns `..from` and nibble
-    /// tables for the shuffle pass's `from..`. The shuffle pass, given the
-    /// stage's proof that its entries fit their byte planes, takes a last
-    /// block of one or two columns; the lane pass takes blocks of three or
-    /// more, and pads a block of one or two to four lanes.
+    /// Build `stage`'s tables under `plan`'s window plan ([`shuffle::build`]
+    /// picks the build): lane-blocked tables, at least 4 lanes wide, for
+    /// columns `..from` and nibble tables for the shuffle pass's `from..`.
+    /// The shuffle pass, given the stage's proof that its entries fit their
+    /// byte planes, takes a last block of one or two columns; the lane pass
+    /// takes blocks of three or more, and pads a block of one or two to four lanes.
+    #[inline(always)]
     pub(crate) fn build(&mut self, stage: &Stage, plan: &ExecPlan) {
         let (n, wins, batch) = (plan.cols, &plan.wins, stage.batch);
         let tail = batch % MAX_LANES;
@@ -194,9 +196,17 @@ impl Tables {
     }
 
     /// Sweep output rows `r0..` of reader `(plan, w)` over these tables of
-    /// `stage` into `panel` (zeroed, `rows × batch`), checking an
-    /// open-group buffer out of `plan`'s pool.
-    fn sweep(&self, stage: &Stage, plan: &ExecPlan, w: &PackedBcq, r0: usize, panel: &mut [f64]) {
+    /// `stage` into `panel` (zeroed, `rows × batch`) in build `I`, checking
+    /// an open-group buffer out of `plan`'s pool ([`shuffle::sweep`]).
+    #[inline(always)]
+    pub(crate) fn sweep<I: Isa>(
+        &self,
+        stage: &Stage,
+        plan: &ExecPlan,
+        w: &PackedBcq,
+        r0: usize,
+        panel: &mut [f64],
+    ) {
         let cx = Columns {
             lambdas: &stage.lambdas,
             gsums: &stage.gsums,
@@ -204,9 +214,9 @@ impl Tables {
         let (mut ws, nib) = (pop(&plan.workers), &self.nib);
         let (o32, o64) = (&mut ws.open_i32, &mut ws.open_i64);
         match stage.tier {
-            Tier::I32I32 => sweep_panel(w, &self.luts32, nib, &cx, r0, panel, o32),
-            Tier::I32I64 => sweep_panel(w, &self.luts32, nib, &cx, r0, panel, o64),
-            Tier::I64I64 => sweep_panel(w, &self.luts64, nib, &cx, r0, panel, o64),
+            Tier::I32I32 => sweep_panel::<I, _, _>(w, &self.luts32, nib, &cx, r0, panel, o32),
+            Tier::I32I64 => sweep_panel::<I, _, _>(w, &self.luts32, nib, &cx, r0, panel, o64),
+            Tier::I64I64 => sweep_panel::<I, _, _>(w, &self.luts64, nib, &cx, r0, panel, o64),
         }
         push(&plan.workers, ws);
     }
@@ -259,7 +269,7 @@ pub(crate) fn sweep_rows<'r>(
         let (lo, hi) = (rows.start.max(base), rows.end.min(base + plan.rows));
         if lo < hi {
             let at = (lo - rows.start) * batch..(hi - rows.start) * batch;
-            tables.sweep(stage, plan, w, lo - base, &mut panel[at]);
+            shuffle::sweep(tables, stage, plan, w, lo - base, &mut panel[at]);
         }
         base += plan.rows;
     }
@@ -561,6 +571,7 @@ fn push<T>(pool: &Mutex<Vec<T>>, s: T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shuffle::Base;
     use figlut_gemm::figlut::gemm_i;
     use figlut_quant::bcq::{BcqParams, BcqWeight};
 
@@ -574,6 +585,72 @@ mod tests {
         let b = BcqWeight::quantize(&w, params);
         let x = Mat::from_fn(5, n, |bb, c| ((bb * n + c) as f64 * 0.057).cos());
         (x, b)
+    }
+
+    /// Build `stage`'s tables and sweep every row of `w` over them, both in
+    /// the baseline build (`Base`, inlined here) or both in this host's.
+    fn swept(stage: &Stage, plan: &ExecPlan, w: &PackedBcq, base: bool) -> Vec<f64> {
+        let mut t = Tables::default();
+        let mut panel = vec![0.0; plan.rows * stage.batch];
+        if base {
+            t.build(stage, plan);
+            t.sweep::<Base>(stage, plan, w, 0, &mut panel);
+        } else {
+            shuffle::build(&mut t, stage, plan);
+            shuffle::sweep(&t, stage, plan, w, 0, &mut panel);
+        }
+        panel
+    }
+
+    #[test]
+    fn baseline_and_dispatched_builds_sweep_the_same_bits() {
+        // The baseline build (`Base`) and the dispatched one (AVX2 on an
+        // AVX2 host) over one stage, against the datapath model: all three
+        // tiers; batches whose blocks are shuffle blocks of 1 and 2 columns
+        // and lane blocks of 4 and 8 lanes (10 = 8 + 2); a per-row group
+        // open across k-tiles (288 columns), a ragged gs-15 group and gs
+        // 64; 45 rows, so the last 32-row block is ragged.
+        use figlut_num::fp::FpFormat;
+        let acts = [
+            (FpFormat::Fp16, 4),
+            (FpFormat::Fp32, 2),
+            (FpFormat::Fp32, 4),
+            (FpFormat::Fp32, 6),
+        ];
+        for (k, gs) in [(288usize, 0usize), (45, 15), (256, 64)] {
+            let (_, b) = setup(45, k, gs, 3);
+            let p = PackedBcq::pack(&b);
+            let mut tiers = [false; 3];
+            for (act, guard_bits) in acts {
+                let cfg = EngineConfig {
+                    act,
+                    guard_bits,
+                    ..EngineConfig::paper_default()
+                };
+                let plan = ExecPlan::new(&p, &cfg);
+                for batch in [1usize, 2, 3, 8, 10] {
+                    let x = Mat::from_fn(batch, k, |bb, c| {
+                        ((bb * k + c) as f64 * 0.083).sin() * 9.0e3
+                    });
+                    let mut stage = Stage::default();
+                    stage.stage_i(&x, &cfg, &plan);
+                    tiers[stage.tier as usize] = true;
+                    let base = swept(&stage, &plan, &p, true);
+                    let fast = swept(&stage, &plan, &p, false);
+                    let model = gemm_i(&x, &b, &cfg);
+                    for (r, (base, fast)) in base.chunks(batch).zip(fast.chunks(batch)).enumerate()
+                    {
+                        for (bb, (y0, y1)) in base.iter().zip(fast).enumerate() {
+                            let tier = stage.tier;
+                            let what = || format!("k {k} gs {gs} {tier:?} B={batch} ({r}, {bb})");
+                            assert_eq!(y0.to_bits(), y1.to_bits(), "{}", what());
+                            assert_eq!(y0.to_bits(), model[(bb, r)].to_bits(), "{}", what());
+                        }
+                    }
+                }
+            }
+            assert_eq!(tiers, [true; 3], "k {k} gs {gs}: every tier swept");
+        }
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //! bytes, and recombined as `Σ 256^p·S_p` minus the bias of every entry
 //! read: the exact integer sum of the run's entries.
 //!
-//! This module is the crate's only `unsafe`: runtime AVX2 detection, the
-//! call into the `#[target_feature]` pass, and its pointer loads and
-//! stores, each in its own block with its own `SAFETY:` note. Without AVX2
-//! the portable pass runs the same sums in plain Rust; the unit tests run
-//! both on every AVX2 host and compare their bits.
+//! This module is the crate's only `unsafe`: the runtime AVX2 check, the
+//! `#[target_feature]` entries of the table build and the sweep, the
+//! `vpshufb` pass, and its loads and stores, each in its own block with
+//! its own `SAFETY:` note. The baseline build reads with the portable
+//! pass; the unit tests compare both passes' bits on every AVX2 host.
+
+use crate::packed::PackedBcq;
+use crate::plan::{ExecPlan, Stage, Tables};
 
 /// Key bytes a `u16` plane sum absorbs before it is flushed: each key byte
 /// adds two looked-up bytes (≤ 2·255) to every lane, and
@@ -27,16 +30,42 @@ const FLUSH: usize = 128;
 /// Rows of one block: one key byte per row fills a 256-bit register.
 pub(crate) const BLOCK_ROWS: usize = 32;
 
-/// The sum of the run of key bytes `keys` (`[key byte][32 rows]`) over its
-/// `tables` (`[key byte][byte plane][low | high nibble]`, `2·planes` per
-/// key byte), in row order, four rows of eight.
-pub(crate) fn pass(keys: &[[u8; 32]], tables: &[[u8; 16]], planes: usize) -> [[i32; 8]; 4] {
+/// A build of the kernel, a type only: its instruction set and its pass.
+pub(crate) trait Isa {
+    /// The sum of the run of key bytes `keys` (`[key byte][32 rows]`) over
+    /// its `tables` (`[key byte][byte plane][low | high nibble]`, `2·planes`
+    /// per key byte), in row order, four rows of eight.
+    fn pass(keys: &[[u8; 32]], tables: &[[u8; 16]], planes: usize) -> [[i32; 8]; 4];
+}
+
+/// [`Tables::build`] in the AVX2 build on an AVX2 host (std caches the
+/// check), else in the baseline build.
+pub(crate) fn build(t: &mut Tables, stage: &Stage, plan: &ExecPlan) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the host has AVX2, checked on the line above.
-        return unsafe { avx2::pass(keys, tables, planes) };
+        return unsafe { avx2::build(t, stage, plan) };
     }
-    portable(keys, tables, planes)
+    t.build(stage, plan);
+}
+
+/// [`Tables::sweep`] in this host's build, as [`build`]. An entry takes the
+/// sweep's references as its own arguments, which LLVM knows neither alias
+/// nor dangle (read from a struct's fields, the sweep ran ×1.15 slower).
+pub(crate) fn sweep(
+    t: &Tables,
+    stage: &Stage,
+    plan: &ExecPlan,
+    w: &PackedBcq,
+    r0: usize,
+    panel: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host has AVX2, checked on the line above.
+        return unsafe { avx2::sweep(t, stage, plan, w, r0, panel) };
+    }
+    t.sweep::<Base>(stage, plan, w, r0, panel);
 }
 
 /// The bias a run of `n` key bytes reads: two entries per key byte, each
@@ -45,29 +74,67 @@ fn bias(planes: usize, n: usize) -> i32 {
     (2 * n as u32).wrapping_mul(1 << (8 * planes - 1)) as i32
 }
 
-/// [`pass`] in plain Rust: each entry's byte planes recombined on the read
-/// and summed in wrapping `i32` (exact: the true sum fits).
-pub(crate) fn portable(keys: &[[u8; 32]], tables: &[[u8; 16]], planes: usize) -> [[i32; 8]; 4] {
-    let mut out = [[0i32; 8]; 4];
-    for (k, t) in keys.iter().zip(tables.chunks_exact(2 * planes)) {
-        for (r, o) in out.as_flattened_mut().iter_mut().enumerate() {
-            let key = usize::from(k[r]);
-            for (p, halves) in t.chunks_exact(2).enumerate() {
-                let e = i32::from(halves[0][key & 15]) + i32::from(halves[1][key >> 4]);
-                *o = o.wrapping_add(e.wrapping_shl(8 * p as u32));
+/// The baseline build. Its pass recombines each entry's byte planes on the
+/// read and sums in wrapping `i32` (exact: the true sum fits).
+pub(crate) enum Base {}
+
+impl Isa for Base {
+    #[inline(always)]
+    fn pass(keys: &[[u8; 32]], tables: &[[u8; 16]], planes: usize) -> [[i32; 8]; 4] {
+        let mut out = [[0i32; 8]; 4];
+        for (k, t) in keys.iter().zip(tables.chunks_exact(2 * planes)) {
+            for (r, o) in out.as_flattened_mut().iter_mut().enumerate() {
+                let key = usize::from(k[r]);
+                for (p, halves) in t.chunks_exact(2).enumerate() {
+                    let e = i32::from(halves[0][key & 15]) + i32::from(halves[1][key >> 4]);
+                    *o = o.wrapping_add(e.wrapping_shl(8 * p as u32));
+                }
             }
         }
+        let bias = bias(planes, keys.len());
+        out.map(|q| q.map(|o| o.wrapping_sub(bias)))
     }
-    let bias = bias(planes, keys.len());
-    out.map(|q| q.map(|o| o.wrapping_sub(bias)))
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::FLUSH;
+    use super::{Isa, FLUSH};
+    use crate::packed::PackedBcq;
+    use crate::plan::{ExecPlan, Stage, Tables};
     use std::arch::x86_64::*;
 
-    /// [`super::pass`] with `vpshufb`, monomorphized on the plane count.
+    /// The AVX2 build, named only by this module's entries.
+    enum Avx2 {}
+
+    impl Isa for Avx2 {
+        #[inline(always)]
+        fn pass(keys: &[[u8; 32]], tables: &[[u8; 16]], planes: usize) -> [[i32; 8]; 4] {
+            // SAFETY: only the entries below, run on an AVX2 host, run code
+            // built for `Avx2`.
+            unsafe { pass(keys, tables, planes) }
+        }
+    }
+
+    /// [`Tables::build`] compiled for AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn build(t: &mut Tables, stage: &Stage, plan: &ExecPlan) {
+        t.build(stage, plan);
+    }
+
+    /// [`Tables::sweep`] compiled for AVX2, reading with the `vpshufb` pass.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn sweep(
+        t: &Tables,
+        stage: &Stage,
+        plan: &ExecPlan,
+        w: &PackedBcq,
+        r0: usize,
+        panel: &mut [f64],
+    ) {
+        t.sweep::<Avx2>(stage, plan, w, r0, panel);
+    }
+
+    /// [`Isa::pass`] with `vpshufb`, monomorphized on the plane count.
     #[target_feature(enable = "avx2")]
     pub(super) fn pass(keys: &[[u8; 32]], tables: &[[u8; 16]], planes: usize) -> [[i32; 8]; 4] {
         match planes {
@@ -178,8 +245,13 @@ mod tests {
 
     fn check(keys: &[[u8; 32]], tables: &[[u8; 16]], planes: usize, what: &str) {
         let want = reference(keys, tables, planes);
-        assert_eq!(portable(keys, tables, planes), want, "portable: {what}");
-        assert_eq!(pass(keys, tables, planes), want, "dispatched: {what}");
+        assert_eq!(Base::pass(keys, tables, planes), want, "portable: {what}");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host has AVX2, checked on the line above.
+            let got = unsafe { avx2::pass(keys, tables, planes) };
+            assert_eq!(got, want, "vpshufb: {what}");
+        }
     }
 
     #[test]
@@ -188,7 +260,7 @@ mod tests {
         // the 128-key-byte flush and across two of them; all-0xFF tables
         // put every u16 lane at its flush limit, so a late flush wraps.
         if cfg!(target_arch = "x86_64") && !std::arch::is_x86_feature_detected!("avx2") {
-            eprintln!("no AVX2 on this host: the dispatched pass is the portable one");
+            eprintln!("no AVX2 on this host: only the portable pass runs");
         }
         for planes in 1..=4 {
             for n in [1usize, 2, 17, 127, 128, 129, 255, 256, 257, 300] {
