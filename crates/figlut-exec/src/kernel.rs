@@ -10,9 +10,10 @@
 //! * **column blocks** — up to eight batch columns share one sweep, so the
 //!   packed planes are streamed once per block (once per call up to
 //!   batch 8) instead of once per batch row;
-//! * **k-tiles** — the sweep walks *tile → run → row group → plane*, a run
-//!   being the part of one scale group inside a tile, so a run's tables
-//!   stay in cache while the panel's keys, scales and offsets stream past.
+//! * **k-tiles** — a thread builds a tile's tables just before its readers
+//!   sweep it, *run → row group → plane* (a run is the part of one scale
+//!   group inside the tile), so the tables stay in cache while the keys,
+//!   scales and offsets stream past (`crate::plan`, `sweep_rows`).
 //!
 //! Every scale group starts on a key byte ([`crate::packed`]), so every
 //! shape is swept a key byte (a window of at most 8 columns of one group)
@@ -53,7 +54,7 @@
 //!
 //! [`AlignedVector`]: figlut_num::align::AlignedVector
 
-use crate::lut::{FlatLuts, NibbleLuts, MAX_LANES};
+use crate::lut::{Block, FlatLuts, NibbleLuts, MAX_LANES};
 use crate::packed::PackedBcq;
 use crate::parallel::thread_count;
 use crate::plan::ExecPlan;
@@ -161,7 +162,21 @@ fn add_f32(acc: f32, b: f64) -> f32 {
     add32(acc as f64, b) as f32
 }
 
-/// The per-batch-column operands of the fold. Each column folds with its
+/// One plane's fold of a finished group partial `p`: `y ⊕ α·(p·λ)`, each
+/// product `mul32`-rounded. Where the stage proves `gs·max|m| < 2^24` and
+/// every λ (a power of two) in `[2^−126, f32::MAX / 2^24]` (`EXACT`), `p·λ`
+/// is an exact normal `f32`, so the fold is `y + (α·(p·λ)) as f32` in
+/// `f32`: the same bits (as [`add_f32`]), one round trip fewer per lane.
+#[inline(always)]
+fn fold<const EXACT: bool>(y: f32, alpha: f64, p: f64, lambda: f64) -> f32 {
+    if EXACT {
+        y + (alpha * (p * lambda)) as f32
+    } else {
+        add_f32(y, mul32(alpha, mul32(p, lambda)))
+    }
+}
+
+/// The operands of one column block's fold. Each column folds with its
 /// own λ and Σx, so every (row, column) result is bit-identical to a
 /// batch-1 call.
 pub(crate) struct Columns<'a> {
@@ -170,43 +185,43 @@ pub(crate) struct Columns<'a> {
     /// Offset multiplier per (column, group), `batch × groups`: the
     /// row-invariant `mul32(Σx, λ)`, pre-folded at staging.
     pub gsums: &'a [f64],
+    /// The block's columns, and the pass that sweeps them.
+    pub blk: Block,
+    /// The k-tile swept.
+    pub tile: usize,
 }
 
-/// `f(column)` for each of a block's `cols` columns from `col0`, 0 in its
-/// padding lanes.
-fn per_lane<const L: usize>((col0, cols): (usize, usize), f: impl Fn(usize) -> f64) -> [f64; L] {
-    std::array::from_fn(|l| if l < cols { f(col0 + l) } else { 0.0 })
+/// `f(column)` for each of the block's columns, 0 in its padding lanes.
+fn per_lane<const L: usize>(blk: Block, f: impl Fn(usize) -> f64) -> [f64; L] {
+    std::array::from_fn(|l| if l < blk.cols { f(blk.col0 + l) } else { 0.0 })
 }
 
 /// One pass of [`walk`] in build `I`: the integer sums `[row % G][lane]`
-/// of one run of key bytes for one `G`-row group. A type with an inlined
-/// method, not a closure, so it compiles into the walk's entry.
+/// of one run of key bytes for one `G`-row group over a tile's tables: a
+/// method, inlined, not a closure, so it compiles into the walk's entry.
 trait RunPass<A, const G: usize, const L: usize> {
-    /// The sums of `keys`, the key bytes `run` of a 32-row block, for the
-    /// group whose first row is `at` in the block.
+    /// The sums of `keys`, the key bytes `run` (counted from the tile's
+    /// first) of a 32-row block, for the group whose first row is `at` in
+    /// the block.
     fn pass<I: Isa>(&self, keys: &[[u8; 32]], at: usize, run: Range<usize>) -> [[A; L]; G];
 }
 
 /// The lane pass over one lane block's tables, four rows at a time.
-struct LaneRun<'a, E>(&'a [E]);
-
-impl<E: Copy, A: Accum + From<E>, const L: usize> RunPass<A, LANE_ROWS, L> for LaneRun<'_, E> {
+impl<E: Copy, A: Accum + From<E>, const L: usize> RunPass<A, LANE_ROWS, L> for FlatLuts<E> {
     #[inline(always)]
     fn pass<I: Isa>(&self, keys: &[[u8; 32]], at: usize, run: Range<usize>) -> [[A; L]; 4] {
-        lane_pass::<E, A, L>(keys, at, &self.0[run.start * 256 * L..run.end * 256 * L])
+        let tables = &self.entries()[run.start * 256 * L..run.end * 256 * L];
+        lane_pass::<E, A, L>(keys, at, tables)
     }
 }
 
-/// The shuffle pass over columns `(col0, cols)`, 32 rows at a time.
-struct ShuffleRun<'a>(&'a NibbleLuts, (usize, usize));
-
-impl<A: Accum + From<i32>, const L: usize> RunPass<A, BLOCK_ROWS, L> for ShuffleRun<'_> {
+/// The shuffle pass over the columns the tables hold, 32 rows at a time.
+impl<A: Accum + From<i32>, const L: usize> RunPass<A, BLOCK_ROWS, L> for NibbleLuts {
     #[inline(always)]
     fn pass<I: Isa>(&self, keys: &[[u8; 32]], _: usize, run: Range<usize>) -> [[A; L]; 32] {
-        let ShuffleRun(nib, (col0, cols)) = *self;
         let mut sums = [[A::default(); L]; BLOCK_ROWS];
-        for l in 0..cols {
-            let s = I::pass(keys, nib.column(col0 + l, run.clone()), nib.planes);
+        for (l, c) in self.cols.clone().enumerate() {
+            let s = I::pass(keys, self.column(c, run.clone()), self.planes);
             for (sum, &s) in sums.iter_mut().zip(s.as_flattened()) {
                 sum[l] = A::from(s);
             }
@@ -215,97 +230,85 @@ impl<A: Accum + From<i32>, const L: usize> RunPass<A, BLOCK_ROWS, L> for Shuffle
     }
 }
 
-/// The LUT-stationary walk of one column block (batch columns
-/// `col0..col0 + cols`, `L` lanes) over a worker's rows `r0..`: per
-/// k-tile, per run (the key bytes `run` of one scale group inside the
-/// tile), per aligned `G`-row group, per plane, one [`RunPass::pass`] —
-/// `keys` the run's key bytes of the group's 32-row block, `at` the
-/// group's first row in them. A run that ends its group folds the
-/// partial into the row's running output `panel[row·batch + column]` and,
-/// after the last plane, the group's offset term; a run that does not
-/// parks it in `open` (`[row][plane][lane]`) for the group's next run — a
+/// The LUT-stationary walk of k-tile `cx.tile` of column block `cx.blk`
+/// (`L` lanes) over a reader's rows `r0..`: per run (the key bytes of one
+/// scale group inside the tile), per aligned `G`-row group, per plane, one
+/// [`RunPass::pass`] over the tile's `tables` — `keys` the run's key bytes
+/// of the group's 32-row block, `at` the group's first row in them. A run
+/// that ends its group folds the partial into the row's running output
+/// `panel[row·batch + column]` and, after the last plane, the group's
+/// offset term; a run that does not parks it in the reader's `open`
+/// (`[row][plane][lane]`) for the group's next run, in a later tile — a
 /// group's first run assigns, so `open` is never cleared. All `L` lanes
 /// fold in lockstep (padding lanes fold zeros).
 #[inline(always)]
-fn walk<I: Isa, A: Accum, const G: usize, const L: usize>(
+fn walk<I: Isa, A: Accum, const G: usize, const L: usize, const EXACT: bool>(
     w: &PackedBcq,
-    blk: (usize, usize),
     cx: &Columns<'_>,
     r0: usize,
     panel: &mut [f64],
-    open: &mut Vec<A>,
-    run: impl RunPass<A, G, L>,
+    open: &mut [A],
+    tables: &impl RunPass<A, G, L>,
 ) {
-    let (q, groups, (col0, cols), batch) = (w.bits(), w.groups(), blk, cx.lambdas.len());
+    let (q, groups, batch, t) = (w.bits(), w.groups(), cx.lambdas.len(), cx.tile);
+    let (col0, cols) = (cx.blk.col0, cx.blk.cols);
     let rows = panel.len() / batch;
     let kpg = w.group_size().div_ceil(8); // key bytes per group
-    let (nkb, tk) = (w.key_bytes, w.tile_keys);
-    // A group stays open across a tile boundary unless groups tile the
-    // tile exactly (gs 64, 128, 256); gs 192, or any group wider than a
-    // tile, does not.
-    if w.tiles() > 1 && !tk.is_multiple_of(kpg) {
-        open.resize(rows * q * L, A::default());
-    }
-    let lam: [f64; L] = per_lane(blk, |col| cx.lambdas[col]);
-    for t in 0..w.tiles() {
-        let (k0, k1) = (t * tk, nkb.min((t + 1) * tk));
-        for g in k0 / kpg..k1.div_ceil(kpg) {
-            let (lo, hi) = (k0.max(g * kpg), k1.min((g + 1) * kpg));
-            let (starts, ends) = (lo == g * kpg, hi == (g + 1) * kpg);
-            let zs = w.group_offsets(g);
-            let gsum: [f64; L] = per_lane(blk, |col| cx.gsums[col * groups + g]);
-            for b in r0 / G..(r0 + rows).div_ceil(G) {
-                // Rows of the block outside the panel are summed and folded
-                // too, and never stored.
-                let live = (b * G).max(r0)..((b + 1) * G).min(r0 + rows);
-                let out = |r: usize| (r - r0) * batch + col0..(r - r0) * batch + col0 + cols;
-                let mut y = [[0f32; L]; G];
-                if ends {
-                    for r in live.clone() {
-                        for (y, &o) in y[r - b * G].iter_mut().zip(&panel[out(r)]) {
-                            *y = o as f32;
-                        }
+    let Range { start: k0, end: k1 } = w.tile(t);
+    let lam: [f64; L] = per_lane(cx.blk, |col| cx.lambdas[col]);
+    for g in k0 / kpg..k1.div_ceil(kpg) {
+        let (lo, hi) = (k0.max(g * kpg), k1.min((g + 1) * kpg));
+        let (starts, ends) = (lo == g * kpg, hi == (g + 1) * kpg);
+        let zs = w.group_offsets(g);
+        let gsum: [f64; L] = per_lane(cx.blk, |col| cx.gsums[col * groups + g]);
+        for b in r0 / G..(r0 + rows).div_ceil(G) {
+            // Rows of the block outside the panel are summed and folded
+            // too, and never stored.
+            let live = (b * G).max(r0)..((b + 1) * G).min(r0 + rows);
+            let out = |r: usize| (r - r0) * batch + col0..(r - r0) * batch + col0 + cols;
+            let mut y = [[0f32; L]; G];
+            if ends {
+                for r in live.clone() {
+                    for (y, &o) in y[r - b * G].iter_mut().zip(&panel[out(r)]) {
+                        *y = o as f32;
                     }
                 }
-                for i in 0..q {
-                    let tile = w.block_keys(t, b * G / BLOCK_ROWS, i);
-                    let mut accs =
-                        run.pass::<I>(&tile[lo - k0..hi - k0], b * G % BLOCK_ROWS, lo..hi);
-                    if !(starts && ends) {
-                        let js = live.start - b * G..live.end - b * G;
-                        let at = (live.start - r0) * q + i;
-                        for (acc, at) in accs[js].iter_mut().zip((at..).step_by(q)) {
-                            let carry = &mut open[at * L..][..L];
-                            if !starts {
-                                for l in 0..L {
-                                    acc[l] += carry[l];
-                                }
-                            }
-                            if !ends {
-                                carry.copy_from_slice(acc);
+            }
+            for i in 0..q {
+                let keys = &w.block_keys(t, b * G / BLOCK_ROWS, i)[lo - k0..hi - k0];
+                let mut accs = tables.pass::<I>(keys, b * G % BLOCK_ROWS, lo - k0..hi - k0);
+                if !(starts && ends) {
+                    let js = live.start - b * G..live.end - b * G;
+                    let at = (live.start - r0) * q + i;
+                    for (acc, at) in accs[js].iter_mut().zip((at..).step_by(q)) {
+                        let carry = &mut open[at * L..][..L];
+                        if !starts {
+                            for l in 0..L {
+                                acc[l] += carry[l];
                             }
                         }
-                    }
-                    if ends {
-                        let alphas = &w.group_scales(g, i)[b * G..(b + 1) * G];
-                        for ((y, acc), &alpha) in y.iter_mut().zip(&accs).zip(alphas) {
-                            let p = acc.map(A::to_f64);
-                            *y = std::array::from_fn(|l| {
-                                add_f32(y[l], mul32(alpha, mul32(p[l], lam[l])))
-                            });
+                        if !ends {
+                            carry.copy_from_slice(acc);
                         }
                     }
                 }
                 if ends {
-                    if let Some(zs) = zs.get(b * G..(b + 1) * G) {
-                        for (y, &z) in y.iter_mut().zip(zs) {
-                            *y = std::array::from_fn(|l| add_f32(y[l], mul32(z, gsum[l])));
-                        }
+                    let alphas = &w.group_scales(g, i)[b * G..(b + 1) * G];
+                    for ((y, acc), &alpha) in y.iter_mut().zip(&accs).zip(alphas) {
+                        let p = acc.map(A::to_f64);
+                        *y = std::array::from_fn(|l| fold::<EXACT>(y[l], alpha, p[l], lam[l]));
                     }
-                    for r in live {
-                        for (o, &y) in panel[out(r)].iter_mut().zip(&y[r - b * G]) {
-                            *o = y as f64;
-                        }
+                }
+            }
+            if ends {
+                if let Some(zs) = zs.get(b * G..(b + 1) * G) {
+                    for (y, &z) in y.iter_mut().zip(zs) {
+                        *y = std::array::from_fn(|l| add_f32(y[l], mul32(z, gsum[l])));
+                    }
+                }
+                for r in live {
+                    for (o, &y) in panel[out(r)].iter_mut().zip(&y[r - b * G]) {
+                        *o = y as f64;
                     }
                 }
             }
@@ -313,46 +316,31 @@ fn walk<I: Isa, A: Accum, const G: usize, const L: usize>(
     }
 }
 
-/// One worker's share of an `exec_i` call for one reader, in build `I`:
-/// sweep output rows `r0..` — lane blocks over `luts`, the columns `nib`
-/// holds with the shuffle pass — folding into `panel`, the worker's zeroed
-/// `rows × batch` slice of the transposed output. `open` is caller-owned
-/// open-group scratch (reused allocation-free across calls).
+/// One reader's sweep of k-tile `cx.tile` of the column block `cx.blk`, in build
+/// `I`, over the tile's tables — the lane pass's `luts` or the shuffle
+/// pass's `nib`: output rows `r0..`, folding into `panel` (the reader's
+/// `rows × batch` share of a part, zeroed before the block's first tile),
+/// region `at` of `open` the reader's open-group carry (grown to hold it:
+/// allocation-free once warm).
 #[inline(always)]
-pub(crate) fn sweep_panel<I: Isa, E: Copy, A: Accum + From<E> + From<i32>>(
+pub(crate) fn sweep_tile<I: Isa, E: Copy, A: Accum + From<E> + From<i32>, const EXACT: bool>(
     w: &PackedBcq,
-    luts: &FlatLuts<E>,
-    nib: &NibbleLuts,
+    (luts, nib): (&FlatLuts<E>, &NibbleLuts),
     cx: &Columns<'_>,
     r0: usize,
     panel: &mut [f64],
     open: &mut Vec<A>,
+    at: Range<usize>,
 ) {
-    let batch = cx.lambdas.len();
-    // Traffic accounting, off the walk itself, as the plan's formulas count
-    // it whichever pass takes a column: every packed word of the panel once
-    // per 8-column block of the call, every k-tile once per row and block
-    // (guarded so the disabled path costs one read).
-    if figlut_trace::enabled() {
-        let row_sweeps = (batch.div_ceil(MAX_LANES) * panel.len() / batch) as u64;
-        let row_words = (w.bits() * w.key_bytes.div_ceil(8)) as u64;
-        figlut_trace::counters::bump_exec_streamed_words(row_sweeps * row_words);
-        figlut_trace::counters::bump_exec_ktiles(row_sweeps * w.tiles() as u64);
+    if open.len() < at.end {
+        open.resize(at.end, A::default());
     }
-    for blk in luts.blocks() {
-        let (cols, run) = ((blk.col0, blk.cols), LaneRun(blk.entries));
-        match blk.lanes {
-            4 => walk::<I, A, LANE_ROWS, 4>(w, cols, cx, r0, panel, open, run),
-            _ => walk::<I, A, LANE_ROWS, MAX_LANES>(w, cols, cx, r0, panel, open, run),
-        }
-    }
-    // `Tables::build` leaves the shuffle pass at most two columns.
-    let blk = (nib.cols.start, nib.cols.len());
-    let run = ShuffleRun(nib, blk);
-    match blk.1 {
-        0 => {}
-        1 => walk::<I, A, BLOCK_ROWS, 1>(w, blk, cx, r0, panel, open, run),
-        _ => walk::<I, A, BLOCK_ROWS, 2>(w, blk, cx, r0, panel, open, run),
+    let open = &mut open[at];
+    match (cx.blk.shuffle, cx.blk.cols) {
+        (false, ..=4) => walk::<I, A, LANE_ROWS, 4, EXACT>(w, cx, r0, panel, open, luts),
+        (false, _) => walk::<I, A, LANE_ROWS, MAX_LANES, EXACT>(w, cx, r0, panel, open, luts),
+        (true, 1) => walk::<I, A, BLOCK_ROWS, 1, EXACT>(w, cx, r0, panel, open, nib),
+        (true, _) => walk::<I, A, BLOCK_ROWS, 2, EXACT>(w, cx, r0, panel, open, nib),
     }
 }
 

@@ -16,10 +16,10 @@
 //! | Module | Hardware analogue | Contents |
 //! |---|---|---|
 //! | [`packed`] | weight SRAM layout | [`PackedBcq`]: sign bits as key bytes, every scale group starting on one, tile-major in 32-row blocks (`[k-tile][block][plane][key byte][32 rows]`), scales and offsets `[group][row]` padded to whole blocks |
-//! | [`lut`] | FFLUT generators | per key-byte window: 256-entry tables lane-blocked across activation rows (the 4/8 entries of one key contiguous), built half + mirrored (Fig. 10); and the shuffle pass's µ = 4 nibble tables in byte planes |
-//! | [`kernel`] | RAC arrays | the LUT-stationary [`exec_i`] read-accumulate kernel: one walk over the key bytes, each tile of tables visited once per call, swept by the shuffle pass (one or two batch columns) or the lane pass (blocks of 3–8), the FP32-rounded fold fused into it |
+//! | [`lut`] | FFLUT generators | per key-byte window: 256-entry tables lane-blocked across activation rows (the 4/8 entries of one key contiguous), built half + mirrored (Fig. 10); and the shuffle pass's µ = 4 nibble tables in byte planes; the kernel builds both one k-tile at a time |
+//! | [`kernel`] | RAC arrays | the LUT-stationary [`exec_i`] read-accumulate kernel: one walk per k-tile of the key bytes, over the tile's tables, swept by the shuffle pass (one or two batch columns) or the lane pass (blocks of 3–8), the FP32-rounded fold fused into it |
 //! | `shuffle` | one FFLUT, k RACs (Fig. 8/9) | the register FFLUT: one AVX2 `vpshufb` reads a 16-entry table for 32 weight rows, with a portable fallback; and the crate's only `unsafe`: the runtime AVX2 check and the `#[target_feature]` entries that run the table build and the sweep compiled for AVX2 |
-//! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls |
+//! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls; one stage per distinct input, and per lane block and k-tile one table build next to its readers (lane block → tile → reader), which every reader of a shared call sweeps |
 //! | [`parallel`] | MPU tiling | the step crew: one `std::thread::scope` per step (a forward pass, or one direct call), its workers claiming row parts of every GEMM phase; `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a step opens a crew only as large as its summed look-ups repay the spawns |
 //!
 //! The correctness story is *differential*: [`exec_i`] is **bit-identical**

@@ -90,13 +90,14 @@ pub(crate) fn column_blocks(
     })
 }
 
-/// One column block of a [`FlatLuts`]: batch columns `col0..col0 + cols`
-/// in `lanes`-wide entries (`entries[((w << mu) | k)·lanes + l]`).
-pub(crate) struct LaneBlock<'a, T> {
+/// One column block of a stage: batch columns `col0..col0 + cols`, swept
+/// by the shuffle pass (one or two columns) or by the lane pass (its
+/// tables `lane_width(cols)`, at least 4, lanes wide).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Block {
     pub col0: usize,
     pub cols: usize,
-    pub lanes: usize,
-    pub entries: &'a [T],
+    pub shuffle: bool,
 }
 
 /// Flat full tables for every window of a *batch* of activation rows, in
@@ -112,6 +113,11 @@ pub(crate) struct LaneBlock<'a, T> {
 /// first `2^width` key slots, the rest zero (a packed key's bits past its
 /// window's width are zero). `batch = 1` is one 1-lane block: the classic
 /// one-table-per-window layout.
+///
+/// The kernel's sets are one k-tile of one lane block: a thread rebuilds
+/// its set from the tile's windows just before its readers sweep that
+/// tile (32 key-byte windows, 256 KiB at 8 lanes), so no table of the
+/// whole reduction dimension exists.
 #[derive(Clone, Debug)]
 pub struct FlatLuts<T> {
     mu: u32,
@@ -186,16 +192,10 @@ impl<T: Copy + Default + core::ops::Add<Output = T> + core::ops::Neg<Output = T>
     }
 }
 
-impl<T: Copy> FlatLuts<T> {
-    /// The column blocks, in column order.
-    pub(crate) fn blocks(&self) -> impl Iterator<Item = LaneBlock<'_, T>> {
-        let per_lane = self.wins << self.mu;
-        column_blocks(self.batch, self.min_lanes).map(move |(col0, cols, lanes)| LaneBlock {
-            col0,
-            cols,
-            lanes,
-            entries: &self.entries[col0 * per_lane..][..lanes * per_lane],
-        })
+impl<T> FlatLuts<T> {
+    /// Every block's entries, in column order.
+    pub(crate) fn entries(&self) -> &[T] {
+        &self.entries
     }
 }
 
@@ -258,7 +258,7 @@ where
 
 /// The shuffle pass's tables ([`crate::shuffle`]), the register FFLUT:
 /// for every batch column `c` of the set and key byte `kb` (window `kb`
-/// of the plan, at most 8 columns, a narrower one zero-filled to 8), the
+/// of a k-tile, at most 8 columns, a narrower one zero-filled to 8), the
 /// 16-entry tables of its two nibble windows (µ = 4; half 0 is the
 /// window's first four columns, the key's low nibble).
 /// Every entry `e` is stored as the `P` bytes of `e + 2^(8P−1)`, so
@@ -511,23 +511,19 @@ mod tests {
             // lanes of one (window, key) are adjacent and padding lanes
             // are zero.
             let mut at = 0;
-            for blk in batched.blocks() {
-                assert_eq!(blk.col0 % MAX_LANES, 0);
-                assert_eq!(blk.lanes, lane_width(blk.cols));
-                assert_eq!(
-                    blk.entries.as_ptr(),
-                    batched.entries[at..].as_ptr(),
-                    "B={batch}"
-                );
-                at += blk.entries.len();
-                for (slot, lane_vec) in blk.entries.chunks_exact(blk.lanes).enumerate() {
+            for (col0, bcols, lanes) in column_blocks(batch, 1) {
+                assert_eq!(col0 % MAX_LANES, 0);
+                assert_eq!(lanes, lane_width(bcols));
+                let entries = &batched.entries[at..][..per_lane * lanes];
+                at += entries.len();
+                for (slot, lane_vec) in entries.chunks_exact(lanes).enumerate() {
                     let (wi, k) = (slot >> 4, slot & 15);
                     if k >= 1 << wins[wi].width {
                         continue; // unpopulated slots of a narrow window
                     }
                     for (l, &e) in lane_vec.iter().enumerate() {
-                        if l < blk.cols {
-                            assert_eq!(e, batched.read_batched(wi, blk.col0 + l, k));
+                        if l < bcols {
+                            assert_eq!(e, batched.read_batched(wi, col0 + l, k));
                         } else {
                             assert_eq!(e, 0.0, "B={batch} padding lane {l}");
                         }

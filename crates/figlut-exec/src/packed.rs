@@ -31,6 +31,7 @@
 use crate::shuffle::BLOCK_ROWS;
 use figlut_num::Mat;
 use figlut_quant::{BcqWeight, BitMatrix};
+use std::ops::Range;
 
 /// Packed words per k-tile of a lane-tiled shape: 256 columns, 32
 /// byte-wide windows, two gs-128 scale groups (at most 128 KiB of 8-lane
@@ -210,9 +211,15 @@ impl PackedBcq {
     /// element `j` holds the tile's key byte `j` of row `32·b + r` at `[r]`.
     #[inline]
     pub(crate) fn block_keys(&self, t: usize, b: usize, i: usize) -> &[[u8; BLOCK_ROWS]] {
-        let k0 = t * self.tile_keys;
-        let at = self.key_at(k0, b, i);
-        &self.planes[at..at + self.tile_keys.min(self.key_bytes - k0)]
+        let keys = self.tile(t);
+        let at = self.key_at(keys.start, b, i);
+        &self.planes[at..at + keys.len()]
+    }
+
+    /// The key bytes of k-tile `t`.
+    #[inline]
+    pub(crate) fn tile(&self, t: usize) -> Range<usize> {
+        t * self.tile_keys..self.key_bytes.min((t + 1) * self.tile_keys)
     }
 
     /// Scales of plane `i` of group `g`, one per output row, then 0 up to

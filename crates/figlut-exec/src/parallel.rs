@@ -10,21 +10,21 @@
 //! direct [`crate::ExecPlan`] call — and [`Crew::run`] is the crate's one
 //! spawn site. Its `size − 1` scoped workers are spawned when the step
 //! opens and wait between GEMM phases at a yield-then-park barrier. A phase
-//! is staged once by the calling thread (quantize, align, tables); then the
+//! is staged once by the calling thread (quantize, align, tier); then the
 //! concatenated rows of its readers are cut into `size` contiguous parts,
 //! each claimed and swept by whichever thread — caller or worker — takes it
-//! first. Workers cannot borrow what the step creates after they are
-//! spawned, so everything they read sits in slots the crew owns: the
-//! staged tables and reader list behind an `RwLock`, one output panel per
-//! part behind a `Mutex`. The caller moves the stage in, and the stage and
-//! panels back out when the phase is done.
+//! first, building the part's tables one k-tile at a time. Workers cannot
+//! borrow what the step creates after they are spawned, so everything they
+//! read sits in slots the crew owns: the stage and reader list behind an
+//! `RwLock`, one output panel per part behind a `Mutex`. The caller moves
+//! the stage in, and the stage and panels back out when the phase is done.
 //!
 //! A caller's `threads` is only ever a *maximum*: it can change how fast a
 //! step runs, never what it returns. [`crew_size`] lowers it from the
 //! step's summed look-ups, so a worker is spawned only when its share
 //! outweighs the spawn (DESIGN.md §6, "The step crew").
 
-use crate::plan::{part_rows, scatter, sweep_rows, CallScratch, ExecPlan, Stage, Tables};
+use crate::plan::{part_rows, scatter, sweep_rows, CallScratch, ExecPlan, Stage};
 use crate::PackedBcq;
 use figlut_num::Mat;
 use std::num::NonZeroUsize;
@@ -136,38 +136,26 @@ impl Drop for Finish<'_> {
 
 impl Shared<'_> {
     /// Claim and sweep parts of the current phase until none is left,
-    /// over `tables`, built from the phase's stage once the first part is
-    /// held: every thread sweeps tables it wrote itself (DESIGN.md §6,
-    /// "The step crew").
-    fn claim(&self, tables: &mut Tables) {
+    /// building each part's tables tile by tile: every thread sweeps tables
+    /// it wrote itself (DESIGN.md §6, "The step crew").
+    fn claim(&self) {
         let job = self.job.read().unwrap_or_else(PoisonError::into_inner);
         let parts = self.panels.len();
-        let mut built = false;
         loop {
             let p = self.next.fetch_add(1, Ordering::Relaxed);
             if p >= parts {
                 return;
             }
             let _finish = Finish(&self.done);
-            if !built {
-                crate::shuffle::build(tables, &job.stage, job.readers[0].0);
-                built = true;
-            }
             let rows = part_rows(job.rows, parts, p);
             let readers = job.readers.iter().copied();
-            sweep_rows(
-                readers,
-                &job.stage,
-                tables,
-                rows,
-                &mut lock(&self.panels[p]),
-            );
+            sweep_rows(readers, &job.stage, rows, &mut lock(&self.panels[p]));
         }
     }
 
     /// A worker's life: wait for a phase, help sweep it, until closed.
     fn work(&self) {
-        let (mut seen, mut tables) = (0, Tables::default());
+        let mut seen = 0;
         loop {
             let mut polls = 0;
             loop {
@@ -186,7 +174,7 @@ impl Shared<'_> {
             if seen == CLOSED {
                 return;
             }
-            self.claim(&mut tables);
+            self.claim();
         }
     }
 }
@@ -252,8 +240,7 @@ impl<'a> Crew<'_, 'a> {
         let batch = s.stage.batch();
         let Some(team) = &self.team else {
             let all = readers.iter().map(|&(plan, w, _)| (plan, w));
-            crate::shuffle::build(&mut s.tables, &s.stage, readers[0].0);
-            sweep_rows(all, &s.stage, &s.tables, 0..rows, &mut s.yt);
+            sweep_rows(all, &s.stage, 0..rows, &mut s.yt);
             scatter(readers, 0..rows, batch, &s.yt);
             return;
         };
@@ -270,7 +257,7 @@ impl<'a> Crew<'_, 'a> {
         }
         shared.epoch.fetch_add(1, Ordering::Release);
         team.workers.iter().for_each(Thread::unpark);
-        shared.claim(&mut s.tables);
+        shared.claim();
         let parts = shared.panels.len();
         while shared.done.load(Ordering::Acquire) < parts {
             std::thread::yield_now();

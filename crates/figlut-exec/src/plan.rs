@@ -1,8 +1,8 @@
 //! [`ExecPlan`] — a reusable execution handle for one [`PackedBcq`].
 //!
 //! The kernels' preamble is not free: the window decomposition, the
-//! quantize/align/Σx staging buffers, the FFLUTs, and every worker's
-//! open-group buffer. An `ExecPlan` hoists all of it, so a decode step
+//! quantize/align/Σx staging buffers, the FFLUT tile arenas and the
+//! open-group carries. An `ExecPlan` hoists all of it, so a decode step
 //! recomputes and reallocates nothing:
 //!
 //! * the window plan — one window per key byte, `windows(n, gs, 8)`,
@@ -10,15 +10,14 @@
 //!   µ never changes a bit of the result) — is computed once at
 //!   construction;
 //! * every staging buffer lives in pooled scratch, checked out once per
-//!   *stage* — one quantize/align/table build of an activation matrix —
-//!   so a steady-state call performs **zero heap allocations** in the exec
-//!   hot path (asserted by `tests/alloc.rs` with a counting allocator);
+//!   *stage* — one quantize/align of an activation matrix — and the tables
+//!   once per swept part, so a steady-state call performs **zero heap
+//!   allocations** in the exec hot path (asserted by `tests/alloc.rs`);
 //! * a stage is built once per distinct input, not per weight matrix:
-//!   [`ExecPlan::exec_i_shared`] runs any number of readers over one table
-//!   set (the paper's one FFLUT feeding k RACs), and
-//!   [`ExecPlan::exec_i_into`] is its one-reader case; on a [`Crew`] of
-//!   several threads, each builds its own copy of the tables from the one
-//!   stage ([`crate::parallel`]).
+//!   [`ExecPlan::exec_i_shared`] runs any number of readers over each
+//!   table build (the paper's one FFLUT feeding k RACs), one k-tile at a
+//!   time, and [`ExecPlan::exec_i_into`] is its one-reader case; on a
+//!   [`Crew`], each thread builds its own tiles from the one stage.
 //!
 //! The pools are `Mutex`-guarded free lists: concurrent calls on one plan
 //! are correct (each checks out its own scratch). `Clone` clones the
@@ -26,8 +25,8 @@
 //! which is what lets `figlut-model` keep a plan inside its `Clone`-able
 //! `LinearWeights::Packed` variant.
 
-use crate::kernel::{check, sweep_panel, Columns, LANE_ROWS};
-use crate::lut::{column_blocks, windows, FlatLuts, NibbleLuts, Window, MAX_LANES};
+use crate::kernel::{check, sweep_tile, Columns, LANE_ROWS};
+use crate::lut::{column_blocks, windows, Block, FlatLuts, NibbleLuts, Window, MAX_LANES};
 use crate::packed::PackedBcq;
 use crate::parallel::{crew_size, thread_count, Crew};
 use crate::shuffle::{self, Isa};
@@ -62,6 +61,10 @@ pub(crate) struct Stage {
     tier: Tier,
     /// Byte planes of a shuffle-table entry, at [`Tier::I32I32`].
     key_planes: Option<usize>,
+    /// `gs·max|mantissa| < 2^24` and every λ in `[2^−126, f32::MAX / 2^24]`:
+    /// `p·λ` is an exact `f32` for every group partial `p`, and the sweep
+    /// folds with one rounding fewer (`kernel::fold`).
+    exact: bool,
 }
 
 /// Table entry and accumulator types of a stage. Every integer tier is
@@ -129,6 +132,9 @@ impl Stage {
             Tier::I32I32 => NibbleLuts::planes_for(maxm),
             _ => None,
         };
+        let normal = f32::MIN_POSITIVE as f64..=f32::MAX as f64 / (1 << 24) as f64;
+        self.exact = (gs as u64).saturating_mul(maxm) < 1 << 24
+            && self.lambdas.iter().all(|l| normal.contains(l));
         if !matches!(self.tier, Tier::I64I64) {
             self.m32.clear();
             self.m32.extend(self.mant.iter().map(|&v| v as i32));
@@ -139,6 +145,23 @@ impl Stage {
     /// Batch rows staged.
     pub(crate) fn batch(&self) -> usize {
         self.batch
+    }
+
+    /// The stage's column blocks, in column order: lane blocks and, given
+    /// the proof that its entries fit their byte planes, a last block of
+    /// one or two columns for the shuffle pass (else the lane pass pads
+    /// such a block to four lanes).
+    fn blocks(&self) -> impl Iterator<Item = Block> {
+        let (batch, tail) = (self.batch, self.batch % MAX_LANES);
+        let shuffled = self.key_planes.is_some() && tail <= 2;
+        let from = if shuffled { batch - tail } else { batch };
+        let block = |col0, cols, shuffle| Block {
+            col0,
+            cols,
+            shuffle,
+        };
+        let lanes = column_blocks(from, 1).map(move |(col0, cols, _)| block(col0, cols, false));
+        lanes.chain((from < batch).then(|| block(from, batch - from, true)))
     }
 
     /// Count one reader's call at this stage's tier.
@@ -153,56 +176,69 @@ impl Stage {
     }
 }
 
-/// The lane-blocked tables of a stage, one set per sweeping thread: each
-/// builds its own from the shared stage, so no core reads table lines
-/// another core wrote (DESIGN.md §6, "The step crew"). The build is a pure
-/// function of the stage, so every thread's tables hold the same bits.
+/// One thread's tables — one k-tile of one column block of a stage, built
+/// from the shared stage just before the readers sweep that tile — and the
+/// readers' open-group carries. No core reads table lines another core
+/// wrote (DESIGN.md §6, "The step crew"); the build is a pure function of
+/// the stage, so every thread's tables hold the same bits.
 #[derive(Debug, Default)]
 pub(crate) struct Tables {
-    /// Narrowed integer tables (i32 entries) of the lane blocks.
+    /// Narrowed integer tables (i32 entries) of a lane block.
     luts32: FlatLuts<i32>,
-    /// Wide integer tables of the lane blocks.
+    /// Wide integer tables of a lane block.
     luts64: FlatLuts<i64>,
-    /// Byte-plane nibble tables of the shuffle columns.
+    /// Byte-plane nibble tables of the shuffle block.
     nib: NibbleLuts,
+    /// The block and the k-tile the tables hold.
+    blk: Block,
+    tile: usize,
+    /// Open-group carries by accumulator type, one `rows × q × MAX_LANES`
+    /// region per reader, used only by shapes whose scale groups span
+    /// k-tiles.
+    open_i32: Vec<i32>,
+    open_i64: Vec<i64>,
+    /// Where the next reader's region starts. Each build resets it, and
+    /// the readers sweep every tile in the same order, so each finds its
+    /// own carries.
+    carry: usize,
+    /// Tiles built.
+    #[cfg(test)]
+    builds: usize,
 }
 
 impl Tables {
-    /// Build `stage`'s tables under `plan`'s window plan ([`shuffle::build`]
-    /// picks the build): lane-blocked tables, at least 4 lanes wide, for
-    /// columns `..from` and nibble tables for the shuffle pass's `from..`.
-    /// The shuffle pass, given the stage's proof that its entries fit their
-    /// byte planes, takes a last block of one or two columns; the lane pass
-    /// takes blocks of three or more, and pads a block of one or two to four lanes.
+    /// Build k-tile `t` of block `blk` of `stage` from the tile's windows
+    /// `wins` ([`shuffle::build`] picks the build): nibble tables for the
+    /// shuffle pass, lane tables at least 4 lanes wide for the lane pass.
     #[inline(always)]
-    pub(crate) fn build(&mut self, stage: &Stage, plan: &ExecPlan) {
-        let (n, wins, batch) = (plan.cols, &plan.wins, stage.batch);
-        let tail = batch % MAX_LANES;
-        let shuffled = stage.key_planes.is_some() && tail <= 2;
-        let from = if shuffled { batch - tail } else { batch };
-        match stage.tier {
-            Tier::I32I32 | Tier::I32I64 => {
-                let m32 = &stage.m32[..from * n];
-                self.luts32.rebuild_lanes(m32, n, wins, 8, from, 4);
-            }
-            Tier::I64I64 => {
-                let mant = &stage.mant[..from * n];
-                self.luts64.rebuild_lanes(mant, n, wins, 8, from, 4);
-            }
+    pub(crate) fn build(&mut self, stage: &Stage, wins: &[Window], blk: Block, t: usize) {
+        let n = stage.mant.len() / stage.batch;
+        let cols = blk.col0..blk.col0 + blk.cols;
+        (self.blk, self.tile, self.carry) = (blk, t, 0);
+        if blk.shuffle {
+            let planes = stage.key_planes.unwrap_or(1);
+            self.nib.rebuild(&stage.m32, n, wins, cols, planes);
+        } else if let Tier::I64I64 = stage.tier {
+            let mant = &stage.mant[cols.start * n..cols.end * n];
+            self.luts64.rebuild_lanes(mant, n, wins, 8, blk.cols, 4);
+        } else {
+            let m32 = &stage.m32[cols.start * n..cols.end * n];
+            self.luts32.rebuild_lanes(m32, n, wins, 8, blk.cols, 4);
         }
-        let cols = if shuffled { from..batch } else { 0..0 }; // `m32` is stale at I64I64
-        let planes = stage.key_planes.unwrap_or(1);
-        self.nib.rebuild(&stage.m32, n, wins, cols, planes);
+        #[cfg(test)]
+        {
+            self.builds += 1;
+        }
     }
 
-    /// Sweep output rows `r0..` of reader `(plan, w)` over these tables of
-    /// `stage` into `panel` (zeroed, `rows × batch`) in build `I`, checking
-    /// an open-group buffer out of `plan`'s pool ([`shuffle::sweep`]).
+    /// Sweep the tile these tables hold for output rows `r0..` of reader
+    /// `w` into `panel` (the reader's `rows × batch` share of a part) in
+    /// build `I` ([`shuffle::sweep`]), its open groups carried in the
+    /// next region of the carries.
     #[inline(always)]
     pub(crate) fn sweep<I: Isa>(
-        &self,
+        &mut self,
         stage: &Stage,
-        plan: &ExecPlan,
         w: &PackedBcq,
         r0: usize,
         panel: &mut [f64],
@@ -210,36 +246,34 @@ impl Tables {
         let cx = Columns {
             lambdas: &stage.lambdas,
             gsums: &stage.gsums,
+            blk: self.blk,
+            tile: self.tile,
         };
-        let (mut ws, nib) = (pop(&plan.workers), &self.nib);
-        let (o32, o64) = (&mut ws.open_i32, &mut ws.open_i64);
-        match stage.tier {
-            Tier::I32I32 => sweep_panel::<I, _, _>(w, &self.luts32, nib, &cx, r0, panel, o32),
-            Tier::I32I64 => sweep_panel::<I, _, _>(w, &self.luts32, nib, &cx, r0, panel, o64),
-            Tier::I64I64 => sweep_panel::<I, _, _>(w, &self.luts64, nib, &cx, r0, panel, o64),
+        // A group stays open across a tile boundary unless groups tile the
+        // tile exactly (gs 64, 128, 256); gs 192, or any group wider than a
+        // tile, does not.
+        let opens = w.tiles() > 1 && !w.tile_keys.is_multiple_of(w.group_size().div_ceil(8));
+        let rows = if opens { panel.len() / stage.batch } else { 0 };
+        let at = self.carry..self.carry + rows * w.bits() * MAX_LANES;
+        self.carry = at.end;
+        let (l32, l64) = ((&self.luts32, &self.nib), (&self.luts64, &self.nib));
+        let (o32, o64) = (&mut self.open_i32, &mut self.open_i64);
+        match (stage.tier, stage.exact) {
+            (Tier::I32I32, true) => sweep_tile::<I, _, _, true>(w, l32, &cx, r0, panel, o32, at),
+            (Tier::I32I32, _) => sweep_tile::<I, _, _, false>(w, l32, &cx, r0, panel, o32, at),
+            (Tier::I32I64, _) => sweep_tile::<I, _, _, false>(w, l32, &cx, r0, panel, o64, at),
+            (Tier::I64I64, _) => sweep_tile::<I, _, _, false>(w, l64, &cx, r0, panel, o64, at),
         }
-        push(&plan.workers, ws);
     }
 }
 
 /// What the calling thread of a stage uses — one checkout of a plan's pool
-/// per stage: the stage, its own tables, and the transposed output it
-/// sweeps into.
+/// per stage: the stage and the transposed output it sweeps into.
 #[derive(Debug, Default)]
 pub(crate) struct CallScratch {
     pub(crate) stage: Stage,
-    pub(crate) tables: Tables,
     /// `rows × batch`, the concatenated readers' transposed output.
     pub(crate) yt: Vec<f64>,
-}
-
-/// Per-worker open-group buffers, one per accumulator type (one checkout
-/// per reader sweep; `rows × q × lanes`, used only by shapes whose scale
-/// groups span k-tiles).
-#[derive(Debug, Default)]
-struct WorkerScratch {
-    open_i32: Vec<i32>,
-    open_i64: Vec<i64>,
 }
 
 /// Part `p` of `parts` contiguous parts of `rows` concatenated output
@@ -252,27 +286,57 @@ pub(crate) fn part_rows(rows: usize, parts: usize, p: usize) -> Range<usize> {
 }
 
 /// Sweep `rows` of the readers' concatenated output rows (reader 0's
-/// first) over `tables` of `stage` into `panel`, resized to
-/// `rows.len() × batch`.
+/// first) of `stage` into `panel`, resized to `rows.len() × batch`: per
+/// column block, per k-tile, build the tile's tables, then sweep it for
+/// every reader with rows in the part — so the readers of a shared stage
+/// read one build, and each tile's tables are written just before they
+/// are read (paper Fig. 8/9). The tables are checked out of the plan of
+/// the part's first reader.
 pub(crate) fn sweep_rows<'r>(
-    readers: impl Iterator<Item = (&'r ExecPlan, &'r PackedBcq)>,
+    readers: impl Iterator<Item = (&'r ExecPlan, &'r PackedBcq)> + Clone,
     stage: &Stage,
-    tables: &Tables,
     rows: Range<usize>,
     panel: &mut Vec<f64>,
 ) {
     let batch = stage.batch;
     panel.clear();
     panel.resize(rows.len() * batch, 0.0);
-    let mut base = 0;
-    for (plan, w) in readers {
-        let (lo, hi) = (rows.start.max(base), rows.end.min(base + plan.rows));
-        if lo < hi {
-            let at = (lo - rows.start) * batch..(hi - rows.start) * batch;
-            shuffle::sweep(tables, stage, plan, w, lo - base, &mut panel[at]);
+    // Each reader's share of the part: its plan and weights, its first
+    // row, and its range of the panel.
+    let (start, end) = (rows.start, rows.end);
+    let shares = || {
+        let mut first = 0;
+        readers.clone().filter_map(move |(plan, w)| {
+            let (lo, hi) = (start.max(first), end.min(first + plan.rows));
+            let r0 = lo - first;
+            first += plan.rows;
+            (lo < hi).then(|| (plan, w, r0, (lo - start) * batch..(hi - start) * batch))
+        })
+    };
+    let Some((plan, w, ..)) = shares().next() else {
+        return;
+    };
+    // Traffic accounting, as the plan's formulas count it whichever pass
+    // takes a column: every packed word of a reader's rows once per
+    // 8-column block of the call, every k-tile once per row and block.
+    if figlut_trace::enabled() {
+        for (_, w, _, at) in shares() {
+            let row_sweeps = (batch.div_ceil(MAX_LANES) * at.len() / batch) as u64;
+            let row_words = (w.bits() * w.key_bytes.div_ceil(8)) as u64;
+            figlut_trace::counters::bump_exec_streamed_words(row_sweeps * row_words);
+            figlut_trace::counters::bump_exec_ktiles(row_sweeps * w.tiles() as u64);
         }
-        base += plan.rows;
     }
+    let mut tables = pop(&plan.tables);
+    for blk in stage.blocks() {
+        for t in 0..w.tiles() {
+            shuffle::build(&mut tables, stage, &plan.wins[w.tile(t)], blk, t);
+            for (_, w, r0, at) in shares() {
+                shuffle::sweep(&mut tables, stage, w, r0, &mut panel[at]);
+            }
+        }
+    }
+    push(&plan.tables, tables);
 }
 
 /// Transpose `panel` — `rows` of the concatenated output rows, as
@@ -329,7 +393,10 @@ pub struct ExecPlan {
     /// One window per key byte.
     wins: Vec<Window>,
     calls: Mutex<Vec<CallScratch>>,
-    workers: Mutex<Vec<WorkerScratch>>,
+    /// Tables of the threads that sweep a part starting in this plan's
+    /// rows, one checkout per part: a crew's workers reuse them across
+    /// steps too.
+    tables: Mutex<Vec<Tables>>,
 }
 
 impl Clone for ExecPlan {
@@ -343,7 +410,7 @@ impl Clone for ExecPlan {
             bits: self.bits,
             wins: self.wins.clone(),
             calls: Mutex::new(Vec::new()),
-            workers: Mutex::new(Vec::new()),
+            tables: Mutex::new(Vec::new()),
         }
     }
 }
@@ -367,7 +434,7 @@ impl ExecPlan {
             bits: w.bits(),
             wins: windows(cols, gs, 8),
             calls: Mutex::new(Vec::new()),
-            workers: Mutex::new(Vec::new()),
+            tables: Mutex::new(Vec::new()),
         }
     }
 
@@ -571,6 +638,7 @@ fn push<T>(pool: &Mutex<Vec<T>>, s: T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lut::lane_width;
     use crate::shuffle::Base;
     use figlut_gemm::figlut::gemm_i;
     use figlut_quant::bcq::{BcqParams, BcqWeight};
@@ -587,17 +655,21 @@ mod tests {
         (x, b)
     }
 
-    /// Build `stage`'s tables and sweep every row of `w` over them, both in
-    /// the baseline build (`Base`, inlined here) or both in this host's.
+    /// Sweep every row of `w` over `stage`, tile by tile: in the baseline
+    /// build (`Base`, the driver's loop inlined here), or as a call does, in
+    /// this host's.
     fn swept(stage: &Stage, plan: &ExecPlan, w: &PackedBcq, base: bool) -> Vec<f64> {
-        let mut t = Tables::default();
         let mut panel = vec![0.0; plan.rows * stage.batch];
         if base {
-            t.build(stage, plan);
-            t.sweep::<Base>(stage, plan, w, 0, &mut panel);
+            let mut t = Tables::default();
+            for blk in stage.blocks() {
+                for tile in 0..w.tiles() {
+                    t.build(stage, &plan.wins[w.tile(tile)], blk, tile);
+                    t.sweep::<Base>(stage, w, 0, &mut panel);
+                }
+            }
         } else {
-            shuffle::build(&mut t, stage, plan);
-            shuffle::sweep(&t, stage, plan, w, 0, &mut panel);
+            sweep_rows([(plan, w)].into_iter(), stage, 0..plan.rows, &mut panel);
         }
         panel
     }
@@ -609,7 +681,10 @@ mod tests {
         // tiers; batches whose blocks are shuffle blocks of 1 and 2 columns
         // and lane blocks of 4 and 8 lanes (10 = 8 + 2); a per-row group
         // open across k-tiles (288 columns), a ragged gs-15 group and gs
-        // 64; 45 rows, so the last 32-row block is ragged.
+        // 64; 45 rows, so the last 32-row block is ragged. At batches 8 and
+        // 10, two shapes of three tiles each, built tile by tile: a per-row
+        // group open across all three (520 columns, the last tile one key
+        // byte) and gs-192 groups that straddle the tile boundaries.
         use figlut_num::fp::FpFormat;
         let acts = [
             (FpFormat::Fp16, 4),
@@ -617,8 +692,15 @@ mod tests {
             (FpFormat::Fp32, 4),
             (FpFormat::Fp32, 6),
         ];
-        for (k, gs) in [(288usize, 0usize), (45, 15), (256, 64)] {
+        for (k, gs) in [
+            (288usize, 0usize),
+            (45, 15),
+            (256, 64),
+            (520, 0),
+            (768, 192),
+        ] {
             let (_, b) = setup(45, k, gs, 3);
+            let batches: &[usize] = if k > 288 { &[8, 10] } else { &[1, 2, 3, 8, 10] };
             let p = PackedBcq::pack(&b);
             let mut tiers = [false; 3];
             for (act, guard_bits) in acts {
@@ -628,7 +710,7 @@ mod tests {
                     ..EngineConfig::paper_default()
                 };
                 let plan = ExecPlan::new(&p, &cfg);
-                for batch in [1usize, 2, 3, 8, 10] {
+                for &batch in batches {
                     let x = Mat::from_fn(batch, k, |bb, c| {
                         ((bb * k + c) as f64 * 0.083).sin() * 9.0e3
                     });
@@ -650,6 +732,142 @@ mod tests {
                 }
             }
             assert_eq!(tiers, [true; 3], "k {k} gs {gs}: every tier swept");
+        }
+    }
+
+    #[test]
+    fn exact_fold_is_proved_per_stage_and_keeps_every_bit() {
+        // The stage proves the one-rounding-fewer fold at FP16 + 4 guard
+        // bits with gs 128 (and at BF16); FP32 mantissas are too wide for
+        // it, and one BF16 row of values near 2^−126 puts its λ below
+        // 2^−126. Set or clear, both builds sweep `gemm_i`'s bits, on the
+        // shuffle pass (batch 2) and the lane pass (batch 8).
+        use figlut_num::fp::FpFormat;
+        let (_, b) = setup(45, 256, 128, 3);
+        let p = PackedBcq::pack(&b);
+        let wave = |bb: usize, c: usize| ((bb * 256 + c) as f64 * 0.083).sin() * 9.0;
+        let cases = [
+            (FpFormat::Fp16, false, true),
+            (FpFormat::Bf16, false, true),
+            (FpFormat::Fp32, false, false),
+            (FpFormat::Bf16, true, false),
+        ];
+        for (act, tiny, exact) in cases {
+            let cfg = EngineConfig {
+                act,
+                guard_bits: 4,
+                ..EngineConfig::paper_default()
+            };
+            let plan = ExecPlan::new(&p, &cfg);
+            for batch in [2usize, 8] {
+                let x = Mat::from_fn(batch, 256, |bb, c| match (tiny, bb) {
+                    (true, 1) => 1.0e-38 * (1.5 + wave(bb, c) / 9.0),
+                    _ => wave(bb, c),
+                });
+                let mut stage = Stage::default();
+                stage.stage_i(&x, &cfg, &plan);
+                assert_eq!(stage.exact, exact, "{act:?} B={batch}");
+                // (FP32 misses the narrow tier; the tiny BF16 row only λ.)
+                let narrow = matches!(stage.tier, Tier::I32I32);
+                assert_eq!(narrow, act != FpFormat::Fp32, "{act:?}");
+                let model = gemm_i(&x, &b, &cfg);
+                for base in [true, false] {
+                    let y = swept(&stage, &plan, &p, base);
+                    for (r, y) in y.chunks(batch).enumerate() {
+                        for (bb, y) in y.iter().enumerate() {
+                            let what = format!("{act:?} B={batch} base {base} ({r}, {bb})");
+                            assert_eq!(y.to_bits(), model[(bb, r)].to_bits(), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tile_build_is_its_windows_of_the_whole_k_build() {
+        // The oracle is the public whole-k `FlatLuts::rebuild`: tile t's
+        // tables are its windows `k0..k1`, at 4 lanes (batch 3) and 8
+        // (batch 8). Per-row scales over 520 columns are tiles of 32, 32
+        // and 1 key bytes; gs 15 is one tile whose every second window is
+        // 7 columns wide.
+        for (k, gs, tiles) in [(520usize, 0usize, 3usize), (45, 15, 1)] {
+            let (_, b) = setup(8, k, gs, 2);
+            let w = PackedBcq::pack(&b);
+            let cfg = EngineConfig::paper_default();
+            let plan = ExecPlan::new(&w, &cfg);
+            assert_eq!(w.tiles(), tiles);
+            for batch in [3usize, 8] {
+                let x = Mat::from_fn(batch, k, |bb, c| ((bb * k + c) as f64 * 0.061).cos());
+                let mut stage = Stage::default();
+                stage.stage_i(&x, &cfg, &plan);
+                let mut oracle = FlatLuts::default();
+                oracle.rebuild(&stage.m32, k, &plan.wins, 8, batch);
+                let (mut t, lanes) = (Tables::default(), lane_width(batch));
+                let blk = Block {
+                    col0: 0,
+                    cols: batch,
+                    shuffle: false,
+                };
+                for tile in 0..tiles {
+                    let keys = w.tile(tile);
+                    t.build(&stage, &plan.wins[keys.clone()], blk, tile);
+                    let want =
+                        &oracle.entries()[(keys.start << 8) * lanes..(keys.end << 8) * lanes];
+                    assert!(
+                        t.luts32.entries() == want,
+                        "k {k} gs {gs} B={batch} tile {tile}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_call_builds_each_tile_once_per_thread() {
+        // Three readers of one stage — per-row scales over 520 columns, so
+        // three k-tiles and every row's group open across them — at batch
+        // 10: an 8-lane block and a two-column shuffle block. A thread
+        // builds each (block, tile) once however many readers sweep it,
+        // whether it sweeps all 54 rows or one of two parts (the boundary
+        // inside reader 1 and inside a 32-row block), and every reader's
+        // rows are `gemm_i`'s.
+        let cfg = EngineConfig::paper_default();
+        let weights = [9usize, 40, 5].map(|m| setup(m, 520, 0, 3).1);
+        let packed = weights.each_ref().map(PackedBcq::pack);
+        let plans = packed.each_ref().map(|p| ExecPlan::new(p, &cfg));
+        let (batch, rows) = (10, 54);
+        let x = Mat::from_fn(batch, 520, |bb, c| ((bb * 520 + c) as f64 * 0.047).sin());
+        let mut stage = Stage::default();
+        stage.stage_i(&x, &cfg, &plans[0]);
+        let blocks = stage.blocks().count();
+        assert_eq!((blocks, packed[0].tiles()), (2, 3));
+        for parts in [1usize, 2] {
+            let mut yt = vec![0.0; rows * batch];
+            for part in (0..parts).map(|p| part_rows(rows, parts, p)) {
+                let mut panel = Vec::new();
+                let readers = plans.iter().zip(&packed);
+                sweep_rows(readers, &stage, part.clone(), &mut panel);
+                // The part's one table set, back in a plan's pool: taken
+                // out, so the next part builds into a fresh one.
+                let sets = plans
+                    .iter()
+                    .flat_map(|p| std::mem::take(&mut *p.tables.lock().unwrap()));
+                let builds: Vec<usize> = sets.map(|t| t.builds).collect();
+                assert_eq!(builds, [blocks * 3], "{parts} parts, rows {part:?}");
+                yt[part.start * batch..part.end * batch].copy_from_slice(&panel);
+            }
+            let mut first = 0;
+            for b in &weights {
+                let model = gemm_i(&x, b, &cfg);
+                for r in 0..b.shape().0 {
+                    for bb in 0..batch {
+                        let y = yt[(first + r) * batch + bb];
+                        assert_eq!(y.to_bits(), model[(bb, r)].to_bits(), "{parts} parts");
+                    }
+                }
+                first += b.shape().0;
+            }
         }
     }
 

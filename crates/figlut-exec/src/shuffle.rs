@@ -17,8 +17,9 @@
 //! its own `SAFETY:` note. The baseline build reads with the portable
 //! pass; the unit tests compare both passes' bits on every AVX2 host.
 
+use crate::lut::{Block, Window};
 use crate::packed::PackedBcq;
-use crate::plan::{ExecPlan, Stage, Tables};
+use crate::plan::{Stage, Tables};
 
 /// Key bytes a `u16` plane sum absorbs before it is flushed: each key byte
 /// adds two looked-up bytes (≤ 2·255) to every lane, and
@@ -40,32 +41,25 @@ pub(crate) trait Isa {
 
 /// [`Tables::build`] in the AVX2 build on an AVX2 host (std caches the
 /// check), else in the baseline build.
-pub(crate) fn build(t: &mut Tables, stage: &Stage, plan: &ExecPlan) {
+pub(crate) fn build(t: &mut Tables, stage: &Stage, wins: &[Window], blk: Block, tile: usize) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the host has AVX2, checked on the line above.
-        return unsafe { avx2::build(t, stage, plan) };
+        return unsafe { avx2::build(t, stage, wins, blk, tile) };
     }
-    t.build(stage, plan);
+    t.build(stage, wins, blk, tile);
 }
 
 /// [`Tables::sweep`] in this host's build, as [`build`]. An entry takes the
 /// sweep's references as its own arguments, which LLVM knows neither alias
 /// nor dangle (read from a struct's fields, the sweep ran ×1.15 slower).
-pub(crate) fn sweep(
-    t: &Tables,
-    stage: &Stage,
-    plan: &ExecPlan,
-    w: &PackedBcq,
-    r0: usize,
-    panel: &mut [f64],
-) {
+pub(crate) fn sweep(t: &mut Tables, stage: &Stage, w: &PackedBcq, r0: usize, panel: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the host has AVX2, checked on the line above.
-        return unsafe { avx2::sweep(t, stage, plan, w, r0, panel) };
+        return unsafe { avx2::sweep(t, stage, w, r0, panel) };
     }
-    t.sweep::<Base>(stage, plan, w, r0, panel);
+    t.sweep::<Base>(stage, w, r0, panel);
 }
 
 /// The bias a run of `n` key bytes reads: two entries per key byte, each
@@ -99,8 +93,9 @@ impl Isa for Base {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{Isa, FLUSH};
+    use crate::lut::{Block, Window};
     use crate::packed::PackedBcq;
-    use crate::plan::{ExecPlan, Stage, Tables};
+    use crate::plan::{Stage, Tables};
     use std::arch::x86_64::*;
 
     /// The AVX2 build, named only by this module's entries.
@@ -117,21 +112,20 @@ mod avx2 {
 
     /// [`Tables::build`] compiled for AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) fn build(t: &mut Tables, stage: &Stage, plan: &ExecPlan) {
-        t.build(stage, plan);
+    pub(super) fn build(t: &mut Tables, stage: &Stage, wins: &[Window], blk: Block, tile: usize) {
+        t.build(stage, wins, blk, tile);
     }
 
     /// [`Tables::sweep`] compiled for AVX2, reading with the `vpshufb` pass.
     #[target_feature(enable = "avx2")]
     pub(super) fn sweep(
-        t: &Tables,
+        t: &mut Tables,
         stage: &Stage,
-        plan: &ExecPlan,
         w: &PackedBcq,
         r0: usize,
         panel: &mut [f64],
     ) {
-        t.sweep::<Avx2>(stage, plan, w, r0, panel);
+        t.sweep::<Avx2>(stage, w, r0, panel);
     }
 
     /// [`Isa::pass`] with `vpshufb`, monomorphized on the plane count.

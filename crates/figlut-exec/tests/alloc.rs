@@ -70,7 +70,7 @@ fn warm_exec_plan_calls_are_allocation_free() {
     // shuffle pass — batch 1 and 2 — and on the lane pass — batch 3 (4
     // lanes, one padded), 8 (8 lanes) — and across a column-block boundary
     // (9 = 8 lanes + 1 shuffle column); a per-row-scale shape whose group
-    // stays open between k-tiles (the pooled open-group buffer); gs 32
+    // stays open between k-tiles (the open-group carries); gs 32
     // (one tile per row) at batch 1 and 8; plus a ragged-group shape
     // (gs 15). Single worker thread: spawning a thread
     // allocates by definition, and the zero-alloc contract is about the
@@ -123,45 +123,51 @@ fn warm_exec_plan_calls_are_allocation_free() {
         assert_eq!(y.as_slice(), reference.as_slice(), "steady-state bits");
     }
 
-    // The Q/K/V shape of a served decode step: one stage, three readers
-    // of different row counts, at the default worker count.
+    // Shared calls: one stage, three readers of different row counts, at
+    // the default worker count. The Q/K/V shape of a served decode step,
+    // and per-row scales over 520 columns at batches 8 and 10: three
+    // k-tiles, each built once and swept by all three readers, every row's
+    // group open across them (each reader's own carries).
     let cfg = EngineConfig::paper_default();
-    let weights = [48usize, 24, 72].map(|m| {
-        let w = Mat::from_fn(m, 48, |r, c| {
-            ((r * 48 + c) as f64 * 0.143 + m as f64).sin() * 0.4
+    for (n, batch) in [(48usize, 6usize), (520, 8), (520, 10)] {
+        let weights = [48usize, 24, 72].map(|m| {
+            let w = Mat::from_fn(m, n, |r, c| {
+                ((r * n + c) as f64 * 0.143 + m as f64).sin() * 0.4
+            });
+            PackedBcq::pack(&BcqWeight::quantize(&w, BcqParams::grouped(3, n)))
         });
-        PackedBcq::pack(&BcqWeight::quantize(&w, BcqParams::grouped(3, 48)))
-    });
-    let plans = weights.each_ref().map(|p| ExecPlan::new(p, &cfg));
-    let x = Mat::from_fn(6, 48, |bb, c| ((bb * 48 + c) as f64 * 0.067).cos());
-    let mut ys = weights.each_ref().map(|p| Mat::zeros(6, p.rows()));
-    let mut shared_call = |armed: bool| {
-        let [y0, y1, y2] = &mut ys;
-        let [w0, w1, w2] = &weights;
-        let readers = &mut [
-            (&plans[0], w0, y0),
-            (&plans[1], w1, y1),
-            (&plans[2], w2, y2),
-        ];
-        ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(armed, Ordering::SeqCst);
-        ExecPlan::exec_i_shared(&x, &cfg, many, readers);
-        ARMED.store(false, Ordering::SeqCst);
-        ALLOCS.load(Ordering::SeqCst)
-    };
-    shared_call(false);
-    shared_call(false);
-    let allocs = shared_call(true);
-    assert_eq!(
-        allocs, 0,
-        "steady-state three-reader call allocated {allocs} times"
-    );
-    for (y, p) in ys.iter().zip(&weights) {
-        let reference = exec_i_threads(&x, p, &cfg, 1);
+        let plans = weights.each_ref().map(|p| ExecPlan::new(p, &cfg));
+        let x = Mat::from_fn(batch, n, |bb, c| ((bb * n + c) as f64 * 0.067).cos());
+        let mut ys = weights.each_ref().map(|p| Mat::zeros(batch, p.rows()));
+        let mut shared_call = |armed: bool| {
+            let [y0, y1, y2] = &mut ys;
+            let [w0, w1, w2] = &weights;
+            let readers = &mut [
+                (&plans[0], w0, y0),
+                (&plans[1], w1, y1),
+                (&plans[2], w2, y2),
+            ];
+            ALLOCS.store(0, Ordering::SeqCst);
+            ARMED.store(armed, Ordering::SeqCst);
+            ExecPlan::exec_i_shared(&x, &cfg, many, readers);
+            ARMED.store(false, Ordering::SeqCst);
+            ALLOCS.load(Ordering::SeqCst)
+        };
+        shared_call(false);
+        shared_call(false);
+        let allocs = shared_call(true);
         assert_eq!(
-            y.as_slice(),
-            reference.as_slice(),
-            "shared steady-state bits"
+            allocs, 0,
+            "steady-state three-reader call allocated {allocs} times (n={n} B={batch})"
         );
+        for (y, p) in ys.iter().zip(&weights) {
+            let reference = exec_i_threads(&x, p, &cfg, 1);
+            assert_eq!(
+                y.as_slice(),
+                reference.as_slice(),
+                "shared steady-state bits (n={n} B={batch})"
+            );
+        }
+        assert_eq!(weights[0].tiles(), n.div_ceil(256), "n={n}");
     }
 }

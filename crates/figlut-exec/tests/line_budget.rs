@@ -1,11 +1,12 @@
 //! The kernel's line budget: the five kernel files may not grow past
-//! [`BUDGET`] non-test lines, counting every line before a file's first
-//! `#[cfg(test)]`. A change that grows the kernel raises the constant in
-//! its own diff.
+//! [`BUDGET`] non-test lines, counting every line before a file's unit-test
+//! module (`#[cfg(test)]` then `mod tests`), test-only items above it
+//! included. A change that grows the kernel raises the constant in its own
+//! diff.
 
 /// Non-test lines of `kernel.rs`, `plan.rs`, `packed.rs`, `lut.rs` and
 /// `shuffle.rs` together.
-const BUDGET: usize = 1808;
+const BUDGET: usize = 1868;
 
 const FILES: [(&str, &str); 5] = [
     ("kernel.rs", include_str!("../src/kernel.rs")),
@@ -15,11 +16,13 @@ const FILES: [(&str, &str); 5] = [
     ("shuffle.rs", include_str!("../src/shuffle.rs")),
 ];
 
-/// Lines of `src` before its first `#[cfg(test)]`.
+/// Lines of `src` before its unit-test module.
 fn non_test_lines(src: &str) -> usize {
-    src.lines()
-        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
-        .count()
+    let lines: Vec<&str> = src.lines().map(str::trim_start).collect();
+    lines
+        .windows(2)
+        .position(|l| l[0].starts_with("#[cfg(test)]") && l[1].starts_with("mod tests"))
+        .unwrap_or(lines.len())
 }
 
 #[test]
