@@ -61,6 +61,11 @@ fn num(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
     let v = field(obj, key, what)?
         .as_num()
         .ok_or_else(|| format!("{what}: \"{key}\" is not a number"))?;
+    count(v, key, what)
+}
+
+/// Every number a trace carries is a non-negative integer.
+fn count(v: f64, key: &str, what: &str) -> Result<u64, String> {
     if v < 0.0 || v.fract() != 0.0 {
         return Err(format!(
             "{what}: \"{key}\" = {v} is not a non-negative integer"
@@ -85,7 +90,7 @@ fn args_of(obj: &Json, what: &str) -> Result<Vec<(String, u64)>, String> {
                 let n = v
                     .as_num()
                     .ok_or_else(|| format!("{what}: arg \"{k}\" is not a number"))?;
-                Ok((k.clone(), n as u64))
+                Ok((k.clone(), count(n, k, what)?))
             })
             .collect(),
         Some(_) => Err(format!("{what}: \"args\" is not an object")),
@@ -210,27 +215,34 @@ struct RunStats {
     queue_samples: Vec<(u64, u64)>,
 }
 
+/// `a + b`, or an error naming the run and the sum that overflowed.
+fn add(a: u64, b: Option<u64>, run: u64, sum: &str) -> Result<u64, String> {
+    b.and_then(|b| a.checked_add(b))
+        .ok_or_else(|| format!("run {run}: {sum} overflows u64"))
+}
+
 /// Time-weighted mean of a step-function counter: each sample holds until
 /// the next sample's timestamp (the final sample carries no weight, so a
-/// single-sample track reports its value directly).
-fn time_weighted_mean(samples: &[(u64, u64)]) -> f64 {
+/// single-sample track reports its value directly). The samples are in
+/// time order.
+fn time_weighted_mean(samples: &[(u64, u64)], run: u64) -> Result<f64, String> {
     if samples.is_empty() {
-        return 0.0;
+        return Ok(0.0);
     }
     if samples.len() == 1 {
-        return samples[0].1 as f64;
+        return Ok(samples[0].1 as f64);
     }
     let (mut weighted, mut span) = (0u64, 0u64);
     for w in samples.windows(2) {
         let dt = w[1].0 - w[0].0;
-        weighted += w[0].1 * dt;
+        weighted = add(weighted, w[0].1.checked_mul(dt), run, "Σ queue_depth × dt")?;
         span += dt;
     }
-    if span == 0 {
+    Ok(if span == 0 {
         samples.iter().map(|&(_, v)| v as f64).sum::<f64>() / samples.len() as f64
     } else {
         weighted as f64 / span as f64
-    }
+    })
 }
 
 /// Replay a trace file (either sink format) into analysis tables:
@@ -255,28 +267,53 @@ pub fn analyze_trace(text: &str) -> Result<Vec<Table>, String> {
     let mut by_name: BTreeMap<String, Hist> = BTreeMap::new();
     let mut runs: BTreeMap<u64, RunStats> = BTreeMap::new();
     for e in &events {
-        let stats = runs.entry(e.run()).or_default();
+        let run = e.run();
+        let stats = runs.entry(run).or_default();
         match e {
             Ev::Span {
                 name, dur, args, ..
             } => {
                 by_name.entry(name.clone()).or_default().record(*dur);
                 stats.steps += 1;
-                stats.ticks += dur;
                 match name.as_str() {
                     "Prefill" => stats.by_kind[0] += 1,
                     "Decode" => stats.by_kind[1] += 1,
                     "Mixed" => stats.by_kind[2] += 1,
                     _ => stats.other_spans += 1,
                 }
-                stats.prefill_rows += arg(args, "prefill_rows").unwrap_or(0);
-                stats.decode_rows += arg(args, "decode_rows").unwrap_or(0);
-                stats.swapped_rows += arg(args, "swapped_rows").unwrap_or(0);
-                stats.batch_ticks += arg(args, "batch").unwrap_or(0) * dur;
+                let rows = |key| Some(arg(args, key).unwrap_or(0));
+                for (sum, term, what) in [
+                    (&mut stats.ticks, Some(*dur), "Σ dur"),
+                    (
+                        &mut stats.prefill_rows,
+                        rows("prefill_rows"),
+                        "Σ prefill_rows",
+                    ),
+                    (&mut stats.decode_rows, rows("decode_rows"), "Σ decode_rows"),
+                    (
+                        &mut stats.swapped_rows,
+                        rows("swapped_rows"),
+                        "Σ swapped_rows",
+                    ),
+                    (
+                        &mut stats.batch_ticks,
+                        arg(args, "batch").unwrap_or(0).checked_mul(*dur),
+                        "Σ batch × dur",
+                    ),
+                ] {
+                    *sum = add(*sum, term, run, what)?;
+                }
             }
             Ev::Counter {
                 name, ts, value, ..
             } if name == "queue_depth" => {
+                if let Some(&(prev, _)) =
+                    stats.queue_samples.last().filter(|&&(prev, _)| *ts < prev)
+                {
+                    return Err(format!(
+                        "run {run}: queue_depth sample at ts {ts} precedes ts {prev}"
+                    ));
+                }
                 stats.queue_samples.push((*ts, *value));
             }
             _ => {}
@@ -378,7 +415,7 @@ pub fn analyze_trace(text: &str) -> Result<Vec<Table>, String> {
             s.decode_rows.to_string(),
             s.swapped_rows.to_string(),
             f3(mean_batch),
-            f3(time_weighted_mean(&s.queue_samples)),
+            f3(time_weighted_mean(&s.queue_samples, *run)?),
             peak.to_string(),
         ]);
     }
@@ -471,9 +508,9 @@ mod tests {
 
     #[test]
     fn time_weighted_mean_holds_samples_until_the_next() {
-        assert_eq!(time_weighted_mean(&[]), 0.0);
-        assert_eq!(time_weighted_mean(&[(5, 3)]), 3.0);
+        assert_eq!(time_weighted_mean(&[], 0), Ok(0.0));
+        assert_eq!(time_weighted_mean(&[(5, 3)], 0), Ok(3.0));
         // depth 2 for 10 ticks, then 0 for 10 → mean 1.
-        assert_eq!(time_weighted_mean(&[(0, 2), (10, 0), (20, 0)]), 1.0);
+        assert_eq!(time_weighted_mean(&[(0, 2), (10, 0), (20, 0)], 0), Ok(1.0));
     }
 }

@@ -10,9 +10,8 @@
 //! ```
 //!
 //! Each experiment prints an aligned text table and writes a CSV to
-//! `results/`. The criterion bench `benches/exec_kernels.rs` is the
-//! inner-loop microscope for the packed kernels (end-to-end numbers are the
-//! `bench/` crate's, not this one's). `repro analyze <trace>`
+//! `results/`. No experiment reads a wall clock: every timing is the
+//! `figlut-perf` benchmark's (the `bench/` crate). `repro analyze <trace>`
 //! replays an exported `figlut-trace` file offline into distribution
 //! tables ([`analyze`]).
 

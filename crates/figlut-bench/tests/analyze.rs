@@ -113,3 +113,51 @@ fn malformed_trace_is_an_error() {
     assert!(analyze_trace("[package]\nname = \"not-a-trace\"").is_err());
     assert!(analyze_trace("{\"traceEvents\":[{\"name\":1}]}").is_err());
 }
+
+/// A JSONL span of run 0 with the given `dur` and `args` body.
+fn span(ts: u64, dur: &str, args: &str) -> String {
+    format!(r#"{{"type":"span","name":"Decode","run":0,"ts":{ts},"dur":{dur},"args":{{{args}}}}}"#)
+}
+
+#[test]
+fn queue_depth_sample_going_back_in_time_is_an_error() {
+    let text = [
+        span(0, "4", r#""batch":1"#),
+        r#"{"type":"counter","name":"queue_depth","run":0,"ts":9,"value":1}"#.into(),
+        r#"{"type":"counter","name":"queue_depth","run":0,"ts":3,"value":2}"#.into(),
+    ]
+    .join("\n");
+    let err = analyze_trace(&text).unwrap_err();
+    assert_eq!(err, "run 0: queue_depth sample at ts 3 precedes ts 9");
+}
+
+#[test]
+fn batch_times_dur_overflow_is_an_error() {
+    let huge = u64::MAX.to_string();
+    let text = [
+        span(0, &huge, r#""batch":2"#),
+        span(1, &huge, r#""batch":2"#),
+    ]
+    .join("\n");
+    let err = analyze_trace(&text).unwrap_err();
+    assert!(err.contains("Σ batch × dur overflows"), "{err}");
+}
+
+#[test]
+fn summed_dur_overflow_is_an_error() {
+    let huge = u64::MAX.to_string();
+    let text = [span(0, &huge, r#""batch":1"#), span(1, "1", r#""batch":1"#)].join("\n");
+    let err = analyze_trace(&text).unwrap_err();
+    assert_eq!(err, "run 0: Σ dur overflows u64");
+}
+
+#[test]
+fn fractional_or_negative_arg_is_an_error() {
+    let err = analyze_trace(&span(0, "4", r#""batch":-7.5"#)).unwrap_err();
+    assert!(
+        err.contains("\"batch\" = -7.5 is not a non-negative integer"),
+        "{err}"
+    );
+    let err = analyze_trace(&span(0, "4", r#""decode_rows":0.5"#)).unwrap_err();
+    assert!(err.contains("\"decode_rows\" = 0.5"), "{err}");
+}

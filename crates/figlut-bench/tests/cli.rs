@@ -96,3 +96,25 @@ fn analyze_without_files_exits_nonzero() {
         "{stderr}"
     );
 }
+
+#[test]
+fn analyze_overflowing_trace_exits_one_without_panic() {
+    let dir = tmp_out("analyze-overflow");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("overflow.jsonl");
+    let span = |ts: u64| {
+        format!(
+            r#"{{"type":"span","name":"Decode","run":0,"ts":{ts},"dur":{},"args":{{"batch":2}}}}"#,
+            u64::MAX
+        )
+    };
+    std::fs::write(&path, format!("{}\n{}\n", span(0), span(1))).unwrap();
+    let out = repro()
+        .args(["analyze", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("overflows u64"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

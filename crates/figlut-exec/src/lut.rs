@@ -24,6 +24,9 @@
 //! [`crate::kernel::exec_i`] bit-exact against
 //! `figlut_gemm::figlut::gemm_i` (integer addition is associative). The
 //! unit tests pin the tables against `figlut-lut` reads key by key.
+//!
+//! The benchmark's `bench/src/probe.rs` is the one caller of [`windows`] and
+//! [`FlatLuts::rebuild`] outside the crate; without it the module could be private.
 
 use std::ops::Range;
 

@@ -92,11 +92,6 @@ impl Engine {
         )
     }
 
-    /// `true` if the engine consumes uniform INT weights.
-    pub const fn supports_uniform(self) -> bool {
-        matches!(self, Engine::Reference | Engine::Fpe | Engine::Figna)
-    }
-
     /// Run the engine on `x (B×n)` against `w (m×n)`, producing `B×m`.
     ///
     /// # Panics

@@ -154,12 +154,6 @@ impl<const E: u32, const M: u32> Sf<E, M> {
         self.0 & !Self::SIGN_MASK == 0
     }
 
-    /// `true` for nonzero values with a zero exponent field.
-    #[inline]
-    pub const fn is_subnormal(self) -> bool {
-        self.biased_exponent() == 0 && self.mantissa() != 0
-    }
-
     /// Exact conversion to `f64`.
     ///
     /// Every finite value of every format with `E ≤ 8`, `M ≤ 24` is exactly
@@ -237,12 +231,6 @@ impl<const E: u32, const M: u32> Sf<E, M> {
     pub fn from_f32(x: f32) -> Self {
         // f32 → f64 is exact, so a single rounding happens here.
         Self::from_f64(x as f64)
-    }
-
-    /// Convert to the nearest `f32` (exact for every format in this crate).
-    #[inline]
-    pub fn to_f32(self) -> f32 {
-        self.to_f64() as f32
     }
 
     /// Absolute value (clears the sign bit, even of NaN).
@@ -415,14 +403,6 @@ impl FpFormat {
         match self {
             FpFormat::Fp16 | FpFormat::Bf16 => 16,
             FpFormat::Fp32 => 32,
-        }
-    }
-
-    /// Exponent field width in bits.
-    pub const fn exponent_bits(self) -> u32 {
-        match self {
-            FpFormat::Fp16 => 5,
-            FpFormat::Bf16 | FpFormat::Fp32 => 8,
         }
     }
 

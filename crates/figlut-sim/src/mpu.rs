@@ -60,19 +60,6 @@ impl SimEngine {
             SimEngine::Ifpu | SimEngine::FiglutF | SimEngine::FiglutI
         )
     }
-
-    /// `true` for the two FIGLUT variants.
-    pub const fn is_lut(self) -> bool {
-        matches!(self, SimEngine::FiglutF | SimEngine::FiglutI)
-    }
-
-    /// `true` for engines that pre-align activations to integer mantissas.
-    pub const fn uses_prealign(self) -> bool {
-        matches!(
-            self,
-            SimEngine::Ifpu | SimEngine::Figna | SimEngine::FiglutI
-        )
-    }
 }
 
 impl core::fmt::Display for SimEngine {

@@ -30,7 +30,11 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { src: text, pos: 0 };
+        let mut p = Parser {
+            src: text,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -91,6 +95,11 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Traces nest at
+/// most 5 deep; the cap turns a hostile document (10⁶ `[`) into an error
+/// instead of a stack overflow in the recursive descent.
+const MAX_DEPTH: usize = 128;
+
 /// The parser's cursor: a byte offset into `src` that only ever advances
 /// by whole scalars (ASCII matches, `len_utf8`), so it always sits on a
 /// char boundary — except after a non-ASCII escape byte, which returns an
@@ -98,6 +107,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -140,8 +151,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -149,6 +160,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -305,6 +331,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{{\"traceEvents\":{}", "[".repeat(1_000_000));
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(Json::parse(&past_cap).is_err());
     }
 
     #[test]
