@@ -64,11 +64,18 @@ fn num(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
     count(v, key, what)
 }
 
-/// Every number a trace carries is a non-negative integer.
+/// Every number a trace carries is a non-negative integer, at most 2^53:
+/// past it a JSON number (an `f64`) no longer holds every integer, so the
+/// value read may not be the value written.
 fn count(v: f64, key: &str, what: &str) -> Result<u64, String> {
     if v < 0.0 || v.fract() != 0.0 {
         return Err(format!(
             "{what}: \"{key}\" = {v} is not a non-negative integer"
+        ));
+    }
+    if v > (1u64 << 53) as f64 {
+        return Err(format!(
+            "{what}: \"{key}\" = {v} exceeds 2^53, the largest integer a JSON number holds exactly"
         ));
     }
     Ok(v as u64)

@@ -133,22 +133,41 @@ fn queue_depth_sample_going_back_in_time_is_an_error() {
 
 #[test]
 fn batch_times_dur_overflow_is_an_error() {
-    let huge = u64::MAX.to_string();
-    let text = [
-        span(0, &huge, r#""batch":2"#),
-        span(1, &huge, r#""batch":2"#),
-    ]
-    .join("\n");
+    // 2^53 · 2^53: both factors are exact JSON integers, their product is not a u64.
+    let text = span(0, "9007199254740992", r#""batch":9007199254740992"#);
     let err = analyze_trace(&text).unwrap_err();
     assert!(err.contains("Σ batch × dur overflows"), "{err}");
 }
 
 #[test]
 fn summed_dur_overflow_is_an_error() {
-    let huge = u64::MAX.to_string();
-    let text = [span(0, &huge, r#""batch":1"#), span(1, "1", r#""batch":1"#)].join("\n");
-    let err = analyze_trace(&text).unwrap_err();
+    // 2048 spans of 2^53 ticks each sum to 2^64.
+    let spans: Vec<String> = (0..2048)
+        .map(|ts| span(ts, "9007199254740992", r#""batch":1"#))
+        .collect();
+    let err = analyze_trace(&spans.join("\n")).unwrap_err();
     assert_eq!(err, "run 0: Σ dur overflows u64");
+}
+
+#[test]
+fn number_past_2_pow_53_is_an_error() {
+    // 2^53 + 2 is the next integer an f64 holds; 1e30 is past u64::MAX.
+    for (dur, shown) in [
+        ("9007199254740994", "9007199254740994"),
+        ("1e30", "1000000000000000000000000000000"),
+    ] {
+        let err = analyze_trace(&span(0, dur, r#""batch":1"#)).unwrap_err();
+        let want = format!(
+            "\"dur\" = {shown} exceeds 2^53, the largest integer a JSON number holds exactly"
+        );
+        assert!(err.ends_with(&want), "{err}");
+    }
+    let err = analyze_trace(&span(0, "4", r#""batch":1e17"#)).unwrap_err();
+    assert!(
+        err.contains("\"batch\" = 100000000000000000 exceeds 2^53"),
+        "{err}"
+    );
+    assert!(analyze_trace(&span(0, "9007199254740992", r#""batch":1"#)).is_ok());
 }
 
 #[test]

@@ -102,13 +102,9 @@ fn analyze_overflowing_trace_exits_one_without_panic() {
     let dir = tmp_out("analyze-overflow");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("overflow.jsonl");
-    let span = |ts: u64| {
-        format!(
-            r#"{{"type":"span","name":"Decode","run":0,"ts":{ts},"dur":{},"args":{{"batch":2}}}}"#,
-            u64::MAX
-        )
-    };
-    std::fs::write(&path, format!("{}\n{}\n", span(0), span(1))).unwrap();
+    // batch = dur = 2^53: exact JSON integers whose product overflows u64.
+    let span = r#"{"type":"span","name":"Decode","run":0,"ts":0,"dur":9007199254740992,"args":{"batch":9007199254740992}}"#;
+    std::fs::write(&path, format!("{span}\n")).unwrap();
     let out = repro()
         .args(["analyze", path.to_str().unwrap()])
         .output()

@@ -27,8 +27,8 @@
 //!   that every entry fits its byte planes (`Stage`);
 //! * the **lane pass** (`lane_pass`) takes blocks of three to eight
 //!   columns, four rows per group: a key indexes its 256-entry table of
-//!   `L ∈ {4, 8}` lanes, whose contiguous `[E; L]` it adds to
-//!   register-resident accumulators.
+//!   `L ∈ {4, 8}` lanes, whose `L` contiguous entries it adds to
+//!   register-resident accumulators of the entries' own type.
 //!
 //! A window narrower than 8 columns (a ragged group's last byte) has zero
 //! pad bits, so its key only reaches the entries of its real columns. The
@@ -64,12 +64,11 @@ use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
 use std::ops::{AddAssign, Range};
 
-/// Accumulator of exact integer sums, absorbing table entries of any type
-/// it is `From` (exact sign extension). Decoupling the two lets `exec_i`
-/// keep exact `i64` group partials while reading *narrow* `i32` tables —
-/// half the bytes per lookup, which matters because large-k shapes are
-/// bound by table-read bandwidth, not arithmetic. The build site proves
-/// the no-overflow bound of a narrow type first.
+/// Accumulator of exact integer sums, and the entry type of the lane
+/// tables it sweeps, so a key's lane vector adds lane by lane into
+/// accumulators of its own width. The stage picks the type (`Stage`):
+/// `i32` where it proves every group partial fits, else `i64`; both are
+/// exact, so both return the same bits.
 pub(crate) trait Accum: Copy + Default + AddAssign {
     /// The accumulated value as `f64`, for the final fold. Converting the
     /// native-width integer directly is bit-identical to the datapath
@@ -89,9 +88,9 @@ impl Accum for i64 {
 /// `group_size·max|mantissa| ≤ i32::MAX` first, which bounds every window
 /// sum, build intermediate, and running group partial (a group spans
 /// `group_size` columns, so any partial sum of its ±mantissa terms is
-/// within that bound). The payoff over `i32 → i64`: a key's lane vector
-/// and its accumulators are both 32-bit lanes, so an 8-lane add is one
-/// AVX2 `vpaddd` (two `paddd` in the baseline build), not widened `paddq`s.
+/// within that bound). The payoff over `i64`: half the table-read bytes,
+/// and an 8-lane add is one AVX2 `vpaddd` (two `paddd` in the baseline
+/// build), not two `vpaddq`s.
 impl Accum for i32 {
     #[inline(always)]
     fn to_f64(self) -> f64 {
@@ -103,16 +102,16 @@ impl Accum for i32 {
 pub(crate) const LANE_ROWS: usize = 4;
 
 /// The lane pass: accumulate one *run* of byte-wide windows — `tables`
-/// holds one `[[E; L]; 256]` per window — for four output rows × `L`
+/// holds one `[[A; L]; 256]` per window — for four output rows × `L`
 /// lanes: rows `at..at + 4` (`at` a multiple of 4) of a block, whose keys
 /// sit side by side in every key byte of `keys` (`crate::packed`), so one
 /// 32-bit load reads all four. The `4 × L` accumulators are locals, so
 /// LLVM keeps them in vector registers for the whole run.
 #[inline(always)]
-fn lane_pass<E: Copy, A: Accum + From<E>, const L: usize>(
+fn lane_pass<A: Accum, const L: usize>(
     keys: &[[u8; BLOCK_ROWS]],
     at: usize,
-    tables: &[E],
+    tables: &[A],
 ) -> [[A; L]; LANE_ROWS] {
     let mut acc = [[A::default(); L]; LANE_ROWS];
     let at = at % BLOCK_ROWS / LANE_ROWS * LANE_ROWS;
@@ -132,16 +131,12 @@ fn lane_pass<E: Copy, A: Accum + From<E>, const L: usize>(
 
 /// Add entry `keys[j]` of one window's `table` to row `j`'s accumulators.
 #[inline(always)]
-fn absorb<E: Copy, A: Accum + From<E>, const L: usize>(
-    acc: &mut [[A; L]; LANE_ROWS],
-    table: &[E],
-    keys: &[u8],
-) {
+fn absorb<A: Accum, const L: usize>(acc: &mut [[A; L]; LANE_ROWS], table: &[A], keys: &[u8]) {
     let keys = u32::from_le_bytes(keys.try_into().unwrap_or_default());
     for (j, a) in acc.iter_mut().enumerate() {
         let e = &table[(keys >> (8 * j) & 0xff) as usize * L..][..L];
         for l in 0..L {
-            a[l] += A::from(e[l]);
+            a[l] += e[l];
         }
     }
 }
@@ -207,11 +202,11 @@ trait RunPass<A, const G: usize, const L: usize> {
 }
 
 /// The lane pass over one lane block's tables, four rows at a time.
-impl<E: Copy, A: Accum + From<E>, const L: usize> RunPass<A, LANE_ROWS, L> for FlatLuts<E> {
+impl<A: Accum, const L: usize> RunPass<A, LANE_ROWS, L> for FlatLuts<A> {
     #[inline(always)]
     fn pass<I: Isa>(&self, keys: &[[u8; 32]], at: usize, run: Range<usize>) -> [[A; L]; 4] {
         let tables = &self.entries()[run.start * 256 * L..run.end * 256 * L];
-        lane_pass::<E, A, L>(keys, at, tables)
+        lane_pass::<A, L>(keys, at, tables)
     }
 }
 
@@ -323,9 +318,9 @@ fn walk<I: Isa, A: Accum, const G: usize, const L: usize, const EXACT: bool>(
 /// region `at` of `open` the reader's open-group carry (grown to hold it:
 /// allocation-free once warm).
 #[inline(always)]
-pub(crate) fn sweep_tile<I: Isa, E: Copy, A: Accum + From<E> + From<i32>, const EXACT: bool>(
+pub(crate) fn sweep_tile<I: Isa, A: Accum + From<i32>, const EXACT: bool>(
     w: &PackedBcq,
-    (luts, nib): (&FlatLuts<E>, &NibbleLuts),
+    (luts, nib): (&FlatLuts<A>, &NibbleLuts),
     cx: &Columns<'_>,
     r0: usize,
     panel: &mut [f64],
@@ -358,7 +353,8 @@ pub(crate) fn check(x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> (usize, 
 
 /// FIGLUT-I fast path: `y = x·Wᵀ`, bit-identical to
 /// `figlut_gemm::figlut::gemm_i` (and hence to iFPU), on at most `threads`
-/// worker threads (a maximum, see [`ExecPlan::fan_out`]; the result is
+/// worker threads (a maximum: [`crate::parallel::crew_size`] of the call's
+/// [look-ups](ExecPlan::lookups) decides how many run; the result is
 /// bit-identical for every value). Builds a throwaway [`ExecPlan`];
 /// callers that execute the same weights repeatedly should cache one.
 ///

@@ -413,7 +413,7 @@ mod tests {
         let f = Fixture::new();
         let (p, plan) = &f.weights[1];
         for threads in [2usize, 3] {
-            assert_eq!(plan.fan_out(3, threads), 1);
+            assert_eq!(crew_size(plan.lookups(3), threads), 1);
             let (_, c) = traced(|| plan.exec_i_threads(&f.x, p, &f.cfg, threads));
             assert_eq!((c.exec_crews, c.exec_calls), (0, 1), "threads={threads}");
         }

@@ -14,7 +14,7 @@
 //!   once per swept part, so a steady-state call performs **zero heap
 //!   allocations** in the exec hot path (asserted by `tests/alloc.rs`);
 //! * a stage is built once per distinct input, not per weight matrix:
-//!   [`ExecPlan::exec_i_shared`] runs any number of readers over each
+//!   [`ExecPlan::exec_i_crew`] runs any number of readers over each
 //!   table build (the paper's one FFLUT feeding k RACs), one k-tile at a
 //!   time, and [`ExecPlan::exec_i_into`] is its one-reader case; on a
 //!   [`Crew`], each thread builds its own tiles from the one stage.
@@ -28,7 +28,7 @@
 use crate::kernel::{check, sweep_tile, Columns, LANE_ROWS};
 use crate::lut::{column_blocks, windows, Block, FlatLuts, NibbleLuts, Window, MAX_LANES};
 use crate::packed::PackedBcq;
-use crate::parallel::{crew_size, thread_count, Crew};
+use crate::parallel::{crew_size, Crew};
 use crate::shuffle::{self, Isa};
 use figlut_gemm::common::mul32;
 use figlut_gemm::EngineConfig;
@@ -67,23 +67,17 @@ pub(crate) struct Stage {
     exact: bool,
 }
 
-/// Table entry and accumulator types of a stage. Every integer tier is
-/// exact, so they all return bit-identical results — narrower is faster.
+/// The integer type of a stage's lane tables and accumulators. Both tiers
+/// are exact, so they return bit-identical results — narrower is faster.
 #[derive(Clone, Copy, Debug, Default)]
 enum Tier {
-    /// `gs·max|mantissa| ≤ i32::MAX`: i32 tables *and* i32 group
-    /// accumulators. A scale group spans `gs` columns, so every window
-    /// sum, hFFLUT build intermediate and running group partial is a
-    /// signed sum of at most `gs` mantissas and provably fits. This is the
-    /// whole FP16 operating point, and it makes a key's lane vector and
-    /// its accumulators 32-bit lanes (one AVX2 `vpaddd` per 8-lane add).
+    /// `gs·max|mantissa| ≤ i32::MAX`, which bounds every window sum, build
+    /// intermediate and group partial (`Accum for i32`), and holds at the
+    /// whole FP16 operating point: i32 tables and accumulators.
     #[default]
     I32I32,
-    /// `8·max|mantissa| ≤ i32::MAX` (a window spans at most 8 columns):
-    /// i32 tables (half the table-read bytes), i64 accumulators (group
-    /// partials may exceed i32).
-    I32I64,
-    /// Extreme activation ranges: i64 tables and accumulators.
+    /// Wider activation ranges (FP32 mantissas): i64 tables and
+    /// accumulators.
     I64I64,
 }
 
@@ -120,22 +114,13 @@ impl Stage {
             .map(|&v| v.unsigned_abs())
             .max()
             .unwrap_or(0);
-        let fits = |terms: usize| (terms as u64).saturating_mul(maxm) <= i32::MAX as u64;
-        self.tier = if fits(gs) {
-            Tier::I32I32
-        } else if fits(8) {
-            Tier::I32I64
-        } else {
-            Tier::I64I64
-        };
-        self.key_planes = match self.tier {
-            Tier::I32I32 => NibbleLuts::planes_for(maxm),
-            _ => None,
-        };
+        let narrow = (gs as u64).saturating_mul(maxm) <= i32::MAX as u64;
+        self.tier = if narrow { Tier::I32I32 } else { Tier::I64I64 };
+        self.key_planes = narrow.then(|| NibbleLuts::planes_for(maxm)).flatten();
         let normal = f32::MIN_POSITIVE as f64..=f32::MAX as f64 / (1 << 24) as f64;
         self.exact = (gs as u64).saturating_mul(maxm) < 1 << 24
             && self.lambdas.iter().all(|l| normal.contains(l));
-        if !matches!(self.tier, Tier::I64I64) {
+        if narrow {
             self.m32.clear();
             self.m32.extend(self.mant.iter().map(|&v| v as i32));
         }
@@ -169,7 +154,6 @@ impl Stage {
         use figlut_trace::counters as c;
         match self.tier {
             Tier::I32I32 => c::bump_exec_tier_i32_i32(1),
-            Tier::I32I64 => c::bump_exec_tier_i32_i64(1),
             Tier::I64I64 => c::bump_exec_tier_i64_i64(1),
         }
         c::bump_exec_calls(1);
@@ -259,10 +243,9 @@ impl Tables {
         let (l32, l64) = ((&self.luts32, &self.nib), (&self.luts64, &self.nib));
         let (o32, o64) = (&mut self.open_i32, &mut self.open_i64);
         match (stage.tier, stage.exact) {
-            (Tier::I32I32, true) => sweep_tile::<I, _, _, true>(w, l32, &cx, r0, panel, o32, at),
-            (Tier::I32I32, _) => sweep_tile::<I, _, _, false>(w, l32, &cx, r0, panel, o32, at),
-            (Tier::I32I64, _) => sweep_tile::<I, _, _, false>(w, l32, &cx, r0, panel, o64, at),
-            (Tier::I64I64, _) => sweep_tile::<I, _, _, false>(w, l64, &cx, r0, panel, o64, at),
+            (Tier::I32I32, true) => sweep_tile::<I, _, true>(w, l32, &cx, r0, panel, o32, at),
+            (Tier::I32I32, _) => sweep_tile::<I, _, false>(w, l32, &cx, r0, panel, o32, at),
+            (Tier::I64I64, _) => sweep_tile::<I, _, false>(w, l64, &cx, r0, panel, o64, at),
         }
     }
 }
@@ -380,7 +363,7 @@ pub(crate) fn scatter(
 /// let x = Mat::from_fn(4, 64, |b, c| ((b + c) as f64 * 0.05).cos());
 /// // Same bits as the plan-free entry point, without its per-call setup.
 /// assert_eq!(
-///     plan.exec_i(&x, &packed, &cfg).as_slice(),
+///     plan.exec_i_threads(&x, &packed, &cfg, 1).as_slice(),
 ///     exec_i(&x, &packed, &cfg).as_slice()
 /// );
 /// ```
@@ -474,14 +457,6 @@ impl ExecPlan {
         (self.rows * self.bits * self.wins.len()).saturating_mul(batch)
     }
 
-    /// Threads one direct call at this batch size runs on when the caller
-    /// allows at most `threads`: the crew of a one-call step,
-    /// [`crew_size`] of its [look-ups](ExecPlan::lookups). Speed only —
-    /// results are bit-identical for every value.
-    pub fn fan_out(&self, batch: usize, threads: usize) -> usize {
-        crew_size(self.lookups(batch), threads)
-    }
-
     /// Check one reader of a call against `x`: shapes, µ, and that `self`
     /// is `w`'s plan.
     fn check_reader(&self, x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig, out: &Mat<f64>) {
@@ -511,36 +486,15 @@ impl ExecPlan {
         (self.cols, self.group_size)
     }
 
-    /// One table set, k readers (paper Fig. 8/9: an FFLUT feeds k RACs),
-    /// as one step: [`ExecPlan::exec_i_crew`] on a [`Crew`] sized by the
-    /// readers' summed look-ups, at most `threads`.
-    ///
-    /// # Panics
-    ///
-    /// As [`ExecPlan::exec_i_crew`].
-    pub fn exec_i_shared<'a>(
-        x: &Mat<f64>,
-        cfg: &EngineConfig,
-        threads: usize,
-        readers: &mut [(&'a ExecPlan, &'a PackedBcq, &mut Mat<f64>)],
-    ) {
-        let lookups = readers
-            .iter()
-            .map(|(plan, ..)| plan.lookups(x.rows()))
-            .sum();
-        Crew::run(crew_size(lookups, threads), |crew| {
-            Self::exec_i_crew(crew, x, cfg, readers);
-        });
-    }
-
-    /// One GEMM phase of a step on `crew`: stage `x` **once** — quantize,
-    /// align, pre-fold the offset terms, pick the narrowing tier — then
-    /// sweep every reader's `(plan, weights, batch × m output)` over that
-    /// stage's tables, the readers' output rows concatenated and cut into
-    /// one part per crew thread, each thread building its own copy of the
-    /// tables. Each output element is swept by one thread in a fixed order,
-    /// so every output is bit-identical to the reader's own one-thread
-    /// [`ExecPlan::exec_i_into`] call.
+    /// One GEMM phase of a step on `crew`, one table set for k readers
+    /// (paper Fig. 8/9: an FFLUT feeds k RACs): stage `x` **once** —
+    /// quantize, align, pre-fold the offset terms, pick the narrowing tier
+    /// — then sweep every reader's `(plan, weights, batch × m output)` over
+    /// that stage's tables, the readers' output rows concatenated and cut
+    /// into one part per crew thread, each thread building its own copy of
+    /// the tables. Each output element is swept by one thread in a fixed
+    /// order, so every output is bit-identical to the reader's own
+    /// one-thread [`ExecPlan::exec_i_into`] call.
     ///
     /// # Panics
     ///
@@ -576,9 +530,10 @@ impl ExecPlan {
 
     /// [`ExecPlan::exec_i_threads`] writing into a caller-owned
     /// `batch × m` output — the zero-allocation steady-state entry point
-    /// (the convenience wrappers only add the output allocation, a call
-    /// that [fans out](ExecPlan::fan_out) its crew). The one-reader case
-    /// of [`ExecPlan::exec_i_shared`].
+    /// (the convenience wrappers only add the output allocation): a
+    /// one-reader [`ExecPlan::exec_i_crew`] on a [`Crew`] of
+    /// [`crew_size`] of its [look-ups](ExecPlan::lookups), at most
+    /// `threads`.
     ///
     /// # Panics
     ///
@@ -592,13 +547,15 @@ impl ExecPlan {
         threads: usize,
         out: &mut Mat<f64>,
     ) {
-        Self::exec_i_shared(x, cfg, threads, &mut [(self, w, out)]);
+        Crew::run(crew_size(self.lookups(x.rows()), threads), |crew| {
+            Self::exec_i_crew(crew, x, cfg, &mut [(self, w, out)]);
+        });
     }
 
     /// FIGLUT-I fast path over this plan: `y = x·Wᵀ`, bit-identical to
     /// `figlut_gemm::figlut::gemm_i` at every batch size, with every batch
     /// row bit-identical to its batch-1 run. `threads` is the *maximum*
-    /// worker count ([`ExecPlan::fan_out`] decides how many run); the
+    /// worker count ([`ExecPlan::exec_i_into`] decides how many run); the
     /// result is bit-identical for every value.
     ///
     /// # Panics
@@ -614,12 +571,6 @@ impl ExecPlan {
         let mut y = Mat::zeros(x.rows(), w.rows());
         self.exec_i_into(x, w, cfg, threads, &mut y);
         y
-    }
-
-    /// [`ExecPlan::exec_i_threads`] with the default maximum worker count
-    /// ([`crate::parallel::thread_count`]).
-    pub fn exec_i(&self, x: &Mat<f64>, w: &PackedBcq, cfg: &EngineConfig) -> Mat<f64> {
-        self.exec_i_threads(x, w, cfg, thread_count())
     }
 }
 
@@ -677,8 +628,10 @@ mod tests {
     #[test]
     fn baseline_and_dispatched_builds_sweep_the_same_bits() {
         // The baseline build (`Base`) and the dispatched one (AVX2 on an
-        // AVX2 host) over one stage, against the datapath model: all three
-        // tiers; batches whose blocks are shuffle blocks of 1 and 2 columns
+        // AVX2 host) over one stage, against the datapath model: both
+        // tiers, FP32 at 2 and 4 guard bits at i64/i64 (the inputs whose
+        // windows, not groups, fit i32) but gs 15 + 2, whose groups fit;
+        // batches whose blocks are shuffle blocks of 1 and 2 columns
         // and lane blocks of 4 and 8 lanes (10 = 8 + 2); a per-row group
         // open across k-tiles (288 columns), a ragged gs-15 group and gs
         // 64; 45 rows, so the last 32-row block is ragged. At batches 8 and
@@ -702,7 +655,7 @@ mod tests {
             let (_, b) = setup(45, k, gs, 3);
             let batches: &[usize] = if k > 288 { &[8, 10] } else { &[1, 2, 3, 8, 10] };
             let p = PackedBcq::pack(&b);
-            let mut tiers = [false; 3];
+            let mut tiers = [false; 2];
             for (act, guard_bits) in acts {
                 let cfg = EngineConfig {
                     act,
@@ -717,21 +670,25 @@ mod tests {
                     let mut stage = Stage::default();
                     stage.stage_i(&x, &cfg, &plan);
                     tiers[stage.tier as usize] = true;
+                    let narrow = act == FpFormat::Fp16 || (gs, guard_bits) == (15, 2);
+                    let case = format!("k {k} gs {gs} {act:?} + {guard_bits} B={batch}");
+                    let tier = (stage.tier, narrow);
+                    let want = matches!(tier, (Tier::I32I32, true) | (Tier::I64I64, false));
+                    assert!(want, "{case}: {:?}", stage.tier);
                     let base = swept(&stage, &plan, &p, true);
                     let fast = swept(&stage, &plan, &p, false);
                     let model = gemm_i(&x, &b, &cfg);
                     for (r, (base, fast)) in base.chunks(batch).zip(fast.chunks(batch)).enumerate()
                     {
                         for (bb, (y0, y1)) in base.iter().zip(fast).enumerate() {
-                            let tier = stage.tier;
-                            let what = || format!("k {k} gs {gs} {tier:?} B={batch} ({r}, {bb})");
-                            assert_eq!(y0.to_bits(), y1.to_bits(), "{}", what());
-                            assert_eq!(y0.to_bits(), model[(bb, r)].to_bits(), "{}", what());
+                            assert_eq!(y0.to_bits(), y1.to_bits(), "{case} ({r}, {bb})");
+                            let y = model[(bb, r)].to_bits();
+                            assert_eq!(y0.to_bits(), y, "{case} ({r}, {bb})");
                         }
                     }
                 }
             }
-            assert_eq!(tiers, [true; 3], "k {k} gs {gs}: every tier swept");
+            assert_eq!(tiers, [true; 2], "k {k} gs {gs}: every tier swept");
         }
     }
 
@@ -894,7 +851,7 @@ mod tests {
         let cfg = EngineConfig::paper_default();
         let plan = ExecPlan::new(&p, &cfg);
         let x = Mat::from_fn(0, 32, |_, _| 0.0);
-        let y = plan.exec_i(&x, &p, &cfg);
+        let y = plan.exec_i_threads(&x, &p, &cfg, 2);
         assert_eq!(y.shape(), (0, 5));
     }
 
@@ -940,7 +897,7 @@ mod tests {
         let (_, b2) = setup(6, 32, 16, 2);
         let p2 = PackedBcq::pack(&b2);
         let plan = ExecPlan::new(&p2, &cfg);
-        let _ = plan.exec_i(&x, &p, &cfg);
+        let _ = plan.exec_i_threads(&x, &p, &cfg, 1);
     }
 
     #[test]
@@ -949,10 +906,10 @@ mod tests {
         let p = PackedBcq::pack(&b);
         let cfg = EngineConfig::paper_default();
         let plan = ExecPlan::new(&p, &cfg);
-        let y1 = plan.exec_i(&x, &p, &cfg);
+        let y1 = plan.exec_i_threads(&x, &p, &cfg, 1);
         let clone = plan.clone();
         assert!(clone.calls.lock().unwrap().is_empty());
-        let y2 = clone.exec_i(&x, &p, &cfg);
+        let y2 = clone.exec_i_threads(&x, &p, &cfg, 1);
         assert_eq!(y1.as_slice(), y2.as_slice());
     }
 }

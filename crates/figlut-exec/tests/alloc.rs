@@ -13,7 +13,7 @@
 //! thread while the counter is armed would make the count meaningless.
 //! Keep this file at exactly one test.
 
-use figlut_exec::parallel::thread_count;
+use figlut_exec::parallel::{crew_size, thread_count, Crew};
 use figlut_exec::{exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
@@ -63,6 +63,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// One shared call of `readers` on a crew sized by their summed look-ups,
+/// at most `threads` — a one-phase step, as `figlut-model` runs one.
+fn shared<'a>(
+    x: &Mat<f64>,
+    cfg: &EngineConfig,
+    threads: usize,
+    readers: &mut [(&'a ExecPlan, &'a PackedBcq, &mut Mat<f64>)],
+) {
+    let lookups = readers
+        .iter()
+        .map(|(plan, ..)| plan.lookups(x.rows()))
+        .sum();
+    Crew::run(crew_size(lookups, threads), |crew| {
+        ExecPlan::exec_i_crew(crew, x, cfg, readers)
+    });
+}
 
 #[test]
 fn warm_exec_plan_calls_are_allocation_free() {
@@ -149,7 +166,7 @@ fn warm_exec_plan_calls_are_allocation_free() {
             ];
             ALLOCS.store(0, Ordering::SeqCst);
             ARMED.store(armed, Ordering::SeqCst);
-            ExecPlan::exec_i_shared(&x, &cfg, many, readers);
+            shared(&x, &cfg, many, readers);
             ARMED.store(false, Ordering::SeqCst);
             ALLOCS.load(Ordering::SeqCst)
         };

@@ -6,7 +6,7 @@
 //! mutates the process environment; the property tests use the explicit
 //! `*_threads` API instead.
 
-use figlut_exec::parallel::{thread_count, THREADS_ENV};
+use figlut_exec::parallel::{crew_size, thread_count, THREADS_ENV};
 use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::EngineConfig;
 use figlut_num::Mat;
@@ -28,7 +28,8 @@ fn env_thread_override_is_bit_invariant() {
         let p = PackedBcq::pack(&b);
         let n = p.cols();
         let x = Mat::from_fn(batch, n, |bb, c| ((bb * n + c) as f64 * 0.071).cos());
-        assert_eq!(ExecPlan::new(&p, &cfg).fan_out(batch, 2) > 1, fans_out);
+        let lookups = ExecPlan::new(&p, &cfg).lookups(batch);
+        assert_eq!(crew_size(lookups, 2) > 1, fans_out);
 
         let mut runs: Vec<Vec<f64>> = Vec::new();
         for t in ["1", "2", "8"] {

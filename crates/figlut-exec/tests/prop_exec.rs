@@ -9,6 +9,7 @@
 //! proof over calls that really open a crew is
 //! `fanned_out_calls_never_change_bits`.
 
+use figlut_exec::parallel::{crew_size, Crew};
 use figlut_exec::{exec_i_threads, ExecPlan, PackedBcq};
 use figlut_gemm::figlut::gemm_i;
 use figlut_gemm::EngineConfig;
@@ -180,13 +181,13 @@ proptest! {
         let i1 = plan.exec_i_threads(&x, &packed, &c, 1);
         for t in [2usize, 3, 8] {
             // The gate must not hollow this test out: these calls fan out.
-            let panels = plan.fan_out(batch, t);
+            let panels = crew_size(plan.lookups(batch), t);
             prop_assert!((2..=t).contains(&panels), "m={} t={}: {} panels", m, t, panels);
             let it = plan.exec_i_threads(&x, &packed, &c, t);
             prop_assert_eq!(it.as_slice(), i1.as_slice(), "exec_i m={} t={}", m, t);
         }
         // Below the threshold the same plan keeps the call on one thread.
-        prop_assert_eq!(plan.fan_out(1, 8), 1);
+        prop_assert_eq!(crew_size(plan.lookups(1), 8), 1);
     }
 }
 
@@ -266,27 +267,25 @@ fn lane_pass_is_bit_exact_at_every_lane_width_and_block_boundary() {
 fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
     // The narrowing tier follows the aligned mantissa width (format
     // precision + guard bits), whatever the activations' magnitude: FP16
-    // is i32 tables into i32 accumulators; FP32 + 2 guard bits overflows
-    // i32 over a 64-column group but not over an 8-column window (i32
-    // tables, i64 accumulators); FP32 + 6 overflows i32 in a window (i64
-    // both). Batch 8 on three lane-path shapes, so `lane_pass` runs at 8
-    // lanes at every `(E, A)` — gs 64 folds every run as it ends, the
-    // 520-column per-row group is carried open across three k-tiles in
-    // each tier's own accumulator type, and gs 100 ends every group on a
-    // four-column key byte.
+    // is i32 tables into i32 accumulators; FP32 overflows i32 over a
+    // group (i64 both), at 2 guard bits over a 64-column group though not
+    // over an 8-column window, at 6 within a window. Batch 8 on three
+    // lane-path shapes, so `lane_pass` runs at 8 lanes at both tiers —
+    // gs 64 folds every run as it ends, the 520-column per-row group is
+    // carried open across three k-tiles in each tier's own accumulator
+    // type, and gs 100 ends every group on a four-column key byte.
     use figlut_num::align::AlignedVector;
     use figlut_num::fp::FpFormat;
     let (m, batch) = (7usize, 8usize);
-    let fits = |terms: usize, maxm: u64| terms as u64 * maxm <= i32::MAX as u64;
     for (k, gs, act, guard_bits, tier) in [
         (256usize, 64usize, FpFormat::Fp16, 4, "i32/i32"),
-        (256, 64, FpFormat::Fp32, 2, "i32/i64"),
+        (256, 64, FpFormat::Fp32, 2, "i64/i64"),
         (256, 64, FpFormat::Fp32, 6, "i64/i64"),
         (520, 0, FpFormat::Fp16, 4, "i32/i32"),
-        (520, 0, FpFormat::Fp32, 2, "i32/i64"),
+        (520, 0, FpFormat::Fp32, 2, "i64/i64"),
         (520, 0, FpFormat::Fp32, 6, "i64/i64"),
         (300, 100, FpFormat::Fp16, 4, "i32/i32"),
-        (300, 100, FpFormat::Fp32, 2, "i32/i64"),
+        (300, 100, FpFormat::Fp32, 2, "i64/i64"),
         (300, 100, FpFormat::Fp32, 6, "i64/i64"),
     ] {
         let b = lane_weights(m, k, gs);
@@ -305,11 +304,8 @@ fn lane_pass_is_bit_exact_at_every_narrowing_tier() {
             AlignedVector::align_into(&xa, act, guard_bits, c.align, &mut mant);
         }
         let maxm = mant.iter().map(|v| v.unsigned_abs()).max().unwrap();
-        let got = match (fits(8, maxm), fits(b.group_size(), maxm)) {
-            (_, true) => "i32/i32",
-            (true, false) => "i32/i64",
-            (false, false) => "i64/i64",
-        };
+        let narrow = b.group_size() as u64 * maxm <= i32::MAX as u64;
+        let got = if narrow { "i32/i32" } else { "i64/i64" };
         assert_eq!(
             got, tier,
             "{act:?} + {guard_bits} guard bits: max |mantissa| {maxm}"
@@ -347,7 +343,7 @@ fn shared_call_is_bit_identical_to_single_calls_and_the_model() {
     // One staged table set read by 2–4 weight matrices of different row
     // counts ≡ the same readers called one by one ≡ the datapath model:
     // per-row scales, the two lane-pass group sizes and a ragged group
-    // (gs 15), at every narrowing tier (the activation formats of
+    // (gs 15), at both narrowing tiers (the activation formats of
     // `lane_pass_is_bit_exact_at_every_narrowing_tier`, which pins the
     // tier each selects on the 256 × gs 64 shape), batches 1..=17 across
     // every lane width and column-block boundary, 1 and 3 threads. The
@@ -389,7 +385,7 @@ fn shared_call_is_bit_identical_to_single_calls_and_the_model() {
                         .zip(&mut outs)
                         .map(|((plan, (_, p)), out)| (plan, p, out))
                         .collect();
-                    ExecPlan::exec_i_shared(&xb, &c, threads, &mut readers);
+                    shared(&xb, &c, threads, &mut readers);
                     for (i, ((plan, (_, p)), out)) in
                         plans.iter().zip(&weights).zip(&outs).enumerate()
                     {
@@ -412,6 +408,23 @@ fn shared_call_is_bit_identical_to_single_calls_and_the_model() {
     }
 }
 
+/// One shared call of `readers` on a crew sized by their summed look-ups,
+/// at most `threads` — a one-phase step, as `figlut-model` runs one.
+fn shared<'a>(
+    x: &Mat<f64>,
+    c: &EngineConfig,
+    threads: usize,
+    readers: &mut [(&'a ExecPlan, &'a PackedBcq, &mut Mat<f64>)],
+) {
+    let lookups = readers
+        .iter()
+        .map(|(plan, ..)| plan.lookups(x.rows()))
+        .sum();
+    Crew::run(crew_size(lookups, threads), |crew| {
+        ExecPlan::exec_i_crew(crew, x, c, readers)
+    });
+}
+
 /// A two-reader shared call staged for a `k × gs` first reader, whose
 /// second reader was packed and planned as `(k, gs)`.
 fn shared_call_over((k, gs): (usize, usize), second: (usize, usize)) {
@@ -421,7 +434,7 @@ fn shared_call_over((k, gs): (usize, usize), second: (usize, usize)) {
     let x = Mat::from_fn(2, k, |bb, cc| ((bb * k + cc) as f64 * 0.05).cos());
     let (mut y0, mut y1) = (Mat::zeros(2, 4), Mat::zeros(2, 6));
     let readers = &mut [(&plans.0, &w0, &mut y0), (&plans.1, &w1, &mut y1)];
-    ExecPlan::exec_i_shared(&x, &cfg(4), 1, readers);
+    shared(&x, &cfg(4), 1, readers);
 }
 
 #[test]
@@ -497,7 +510,6 @@ fn crew_parts_that_split_a_block_keep_the_bits() {
     // (44 on a crew of 3), so parts and reader boundaries start and end
     // mid-block. Batch 1 and 2 (shuffle pass) and 3 (lane pass) against
     // one-thread single calls.
-    use figlut_exec::parallel::Crew;
     let c = cfg(4);
     let weights = reader_weights(&[45, 70, 13], 256, 64);
     let plans: Vec<ExecPlan> = weights.iter().map(|(_, p)| ExecPlan::new(p, &c)).collect();

@@ -26,6 +26,15 @@ fn acts(batch: usize, k: usize) -> Mat<f64> {
     Mat::from_fn(batch, k, |b, c| ((b * k + c) as f64 * 0.07).cos())
 }
 
+/// One shared call of `readers` on the calling thread: a one-phase step.
+fn shared<'a>(
+    x: &Mat<f64>,
+    cfg: &EngineConfig,
+    readers: &mut [(&'a ExecPlan, &'a PackedBcq, &mut Mat<f64>)],
+) {
+    Crew::run(1, |crew| ExecPlan::exec_i_crew(crew, x, cfg, readers));
+}
+
 #[test]
 fn streamed_words_match_the_plan_formula() {
     // Lane-pass (µ 8, groups ending on word boundaries: packed in k-tiles
@@ -49,7 +58,8 @@ fn streamed_words_match_the_plan_formula() {
         let w = packed(m, k, gs, bits, 7);
         let cfg = EngineConfig::paper_default();
         let plan = ExecPlan::new(&w, &cfg);
-        assert_eq!(plan.fan_out(batch, 2), fan, "{m}x{k} batch {batch}");
+        let crew = crew_size(plan.lookups(batch), 2);
+        assert_eq!(crew, fan, "{m}x{k} batch {batch}");
         assert_eq!(w.tiles(), tiles, "{m}x{k} gs {gs}");
         let row_sweeps = (batch.div_ceil(8) * m) as u64;
         assert_eq!(
@@ -102,7 +112,7 @@ fn streamed_words_match_the_plan_formula() {
     let guard = install(Box::new(CollectSink::default()));
     let mut marks = vec![snapshot()];
     for x in &xs {
-        plan.exec_i(x, &w, &cfg);
+        plan.exec_i_threads(x, &w, &cfg, 1);
         marks.push(snapshot());
     }
     guard.finish().unwrap();
@@ -131,8 +141,8 @@ fn plan_reuse_is_counted() {
     let guard = install(Box::new(CollectSink::default()));
     let before = snapshot();
     let plan = ExecPlan::new(&w, &cfg);
-    plan.exec_i(&x, &w, &cfg);
-    plan.exec_i(&x, &w, &cfg);
+    plan.exec_i_threads(&x, &w, &cfg, 1);
+    plan.exec_i_threads(&x, &w, &cfg, 1);
     // The free function builds (and discards) a plan per call.
     exec_i(&x, &w, &cfg);
     let d = snapshot().since(&before);
@@ -167,7 +177,7 @@ fn a_shared_call_builds_once_and_counts_every_reader() {
             (&plans[1], &ws[1], y1),
             (&plans[2], &ws[2], y2),
         ];
-        ExecPlan::exec_i_shared(&x, &cfg, 1, readers);
+        shared(&x, &cfg, readers);
     }
     let d = snapshot().since(&before);
     guard.finish().unwrap();
@@ -238,12 +248,12 @@ fn tracing_does_not_change_results_and_empty_calls_are_free() {
     let cfg = EngineConfig::paper_default();
     let plan = ExecPlan::new(&w, &cfg);
     let x = acts(4, 64);
-    let quiet = plan.exec_i(&x, &w, &cfg);
+    let quiet = plan.exec_i_threads(&x, &w, &cfg, 1);
 
     let guard = install(Box::new(CollectSink::default()));
     let before = snapshot();
-    let traced = plan.exec_i(&x, &w, &cfg);
-    let empty = plan.exec_i(&Mat::zeros(0, 64), &w, &cfg);
+    let traced = plan.exec_i_threads(&x, &w, &cfg, 1);
+    let empty = plan.exec_i_threads(&Mat::zeros(0, 64), &w, &cfg, 1);
     let d = snapshot().since(&before);
     guard.finish().unwrap();
 

@@ -594,15 +594,6 @@ impl KvCache {
         matches!(self, KvCache::Swapped(_))
     }
 
-    /// Blocks this cache currently holds in its pool (0 for swapped
-    /// caches).
-    pub fn resident_blocks(&self) -> usize {
-        match self {
-            KvCache::Paged(p) => p.table.len(),
-            KvCache::Swapped(_) => 0,
-        }
-    }
-
     /// Pool blocks that appending `rows` more positions will allocate
     /// (fresh tail blocks plus a copy-on-write of a still-shared block the
     /// first private write lands in). A swapped cache cannot append (see
@@ -1067,7 +1058,11 @@ mod tests {
             fill(&mut c, 0, 11);
             assert_eq!(c.len(), 11);
             assert_eq!(c.snapshot(), reference, "bs={bs}");
-            assert_eq!(c.resident_blocks(), 11usize.div_ceil(bs));
+            let blocks = 11usize.div_ceil(bs);
+            assert!(
+                matches!(&c, KvCache::Paged(paged) if paged.table.len() == blocks),
+                "bs={bs}"
+            );
         }
     }
 

@@ -519,33 +519,6 @@ impl ServeReport {
         }
     }
 
-    /// The pending-queue depth over the run as `(tick, depth)` change
-    /// points: +1 at each request's arrival, −1 at its admission, events
-    /// at the same tick coalesced (admissions applied after arrivals, so
-    /// the reported depth is the end-of-tick value). The scheduler admits
-    /// every request exactly once, so the timeline always returns to 0.
-    pub fn queue_depth_timeline(&self) -> Vec<(u64, usize)> {
-        let mut events: Vec<(u64, i64)> = Vec::with_capacity(2 * self.requests.len());
-        for r in &self.requests {
-            events.push((r.arrival, 1));
-            events.push((r.admitted, -1));
-        }
-        // Sort decrements after increments within a tick: a same-tick
-        // arrive+admit pair must not report a negative intermediate.
-        events.sort_by_key(|&(t, d)| (t, -d));
-        let mut out: Vec<(u64, usize)> = Vec::new();
-        let mut depth = 0i64;
-        for (t, d) in events {
-            depth += d;
-            debug_assert!(depth >= 0, "queue depth went negative at tick {t}");
-            match out.last_mut() {
-                Some(last) if last.0 == t => last.1 = depth as usize,
-                _ => out.push((t, depth as usize)),
-            }
-        }
-        out
-    }
-
     /// Re-express the executed step sequence as the workload it would be at
     /// a real OPT shape, phase-aware:
     ///
@@ -1125,22 +1098,6 @@ mod tests {
         });
         assert_eq!(none.met_requests, 0);
         assert_eq!(none.tokens_per_kilotick, 0.0);
-    }
-
-    #[test]
-    fn queue_depth_timeline_folds_arrivals_and_admissions() {
-        let mut r = demo_report();
-        // Arrivals at 0, 2, 10; admissions at 2, 4, 12. The same-tick
-        // pair at 2 coalesces into one end-of-tick entry.
-        assert_eq!(
-            r.queue_depth_timeline(),
-            vec![(0, 1), (2, 1), (4, 0), (10, 1), (12, 0)]
-        );
-        // Everything admitted instantly → depth spikes vanish by tick end.
-        for req in &mut r.requests {
-            req.admitted = req.arrival;
-        }
-        assert_eq!(r.queue_depth_timeline(), vec![(0, 0), (2, 0), (10, 0)]);
     }
 
     #[test]

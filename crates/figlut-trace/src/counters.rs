@@ -24,7 +24,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! registry {
-    ($($(#[$m:meta])* $bump:ident, $field:ident;)+) => {
+    (
+        retired { $($(#[$rm:meta])* $old:ident;)* }
+        $($(#[$m:meta])* $bump:ident, $field:ident;)+
+    ) => {
         #[derive(Default)]
         pub(crate) struct Registry {
             $( $field: AtomicU64, )+
@@ -46,6 +49,7 @@ macro_rules! registry {
         #[allow(missing_docs)] // each field documents itself via its bump fn
         pub struct Counters {
             $( pub $field: u64, )+
+            $( $(#[$rm])* pub $old: u64, )*
         }
 
         /// Snapshot the calling thread's session: all zeros on a thread in
@@ -53,6 +57,7 @@ macro_rules! registry {
         pub fn snapshot() -> Counters {
             crate::with_session(|s| Counters {
                 $( $field: s.counters.$field.load(Ordering::Relaxed), )+
+                $( $old: 0, )*
             })
             .unwrap_or_default()
         }
@@ -67,16 +72,26 @@ macro_rules! registry {
             /// `earlier` is not actually an earlier snapshot.
             #[must_use]
             pub fn since(&self, earlier: &Counters) -> Counters {
-                Counters { $( $field: self.$field - earlier.$field, )+ }
+                Counters {
+                    $( $field: self.$field - earlier.$field, )+
+                    $( $old: 0, )*
+                }
             }
         }
     };
 }
 
 registry! {
+    // Fields kept in `Counters` for a reader outside the workspace, always
+    // 0: no bump function, nothing counts them.
+    retired {
+        /// Retired, always 0: the i32-table, i64-accumulator tier folded
+        /// into the i64 one. Kept while the benchmark still reports it.
+        exec_tier_i32_i64;
+    }
     /// Exec kernel calls: one per reader of a non-empty
-    /// `ExecPlan::exec_i_crew` phase (`exec_i_shared` is a one-phase step,
-    /// `exec_i_into` its one-reader case).
+    /// `ExecPlan::exec_i_crew` phase (`exec_i_into` is a one-phase step of
+    /// one reader).
     bump_exec_calls, exec_calls;
     /// `ExecPlan` constructions (calls minus builds = plan reuse).
     bump_exec_plan_builds, exec_plan_builds;
@@ -93,8 +108,6 @@ registry! {
     bump_exec_ktiles, exec_ktiles;
     /// Calls running the narrowest tier (i32 tables, i32 accumulators).
     bump_exec_tier_i32_i32, exec_tier_i32_i32;
-    /// Calls running the middle tier (i32 tables, i64 accumulators).
-    bump_exec_tier_i32_i64, exec_tier_i32_i64;
     /// Calls running the widest tier (i64 tables and accumulators).
     bump_exec_tier_i64_i64, exec_tier_i64_i64;
     /// Steps (a `forward_batch`, or one direct exec call) whose summed

@@ -48,7 +48,7 @@ fn prelude_reexports_resolve() {
     let packed: PackedBcq = PackedBcq::pack(&bcq);
     let plan: ExecPlan = ExecPlan::new(&packed, &cfg);
     assert_eq!(
-        plan.exec_i(&m, &packed, &cfg).as_slice(),
+        plan.exec_i_threads(&m, &packed, &cfg, 1).as_slice(),
         exec_i(&m, &packed, &cfg).as_slice()
     );
 
