@@ -5,7 +5,7 @@
 //! *reads* its weight keys out of the packed bit-planes instead of
 //! multiplying. Work is blocked three ways:
 //!
-//! * **row panels** — contiguous output rows per worker thread, whole
+//! * **row parts** — contiguous output rows per crew thread, whole
 //!   four-row lane groups ([`crate::parallel`]);
 //! * **column blocks** — up to eight batch columns share one sweep, so the
 //!   packed planes are streamed once per block (once per call up to
@@ -35,10 +35,9 @@
 //! fold is fused into the walk: a run that completes a scale group folds
 //! its partial straight into the row's running output, and only a group
 //! that crosses a tile boundary carries its integer sums to its next run
-//! (`open`). Groups
-//! complete in ascending order and planes in ascending order within a
-//! group, so each (row, column) sees exactly the datapath model's fold
-//! sequence.
+//! (`open`). Groups complete in ascending order and planes in ascending
+//! order within a group, so each (row, column) sees exactly the datapath
+//! model's fold sequence.
 //!
 //! [`exec_i`] reproduces the *exact* arithmetic of the FIGLUT-I datapath
 //! model: the same pre-alignment ([`AlignedVector`]), exact integer window
@@ -49,8 +48,7 @@
 //! *and* each batch row is bit-identical to a batch-1 call on that row
 //! alone (the invariance `figlut-serve` builds on, pinned by
 //! `tests/prop_exec.rs`). The entry points here build a throwaway
-//! [`ExecPlan`] per call; repeated execution over the same weights should
-//! hold a plan ([`crate::plan`]).
+//! [`ExecPlan`] per call; repeated calls should hold a plan.
 //!
 //! [`AlignedVector`]: figlut_num::align::AlignedVector
 

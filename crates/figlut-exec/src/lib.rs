@@ -20,7 +20,7 @@
 //! | [`kernel`] | RAC arrays | the LUT-stationary [`exec_i`] read-accumulate kernel: one walk per k-tile of the key bytes, over the tile's tables, swept by the shuffle pass (one or two batch columns) or the lane pass (blocks of 3–8), the FP32-rounded fold fused into it |
 //! | `shuffle` | one FFLUT, k RACs (Fig. 8/9) | the register FFLUT: one AVX2 `vpshufb` reads a 16-entry table for 32 weight rows, with a portable fallback; and the crate's only `unsafe`: the runtime AVX2 check and the `#[target_feature]` entries that run the table build and the sweep compiled for AVX2 |
 //! | [`plan`] | weight-stationary scheduling | [`ExecPlan`]: per-weight window plan + pooled scratch, allocation-free steady-state calls; one stage per distinct input, its lane tables and accumulators `i32` where it proves every group partial fits, else `i64`, and per lane block and k-tile one table build next to its readers (lane block → tile → reader), which every reader of a shared call sweeps |
-//! | [`parallel`] | MPU tiling | the step crew: one `std::thread::scope` per step (a forward pass, or one direct call), its workers claiming row parts of every GEMM phase; `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a step opens a crew only as large as its summed look-ups repay the spawns |
+//! | [`parallel`] | MPU tiling | the serve crew: one `std::thread::scope` per serve (or per forward pass / direct call), its workers living across the steps and claiming parts of every phase — GEMM staging and sweeps, and a step's row work; `threads` / `FIGLUT_EXEC_THREADS` is a *maximum*, a step runs on as many threads as its summed look-ups repay |
 //!
 //! The correctness story is *differential*: [`exec_i`] is **bit-identical**
 //! to `figlut_gemm::figlut::gemm_i` (same pre-alignment, exact integer

@@ -1,11 +1,9 @@
 //! Flat per-window FFLUT precomputation, in the two layouts the kernel's
 //! passes read.
 //!
-//! The datapath models in `figlut-gemm` rebuild a boxed
-//! [`figlut_lut::table::HalfLut`] per window per activation row and decode
-//! every read through [`figlut_lut::key::Key::fold`] — the right shape for
-//! proving the hardware's MSB-fold decoder transparent, the wrong one for
-//! throughput. Here every table is flat, so a read is `table[base | key]`:
+//! The datapath models rebuild a boxed [`figlut_lut::table::HalfLut`] per
+//! window and row and decode every read through [`figlut_lut::key::Key::fold`]
+//! (to prove the MSB-fold decoder transparent); here a read is `table[base | key]`:
 //!
 //! * [`FlatLuts`], the lane pass's: the *full* `2^µ`-entry table of every
 //!   window, batch columns cut into *lane blocks* in which the `L` entries
@@ -20,10 +18,9 @@
 //!   byte planes, one 16-byte register operand each.
 //!
 //! Integer entries are exact signed sums `Σ ±mantissa`, so any build order
-//! yields bit-identical tables — which is what makes
-//! [`crate::kernel::exec_i`] bit-exact against
-//! `figlut_gemm::figlut::gemm_i` (integer addition is associative). The
-//! unit tests pin the tables against `figlut-lut` reads key by key.
+//! yields bit-identical tables, which makes [`crate::kernel::exec_i`]
+//! bit-exact against `figlut_gemm::figlut::gemm_i`. The unit tests pin the
+//! tables against `figlut-lut` reads key by key.
 //!
 //! The benchmark's `bench/src/probe.rs` is the one caller of [`windows`] and
 //! [`FlatLuts::rebuild`] outside the crate; without it the module could be private.

@@ -1,34 +1,28 @@
 //! [`ExecPlan`] — a reusable execution handle for one [`PackedBcq`].
 //!
-//! The kernels' preamble is not free: the window decomposition, the
-//! quantize/align/Σx staging buffers, the FFLUT tile arenas and the
-//! open-group carries. An `ExecPlan` hoists all of it, so a decode step
-//! recomputes and reallocates nothing:
+//! An `ExecPlan` hoists the kernels' preamble, so a decode step recomputes
+//! and reallocates nothing:
 //!
-//! * the window plan — one window per key byte, `windows(n, gs, 8)`,
-//!   whatever µ the config names (integer window sums are associative, so
-//!   µ never changes a bit of the result) — is computed once at
-//!   construction;
-//! * every staging buffer lives in pooled scratch, checked out once per
-//!   *stage* — one quantize/align of an activation matrix — and the tables
-//!   once per swept part, so a steady-state call performs **zero heap
-//!   allocations** in the exec hot path (asserted by `tests/alloc.rs`);
-//! * a stage is built once per distinct input, not per weight matrix:
-//!   [`ExecPlan::exec_i_crew`] runs any number of readers over each
-//!   table build (the paper's one FFLUT feeding k RACs), one k-tile at a
-//!   time, and [`ExecPlan::exec_i_into`] is its one-reader case; on a
-//!   [`Crew`], each thread builds its own tiles from the one stage.
+//! * the window plan — one window per key byte, `windows(n, gs, 8)`, for
+//!   every µ (integer window sums are associative) — is built once;
+//! * every buffer lives in pooled scratch, checked out once per *stage* —
+//!   one quantize/align of an activation matrix — and the tables once per
+//!   swept part: a warm call makes **zero heap allocations**
+//!   (`tests/alloc.rs`);
+//! * a stage is built once per distinct input: [`ExecPlan::exec_i_crew`]
+//!   runs any number of readers over each table build (the paper's one
+//!   FFLUT feeding k RACs), one k-tile at a time; on a [`Crew`], its rows
+//!   are staged in parts and each thread builds its own tiles.
 //!
-//! The pools are `Mutex`-guarded free lists: concurrent calls on one plan
-//! are correct (each checks out its own scratch). `Clone` clones the
-//! plan's *decisions* (shape, windows) but starts with empty pools,
-//! which is what lets `figlut-model` keep a plan inside its `Clone`-able
-//! `LinearWeights::Packed` variant.
+//! The pools are `Mutex`-guarded free lists, so concurrent calls on one
+//! plan are correct. `Clone` clones the plan's *decisions* with empty
+//! pools, so `figlut-model` keeps a plan in its `Clone`-able
+//! `LinearWeights::Packed`.
 
 use crate::kernel::{check, sweep_tile, Columns, LANE_ROWS};
 use crate::lut::{column_blocks, windows, Block, FlatLuts, NibbleLuts, Window, MAX_LANES};
 use crate::packed::PackedBcq;
-use crate::parallel::{crew_size, Crew};
+use crate::parallel::{crew_size, Crew, RowWork};
 use crate::shuffle::{self, Isa};
 use figlut_gemm::common::mul32;
 use figlut_gemm::EngineConfig;
@@ -37,19 +31,20 @@ use figlut_num::Mat;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// One staged activation matrix: the quantized rows, their alignment, the
-/// fold operands and the narrowing tier — everything a thread needs to
-/// build the tables and fold a reader's sweep. Staged by the calling
-/// thread once per distinct input (a single `exec_i` call, or a shared
-/// call however many readers it has).
+/// One staged activation matrix: the aligned rows, the fold operands and
+/// the narrowing tier — everything a thread needs to build the tables and
+/// fold a reader's sweep. Staged once per distinct input (however many
+/// readers share it), its rows in parts on a crew.
 #[derive(Debug, Default)]
 pub(crate) struct Stage {
-    /// Quantized activations, `batch × n`.
+    /// One row's quantized activations (scratch).
     xa: Vec<f64>,
     /// Aligned integer mantissas, `batch × n`.
     mant: Vec<i64>,
-    /// Narrowed mantissas (i32 table path), `batch × n`.
+    /// Narrowed mantissas (read at [`Tier::I32I32`]), `batch × n`.
     m32: Vec<i32>,
+    /// max |mantissa| of the staged rows.
+    maxm: u64,
     /// Per-batch-row alignment scales λ.
     lambdas: Vec<f64>,
     /// Offset multiplier per (column, group), `batch × groups`: the
@@ -68,62 +63,82 @@ pub(crate) struct Stage {
 }
 
 /// The integer type of a stage's lane tables and accumulators. Both tiers
-/// are exact, so they return bit-identical results — narrower is faster.
+/// are exact (bit-identical results); narrower is faster.
 #[derive(Clone, Copy, Debug, Default)]
 enum Tier {
-    /// `gs·max|mantissa| ≤ i32::MAX`, which bounds every window sum, build
-    /// intermediate and group partial (`Accum for i32`), and holds at the
-    /// whole FP16 operating point: i32 tables and accumulators.
+    /// `gs·max|mantissa| ≤ i32::MAX` bounds every window sum, build
+    /// intermediate and group partial (`Accum for i32`): the FP16 point.
     #[default]
     I32I32,
-    /// Wider activation ranges (FP32 mantissas): i64 tables and
-    /// accumulators.
+    /// Wider activation ranges (FP32 mantissas).
     I64I64,
 }
 
 impl Stage {
-    /// Stage `x` under `plan`'s window plan: quantize, align per row (λ is
-    /// a per-row max-exponent decision, exactly as in a batch-1 call),
-    /// pre-fold the per-group offset terms `mul32(Σx·λ)`, and pick the
-    /// narrowing tier over the whole batch (one entry type per batched
-    /// table set).
-    fn stage_i(&mut self, x: &Mat<f64>, cfg: &EngineConfig, plan: &ExecPlan) {
-        let (n, gs) = (plan.cols, plan.group_size);
-        self.xa.clear();
-        for b in 0..x.rows() {
+    /// Stage `x` under `plan`'s window plan: every row, then the tier.
+    pub(crate) fn stage_i(&mut self, x: &Mat<f64>, cfg: &EngineConfig, plan: &ExecPlan) {
+        self.clear();
+        self.stage_rows(x, 0..x.rows(), cfg, plan);
+        self.seal(plan);
+    }
+
+    /// Append rows `rows` of `x`: quantize, align per row (λ is a per-row
+    /// max-exponent decision, exactly as in a batch-1 call), narrow, and
+    /// pre-fold the per-group offset terms `mul32(Σx·λ)`.
+    pub(crate) fn stage_rows(
+        &mut self,
+        x: &Mat<f64>,
+        rows: Range<usize>,
+        cfg: &EngineConfig,
+        plan: &ExecPlan,
+    ) {
+        for b in rows {
+            self.xa.clear();
             self.xa
                 .extend(x.row(b).iter().map(|&v| cfg.act.quantize(v)));
-        }
-        self.batch = x.rows();
-        self.mant.clear();
-        self.lambdas.clear();
-        self.gsums.clear();
-        for row in self.xa.chunks_exact(n) {
             let at = self.mant.len();
-            let lambda =
-                AlignedVector::align_into(row, cfg.act, cfg.guard_bits, cfg.align, &mut self.mant);
+            let (act, guard) = (cfg.act, cfg.guard_bits);
+            let lambda = AlignedVector::align_into(&self.xa, act, guard, cfg.align, &mut self.mant);
             self.lambdas.push(lambda);
-            for group in self.mant[at..].chunks_exact(gs) {
+            let row = &self.mant[at..];
+            self.maxm = row.iter().fold(self.maxm, |m, v| m.max(v.unsigned_abs()));
+            self.m32.extend(row.iter().map(|&v| v as i32));
+            for group in row.chunks_exact(plan.group_size) {
                 let p: i128 = group.iter().map(|&v| v as i128).sum();
                 self.gsums.push(mul32(p as f64, lambda));
             }
         }
-        let maxm = self
-            .mant
-            .iter()
-            .map(|&v| v.unsigned_abs())
-            .max()
-            .unwrap_or(0);
+        self.batch = self.lambdas.len();
+    }
+
+    /// Drop every staged row.
+    pub(crate) fn clear(&mut self) {
+        self.mant.clear();
+        self.m32.clear();
+        self.lambdas.clear();
+        self.gsums.clear();
+        (self.batch, self.maxm) = (0, 0);
+    }
+
+    /// Append the rows `part` staged.
+    pub(crate) fn append(&mut self, part: &Stage) {
+        self.mant.extend_from_slice(&part.mant);
+        self.m32.extend_from_slice(&part.m32);
+        self.lambdas.extend_from_slice(&part.lambdas);
+        self.gsums.extend_from_slice(&part.gsums);
+        (self.batch, self.maxm) = (self.batch + part.batch, self.maxm.max(part.maxm));
+    }
+
+    /// Pick the narrowing tier over the whole batch (one entry type per
+    /// batched table set) and the exact-fold proof.
+    pub(crate) fn seal(&mut self, plan: &ExecPlan) {
+        let (gs, maxm) = (plan.group_size, self.maxm);
         let narrow = (gs as u64).saturating_mul(maxm) <= i32::MAX as u64;
         self.tier = if narrow { Tier::I32I32 } else { Tier::I64I64 };
         self.key_planes = narrow.then(|| NibbleLuts::planes_for(maxm)).flatten();
         let normal = f32::MIN_POSITIVE as f64..=f32::MAX as f64 / (1 << 24) as f64;
         self.exact = (gs as u64).saturating_mul(maxm) < 1 << 24
             && self.lambdas.iter().all(|l| normal.contains(l));
-        if narrow {
-            self.m32.clear();
-            self.m32.extend(self.mant.iter().map(|&v| v as i32));
-        }
         figlut_trace::counters::bump_exec_lut_builds(1);
     }
 
@@ -163,7 +178,7 @@ impl Stage {
 /// One thread's tables — one k-tile of one column block of a stage, built
 /// from the shared stage just before the readers sweep that tile — and the
 /// readers' open-group carries. No core reads table lines another core
-/// wrote (DESIGN.md §6, "The step crew"); the build is a pure function of
+/// wrote (DESIGN.md §6, "The serve crew"); the build is a pure function of
 /// the stage, so every thread's tables hold the same bits.
 #[derive(Debug, Default)]
 pub(crate) struct Tables {
@@ -250,8 +265,8 @@ impl Tables {
     }
 }
 
-/// What the calling thread of a stage uses — one checkout of a plan's pool
-/// per stage: the stage and the transposed output it sweeps into.
+/// A stage and the transposed output its caller sweeps into: one checkout
+/// of a plan's pool per stage.
 #[derive(Debug, Default)]
 pub(crate) struct CallScratch {
     pub(crate) stage: Stage,
@@ -260,21 +275,18 @@ pub(crate) struct CallScratch {
 }
 
 /// Part `p` of `parts` contiguous parts of `rows` concatenated output
-/// rows: whole lane-pass row groups each, so the last parts may be short
-/// or empty. A part that starts or ends inside a 32-row block sweeps that
-/// block's shuffle-pass group too and stores only its own rows.
+/// rows, in whole lane-pass row groups (the last parts may be short or
+/// empty; a part cutting a 32-row shuffle block stores only its rows).
 pub(crate) fn part_rows(rows: usize, parts: usize, p: usize) -> Range<usize> {
     let chunk = rows.div_ceil(parts).next_multiple_of(LANE_ROWS);
     (p * chunk).min(rows)..((p + 1) * chunk).min(rows)
 }
 
-/// Sweep `rows` of the readers' concatenated output rows (reader 0's
-/// first) of `stage` into `panel`, resized to `rows.len() × batch`: per
-/// column block, per k-tile, build the tile's tables, then sweep it for
-/// every reader with rows in the part — so the readers of a shared stage
-/// read one build, and each tile's tables are written just before they
-/// are read (paper Fig. 8/9). The tables are checked out of the plan of
-/// the part's first reader.
+/// Sweep `rows` of the readers' concatenated output rows of `stage` into
+/// `panel` (`rows.len() × batch`): per column block and k-tile, build the
+/// tile's tables (from the pool of the part's first reader), then sweep
+/// it for every reader in the part — one build read by every reader,
+/// written just before it is read (paper Fig. 8/9).
 pub(crate) fn sweep_rows<'r>(
     readers: impl Iterator<Item = (&'r ExecPlan, &'r PackedBcq)> + Clone,
     stage: &Stage,
@@ -435,15 +447,11 @@ impl ExecPlan {
         self.rows
     }
 
-    /// Packed weight words one non-empty `exec_*` call at this batch size
-    /// streams: one sweep per column block (the batch is cut into lane
-    /// blocks of up to 8 columns, each with its own tables), each sweep
-    /// every word of every (output row, bit-plane) exactly once.
-    ///
-    /// This is the analytical model of the kernel's weight traffic; the
-    /// `exec_streamed_words` trace counter reconciles against it exactly
-    /// (asserted by `tests/trace_reconcile.rs`), which is what makes the
-    /// traced number trustworthy as a bandwidth proxy.
+    /// Packed weight words one non-empty call at this batch size streams:
+    /// one sweep per column block of up to 8 columns, each sweep every word
+    /// of every (output row, bit-plane) once — the analytical model of the
+    /// weight traffic, which the `exec_streamed_words` trace counter
+    /// reconciles against exactly (`tests/trace_reconcile.rs`).
     pub fn streamed_words(&self, batch: usize) -> u64 {
         // One window per key byte, eight key bytes per word.
         let words = self.wins.len().div_ceil(8);
@@ -476,8 +484,7 @@ impl ExecPlan {
     }
 
     /// `true` if `other`'s weights can read tables staged for this plan:
-    /// the same reduction dim and group size — hence the same window plan,
-    /// Σx groups and narrowing tier (the row count is free).
+    /// the same reduction dim and group size, hence window plan and Σx.
     pub fn shares_stage(&self, other: &ExecPlan) -> bool {
         self.stage_key() == other.stage_key()
     }
@@ -487,21 +494,19 @@ impl ExecPlan {
     }
 
     /// One GEMM phase of a step on `crew`, one table set for k readers
-    /// (paper Fig. 8/9: an FFLUT feeds k RACs): stage `x` **once** —
-    /// quantize, align, pre-fold the offset terms, pick the narrowing tier
-    /// — then sweep every reader's `(plan, weights, batch × m output)` over
-    /// that stage's tables, the readers' output rows concatenated and cut
-    /// into one part per crew thread, each thread building its own copy of
-    /// the tables. Each output element is swept by one thread in a fixed
-    /// order, so every output is bit-identical to the reader's own
-    /// one-thread [`ExecPlan::exec_i_into`] call.
+    /// (paper Fig. 8/9: an FFLUT feeds k RACs): stage `x` **once**, then
+    /// sweep every reader's `(plan, weights, batch × m output)` over its
+    /// tables, the readers' rows concatenated and cut into one part per
+    /// crew thread, each building its own tables. Each output element is
+    /// swept by one thread in a fixed order: every output is bit-identical
+    /// to the reader's own one-thread [`ExecPlan::exec_i_into`] call.
     ///
     /// # Panics
     ///
     /// Panics if any reader fails the [`ExecPlan::exec_i_into`] checks, or
     /// if the readers' plans do not [share a stage](ExecPlan::shares_stage).
-    pub fn exec_i_crew<'a>(
-        crew: &Crew<'_, 'a>,
+    pub fn exec_i_crew<'a, W: RowWork + Default>(
+        crew: &Crew<'_, 'a, W>,
         x: &Mat<f64>,
         cfg: &EngineConfig,
         readers: &mut [(&'a ExecPlan, &'a PackedBcq, &mut Mat<f64>)],
@@ -522,18 +527,16 @@ impl ExecPlan {
             return; // empty activation matrix: nothing to compute
         }
         let mut s = pop(&stager.calls);
-        s.stage.stage_i(x, cfg, stager);
+        crew.stage(x, cfg, stager, &mut s.stage);
         readers.iter().for_each(|_| s.stage.count_call());
         crew.sweep(readers, &mut s);
         push(&stager.calls, s);
     }
 
-    /// [`ExecPlan::exec_i_threads`] writing into a caller-owned
-    /// `batch × m` output — the zero-allocation steady-state entry point
-    /// (the convenience wrappers only add the output allocation): a
-    /// one-reader [`ExecPlan::exec_i_crew`] on a [`Crew`] of
-    /// [`crew_size`] of its [look-ups](ExecPlan::lookups), at most
-    /// `threads`.
+    /// [`ExecPlan::exec_i_threads`] into a caller-owned `batch × m` output,
+    /// the zero-allocation entry point: a one-reader
+    /// [`ExecPlan::exec_i_crew`] on a [`Crew`] of [`crew_size`] of its
+    /// [look-ups](ExecPlan::lookups), at most `threads`.
     ///
     /// # Panics
     ///

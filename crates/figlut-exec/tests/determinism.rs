@@ -18,7 +18,7 @@ fn env_thread_override_is_bit_invariant() {
     let cfg = EngineConfig::paper_default();
     // A small ragged shape the plan keeps on one thread whatever the
     // override says, and one with enough look-ups that it really opens a
-    // crew (DESIGN.md §6, "The step crew") — asserted, so this test cannot
+    // crew (DESIGN.md §6, "The serve crew") — asserted, so this test cannot
     // quietly stop exercising more than one panel.
     let small = Mat::from_fn(37, 150, |r, c| ((r * 150 + c) as f64 * 0.137).sin());
     let small = BcqWeight::quantize(&small, BcqParams::grouped(3, 30));

@@ -6,7 +6,7 @@
 
 /// Non-test lines of `kernel.rs`, `plan.rs`, `packed.rs`, `lut.rs` and
 /// `shuffle.rs` together.
-const BUDGET: usize = 1814;
+const BUDGET: usize = 1812;
 
 const FILES: [(&str, &str); 5] = [
     ("kernel.rs", include_str!("../src/kernel.rs")),

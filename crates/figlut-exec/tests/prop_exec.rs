@@ -5,7 +5,7 @@
 //!
 //! Every shape `problem()` draws is far too small to be worth a second
 //! thread, so a direct call runs it on the calling thread alone whatever
-//! `threads` says (DESIGN.md §6, "The step crew"); the thread-invariance
+//! `threads` says (DESIGN.md §6, "The serve crew"); the thread-invariance
 //! proof over calls that really open a crew is
 //! `fanned_out_calls_never_change_bits`.
 

@@ -15,8 +15,9 @@
 //!   list), so every run is bit-reproducible.
 //! * **Block tables.** A [`KvCache`] maps logical positions to blocks.
 //!   Attention in [`crate::transformer::Transformer::forward_batch`] reads
-//!   one layer's rows in place through a crate-internal `LayerView`: one
-//!   `rows × d_model` K and V slice per block, positions ascending. The
+//!   one layer's rows in place through a crate-internal `LayerView` (a
+//!   read lock on the pool, so a step's crew threads read side by side):
+//!   one `rows × d_model` K and V slice per block, positions ascending. The
 //!   stored `f64` values and the read order — and therefore every
 //!   downstream bit — are the same for every block size.
 //! * **Prefix sharing (copy-on-write, compute skipped).** A
@@ -47,7 +48,7 @@
 //!   Off by default; the flag is read under the pool lock each site
 //!   already holds.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// FNV-1a over raw `f64` bit patterns — the per-block checksum kernel.
 fn fnv1a_f64(h: &mut u64, data: &[f64]) {
@@ -159,7 +160,7 @@ impl PoolInner {
 /// values anyway, since reads go by logical position.
 #[derive(Clone, Debug)]
 pub struct BlockPool {
-    inner: Arc<Mutex<PoolInner>>,
+    inner: Arc<RwLock<PoolInner>>,
 }
 
 impl BlockPool {
@@ -177,7 +178,7 @@ impl BlockPool {
             assert!(cap >= 1, "pool capacity must be at least 1");
         }
         Self {
-            inner: Arc::new(Mutex::new(PoolInner {
+            inner: Arc::new(RwLock::new(PoolInner {
                 block_size,
                 layers,
                 d_model,
@@ -214,14 +215,24 @@ impl BlockPool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+    fn lock(&self) -> RwLockWriteGuard<'_, PoolInner> {
         // Recover from poisoning: a panic mid-operation (e.g. the capacity
         // assert) must not cascade into aborts when caches drop during
         // unwinding. Pool bookkeeping is updated before any panic point.
-        match self.inner.lock() {
+        match self.inner.write() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
+    }
+
+    /// Layer `li`'s rows of the blocks of `table` in place, with the pool
+    /// read-locked (poison recovered as in `lock`).
+    pub(crate) fn view<'v>(&'v self, table: &'v [usize], li: usize) -> LayerView<'v> {
+        let pool = match self.inner.read() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        LayerView { pool, table, li }
     }
 
     /// Positions per block.
@@ -380,15 +391,6 @@ impl PagedKv {
         self.lens[li] += 1;
     }
 
-    /// Layer `li`'s rows in place, with the pool locked.
-    fn layer_view(&self, li: usize) -> LayerView<'_> {
-        LayerView {
-            pool: self.pool.lock(),
-            table: &self.table,
-            li,
-        }
-    }
-
     fn release(&mut self) {
         let mut p = self.pool.lock();
         for &id in &self.table {
@@ -428,11 +430,7 @@ fn image_of(pool: &BlockPool, table: &[usize], lens: &[usize]) -> (Vec<f64>, Vec
     let size = lens.iter().sum::<usize>() * pool.d_model();
     let (mut keys, mut values) = (Vec::with_capacity(size), Vec::with_capacity(size));
     for (li, &len) in lens.iter().enumerate() {
-        let view = LayerView {
-            pool: pool.lock(),
-            table,
-            li,
-        };
+        let view = pool.view(table, li);
         for (k, v) in view.runs(len) {
             keys.extend_from_slice(k);
             values.extend_from_slice(v);
@@ -539,13 +537,13 @@ pub enum KvCache {
     Swapped(SwappedKv),
 }
 
-/// One layer's K/V rows, read in place: the view holds the pool's lock,
+/// One layer's K/V rows, read in place: the view holds the pool's read lock,
 /// and [`LayerView::runs`] yields one `rows × d_model` K and V slice per
 /// block of the table, positions ascending. A one-block cache is one run.
 /// The slices are the stored rows themselves, so every reader sees the
 /// same bits in the same order whatever the block size.
 pub(crate) struct LayerView<'a> {
-    pool: MutexGuard<'a, PoolInner>,
+    pool: RwLockReadGuard<'a, PoolInner>,
     table: &'a [usize],
     li: usize,
 }
@@ -683,14 +681,23 @@ impl KvCache {
         }
     }
 
-    /// Attention's in-place view of layer `li`; it holds the pool's lock
-    /// until dropped.
-    pub(crate) fn layer_view(&self, li: usize) -> LayerView<'_> {
+    /// Lend the pool and block table to a step's attention phase, which
+    /// reads them in place ([`BlockPool::view`]) on the step's threads;
+    /// [`KvCache::take_back`] returns the table. Moving it copies and
+    /// allocates nothing, whatever the block size.
+    pub(crate) fn lend(&mut self) -> (BlockPool, Vec<usize>) {
         match self {
-            KvCache::Paged(p) => p.layer_view(li),
+            KvCache::Paged(p) => (p.pool.clone(), std::mem::take(&mut p.table)),
             KvCache::Swapped(_) => {
                 panic!("KV read from a swapped-out cache — restore before stepping")
             }
+        }
+    }
+
+    /// Return the table [`KvCache::lend`] lent.
+    pub(crate) fn take_back(&mut self, table: Vec<usize>) {
+        if let KvCache::Paged(p) = self {
+            p.table = table;
         }
     }
 

@@ -19,14 +19,22 @@
 //! sampling) runs it over one session with a fresh one-block KV cache
 //! ([`Transformer::new_cache`]), and the serving entry points (`prefill`,
 //! `decode_step`, `decode_batch`) are thin wrappers over it.
+//!
+//! Every step of that body runs on a [`StepCrew`]: its GEMMs as row parts
+//! of the exec kernels, and its row-independent work — LayerNorm rows,
+//! GELU chunks, attention heads, LM-head blocks — as [`StepWork`] parts, each output
+//! element computed by one thread in its one-thread order. A direct call
+//! opens its own crew; a serving run opens one for all its steps
+//! ([`Transformer::open_crew`], [`Transformer::forward_on`]).
 
 use crate::rng::Rng;
-use figlut_exec::parallel::{crew_size, thread_count, Crew};
+use figlut_exec::parallel::{crew_size, step_width, thread_count, Crew, RowWork};
 use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::{Engine, EngineConfig, Weights};
 use figlut_num::Mat;
 use figlut_quant::{BcqWeight, UniformWeight};
 use std::borrow::BorrowMut;
+use std::ops::Range;
 
 /// Scaled-down OPT-style architecture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,7 +150,7 @@ pub enum Backend {
 impl Linear {
     /// `x·Wᵀ + b` under `backend`; a packed layer whose cached plan matches
     /// the backend's config runs on the step's `crew`.
-    fn forward<'a>(&'a self, x: &Mat<f64>, backend: &Backend, crew: &Crew<'_, 'a>) -> Mat<f64> {
+    fn forward<'a>(&'a self, x: &Mat<f64>, backend: &Backend, crew: &StepCrew<'_, 'a>) -> Mat<f64> {
         let mut y = match (backend, &self.weights) {
             (Backend::Exact, LinearWeights::Fp(w)) => x.matmul(&w.transposed()),
             (Backend::Exact, LinearWeights::Uniform(u)) => x.matmul(&u.dequantize().transposed()),
@@ -208,19 +216,18 @@ impl LayerNorm {
         }
     }
 
-    fn forward(&self, x: &Mat<f64>) -> Mat<f64> {
-        let d = x.cols();
-        let mut out = Mat::zeros(x.rows(), d);
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean: f64 = row.iter().sum::<f64>() / d as f64;
-            let var: f64 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
-            let sd = (var + 1e-5).sqrt();
-            for (c, o) in out.row_mut(r).iter_mut().enumerate() {
-                *o = (row[c] - mean) / sd * self.gamma[c] + self.beta[c];
-            }
-        }
-        out
+    /// Append the normalized `row` to `out`.
+    fn row(&self, row: &[f64], out: &mut Vec<f64>) {
+        let d = row.len();
+        let mean: f64 = row.iter().sum::<f64>() / d as f64;
+        let var: f64 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
+        let sd = (var + 1e-5).sqrt();
+        let affine = self.gamma.iter().zip(&self.beta);
+        out.extend(
+            row.iter()
+                .zip(affine)
+                .map(|(x, (g, b))| (x - mean) / sd * g + b),
+        );
     }
 }
 
@@ -273,7 +280,12 @@ impl Block {
     /// backend) is three plain forwards; the bits are the same either way.
     /// The shared call is one GEMM phase of the step's `crew`: the three
     /// readers' rows form one concatenated set cut into its row parts.
-    fn qkv<'a>(&'a self, h: &Mat<f64>, backend: &Backend, crew: &Crew<'_, 'a>) -> [Mat<f64>; 3] {
+    fn qkv<'a>(
+        &'a self,
+        h: &Mat<f64>,
+        backend: &Backend,
+        crew: &StepCrew<'_, 'a>,
+    ) -> [Mat<f64>; 3] {
         use LinearWeights::Packed;
         let lins = [&self.wq, &self.wk, &self.wv];
         if let (Backend::Exec(cfg), [Packed(pq, q), Packed(pk, k), Packed(pv, v)]) =
@@ -330,8 +342,11 @@ fn erf(x: f64) -> f64 {
     s * y
 }
 
-/// Vocabulary rows [`Transformer::lm_head`] dots per pass over `h`.
+/// Vocabulary rows [`Transformer::head_block`] dots per pass over `h`.
 const HEAD_PASS: usize = 8;
+
+/// Elements of one [`Op::Gelu`] unit: a one-row step's GELU splits too.
+const GELU_CHUNK: usize = 256;
 
 /// `out[v] = Σₖ h[k]·rows[v·d + k]` over the `d`-wide rows of `rows`
 /// (`d = h.len()`), `N` rows per pass over `h` (`out.len()` a multiple of
@@ -371,6 +386,116 @@ fn softmax_row(row: &mut [f64]) {
     }
     for v in row.iter_mut() {
         *v /= sum;
+    }
+}
+
+/// A [`Crew`] whose steps run the transformer body, row work included.
+pub type StepCrew<'c, 'a> = Crew<'c, 'a, StepWork<'a>>;
+
+/// The row-independent work of a forward step, cut into parts on its
+/// [`StepCrew`]: one op over the input rows `x`. The crew's workers
+/// read it from the crew's slot, so it owns its inputs (`x`, each fused
+/// row's session, each session's pool and block table) and borrows only
+/// the model. Opaque outside this module.
+#[derive(Default)]
+pub struct StepWork<'a> {
+    op: Op<'a>,
+    /// The op's input rows, moved in for the phase.
+    x: Mat<f64>,
+    /// `(session, offset in its chunk)` of every fused row.
+    row_of: Vec<(usize, usize)>,
+    /// Positions each session's cache held before the step.
+    p0: Vec<usize>,
+    /// Each session's pool and block table, lent for an attention phase.
+    kv: Vec<(BlockPool, Vec<usize>)>,
+}
+
+/// What a [`StepWork`] computes per unit.
+#[derive(Clone, Copy, Default)]
+enum Op<'a> {
+    /// Nothing (between phases).
+    #[default]
+    Idle,
+    /// One LayerNorm row per row.
+    Norm(&'a LayerNorm),
+    /// GELU of every element, [`GELU_CHUNK`] elements of one row per unit.
+    Gelu,
+    /// Layer `.1`'s attention context, one head of one fused row per unit
+    /// (row-major), so a one-row step's attention splits too.
+    Attend(&'a Transformer, usize),
+    /// The LM head, one [`HEAD_PASS`] block of one row per unit
+    /// (row-major, so the parts concatenate to the `rows × vocab` logits).
+    Head(&'a Transformer),
+}
+
+impl<'a> StepWork<'a> {
+    /// Run `op` over the rows of `x` on `crew` and return its
+    /// `x.rows() × cols` output; `x` comes back unchanged.
+    fn run(
+        &mut self,
+        crew: &StepCrew<'_, 'a>,
+        op: Op<'a>,
+        x: &mut Mat<f64>,
+        cols: usize,
+    ) -> Mat<f64> {
+        self.op = op;
+        std::mem::swap(&mut self.x, x);
+        let mut out = Vec::with_capacity(self.x.rows() * cols);
+        crew.rows(self, &mut out);
+        std::mem::swap(&mut self.x, x);
+        self.op = Op::Idle;
+        Mat::from_vec(x.rows(), cols, out)
+    }
+}
+
+impl RowWork for StepWork<'_> {
+    fn units(&self) -> usize {
+        match self.op {
+            Op::Idle => 0,
+            Op::Gelu => self.x.rows() * self.x.cols().div_ceil(GELU_CHUNK),
+            Op::Attend(m, _) => self.x.rows() * m.cfg.heads,
+            Op::Head(m) => self.x.rows() * m.cfg.vocab.div_ceil(HEAD_PASS),
+            _ => self.x.rows(),
+        }
+    }
+
+    /// Measured one-thread costs on the reference container: a LayerNorm
+    /// element ≈ 3 ns, of which ≈ 1 ns of arithmetic is worth moving to
+    /// another core (the rest is the row itself); a GELU ≈ 12 ns; an
+    /// attention position ≈ 1.5 ns per model column; a head logit ≈ 0.4 ns
+    /// per model column.
+    fn cost_ns(&self) -> usize {
+        let (rows, cols) = self.x.shape();
+        match self.op {
+            Op::Idle => 0,
+            Op::Norm(_) => rows * cols,
+            Op::Gelu => rows * cols * 12,
+            Op::Attend(m, _) => {
+                let positions: usize = (self.row_of.iter()).map(|&(i, t)| self.p0[i] + t + 1).sum();
+                positions * m.cfg.d_model * 3 / 2
+            }
+            Op::Head(m) => rows * m.cfg.vocab * cols * 2 / 5,
+        }
+    }
+
+    fn part(&self, units: Range<usize>, out: &mut Vec<f64>) {
+        match self.op {
+            Op::Idle => {}
+            Op::Norm(ln) => units.for_each(|r| ln.row(self.x.row(r), out)),
+            Op::Gelu => {
+                let chunks = self.x.cols().div_ceil(GELU_CHUNK);
+                for u in units {
+                    let (row, c) = (self.x.row(u / chunks), u % chunks * GELU_CHUNK);
+                    let chunk = &row[c..(c + GELU_CHUNK).min(row.len())];
+                    out.extend(chunk.iter().map(|&v| gelu(v)));
+                }
+            }
+            Op::Attend(m, li) => m.attend(self, li, units, out),
+            Op::Head(m) => {
+                let blocks = m.cfg.vocab.div_ceil(HEAD_PASS);
+                units.for_each(|u| m.head_block(self.x.row(u / blocks), u % blocks, out));
+            }
+        }
     }
 }
 
@@ -417,21 +542,77 @@ impl Transformer {
         }
     }
 
-    /// The tied LM head `h · embedᵀ` against `embed`'s rows where they lie,
-    /// [`HEAD_PASS`] vocabulary rows per pass over `h` and one at a time for
-    /// the `vocab % HEAD_PASS` tail ([`dot_rows`]): every logit is
+    /// Block `b` of the tied LM head `h · embedᵀ`, appended to `out`: the
+    /// logits of vocabulary rows `b·HEAD_PASS..`, against `embed`'s rows
+    /// where they lie — one [`HEAD_PASS`]-row pass over `h` ([`dot_rows`]),
+    /// or the `vocab % HEAD_PASS` tail one row at a time. Every logit is
     /// bit-identical to `h.matmul(&embed.transposed())`.
-    fn lm_head(&self, h: &Mat<f64>) -> Mat<f64> {
-        let mut out = Mat::zeros(h.rows(), self.cfg.vocab);
-        let embed = self.embed.as_slice();
-        let split = self.cfg.vocab / HEAD_PASS * HEAD_PASS;
-        for r in 0..h.rows() {
-            let (hr, o) = (h.row(r), out.row_mut(r));
-            let (body, tail) = o.split_at_mut(split);
-            dot_rows::<HEAD_PASS>(hr, embed, body);
-            dot_rows::<1>(hr, &embed[split * self.cfg.d_model..], tail);
+    fn head_block(&self, h: &[f64], b: usize, out: &mut Vec<f64>) {
+        let d = self.cfg.d_model;
+        let v = b * HEAD_PASS..((b + 1) * HEAD_PASS).min(self.cfg.vocab);
+        let (at, rows) = (out.len(), &self.embed.as_slice()[v.start * d..v.end * d]);
+        out.resize(at + v.len(), 0.0);
+        if v.len() == HEAD_PASS {
+            dot_rows::<HEAD_PASS>(h, rows, &mut out[at..]);
+        } else {
+            dot_rows::<1>(h, rows, &mut out[at..]);
         }
-        out
+    }
+
+    /// Attention units `units` of layer `li` ([`Op::Attend`]: one head of
+    /// one fused row each, row-major), appended to `out`: each row's
+    /// context over its session's cache and its own chunk's earlier rows,
+    /// never another session's. The units of one row are computed together,
+    /// and consecutive rows of one session share one view of its pool.
+    fn attend(&self, w: &StepWork<'_>, li: usize, units: Range<usize>, out: &mut Vec<f64>) {
+        let cfg = &self.cfg;
+        let (d, dh) = (cfg.d_model, cfg.d_model / cfg.heads);
+        let scale = 1.0 / (dh as f64).sqrt();
+        let mut held = None;
+        let mut unit = units.start;
+        while unit < units.end {
+            // Heads h0..h1 of fused row r.
+            let (r, h0) = (unit / cfg.heads, unit % cfg.heads);
+            let h1 = (units.end - r * cfg.heads).min(cfg.heads);
+            unit = r * cfg.heads + h1;
+            let (i, t) = w.row_of[r];
+            if held.as_ref().is_some_and(|&(s, _)| s != i) {
+                held = None; // one lock at a time
+            }
+            let (_, view) = held.get_or_insert_with(|| (i, w.kv[i].0.view(&w.kv[i].1, li)));
+            // Causal: row t of session i sees its session's cache plus its
+            // own chunk rows 0..=t (pushed before the phase). Positions u
+            // ascend across the view's block runs; a score is Σⱼ in j order
+            // then × scale, a ctx element accumulates over u ascending. The
+            // head-major scores sit past the row's heads in `out` until
+            // they are done.
+            let (n, cols) = (w.p0[i] + t + 1, h0 * dh..h1 * dh);
+            let (qr, at) = (&w.x.row(r)[cols.clone()], out.len());
+            out.resize(at + cols.len() + (h1 - h0) * n, 0.0);
+            let (cr, scores) = out[at..].split_at_mut(cols.len());
+            let keys = view.runs(n).flat_map(|(k, _)| k.chunks_exact(d));
+            for (u, kr) in keys.enumerate() {
+                let heads = qr.chunks_exact(dh).zip(kr[cols.clone()].chunks_exact(dh));
+                for (head, (qh, kh)) in heads.enumerate() {
+                    let s = qh.iter().zip(kh).fold(0.0, |s, (a, b)| s + a * b);
+                    scores[head * n + u] = s * scale;
+                }
+            }
+            scores.chunks_exact_mut(n).for_each(softmax_row);
+            let values = view.runs(n).flat_map(|(_, v)| v.chunks_exact(d));
+            for (u, vr) in values.enumerate() {
+                let heads = cr
+                    .chunks_exact_mut(dh)
+                    .zip(vr[cols.clone()].chunks_exact(dh));
+                for (head, (ch, vh)) in heads.enumerate() {
+                    let a = scores[head * n + u];
+                    for (c, v) in ch.iter_mut().zip(vh) {
+                        *c += a * v;
+                    }
+                }
+            }
+            out.truncate(at + cols.len());
+        }
     }
 
     /// Next-token logits for every position (`seq × vocab`), via the tied
@@ -444,7 +625,10 @@ impl Transformer {
     /// Panics if the sequence is empty, exceeds `max_seq`, or contains
     /// out-of-vocabulary ids.
     pub fn logits(&self, tokens: &[usize], backend: &Backend) -> Mat<f64> {
-        self.forward(&[tokens], &mut [self.new_cache()], backend, None)
+        let (chunks, mut caches) = ([tokens], [self.new_cache()]);
+        self.one_step(tokens.len(), backend, |crew| {
+            self.forward(crew, &chunks, &mut caches, backend, None)
+        })
     }
 
     /// [`Transformer::logits`] that also captures each linear layer's input
@@ -457,7 +641,10 @@ impl Transformer {
         capture: &mut Vec<Vec<Mat<f64>>>,
     ) -> Mat<f64> {
         assert_eq!(capture.len(), self.blocks.len() * 6, "capture slots");
-        self.forward(&[tokens], &mut [self.new_cache()], backend, Some(capture))
+        let (chunks, mut caches) = ([tokens], [self.new_cache()]);
+        self.one_step(tokens.len(), backend, |crew| {
+            self.forward(crew, &chunks, &mut caches, backend, Some(capture))
+        })
     }
 
     /// Create an empty KV cache for incremental decoding, over a private,
@@ -558,7 +745,28 @@ impl Transformer {
         caches: &mut [C],
         backend: &Backend,
     ) -> Mat<f64> {
-        let logits = self.forward(chunks, caches, backend, None);
+        let rows = chunks.iter().map(|c| c.len()).sum();
+        self.one_step(rows, backend, |crew| {
+            self.forward_on(crew, chunks, caches, backend)
+        })
+    }
+
+    /// [`Transformer::forward_batch`] on a crew the caller opened with
+    /// [`Transformer::open_crew`] — a serving run's, which lives across
+    /// its steps. The step runs on as many of the crew's threads as its
+    /// look-ups repay; the bits are the same on any crew.
+    ///
+    /// # Panics
+    ///
+    /// As [`Transformer::forward_batch`].
+    pub fn forward_on<'a, C: BorrowMut<KvCache>>(
+        &'a self,
+        crew: &StepCrew<'_, 'a>,
+        chunks: &[&[usize]],
+        caches: &mut [C],
+        backend: &Backend,
+    ) -> Mat<f64> {
+        let logits = self.forward(crew, chunks, caches, backend, None);
         // Phase accounting: a single-token chunk is a decode row, a longer
         // chunk prefill rows (the scheduler's definition, so the counters
         // reconcile with `Σ StepRecord::rows()`).
@@ -575,11 +783,45 @@ impl Transformer {
         logits
     }
 
-    /// The one transformer body: [`Transformer::forward_batch`] without the
+    /// Run `body` on a crew for steps of up to `rows` token rows under
+    /// `backend`: as many threads as the largest step runs on
+    /// (`step_width` of [`Transformer::step_lookups`], at most
+    /// `figlut_exec::parallel::thread_count()`), so no worker at all when
+    /// even that step is below the rule. A serving run opens one for its
+    /// largest possible step and runs every step on it with
+    /// [`Transformer::forward_on`].
+    pub fn open_crew<'a, T>(
+        &'a self,
+        rows: usize,
+        backend: &Backend,
+        body: impl FnOnce(&StepCrew<'_, 'a>) -> T,
+    ) -> T {
+        Crew::open(self.width(rows, backend), body)
+    }
+
+    /// Run `body` — one step of `rows` token rows — on a crew of its own,
+    /// spawned only when the step repays the spawns (`crew_size`).
+    fn one_step<'a, T>(
+        &'a self,
+        rows: usize,
+        backend: &Backend,
+        body: impl FnOnce(&StepCrew<'_, 'a>) -> T,
+    ) -> T {
+        let lookups = self.step_lookups(rows, backend);
+        Crew::open(crew_size(lookups, thread_count()), body)
+    }
+
+    /// Threads of an open crew a step of `rows` token rows runs on.
+    fn width(&self, rows: usize, backend: &Backend) -> usize {
+        step_width(self.step_lookups(rows, backend), thread_count())
+    }
+
+    /// The one transformer body: [`Transformer::forward_on`] without the
     /// trace accounting, and with an optional `capture` hook receiving each
     /// linear layer's input (see [`Transformer::logits_with_capture`]).
-    fn forward<C: BorrowMut<KvCache>>(
-        &self,
+    fn forward<'a, C: BorrowMut<KvCache>>(
+        &'a self,
+        crew: &StepCrew<'_, 'a>,
         chunks: &[&[usize]],
         caches: &mut [C],
         backend: &Backend,
@@ -588,10 +830,10 @@ impl Transformer {
         let cfg = &self.cfg;
         assert!(!chunks.is_empty(), "empty batch");
         assert_eq!(chunks.len(), caches.len(), "chunks/caches length mismatch");
-        let p0: Vec<usize> = caches.iter().map(|c| c.borrow().len()).collect();
+        let mut w = StepWork::default();
+        w.p0.extend(caches.iter().map(|c| c.borrow().len()));
         // (session, offset-in-chunk) of every fused row, session-major.
-        let mut row_of: Vec<(usize, usize)> = Vec::new();
-        for (i, (chunk, &p)) in chunks.iter().zip(&p0).enumerate() {
+        for (i, (chunk, &p)) in chunks.iter().zip(&w.p0).enumerate() {
             assert!(!chunk.is_empty(), "session {i}: empty chunk");
             assert!(
                 p + chunk.len() <= cfg.max_seq,
@@ -605,88 +847,57 @@ impl Transformer {
                     "session {i}: token {tok} out of vocabulary"
                 );
             }
-            row_of.extend((0..chunk.len()).map(|t| (i, t)));
+            w.row_of.extend((0..chunk.len()).map(|t| (i, t)));
         }
-        let rows = row_of.len();
-        // One crew for the whole step, sized by its summed GEMM work: every
-        // exec phase below runs as row parts on it.
-        let size = crew_size(self.step_lookups(rows, backend), thread_count());
-        Crew::run(size, |crew| {
+        let rows = w.row_of.len();
+        // The step runs every phase below — GEMM and row work — on the
+        // threads its summed GEMM work repays.
+        crew.step(self.width(rows, backend), |crew| {
             let mut keep = |slot: usize, m: &Mat<f64>| {
                 if let Some(cap) = capture.as_deref_mut() {
                     cap[slot].push(m.clone());
                 }
             };
-            let (d, dh) = (cfg.d_model, cfg.d_model / cfg.heads);
-            let scale = 1.0 / (dh as f64).sqrt();
+            let d = cfg.d_model;
             let mut x = Mat::from_fn(rows, d, |r, c| {
-                let (i, t) = row_of[r];
-                self.embed[(chunks[i][t], c)] + self.pos[(p0[i] + t, c)]
+                let (i, t) = w.row_of[r];
+                self.embed[(chunks[i][t], c)] + self.pos[(w.p0[i] + t, c)]
             });
-            let mut scores: Vec<f64> = Vec::new(); // head-major scores of one row
             for (li, block) in self.blocks.iter().enumerate() {
-                let h = block.ln1.forward(&x);
+                let h = w.run(crew, Op::Norm(&block.ln1), &mut x, d);
                 (li * 6..li * 6 + 3).for_each(|slot| keep(slot, &h)); // wq, wk, wv
-                let [q, k, v] = block.qkv(&h, backend, crew);
-                for (r, &(i, _)) in row_of.iter().enumerate() {
+                let [mut q, k, v] = block.qkv(&h, backend, crew);
+                for (r, &(i, _)) in w.row_of.iter().enumerate() {
                     caches[i].borrow_mut().push_row(li, k.row(r), v.row(r));
                 }
-                let mut ctx = Mat::zeros(rows, d);
-                let mut fused = 0..rows; // session-major row indices
-                for (i, cache) in caches.iter().enumerate() {
-                    // One session's view at a time: sessions of one step may
-                    // share a pool, and the view holds its lock.
-                    let view = cache.borrow().layer_view(li);
-                    for (t, r) in fused.by_ref().take(chunks[i].len()).enumerate() {
-                        // Causal: row t of session i sees its session's cache
-                        // plus its own chunk rows 0..=t (pushed above), never
-                        // another session. Positions u ascend across the view's
-                        // block runs; a score is Σⱼ in j order then × scale, a
-                        // ctx element accumulates over u ascending.
-                        let (n, qr) = (p0[i] + t + 1, q.row(r));
-                        scores.resize(cfg.heads * n, 0.0);
-                        let keys = view.runs(n).flat_map(|(k, _)| k.chunks_exact(d));
-                        for (u, kr) in keys.enumerate() {
-                            let heads = qr.chunks_exact(dh).zip(kr.chunks_exact(dh));
-                            for (head, (qh, kh)) in heads.enumerate() {
-                                let s = qh.iter().zip(kh).fold(0.0, |s, (a, b)| s + a * b);
-                                scores[head * n + u] = s * scale;
-                            }
-                        }
-                        scores.chunks_exact_mut(n).for_each(softmax_row);
-                        let cr = ctx.row_mut(r);
-                        let values = view.runs(n).flat_map(|(_, v)| v.chunks_exact(d));
-                        for (u, vr) in values.enumerate() {
-                            let heads = cr.chunks_exact_mut(dh).zip(vr.chunks_exact(dh));
-                            for (head, (ch, vh)) in heads.enumerate() {
-                                let a = scores[head * n + u];
-                                for (c, v) in ch.iter_mut().zip(vh) {
-                                    *c += a * v;
-                                }
-                            }
-                        }
-                    }
+                // Each session's pool and block table as the pushes left
+                // them, lent to the attention parts for the phase (a phase
+                // that panics takes them with it: a failed step's caches
+                // are not stepped again).
+                w.kv.extend(caches.iter_mut().map(|c| c.borrow_mut().lend()));
+                let ctx = w.run(crew, Op::Attend(self, li), &mut q, d);
+                for ((_, table), cache) in w.kv.drain(..).zip(caches.iter_mut()) {
+                    cache.borrow_mut().take_back(table);
                 }
                 keep(li * 6 + 3, &ctx);
                 add_rows(&mut x, &block.wo.forward(&ctx, backend, crew));
-                let h = block.ln2.forward(&x);
+                let h = w.run(crew, Op::Norm(&block.ln2), &mut x, d);
                 keep(li * 6 + 4, &h);
-                let mut act = block.fc1.forward(&h, backend, crew);
-                for r in 0..rows {
-                    act.row_mut(r).iter_mut().for_each(|v| *v = gelu(*v));
-                }
+                let mut up = block.fc1.forward(&h, backend, crew);
+                let act = w.run(crew, Op::Gelu, &mut up, cfg.ffn);
                 keep(li * 6 + 5, &act);
                 add_rows(&mut x, &block.fc2.forward(&act, backend, crew));
             }
-            self.lm_head(&self.ln_f.forward(&x))
+            let mut h = w.run(crew, Op::Norm(&self.ln_f), &mut x, d);
+            w.run(crew, Op::Head(self), &mut h, cfg.vocab)
         })
     }
 
     /// Table look-ups a step of `rows` token rows computes in the exec
     /// kernels under `backend`: `ExecPlan::lookups(rows)` summed over every
-    /// packed linear. This is what sizes the step's crew
-    /// (`figlut_exec::parallel::crew_size(step_lookups, threads)`); 0 under
-    /// any other backend.
+    /// packed linear. This is what sizes the step's share of an open crew
+    /// (`figlut_exec::parallel::step_width(step_lookups, threads)`) and a
+    /// crew opened for it alone (`crew_size`); 0 under any other backend.
     pub fn step_lookups(&self, rows: usize, backend: &Backend) -> usize {
         if !matches!(backend, Backend::Exec(_)) {
             return 0;
@@ -812,7 +1023,9 @@ mod tests {
                 let var: f64 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
                 (x[(r, c)] - mean) / (var + 1e-5).sqrt() * ln.gamma[c] + ln.beta[c]
             });
-            assert_eq!(ln.forward(&x).as_slice(), want.as_slice(), "d={d}");
+            let mut got = Vec::new();
+            (0..5).for_each(|r| ln.row(x.row(r), &mut got));
+            assert_eq!(got, want.as_slice(), "d={d}");
         }
     }
 
@@ -839,7 +1052,11 @@ mod tests {
                 },
             );
             let want = h.matmul(&m.embed.transposed());
-            assert_eq!(m.lm_head(&h).as_slice(), want.as_slice(), "vocab {vocab}");
+            let mut got = Vec::new();
+            for r in 0..h.rows() {
+                (0..vocab.div_ceil(HEAD_PASS)).for_each(|b| m.head_block(h.row(r), b, &mut got));
+            }
+            assert_eq!(got, want.as_slice(), "vocab {vocab}");
         }
     }
 
@@ -1182,6 +1399,49 @@ mod tests {
         let mut cache = m.new_cache();
         for _ in 0..=m.cfg.max_seq {
             let _ = m.decode_step(0, &mut cache, &Backend::Exact);
+        }
+    }
+
+    #[test]
+    fn row_work_units_split_anywhere_with_the_bits_of_one_part() {
+        // Two sessions at different depths, a decode row and a two-row
+        // chunk: every op's units cut at any point — attention inside a
+        // row's heads, GELU inside a row, the head inside a row's blocks —
+        // concatenate to the one-part output.
+        let m = Transformer::teacher(ModelConfig::tiny(), 47);
+        let mut caches = [m.new_cache(), m.new_cache()];
+        let _ = m.prefill(&[0, 5, 9, 2], &mut caches[0], &Backend::Exact);
+        let _ = m.prefill(&[0, 7], &mut caches[1], &Backend::Exact);
+        let mut w = StepWork::default();
+        w.p0.extend(caches.iter().map(KvCache::len));
+        w.row_of.extend([(0, 0), (1, 0), (1, 1)]);
+        let mut rng = Rng::new(5);
+        let mut rows = |cols| Mat::from_fn(3, cols, |_, _| rng.uniform() - 0.5);
+        // A GELU row of 600 elements is three chunks, the last ragged.
+        let (d, wide) = (m.cfg.d_model, 600);
+        let (q, k, up) = (rows(d), rows(d), rows(wide));
+        for (r, &(i, _)) in w.row_of.iter().enumerate() {
+            caches[i].push_row(0, k.row(r), k.row(r));
+        }
+        w.kv.extend(caches.iter_mut().map(KvCache::lend));
+        let ops = [
+            (Op::Attend(&m, 0), q.clone(), d),
+            (Op::Gelu, up, wide),
+            (Op::Norm(&m.blocks[0].ln1), q.clone(), d),
+            (Op::Head(&m), q, m.cfg.vocab),
+        ];
+        for (op, x, cols) in ops {
+            (w.op, w.x) = (op, x);
+            let units = w.units();
+            let mut whole = Vec::new();
+            w.part(0..units, &mut whole);
+            assert_eq!(whole.len(), 3 * cols);
+            for cut in 0..=units {
+                let mut split = Vec::new();
+                w.part(0..cut, &mut split);
+                w.part(cut..units, &mut split);
+                assert_eq!(split, whole, "cut {cut} of {units}");
+            }
         }
     }
 

@@ -7,8 +7,8 @@
 use core::fmt;
 use core::ops::{Index, IndexMut};
 
-/// A dense row-major `rows × cols` matrix.
-#[derive(Clone, PartialEq)]
+/// A dense row-major `rows × cols` matrix (the default is `0 × 0`).
+#[derive(Clone, Default, PartialEq)]
 pub struct Mat<T> {
     rows: usize,
     cols: usize,

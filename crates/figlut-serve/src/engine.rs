@@ -23,7 +23,7 @@
 
 use crate::request::{Request, Sampling};
 use figlut_model::rng::Rng;
-use figlut_model::transformer::KvCache;
+use figlut_model::transformer::{KvCache, StepCrew};
 use figlut_model::{Backend, Transformer};
 
 /// Why a session left the running set.
@@ -204,6 +204,14 @@ impl<'m> BatchEngine<'m> {
         self.model
     }
 
+    /// Run `body` on a crew sized for steps of up to `rows` token rows
+    /// ([`Transformer::open_crew`]): a serving run opens one for its
+    /// largest possible step and runs every step on it with
+    /// [`BatchEngine::step_on`], so no step spawns a thread.
+    pub fn open_crew<T>(&self, rows: usize, body: impl FnOnce(&StepCrew<'_, 'm>) -> T) -> T {
+        self.model.open_crew(rows, &self.backend, body)
+    }
+
     /// Create the session state for an admitted request (no compute yet),
     /// with a private one-block KV cache ([`Transformer::new_cache`]).
     pub fn start(&self, request: Request) -> SessionState {
@@ -300,6 +308,35 @@ impl<'m> BatchEngine<'m> {
     pub fn step(
         &self,
         decoding: &mut [&mut SessionState],
+        prefilling: Option<&mut SessionState>,
+        budget: usize,
+    ) -> usize {
+        self.step_with(None, decoding, prefilling, budget)
+    }
+
+    /// [`BatchEngine::step`] on a crew opened with
+    /// [`BatchEngine::open_crew`] (the serving loop's): the one transformer
+    /// body runs on the crew's threads, and sampling stays on the caller.
+    /// The tokens are the same on any crew.
+    ///
+    /// # Panics
+    ///
+    /// As [`BatchEngine::step`].
+    pub fn step_on(
+        &self,
+        crew: &StepCrew<'_, 'm>,
+        decoding: &mut [&mut SessionState],
+        prefilling: Option<&mut SessionState>,
+        budget: usize,
+    ) -> usize {
+        self.step_with(Some(crew), decoding, prefilling, budget)
+    }
+
+    /// The step, on `crew` or on a crew of its own.
+    fn step_with(
+        &self,
+        crew: Option<&StepCrew<'_, 'm>>,
+        decoding: &mut [&mut SessionState],
         mut prefilling: Option<&mut SessionState>,
         budget: usize,
     ) -> usize {
@@ -361,8 +398,10 @@ impl<'m> BatchEngine<'m> {
                 chunks.push(&s.request.prompt[start..start + take]);
                 caches.push(&mut s.cache);
             }
-            self.model
-                .forward_batch(&chunks, &mut caches, &self.backend)
+            match crew {
+                Some(crew) => (self.model).forward_on(crew, &chunks, &mut caches, &self.backend),
+                None => (self.model).forward_batch(&chunks, &mut caches, &self.backend),
+            }
         };
         for (i, s) in decoding.iter_mut().enumerate() {
             let next = sample(logits.row(i), &s.request.sampling, &mut s.rng);

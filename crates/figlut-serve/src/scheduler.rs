@@ -31,6 +31,7 @@ use crate::engine::{BatchEngine, FinishReason, SessionState};
 use crate::metrics::{PagingStats, RequestMetrics, ResilienceStats, ServeReport, StepRecord};
 use crate::request::{Request, Trace};
 use figlut_model::rng::Rng;
+use figlut_model::transformer::StepCrew;
 use figlut_model::{BlockPool, PrefixImage, PrefixRegistry};
 use figlut_trace::{counters, Event};
 use std::collections::VecDeque;
@@ -984,9 +985,10 @@ impl LoopState {
     /// (so it never mixes), and FCFS admits until a pure-decode step runs
     /// (the batch is full or the queue is empty — the static-batching
     /// "seal"), then drains.
-    fn run(
+    fn run<'m>(
         mut self,
-        engine: &BatchEngine<'_>,
+        engine: &BatchEngine<'m>,
+        crew: &StepCrew<'_, 'm>,
         cfg: &ServeConfig,
         mut memory: Memory,
         mut hooks: ServeHooks<'_>,
@@ -1138,7 +1140,7 @@ impl LoopState {
             let prefill_rows = {
                 let mut refs: Vec<&mut SessionState> =
                     self.running.iter_mut().take(decode_rows).collect();
-                engine.step(&mut refs, self.prefilling.as_mut(), budget)
+                engine.step_on(crew, &mut refs, self.prefilling.as_mut(), budget)
             };
             debug_assert!(decode_rows + prefill_rows >= 1);
             let cost = STEP_OVERHEAD + (decode_rows + prefill_rows) as u64;
@@ -1310,7 +1312,9 @@ pub fn serve_with_hooks(
     check_config(cfg, model_cfg.max_seq);
     trace.validate(&model_cfg);
     let memory = Memory::new(engine, cfg, hooks.fault_plan.as_ref());
-    LoopState::fresh(trace).run(engine, cfg, memory, hooks)
+    engine.open_crew(largest_step(cfg, model_cfg.max_seq), |crew| {
+        LoopState::fresh(trace).run(engine, crew, cfg, memory, hooks)
+    })
 }
 
 /// Continue a run from a [`Checkpoint`] captured by
@@ -1339,7 +1343,22 @@ pub fn resume(
     counters::bump_serve_resumes(1);
     let mut memory = Memory::new(engine, cfg, hooks.fault_plan.as_ref());
     let state = LoopState::from_checkpoint(checkpoint, &mut memory, cfg.max_batch);
-    state.run(engine, cfg, memory, hooks)
+    let max_seq = engine.model().cfg.max_seq;
+    engine.open_crew(largest_step(cfg, max_seq), |crew| {
+        state.run(engine, crew, cfg, memory, hooks)
+    })
+}
+
+/// Token rows the largest step of a run under `cfg` can carry: a full
+/// decode batch plus a prefill chunk, or — without a chunk budget — a
+/// whole prompt (at most `max_seq`) or a full decode batch. The run's crew
+/// is sized for it, once: no worker is spawned for a run none of whose
+/// steps could use one.
+fn largest_step(cfg: &ServeConfig, max_seq: usize) -> usize {
+    match cfg.prefill_chunk {
+        Some(chunk) => cfg.max_batch + chunk,
+        None => cfg.max_batch.max(max_seq),
+    }
 }
 
 #[cfg(test)]

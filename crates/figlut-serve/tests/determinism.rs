@@ -1,19 +1,21 @@
 //! Thread-count invariance of the whole serving pipeline: the
-//! `FIGLUT_EXEC_THREADS` override changes how many threads a forward
-//! step's crew sweeps on, and must change nothing about a served trace —
-//! not one token, not one tick.
+//! `FIGLUT_EXEC_THREADS` override changes how many threads of a serve's
+//! crew a forward step runs on, and must change nothing about a served
+//! trace — not one token, not one tick.
 //!
 //! Two models. `tiny()` is `serve-tiny-paged`'s shape (d 48): none of its
-//! steps is worth a worker, so the override must open no crew at all. A
-//! d-256 packed model with a trace whose steps the crew rule does pick: at
-//! 2 threads those steps must really run on a crew, and every report must
-//! still be the 1-thread one.
+//! steps is worth a worker, so at every override no step may run on more
+//! than one thread. A d-256 packed model with a trace whose steps the crew
+//! rule does pick: at each override exactly the steps the rule sizes above
+//! one thread run on the serve's crew (`exec_crews` counts them, with the
+//! workers alive across steps), and every report must still be the
+//! 1-thread one.
 //!
 //! Lives in its own integration-test binary (own process) because it
 //! mutates the process environment, mirroring `figlut-exec`'s
 //! `tests/determinism.rs`.
 
-use figlut_exec::parallel::{crew_size, THREADS_ENV};
+use figlut_exec::parallel::{step_width, THREADS_ENV};
 use figlut_gemm::EngineConfig;
 use figlut_model::calibrate::{quantize_model, to_packed, Method};
 use figlut_model::corpus::{generate, Corpus};
@@ -51,7 +53,7 @@ fn served_trace_is_invariant_under_thread_override() {
     let crews_at = |model: &Transformer, report: &ServeReport, threads| {
         let crewed = report.steps.iter().filter(|s| {
             let lookups = model.step_lookups(s.rows(), &backend);
-            crew_size(lookups, threads) > 1
+            step_width(lookups, threads) > 1
         });
         crewed.count() as u64
     };
@@ -63,7 +65,7 @@ fn served_trace_is_invariant_under_thread_override() {
     // `serve-tiny-paged` steps carry at most 16 rows (8 decode + an
     // 8-row prefill chunk): below the rule however many threads.
     let lookups = tiny.step_lookups(16, &backend);
-    assert_eq!(crew_size(lookups, usize::MAX), 1, "{lookups} look-ups");
+    assert_eq!(step_width(lookups, usize::MAX), 1, "{lookups} look-ups");
 
     let cfg = ModelConfig {
         d_model: 256,
@@ -89,10 +91,15 @@ fn served_trace_is_invariant_under_thread_override() {
         let runs = serve_at(model, &trace, policies, &["1", "2", "5"]);
         let (alone, crews) = &runs[0];
         assert_eq!(*crews, 0, "{name}: a crew at one thread");
-        // The rule's own prediction of the crews at 2 threads, step by step.
-        let want: u64 = alone.iter().map(|r| crews_at(model, r, 2)).sum();
-        assert_eq!(want > 0, name == "wide", "{name}: {want} crewed steps");
-        assert_eq!(runs[1].1, want, "{name}: crews opened at 2 threads");
+        // The rule's own prediction of the crewed steps at each override,
+        // step by step.
+        for ((_, crews), threads) in runs.iter().zip([1, 2, 5]) {
+            let want: u64 = alone.iter().map(|r| crews_at(model, r, threads)).sum();
+            assert_eq!(*crews, want, "{name}: crewed steps at {threads} threads");
+            if threads > 1 {
+                assert_eq!(want > 0, name == "wide", "{name}: {want} crewed steps");
+            }
+        }
         for (t, (reports, _)) in runs.iter().enumerate().skip(1) {
             // Each policy's report identical in full — tokens, TTFT,
             // ticks, the step log, everything.

@@ -7,7 +7,8 @@
 //! byte-identically (tokens, steps, ticks) with the uninterrupted run —
 //! also when its prompts share a prefix, because the checkpoint carries
 //! the prefix registry that decides which prompt rows later admissions
-//! skip.
+//! skip, and on a model wide enough that its serve runs on a crew of
+//! workers, which the crash unwinds past and the run's scope joins.
 //!
 //! Shed requests are the one sanctioned deviation: an admission policy
 //! may finish a request with `FinishReason::Shed`, zero tokens, and
@@ -40,6 +41,29 @@ fn packed_model() -> &'static Transformer {
 
 fn packed_engine() -> BatchEngine<'static> {
     BatchEngine::new(packed_model(), Backend::Exec(EngineConfig::paper_default()))
+}
+
+/// A packed RTN-Q4 d-256 model: every one of its steps is worth a crew
+/// worker, so at two or more threads its serves run on one.
+fn crewed_engine() -> BatchEngine<'static> {
+    static MODEL: OnceLock<Transformer> = OnceLock::new();
+    let model = MODEL.get_or_init(|| {
+        let cfg = ModelConfig {
+            d_model: 256,
+            ffn: 1024,
+            ..ModelConfig::tiny()
+        };
+        let none = figlut_model::corpus::Corpus {
+            sequences: Vec::new(),
+        };
+        let (q, _) = quantize_model(
+            &Transformer::teacher(cfg, 56),
+            &none,
+            Method::Rtn { bits: 4 },
+        );
+        to_packed(&q)
+    });
+    BatchEngine::new(model, Backend::Exec(EngineConfig::paper_default()))
 }
 
 #[derive(Clone, Debug)]
@@ -278,21 +302,28 @@ fn run_crash(sc: &CrashScenario) {
     if sc.paged {
         cfg = cfg.with_block_size(8);
     }
-    kill_and_resume(&trace, &cfg, sc.every_steps, sc.crash_step, sc);
+    kill_and_resume(
+        &packed_engine(),
+        &trace,
+        &cfg,
+        sc.every_steps,
+        sc.crash_step,
+        sc,
+    );
 }
 
 /// Serve `trace` clean, then again with checkpoints every `every_steps`
 /// steps and a crash before step `crash_step`, resume from the last
 /// checkpoint, and reconcile the two runs.
 fn kill_and_resume(
+    engine: &BatchEngine<'_>,
     trace: &Trace,
     cfg: &ServeConfig,
     every_steps: usize,
     crash_step: usize,
     sc: &dyn std::fmt::Debug,
 ) {
-    let engine = packed_engine();
-    let clean = serve(&engine, trace, cfg);
+    let clean = serve(engine, trace, cfg);
 
     // Kill the run with an injected panic, checkpointing as it goes.
     let checkpoints: RefCell<Vec<Checkpoint>> = RefCell::new(Vec::new());
@@ -305,7 +336,7 @@ fn kill_and_resume(
         ..Default::default()
     };
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        serve_with_hooks(&engine, trace, cfg, hooks)
+        serve_with_hooks(engine, trace, cfg, hooks)
     }));
     let Err(_) = crashed else {
         // The crash step lay beyond the schedule: the run completed, and
@@ -330,7 +361,7 @@ fn kill_and_resume(
 
     // Resume from the last checkpoint: byte-identical tokens and a
     // reconciled report (requests, steps, ticks, KV peak).
-    let resumed = resume(&engine, last, cfg, ServeHooks::default());
+    let resumed = resume(engine, last, cfg, ServeHooks::default());
     assert_eq!(resumed.requests, clean.requests, "{sc:?}");
     assert_eq!(resumed.steps, clean.steps, "{sc:?}");
     assert_eq!(resumed.ticks, clean.ticks, "{sc:?}");
@@ -351,6 +382,49 @@ proptest! {
     #[test]
     fn killed_runs_resume_byte_identically(sc in crash_scenario()) {
         run_crash(&sc);
+    }
+}
+
+#[test]
+fn crewed_runs_crash_with_live_workers_and_resume_byte_identically() {
+    // The injected panic unwinds out of a serve whose workers are alive
+    // (every step of this model runs on the crew at two or more threads),
+    // the run's scope joins them, and the resume from the last checkpoint
+    // reconciles with the uninterrupted run — monolithic and chunked,
+    // contiguous and paged.
+    let engine = crewed_engine();
+    let params = TraceParams {
+        requests: 4,
+        mean_interarrival: 2.0,
+        prompt_len: (2, 8),
+        new_tokens: (2, 6),
+        sampling: Sampling::Greedy,
+    };
+    let trace = synthetic_trace(&engine.model().cfg, &params, 17);
+    let configs = [
+        ServeConfig::new(3, Policy::PrefillPriority),
+        ServeConfig::new(3, Policy::Fcfs)
+            .with_prefill_chunk(3)
+            .with_block_size(8),
+    ];
+    for cfg in configs {
+        let steps = serve(&engine, &trace, &cfg).steps.len();
+        assert!(steps >= 6, "{steps} steps");
+        let crash = steps / 2;
+        let guard = figlut_trace::install(Box::new(figlut_trace::CollectSink::new()));
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            let hooks = ServeHooks {
+                fault_plan: Some(FaultPlan::new(0, 0).with_crash_at_step(crash)),
+                ..Default::default()
+            };
+            serve_with_hooks(&engine, &trace, &cfg, hooks)
+        }));
+        let crews = figlut_trace::snapshot().exec_crews;
+        guard.finish().unwrap();
+        assert!(crashed.is_err(), "{cfg:?}: the crash did not fire");
+        let threads = figlut_exec::parallel::thread_count();
+        assert_eq!(crews > 0, threads > 1, "{cfg:?}: {crews} crewed steps");
+        kill_and_resume(&engine, &trace, &cfg, 2, crash, &cfg);
     }
 }
 
@@ -429,7 +503,7 @@ proptest! {
         let trace = flash_crowd_trace(&model.cfg, &params, sc.seed);
         let mut cfg = ServeConfig::new(sc.max_batch, sc.policy).with_block_size(sc.block_size);
         cfg.prefill_chunk = sc.prefill_chunk;
-        kill_and_resume(&trace, &cfg, sc.every_steps, sc.crash_step, &sc);
+        kill_and_resume(&packed_engine(), &trace, &cfg, sc.every_steps, sc.crash_step, &sc);
     }
 }
 

@@ -15,7 +15,7 @@
 //! |---|---|
 //! | `exec_streamed_words` | `ExecPlan::streamed_words` (the tile-walk formula) |
 //! | `exec_calls` / `exec_lut_builds` / tier counters | one build per staged input, one call and one tier pick per reader |
-//! | `exec_crews` | the steps the crew rule sizes above one thread (`parallel::crew_size`) |
+//! | `exec_crews` | the steps that ran on more than one thread of their crew (`parallel::step_width` of a forward step, `parallel::crew_size` of a direct call) |
 //! | `model_*_rows` | `Σ StepRecord::rows()` over a serve run |
 //! | `kv_swap_*_rows` | `Σ StepRecord.swapped_rows` = `PagingStats.swapped_rows` |
 //! | `serve_steps` / `serve_admissions` / … | `ServeReport.steps.len()`, request count, `PagingStats.swaps_out/in` |
@@ -110,8 +110,10 @@ registry! {
     bump_exec_tier_i32_i32, exec_tier_i32_i32;
     /// Calls running the widest tier (i64 tables and accumulators).
     bump_exec_tier_i64_i64, exec_tier_i64_i64;
-    /// Steps (a `forward_batch`, or one direct exec call) whose summed
-    /// look-ups opened a crew of scoped workers (`parallel::crew_size` > 1).
+    /// Steps that ran on more than one thread of their crew: a forward
+    /// step (on a serve's crew, whose workers live across its steps, or on
+    /// a `forward_batch`'s own) of `parallel::step_width` > 1, or a direct
+    /// exec call of `parallel::crew_size` > 1.
     bump_exec_crews, exec_crews;
     /// `Transformer::forward_batch` invocations.
     bump_model_forward_calls, model_forward_calls;
