@@ -63,8 +63,8 @@ pub use metrics::{
     StepKind, StepRecord, TtftSplit,
 };
 pub use request::{
-    bursty_trace, flash_crowd_trace, heavy_tail_trace, synthetic_trace, BurstyParams,
-    FlashCrowdParams, HeavyTailParams, Request, Sampling, Scenario, Trace, TraceParams,
+    flash_crowd_trace, synthetic_trace, FlashCrowdParams, Request, Sampling, Scenario, Trace,
+    TraceParams,
 };
 pub use scheduler::{
     resume, serve, serve_with_hooks, AdmissionPolicy, Checkpoint, CheckpointHook, FaultPlan,

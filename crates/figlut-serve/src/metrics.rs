@@ -10,8 +10,7 @@
 //!
 //! Beyond scalar aggregates, [`ServeReport::distributions`] materializes
 //! TTFT, end-to-end latency, inter-token stalls, and queue wait as full
-//! [`Dist`]ributions (exact sorted views paired with deterministic
-//! [`Hist`] streaming histograms, DESIGN.md §9), [`RequestMetrics::ttft_split`]
+//! [`Dist`]ributions (exact sorted views, DESIGN.md §9), [`RequestMetrics::ttft_split`]
 //! decomposes each session's TTFT into queue-wait / prefill / first-sample
 //! shares that reconcile tick-exactly against the step sequence, and
 //! [`ServeReport::goodput`] counts the tokens that met a configurable
@@ -26,7 +25,6 @@ use figlut_sim::mpu::EngineSpec;
 use figlut_sim::tech::Tech;
 use figlut_sim::Workload;
 use figlut_trace::fmt::{f3, Table};
-use figlut_trace::Hist;
 use std::collections::BTreeMap;
 
 /// What a step did (derived from a [`StepRecord`]'s row counts).
@@ -216,32 +214,21 @@ pub struct TtftSplit {
     pub sample: u64,
 }
 
-/// A latency distribution: the exact sorted sample paired with a
-/// deterministic streaming [`Hist`]ogram over the same values.
-///
-/// The sorted view answers exact nearest-rank percentiles (sorted **once**
-/// at construction — the fix for `Display` re-sorting per percentile); the
-/// histogram is the mergeable, fixed-boundary form `repro analyze` renders
-/// and cross-run tooling can fold without ever changing a quantile
+/// A latency distribution: the exact sorted sample, answering exact
+/// nearest-rank percentiles (sorted **once** at construction — the fix
+/// for `Display` re-sorting per percentile). The mergeable histograms
+/// `repro analyze` renders are built from trace events, not from here
 /// (DESIGN.md §9).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dist {
     sorted: Vec<u64>,
-    hist: Hist,
 }
 
 impl Dist {
-    /// Build from an unsorted sample (sorts once, feeds the histogram).
+    /// Build from an unsorted sample (sorts once).
     pub fn from_values(mut values: Vec<u64>) -> Self {
         values.sort_unstable();
-        let mut hist = Hist::new();
-        for &v in &values {
-            hist.record(v);
-        }
-        Dist {
-            sorted: values,
-            hist,
-        }
+        Dist { sorted: values }
     }
 
     /// Exact nearest-rank percentile (`p` in `(0, 100]`).
@@ -285,16 +272,6 @@ impl Dist {
             return 0.0;
         }
         self.sorted.iter().map(|&v| v as f64).sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// The streaming-histogram form of the same sample.
-    pub fn hist(&self) -> &Hist {
-        &self.hist
-    }
-
-    /// The sorted sample itself.
-    pub fn values(&self) -> &[u64] {
-        &self.sorted
     }
 }
 
@@ -463,7 +440,7 @@ impl ServeReport {
     /// Materialize the report's four latency distributions — TTFT,
     /// end-to-end latency, inter-token stalls (every gap between
     /// consecutive tokens of one session, across all sessions), queue
-    /// wait — each sorted and histogrammed exactly once. These are the
+    /// wait — each sorted exactly once. These are the
     /// report's only latency aggregates: means, percentiles and maxima are
     /// read off the [`Dist`]s. The stall maximum is the number chunked
     /// prefill bounds: with a chunk budget `c` every step costs at most
@@ -1042,8 +1019,7 @@ mod tests {
         let r = demo_report();
         let d = r.distributions();
         // The sorted views must agree with a nearest-rank pick over the
-        // raw per-request values at every probe, and the histogram must
-        // hold the same count.
+        // raw per-request values at every probe.
         let nearest_rank = |mut v: Vec<u64>, p: f64| {
             v.sort_unstable();
             v[((p / 100.0) * v.len() as f64).ceil() as usize - 1]
@@ -1067,12 +1043,8 @@ mod tests {
             );
         }
         assert_eq!(d.ttft.count(), r.requests.len());
-        assert_eq!(d.ttft.hist().count(), r.requests.len() as u64);
         assert_eq!(d.stall.count(), stalls.len());
         assert_eq!(d.stall.max(), stalls.iter().copied().max().unwrap());
-        // Small tick values land in exact unit buckets, so the histogram
-        // quantile agrees with the exact one on this report.
-        assert_eq!(d.latency.hist().quantile(50.0), d.latency.percentile(50.0));
     }
 
     #[test]

@@ -150,218 +150,26 @@ impl TraceParams {
 /// Panics if a range is inverted or the longest request cannot fit in
 /// `cfg.max_seq`.
 pub fn synthetic_trace(cfg: &ModelConfig, params: &TraceParams, seed: u64) -> Trace {
-    let (pmin, pmax) = params.prompt_len;
-    let (nmin, nmax) = params.new_tokens;
-    assert!(pmin >= 1 && pmin <= pmax, "inverted prompt_len range");
-    assert!(nmin >= 1 && nmin <= nmax, "inverted new_tokens range");
-    assert!(
-        pmax + nmax <= cfg.max_seq,
-        "prompt {pmax} + new {nmax} exceeds max_seq {}",
-        cfg.max_seq
-    );
-    let mut rng = Rng::new(seed);
-    let mut clock = 0u64;
-    let requests = (0..params.requests)
-        .map(|id| {
-            if id > 0 && params.mean_interarrival > 0.0 {
-                let u = rng.uniform();
-                clock += (-params.mean_interarrival * (1.0 - u).ln()).ceil() as u64;
-            }
-            let plen = pmin + rng.below(pmax - pmin + 1);
-            let mut prompt = vec![0usize];
-            for _ in 1..plen {
-                prompt.push(rng.below(cfg.vocab));
-            }
-            Request {
-                id,
-                arrival: clock,
-                prompt,
-                max_new: nmin + rng.below(nmax - nmin + 1),
-                sampling: params.sampling,
-                seed: seed ^ (0x5e1e_c7ed_u64.wrapping_add(id as u64).wrapping_mul(0x9e37)),
-            }
-        })
-        .collect();
-    let trace = Trace { requests };
-    trace.validate(cfg);
-    trace
-}
-
-/// Exponential gap with the given mean, rounded up to whole ticks.
-///
-/// Always consumes exactly one RNG draw — even for a degenerate mean — so
-/// scaling a scenario's arrival rate can never shift the draws that shape
-/// prompts and budgets: the same `(scenario, requests, seed)` produces the
-/// same request *contents* at every load, only the arrival times move.
-fn exp_gap(rng: &mut Rng, mean: f64) -> u64 {
-    let u = rng.uniform();
-    if mean <= 0.0 {
-        0
-    } else {
-        (-mean * (1.0 - u).ln()).ceil() as u64
-    }
-}
-
-/// One draw from a bounded Pareto distribution on `[lo, hi]` with shape
-/// `alpha` (inverse-CDF method), floored to an integer and clamped.
-fn bounded_pareto(rng: &mut Rng, lo: usize, hi: usize, alpha: f64) -> usize {
-    let u = rng.uniform();
-    let (l, h) = (lo as f64, hi as f64);
-    let (la, ha) = (l.powf(-alpha), h.powf(-alpha));
-    let x = (la - u * (la - ha)).powf(-1.0 / alpha);
-    (x.floor() as usize).clamp(lo, hi)
-}
-
-/// Per-request sampling seed: `salt` separates the scenario families so
-/// two scenarios at the same top-level seed still produce distinct traces.
-fn request_seed(seed: u64, salt: u64, id: usize) -> u64 {
-    seed ^ salt.wrapping_add(id as u64).wrapping_mul(0x9e37)
-}
-
-/// Knobs of [`bursty_trace`]: a two-state on-off (MMPP-style) arrival
-/// process — geometric bursts of closely spaced requests separated by
-/// long quiet gaps.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BurstyParams {
-    /// Number of requests.
-    pub requests: usize,
-    /// Mean inter-arrival gap *inside* a burst, in ticks.
-    pub on_interarrival: f64,
-    /// Mean quiet gap *between* bursts, in ticks.
-    pub off_interarrival: f64,
-    /// Mean burst length in requests (geometric; must be ≥ 1).
-    pub mean_burst: f64,
-    /// Inclusive prompt-length range (first token is always BOS 0).
-    pub prompt_len: (usize, usize),
-    /// Inclusive range of the per-request generation budget.
-    pub new_tokens: (usize, usize),
-    /// Sampling rule shared by every request.
-    pub sampling: Sampling,
-}
-
-/// Generate a seeded bursty on-off arrival trace: requests arrive in
-/// geometric bursts (mean [`BurstyParams::mean_burst`]) with exponential
-/// in-burst gaps, separated by exponential quiet gaps. Everything is a
-/// pure function of `(cfg, params, seed)`.
-///
-/// # Panics
-///
-/// Panics if a range is inverted, `mean_burst < 1`, or the longest
-/// request cannot fit in `cfg.max_seq`.
-pub fn bursty_trace(cfg: &ModelConfig, params: &BurstyParams, seed: u64) -> Trace {
-    let (pmin, pmax) = params.prompt_len;
-    let (nmin, nmax) = params.new_tokens;
-    assert!(pmin >= 1 && pmin <= pmax, "inverted prompt_len range");
-    assert!(nmin >= 1 && nmin <= nmax, "inverted new_tokens range");
-    assert!(params.mean_burst >= 1.0, "mean_burst must be >= 1");
-    assert!(
-        pmax + nmax <= cfg.max_seq,
-        "prompt {pmax} + new {nmax} exceeds max_seq {}",
-        cfg.max_seq
-    );
-    let mut rng = Rng::new(seed);
-    let mut clock = 0u64;
-    let mut quiet_gap_next = false;
-    let requests = (0..params.requests)
-        .map(|id| {
-            if id > 0 {
-                let mean = if quiet_gap_next {
-                    params.off_interarrival
-                } else {
-                    params.on_interarrival
-                };
-                clock += exp_gap(&mut rng, mean);
-            }
-            // Geometric burst termination — drawn for every request so the
-            // stream position is load-independent.
-            quiet_gap_next = rng.uniform() < 1.0 / params.mean_burst;
-            let plen = pmin + rng.below(pmax - pmin + 1);
-            let mut prompt = vec![0usize];
-            for _ in 1..plen {
-                prompt.push(rng.below(cfg.vocab));
-            }
-            Request {
-                id,
-                arrival: clock,
-                prompt,
-                max_new: nmin + rng.below(nmax - nmin + 1),
-                sampling: params.sampling,
-                seed: request_seed(seed, 0xb7a5_7e11, id),
-            }
-        })
-        .collect();
-    let trace = Trace { requests };
-    trace.validate(cfg);
-    trace
-}
-
-/// Knobs of [`heavy_tail_trace`]: Poisson arrivals with bounded-Pareto
-/// prompt and output lengths — most requests are short, a few are near
-/// the context limit, which is what makes head-of-line blocking and
-/// occupancy collapse visible.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HeavyTailParams {
-    /// Number of requests.
-    pub requests: usize,
-    /// Mean inter-arrival gap in ticks (exponential).
-    pub mean_interarrival: f64,
-    /// Inclusive bounded-Pareto range of prompt lengths.
-    pub prompt_range: (usize, usize),
-    /// Inclusive bounded-Pareto range of generation budgets.
-    pub new_range: (usize, usize),
-    /// Pareto shape (smaller = heavier tail; must be positive).
-    pub alpha: f64,
-    /// Sampling rule shared by every request.
-    pub sampling: Sampling,
-}
-
-/// Generate a seeded heavy-tailed trace: exponential arrival gaps,
-/// bounded-Pareto prompt and output lengths (inverse-CDF draws). A pure
-/// function of `(cfg, params, seed)`.
-///
-/// # Panics
-///
-/// Panics if a range is inverted, `alpha` is not positive, or the longest
-/// request cannot fit in `cfg.max_seq`.
-pub fn heavy_tail_trace(cfg: &ModelConfig, params: &HeavyTailParams, seed: u64) -> Trace {
-    let (pmin, pmax) = params.prompt_range;
-    let (nmin, nmax) = params.new_range;
-    assert!(pmin >= 1 && pmin <= pmax, "inverted prompt_range");
-    assert!(nmin >= 1 && nmin <= nmax, "inverted new_range");
-    assert!(
-        params.alpha > 0.0 && params.alpha.is_finite(),
-        "alpha must be positive and finite"
-    );
-    assert!(
-        pmax + nmax <= cfg.max_seq,
-        "prompt {pmax} + new {nmax} exceeds max_seq {}",
-        cfg.max_seq
-    );
-    let mut rng = Rng::new(seed);
-    let mut clock = 0u64;
-    let requests = (0..params.requests)
-        .map(|id| {
-            if id > 0 {
-                clock += exp_gap(&mut rng, params.mean_interarrival);
-            }
-            let plen = bounded_pareto(&mut rng, pmin, pmax, params.alpha);
-            let mut prompt = vec![0usize];
-            for _ in 1..plen {
-                prompt.push(rng.below(cfg.vocab));
-            }
-            Request {
-                id,
-                arrival: clock,
-                prompt,
-                max_new: bounded_pareto(&mut rng, nmin, nmax, params.alpha),
-                sampling: params.sampling,
-                seed: request_seed(seed, 0x4ea1_7a11, id),
-            }
-        })
-        .collect();
-    let trace = Trace { requests };
-    trace.validate(cfg);
-    trace
+    let (prompt, new) = (params.prompt_len, params.new_tokens);
+    check_ranges(cfg, prompt, new);
+    let mean = params.mean_interarrival;
+    request_loop(
+        cfg,
+        Rng::new(seed),
+        params.requests,
+        (seed, 0x5e1e_c7ed),
+        params.sampling,
+        |rng, id| {
+            // Unlike the scenario families, a zero mean draws no gap at all.
+            let gap = if mean > 0.0 {
+                exp_gap(rng, id, mean)
+            } else {
+                0
+            };
+            let len = between(rng, prompt);
+            (gap, bos_prompt(rng, cfg.vocab, len), between(rng, new))
+        },
+    )
 }
 
 /// Knobs of [`flash_crowd_trace`]: a tight spike of requests that all
@@ -393,40 +201,54 @@ pub struct FlashCrowdParams {
 /// Panics if a range is inverted, `prefix_len` is 0, or the longest
 /// request cannot fit in `cfg.max_seq`.
 pub fn flash_crowd_trace(cfg: &ModelConfig, params: &FlashCrowdParams, seed: u64) -> Trace {
-    let (tmin, tmax) = params.tail_len;
-    let (nmin, nmax) = params.new_tokens;
-    assert!(params.prefix_len >= 1, "prefix_len must be >= 1");
-    assert!(tmin <= tmax, "inverted tail_len range");
-    assert!(nmin >= 1 && nmin <= nmax, "inverted new_tokens range");
-    assert!(
-        params.prefix_len + tmax + nmax <= cfg.max_seq,
-        "prefix {} + tail {tmax} + new {nmax} exceeds max_seq {}",
-        params.prefix_len,
-        cfg.max_seq
-    );
+    let (tail, new, prefix_len) = (params.tail_len, params.new_tokens, params.prefix_len);
+    assert!(prefix_len >= 1, "prefix_len must be >= 1");
+    check_ranges(cfg, (prefix_len + tail.0, prefix_len + tail.1), new);
+    let mean = params.mean_interarrival;
     let mut rng = Rng::new(seed);
-    let mut prefix = vec![0usize];
-    for _ in 1..params.prefix_len {
-        prefix.push(rng.below(cfg.vocab));
-    }
-    let mut clock = 0u64;
-    let requests = (0..params.requests)
-        .map(|id| {
-            if id > 0 {
-                clock += exp_gap(&mut rng, params.mean_interarrival);
-            }
-            let tlen = tmin + rng.below(tmax - tmin + 1);
+    let prefix = bos_prompt(&mut rng, cfg.vocab, prefix_len);
+    request_loop(
+        cfg,
+        rng,
+        params.requests,
+        (seed, 0xf1a5_c04d),
+        params.sampling,
+        |rng, id| {
+            let gap = exp_gap(rng, id, mean);
             let mut prompt = prefix.clone();
-            for _ in 0..tlen {
-                prompt.push(rng.below(cfg.vocab));
-            }
+            let len = between(rng, tail);
+            prompt.extend((0..len).map(|_| rng.below(cfg.vocab)));
+            (gap, prompt, between(rng, new))
+        },
+    )
+}
+
+/// The request loop of every trace family. For each id in turn, `next`
+/// draws that request's `(gap, prompt, max_new)` from `rng` in the
+/// family's own order; the gaps accumulate into arrival ticks, and each
+/// request's sampling seed mixes `seed` with the family's `salt`, so two
+/// families at the same top-level seed still produce distinct traces.
+/// The finished trace is validated against `cfg`.
+fn request_loop(
+    cfg: &ModelConfig,
+    mut rng: Rng,
+    requests: usize,
+    (seed, salt): (u64, u64),
+    sampling: Sampling,
+    mut next: impl FnMut(&mut Rng, usize) -> (u64, Vec<usize>, usize),
+) -> Trace {
+    let mut clock = 0u64;
+    let requests = (0..requests)
+        .map(|id| {
+            let (gap, prompt, max_new) = next(&mut rng, id);
+            clock += gap;
             Request {
                 id,
                 arrival: clock,
                 prompt,
-                max_new: nmin + rng.below(nmax - nmin + 1),
-                sampling: params.sampling,
-                seed: request_seed(seed, 0xf1a5_c04d, id),
+                max_new,
+                sampling,
+                seed: seed ^ salt.wrapping_add(id as u64).wrapping_mul(0x9e37),
             }
         })
         .collect();
@@ -435,21 +257,90 @@ pub fn flash_crowd_trace(cfg: &ModelConfig, params: &FlashCrowdParams, seed: u64
     trace
 }
 
+/// Assert the inclusive prompt-length and budget ranges are ordered and
+/// start at 1, and that the longest request fits in `cfg.max_seq`.
+fn check_ranges(cfg: &ModelConfig, (pmin, pmax): (usize, usize), (nmin, nmax): (usize, usize)) {
+    assert!(pmin >= 1 && pmin <= pmax, "inverted prompt length range");
+    assert!(nmin >= 1 && nmin <= nmax, "inverted new_tokens range");
+    assert!(
+        pmax + nmax <= cfg.max_seq,
+        "prompt {pmax} + new {nmax} exceeds max_seq {}",
+        cfg.max_seq
+    );
+}
+
+/// A prompt of `len` tokens: BOS 0, then uniform draws over the vocabulary.
+///
+/// Grown by `push`, not collected to its exact length: the exact-capacity
+/// buffers landed elsewhere in the heap, and glibc then returned a dropped
+/// model's pages to the OS between `serve-wide`'s repeated set-ups — twice
+/// the page faults, and `setup_s` ×1.14 on a 2-vCPU host.
+fn bos_prompt(rng: &mut Rng, vocab: usize, len: usize) -> Vec<usize> {
+    let mut prompt = vec![0];
+    for _ in 1..len {
+        prompt.push(rng.below(vocab));
+    }
+    prompt
+}
+
+/// A uniform draw from the inclusive range `(lo, hi)`.
+fn between(rng: &mut Rng, (lo, hi): (usize, usize)) -> usize {
+    lo + rng.below(hi - lo + 1)
+}
+
+/// Exponential gap before request `id` with the given mean, rounded up to
+/// whole ticks; request 0 arrives at tick 0 and draws nothing.
+///
+/// Every later request consumes exactly one RNG draw — even for a
+/// degenerate mean — so scaling a scenario's arrival rate can never shift
+/// the draws that shape prompts and budgets: the same `(scenario,
+/// requests, seed)` produces the same request *contents* at every load,
+/// only the arrival times move.
+fn exp_gap(rng: &mut Rng, id: usize, mean: f64) -> u64 {
+    if id == 0 {
+        return 0;
+    }
+    let u = rng.uniform();
+    if mean <= 0.0 {
+        0
+    } else {
+        (-mean * (1.0 - u).ln()).ceil() as u64
+    }
+}
+
+/// One draw from a bounded Pareto distribution on `[lo, hi]` with shape
+/// `alpha` (inverse-CDF method), floored to an integer and clamped.
+fn bounded_pareto(rng: &mut Rng, lo: usize, hi: usize, alpha: f64) -> usize {
+    let u = rng.uniform();
+    let (l, h) = (lo as f64, hi as f64);
+    let (la, ha) = (l.powf(-alpha), h.powf(-alpha));
+    let x = (la - u * (la - ha)).powf(-1.0 / alpha);
+    (x.floor() as usize).clamp(lo, hi)
+}
+
 /// The named trace-scenario library: four seed-deterministic load shapes
 /// behind one dial. [`Scenario::trace`] scales each scenario's *arrival
 /// rate* by a load multiplier while keeping prompts and budgets fixed —
 /// the same `(scenario, requests, seed)` serves the same work at 1× and
 /// 10×, so goodput differences are purely scheduling, never workload
-/// drift (the `ext-overload` experiment's contract).
+/// drift (the `ext-overload` experiment's contract). Gaps below are at
+/// load 1; every scenario samples greedily.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scenario {
-    /// Open-loop Poisson arrivals, uniform lengths ([`synthetic_trace`]).
+    /// Open-loop Poisson arrivals (mean gap 12 ticks), uniform prompt
+    /// lengths 4–10 and budgets 6–14 ([`synthetic_trace`]).
     Steady,
-    /// On-off bursts separated by quiet gaps ([`bursty_trace`]).
+    /// A two-state on-off (MMPP-style) process with Steady's lengths:
+    /// geometric bursts (mean 4 requests) of 4-tick mean gaps, separated
+    /// by 48-tick mean quiet gaps.
     Bursty,
-    /// Bounded-Pareto prompt/output lengths ([`heavy_tail_trace`]).
+    /// Poisson arrivals (mean gap 12 ticks) with bounded-Pareto
+    /// (α = 1.1) prompt lengths 2–24 and budgets 2–12: most requests are
+    /// short, a few are near the context limit, which is what makes
+    /// head-of-line blocking and occupancy collapse visible.
     HeavyTail,
-    /// A spike sharing one prompt prefix ([`flash_crowd_trace`]).
+    /// A 3-tick-gap spike sharing one 12-token prompt prefix, tails 1–6
+    /// and budgets 4–10 ([`flash_crowd_trace`]).
     FlashCrowd,
 }
 
@@ -487,6 +378,7 @@ impl Scenario {
             load > 0.0 && load.is_finite(),
             "load {load} must be positive and finite"
         );
+        let greedy = Sampling::Greedy;
         match self {
             Scenario::Steady => synthetic_trace(
                 cfg,
@@ -495,35 +387,46 @@ impl Scenario {
                     mean_interarrival: 12.0 / load,
                     prompt_len: (4, 10),
                     new_tokens: (6, 14),
-                    sampling: Sampling::Greedy,
+                    sampling: greedy,
                 },
                 seed,
             ),
-            Scenario::Bursty => bursty_trace(
-                cfg,
-                &BurstyParams {
+            Scenario::Bursty => {
+                let (prompt, new) = ((4, 10), (6, 14));
+                check_ranges(cfg, prompt, new);
+                let mut quiet = false;
+                request_loop(
+                    cfg,
+                    Rng::new(seed),
                     requests,
-                    on_interarrival: 4.0 / load,
-                    off_interarrival: 48.0 / load,
-                    mean_burst: 4.0,
-                    prompt_len: (4, 10),
-                    new_tokens: (6, 14),
-                    sampling: Sampling::Greedy,
-                },
-                seed,
-            ),
-            Scenario::HeavyTail => heavy_tail_trace(
-                cfg,
-                &HeavyTailParams {
+                    (seed, 0xb7a5_7e11),
+                    greedy,
+                    |rng, id| {
+                        let gap = exp_gap(rng, id, if quiet { 48.0 / load } else { 4.0 / load });
+                        // Geometric burst end — drawn for every request so the
+                        // stream position is load-independent.
+                        quiet = rng.uniform() < 1.0 / 4.0;
+                        let len = between(rng, prompt);
+                        (gap, bos_prompt(rng, cfg.vocab, len), between(rng, new))
+                    },
+                )
+            }
+            Scenario::HeavyTail => {
+                check_ranges(cfg, (2, 24), (2, 12));
+                request_loop(
+                    cfg,
+                    Rng::new(seed),
                     requests,
-                    mean_interarrival: 12.0 / load,
-                    prompt_range: (2, 24),
-                    new_range: (2, 12),
-                    alpha: 1.1,
-                    sampling: Sampling::Greedy,
-                },
-                seed,
-            ),
+                    (seed, 0x4ea1_7a11),
+                    greedy,
+                    |rng, id| {
+                        let gap = exp_gap(rng, id, 12.0 / load);
+                        let len = bounded_pareto(rng, 2, 24, 1.1);
+                        let prompt = bos_prompt(rng, cfg.vocab, len);
+                        (gap, prompt, bounded_pareto(rng, 2, 12, 1.1))
+                    },
+                )
+            }
             Scenario::FlashCrowd => flash_crowd_trace(
                 cfg,
                 &FlashCrowdParams {
@@ -532,7 +435,7 @@ impl Scenario {
                     prefix_len: 12,
                     tail_len: (1, 6),
                     new_tokens: (4, 10),
-                    sampling: Sampling::Greedy,
+                    sampling: greedy,
                 },
                 seed,
             ),
@@ -664,25 +567,13 @@ mod tests {
     #[test]
     fn bursty_trace_has_on_off_structure() {
         let cfg = ModelConfig::tiny();
-        let t = bursty_trace(
-            &cfg,
-            &BurstyParams {
-                requests: 24,
-                on_interarrival: 2.0,
-                off_interarrival: 80.0,
-                mean_burst: 4.0,
-                prompt_len: (2, 6),
-                new_tokens: (2, 6),
-                sampling: Sampling::Greedy,
-            },
-            5,
-        );
+        let t = Scenario::Bursty.trace(&cfg, 24, 1.0, 5);
         let gaps: Vec<u64> = t
             .requests
             .windows(2)
             .map(|w| w[1].arrival - w[0].arrival)
             .collect();
-        // With an off mean 40x the on mean, the trace must show both
+        // With an off mean 12x the on mean, the trace must show both
         // regimes: tight in-burst gaps and at least one long quiet gap.
         assert!(gaps.iter().any(|&g| g <= 6), "no in-burst gaps: {gaps:?}");
         assert!(gaps.iter().any(|&g| g >= 40), "no quiet gaps: {gaps:?}");
@@ -691,18 +582,8 @@ mod tests {
     #[test]
     fn heavy_tail_lengths_stay_in_range_and_skew_short() {
         let cfg = ModelConfig::tiny();
-        let t = heavy_tail_trace(
-            &cfg,
-            &HeavyTailParams {
-                requests: 64,
-                mean_interarrival: 4.0,
-                prompt_range: (2, 24),
-                new_range: (2, 12),
-                alpha: 1.1,
-                sampling: Sampling::Greedy,
-            },
-            9,
-        );
+        // Load 3: a 4-tick mean gap.
+        let t = Scenario::HeavyTail.trace(&cfg, 64, 3.0, 9);
         let lens: Vec<usize> = t.requests.iter().map(|r| r.prompt.len()).collect();
         assert!(lens.iter().all(|&l| (2..=24).contains(&l)));
         assert!(t.requests.iter().all(|r| (2..=12).contains(&r.max_new)));

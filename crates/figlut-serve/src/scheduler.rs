@@ -926,6 +926,24 @@ impl LoopState {
         }
     }
 
+    /// Token rows the largest step of the rest of this run can carry: a
+    /// full decode batch plus a prefill chunk, or — without a chunk budget
+    /// — a full decode batch or the longest prompt still to prefill (an
+    /// arrival's or a pending request's; the prefill slot is empty at the
+    /// start of a run and of a resume). The run's crew is sized for it,
+    /// once: no worker is spawned for a run none of whose steps could use
+    /// one.
+    fn largest_step(&self, cfg: &ServeConfig) -> usize {
+        match cfg.prefill_chunk {
+            Some(chunk) => cfg.max_batch + chunk,
+            None => {
+                let prompts = self.arrivals.iter().chain(&self.pending);
+                let longest = prompts.map(|r| r.prompt.len()).max().unwrap_or(0);
+                cfg.max_batch.max(longest)
+            }
+        }
+    }
+
     /// Snapshot the loop state as a [`Checkpoint`] (running sessions are
     /// cloned — paged ones as host swap images — so the live run is not
     /// disturbed). Taken only with the prefill slot empty.
@@ -1312,8 +1330,9 @@ pub fn serve_with_hooks(
     check_config(cfg, model_cfg.max_seq);
     trace.validate(&model_cfg);
     let memory = Memory::new(engine, cfg, hooks.fault_plan.as_ref());
-    engine.open_crew(largest_step(cfg, model_cfg.max_seq), |crew| {
-        LoopState::fresh(trace).run(engine, crew, cfg, memory, hooks)
+    let state = LoopState::fresh(trace);
+    engine.open_crew(state.largest_step(cfg), |crew| {
+        state.run(engine, crew, cfg, memory, hooks)
     })
 }
 
@@ -1343,22 +1362,9 @@ pub fn resume(
     counters::bump_serve_resumes(1);
     let mut memory = Memory::new(engine, cfg, hooks.fault_plan.as_ref());
     let state = LoopState::from_checkpoint(checkpoint, &mut memory, cfg.max_batch);
-    let max_seq = engine.model().cfg.max_seq;
-    engine.open_crew(largest_step(cfg, max_seq), |crew| {
+    engine.open_crew(state.largest_step(cfg), |crew| {
         state.run(engine, crew, cfg, memory, hooks)
     })
-}
-
-/// Token rows the largest step of a run under `cfg` can carry: a full
-/// decode batch plus a prefill chunk, or — without a chunk budget — a
-/// whole prompt (at most `max_seq`) or a full decode batch. The run's crew
-/// is sized for it, once: no worker is spawned for a run none of whose
-/// steps could use one.
-fn largest_step(cfg: &ServeConfig, max_seq: usize) -> usize {
-    match cfg.prefill_chunk {
-        Some(chunk) => cfg.max_batch + chunk,
-        None => cfg.max_batch.max(max_seq),
-    }
 }
 
 #[cfg(test)]
@@ -2124,5 +2130,54 @@ mod tests {
                 assert!(msg.contains(want), "{cfg:?}: panicked with {msg:?}");
             }
         }
+    }
+
+    /// Without a chunk budget a serve's crew is sized for the longest
+    /// prompt it can still prefill, not for `max_seq`: the light trace on
+    /// the packed tiny model never steps more than 6 rows (124,416
+    /// look-ups), which no worker repays, while 40 rows (829,440) would
+    /// open a crew of two whose worker no step wakes. A resume sizes for
+    /// its checkpoint's arrivals and pending requests.
+    #[test]
+    fn crew_is_sized_for_the_longest_prompt_left_to_prefill() {
+        use figlut_exec::parallel::step_width;
+        use figlut_gemm::EngineConfig;
+        use figlut_model::calibrate::{quantize_model, to_packed, Method};
+        use figlut_model::corpus::generate;
+
+        let teacher = Transformer::teacher(ModelConfig::tiny(), 55);
+        let calib = generate(&teacher, 2, 10, 3);
+        let (q, _) = quantize_model(&teacher, &calib, Method::ShiftAdd { bits: 3 });
+        let model = to_packed(&q);
+        let backend = Backend::Exec(EngineConfig::paper_default());
+        let trace = synthetic_trace(&model.cfg, &TraceParams::light(4), 7);
+        let lens: Vec<usize> = trace.requests.iter().map(|r| r.prompt.len()).collect();
+        assert_eq!(lens, [2, 3, 2, 6]);
+        let cfg = ServeConfig::new(2, Policy::PrefillPriority);
+
+        let rows = LoopState::fresh(&trace).largest_step(&cfg);
+        assert_eq!(rows, 6);
+        let lookups = model.step_lookups(rows, &backend);
+        assert_eq!(step_width(lookups, 2), 1, "{lookups} look-ups");
+        let full = model.step_lookups(model.cfg.max_seq, &backend);
+        assert_eq!(step_width(full, 2), 2, "{full} look-ups");
+
+        // Request 3 has finished: the rest prefill at most 3 rows.
+        let checkpoint = Checkpoint {
+            clock: 0,
+            arrivals: trace.requests[1..3].to_vec(),
+            pending: trace.requests[..1].to_vec(),
+            sessions: Vec::new(),
+            prefixes: Vec::new(),
+            finished: Vec::new(),
+            steps: Vec::new(),
+            peak_kv_rows: 0,
+            sealed: false,
+            resilience: ResilienceStats::default(),
+        };
+        let state = LoopState::from_checkpoint(checkpoint, &mut Memory::Unmanaged, 2);
+        assert_eq!(state.largest_step(&cfg), 3);
+        // A chunk budget bounds every step on its own.
+        assert_eq!(state.largest_step(&cfg.with_prefill_chunk(5)), 7);
     }
 }

@@ -8,7 +8,9 @@
 //! in `figlut-trace` (same spirit as the batch-invariance gates).
 
 use figlut_model::ModelConfig;
-use figlut_serve::{Scenario, Trace};
+use figlut_serve::{
+    flash_crowd_trace, synthetic_trace, FlashCrowdParams, Sampling, Scenario, Trace, TraceParams,
+};
 use proptest::prelude::*;
 
 const LOADS: [f64; 4] = [0.5, 1.0, 3.0, 10.0];
@@ -93,5 +95,81 @@ proptest! {
                 load
             );
         }
+    }
+}
+
+/// FNV-1a 64 of a trace's `Debug` bytes.
+fn digest(t: &Trace) -> u64 {
+    bytes(t).iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every generator's output pinned to the byte: a change to the trace
+/// code must reproduce these digests exactly (the committed CSVs and the
+/// serving benchmarks are functions of these traces). A trace reads only
+/// the model's `vocab` and `max_seq`, so both shapes share one table.
+#[test]
+fn trace_digests_are_pinned() {
+    const SCENARIOS: [(Scenario, usize, f64, u64, u64); 12] = [
+        (Scenario::Steady, 16, 0.6, 4242, 0xb2f1_d380_9afa_b4cc),
+        (Scenario::Steady, 128, 0.1, 4242, 0xa2b7_de2a_8e8a_5ae1),
+        (Scenario::Steady, 10, 1.0, 7, 0x47fe_3cfa_c770_ef26),
+        (Scenario::Bursty, 16, 0.6, 4242, 0xc157_fd83_5469_461e),
+        (Scenario::Bursty, 128, 0.1, 4242, 0x7643_8dee_6224_5592),
+        (Scenario::Bursty, 10, 1.0, 7, 0x31da_01f3_ffbe_2c25),
+        (Scenario::HeavyTail, 16, 0.6, 4242, 0xc12c_6446_1224_dd67),
+        (Scenario::HeavyTail, 128, 0.1, 4242, 0xbff3_2343_e2e1_ed60),
+        (Scenario::HeavyTail, 10, 1.0, 7, 0xceae_b912_2bde_d161),
+        (Scenario::FlashCrowd, 16, 0.6, 4242, 0x4da9_03fc_c3e6_e0bc),
+        (Scenario::FlashCrowd, 128, 0.1, 4242, 0x1cab_822e_d48a_03da),
+        (Scenario::FlashCrowd, 10, 1.0, 7, 0x2048_6d24_fbf1_d473),
+    ];
+    for cfg in [ModelConfig::tiny(), ModelConfig::scaled(2, 48, 4)] {
+        for (sc, requests, load, seed, want) in SCENARIOS {
+            let got = digest(&sc.trace(&cfg, requests, load, seed));
+            assert_eq!(
+                got,
+                want,
+                "{} ({requests}, {load}, {seed}) on {cfg:?}: {got:#018x}",
+                sc.name()
+            );
+        }
+    }
+
+    let cfg = ModelConfig::tiny();
+    let light = TraceParams::light(6);
+    // Mean 0 draws no gap value at all: the prompt draws shift up.
+    let burst = TraceParams {
+        mean_interarrival: 0.0,
+        ..light
+    };
+    let crowd = FlashCrowdParams {
+        requests: 9,
+        mean_interarrival: 5.0,
+        prefix_len: 7,
+        tail_len: (0, 4),
+        new_tokens: (2, 9),
+        sampling: Sampling::Temperature(0.8),
+    };
+    for (what, got, want) in [
+        (
+            "light",
+            synthetic_trace(&cfg, &light, 9),
+            0xfb59_fea6_511a_4303,
+        ),
+        (
+            "mean 0",
+            synthetic_trace(&cfg, &burst, 9),
+            0x97aa_d870_78bf_04b5,
+        ),
+        (
+            "crowd",
+            flash_crowd_trace(&cfg, &crowd, 13),
+            0x859c_d22d_5149_6948,
+        ),
+    ] {
+        let got = digest(&got);
+        assert_eq!(got, want, "{what}: {got:#018x}");
     }
 }
