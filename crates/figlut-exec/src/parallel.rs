@@ -9,9 +9,10 @@
 //!
 //! [`Crew::open`] is the crate's one spawn site. A crew lives as long as
 //! its body: a whole `serve` (figlut-serve opens one per run), one
-//! `Transformer::forward_batch`, or one direct [`crate::ExecPlan`] call
-//! ([`Crew::run`]). Its `size − 1` scoped workers wait between phases —
-//! and between the body's steps — at a yield-then-park barrier. Each
+//! `Transformer::forward_batch`, one direct [`crate::ExecPlan`] call
+//! ([`Crew::run`]), or one `Transformer::teacher` (row phases only). Its
+//! `size − 1` scoped workers wait between phases — and between the
+//! body's steps — at a yield-then-park barrier. Each
 //! [`Crew::step`] runs on as many of them as its work repays
 //! ([`step_width`]). A step is a sequence of phases:
 //!
@@ -279,7 +280,6 @@ impl<'a, W: RowWork> Shared<'a, W> {
                     sweep_rows(job.readers.iter().copied(), &job.stage, rows, panel);
                 }
                 Phase::Rows => {
-                    panel.clear();
                     let units = unit_part(slot.rows.units(), slot.parts, p);
                     slot.rows.part(units, panel);
                 }
@@ -434,7 +434,8 @@ impl<'a, W: RowWork + Default> Crew<'_, 'a, W> {
     /// outputs appended to `out` in unit order. Alone — or with a single
     /// unit, or below `PHASE_NS` of work — the caller computes every unit
     /// into `out` itself; with workers, `work` moves into the crew's slot
-    /// for the phase and back.
+    /// for the phase and back, and so does `out`, as part 0's panel: the
+    /// first part is appended in place and only the others are copied.
     pub fn rows(&self, work: &mut W, out: &mut Vec<f64>) {
         let units = work.units();
         let split = units > 1 && work.cost_ns() >= PHASE_NS;
@@ -442,14 +443,17 @@ impl<'a, W: RowWork + Default> Crew<'_, 'a, W> {
             work.part(0..units, out);
             return;
         };
+        let parts = self.parts;
         let set = |slot: &mut Slot<'a, W>| {
             slot.phase = Phase::Rows;
             std::mem::swap(&mut slot.rows, work);
+            (shared.panels[1..parts].iter()).for_each(|panel| lock(panel).clear());
         };
-        let parts = self.parts;
+        std::mem::swap(&mut *lock(&shared.panels[0]), out);
         shared.phase(self.workers, parts, set);
+        std::mem::swap(&mut *lock(&shared.panels[0]), out);
         std::mem::swap(&mut shared.slot_mut().rows, work);
-        for panel in &shared.panels[..parts] {
+        for panel in &shared.panels[1..parts] {
             out.extend_from_slice(&lock(panel));
         }
     }

@@ -96,6 +96,11 @@ pub fn capture_activations(model: &Transformer, calib: &Corpus) -> Vec<Mat<f64>>
 /// Quantize every linear layer of `model` with `method`, calibrating on
 /// `calib` where the method needs activations. Returns the quantized model
 /// (the input is untouched) and the per-layer bit allocation.
+///
+/// Each quantized linear is computed from the teacher's borrowed FP
+/// weights straight into the output, so above the teacher this holds only
+/// the quantized model and one layer's quantizer scratch — never a second
+/// FP copy (DESIGN.md §1, "One FP copy").
 pub fn quantize_model(
     model: &Transformer,
     calib: &Corpus,
@@ -105,11 +110,11 @@ pub fn quantize_model(
         Method::Rtn { .. } => None,
         _ => Some(capture_activations(model, calib)),
     };
-    let fp_weights: Vec<Mat<f64>> = model
+    let fp_weights: Vec<&Mat<f64>> = model
         .linear_weights()
-        .iter()
+        .into_iter()
         .map(|w| match w {
-            LinearWeights::Fp(m) => m.clone(),
+            LinearWeights::Fp(m) => m,
             _ => panic!("quantize_model expects an FP teacher"),
         })
         .collect();
@@ -126,7 +131,7 @@ pub fn quantize_model(
             let layers: Vec<LayerInput<'_>> = fp_weights
                 .iter()
                 .zip(acts)
-                .map(|(w, x)| LayerInput {
+                .map(|(&w, x)| LayerInput {
                     name: "linear",
                     weights: w,
                     calibration: Some(x),
@@ -136,11 +141,10 @@ pub fn quantize_model(
         }
     };
 
-    let mut out = model.clone();
-    out.map_linears(|idx, lin| {
-        let w = &fp_weights[idx];
+    let out = model.with_linears(|idx, _| {
+        let w = fp_weights[idx];
         let bits = bits_per_layer[idx];
-        lin.weights = match method {
+        match method {
             Method::Rtn { .. } => LinearWeights::Uniform(rtn(w, RtnParams::per_row(bits))),
             Method::Gptq { .. } => {
                 let x = &acts.as_ref().unwrap()[idx];
@@ -155,22 +159,20 @@ pub fn quantize_model(
                 let x = &acts.as_ref().unwrap()[idx];
                 LinearWeights::Bcq(quantize_layer(w, Some(x), ShiftAddParams::per_row(bits)))
             }
-        };
+        }
     });
     (out, bits_per_layer)
 }
 
 /// Convert every uniform-quantized linear to BCQ-with-offset (paper Eq. 3),
 /// so uniform models can run on the BCQ-format engines (iFPU / FIGLUT)
-/// without any value change.
+/// without any value change. Each BCQ linear is converted from the borrowed
+/// uniform one; only the other linears' weights are copied.
 pub fn to_bcq(model: &Transformer) -> Transformer {
-    let mut out = model.clone();
-    out.map_linears(|_, lin| {
-        if let LinearWeights::Uniform(u) = &lin.weights {
-            lin.weights = LinearWeights::Bcq(BcqWeight::from_uniform(u));
-        }
-    });
-    out
+    model.with_linears(|_, lin| match &lin.weights {
+        LinearWeights::Uniform(u) => LinearWeights::Bcq(BcqWeight::from_uniform(u)),
+        w => w.clone(),
+    })
 }
 
 /// Re-pack every quantized linear for the `figlut-exec` fast kernels
@@ -182,20 +184,22 @@ pub fn to_bcq(model: &Transformer) -> Transformer {
 /// perplexity under `Backend::Exec` is bit-identical to
 /// `Backend::Engine(Engine::FiglutI, cfg)` on the source model. A plan
 /// serves every µ, so `Backend::Exec` may run the model under any config.
+///
+/// Each packed linear is built from the borrowed quantized one (a uniform
+/// layer's Eq. 3 BCQ lives only while it is packed); FP and already
+/// packed linears are copied.
 pub fn to_packed_with(model: &Transformer, cfg: &figlut_gemm::EngineConfig) -> Transformer {
     use figlut_exec::{ExecPlan, PackedBcq};
-    let mut out = model.clone();
     let pack = |b: &BcqWeight| {
         let p = PackedBcq::pack(b);
         let plan = ExecPlan::new(&p, cfg);
         LinearWeights::Packed(p, plan)
     };
-    out.map_linears(|_, lin| match &lin.weights {
-        LinearWeights::Bcq(b) => lin.weights = pack(b),
-        LinearWeights::Uniform(u) => lin.weights = pack(&BcqWeight::from_uniform(u)),
-        LinearWeights::Fp(_) | LinearWeights::Packed(..) => {}
-    });
-    out
+    model.with_linears(|_, lin| match &lin.weights {
+        LinearWeights::Bcq(b) => pack(b),
+        LinearWeights::Uniform(u) => pack(&BcqWeight::from_uniform(u)),
+        w @ (LinearWeights::Fp(_) | LinearWeights::Packed(..)) => w.clone(),
+    })
 }
 
 /// [`to_packed_with`] at the paper's default operating point (the config

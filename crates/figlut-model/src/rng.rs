@@ -4,7 +4,21 @@
 //! through this splitmix64-based generator so results are identical on
 //! every platform and run.
 
+/// splitmix64's state step: every raw draw adds it once.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Raw draws one [`Rng::normal`] takes.
+pub(crate) const NORMAL_DRAWS: usize = 2;
+
 /// A small, fast, deterministic RNG (splitmix64 core).
+///
+/// The state is a counter: each raw draw ([`Rng::next_u64`]) advances it by
+/// one fixed step and returns a hash of it. Every sampler takes a fixed
+/// number of raw draws — [`Rng::uniform`], [`Rng::below`] and
+/// [`Rng::categorical`] one, [`Rng::normal`] two — so the generator `n`
+/// samples ahead is known without drawing them, and a stream can be cut
+/// into parts that are drawn independently with the bits of one pass
+/// (the teacher's rows are drawn that way, DESIGN.md §2).
 #[derive(Clone, Debug)]
 pub struct Rng {
     state: u64,
@@ -14,13 +28,19 @@ impl Rng {
     /// Seeded construction.
     pub fn new(seed: u64) -> Self {
         Self {
-            state: seed.wrapping_add(0x9e37_79b9_7f4a_7c15),
+            state: seed.wrapping_add(GAMMA),
         }
+    }
+
+    /// Move past the next `draws` raw draws in O(1), as if they had been
+    /// drawn.
+    pub(crate) fn skip(&mut self, draws: usize) {
+        self.state = self.state.wrapping_add((draws as u64).wrapping_mul(GAMMA));
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -78,6 +98,19 @@ mod tests {
         let mut b = Rng::new(7);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn skip_lands_where_drawing_does() {
+        let mut drawn = Rng::new(11);
+        for n in [0, 1, 2, 7, 1000] {
+            let mut skipped = drawn.clone();
+            skipped.skip(n * NORMAL_DRAWS);
+            for _ in 0..n {
+                drawn.normal();
+            }
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "{n} normals");
         }
     }
 

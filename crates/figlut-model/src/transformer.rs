@@ -27,7 +27,7 @@
 //! opens its own crew; a serving run opens one for all its steps
 //! ([`Transformer::open_crew`], [`Transformer::forward_on`]).
 
-use crate::rng::Rng;
+use crate::rng::{Rng, NORMAL_DRAWS};
 use figlut_exec::parallel::{crew_size, step_width, thread_count, Crew, RowWork};
 use figlut_exec::{exec_i, ExecPlan, PackedBcq};
 use figlut_gemm::{Engine, EngineConfig, Weights};
@@ -499,47 +499,130 @@ impl RowWork for StepWork<'_> {
     }
 }
 
+/// Raw teacher draws per worker of the teacher's crew: 2²⁰ draws are
+/// ≈ 17 ms of one-thread drawing on the reference container (≈ 33 ns a
+/// weight, two draws each) against a ≈ 0.1 ms spawn, so a model whose
+/// matrices hold fewer — `tiny()` among them — is drawn on the caller
+/// alone and spawns nothing (DESIGN.md §6).
+const DRAWS_PER_WORKER: usize = 1 << 20;
+
+/// One-thread nanoseconds of one teacher weight — a normal (two draws, a
+/// log, a root and a cosine), a multiply and a store: a `serve-wide`
+/// teacher's 6.4 M weights took 212 ms on one thread.
+const NORMAL_NS: usize = 33;
+
+/// The rows of one teacher matrix, cut into parts on the teacher's crew:
+/// `rows × cols` normals of the stream at `rng`, times `scale`. Row `r`
+/// starts `2 · r · cols` draws past `rng` ([`Rng`]'s counter), so a part
+/// skips to its first row and draws from there, with the bits of one
+/// pass over every row.
+struct Draws {
+    rng: Rng,
+    rows: usize,
+    cols: usize,
+    scale: f64,
+}
+
+impl Default for Draws {
+    fn default() -> Self {
+        Self {
+            rng: Rng::new(0),
+            rows: 0,
+            cols: 0,
+            scale: 0.0,
+        }
+    }
+}
+
+impl Draws {
+    /// A `rows × cols` matrix of `rng`'s next normals times `scale`,
+    /// row-major, drawn on `crew`; `rng` moves past them.
+    fn matrix(
+        crew: &Crew<'_, '_, Draws>,
+        rng: &mut Rng,
+        rows: usize,
+        cols: usize,
+        scale: f64,
+    ) -> Mat<f64> {
+        let mut work = Draws {
+            rng: rng.clone(),
+            rows,
+            cols,
+            scale,
+        };
+        rng.skip(rows * cols * NORMAL_DRAWS);
+        let mut out = Vec::with_capacity(rows * cols);
+        crew.rows(&mut work, &mut out);
+        Mat::from_vec(rows, cols, out)
+    }
+}
+
+impl RowWork for Draws {
+    fn units(&self) -> usize {
+        self.rows
+    }
+
+    fn cost_ns(&self) -> usize {
+        self.rows * self.cols * NORMAL_NS
+    }
+
+    fn part(&self, units: Range<usize>, out: &mut Vec<f64>) {
+        let mut rng = self.rng.clone();
+        rng.skip(units.start * self.cols * NORMAL_DRAWS);
+        out.extend((0..units.len() * self.cols).map(|_| rng.normal() * self.scale));
+    }
+}
+
 impl Transformer {
     /// A deterministic synthetic "teacher": weights are Gaussian with a
     /// scale chosen so the model's output distribution is peaked (low
     /// entropy), giving it genuinely low perplexity on text it generates —
     /// the stand-in for a trained OPT checkpoint (DESIGN.md §2).
+    ///
+    /// One [`Rng`] stream of `seed` draws every parameter in a fixed order:
+    /// per block the weights then the bias of `wq`, `wk`, `wv`, `wo`,
+    /// `fc1`, `fc2`, then the embedding and the positions, each matrix
+    /// row-major. The matrices' rows are drawn on a crew (a worker per 2²⁰
+    /// draws, none for `tiny()`), each part from its own place in the
+    /// stream, so the weights are the same bits at every thread count.
     pub fn teacher(cfg: ModelConfig, seed: u64) -> Self {
         assert!(
             cfg.d_model.is_multiple_of(cfg.heads),
             "heads must divide d_model"
         );
-        let mut rng = Rng::new(seed);
-        let g = |rng: &mut Rng, rows: usize, cols: usize, scale: f64| {
-            Mat::from_fn(rows, cols, |_, _| rng.normal() * scale)
-        };
-        // Residual-stream scales ≈ 1/sqrt(d) keep activations O(1);
-        // the embedding is boosted so logits (tied head) are peaked.
         let d = cfg.d_model;
-        let s = 1.0 / (d as f64).sqrt();
-        let lin = |rng: &mut Rng, out: usize, inp: usize| Linear {
-            weights: LinearWeights::Fp(g(rng, out, inp, s)),
-            bias: (0..out).map(|_| rng.normal() * 0.01).collect(),
-        };
-        let blocks = (0..cfg.layers)
-            .map(|_| Block {
-                ln1: LayerNorm::identity(d),
-                wq: lin(&mut rng, d, d),
-                wk: lin(&mut rng, d, d),
-                wv: lin(&mut rng, d, d),
-                wo: lin(&mut rng, d, d),
-                ln2: LayerNorm::identity(d),
-                fc1: lin(&mut rng, cfg.ffn, d),
-                fc2: lin(&mut rng, d, cfg.ffn),
-            })
-            .collect();
-        Self {
-            cfg,
-            embed: g(&mut rng, cfg.vocab, d, 3.0 * s),
-            pos: g(&mut rng, cfg.max_seq, d, 0.5 * s),
-            blocks,
-            ln_f: LayerNorm::identity(d),
-        }
+        let normals = cfg.layers * (4 * d + 2 * cfg.ffn) * d + (cfg.vocab + cfg.max_seq) * d;
+        let size = 1 + normals * NORMAL_DRAWS / DRAWS_PER_WORKER;
+        Crew::open(size.min(thread_count()), |crew| {
+            let mut rng = Rng::new(seed);
+            let g = |rng: &mut Rng, rows, cols, scale| Draws::matrix(crew, rng, rows, cols, scale);
+            // Residual-stream scales ≈ 1/sqrt(d) keep activations O(1);
+            // the embedding is boosted so logits (tied head) are peaked.
+            let s = 1.0 / (d as f64).sqrt();
+            let lin = |rng: &mut Rng, out: usize, inp: usize| Linear {
+                weights: LinearWeights::Fp(g(rng, out, inp, s)),
+                bias: (0..out).map(|_| rng.normal() * 0.01).collect(),
+            };
+            let blocks = (0..cfg.layers)
+                .map(|_| Block {
+                    ln1: LayerNorm::identity(d),
+                    wq: lin(&mut rng, d, d),
+                    wk: lin(&mut rng, d, d),
+                    wv: lin(&mut rng, d, d),
+                    wo: lin(&mut rng, d, d),
+                    ln2: LayerNorm::identity(d),
+                    fc1: lin(&mut rng, cfg.ffn, d),
+                    fc2: lin(&mut rng, d, cfg.ffn),
+                })
+                .collect();
+            Self {
+                cfg,
+                embed: g(&mut rng, cfg.vocab, d, 3.0 * s),
+                pos: g(&mut rng, cfg.max_seq, d, 0.5 * s),
+                blocks,
+                ln_f: LayerNorm::identity(d),
+            }
+        })
     }
 
     /// Block `b` of the tied LM head `h · embedᵀ`, appended to `out`: the
@@ -961,6 +1044,50 @@ impl Transformer {
         toks
     }
 
+    /// This model with every quantizable linear's weights replaced by
+    /// `weights(idx, linear)` (`idx` layer-major, as in
+    /// [`Transformer::map_linears`]), built without copying any linear's
+    /// weights: the embeddings, LayerNorms and biases are cloned, and each
+    /// linear's new weights are computed from the borrowed old ones. The
+    /// one constructor of the preparation pipeline (`calibrate`), so it
+    /// never holds a second FP copy of the model (DESIGN.md §1).
+    pub(crate) fn with_linears(
+        &self,
+        mut weights: impl FnMut(usize, &Linear) -> LinearWeights,
+    ) -> Self {
+        let mut idx = 0;
+        let mut linear = |lin: &Linear| {
+            let weights = weights(idx, lin);
+            idx += 1;
+            Linear {
+                weights,
+                bias: lin.bias.clone(),
+            }
+        };
+        let blocks = (self.blocks.iter())
+            .map(|b| {
+                let [wq, wk, wv, wo, fc1, fc2] = b.linears().map(&mut linear);
+                Block {
+                    ln1: b.ln1.clone(),
+                    wq,
+                    wk,
+                    wv,
+                    wo,
+                    ln2: b.ln2.clone(),
+                    fc1,
+                    fc2,
+                }
+            })
+            .collect();
+        Self {
+            cfg: self.cfg,
+            embed: self.embed.clone(),
+            pos: self.pos.clone(),
+            blocks,
+            ln_f: self.ln_f.clone(),
+        }
+    }
+
     /// Apply `f` to every quantizable linear (layer-major order).
     pub fn map_linears(&mut self, mut f: impl FnMut(usize, &mut Linear)) {
         let mut idx = 0;
@@ -997,6 +1124,8 @@ impl Transformer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use figlut_quant::uniform::rtn;
+    use figlut_quant::{BcqParams, RtnParams};
 
     #[test]
     fn forward_shapes() {
@@ -1441,6 +1570,90 @@ mod tests {
                 w.part(0..cut, &mut split);
                 w.part(cut..units, &mut split);
                 assert_eq!(split, whole, "cut {cut} of {units}");
+            }
+        }
+    }
+
+    #[test]
+    fn teacher_rows_split_anywhere_with_the_bits_of_one_pass() {
+        // A teacher matrix's parts, cut at any row, concatenate to the
+        // matrix the sequential stream draws, and the stream moves past it.
+        let mut rng = Rng::new(3);
+        rng.normal();
+        let start = rng.clone();
+        let want = Mat::from_fn(5, 7, |_, _| rng.normal() * 0.25);
+        let after = rng.next_u64();
+        let w = Draws {
+            rng: start.clone(),
+            rows: 5,
+            cols: 7,
+            scale: 0.25,
+        };
+        for cut in 0..=5 {
+            let mut split = Vec::new();
+            w.part(0..cut, &mut split);
+            w.part(cut..5, &mut split);
+            assert_eq!(split, want.as_slice(), "cut {cut}");
+        }
+        let mut rng = start;
+        let got = Crew::open(1, |crew| Draws::matrix(crew, &mut rng, 5, 7, 0.25));
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(rng.next_u64(), after);
+    }
+
+    #[test]
+    fn with_linears_equals_clone_then_map_linears() {
+        // Every field the constructor clones made distinct from its
+        // neighbours', and three kinds of new weights.
+        let mut m = Transformer::teacher(ModelConfig::tiny(), 5);
+        let mut rng = Rng::new(8);
+        let blocks = m.blocks.iter_mut().flat_map(|b| [&mut b.ln1, &mut b.ln2]);
+        for ln in blocks.chain([&mut m.ln_f]) {
+            ln.gamma.iter_mut().for_each(|g| *g = rng.uniform());
+            ln.beta.iter_mut().for_each(|b| *b = rng.uniform());
+        }
+        let weights = |idx: usize, lin: &Linear| {
+            let LinearWeights::Fp(w) = &lin.weights else {
+                unreachable!("the teacher is FP");
+            };
+            match idx % 3 {
+                0 => LinearWeights::Uniform(rtn(w, RtnParams::per_row(4))),
+                1 => LinearWeights::Bcq(BcqWeight::quantize(w, BcqParams::per_row(3))),
+                _ => lin.weights.clone(),
+            }
+        };
+        let built = m.with_linears(weights);
+        let mut mapped = m.clone();
+        mapped.map_linears(|idx, lin| lin.weights = weights(idx, lin));
+        assert_eq!(built.cfg, mapped.cfg);
+        assert_eq!(built.embed, mapped.embed);
+        assert_eq!(built.pos, mapped.pos);
+        assert_eq!(built.ln_f.gamma, mapped.ln_f.gamma);
+        assert_eq!(built.ln_f.beta, mapped.ln_f.beta);
+        assert_eq!(built.blocks.len(), mapped.blocks.len());
+        for (b, want) in built.blocks.iter().zip(&mapped.blocks) {
+            for (ln, want) in [(&b.ln1, &want.ln1), (&b.ln2, &want.ln2)] {
+                assert_eq!((&ln.gamma, &ln.beta), (&want.gamma, &want.beta));
+            }
+            for (lin, want) in b.linears().into_iter().zip(want.linears()) {
+                assert_eq!(lin.bias, want.bias);
+                match (&lin.weights, &want.weights) {
+                    (LinearWeights::Fp(a), LinearWeights::Fp(b)) => assert_eq!(a, b),
+                    (LinearWeights::Uniform(a), LinearWeights::Uniform(b)) => assert_eq!(a, b),
+                    (LinearWeights::Bcq(a), LinearWeights::Bcq(b)) => {
+                        assert_eq!((a.shape(), a.group_size()), (b.shape(), b.group_size()));
+                        assert!(a.planes() == b.planes());
+                        let (rows, groups, gs) = (a.shape().0, a.groups(), a.group_size());
+                        for (i, r, g) in (0..a.planes().len() * rows * groups)
+                            .map(|e| (e / (rows * groups), e / groups % rows, e % groups))
+                        {
+                            assert_eq!(a.alpha(i, r, g * gs), b.alpha(i, r, g * gs));
+                        }
+                        assert_eq!(a.has_offset(), b.has_offset());
+                        assert_eq!(a.dequantize(), b.dequantize());
+                    }
+                    _ => panic!("weight formats differ"),
+                }
             }
         }
     }
