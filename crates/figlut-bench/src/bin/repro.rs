@@ -8,7 +8,7 @@
 //! repro --out-dir /tmp/r fig16   # write CSVs somewhere else
 //! repro --threads 2 ext-serving  # cap the exec kernels' worker count
 //! repro --trace t.json ext-serving  # also write a Chrome trace
-//! repro analyze t.jsonl          # replay an exported trace offline
+//! repro analyze t.json           # replay an exported trace offline
 //! repro --list                   # list experiment ids
 //! ```
 //!
@@ -20,19 +20,18 @@
 //! bit-identical for every value — thread count only moves the measured
 //! rates).
 //!
-//! `--trace <path>` records the run through `figlut-trace`: a `.jsonl`
-//! path gets one JSON event per line, anything else gets Chrome
+//! `--trace <path>` records the run through `figlut-trace` as Chrome
 //! trace-event JSON (open in Perfetto / `chrome://tracing`; timestamps
-//! are virtual serving ticks). The Chrome output is validated after the
-//! run and the process fails if it is malformed. Tracing never changes
-//! the tables or CSVs — the serving clock is virtual and the sinks are
-//! pure observers.
+//! are virtual serving ticks). The file is validated after the run and
+//! the process fails if it is malformed. Tracing never changes the tables
+//! or CSVs — the serving clock is virtual and the sink is a pure
+//! observer.
 //!
-//! `repro analyze <trace>...` reads previously exported trace files
-//! (either format, auto-detected) and replays them into distribution
-//! tables: per-kind span statistics, the step-duration histogram, the
-//! admission timeline, and a per-run queue/occupancy breakdown. Malformed
-//! input exits nonzero naming the first bad line or event.
+//! `repro analyze <trace>...` reads previously exported trace files and
+//! replays them into distribution tables: per-kind span statistics, the
+//! step-duration histogram, the admission timeline, and a per-run
+//! queue/occupancy breakdown. Malformed input exits nonzero naming the
+//! first bad event.
 //!
 //! `repro audit [--json] [--update-baseline]` runs the workspace static
 //! invariant checker (`figlut-audit`) over this source tree: determinism,
@@ -42,7 +41,7 @@
 
 use figlut_bench::{analyze_trace, run, EXPERIMENTS};
 use figlut_exec::parallel::THREADS_ENV;
-use figlut_trace::{install, validate_chrome_trace, ChromeTraceSink, JsonlSink, TraceSink};
+use figlut_trace::{install, validate_chrome_trace, ChromeTraceSink};
 use std::path::PathBuf;
 
 fn main() {
@@ -161,25 +160,16 @@ fn main() {
         eprintln!("error: cannot create {}: {e}", out_dir.display());
         std::process::exit(1);
     }
-    // A `.jsonl` suffix picks the line-oriented sink; everything else is
-    // Chrome trace-event JSON (validated below after the sink closes).
-    let chrome = trace_path
+    // The trace is validated below after the sink closes.
+    let guard = trace_path
         .as_deref()
-        .is_some_and(|p| p.extension().is_none_or(|e| e != "jsonl"));
-    let guard = trace_path.as_deref().map(|p| {
-        let sink: std::io::Result<Box<dyn TraceSink>> = if chrome {
-            ChromeTraceSink::create(p).map(|s| Box::new(s) as Box<dyn TraceSink>)
-        } else {
-            JsonlSink::create(p).map(|s| Box::new(s) as Box<dyn TraceSink>)
-        };
-        match sink {
-            Ok(sink) => install(sink),
+        .map(|p| match ChromeTraceSink::create(p) {
+            Ok(sink) => install(Box::new(sink)),
             Err(e) => {
                 eprintln!("error: cannot create trace file {}: {e}", p.display());
                 std::process::exit(1);
             }
-        }
-    });
+        });
     let run_or_die = |id: &str| {
         if let Err(e) = run(id, &out_dir) {
             eprintln!("error: {e}");
@@ -201,23 +191,19 @@ fn main() {
             eprintln!("error: cannot finish trace {}: {e}", path.display());
             std::process::exit(1);
         }
-        if chrome {
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read back trace {}: {e}", path.display());
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("error: cannot read back trace {}: {e}", path.display());
+            std::process::exit(1);
+        });
+        match validate_chrome_trace(&text) {
+            Ok(n) => println!(
+                "\ntrace: {} ({n} events, Chrome trace JSON)",
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("error: malformed Chrome trace {}: {e}", path.display());
                 std::process::exit(1);
-            });
-            match validate_chrome_trace(&text) {
-                Ok(n) => println!(
-                    "\ntrace: {} ({n} events, Chrome trace JSON)",
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("error: malformed Chrome trace {}: {e}", path.display());
-                    std::process::exit(1);
-                }
             }
-        } else {
-            println!("\ntrace: {} (JSONL)", path.display());
         }
     }
 }

@@ -1,12 +1,13 @@
 //! `repro analyze` round-trips: the committed sample Chrome trace and a
-//! freshly exported JSONL trace both replay into the analysis tables, and
-//! the numbers reconcile against the `ServeReport` that produced them.
+//! freshly exported one both replay into the analysis tables, and the
+//! numbers reconcile against the `ServeReport` that produced them.
 
 use figlut_bench::analyze_trace;
 use figlut_model::{Backend, ModelConfig, Transformer};
 use figlut_serve::{serve, BatchEngine, Policy, Scenario, ServeConfig};
-use figlut_trace::{install, JsonlSink, TraceSink};
+use figlut_trace::{install, ChromeTraceSink, Event, TraceSink};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -51,14 +52,14 @@ fn committed_sample_chrome_trace_analyzes() {
 }
 
 #[test]
-fn exported_jsonl_reconciles_with_the_live_report() {
+fn exported_trace_reconciles_with_the_live_report() {
     let model = Transformer::teacher(ModelConfig::tiny(), 21);
     let engine = BatchEngine::new(&model, Backend::Exact);
     let trace = Scenario::Bursty.trace(&model.cfg, 8, 3.0, 17);
 
     let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
-    let guard = install(Box::new(sink) as Box<dyn TraceSink>);
+    let sink = ChromeTraceSink::new(Box::new(buf.clone()));
+    let guard = install(Box::new(sink));
     let report = serve(
         &engine,
         &trace,
@@ -67,7 +68,7 @@ fn exported_jsonl_reconciles_with_the_live_report() {
     guard.finish().unwrap();
 
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let tables = analyze_trace(&text).expect("freshly exported JSONL must analyze");
+    let tables = analyze_trace(&text).expect("a freshly exported trace must analyze");
     // Span rows across kinds must sum to the report's step count, and the
     // timeline must list every admission.
     let spans = &tables[0];
@@ -114,19 +115,25 @@ fn malformed_trace_is_an_error() {
     assert!(analyze_trace("{\"traceEvents\":[{\"name\":1}]}").is_err());
 }
 
-/// A JSONL span of run 0 with the given `dur` and `args` body.
+/// A Chrome span of run 0 with the given `dur` and `args` body.
 fn span(ts: u64, dur: &str, args: &str) -> String {
-    format!(r#"{{"type":"span","name":"Decode","run":0,"ts":{ts},"dur":{dur},"args":{{{args}}}}}"#)
+    format!(
+        r#"{{"name":"Decode","ph":"X","pid":1,"tid":1,"ts":{ts},"dur":{dur},"args":{{{args}}}}}"#
+    )
+}
+
+/// A Chrome trace document holding `events`.
+fn doc(events: &[String]) -> String {
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
 }
 
 #[test]
 fn queue_depth_sample_going_back_in_time_is_an_error() {
-    let text = [
+    let text = doc(&[
         span(0, "4", r#""batch":1"#),
-        r#"{"type":"counter","name":"queue_depth","run":0,"ts":9,"value":1}"#.into(),
-        r#"{"type":"counter","name":"queue_depth","run":0,"ts":3,"value":2}"#.into(),
-    ]
-    .join("\n");
+        r#"{"name":"queue_depth","ph":"C","pid":1,"tid":1,"ts":9,"args":{"value":1}}"#.into(),
+        r#"{"name":"queue_depth","ph":"C","pid":1,"tid":1,"ts":3,"args":{"value":2}}"#.into(),
+    ]);
     let err = analyze_trace(&text).unwrap_err();
     assert_eq!(err, "run 0: queue_depth sample at ts 3 precedes ts 9");
 }
@@ -134,7 +141,7 @@ fn queue_depth_sample_going_back_in_time_is_an_error() {
 #[test]
 fn batch_times_dur_overflow_is_an_error() {
     // 2^53 · 2^53: both factors are exact JSON integers, their product is not a u64.
-    let text = span(0, "9007199254740992", r#""batch":9007199254740992"#);
+    let text = doc(&[span(0, "9007199254740992", r#""batch":9007199254740992"#)]);
     let err = analyze_trace(&text).unwrap_err();
     assert!(err.contains("Σ batch × dur overflows"), "{err}");
 }
@@ -145,7 +152,7 @@ fn summed_dur_overflow_is_an_error() {
     let spans: Vec<String> = (0..2048)
         .map(|ts| span(ts, "9007199254740992", r#""batch":1"#))
         .collect();
-    let err = analyze_trace(&spans.join("\n")).unwrap_err();
+    let err = analyze_trace(&doc(&spans)).unwrap_err();
     assert_eq!(err, "run 0: Σ dur overflows u64");
 }
 
@@ -156,27 +163,69 @@ fn number_past_2_pow_53_is_an_error() {
         ("9007199254740994", "9007199254740994"),
         ("1e30", "1000000000000000000000000000000"),
     ] {
-        let err = analyze_trace(&span(0, dur, r#""batch":1"#)).unwrap_err();
+        let err = analyze_trace(&doc(&[span(0, dur, r#""batch":1"#)])).unwrap_err();
         let want = format!(
             "\"dur\" = {shown} exceeds 2^53, the largest integer a JSON number holds exactly"
         );
         assert!(err.ends_with(&want), "{err}");
     }
-    let err = analyze_trace(&span(0, "4", r#""batch":1e17"#)).unwrap_err();
+    let err = analyze_trace(&doc(&[span(0, "4", r#""batch":1e17"#)])).unwrap_err();
     assert!(
         err.contains("\"batch\" = 100000000000000000 exceeds 2^53"),
         "{err}"
     );
-    assert!(analyze_trace(&span(0, "9007199254740992", r#""batch":1"#)).is_ok());
+    assert!(analyze_trace(&doc(&[span(0, "9007199254740992", r#""batch":1"#)])).is_ok());
 }
 
 #[test]
 fn fractional_or_negative_arg_is_an_error() {
-    let err = analyze_trace(&span(0, "4", r#""batch":-7.5"#)).unwrap_err();
+    let err = analyze_trace(&doc(&[span(0, "4", r#""batch":-7.5"#)])).unwrap_err();
     assert!(
         err.contains("\"batch\" = -7.5 is not a non-negative integer"),
         "{err}"
     );
-    let err = analyze_trace(&span(0, "4", r#""decode_rows":0.5"#)).unwrap_err();
+    let err = analyze_trace(&doc(&[span(0, "4", r#""decode_rows":0.5"#)])).unwrap_err();
     assert!(err.contains("\"decode_rows\" = 0.5"), "{err}");
+}
+
+#[test]
+fn every_truncation_of_a_rendered_trace_is_an_error_not_a_panic() {
+    let mut sink = ChromeTraceSink::new(Box::new(std::io::sink()));
+    for step in 0..4 {
+        let ts = 10 * step;
+        sink.record(
+            0,
+            &Event::Instant {
+                name: "admit",
+                ts,
+                args: &[("id", step), ("queue", 1)],
+            },
+        );
+        sink.record(
+            0,
+            &Event::Span {
+                name: "Decode",
+                ts,
+                dur: 10,
+                args: &[("batch", 2), ("decode_rows", 2)],
+            },
+        );
+        sink.record(
+            0,
+            &Event::Counter {
+                name: "queue_depth",
+                ts: ts + 10,
+                value: step,
+            },
+        );
+    }
+    let text = sink.render();
+    assert!((900..1200).contains(&text.len()), "{} bytes", text.len());
+    assert!(analyze_trace(&text).is_ok());
+    // Any cut short of the closing brace leaves an unterminated document.
+    let whole = text.trim_end().len();
+    for (cut, _) in text.char_indices().take_while(|&(i, _)| i < whole) {
+        let r = catch_unwind(AssertUnwindSafe(|| analyze_trace(&text[..cut]).is_err()));
+        assert_eq!(r.ok(), Some(true), "cut at {cut} panicked or analyzed");
+    }
 }

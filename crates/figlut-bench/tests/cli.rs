@@ -101,10 +101,10 @@ fn analyze_without_files_exits_nonzero() {
 fn analyze_overflowing_trace_exits_one_without_panic() {
     let dir = tmp_out("analyze-overflow");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("overflow.jsonl");
+    let path = dir.join("overflow.json");
     // batch = dur = 2^53: exact JSON integers whose product overflows u64.
-    let span = r#"{"type":"span","name":"Decode","run":0,"ts":0,"dur":9007199254740992,"args":{"batch":9007199254740992}}"#;
-    std::fs::write(&path, format!("{span}\n")).unwrap();
+    let span = r#"{"name":"Decode","ph":"X","pid":1,"tid":1,"ts":0,"dur":9007199254740992,"args":{"batch":9007199254740992}}"#;
+    std::fs::write(&path, format!("{{\"traceEvents\":[\n{span}\n]}}\n")).unwrap();
     let out = repro()
         .args(["analyze", path.to_str().unwrap()])
         .output()

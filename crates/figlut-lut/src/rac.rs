@@ -7,7 +7,7 @@
 //! covering µ weight positions per cycle without any multiplier.
 //!
 //! [`Mac`] is the conventional multiply-accumulate reference used in
-//! equivalence tests and the RAC-vs-MAC Criterion benchmarks.
+//! equivalence tests.
 
 use crate::key::Key;
 use crate::table::{LutRead, LutValue};

@@ -115,7 +115,9 @@ registry! {
     /// a `forward_batch`'s own) of `parallel::step_width` > 1, or a direct
     /// exec call of `parallel::crew_size` > 1.
     bump_exec_crews, exec_crews;
-    /// `Transformer::forward_batch` invocations.
+    /// `Transformer::forward_on` runs: one per `forward_batch` (and its
+    /// `prefill`/`decode_*` wrappers) and one per serve step, so a serve
+    /// counts one per step; `logits` does not count.
     bump_model_forward_calls, model_forward_calls;
     /// Token rows from multi-token chunks (prefill-phase rows).
     bump_model_prefill_rows, model_prefill_rows;

@@ -3,10 +3,10 @@
 //! The workspace vendors no serialization crates (it builds fully offline),
 //! and the trace layer needs JSON in two narrow places: *writing* events
 //! (flat objects of static names and `u64`s — trivial) and *reading back*
-//! a Chrome trace file to validate it ([`crate::validate_chrome_trace`],
-//! run by `repro --trace` and CI). This module is the reader: a small
+//! a Chrome trace file ([`crate::read_chrome_trace`], run by `repro
+//! --trace`, `repro analyze` and CI). This module is the reader: a small
 //! recursive-descent parser covering the full JSON grammar, returning a
-//! [`Json`] tree. It favors clarity over speed — validation parses a trace
+//! [`Json`] tree. It favors clarity over speed — a reader parses a trace
 //! once, off every hot path.
 
 /// A parsed JSON value.

@@ -21,11 +21,11 @@
 //!   commits to (`ExecPlan::streamed_words`, `StepRecord.swapped_rows`,
 //!   `ServeReport.steps`) — the trace cross-checks the cost model instead
 //!   of keeping parallel books that can drift.
-//! * **Trace sinks** ([`sink`]): the [`TraceSink`] trait with two file
-//!   sinks — newline-delimited JSON ([`JsonlSink`]) and Chrome trace-event
-//!   JSON ([`ChromeTraceSink`], loadable in Perfetto / `chrome://tracing`,
-//!   with `ts` measured in virtual ticks) — plus an in-memory
-//!   [`CollectSink`] for tests.
+//! * **Trace sinks** ([`sink`]): the [`TraceSink`] trait with one file
+//!   sink — Chrome trace-event JSON ([`ChromeTraceSink`], loadable in
+//!   Perfetto / `chrome://tracing`, with `ts` measured in virtual ticks) —
+//!   its reader [`read_chrome_trace`], and an in-memory [`CollectSink`]
+//!   for tests.
 //! * **Zero-cost disablement**: on a thread in no session (the default),
 //!   every instrumentation site reduces to one thread-local read and
 //!   performs **zero heap allocations** (pinned by `tests/alloc.rs` with a
@@ -61,7 +61,9 @@ pub mod sink;
 
 pub use counters::{snapshot, Counters};
 pub use hist::Hist;
-pub use sink::{validate_chrome_trace, ChromeTraceSink, CollectSink, JsonlSink, OwnedEvent};
+pub use sink::{
+    read_chrome_trace, validate_chrome_trace, ChromeTraceSink, CollectSink, OwnedEvent,
+};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,7 @@
-//! Trace sinks: in-memory collection, JSONL event logs, and Chrome
-//! trace-event JSON (Perfetto-loadable), plus the Chrome-trace validator
-//! `repro --trace` and CI run over emitted files.
+//! Trace sinks — in-memory collection and Chrome trace-event JSON
+//! (Perfetto-loadable) — and the one reader of that JSON,
+//! [`read_chrome_trace`], which `repro analyze` folds and
+//! [`validate_chrome_trace`] checks.
 
 use crate::json::{escape, Json};
 use crate::{Event, TraceSink};
@@ -10,7 +11,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// An owned copy of one recorded [`Event`], tagged with its run index —
-/// what [`CollectSink`] stores and tests assert against.
+/// what [`CollectSink`] stores, [`ChromeTraceSink`] buffers and
+/// [`read_chrome_trace`] returns.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OwnedEvent {
     /// See [`Event::Span`].
@@ -18,31 +20,31 @@ pub enum OwnedEvent {
         /// Serve-run index within the session.
         run: u64,
         /// Event name.
-        name: &'static str,
+        name: String,
         /// Start tick (global — already run-offset).
         ts: u64,
         /// Duration in virtual ticks.
         dur: u64,
         /// Numeric payload.
-        args: Vec<(&'static str, u64)>,
+        args: Vec<(String, u64)>,
     },
     /// See [`Event::Instant`].
     Instant {
         /// Serve-run index within the session.
         run: u64,
         /// Event name.
-        name: &'static str,
+        name: String,
         /// Tick (global — already run-offset).
         ts: u64,
         /// Numeric payload.
-        args: Vec<(&'static str, u64)>,
+        args: Vec<(String, u64)>,
     },
     /// See [`Event::Counter`].
     Counter {
         /// Serve-run index within the session.
         run: u64,
         /// Track name.
-        name: &'static str,
+        name: String,
         /// Tick (global — already run-offset).
         ts: u64,
         /// Sampled value.
@@ -52,6 +54,7 @@ pub enum OwnedEvent {
 
 impl OwnedEvent {
     fn from_event(run: u64, e: &Event<'_>) -> Self {
+        let owned = |args: &[(&str, u64)]| args.iter().map(|&(k, v)| (k.to_owned(), v)).collect();
         match *e {
             Event::Span {
                 name,
@@ -60,20 +63,20 @@ impl OwnedEvent {
                 args,
             } => OwnedEvent::Span {
                 run,
-                name,
+                name: name.to_owned(),
                 ts,
                 dur,
-                args: args.to_vec(),
+                args: owned(args),
             },
             Event::Instant { name, ts, args } => OwnedEvent::Instant {
                 run,
-                name,
+                name: name.to_owned(),
                 ts,
-                args: args.to_vec(),
+                args: owned(args),
             },
             Event::Counter { name, ts, value } => OwnedEvent::Counter {
                 run,
-                name,
+                name: name.to_owned(),
                 ts,
                 value,
             },
@@ -90,8 +93,8 @@ impl OwnedEvent {
     }
 
     /// The event's name.
-    pub fn name(&self) -> &'static str {
-        match *self {
+    pub fn name(&self) -> &str {
+        match self {
             OwnedEvent::Span { name, .. }
             | OwnedEvent::Instant { name, .. }
             | OwnedEvent::Counter { name, .. } => name,
@@ -111,7 +114,7 @@ impl OwnedEvent {
     pub fn arg(&self, key: &str) -> Option<u64> {
         match self {
             OwnedEvent::Span { args, .. } | OwnedEvent::Instant { args, .. } => {
-                args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+                args.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
             }
             OwnedEvent::Counter { .. } => None,
         }
@@ -147,7 +150,7 @@ impl TraceSink for CollectSink {
     }
 }
 
-fn write_args(out: &mut String, args: &[(&'static str, u64)]) {
+fn write_args(out: &mut String, args: &[(String, u64)]) {
     out.push('{');
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
@@ -156,71 +159,6 @@ fn write_args(out: &mut String, args: &[(&'static str, u64)]) {
         out.push_str(&format!("\"{}\":{v}", escape(k)));
     }
     out.push('}');
-}
-
-/// Newline-delimited JSON: one self-describing object per event, streamed
-/// to the writer as it arrives (constant memory; grep- and jq-friendly).
-pub struct JsonlSink {
-    out: BufWriter<Box<dyn Write + Send>>,
-}
-
-impl JsonlSink {
-    /// Stream events to `path` (truncating it).
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(Self::new(Box::new(File::create(path)?)))
-    }
-
-    /// Stream events to an arbitrary writer.
-    pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        Self {
-            out: BufWriter::new(writer),
-        }
-    }
-
-    fn line(run: u64, event: &Event<'_>) -> String {
-        let mut s = String::new();
-        match *event {
-            Event::Span {
-                name,
-                ts,
-                dur,
-                args,
-            } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"span\",\"name\":\"{}\",\"run\":{run},\"ts\":{ts},\"dur\":{dur},\"args\":",
-                    escape(name)
-                ));
-                write_args(&mut s, args);
-                s.push('}');
-            }
-            Event::Instant { name, ts, args } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"instant\",\"name\":\"{}\",\"run\":{run},\"ts\":{ts},\"args\":",
-                    escape(name)
-                ));
-                write_args(&mut s, args);
-                s.push('}');
-            }
-            Event::Counter { name, ts, value } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"counter\",\"name\":\"{}\",\"run\":{run},\"ts\":{ts},\"value\":{value}}}",
-                    escape(name)
-                ));
-            }
-        }
-        s
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&mut self, run: u64, event: &Event<'_>) {
-        // I/O errors surface at close() via the buffered writer's flush.
-        let _ = writeln!(self.out, "{}", Self::line(run, event));
-    }
-
-    fn close(&mut self) -> std::io::Result<()> {
-        self.out.flush()
-    }
 }
 
 /// Chrome trace-event JSON (the `{"traceEvents":[...]}` object form):
@@ -306,57 +244,144 @@ impl TraceSink for ChromeTraceSink {
     }
 }
 
-/// Validate `text` as a well-formed Chrome trace-event document of the
-/// shape this crate emits: a root object with a non-empty `traceEvents`
-/// array whose entries all carry `name`/`ph`/`ts`/`pid`/`tid` (and a
-/// numeric `dur` on `ph:"X"` spans), with `ts` non-decreasing in file
-/// order (the deterministic virtual clock never goes backwards). Returns
-/// the event count.
+fn field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
+    obj.get(key)
+        .ok_or_else(|| format!("{what}: missing \"{key}\""))
+}
+
+fn num(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
+    let v = field(obj, key, what)?
+        .as_num()
+        .ok_or_else(|| format!("{what}: \"{key}\" is not a number"))?;
+    count(v, key, what)
+}
+
+/// Every number a trace carries is a non-negative integer, at most 2^53:
+/// past it a JSON number (an `f64`) no longer holds every integer, so the
+/// value read may not be the value written.
+fn count(v: f64, key: &str, what: &str) -> Result<u64, String> {
+    if v < 0.0 || v.fract() != 0.0 {
+        return Err(format!(
+            "{what}: \"{key}\" = {v} is not a non-negative integer"
+        ));
+    }
+    if v > (1u64 << 53) as f64 {
+        return Err(format!(
+            "{what}: \"{key}\" = {v} exceeds 2^53, the largest integer a JSON number holds exactly"
+        ));
+    }
+    Ok(v as u64)
+}
+
+fn string(obj: &Json, key: &str, what: &str) -> Result<String, String> {
+    Ok(field(obj, key, what)?
+        .as_str()
+        .ok_or_else(|| format!("{what}: \"{key}\" is not a string"))?
+        .to_string())
+}
+
+fn args_of(obj: &Json, what: &str) -> Result<Vec<(String, u64)>, String> {
+    match obj.get("args") {
+        None => Ok(Vec::new()),
+        Some(Json::Obj(fields)) => fields
+            .iter()
+            .map(|(k, v)| {
+                let n = v
+                    .as_num()
+                    .ok_or_else(|| format!("{what}: arg \"{k}\" is not a number"))?;
+                Ok((k.clone(), count(n, k, what)?))
+            })
+            .collect(),
+        Some(_) => Err(format!("{what}: \"args\" is not an object")),
+    }
+}
+
+/// Parse one Chrome trace event (`ph` X/i/C; `tid` is run + 1).
+fn parse_event(obj: &Json, what: &str) -> Result<OwnedEvent, String> {
+    let ph = string(obj, "ph", what)?;
+    let name = string(obj, "name", what)?;
+    let tid = num(obj, "tid", what)?;
+    if tid == 0 {
+        return Err(format!("{what}: \"tid\" must be >= 1 (it encodes run + 1)"));
+    }
+    let run = tid - 1;
+    let ts = num(obj, "ts", what)?;
+    match ph.as_str() {
+        "X" => Ok(OwnedEvent::Span {
+            run,
+            name,
+            ts,
+            dur: num(obj, "dur", what)?,
+            args: args_of(obj, what)?,
+        }),
+        "i" => Ok(OwnedEvent::Instant {
+            run,
+            name,
+            ts,
+            args: args_of(obj, what)?,
+        }),
+        "C" => {
+            let value = args_of(obj, what)?
+                .into_iter()
+                .find_map(|(k, v)| (k == "value").then_some(v))
+                .ok_or_else(|| format!("{what}: counter without args.value"))?;
+            Ok(OwnedEvent::Counter {
+                run,
+                name,
+                ts,
+                value,
+            })
+        }
+        other => Err(format!("{what}: unknown phase \"{other}\"")),
+    }
+}
+
+/// Read a Chrome trace-event document of the shape [`ChromeTraceSink`]
+/// writes back into the events it recorded: a root object whose
+/// `traceEvents` array holds `ph` `X`/`i`/`C` entries with a string
+/// `name`, `tid` = run + 1, integer `ts` (and `dur` on spans), integer
+/// `args`, and a counter's sample in `args.value`. Every number must be a
+/// non-negative integer no larger than 2^53.
+///
+/// # Errors
+///
+/// Returns a description of the first malformed construct, naming its
+/// event index.
+pub fn read_chrome_trace(text: &str) -> Result<Vec<OwnedEvent>, String> {
+    if text.trim().is_empty() {
+        return Err("empty trace file".into());
+    }
+    let doc = Json::parse(text).map_err(|e| format!("Chrome trace: {e}"))?;
+    field(&doc, "traceEvents", "Chrome trace")?
+        .as_arr()
+        .ok_or("Chrome trace: \"traceEvents\" is not an array")?
+        .iter()
+        .enumerate()
+        .map(|(i, e)| parse_event(e, &format!("event {i}")))
+        .collect()
+}
+
+/// Validate `text` as a trace [`read_chrome_trace`] reads, with at least
+/// one event and `ts` non-decreasing in file order (the deterministic
+/// virtual clock never goes backwards) — the check `repro --trace` and CI
+/// run over emitted files. Returns the event count.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed construct.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let doc = Json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .ok_or("missing \"traceEvents\" key")?
-        .as_arr()
-        .ok_or("\"traceEvents\" is not an array")?;
+    let events = read_chrome_trace(text)?;
     if events.is_empty() {
         return Err("empty traceEvents array".into());
     }
-    let mut last_ts = f64::NEG_INFINITY;
-    for (i, e) in events.iter().enumerate() {
-        let field = |key: &str| {
-            e.get(key)
-                .ok_or_else(|| format!("event {i}: missing \"{key}\""))
-        };
-        field("name")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: \"name\" is not a string"))?;
-        let ph = field("ph")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: \"ph\" is not a string"))?;
-        let num = |key: &str| {
-            field(key)?
-                .as_num()
-                .ok_or_else(|| format!("event {i}: \"{key}\" is not a number"))
-        };
-        let ts = num("ts")?;
-        num("pid")?;
-        num("tid")?;
-        if ph == "X" {
-            field("dur")?
-                .as_num()
-                .ok_or_else(|| format!("event {i}: span \"dur\" is not a number"))?;
-        }
-        if ts < last_ts {
+    for (i, w) in events.windows(2).enumerate() {
+        let (last, ts) = (w[0].ts(), w[1].ts());
+        if ts < last {
             return Err(format!(
-                "event {i}: ts {ts} goes backwards (previous {last_ts})"
+                "event {}: ts {ts} goes backwards (previous {last})",
+                i + 1
             ));
         }
-        last_ts = ts;
     }
     Ok(events.len())
 }
@@ -408,27 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_parse_back() {
-        let line = JsonlSink::line(
-            2,
-            &Event::Span {
-                name: "Mixed",
-                ts: 7,
-                dur: 3,
-                args: &[("decode_rows", 2)],
-            },
-        );
-        let j = Json::parse(&line).unwrap();
-        assert_eq!(j.get("type").unwrap().as_str(), Some("span"));
-        assert_eq!(j.get("run").unwrap().as_num(), Some(2.0));
-        assert_eq!(j.get("dur").unwrap().as_num(), Some(3.0));
-        assert_eq!(
-            j.get("args").unwrap().get("decode_rows").unwrap().as_num(),
-            Some(2.0)
-        );
-    }
-
-    #[test]
     fn chrome_trace_renders_valid_and_validator_accepts() {
         let mut sink = ChromeTraceSink::new(Box::new(Vec::new()));
         demo_events(&mut sink);
@@ -476,24 +480,13 @@ mod tests {
         let dir = std::env::temp_dir().join("figlut-trace-sink-test");
         std::fs::create_dir_all(&dir).unwrap();
         let chrome = dir.join("t.json");
-        let jsonl = dir.join("t.jsonl");
         {
             let mut sink = ChromeTraceSink::create(&chrome).unwrap();
             demo_events(&mut sink);
             sink.close().unwrap();
         }
-        {
-            let mut sink = JsonlSink::create(&jsonl).unwrap();
-            demo_events(&mut sink);
-            sink.close().unwrap();
-        }
         let doc = std::fs::read_to_string(&chrome).unwrap();
         assert_eq!(validate_chrome_trace(&doc), Ok(3));
-        let lines = std::fs::read_to_string(&jsonl).unwrap();
-        assert_eq!(lines.lines().count(), 3);
-        for line in lines.lines() {
-            assert!(Json::parse(line).is_ok());
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
