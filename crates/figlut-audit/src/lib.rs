@@ -28,9 +28,9 @@
 //!   `is_x86_feature_detected!` stay in a crate's `#[allow(unsafe_code)]`
 //!   module.
 //! * **panic-path (4)** — inventories `unwrap`/`expect`/`panic!`-class
-//!   sites in shipping `src/`; each is either justified by an inline
-//!   allowance or grandfathered in a committed baseline; new unjustified
-//!   sites fail the audit.
+//!   sites in shipping `src/`; each must be justified by an inline
+//!   allowance naming its invariant or `# Panics` precondition, and every
+//!   unjustified site fails the audit.
 //! * **lock-discipline (8)** — `Mutex::lock()` call sites must recover
 //!   from poisoning (the `BlockPool` pattern) instead of unwrapping it,
 //!   and acquiring two distinct locks in one function is flagged for
@@ -39,9 +39,8 @@
 //!   `figlut-trace`'s `registry!` block must be incremented somewhere
 //!   and named in DESIGN.md.
 //!
-//! Run it as `repro audit` or `cargo run -p figlut-audit`; `--json`
-//! emits machine-readable output, `--update-baseline` regenerates the
-//! panic-path baseline after an intentional change.
+//! Run it as `cargo run -p figlut-audit`; `--json` emits machine-readable
+//! output.
 //!
 //! ```
 //! use figlut_audit::{audit, Config};
@@ -70,7 +69,7 @@ pub enum Lint {
     Determinism,
     /// `SAFETY:` comments and `#![forbid(unsafe_code)]` coverage.
     Unsafety,
-    /// The `unwrap`/`expect`/`panic!` inventory against its baseline.
+    /// The `unwrap`/`expect`/`panic!` inventory.
     PanicPath,
     /// Mutex poison recovery and nested-acquisition review.
     LockDiscipline,
@@ -126,8 +125,6 @@ pub struct Config {
     /// them, `audit: allow(determinism)` markers are themselves
     /// findings (outside `#[cfg(test)]` modules).
     pub deterministic_crates: Vec<String>,
-    /// Committed panic-path baseline (grandfathered unjustified sites).
-    pub baseline: PathBuf,
     /// The `registry!` block declaring the trace counters.
     pub counters_file: PathBuf,
     /// The design document counters must be named in.
@@ -152,7 +149,6 @@ impl Config {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            baseline: root.join("crates/figlut-audit/panic_baseline.txt"),
             counters_file: root.join("crates/figlut-trace/src/counters.rs"),
             design_file: root.join("DESIGN.md"),
             root,
@@ -196,13 +192,9 @@ pub struct Report {
     pub files_scanned: usize,
     /// Panic-path sites carrying an `allow(panic)` justification.
     pub panics_justified: usize,
-    /// Panic-path sites grandfathered by the baseline.
-    pub panics_baselined: usize,
     /// Counters reconciled from the `registry!` block (0 means the
     /// registry source was absent — fixture workspaces).
     pub counters_checked: usize,
-    /// The baseline content that `--update-baseline` would write.
-    pub fresh_baseline: String,
 }
 
 impl Report {
@@ -231,12 +223,11 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "audit: {} finding(s) across {} file(s); {} justified + {} baselined panic site(s); \
+            "audit: {} finding(s) across {} file(s); {} justified panic site(s); \
              {} counter(s) reconciled",
             self.findings.len(),
             self.files_scanned,
             self.panics_justified,
-            self.panics_baselined,
             self.counters_checked,
         );
         for (name, n) in per {
@@ -263,11 +254,10 @@ impl Report {
         }
         let _ = write!(
             out,
-            "],\"files_scanned\":{},\"panics_justified\":{},\"panics_baselined\":{},\
-             \"counters_checked\":{},\"exit_code\":{}}}",
+            "],\"files_scanned\":{},\"panics_justified\":{},\"counters_checked\":{},\
+             \"exit_code\":{}}}",
             self.files_scanned,
             self.panics_justified,
-            self.panics_baselined,
             self.counters_checked,
             self.exit_code()
         );
@@ -312,7 +302,7 @@ pub fn audit(cfg: &Config) -> Result<Report, String> {
 
     determinism::check(cfg, &files, &mut markers, &mut findings);
     unsafety::check(cfg, &files, &mut findings);
-    let inventory = panics::check(cfg, &files, &mut markers, &mut findings);
+    let panics_justified = panics::check(&files, &mut markers, &mut findings);
     locks::check(&files, &mut markers, &mut findings);
     let counters_checked = reconcile::check(cfg, &files, &mut findings);
 
@@ -325,36 +315,22 @@ pub fn audit(cfg: &Config) -> Result<Report, String> {
     Ok(Report {
         findings,
         files_scanned: files.len(),
-        panics_justified: inventory.justified,
-        panics_baselined: inventory.baselined,
+        panics_justified,
         counters_checked,
-        fresh_baseline: inventory.fresh_baseline,
     })
 }
 
-/// CLI driver shared by the `figlut-audit` binary and `repro audit`:
-/// audit `root`, print the report (`--json` form when `json`), and
-/// return the process exit code — the OR of failing [`Lint::bit`]s, 0
-/// when clean, 64 on I/O errors. With `update_baseline`, rewrite the
-/// panic-path baseline from the current tree first, then report against
-/// it (so the verdict reflects the file just written).
-pub fn run_cli(root: &Path, json: bool, update_baseline: bool) -> i32 {
-    let cfg = Config::for_workspace(root);
-    let report = match audit(&cfg) {
+/// CLI driver of the `figlut-audit` binary: audit `root`, print the
+/// report (`--json` form when `json`), and return the process exit code —
+/// the OR of failing [`Lint::bit`]s, 0 when clean, 64 on I/O errors.
+pub fn run_cli(root: &Path, json: bool) -> i32 {
+    let report = match audit(&Config::for_workspace(root)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("audit error: {e}");
             return 64;
         }
     };
-    if update_baseline {
-        if let Err(e) = std::fs::write(&cfg.baseline, &report.fresh_baseline) {
-            eprintln!("audit error: cannot write {}: {e}", cfg.baseline.display());
-            return 64;
-        }
-        eprintln!("wrote {}", cfg.baseline.display());
-        return run_cli(root, json, false);
-    }
     if json {
         println!("{}", report.to_json());
     } else {

@@ -5,39 +5,35 @@
 //! figlut-audit                       # audit the enclosing workspace
 //! figlut-audit --json                # machine-readable findings
 //! figlut-audit --root <dir>          # audit another tree
-//! figlut-audit --update-baseline     # rewrite the panic-path baseline
 //! ```
 //!
 //! Exit code: bitwise OR of the failing lint families (determinism 1,
 //! unsafe-discipline 2, panic-path 4, lock-discipline 8, reconcile 16);
-//! 0 when clean; 64 for usage or I/O errors. `repro audit` is the same
-//! entry point routed through the bench harness.
+//! 0 when clean; 64 for usage or I/O errors.
 
 use figlut_audit::run_cli;
 use std::path::PathBuf;
 
 fn main() {
     let mut json = false;
-    let mut update_baseline = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json = true,
-            "--update-baseline" => update_baseline = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => usage_error("--root needs a directory argument"),
             },
             other => usage_error(&format!(
-                "unknown argument '{other}' (try --json, --update-baseline, --root <dir>)"
+                "unknown argument '{other}' (try --json, --root <dir>)"
             )),
         }
     }
     let Some(root) = root.or_else(discover_root) else {
         usage_error("no workspace root found (no ancestor with Cargo.toml and crates/)");
     };
-    std::process::exit(run_cli(&root, json, update_baseline));
+    std::process::exit(run_cli(&root, json));
 }
 
 /// Walk up from the current directory to the first workspace-shaped

@@ -1,24 +1,14 @@
 //! Panic-path inventory.
 //!
 //! Library code (`src/`, outside `#[cfg(test)]` modules) may only panic
-//! on broken internal invariants — and each such site must say so. A
-//! site is **justified** when it carries an `allow(panic)` marker with
-//! the invariant spelled out. Everything else is **flagged** and must
-//! appear in the committed baseline (`panic_baseline.txt`), which
-//! grandfathers the historical inventory: the audit fails on *new*
-//! unjustified sites and on stale baseline entries, so the inventory
-//! can only shrink or be consciously re-reviewed. Regenerate the
-//! baseline with `repro audit --update-baseline` after an intentional
-//! change.
-//!
-//! Sites are keyed by `(file, FNV-1a hash of the scrubbed line)` rather
-//! than line numbers, so unrelated edits above a site do not invalidate
-//! the baseline while any edit *to* the site re-opens review.
+//! on broken internal invariants or documented `# Panics` preconditions —
+//! and each such site must say so. A site is **justified** when it
+//! carries an `allow(panic)` marker with the invariant or precondition
+//! spelled out. Every other site is a finding: return an error instead,
+//! or write the marker.
 
 use crate::markers::{is_test_code, Markers};
-use crate::{Config, Finding, Lint, Scope, SourceFile};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use crate::{Finding, Lint, Scope, SourceFile};
 
 /// Call/macro patterns that abort the program when reached.
 const PANIC_PATTERNS: &[&str] = &[
@@ -32,44 +22,10 @@ const PANIC_PATTERNS: &[&str] = &[
     "unimplemented!(",
 ];
 
-/// Summary of the inventory pass, fed into the [`crate::Report`].
-pub struct Inventory {
-    /// Sites justified by an `allow(panic)` marker.
-    pub justified: usize,
-    /// Unjustified sites covered by the committed baseline.
-    pub baselined: usize,
-    /// The baseline content matching the current tree.
-    pub fresh_baseline: String,
-}
-
-/// 64-bit FNV-1a — the same dependency-free hash the KV checksums use.
-pub fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-#[derive(Default)]
-struct SiteGroup {
-    count: usize,
-    first_line: usize,
-    excerpt: String,
-}
-
-/// Run the inventory against the baseline at `cfg.baseline`.
-pub fn check(
-    cfg: &Config,
-    files: &[SourceFile],
-    markers: &mut Markers,
-    findings: &mut Vec<Finding>,
-) -> Inventory {
+/// Flag every unjustified panic-path site and return the number of sites
+/// justified by an `allow(panic)` marker.
+pub fn check(files: &[SourceFile], markers: &mut Markers, findings: &mut Vec<Finding>) -> usize {
     let mut justified = 0usize;
-    // (file, hash) -> occurrences in the current tree.
-    let mut found: BTreeMap<(String, u64), SiteGroup> = BTreeMap::new();
-
     for (fi, file) in files.iter().enumerate() {
         if file.scope != Scope::Src {
             continue;
@@ -86,65 +42,19 @@ pub fn check(
                 justified += hits;
                 continue;
             }
-            let key = (file.rel.clone(), fnv64(code.trim()));
-            let group = found.entry(key).or_default();
-            if group.count == 0 {
-                group.first_line = line + 1;
-                group.excerpt = excerpt_of(&file.raw, line);
-            }
-            group.count += hits;
-        }
-    }
-
-    let baseline = load_baseline(cfg, findings);
-    let mut baselined = 0usize;
-    let mut fresh = String::from(
-        "# panic-path baseline — grandfathered unjustified unwrap/expect/panic! sites.\n\
-         # One line per distinct site: <file>\\t<count>\\t<fnv64 of scrubbed line>\\t<excerpt>.\n\
-         # Regenerate with `repro audit --update-baseline`; see DESIGN.md §11.\n",
-    );
-    for ((file, hash), group) in &found {
-        let allowed = baseline.get(&(file.clone(), *hash)).copied().unwrap_or(0);
-        baselined += group.count.min(allowed);
-        if group.count > allowed {
             findings.push(Finding {
                 lint: Lint::PanicPath,
-                file: file.clone(),
-                line: group.first_line,
+                file: file.rel.clone(),
+                line: line + 1,
                 message: format!(
-                    "{} unjustified panic-path site(s) (baseline allows {}) at `{}` — \
-                     justify with `audit: allow(panic) — <invariant>`, return an error \
-                     instead, or regenerate the baseline",
-                    group.count, allowed, group.excerpt
-                ),
-            });
-        }
-        let _ = writeln!(
-            fresh,
-            "{file}\t{}\t{hash:016x}\t{}",
-            group.count, group.excerpt
-        );
-    }
-    for ((file, hash), allowed) in &baseline {
-        let live = found.get(&(file.clone(), *hash)).map_or(0, |g| g.count);
-        if live < *allowed {
-            findings.push(Finding {
-                lint: Lint::PanicPath,
-                file: file.clone(),
-                line: 0,
-                message: format!(
-                    "stale panic-baseline entry {hash:016x} (baseline {allowed}, found \
-                     {live}) — regenerate with `repro audit --update-baseline`"
+                    "{hits} unjustified panic-path site(s) at `{}` — return an error \
+                     instead, or justify with `audit: allow(panic) — <invariant>`",
+                    excerpt_of(&file.raw, line)
                 ),
             });
         }
     }
-
-    Inventory {
-        justified,
-        baselined,
-        fresh_baseline: fresh,
-    }
+    justified
 }
 
 fn excerpt_of(raw: &str, line: usize) -> String {
@@ -154,38 +64,4 @@ fn excerpt_of(raw: &str, line: usize) -> String {
         ex.push('…');
     }
     ex
-}
-
-fn load_baseline(cfg: &Config, findings: &mut Vec<Finding>) -> BTreeMap<(String, u64), usize> {
-    let mut out = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(&cfg.baseline) else {
-        // No baseline committed: every unjustified site is new.
-        return out;
-    };
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let parsed = (|| {
-            let file = parts.next()?.to_string();
-            let count: usize = parts.next()?.parse().ok()?;
-            let hash = u64::from_str_radix(parts.next()?, 16).ok()?;
-            Some((file, count, hash))
-        })();
-        match parsed {
-            Some((file, count, hash)) => {
-                *out.entry((file, hash)).or_default() += count;
-            }
-            None => findings.push(Finding {
-                lint: Lint::PanicPath,
-                file: cfg.baseline.display().to_string(),
-                line: i + 1,
-                message: "malformed baseline line (expected <file>\\t<count>\\t<hash>\\t<excerpt>)"
-                    .into(),
-            }),
-        }
-    }
-    out
 }

@@ -1,8 +1,6 @@
 //! Fixture-workspace tests: every lint family is proven to fire on a
-//! failing mini-workspace and to stay silent on a passing one, the
-//! committed baseline workflow is exercised end to end (generate →
-//! clean → drift → caught), and the audit passes over this repository's
-//! own source.
+//! failing mini-workspace and to stay silent on a passing one, and the
+//! audit passes over this repository's own source.
 
 use figlut_audit::{audit, Config, Lint, Report};
 use std::path::{Path, PathBuf};
@@ -74,7 +72,7 @@ fn failing_workspace_fires_every_lint_family() {
         r.render()
     );
 
-    // panic-path: an unwrap with no marker and no baseline.
+    // panic-path: an unwrap with no marker.
     assert!(
         has(&r, Lint::PanicPath, "tool", "unjustified panic-path site"),
         "{}",
@@ -138,75 +136,6 @@ fn passing_workspace_is_clean() {
     // unwrap) were consumed, and the counter registry reconciled.
     assert_eq!(r.panics_justified, 2, "{}", r.render());
     assert_eq!(r.counters_checked, 1);
-}
-
-/// Copy a fixture tree into a scratch dir so `--update-baseline` and
-/// source edits never touch the repository.
-fn copy_tree(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).expect("mkdir");
-    for entry in std::fs::read_dir(from).expect("readdir").flatten() {
-        let src = entry.path();
-        let dst = to.join(entry.file_name());
-        if src.is_dir() {
-            copy_tree(&src, &dst);
-        } else {
-            std::fs::copy(&src, &dst).expect("copy");
-        }
-    }
-}
-
-#[test]
-fn baseline_drift_is_caught() {
-    let scratch = std::env::temp_dir().join(format!("figlut-audit-drift-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    copy_tree(&fixture("drift"), &scratch);
-    let cfg = Config::for_workspace(&scratch);
-
-    // 1. Ungoverned unwrap, no baseline: flagged.
-    let r = audit(&cfg).expect("audit");
-    assert!(
-        has(&r, Lint::PanicPath, "app", "unjustified"),
-        "{}",
-        r.render()
-    );
-
-    // 2. Grandfather it the way `repro audit --update-baseline` does.
-    std::fs::create_dir_all(cfg.baseline.parent().expect("baseline dir")).expect("mkdir");
-    std::fs::write(&cfg.baseline, &r.fresh_baseline).expect("write baseline");
-    let r = audit(&cfg).expect("audit");
-    assert_eq!(r.exit_code(), 0, "{}", r.render());
-    assert_eq!(r.panics_baselined, 1, "{}", r.render());
-
-    // 3. Drift: a NEW unjustified unwrap is caught even though the old
-    // site stays grandfathered.
-    let lib = scratch.join("crates/app/src/lib.rs");
-    let mut src = std::fs::read_to_string(&lib).expect("read lib");
-    src.push_str("\npub fn last(v: &[u32]) -> u32 {\n    *v.last().unwrap()\n}\n");
-    std::fs::write(&lib, src.clone()).expect("write lib");
-    let r = audit(&cfg).expect("audit");
-    assert!(
-        has(&r, Lint::PanicPath, "app", "unjustified"),
-        "{}",
-        r.render()
-    );
-    assert_eq!(r.panics_baselined, 1, "{}", r.render());
-
-    // 4. Removing every site makes the baseline entry stale — also a
-    // finding, so the inventory can only shrink deliberately.
-    let pruned: String = src
-        .lines()
-        .filter(|l| !l.contains("unwrap"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    std::fs::write(&lib, pruned).expect("write lib");
-    let r = audit(&cfg).expect("audit");
-    assert!(
-        has(&r, Lint::PanicPath, "app", "stale panic-baseline entry"),
-        "{}",
-        r.render()
-    );
-
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]

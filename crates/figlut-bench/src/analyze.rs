@@ -3,19 +3,20 @@
 //!
 //! The `repro analyze <trace>` subcommand reads a Chrome trace-event file
 //! with [`figlut_trace::read_chrome_trace`] and folds its events into the
-//! same deterministic [`Hist`] histograms the live report uses (DESIGN.md
-//! §9): per-kind span statistics, a merged step-duration distribution, the
-//! per-session admission timeline, and a per-run queue-depth/occupancy
-//! breakdown. Because the histograms have fixed bucket boundaries, an
-//! offline analysis of an exported trace reports the same quantiles as
-//! the run that produced it — the trace file is a faithful, replayable
+//! same exact [`Dist`] distributions the live report uses (DESIGN.md §9):
+//! per-kind span statistics, a step-duration distribution with one row per
+//! distinct duration, the per-session admission timeline, and a per-run
+//! queue-depth/occupancy breakdown. Nothing is bucketed, so an offline
+//! analysis of an exported trace reports the same nearest-rank quantiles
+//! as the run that produced it — the trace file is a faithful, replayable
 //! record, not a lossy log.
 //!
 //! Malformed input is a hard error (the CLI exits nonzero): every parse
 //! failure names the first offending event.
 
+use figlut_serve::Dist;
 use figlut_trace::fmt::{f3, Table};
-use figlut_trace::{read_chrome_trace, Hist, OwnedEvent};
+use figlut_trace::{read_chrome_trace, OwnedEvent};
 use std::collections::BTreeMap;
 
 /// Per-run aggregation for the breakdown table.
@@ -63,7 +64,7 @@ fn time_weighted_mean(samples: &[(u64, u64)], run: u64) -> Result<f64, String> {
 }
 
 /// Replay a Chrome trace file into analysis tables:
-/// per-kind span statistics, the merged step-duration histogram, the
+/// per-kind span statistics, the step-duration distribution, the
 /// admission timeline, and a per-run queue/occupancy breakdown.
 ///
 /// # Errors
@@ -80,15 +81,17 @@ pub fn analyze_trace(text: &str) -> Result<Vec<Table>, String> {
         return Err("trace contains no spans".into());
     }
 
-    // Per-kind span-duration histograms (deterministic, mergeable).
-    let mut by_name: BTreeMap<String, Hist> = BTreeMap::new();
+    // Span durations per kind, and steps per distinct duration.
+    let mut by_name: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    let mut by_dur: BTreeMap<u64, u64> = BTreeMap::new();
     let mut runs: BTreeMap<u64, RunStats> = BTreeMap::new();
     for e in &events {
         let run = e.run();
         let stats = runs.entry(run).or_default();
         match e {
             OwnedEvent::Span { name, dur, .. } => {
-                by_name.entry(name.clone()).or_default().record(*dur);
+                by_name.entry(name.clone()).or_default().push(*dur);
+                *by_dur.entry(*dur).or_default() += 1;
                 stats.steps += 1;
                 match name.as_str() {
                     "Prefill" => stats.by_kind[0] += 1,
@@ -135,39 +138,34 @@ pub fn analyze_trace(text: &str) -> Result<Vec<Table>, String> {
         }
     }
 
-    // Table 1: per-kind span statistics, quantiles from the histograms.
+    // Table 1: per-kind span statistics, exact nearest-rank quantiles.
     let mut spans = Table::new(
         "span kinds",
         &["kind", "count", "ticks", "mean", "p50", "p99", "max"],
     );
-    let mut merged = Hist::new();
-    for (name, h) in &by_name {
-        merged.merge(h);
+    for (name, durs) in by_name {
+        let ticks: u128 = durs.iter().map(|&d| u128::from(d)).sum();
+        let d = Dist::from_values(durs);
         spans.row(vec![
-            name.clone(),
-            h.count().to_string(),
-            (h.mean() * h.count() as f64).round().to_string(),
-            f3(h.mean()),
-            h.quantile(50.0).to_string(),
-            h.quantile(99.0).to_string(),
-            h.max().to_string(),
+            name,
+            d.count().to_string(),
+            ticks.to_string(),
+            f3(ticks as f64 / d.count() as f64),
+            d.percentile(50.0).to_string(),
+            d.percentile(99.0).to_string(),
+            d.max().to_string(),
         ]);
     }
-    spans.note("durations in virtual ticks; quantiles from log-bucketed histograms (≤3.2% high)");
+    spans.note("durations in virtual ticks; exact nearest-rank quantiles");
 
-    // Table 2: the merged step-duration distribution, bucket by bucket.
+    // Table 2: the step-duration distribution, one row per distinct duration.
     let mut dist = Table::new("step duration distribution", &["ticks", "steps"]);
-    for (lo, hi, count) in merged.nonzero_buckets() {
-        let label = if hi - lo == 1 {
-            lo.to_string()
-        } else {
-            format!("{lo}..{}", hi - 1)
-        };
-        dist.row(vec![label, count.to_string()]);
+    for (dur, steps) in &by_dur {
+        dist.row(vec![dur.to_string(), steps.to_string()]);
     }
     dist.note(format!(
-        "{} steps across {} runs; fixed log-linear buckets, so offline merges reproduce live quantiles exactly",
-        merged.count(),
+        "{} steps across {} runs",
+        by_dur.values().sum::<u64>(),
         runs.len()
     ));
 
@@ -266,6 +264,18 @@ mod tests {
         assert!(rendered.contains("session timeline"));
         assert!(rendered.contains("run breakdown"));
         assert_eq!(tables[2].rows, [["0", "0", "0", "0"]], "one admission");
+    }
+
+    #[test]
+    fn durations_past_63_ticks_are_exact() {
+        let tables = analyze_trace(&format!(
+            "{{\"traceEvents\":[{},{}]}}",
+            r#"{"name":"Decode","ph":"X","tid":1,"ts":0,"dur":66}"#,
+            r#"{"name":"Decode","ph":"X","tid":1,"ts":66,"dur":100}"#,
+        ))
+        .unwrap();
+        assert_eq!(tables[0].rows[0][4], "66", "p50");
+        assert_eq!(tables[1].rows, [["66", "1"], ["100", "1"]]);
     }
 
     #[test]

@@ -29,15 +29,9 @@
 //!
 //! `repro analyze <trace>...` reads previously exported trace files and
 //! replays them into distribution tables: per-kind span statistics, the
-//! step-duration histogram, the admission timeline, and a per-run
+//! step-duration distribution, the admission timeline, and a per-run
 //! queue/occupancy breakdown. Malformed input exits nonzero naming the
 //! first bad event.
-//!
-//! `repro audit [--json] [--update-baseline]` runs the workspace static
-//! invariant checker (`figlut-audit`) over this source tree: determinism,
-//! unsafe-discipline, panic-path, lock-discipline, and counter
-//! reconciliation lints. Exit code is the bitwise OR of the failing lint
-//! families (see DESIGN.md §11); 0 means clean.
 
 use figlut_bench::{analyze_trace, run, EXPERIMENTS};
 use figlut_exec::parallel::THREADS_ENV;
@@ -45,27 +39,6 @@ use figlut_trace::{install, validate_chrome_trace, ChromeTraceSink};
 use std::path::PathBuf;
 
 fn main() {
-    // `repro audit` routes to the static invariant checker before the
-    // experiment flag parse — `--json`/`--update-baseline` are audit-only.
-    if std::env::args().nth(1).as_deref() == Some("audit") {
-        let mut json = false;
-        let mut update_baseline = false;
-        for a in std::env::args().skip(2) {
-            match a.as_str() {
-                "--json" => json = true,
-                "--update-baseline" => update_baseline = true,
-                other => {
-                    eprintln!(
-                        "error: unknown audit argument '{other}' \
-                         (try --json, --update-baseline)"
-                    );
-                    std::process::exit(64);
-                }
-            }
-        }
-        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-        std::process::exit(figlut_audit::run_cli(root, json, update_baseline));
-    }
     let mut out_dir = PathBuf::from("results");
     let mut ids: Vec<String> = Vec::new();
     let mut threads: Option<String> = None;

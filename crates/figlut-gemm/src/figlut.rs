@@ -94,7 +94,10 @@ pub fn gemm_f(x: &Mat<f64>, w: &BcqWeight, cfg: &EngineConfig) -> Mat<f64> {
 ///
 /// # Panics
 ///
-/// Panics on shape mismatch or `µ ∉ 1..=8`.
+/// Panics on shape mismatch or `µ ∉ 1..=8`, or if a LUT entry overflows
+/// `i64`. An entry sums at most µ mantissas below `2^(p + guard_bits)`,
+/// so that needs `p + guard_bits = 61` (the most alignment accepts) and
+/// `µ ≥ 5`.
 #[allow(clippy::needless_range_loop)] // g indexes groups, luts and column offsets together
 pub fn gemm_i(x: &Mat<f64>, w: &BcqWeight, cfg: &EngineConfig) -> Mat<f64> {
     assert!((1..=8).contains(&cfg.mu), "µ = {} unsupported", cfg.mu);
@@ -115,6 +118,7 @@ pub fn gemm_i(x: &Mat<f64>, w: &BcqWeight, cfg: &EngineConfig) -> Mat<f64> {
                 windows(g * gs, gs, mu)
                     .map(|(start, width)| {
                         HalfLut::build(&mant[start..start + width], |a, c| {
+                            // audit: allow(panic) — `# Panics` bound: ≤ µ mantissas below 2^(p+g) fit i64 unless p + g = 61 and µ ≥ 5
                             a.checked_add(c).expect("LUT entry overflow")
                         })
                     })

@@ -108,12 +108,14 @@ impl Engine {
             (Engine::FiglutF, Weights::Bcq(b)) => figlut::gemm_f(x, b, cfg),
             (Engine::FiglutI, Weights::Bcq(b)) => figlut::gemm_i(x, b, cfg),
             (e, Weights::Uniform(_)) => {
+                // audit: allow(panic) — documented `# Panics` precondition: Table I format support
                 panic!(
                     "{} does not support uniform INT weights; convert with BcqWeight::from_uniform",
                     e.name()
                 )
             }
             (e, Weights::Bcq(_)) => {
+                // audit: allow(panic) — documented `# Panics` precondition: Table I format support
                 panic!(
                     "{} does not support BCQ weights (see paper Table I)",
                     e.name()

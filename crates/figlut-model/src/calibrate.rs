@@ -101,20 +101,27 @@ pub fn capture_activations(model: &Transformer, calib: &Corpus) -> Vec<Mat<f64>>
 /// weights straight into the output, so above the teacher this holds only
 /// the quantized model and one layer's quantizer scratch — never a second
 /// FP copy (DESIGN.md §1, "One FP copy").
+///
+/// # Panics
+///
+/// Panics if any linear of `model` is not FP (an already quantized or
+/// packed model is not a teacher).
 pub fn quantize_model(
     model: &Transformer,
     calib: &Corpus,
     method: Method,
 ) -> (Transformer, Vec<u32>) {
+    // One activation matrix per linear; RTN needs none and leaves it empty.
     let acts = match method {
-        Method::Rtn { .. } => None,
-        _ => Some(capture_activations(model, calib)),
+        Method::Rtn { .. } => Vec::new(),
+        _ => capture_activations(model, calib),
     };
     let fp_weights: Vec<&Mat<f64>> = model
         .linear_weights()
         .into_iter()
         .map(|w| match w {
             LinearWeights::Fp(m) => m,
+            // audit: allow(panic) — documented `# Panics` precondition: the teacher is FP
             _ => panic!("quantize_model expects an FP teacher"),
         })
         .collect();
@@ -127,10 +134,9 @@ pub fn quantize_model(
             vec![bits; fp_weights.len()]
         }
         Method::ShiftAddMixed { avg_bits } => {
-            let acts = acts.as_ref().expect("mixed precision needs calibration");
             let layers: Vec<LayerInput<'_>> = fp_weights
                 .iter()
-                .zip(acts)
+                .zip(&acts)
                 .map(|(&w, x)| LayerInput {
                     name: "linear",
                     weights: w,
@@ -147,18 +153,15 @@ pub fn quantize_model(
         match method {
             Method::Rtn { .. } => LinearWeights::Uniform(rtn(w, RtnParams::per_row(bits))),
             Method::Gptq { .. } => {
-                let x = &acts.as_ref().unwrap()[idx];
-                LinearWeights::Uniform(gptq_quantize(w, x, GptqParams::per_row(bits)))
+                LinearWeights::Uniform(gptq_quantize(w, &acts[idx], GptqParams::per_row(bits)))
             }
             Method::Awq { .. } => {
-                let x = &acts.as_ref().unwrap()[idx];
-                let a = awq_quantize(w, x, AwqParams::per_row(bits));
+                let a = awq_quantize(w, &acts[idx], AwqParams::per_row(bits));
                 LinearWeights::Fp(a.dequantize_effective())
             }
-            Method::ShiftAdd { .. } | Method::ShiftAddMixed { .. } => {
-                let x = &acts.as_ref().unwrap()[idx];
-                LinearWeights::Bcq(quantize_layer(w, Some(x), ShiftAddParams::per_row(bits)))
-            }
+            Method::ShiftAdd { .. } | Method::ShiftAddMixed { .. } => LinearWeights::Bcq(
+                quantize_layer(w, Some(&acts[idx]), ShiftAddParams::per_row(bits)),
+            ),
         }
     });
     (out, bits_per_layer)

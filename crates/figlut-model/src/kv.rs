@@ -633,6 +633,7 @@ impl KvCache {
     /// disagree on length).
     pub fn swap_out(&mut self) -> usize {
         let KvCache::Paged(p) = self else {
+            // audit: allow(panic) — documented `# Panics` precondition: the cache is resident
             panic!("swap_out on a swapped-out cache");
         };
         let len = p.len();
@@ -663,6 +664,7 @@ impl KvCache {
     /// Panics on a cache that is not swapped out.
     pub fn restore(&mut self) -> usize {
         let KvCache::Swapped(s) = self else {
+            // audit: allow(panic) — documented `# Panics` precondition: the cache is swapped out
             panic!("restore on a cache that is not swapped out");
         };
         let len = s.len;
@@ -672,10 +674,15 @@ impl KvCache {
     }
 
     /// Append layer `li`'s K/V row at that layer's current position.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a swapped-out cache.
     pub(crate) fn push_row(&mut self, li: usize, k: &[f64], v: &[f64]) {
         match self {
             KvCache::Paged(p) => p.push_row(li, k, v),
             KvCache::Swapped(_) => {
+                // audit: allow(panic) — documented `# Panics` precondition: the cache is resident
                 panic!("KV write to a swapped-out cache — restore before stepping")
             }
         }
@@ -685,10 +692,15 @@ impl KvCache {
     /// reads them in place ([`BlockPool::view`]) on the step's threads;
     /// [`KvCache::take_back`] returns the table. Moving it copies and
     /// allocates nothing, whatever the block size.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a swapped-out cache.
     pub(crate) fn lend(&mut self) -> (BlockPool, Vec<usize>) {
         match self {
             KvCache::Paged(p) => (p.pool.clone(), std::mem::take(&mut p.table)),
             KvCache::Swapped(_) => {
+                // audit: allow(panic) — documented `# Panics` precondition: the cache is resident
                 panic!("KV read from a swapped-out cache — restore before stepping")
             }
         }
@@ -764,6 +776,7 @@ impl KvCache {
     /// layers, width) differs from the image's original pool.
     pub fn rebind_pool(&mut self, pool: &BlockPool) {
         let KvCache::Swapped(s) = self else {
+            // audit: allow(panic) — documented `# Panics` precondition: the cache is swapped out
             panic!("rebind_pool on a cache that is not swapped out");
         };
         s.rebind(pool);
@@ -933,6 +946,7 @@ impl PrefixRegistry {
     /// pool.
     pub fn adopt_into(&self, prompt: &[usize], cache: &mut KvCache) -> usize {
         let KvCache::Paged(p) = cache else {
+            // audit: allow(panic) — documented `# Panics` precondition: the cache is resident
             panic!("prefix adoption into a swapped-out cache");
         };
         assert!(

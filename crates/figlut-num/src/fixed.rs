@@ -60,16 +60,26 @@ impl WideAcc {
     }
 
     /// Add `v` into the accumulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sum leaves `i128`.
     pub fn add(&mut self, v: i128) {
         self.value = self
             .value
             .checked_add(v)
+            // audit: allow(panic) — documented `# Panics` precondition: the sum stays inside i128
             .expect("WideAcc overflow: accumulation exceeded i128");
         self.max_abs = self.max_abs.max(self.value.unsigned_abs());
     }
 
     /// Subtract `v` from the accumulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is `i128::MIN` or the difference leaves `i128`.
     pub fn sub(&mut self, v: i128) {
+        // audit: allow(panic) — documented `# Panics` precondition: v > i128::MIN
         self.add(v.checked_neg().expect("i128::MIN negation"));
     }
 

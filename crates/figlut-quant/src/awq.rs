@@ -67,7 +67,8 @@ impl AwqWeight {
 ///
 /// # Panics
 ///
-/// Panics if `x` has a row count different from `w`'s column count.
+/// Panics if `x` has a row count different from `w`'s column count, or
+/// if `params.grid` is 0.
 pub fn awq_quantize(w: &Mat<f64>, x: &Mat<f64>, params: AwqParams) -> AwqWeight {
     let (_m, n) = w.shape();
     assert_eq!(x.rows(), n, "calibration activations must be n × samples");
@@ -101,6 +102,7 @@ pub fn awq_quantize(w: &Mat<f64>, x: &Mat<f64>, params: AwqParams) -> AwqWeight 
             best = Some((err, alpha, q, scale));
         }
     }
+    // audit: allow(panic) — documented `# Panics` precondition: grid ≥ 1, so the loop above set `best`
     let (_, alpha, quantized, channel_scale) = best.expect("grid is non-empty");
     AwqWeight {
         quantized,

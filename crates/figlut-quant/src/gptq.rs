@@ -48,8 +48,10 @@ impl GptqParams {
 ///
 /// # Panics
 ///
-/// Panics if `x` has a row count different from `w`'s column count, or on
-/// invalid `bits`/`group_size`.
+/// Panics if `x` has a row count different from `w`'s column count, on
+/// invalid `bits`/`group_size`, or if the damped Hessian is not positive
+/// definite. `X·Xᵀ` is positive semi-definite, so that needs non-finite
+/// activations or `damping ≤ 0`.
 pub fn gptq_quantize(w: &Mat<f64>, x: &Mat<f64>, params: GptqParams) -> UniformWeight {
     let (rows, cols) = w.shape();
     assert_eq!(
@@ -79,6 +81,7 @@ pub fn gptq_quantize(w: &Mat<f64>, x: &Mat<f64>, params: GptqParams) -> UniformW
     for i in 0..cols {
         h[(i, i)] += damp;
     }
+    // audit: allow(panic) — documented `# Panics` precondition: a Hessian of finite activations, damped by > 0, is SPD
     let mut hinv = spd_inverse(&h).expect("damped Hessian must be SPD");
 
     let mut work = w.clone();

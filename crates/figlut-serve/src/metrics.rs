@@ -216,9 +216,8 @@ pub struct TtftSplit {
 
 /// A latency distribution: the exact sorted sample, answering exact
 /// nearest-rank percentiles (sorted **once** at construction — the fix
-/// for `Display` re-sorting per percentile). The mergeable histograms
-/// `repro analyze` renders are built from trace events, not from here
-/// (DESIGN.md §9).
+/// for `Display` re-sorting per percentile). `repro analyze` builds the
+/// same distributions from trace events (DESIGN.md §9).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Dist {
     sorted: Vec<u64>,

@@ -4,8 +4,7 @@
 //! distinct seeds, and request contents invariant under the load dial
 //! (only arrivals move). These are the preconditions `ext-overload` leans
 //! on when it reuses one set of solo reference runs across 1×/3×/10×
-//! load, and the companion of the histogram merge-invariance properties
-//! in `figlut-trace` (same spirit as the batch-invariance gates).
+//! load (same spirit as the batch-invariance gates).
 
 use figlut_model::ModelConfig;
 use figlut_serve::{

@@ -62,7 +62,9 @@ pub struct PeSimResult {
 ///
 /// # Panics
 ///
-/// Panics on shape mismatch, `µ ∉ 1..=8`, or `k == 0`.
+/// Panics on shape mismatch, `µ ∉ 1..=8`, or `k == 0`, or if a LUT entry
+/// overflows `i64` — as in [`figlut_gemm::figlut::gemm_i`], only possible
+/// with `p + guard_bits = 61` and `µ ≥ 5`.
 pub fn simulate_pe_gemm_i(
     x: &Mat<f64>,
     w: &BcqWeight,
@@ -118,6 +120,7 @@ pub fn simulate_pe_gemm_i(
                         counters.cycles += 1;
                         counters.lut_generations += 1;
                         let lut = HalfLut::build(&mant[win_start..win_start + width], |a, c| {
+                            // audit: allow(panic) — `# Panics` bound: ≤ µ mantissas below 2^(p+g) fit i64 unless p + g = 61 and µ ≥ 5
                             a.checked_add(c).expect("LUT entry overflow")
                         });
                         for &r in rows.iter() {

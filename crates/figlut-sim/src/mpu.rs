@@ -167,13 +167,9 @@ impl Geometry {
     /// Fixed engines always move `cells` weights per cycle; bit-serial
     /// engines trade bit-planes for speed.
     pub fn weights_per_cycle(&self, engine: SimEngine, q: f64) -> f64 {
-        if engine.is_bit_serial() {
-            self.bit_ops_per_cycle / q
-        } else {
-            match engine {
-                SimEngine::Fpe | SimEngine::Figna => self.cells as f64,
-                _ => unreachable!("bit-serial handled above"),
-            }
+        match engine {
+            SimEngine::Fpe | SimEngine::Figna => self.cells as f64,
+            SimEngine::Ifpu | SimEngine::FiglutF | SimEngine::FiglutI => self.bit_ops_per_cycle / q,
         }
     }
 }

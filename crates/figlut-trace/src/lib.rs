@@ -55,12 +55,10 @@
 
 pub mod counters;
 pub mod fmt;
-pub mod hist;
 pub mod json;
 pub mod sink;
 
 pub use counters::{snapshot, Counters};
-pub use hist::Hist;
 pub use sink::{
     read_chrome_trace, validate_chrome_trace, ChromeTraceSink, CollectSink, OwnedEvent,
 };

@@ -5,17 +5,14 @@
 //! one thread-local read and performs **zero** heap allocations. This
 //! pins it with a counting global allocator over every disabled entry
 //! point an instrumented hot path can reach: the `enabled()` gate, each
-//! counter bump, event emission, and run scoping. [`Hist`] shares the
-//! contract's spirit: once constructed, `record`, `merge`, and `quantile`
-//! run on a fixed-size counts array and never touch the heap, so a live
-//! histogram inside a metrics hot loop is also allocation-free.
+//! counter bump, event emission, and run scoping.
 //!
 //! This lives in its own integration-test binary on purpose — a global
 //! allocator is per-process, and a sibling `#[test]` allocating on another
 //! thread while the counter is armed would make the count meaningless.
 //! Keep this file at exactly one test.
 
-use figlut_trace::{counters, Event, Hist};
+use figlut_trace::{counters, Event};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,13 +78,6 @@ fn disabled_trace_path_is_allocation_free() {
         "no session installed in this test"
     );
 
-    // Histograms are constructed (and warmed) before arming: `Hist` holds
-    // its buckets inline, so everything past construction must be free.
-    let mut hist = Hist::new();
-    let mut other = Hist::new();
-    hist.record(7);
-    other.record(1 << 40);
-
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.with(|a| a.set(true));
 
@@ -121,14 +111,6 @@ fn disabled_trace_path_is_allocation_free() {
         });
         let _ = figlut_trace::run_base();
         figlut_trace::end_run(i);
-        // A warm histogram in the same loop: record across the exact and
-        // log-bucketed ranges, merge, and query — all heap-free.
-        hist.record(i);
-        hist.record(i << 20);
-        hist.merge(&other);
-        let _ = hist.quantile(50.0);
-        let _ = hist.quantile(99.0);
-        let _ = (hist.count(), hist.min(), hist.max(), hist.mean());
     }
 
     ARMED.with(|a| a.set(false));

@@ -13,7 +13,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`num`] (`figlut-num`) | bit-accurate FP16/BF16/FP32, pre-alignment, matrices |
-//! | [`trace`] (`figlut-trace`) | zero-cost-when-off tracing: counter registry, spans, Chrome-trace sink and reader, mergeable streaming histograms |
+//! | [`trace`] (`figlut-trace`) | zero-cost-when-off tracing: counter registry, spans, Chrome-trace sink and reader |
 //! | [`quant`] (`figlut-quant`) | RTN, BCQ, GPTQ-style, ShiftAddLLM-style quantizers |
 //! | [`lut`] (`figlut-lut`) | keys, FFLUT/hFFLUT, generator schedules, RACs, bank model |
 //! | [`gemm`] (`figlut-gemm`) | FPE / iFPU / FIGNA / FIGLUT-F / FIGLUT-I engine models |
@@ -61,5 +61,5 @@ pub mod prelude {
         ServeReport, Slo, Trace, TraceParams, TtftSplit,
     };
     pub use figlut_sim::{evaluate, EngineSpec, GemmShape, Report, SimEngine, Tech, Workload};
-    pub use figlut_trace::{install, snapshot, ChromeTraceSink, Hist, TraceGuard, TraceSink};
+    pub use figlut_trace::{install, snapshot, ChromeTraceSink, TraceGuard, TraceSink};
 }
